@@ -2,21 +2,30 @@
 
 Not a paper figure — these isolate the costs the paper reasons about:
 pure scan throughput, the 100%-rule fast path vs the generic engine,
-packed-bitmap miss counting vs set operations, and the pre-scan.
+the DMC-bitmap tail, and the pre-scan.  The vector entries scan in
+the Section 4.1 order, as the mining pipeline always does.
 """
 
-import numpy as np
+import statistics
+
 import pytest
 
-from repro.core.miss_counting import miss_counting_scan, zero_miss_scan
+from repro.core.miss_counting import (
+    BitmapConfig,
+    miss_counting_scan,
+    zero_miss_scan,
+)
 from repro.core.policies import (
     HundredPercentPolicy,
     ImplicationPolicy,
     SimilarityPolicy,
 )
+from repro.core.stats import ScanStats
 from repro.core.vector import vector_scan
+from repro.datasets.registry import load_dataset
 from repro.datasets.synthetic import random_matrix
-from repro.matrix.ops import count_and_not, pack_rows
+from repro.experiments.figures import SCALED_BITMAP
+from repro.matrix.reorder import scan_order
 
 
 @pytest.fixture(scope="module")
@@ -56,23 +65,24 @@ def test_micro_generic_scan_sim(benchmark, workload):
     benchmark.extra_info["rules"] = len(rules)
 
 
-def test_micro_vector_scan_imp(benchmark, workload):
+def test_micro_vector_scan_imp_ordered(benchmark, workload):
     """The blocked numpy engine on the same workload as the generic
-    implication scan — the tentpole speedup pair.  One warmup round
-    keeps one-time numpy/BLAS initialization out of the steady-state
-    numbers."""
+    implication scan, in scan order.  One warmup round keeps one-time
+    numpy/BLAS initialization out of the steady-state numbers."""
     policy = ImplicationPolicy(workload.column_ones(), 0.8)
     rules = benchmark.pedantic(
-        vector_scan, args=(workload, policy), rounds=3, iterations=1,
+        vector_scan, args=(workload, policy),
+        kwargs={"order": scan_order(workload)}, rounds=7, iterations=1,
         warmup_rounds=1,
     )
     benchmark.extra_info["rules"] = len(rules)
 
 
-def test_micro_vector_scan_sim(benchmark, workload):
+def test_micro_vector_scan_sim_ordered(benchmark, workload):
     policy = SimilarityPolicy(workload.column_ones(), 0.6)
     rules = benchmark.pedantic(
-        vector_scan, args=(workload, policy), rounds=3, iterations=1,
+        vector_scan, args=(workload, policy),
+        kwargs={"order": scan_order(workload)}, rounds=7, iterations=1,
         warmup_rounds=1,
     )
     benchmark.extra_info["rules"] = len(rules)
@@ -195,49 +205,41 @@ def test_micro_overhead_trace_profile(
     benchmark.extra_info["profile_samples"] = profiler.samples
 
 
-def test_micro_bitmap_miss_counting(benchmark):
-    """popcount(a & ~b) on packed bitmaps, the Phase-1 primitive."""
-    rng = np.random.default_rng(0)
-    rows = [
-        (r, tuple(np.flatnonzero(rng.random(64) < 0.3)))
-        for r in range(512)
-    ]
-    bitmaps = pack_rows(rows)
-    columns = list(bitmaps.columns())
-
-    def count_all():
-        total = 0
-        for i in columns:
-            a = bitmaps.get(i)
-            for j in columns:
-                if i != j:
-                    total += count_and_not(a, bitmaps.get(j))
-        return total
-
-    total = benchmark(count_all)
-    assert total > 0
+@pytest.fixture(scope="module")
+def plink_smoke():
+    """plinkT at the end-to-end benchmark's smoke size, in scan order."""
+    matrix = load_dataset("plinkT", scale=0.5, seed=0)
+    return matrix, scan_order(matrix)
 
 
-def test_micro_set_miss_counting(benchmark):
-    """The same misses via Python sets, for comparison."""
-    rng = np.random.default_rng(0)
-    column_rows = {}
-    for r in range(512):
-        for c in np.flatnonzero(rng.random(64) < 0.3):
-            column_rows.setdefault(int(c), set()).add(r)
-    columns = list(column_rows)
+def test_micro_bitmap_tail(benchmark, plink_smoke):
+    """A scan that hands its last 64 rows (SCALED_BITMAP's window) to
+    the Algorithm 4.1 tail.  At this size the counter array stays under
+    SCALED_BITMAP's budget, so a zero budget fires the switch; the tail
+    then finishes most lists and emits most of the rules."""
+    matrix, order = plink_smoke
+    policy = ImplicationPolicy(matrix.column_ones(), "3/4")
+    config = BitmapConfig(
+        switch_rows=SCALED_BITMAP.switch_rows, memory_budget_bytes=0
+    )
+    tail_seconds = []
 
-    def count_all():
-        total = 0
-        for i in columns:
-            a = column_rows[i]
-            for j in columns:
-                if i != j:
-                    total += len(a - column_rows[j])
-        return total
+    def scan():
+        stats = ScanStats()
+        rules = miss_counting_scan(
+            matrix, policy, order=order, stats=stats, bitmap=config
+        )
+        tail_seconds.append(stats.bitmap_seconds)
+        return rules, stats
 
-    total = benchmark(count_all)
-    assert total > 0
+    rules, stats = benchmark.pedantic(
+        scan, rounds=15, iterations=1, warmup_rounds=1
+    )
+    assert stats.bitmap_switch_at is not None and len(rules) > 0
+    benchmark.extra_info["rules"] = len(rules)
+    benchmark.extra_info["tail_median_seconds"] = statistics.median(
+        tail_seconds
+    )
 
 
 if __name__ == "__main__":

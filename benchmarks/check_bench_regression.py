@@ -5,7 +5,9 @@ The repo commits one machine-readable benchmark document per module
 perf trajectory accumulates per PR.  This gate keeps that trajectory
 from silently eroding: it compares a *fresh* run against the committed
 document and fails when any benchmark present in both slowed down by
-more than the threshold (default 25% on the mean).
+more than the threshold (default 25%).  The statistic compared is the
+median, which a single slow round cannot drag; when either document
+predates ``median_seconds`` the gate falls back to the mean.
 
 Only benchmarks present in **both** documents are compared — a new
 benchmark has no history to regress against, and a deleted one has no
@@ -24,10 +26,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
-#: Fail when a benchmark's fresh mean exceeds the committed mean by
-#: more than this fraction.
+#: Fail when a benchmark's fresh median (or mean, see
+#: :func:`center_seconds`) exceeds the committed one by more than this
+#: fraction.
 DEFAULT_THRESHOLD = 0.25
 
 #: Ignore slowdowns below this many seconds regardless of ratio —
@@ -44,6 +47,19 @@ def _by_name(document: Dict) -> Dict[str, Dict]:
         entry["name"]: entry
         for entry in document.get("benchmarks", [])
     }
+
+
+def center_seconds(
+    committed: Dict, fresh: Dict
+) -> Tuple[str, float, float]:
+    """``(statistic, committed, fresh)`` for one benchmark's entries:
+    the medians when both carry one, else the means."""
+    key = (
+        "median_seconds"
+        if "median_seconds" in committed and "median_seconds" in fresh
+        else "mean_seconds"
+    )
+    return key.split("_")[0], committed[key], fresh[key]
 
 
 def check(
@@ -72,12 +88,13 @@ def check(
     verdicts: List[str] = []
     breaches: List[str] = []
     for name in shared:
-        baseline = baseline_entries[name]["mean_seconds"]
-        candidate = fresh_entries[name]["mean_seconds"]
+        statistic, baseline, candidate = center_seconds(
+            baseline_entries[name], fresh_entries[name]
+        )
         delta = candidate - baseline
         ratio = delta / baseline if baseline > 0 else 0.0
         verdict = (
-            f"{name}: {baseline * 1000:.3f}ms -> "
+            f"{name}: {statistic} {baseline * 1000:.3f}ms -> "
             f"{candidate * 1000:.3f}ms ({ratio * 100:+.1f}%)"
         )
         if delta > ABSOLUTE_FLOOR_SECONDS and ratio > threshold:
@@ -111,7 +128,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--threshold", type=float, default=DEFAULT_THRESHOLD,
         metavar="FRACTION",
         help=(
-            "maximum tolerated mean-time growth "
+            "maximum tolerated median-time growth "
             f"(default {DEFAULT_THRESHOLD})"
         ),
     )

@@ -71,7 +71,12 @@ def check_document(document: Dict, label: str = "document") -> List[str]:
             bad(f"{where} duplicates benchmark name {name!r}")
         else:
             seen.add(name)
-        for key in ("mean_seconds", "min_seconds", "stddev_seconds"):
+        for key in (
+            "mean_seconds", "min_seconds", "stddev_seconds",
+            "median_seconds",
+        ):
+            if key not in entry:  # the median is optional
+                continue
             value = entry[key]
             if not isinstance(value, (int, float)) or value < 0:
                 bad(f"{where}.{key} is {value!r}, expected >= 0")

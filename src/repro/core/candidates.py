@@ -12,7 +12,7 @@ Two layouts implement it:
 
 - :class:`CandidateArray` — dict-of-dicts, one miss counter mutated at
   a time.  The row-at-a-time scans (:mod:`repro.core.miss_counting`)
-  and the Algorithm 4.1 tail run on this.
+  run on this.
 - :class:`PairStore` — struct-of-arrays: parallel numpy vectors of
   owner ids, candidate ids, miss counts and budgets, updated and
   compacted whole-array at a time.  The blocked vector engine
@@ -23,7 +23,8 @@ Two layouts implement it:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, Optional, Tuple
+import itertools
+from typing import Callable, Dict, Iterator, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -32,6 +33,16 @@ BYTES_PER_ENTRY = 8
 
 #: Bytes charged per live candidate list (header/pointer overhead).
 BYTES_PER_LIST = 16
+
+
+def list_pairs(lists: Mapping) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(list_owners, owners, cands)`` arrays of candidate lists (a dict
+    of id collections), empty lists included in ``list_owners``."""
+    list_owners = np.fromiter(lists, dtype=np.int64, count=len(lists))
+    owners = np.repeat(list_owners, list(map(len, lists.values())))
+    cands = np.fromiter(itertools.chain.from_iterable(lists.values()),
+                        dtype=np.int64, count=len(owners))
+    return list_owners, owners, cands
 
 
 class CandidateArray:
@@ -104,6 +115,15 @@ class CandidateArray:
         candidate_list = self._lists.get(column)
         if candidate_list:
             yield from candidate_list.items()
+
+    def to_pairs(self) -> Tuple[np.ndarray, ...]:
+        """:func:`list_pairs` of the live lists, plus the miss counts."""
+        misses = itertools.chain.from_iterable(
+            map(dict.values, self._lists.values())
+        )
+        return list_pairs(self._lists) + (
+            np.fromiter(misses, dtype=np.int64, count=self._entries),
+        )
 
     # ------------------------------------------------------------------
     # Memory model
@@ -200,16 +220,6 @@ class PairStore:
         if n_lists is None:
             n_lists = self.n_lists()
         return len(self.owners) * BYTES_PER_ENTRY + n_lists * BYTES_PER_LIST
-
-    def to_candidate_array(self) -> CandidateArray:
-        """Materialize the dict-of-dicts layout (bitmap-tail hand-over)."""
-        cand = CandidateArray()
-        for owner, candidate, misses in zip(
-            self.owners.tolist(), self.cands.tolist(), self.misses.tolist()
-        ):
-            cand.ensure(owner)
-            cand.add(owner, candidate, misses)
-        return cand
 
     def __repr__(self) -> str:
         return (

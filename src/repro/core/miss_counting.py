@@ -29,14 +29,17 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, Optional, Sequence, Set, Tuple
 
-from repro.core.bitmap import bitmap_tail
-from repro.core.candidates import BYTES_PER_LIST, CandidateArray
+import numpy as np
+
+from repro.core.bitmap import bitmap_tail, tail_due
+from repro.core.candidates import BYTES_PER_LIST, CandidateArray, list_pairs
 from repro.core.policies import PairPolicy
 from repro.core.rules import RuleSet
 from repro.core.stats import ScanStats
 from repro.matrix.binary_matrix import BinaryMatrix
+from repro.matrix.ops import RowBlocks
 from repro.observe.progress import NULL_OBSERVER
 
 #: Bytes charged per id-only candidate entry in the zero-miss scan.
@@ -57,8 +60,17 @@ class BitmapConfig:
     memory_budget_bytes: int = 50 * 2**20
 
 
-def _default_order(matrix: BinaryMatrix) -> List[int]:
-    return [row_id for row_id, row in matrix.iter_rows() if row]
+def _matrix_rows(matrix: BinaryMatrix, policy: PairPolicy, order):
+    """``(rows, n_rows)`` to scan: ``order``'s rows (default: stored
+    order, empty rows skipped), once ``policy`` is checked to fit."""
+    if len(policy.ones) != matrix.n_columns:
+        raise ValueError(
+            f"policy was built for {len(policy.ones)} columns but the "
+            f"matrix has {matrix.n_columns}"
+        )
+    if order is None:
+        order = [row_id for row_id, row in matrix.iter_rows() if row]
+    return ((row_id, matrix.row(row_id)) for row_id in order), len(order)
 
 
 def _memory_listener(guard, observer):
@@ -119,16 +131,9 @@ def miss_counting_scan(
         :class:`repro.observe.RunObserver`; when disabled (the
         default) the loop pays one attribute check per row.
     """
-    if len(policy.ones) != matrix.n_columns:
-        raise ValueError(
-            f"policy was built for {len(policy.ones)} columns but the "
-            f"matrix has {matrix.n_columns}"
-        )
-    if order is None:
-        order = _default_order(matrix)
-    rows = ((row_id, matrix.row(row_id)) for row_id in order)
+    rows, n_rows = _matrix_rows(matrix, policy, order)
     return miss_counting_scan_rows(
-        rows, len(order), policy, stats=stats, bitmap=bitmap, rules=rules,
+        rows, n_rows, policy, stats=stats, bitmap=bitmap, rules=rules,
         guard=guard, observer=observer,
     )
 
@@ -178,40 +183,17 @@ def miss_counting_scan_rows(
     misses_seen = 0
 
     for position in range(n_rows):
-        if bitmap is not None and n_rows - position <= bitmap.switch_rows:
-            if cand.memory_bytes() > bitmap.memory_budget_bytes:
-                stats.bitmap_switch_at = position
-                stats.misses_recorded = misses_base + misses_seen
-                if observer.enabled:
-                    observer.on_bitmap_switch(position)
-                remaining = list(rows)
-                with observer.span(
-                    "bitmap-tail", rows_remaining=len(remaining)
-                ):
-                    bitmap_tail(
-                        remaining, policy, count, cand, rules, stats,
-                        observer=observer,
-                    )
-                stats.scan_seconds += time.perf_counter() - started
-                return rules
-        if guard is not None and position and guard.tripping(
-            cand.memory_bytes(), position
-        ):
-            stats.guard_tripped_at = position
-            stats.bitmap_switch_at = position
+        hand_over, tripped = tail_due(
+            bitmap, guard, cand.memory_bytes(), position, n_rows - position
+        )
+        if hand_over:
             stats.misses_recorded = misses_base + misses_seen
-            if observer.enabled:
-                observer.on_guard_trip(position)
-                observer.on_bitmap_switch(position)
-            remaining = list(rows)
-            with observer.span(
-                "bitmap-tail", rows_remaining=len(remaining),
-                guard_tripped=True,
-            ):
-                bitmap_tail(
-                    remaining, policy, count, cand, rules, stats,
-                    observer=observer,
-                )
+            lists, owners, cands, misses = cand.to_pairs()
+            bitmap_tail(
+                RowBlocks(rows), policy, count, owners, cands, misses,
+                rules, stats, switch_at=position, lists=lists,
+                guard_tripped=tripped, observer=observer,
+            )
             stats.scan_seconds += time.perf_counter() - started
             return rules
 
@@ -342,16 +324,9 @@ def zero_miss_scan(
     added.  Produces exactly the rules of :func:`miss_counting_scan`
     with the same zero-budget policy.
     """
-    if len(policy.ones) != matrix.n_columns:
-        raise ValueError(
-            f"policy was built for {len(policy.ones)} columns but the "
-            f"matrix has {matrix.n_columns}"
-        )
-    if order is None:
-        order = _default_order(matrix)
-    rows = ((row_id, matrix.row(row_id)) for row_id in order)
+    rows, n_rows = _matrix_rows(matrix, policy, order)
     return zero_miss_scan_rows(
-        rows, len(order), policy, stats=stats, bitmap=bitmap, rules=rules,
+        rows, n_rows, policy, stats=stats, bitmap=bitmap, rules=rules,
         guard=guard, observer=observer,
     )
 
@@ -384,42 +359,20 @@ def zero_miss_scan_rows(
     misses_base = stats.misses_recorded
     misses_seen = 0
 
-    def hand_over_to_bitmap_tail() -> None:
-        cand = CandidateArray()
-        for column_j, candidates in lists.items():
-            cand.ensure(column_j)
-            for candidate_k in candidates:
-                cand.add(column_j, candidate_k, 0)
-        remaining = list(rows)
-        with observer.span(
-            "bitmap-tail", rows_remaining=len(remaining)
-        ):
-            bitmap_tail(
-                remaining, policy, count, cand, rules, stats,
-                observer=observer,
-            )
-
     for position in range(n_rows):
         memory = entries * BYTES_PER_ID + len(lists) * BYTES_PER_LIST
-        if bitmap is not None and n_rows - position <= bitmap.switch_rows:
-            if memory > bitmap.memory_budget_bytes:
-                stats.bitmap_switch_at = position
-                stats.misses_recorded = misses_base + misses_seen
-                if observer.enabled:
-                    observer.on_bitmap_switch(position)
-                hand_over_to_bitmap_tail()
-                stats.scan_seconds += time.perf_counter() - started
-                return rules
-        if guard is not None and position and guard.tripping(
-            memory, position
-        ):
-            stats.guard_tripped_at = position
-            stats.bitmap_switch_at = position
+        hand_over, tripped = tail_due(
+            bitmap, guard, memory, position, n_rows - position
+        )
+        if hand_over:
             stats.misses_recorded = misses_base + misses_seen
-            if observer.enabled:
-                observer.on_guard_trip(position)
-                observer.on_bitmap_switch(position)
-            hand_over_to_bitmap_tail()
+            list_owners, owners, cands = list_pairs(lists)
+            bitmap_tail(
+                RowBlocks(rows), policy, count, owners, cands,
+                np.zeros(len(owners), dtype=np.int64), rules, stats,
+                switch_at=position, lists=list_owners,
+                guard_tripped=tripped, observer=observer,
+            )
             stats.scan_seconds += time.perf_counter() - started
             return rules
 

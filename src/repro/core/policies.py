@@ -16,7 +16,8 @@ column ``c_j`` is 1 but the candidate ``c_k`` is 0.  See
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional, Sequence
+from functools import cached_property
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -41,6 +42,9 @@ class PairPolicy:
     ones:
         ``ones(c_i)`` for every column (from the pre-scan).
     """
+
+    #: The rule class this variant mines (set by each subclass).
+    rule_type: type
 
     def __init__(self, ones: Sequence[int]) -> None:
         self.ones = list(int(o) for o in ones)
@@ -143,6 +147,45 @@ class PairPolicy:
         """Array twin of the final :meth:`make_rule` validity test."""
         raise NotImplementedError
 
+    def make_rules(
+        self, owners: np.ndarray, cands: np.ndarray, misses: np.ndarray
+    ) -> list:
+        """Array twin of :meth:`make_rule`: the valid pairs' rules, in
+        order.  Validity comes from :meth:`valid_mask`, or from the exact
+        per-rule path when the int64 twins are not (:meth:`vector_ready`).
+        """
+        if not self.vector_ready():
+            built = map(
+                self.make_rule, owners.tolist(), cands.tolist(),
+                misses.tolist(),
+            )
+            return [rule for rule in built if rule is not None]
+        keep = self.valid_mask(owners, cands, misses)
+        owners, cands, misses = owners[keep], cands[keep], misses[keep]
+        ids = self._shared_ints[0]
+        return list(map(
+            self.rule_type, ids[owners].tolist(), ids[cands].tolist(),
+            (self.ones_array()[owners] - misses).tolist(),
+            self._rule_totals(owners, cands, misses).tolist(),
+        ))
+
+    @cached_property
+    def _shared_ints(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Column ids and ``ones`` as object arrays of Python ints:
+        bulk-built rules then share these int objects, as
+        :meth:`make_rule`'s do, instead of holding one copy each."""
+        return (
+            np.array(range(len(self.ones)), dtype=object),
+            np.array(self.ones, dtype=object),
+        )
+
+    def _rule_totals(
+        self, owners: np.ndarray, cands: np.ndarray, misses: np.ndarray
+    ) -> np.ndarray:
+        """Each valid pair's rule denominator: ``ones(c_j)`` (a
+        similarity's union overrides this)."""
+        return self._shared_ints[1][owners]
+
     def vector_ready(self) -> bool:
         """Whether the int64 array twins are exact for this instance."""
         return True
@@ -154,6 +197,8 @@ class ImplicationPolicy(PairPolicy):
     The budget is per-antecedent: ``maxmiss(c_j) = floor((1-minconf)*ones)``,
     which is also the add cutoff (Example 1.3).
     """
+
+    rule_type = ImplicationRule
 
     def __init__(self, ones: Sequence[int], minconf: Threshold) -> None:
         super().__init__(ones)
@@ -217,6 +262,8 @@ class SimilarityPolicy(PairPolicy):
     prunings can be disabled for the ablation benchmarks; disabling them
     never changes the mined rules, only the work done.
     """
+
+    rule_type = SimilarityRule
 
     def __init__(
         self,
@@ -341,6 +388,11 @@ class SimilarityPolicy(PairPolicy):
         union = ones[cands] + misses
         return (union > 0) & (intersection * self._q >= self._p * union)
 
+    def _rule_totals(
+        self, owners: np.ndarray, cands: np.ndarray, misses: np.ndarray
+    ) -> np.ndarray:
+        return self.ones_array()[cands] + misses
+
     def vector_ready(self) -> bool:
         # The array twins do the p/q cross-multiplications in int64;
         # pathological Fraction thresholds with astronomically large
@@ -356,6 +408,8 @@ class IdentityPolicy(PairPolicy):
     Only pairs with equal cardinality are eligible and no miss at all is
     allowed.
     """
+
+    rule_type = SimilarityRule
 
     def eligible(self, column_j: int, candidate_k: int) -> bool:
         return (

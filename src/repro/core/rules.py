@@ -122,6 +122,21 @@ class RuleSet:
                 f"{existing} vs {rule}"
             )
 
+    def add_many(self, rules: List) -> None:
+        """:meth:`add` every rule in ``rules``, comparing only the pairs
+        already present; a conflict raises before anything is inserted."""
+        batch = {rule.pair: rule for rule in rules}
+        if len(batch) != len(rules):  # duplicates within the batch
+            self.update(rules)
+            return
+        for pair in self._by_pair.keys() & batch.keys():
+            if self._by_pair[pair] != batch[pair]:
+                raise ValueError(
+                    f"conflicting statistics for pair {pair}: "
+                    f"{self._by_pair[pair]} vs {batch[pair]}"
+                )
+        self._by_pair.update(batch)
+
     def update(self, rules: Iterable) -> None:
         """Insert every rule in ``rules``."""
         for rule in rules:

@@ -8,10 +8,9 @@ row-at-a-time dict updates into numpy batch operations:
 - rows are consumed in blocks of ``block_rows``; each block becomes a
   dense 0/1 matrix over the columns active in it;
 - per-pair block hits come from one BLAS matmul (``D.T @ D``) on
-  narrow blocks, or from the packed-bitmap popcount kernels in
-  :mod:`repro.matrix.ops` (``pack_columns`` + ``pair_and_counts``)
-  when the block touches too many columns for a dense co-occurrence
-  matrix;
+  narrow blocks, or from the gather and packed-bitmap popcount kernels
+  in :mod:`repro.matrix.ops` when the block touches too many columns
+  for a dense co-occurrence matrix;
 - live pairs sit in a :class:`~repro.core.candidates.PairStore`
   (parallel owner/candidate/miss/budget arrays); every miss update,
   budget check, dynamic prune, and finished-column emission is an
@@ -19,7 +18,7 @@ row-at-a-time dict updates into numpy batch operations:
   compacts the arrays.
 
 Exactness argument (why block granularity cannot change the rules):
-``policy.make_rule`` applies the exact final validity test, so the
+``policy.make_rules`` applies the exact final validity test, so the
 engine only has to (a) consider a *superset* of the serial engine's
 valid pairs and (b) compute exact final miss counts for every pair it
 emits.  A pair is admitted when it co-occurs in a block whose starting
@@ -40,114 +39,53 @@ randomized harness.
 per-row histories are extended block-wise (``ScanStats.record_block``),
 the pruning curve is sampled at every block boundary, a
 :class:`~repro.runtime.guards.MemoryGuard` is checked between blocks,
-and the Section 4.4 bitmap switch hands the surviving pairs to the
-Algorithm 4.1 tail exactly as the serial engine does.
+and the Section 4.4 bitmap switch hands the surviving pairs — the
+``PairStore`` arrays as they are — and the unread rows to the
+Algorithm 4.1 tail (:mod:`repro.core.bitmap`), which every scan shares.
 """
 
 from __future__ import annotations
 
-import itertools
 import time
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.bitmap import bitmap_tail
+from repro.core.bitmap import bitmap_tail, emit_rules, tail_due
 from repro.core.candidates import PairStore
 from repro.core.miss_counting import BitmapConfig
 from repro.core.policies import PairPolicy
 from repro.core.rules import RuleSet
 from repro.core.stats import ScanStats
 from repro.matrix.binary_matrix import BinaryMatrix
-from repro.matrix.ops import pack_columns, pair_and_counts
+from repro.matrix.ops import (
+    DEFAULT_BLOCK_ROWS,
+    DENSE_PAIR_COLUMNS,
+    MAX_BLOCK_ROWS,
+    RowBlocks,
+    block_co_matrix,
+    co_occurrences,
+    dense_block,
+    pair_hits,
+)
 from repro.observe.progress import NULL_OBSERVER
-
-#: Default rows per block.  Large enough that the per-block Python
-#: overhead vanishes against the array work; small enough that the
-#: dense block matrix stays cache-friendly.
-DEFAULT_BLOCK_ROWS = 1024
-
-#: Hard cap on the block size: float32 block matmuls are exact only
-#: while per-pair block hits stay below 2**24.
-MAX_BLOCK_ROWS = 1 << 20
-
-#: Blocks touching at most this many distinct columns use one dense
-#: ``D.T @ D`` co-occurrence matrix for both discovery and live-pair
-#: hit lookup; wider blocks fall back to packed-bitmap popcount
-#: kernels for live pairs and chunked matmuls for discovery.
-DENSE_PAIR_COLUMNS = 2048
-
-#: Entry budget (not bytes) for one discovery matmul chunk when the
-#: dense path is off the table.
-_DISCOVERY_CHUNK_ENTRIES = DENSE_PAIR_COLUMNS * DENSE_PAIR_COLUMNS
-
-#: With few live pairs, per-pair hits come from gathering the pair's
-#: two dense columns (cost ``pairs * block_rows`` cells); past this
-#: budget the packed popcount kernels win despite their fixed
-#: ``packbits`` cost.
-_GATHER_PAIR_CELLS = 1 << 20
-
-
-class _IterBlocks:
-    """Block source over a ``(row_id, columns)`` iterator (streaming)."""
-
-    def __init__(self, rows: Iterator[Tuple[int, Tuple[int, ...]]]) -> None:
-        self._rows = iter(rows)
-
-    def take(
-        self, n: int
-    ) -> Tuple[int, Optional[np.ndarray], Optional[np.ndarray]]:
-        block = list(itertools.islice(self._rows, n))
-        if not block:
-            return 0, None, None
-        row_tuples = [row for _, row in block]
-        lengths = np.fromiter(
-            map(len, row_tuples), dtype=np.int64, count=len(block)
-        )
-        total = int(lengths.sum())
-        cols = np.fromiter(
-            itertools.chain.from_iterable(row_tuples),
-            dtype=np.int64,
-            count=total,
-        )
-        return len(block), lengths, cols
-
-    def remaining_pairs(self) -> List[Tuple[int, Tuple[int, ...]]]:
-        return list(self._rows)
 
 
 class _FlatBlocks:
     """Block source slicing a matrix's cached CSR-style flat arrays."""
 
     def __init__(self, matrix: BinaryMatrix) -> None:
-        self._matrix = matrix
-        row_ids, lengths, cols, offsets = matrix.flat_rows()
-        self._row_ids = row_ids
-        self._lengths = lengths
-        self._cols = cols
-        self._offsets = offsets
+        self._lengths, self._cols, self._offsets = matrix.flat_rows()
         self._pos = 0
-        self.n_rows = len(row_ids)
+        self.n_rows = len(self._lengths)
 
     def take(
         self, n: int
     ) -> Tuple[int, Optional[np.ndarray], Optional[np.ndarray]]:
-        lo = self._pos
-        hi = min(lo + n, self.n_rows)
-        if hi == lo:
-            return 0, None, None
+        lo, hi = self._pos, min(self._pos + n, self.n_rows)
         self._pos = hi
-        return (
-            hi - lo,
-            self._lengths[lo:hi],
-            self._cols[self._offsets[lo]:self._offsets[hi]],
-        )
-
-    def remaining_pairs(self) -> List[Tuple[int, Tuple[int, ...]]]:
-        return [
-            (row_id, self._matrix.row(row_id))
-            for row_id in self._row_ids[self._pos:].tolist()
-        ]
+        cols = self._cols[self._offsets[lo]:self._offsets[hi]]
+        return hi - lo, self._lengths[lo:hi], cols
 
 
 def vector_scan(
@@ -209,7 +147,7 @@ def vector_scan_rows(
     spill-bucket replay and checkpoint resume work unchanged.
     """
     return _scan_blocks(
-        _IterBlocks(rows), n_rows, policy, stats=stats, bitmap=bitmap,
+        RowBlocks(rows), n_rows, policy, stats=stats, bitmap=bitmap,
         rules=rules, guard=guard, observer=observer, block_rows=block_rows,
         dense_pair_columns=dense_pair_columns,
     )
@@ -253,40 +191,18 @@ def _scan_blocks(
     misses_seen = 0
     position = 0
 
-    def hand_over_to_bitmap_tail(guard_tripped: bool) -> None:
-        stats.bitmap_switch_at = position
-        stats.misses_recorded = misses_base + misses_seen
-        if observer.enabled:
-            if guard_tripped:
-                observer.on_guard_trip(position)
-            observer.on_bitmap_switch(position)
-        cand = store.to_candidate_array()
-        remaining = source.remaining_pairs()
-        span_fields = {"rows_remaining": len(remaining)}
-        if guard_tripped:
-            span_fields["guard_tripped"] = True
-        with observer.span("bitmap-tail", **span_fields):
-            bitmap_tail(
-                remaining, policy, count.tolist(), cand, rules, stats,
-                observer=observer,
-            )
-
     while position < n_rows:
-        n_lists = store.n_lists()
-        memory = store.memory_bytes(n_lists)
-        if (
-            bitmap is not None
-            and n_rows - position <= bitmap.switch_rows
-            and memory > bitmap.memory_budget_bytes
-        ):
-            hand_over_to_bitmap_tail(guard_tripped=False)
-            stats.scan_seconds += time.perf_counter() - started
-            return rules
-        if guard is not None and position and guard.tripping(
-            memory, position
-        ):
-            stats.guard_tripped_at = position
-            hand_over_to_bitmap_tail(guard_tripped=True)
+        memory = store.memory_bytes()
+        hand_over, tripped = tail_due(
+            bitmap, guard, memory, position, n_rows - position
+        )
+        if hand_over:
+            stats.misses_recorded = misses_base + misses_seen
+            bitmap_tail(
+                source, policy, count, store.owners, store.cands,
+                store.misses, rules, stats, switch_at=position,
+                guard_tripped=tripped, observer=observer,
+            )
             stats.scan_seconds += time.perf_counter() - started
             return rules
 
@@ -299,74 +215,47 @@ def _scan_blocks(
         block_size, lengths, cols = source.take(take)
         if not block_size:
             break
-        total = len(cols) if cols is not None else 0
 
-        if total:
-            row_idx = np.repeat(np.arange(block_size), lengths)
-            counts_block = np.bincount(cols, minlength=n_columns)
-            active = np.flatnonzero(counts_block)
-            n_active = len(active)
-
-            # Global -> active index map; the sentinel points at the
-            # built-in all-zero guard column modelling a column absent
-            # from the block.
-            to_active = np.full(n_columns, n_active, dtype=np.int64)
-            to_active[active] = np.arange(n_active)
-
-            dense = np.zeros((block_size, n_active + 1), dtype=np.float32)
-            dense[row_idx, to_active[cols]] = 1.0
+        if len(cols):
+            counts_block, active, to_active, dense = dense_block(
+                lengths, cols, n_columns
+            )
 
             # -- admission: pairs co-occurring while the owner is open.
-            # The full dense co-occurrence matrix is only worth its
-            # matmul when at least half the active columns still need
-            # discovery; otherwise slice-matmuls over the open columns
-            # cover discovery and per-pair kernels cover the live-pair
-            # miss updates.  The guard column keeps co's last row and
-            # column all-zero, so sentinel lookups just return 0.
+            # The full co-occurrence matrix covers discovery and the
+            # live-pair miss update at once when the block is narrow
+            # and mostly open; otherwise chunked discovery matmuls and
+            # per-pair kernels do.
             open_positions = np.nonzero(count[active] <= cutoff[active])[0]
-            co = None
-            if (
-                n_active <= dense_pair_columns
-                and 2 * len(open_positions) >= n_active
-            ):
-                co = dense.T @ dense
+            co = block_co_matrix(
+                dense, len(open_positions), dense_pair_columns
+            )
 
             # New pairs are collected first and appended *after* the
-            # live-pair miss update: their block misses are folded in
-            # here, straight from the co-occurrence values discovery
-            # already computed.
+            # live-pair miss update, their block misses folded in from
+            # discovery's co-occurrences; a pair over budget already is
+            # counted as added and swept (budget) but never stored.
             new_pairs = []
-            if len(open_positions):
-                live_keys = store.keys(n_columns) if len(store) else None
-                chunk = max(
-                    1, _DISCOVERY_CHUNK_ENTRIES // max(n_active, 1)
-                )
-                for lo in range(0, len(open_positions), chunk):
-                    picked = open_positions[lo:lo + chunk]
-                    if co is not None:
-                        co_open = co[picked]
-                    else:
-                        co_open = dense[:, picked].T @ dense
-                    owner_pos, cand_pos = np.nonzero(co_open)
-                    hits = co_open[owner_pos, cand_pos].astype(np.int64)
-                    owners = active[picked[owner_pos]]
-                    cands = active[cand_pos]
-                    keep = owners != cands
-                    keep &= policy.eligible_mask(owners, cands)
-                    budgets = policy.budget_array(owners, cands)
-                    keep &= count[owners] <= budgets
-                    if live_keys is not None:
-                        keep &= ~np.isin(
-                            owners * np.int64(n_columns) + cands, live_keys
-                        )
-                    owners = owners[keep]
-                    cands = cands[keep]
-                    block_miss = counts_block[owners] - hits[keep]
-                    new_pairs.append(
-                        (owners, cands, count[owners] + block_miss,
-                         budgets[keep])
-                    )
-                    misses_seen += int(block_miss.sum())
+            live_keys = store.keys(n_columns)
+            for owners, cands, hits in co_occurrences(
+                dense, active, open_positions, co
+            ):
+                keep = policy.eligible_mask(owners, cands)
+                budgets = policy.budget_array(owners, cands)
+                keep &= count[owners] <= budgets
+                keep &= ~np.isin(owners * n_columns + cands, live_keys)
+                owners, cands = owners[keep], cands[keep]
+                budgets = budgets[keep]
+                block_miss = counts_block[owners] - hits[keep]
+                misses_seen += int(block_miss.sum())
+                misses = count[owners] + block_miss
+                within = misses <= budgets
+                over = len(within) - int(np.count_nonzero(within))
+                stats.candidates_added += over
+                stats.candidates_deleted += over
+                stats.candidates_deleted_budget += over
+                new_pairs.append((owners[within], cands[within],
+                                  misses[within], budgets[within]))
 
             # -- miss update: block misses for every previously live
             #    pair whose owner appears in the block.
@@ -374,17 +263,10 @@ def _scan_blocks(
                 owner_counts = counts_block[store.owners]
                 touched = np.nonzero(owner_counts)[0]
                 if len(touched):
-                    left = to_active[store.owners[touched]]
-                    right = to_active[store.cands[touched]]
-                    if co is not None:
-                        hits = co[left, right].astype(np.int64)
-                    elif len(touched) * block_size <= _GATHER_PAIR_CELLS:
-                        hits = np.einsum(
-                            "ij,ij->j", dense[:, left], dense[:, right]
-                        ).astype(np.int64)
-                    else:
-                        packed = pack_columns(dense)
-                        hits = pair_and_counts(packed, left, right)
+                    hits = pair_hits(
+                        dense, to_active[store.owners[touched]],
+                        to_active[store.cands[touched]], co,
+                    )
                     delta = owner_counts[touched] - hits
                     store.misses[touched] += delta
                     misses_seen += int(delta.sum())
@@ -417,26 +299,11 @@ def _scan_blocks(
 
             finished = (count[store.owners] == ones[store.owners]) & ~delete
             if np.any(finished):
-                emit_at = np.nonzero(finished)[0]
-                valid = policy.valid_mask(
-                    store.owners[emit_at], store.cands[emit_at],
-                    store.misses[emit_at],
+                emit_rules(
+                    policy, store.owners[finished], store.cands[finished],
+                    store.misses[finished], rules, stats,
                 )
-                stats.candidates_rejected += int(len(emit_at) - valid.sum())
-                for i in emit_at[valid].tolist():
-                    rule = policy.make_rule(
-                        int(store.owners[i]),
-                        int(store.cands[i]),
-                        int(store.misses[i]),
-                    )
-                    if rule is not None:
-                        rules.add(rule)
-                        stats.rules_emitted += 1
-                    else:  # pragma: no cover — valid_mask matches make_rule
-                        stats.candidates_rejected += 1
-                store.compact(~(delete | finished))
-            else:
-                store.compact(~delete)
+            store.compact(~(delete | finished))
 
         entries = len(store)
         n_lists = store.n_lists()

@@ -10,7 +10,9 @@ provides:
   mapping for datasets whose attributes are words or URLs.
 - :mod:`~repro.matrix.reorder` — the Section 4.1 row re-ordering via
   power-of-two density buckets.
-- :mod:`~repro.matrix.ops` — packed-bitmap helpers used by DMC-bitmap.
+- :mod:`~repro.matrix.ops` — array kernels over row blocks (dense
+  blocks, packed-bitmap popcounts) shared by the vector engine and the
+  DMC-bitmap tail.
 - :mod:`~repro.matrix.io` — text and ``.npz`` persistence.
 """
 
@@ -21,12 +23,6 @@ from repro.matrix.io import (
     save_npz,
     save_transactions,
 )
-from repro.matrix.ops import (
-    PackedBitmaps,
-    count_and_not,
-    count_ones,
-    pack_rows,
-)
 from repro.matrix.reorder import (
     bucket_index,
     density_buckets,
@@ -35,15 +31,11 @@ from repro.matrix.reorder import (
 
 __all__ = [
     "BinaryMatrix",
-    "PackedBitmaps",
     "Vocabulary",
     "bucket_index",
-    "count_and_not",
-    "count_ones",
     "density_buckets",
     "load_npz",
     "load_transactions",
-    "pack_rows",
     "save_npz",
     "save_transactions",
     "scan_order",

@@ -193,36 +193,30 @@ class BinaryMatrix:
         """Return the number of 1's in each row."""
         return np.array([len(row) for row in self._rows], dtype=np.int64)
 
-    def flat_rows(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    def flat_rows(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """CSR-style view of the non-empty rows, cached.
 
-        Returns ``(row_ids, lengths, cols, offsets)``: the ids of the
-        non-empty rows in natural order, their lengths, all their column
-        ids concatenated, and the prefix offsets into ``cols`` (length
-        ``len(row_ids) + 1``).  The vectorized scan engine slices blocks
-        straight out of these arrays instead of touching row tuples.
+        Returns ``(lengths, cols, offsets)``: the non-empty rows' lengths
+        in natural order, all their column ids concatenated, and the
+        prefix offsets into ``cols`` (length ``len(lengths) + 1``).  The
+        vectorized scan engine slices blocks straight out of these
+        arrays instead of touching row tuples.
         """
         if self._flat is None:
             import itertools
 
-            pairs = [(i, row) for i, row in enumerate(self._rows) if row]
-            row_ids = np.fromiter(
-                (i for i, _ in pairs), dtype=np.int64, count=len(pairs)
-            )
+            rows = [row for row in self._rows if row]
             lengths = np.fromiter(
-                (len(row) for _, row in pairs),
-                dtype=np.int64,
-                count=len(pairs),
+                map(len, rows), dtype=np.int64, count=len(rows)
             )
-            total = int(lengths.sum())
             cols = np.fromiter(
-                itertools.chain.from_iterable(row for _, row in pairs),
+                itertools.chain.from_iterable(rows),
                 dtype=np.int64,
-                count=total,
+                count=int(lengths.sum()),
             )
-            offsets = np.zeros(len(pairs) + 1, dtype=np.int64)
+            offsets = np.zeros(len(rows) + 1, dtype=np.int64)
             np.cumsum(lengths, out=offsets[1:])
-            self._flat = (row_ids, lengths, cols, offsets)
+            self._flat = (lengths, cols, offsets)
         return self._flat
 
     # ------------------------------------------------------------------

@@ -29,6 +29,7 @@ from repro.core.vector import (
     vector_scan,
     vector_scan_rows,
 )
+from repro.datasets.registry import load_dataset
 from repro.matrix.binary_matrix import BinaryMatrix
 from repro.matrix.reorder import scan_order
 from repro.matrix.stream import MatrixSource
@@ -143,6 +144,40 @@ class TestScanParity:
         assert stats.accounting_balanced()
         assert stats.rows_scanned > 0
         assert stats.pruning_curve  # sampled at block boundaries
+
+    @pytest.mark.parametrize("task, block_rows, want", [
+        ("implication", DEFAULT_BLOCK_ROWS,
+         (35963, 34558, 34558, 0, 0, 1405, 153607, 0)),
+        ("similarity", 64,
+         (1273, 1148, 983, 165, 0, 125, 2564, 3240)),
+        ("similarity", 7,
+         (717, 592, 271, 321, 0, 125, 412, 3440)),
+    ])
+    def test_pairs_over_budget_at_admission_count_as_swept(
+        self, task, block_rows, want
+    ):
+        """A pair admitted already over its budget is never stored, but
+        the counters read as if the boundary sweep had deleted it: these
+        are the values of the engine that stored it first."""
+        matrix = load_dataset("plinkT", scale=0.5)
+        ones = matrix.column_ones()
+        policy = (
+            ImplicationPolicy(ones, "3/4") if task == "implication"
+            else SimilarityPolicy(ones, "3/5")
+        )
+        stats = ScanStats()
+        vector_scan(
+            matrix, policy, order=scan_order(matrix), stats=stats,
+            block_rows=block_rows,
+        )
+        got = (
+            stats.candidates_added, stats.candidates_deleted,
+            stats.candidates_deleted_budget,
+            stats.candidates_deleted_dynamic, stats.candidates_rejected,
+            stats.rules_emitted, stats.misses_recorded, stats.peak_bytes,
+        )
+        assert got == want
+        assert stats.accounting_balanced()
 
     def test_rejects_unknown_scan_engine(self):
         with pytest.raises(ValueError, match="scan_engine"):
