@@ -31,8 +31,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from typing import Any, Dict, Iterator, Optional
 
-from repro.core.dmc_imp import PruningOptions, find_implication_rules
-from repro.core.dmc_sim import find_similarity_rules
+from repro.core.dmc_imp import PruningOptions, mine_matrix
 from repro.core.miss_counting import BitmapConfig
 from repro.core.partitioned import (
     find_implication_rules_partitioned,
@@ -45,8 +44,7 @@ from repro.matrix.stream import (
     FileSource,
     MatrixSource,
     TransactionSource,
-    stream_implication_rules,
-    stream_similarity_rules,
+    _stream_rules,
 )
 from repro.observe.progress import NULL_OBSERVER
 from repro.runtime.guards import mine_with_memory_budget
@@ -77,31 +75,31 @@ class MiningConfig:
 
         - ``"auto"`` (default) — pick from the data and the other
           knobs, exactly as before this field existed: streaming
-          sources stream, ``memory_budget`` guards, ``partitioned`` /
-          ``transport`` partition, everything else runs in-memory DMC.
+          sources stream, ``memory_budget`` guards, ``transport``
+          partitions, everything else runs in-memory DMC.
         - ``"dmc"`` — the serial in-memory pipeline.
         - ``"vector"`` — the blocked numpy second-pass engine
           (:mod:`repro.core.vector`); combined with ``n_workers`` /
           ``transport`` it runs inside each partition.
         - ``"stream"`` — the two-pass on-disk pipeline (an in-memory
           matrix is wrapped in a
-          :class:`~repro.matrix.stream.MatrixSource`).
+          :class:`~repro.matrix.stream.MatrixSource`).  Its spill
+          buckets are the Section 4.1 reordering, so it rejects
+          ``options.row_reordering=False``.
         - ``"partitioned"`` — divide-and-conquer candidate generation.
     vector_block_rows:
         Rows per block for the vector engine (None = the engine's
         :data:`repro.core.vector.DEFAULT_BLOCK_ROWS`); overrides
         ``options.vector_block_rows``.
     options:
-        A :class:`~repro.core.dmc_imp.PruningOptions` for the in-memory
-        pipelines (ablation toggles, memory guard).
+        A :class:`~repro.core.dmc_imp.PruningOptions` (ablation
+        toggles, memory guard, scan engine).
     bitmap:
         Shorthand overriding ``options.bitmap`` — a
         :class:`~repro.core.miss_counting.BitmapConfig` tuning the
         DMC-bitmap switch.  Leave ``None`` to keep the options' value
         (pass ``options=PruningOptions(bitmap=None)`` to disable the
         switch entirely).
-    partitioned:
-        Use the divide-and-conquer engine (in-memory data only).
     n_partitions / n_workers:
         Partitioned-engine tuning (``n_workers > 1`` mines partitions
         on the supervised parallel runtime,
@@ -117,7 +115,7 @@ class MiningConfig:
         ``transport="remote"`` mines the partitions on distributed node
         agents (:mod:`repro.runtime.agent`) coordinated through the
         lease-fenced ``ledger_dir`` (required), instead of the local
-        spawn pool; implies ``partitioned=True``.  ``nodes=N`` spawns N
+        spawn pool; implies the partitioned carrier.  ``nodes=N`` spawns N
         agent subprocesses on this host; ``nodes=0`` (the default)
         expects externally launched ``python -m repro agent --ledger
         DIR`` processes.  A ready-made
@@ -187,7 +185,6 @@ class MiningConfig:
     vector_block_rows: Optional[int] = None
     options: Optional[PruningOptions] = None
     bitmap: Optional[BitmapConfig] = None
-    partitioned: bool = False
     n_partitions: int = 4
     n_workers: Optional[int] = None
     task_timeout: Optional[float] = None
@@ -222,12 +219,10 @@ class MiningConfig:
             )
         if self.vector_block_rows is not None and self.vector_block_rows < 1:
             raise ValueError("vector_block_rows must be at least 1")
-        if self.engine == "dmc" and (
-            self.partitioned or self.transport is not None
-        ):
+        if self.engine == "dmc" and self.transport is not None:
             raise ValueError(
                 "engine='dmc' is the single-process in-memory pipeline; "
-                "it cannot be combined with partitioned=/transport= "
+                "it cannot be combined with transport= "
                 "(use engine='partitioned' or engine='vector')"
             )
         if self.engine in ("dmc", "vector") and self.memory_budget is not None:
@@ -237,19 +232,11 @@ class MiningConfig:
                 "engine; use engine='auto')"
             )
         if self.engine == "stream" and (
-            self.partitioned
-            or self.transport is not None
-            or self.memory_budget is not None
+            self.transport is not None or self.memory_budget is not None
         ):
             raise ValueError(
-                "engine='stream' cannot be combined with partitioned=/"
-                "transport=/memory_budget= (the streaming pipeline is "
-                "single-process)"
-            )
-        if self.partitioned and self.memory_budget is not None:
-            raise ValueError(
-                "partitioned=True and memory_budget= are mutually "
-                "exclusive (a budget already falls back to partitioned)"
+                "engine='stream' cannot be combined with transport=/"
+                "memory_budget= (the streaming pipeline is single-process)"
             )
         if self.task_retries < 0:
             raise ValueError("task_retries must be non-negative")
@@ -381,26 +368,26 @@ def resolve_engine(
 
     The contract, per ``engine=`` value:
 
-    - ``"auto"`` — exactly the pre-``engine=`` behavior: streaming data
-      streams; ``memory_budget`` runs the guarded carrier;
-      ``partitioned=True`` (now deprecated in this spelling) or a
-      ``transport`` partitions; anything else is in-memory DMC.  The
-      scan engine follows ``options.scan_engine``.
+    - ``"auto"`` — streaming data streams; ``memory_budget`` runs the
+      guarded carrier; a ``transport`` partitions; anything else is
+      in-memory DMC.  The scan engine follows ``options.scan_engine``.
     - ``"dmc"`` / ``"vector"`` — the in-memory pipeline with the serial
       or vector scan; needs an in-memory matrix.  ``"vector"``
-      combined with ``partitioned=True``, a ``transport`` or
-      ``n_workers > 1`` runs the vector scan inside each partition
-      (``"partitioned+vector"``).
+      combined with a ``transport`` or ``n_workers > 1`` runs the
+      vector scan inside each partition (``"partitioned+vector"``).
     - ``"stream"`` — the two-pass streaming pipeline; an in-memory
       matrix is wrapped in a :class:`~repro.matrix.stream.
       MatrixSource`.  Combine with ``options.scan_engine="vector"``
-      for the blocked pass 2 (``"stream+vector"``).
+      for the blocked pass 2 (``"stream+vector"``).  Its spill
+      buckets are the Section 4.1 row reordering, so
+      ``options.row_reordering=False`` is rejected.
     - ``"partitioned"`` — divide and conquer, serial or vector per
       ``options.scan_engine``.
 
     Contradictions raise ``ValueError`` (e.g. ``engine="vector"`` on a
-    streaming source, or ``engine="dmc"`` with
-    ``options.scan_engine="vector"``); config-only conflicts are
+    streaming source, ``engine="dmc"`` with
+    ``options.scan_engine="vector"``, or the stream carrier with
+    ``options.row_reordering=False``); config-only conflicts are
     already rejected by :class:`MiningConfig`.
     """
     options = (
@@ -420,7 +407,7 @@ def resolve_engine(
     if engine == "vector":
         scan = "vector"
 
-    wants_partition = config.partitioned or config.transport is not None
+    wants_partition = config.transport is not None
 
     if streaming:
         if engine in ("dmc", "vector", "partitioned"):
@@ -452,21 +439,20 @@ def resolve_engine(
             else "dmc"
         )
     elif engine == "dmc":
-        carrier = "dmc"  # config rejected partitioned/transport already
+        carrier = "dmc"  # config rejected transport already
     else:  # auto
         if config.memory_budget is not None:
             carrier = "guarded"
         elif wants_partition:
             carrier = "partitioned"
-            if config.partitioned:
-                warnings.warn(
-                    "partitioned=True is deprecated; pass "
-                    "engine='partitioned' instead",
-                    DeprecationWarning,
-                    stacklevel=3,
-                )
         else:
             carrier = "dmc"
+    if carrier == "stream" and not options.row_reordering:
+        raise ValueError(
+            "the streaming pipeline's spill buckets are the Section 4.1 "
+            "row reordering; row_reordering=False needs in-memory data "
+            "and engine='dmc' or engine='vector'"
+        )
 
     block_rows = (
         config.vector_block_rows
@@ -547,7 +533,6 @@ def _resolve_telemetry(
                 threshold=str(config.threshold),
                 engine=plan.name,
                 vector_block_rows=stats.vector_block_rows,
-                partitioned=config.partitioned,
                 n_workers=config.n_workers,
             )
 
@@ -678,25 +663,18 @@ def _run_plan(plan, config, matrix, source, options, stats, observer):
     dispatch on ``plan.carrier``.
     """
     if plan.carrier == "stream":
-        streamer = (
-            stream_implication_rules
-            if config.task == "implication"
-            else stream_similarity_rules
-        )
-        rules = streamer(
+        rules = _stream_rules(
             source,
             config.threshold,
-            bitmap=options.bitmap,
+            config.task,
+            options,
             spill_dir=config.spill_dir,
             checkpoint_dir=config.checkpoint_dir,
-            guard=options.memory_guard,
             stats=stats,
             observer=observer,
             storage=config.storage,
             spill_degrade=config.spill_degrade,
             preflight=config.preflight_disk,
-            scan_engine=options.scan_engine,
-            vector_block_rows=options.vector_block_rows,
         )
         return rules, plan.name
     if plan.carrier == "guarded":
@@ -739,16 +717,7 @@ def _run_plan(plan, config, matrix, source, options, stats, observer):
             vector_block_rows=options.vector_block_rows,
         )
         return rules, plan.name
-    miner = (
-        find_implication_rules
-        if config.task == "implication"
-        else find_similarity_rules
-    )
-    rules = miner(
-        matrix,
-        config.threshold,
-        options=options,
-        stats=stats,
-        observer=observer,
+    rules = mine_matrix(
+        config.task, matrix, config.threshold, options, stats, observer
     )
     return rules, plan.name

@@ -1,4 +1,4 @@
-"""DMC-imp: the full implication-rule pipeline (Algorithm 4.2).
+"""DMC-imp (Algorithm 4.2) and the DMC phase sequence every carrier runs.
 
 Steps, as in the paper:
 
@@ -12,22 +12,42 @@ Steps, as in the paper:
    off-by-one.)
 4. Extract the remaining ``>= minconf`` rules with DMC-base + DMC-bitmap
    over the restricted matrix, and merge with step 2's output.
+
+DMC-sim (Algorithm 5.1) runs the same steps; only the pair policies and
+the removal cutoff differ (:data:`TASKS`).  :func:`mine_passes` writes
+steps 2-4 once for both tasks over any row source: the in-memory matrix
+(:func:`mine_matrix`) or the spill buckets of :mod:`repro.matrix.stream`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from fractions import Fraction
+from functools import partial
+from typing import Callable, Dict, Iterator, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 from repro.core.miss_counting import (
     BitmapConfig,
-    miss_counting_scan,
-    zero_miss_scan,
+    miss_counting_scan_rows,
+    zero_miss_scan_rows,
 )
-from repro.core.policies import HundredPercentPolicy, ImplicationPolicy
+from repro.core.policies import (
+    HundredPercentPolicy,
+    IdentityPolicy,
+    ImplicationPolicy,
+    PairPolicy,
+    SimilarityPolicy,
+)
 from repro.core.rules import RuleSet
-from repro.core.stats import PipelineStats
-from repro.core.thresholds import as_fraction, confidence_removal_cutoff
+from repro.core.stats import PipelineStats, ScanStats
+from repro.core.thresholds import (
+    as_fraction,
+    confidence_removal_cutoff,
+    similarity_removal_cutoff,
+)
+from repro.core.vector import vector_scan_rows
 from repro.matrix.binary_matrix import BinaryMatrix
 from repro.matrix.reorder import scan_order
 from repro.observe.progress import NULL_OBSERVER
@@ -41,7 +61,8 @@ class PruningOptions:
     memory, never the mined rules.
     """
 
-    #: Section 4.1 — scan sparsest density buckets first.
+    #: Section 4.1 — scan sparsest density buckets first (the streaming
+    #: carrier's spill buckets always do, so it rejects False).
     row_reordering: bool = True
     #: Section 4.3 — split mining into a 100%-rule pass plus a
     #: low-frequency column removal before the <100% pass.
@@ -77,25 +98,163 @@ class PruningOptions:
             )
 
 
-def second_pass_scan(options: PruningOptions):
-    """Return the miss-counting scan callable ``options`` selects.
+@dataclass(frozen=True)
+class DmcTask:
+    """The only per-task choices of the DMC phase sequence."""
 
-    The returned callable has :func:`repro.core.miss_counting.
-    miss_counting_scan`'s signature — ``(matrix, policy, order=...,
-    stats=..., bitmap=..., rules=..., guard=..., observer=...)`` — so
-    the DMC pipelines call it without knowing which engine is under it.
+    #: Step 2's zero-miss policy, built from ``ones``.
+    hundred_policy: Callable[[Sequence[int]], PairPolicy]
+    #: Step 3: columns with ``ones <= cutoff(threshold)`` are removed.
+    removal_cutoff: Callable[[Fraction], int]
+    #: Step 4's policy, built from ``(ones, threshold, options)``.
+    partial_policy: Callable[
+        [Sequence[int], Fraction, PruningOptions], PairPolicy
+    ]
+
+
+def _similarity_policy(ones, minsim, options: PruningOptions):
+    return SimilarityPolicy(
+        ones,
+        minsim,
+        use_density_pruning=options.density_pruning,
+        use_max_hits_pruning=options.max_hits_pruning,
+    )
+
+
+#: ``"implication"`` is DMC-imp, ``"similarity"`` is DMC-sim.
+TASKS: Dict[str, DmcTask] = {
+    "implication": DmcTask(
+        HundredPercentPolicy,
+        confidence_removal_cutoff,
+        lambda ones, minconf, options: ImplicationPolicy(ones, minconf),
+    ),
+    "similarity": DmcTask(
+        IdentityPolicy, similarity_removal_cutoff, _similarity_policy
+    ),
+}
+
+#: ``rows_for(keep, scan_stats) -> (rows, n_rows)``: the carrier's
+#: ``(row_id, columns)`` stream in scan order, with every column outside
+#: ``keep`` dropped (``keep=None`` keeps all).  ``scan_stats`` is the
+#: pass's :class:`ScanStats`, for counters the row source itself keeps
+#: (spill I/O retries).
+RowSource = Callable[
+    [Optional[Set[int]], ScanStats],
+    Tuple[Iterator[Tuple[int, Tuple[int, ...]]], int],
+]
+
+
+def mine_passes(
+    task: str,
+    threshold,
+    ones: Sequence[int],
+    rows_for: RowSource,
+    options: PruningOptions,
+    stats: PipelineStats,
+    observer,
+) -> RuleSet:
+    """Steps 2-4 of DMC-imp / DMC-sim (or the ``combined`` ablation).
+
+    ``ones`` are the pre-scan's column counts and ``rows_for`` the
+    carrier's row source (see :data:`RowSource`).  The 100% pass always
+    runs the zero-miss scan; the other passes run the serial or vector
+    scan per ``options.scan_engine``.  Phases are timed into
+    ``stats.timer`` and reported to ``observer``.
     """
-    if options.scan_engine != "vector":
-        return miss_counting_scan
-    from repro.core.vector import vector_scan
+    threshold = as_fraction(threshold)
+    spec = TASKS[task]
+    rules = RuleSet()
+    stats.columns_total = len(ones)
+    if options.scan_engine == "vector":
+        partial_scan = partial(
+            vector_scan_rows, block_rows=options.vector_block_rows
+        )
+    else:
+        partial_scan = miss_counting_scan_rows
 
-    def scan(matrix, policy, **kwargs):
-        return vector_scan(
-            matrix, policy,
-            block_rows=options.vector_block_rows, **kwargs,
+    def scan(run, policy, keep, scan_stats: ScanStats) -> None:
+        rows, n_rows = rows_for(keep, scan_stats)
+        run(
+            rows,
+            n_rows,
+            policy,
+            stats=scan_stats,
+            bitmap=options.bitmap,
+            rules=rules,
+            guard=options.memory_guard,
+            observer=observer,
         )
 
-    return scan
+    if not options.hundred_percent_pass:
+        # Ablation: one combined pass over every column.
+        with stats.timer.phase("combined"), observer.phase("combined"):
+            policy = spec.partial_policy(ones, threshold, options)
+            scan(partial_scan, policy, None, stats.partial_scan)
+        stats.rules_partial = len(rules)
+        return rules
+
+    with stats.timer.phase("100%-rules"), observer.phase("100%-rules"):
+        policy = spec.hundred_policy(ones)
+        scan(zero_miss_scan_rows, policy, None, stats.hundred_percent_scan)
+        stats.rules_hundred_percent = len(rules)
+
+    if threshold == 1:
+        return rules
+
+    with stats.timer.phase("<100%-rules"), observer.phase("<100%-rules"):
+        counts = np.asarray(ones, dtype=np.int64)
+        kept = counts > spec.removal_cutoff(threshold)
+        keep = set(np.flatnonzero(kept).tolist())
+        stats.columns_removed = len(counts) - len(keep)
+        # Removed columns count as all-zero: exactly the restricted
+        # matrix's column_ones, without a recount.
+        policy = spec.partial_policy(
+            np.where(kept, counts, 0), threshold, options
+        )
+        scan(partial_scan, policy, keep, stats.partial_scan)
+        stats.rules_partial = len(rules) - stats.rules_hundred_percent
+
+    return rules
+
+
+def mine_matrix(
+    task: str,
+    matrix: BinaryMatrix,
+    threshold,
+    options: Optional[PruningOptions] = None,
+    stats: Optional[PipelineStats] = None,
+    observer=None,
+) -> RuleSet:
+    """Step 1 over an in-memory matrix, then :func:`mine_passes`.
+
+    The row source serves the pre-scan's bucket order for the full
+    matrix and re-buckets the restricted matrix for step 4 (removed
+    columns make rows sparser).
+    """
+    if options is None:
+        options = PruningOptions()
+    if stats is None:
+        stats = PipelineStats()
+    if observer is None:
+        observer = NULL_OBSERVER
+    sparsest_first = options.row_reordering
+
+    with stats.timer.phase("pre-scan"), observer.phase("pre-scan"):
+        ones = matrix.column_ones()
+        order = scan_order(matrix, sparsest_first=sparsest_first)
+
+    def rows_for(keep, scan_stats):
+        if keep is None:
+            return matrix.iter_rows(order), len(order)
+        restricted = matrix.restrict_columns(keep)
+        restricted_order = scan_order(
+            restricted, sparsest_first=sparsest_first
+        )
+        return restricted.iter_rows(restricted_order), len(restricted_order)
+
+    return mine_passes(
+        task, threshold, ones, rows_for, options, stats, observer
+    )
 
 
 def find_implication_rules(
@@ -114,75 +273,6 @@ def find_implication_rules(
     :class:`repro.observe.ProgressObserver`) watches phases, rows and
     the bitmap switch; it never changes the mined rules.
     """
-    minconf = as_fraction(minconf)
-    if options is None:
-        options = PruningOptions()
-    if stats is None:
-        stats = PipelineStats()
-    if observer is None:
-        observer = NULL_OBSERVER
-
-    with stats.timer.phase("pre-scan"), observer.phase("pre-scan"):
-        ones = matrix.column_ones()
-        order = scan_order(matrix, sparsest_first=options.row_reordering)
-        stats.columns_total = matrix.n_columns
-
-    rules = RuleSet()
-
-    scan = second_pass_scan(options)
-
-    if not options.hundred_percent_pass:
-        # Ablation: one combined pass over the full matrix.
-        with stats.timer.phase("combined"), observer.phase("combined"):
-            policy = ImplicationPolicy(ones, minconf)
-            scan(
-                matrix,
-                policy,
-                order=order,
-                stats=stats.partial_scan,
-                bitmap=options.bitmap,
-                rules=rules,
-                guard=options.memory_guard,
-                observer=observer,
-            )
-        stats.rules_partial = len(rules)
-        return rules
-
-    with stats.timer.phase("100%-rules"), observer.phase("100%-rules"):
-        zero_miss_scan(
-            matrix,
-            HundredPercentPolicy(ones),
-            order=order,
-            stats=stats.hundred_percent_scan,
-            bitmap=options.bitmap,
-            rules=rules,
-            guard=options.memory_guard,
-            observer=observer,
-        )
-        stats.rules_hundred_percent = len(rules)
-
-    if minconf == 1:
-        return rules
-
-    with stats.timer.phase("<100%-rules"), observer.phase("<100%-rules"):
-        cutoff = confidence_removal_cutoff(minconf)
-        keep = [c for c in range(matrix.n_columns) if ones[c] > cutoff]
-        stats.columns_removed = matrix.n_columns - len(keep)
-        restricted = matrix.restrict_columns(keep)
-        restricted_order = scan_order(
-            restricted, sparsest_first=options.row_reordering
-        )
-        policy = ImplicationPolicy(restricted.column_ones(), minconf)
-        scan(
-            restricted,
-            policy,
-            order=restricted_order,
-            stats=stats.partial_scan,
-            bitmap=options.bitmap,
-            rules=rules,
-            guard=options.memory_guard,
-            observer=observer,
-        )
-        stats.rules_partial = len(rules) - stats.rules_hundred_percent
-
-    return rules
+    return mine_matrix(
+        "implication", matrix, minconf, options, stats, observer
+    )

@@ -12,21 +12,20 @@ Steps, as in the paper:
    under the similarity policy, which adds the Section 5.1
    column-density pruning (as negative pair budgets) and the Section 5.2
    maximum-hits pruning (as the dynamic check).
+
+Steps 2-4 run in :func:`repro.core.dmc_imp.mine_passes`, shared with
+DMC-imp; this task's policies and cutoff are its ``"similarity"`` entry
+of :data:`repro.core.dmc_imp.TASKS`.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from repro.core.dmc_imp import PruningOptions, second_pass_scan
-from repro.core.miss_counting import zero_miss_scan
-from repro.core.policies import IdentityPolicy, SimilarityPolicy
+from repro.core.dmc_imp import PruningOptions, mine_matrix
 from repro.core.rules import RuleSet
 from repro.core.stats import PipelineStats
-from repro.core.thresholds import as_fraction, similarity_removal_cutoff
 from repro.matrix.binary_matrix import BinaryMatrix
-from repro.matrix.reorder import scan_order
-from repro.observe.progress import NULL_OBSERVER
 
 
 def find_similarity_rules(
@@ -43,83 +42,6 @@ def find_similarity_rules(
     ``observer`` behaves as in
     :func:`repro.core.dmc_imp.find_implication_rules`.
     """
-    minsim = as_fraction(minsim)
-    if options is None:
-        options = PruningOptions()
-    if stats is None:
-        stats = PipelineStats()
-    if observer is None:
-        observer = NULL_OBSERVER
-
-    with stats.timer.phase("pre-scan"), observer.phase("pre-scan"):
-        ones = matrix.column_ones()
-        order = scan_order(matrix, sparsest_first=options.row_reordering)
-        stats.columns_total = matrix.n_columns
-
-    rules = RuleSet()
-    scan = second_pass_scan(options)
-
-    if not options.hundred_percent_pass:
-        with stats.timer.phase("combined"), observer.phase("combined"):
-            policy = SimilarityPolicy(
-                ones,
-                minsim,
-                use_density_pruning=options.density_pruning,
-                use_max_hits_pruning=options.max_hits_pruning,
-            )
-            scan(
-                matrix,
-                policy,
-                order=order,
-                stats=stats.partial_scan,
-                bitmap=options.bitmap,
-                rules=rules,
-                guard=options.memory_guard,
-                observer=observer,
-            )
-        stats.rules_partial = len(rules)
-        return rules
-
-    with stats.timer.phase("100%-rules"), observer.phase("100%-rules"):
-        zero_miss_scan(
-            matrix,
-            IdentityPolicy(ones),
-            order=order,
-            stats=stats.hundred_percent_scan,
-            bitmap=options.bitmap,
-            rules=rules,
-            guard=options.memory_guard,
-            observer=observer,
-        )
-        stats.rules_hundred_percent = len(rules)
-
-    if minsim == 1:
-        return rules
-
-    with stats.timer.phase("<100%-rules"), observer.phase("<100%-rules"):
-        cutoff = similarity_removal_cutoff(minsim)
-        keep = [c for c in range(matrix.n_columns) if ones[c] > cutoff]
-        stats.columns_removed = matrix.n_columns - len(keep)
-        restricted = matrix.restrict_columns(keep)
-        restricted_order = scan_order(
-            restricted, sparsest_first=options.row_reordering
-        )
-        policy = SimilarityPolicy(
-            restricted.column_ones(),
-            minsim,
-            use_density_pruning=options.density_pruning,
-            use_max_hits_pruning=options.max_hits_pruning,
-        )
-        scan(
-            restricted,
-            policy,
-            order=restricted_order,
-            stats=stats.partial_scan,
-            bitmap=options.bitmap,
-            rules=rules,
-            guard=options.memory_guard,
-            observer=observer,
-        )
-        stats.rules_partial = len(rules) - stats.rules_hundred_percent
-
-    return rules
+    return mine_matrix(
+        "similarity", matrix, minsim, options, stats, observer
+    )

@@ -53,23 +53,14 @@ from __future__ import annotations
 import os
 import tempfile
 import warnings
-from typing import Iterable, Iterator, List, Optional, Set, TextIO, Tuple
+from typing import Iterable, Iterator, List, Optional, TextIO, Tuple
 
+from repro.core.dmc_imp import PruningOptions, mine_matrix, mine_passes
 from repro.core.miss_counting import BitmapConfig
-from repro.core.policies import (
-    HundredPercentPolicy,
-    IdentityPolicy,
-    ImplicationPolicy,
-    PairPolicy,
-    SimilarityPolicy,
-)
 from repro.core.rules import RuleSet
-from repro.core.stats import PipelineStats, ScanStats
-from repro.core.thresholds import (
-    as_fraction,
-    confidence_removal_cutoff,
-    similarity_removal_cutoff,
-)
+from repro.core.stats import PipelineStats
+from repro.core.thresholds import as_fraction
+from repro.matrix.binary_matrix import BinaryMatrix
 from repro.matrix.reorder import bucket_index
 from repro.observe.progress import NULL_OBSERVER
 from repro.runtime import faults
@@ -484,66 +475,31 @@ def _first_scan(
     return counts
 
 
-def _scan_spill(
-    spill: BucketSpill,
-    policy: PairPolicy,
-    rules: RuleSet,
-    stats: ScanStats,
-    bitmap: Optional[BitmapConfig],
-    keep: Optional[set] = None,
-    zero_miss: bool = False,
-    guard=None,
-    observer=None,
-    scan_engine: str = "serial",
-    vector_block_rows: Optional[int] = None,
-) -> None:
-    """Pass 2: stream the spilled rows through the scan engine.
+def _spill_rows(spill: BucketSpill, observer):
+    """Pass 2's row source (a :data:`repro.core.dmc_imp.RowSource`).
 
-    Rows flow straight from the bucket files into the engine — nothing
-    is materialized except the counter array (and, after a bitmap
-    switch, the remaining tail rows, exactly as in Algorithm 4.1) plus,
-    under ``scan_engine="vector"``, one block of rows at a time.  The
-    zero-miss pass always runs serial regardless of ``scan_engine``.
+    Every pass replays the bucket files sparsest-first, straight into
+    the scan engine — nothing is materialized except what the engine
+    holds — and drops the columns outside ``keep`` on the fly.  Spill
+    I/O retries are charged to the pass that hit them.
     """
-    from repro.core.miss_counting import (
-        miss_counting_scan_rows,
-        zero_miss_scan_rows,
-    )
-
-    if observer is None:
-        observer = NULL_OBSERVER
-
-    def replay() -> Iterator[Tuple[int, Tuple[int, ...]]]:
-        for row_id, row in enumerate(spill.read_sparsest_first()):
-            faults.trip("pass2.row")
-            if keep is not None:
-                row = tuple(c for c in row if c in keep)
-            yield row_id, row
-
-    retries_before = spill.io_retries
     spill.observer = observer
-    extra = {}
-    if zero_miss:
-        scan = zero_miss_scan_rows
-    elif scan_engine == "vector":
-        from repro.core.vector import vector_scan_rows
 
-        scan = vector_scan_rows
-        extra["block_rows"] = vector_block_rows
-    else:
-        scan = miss_counting_scan_rows
-    scan(
-        replay(),
-        spill.rows_spilled,
-        policy,
-        stats=stats,
-        bitmap=bitmap,
-        rules=rules,
-        guard=guard,
-        observer=observer,
-        **extra,
-    )
-    stats.io_retries += spill.io_retries - retries_before
+    def rows_for(keep, scan_stats):
+        def replay():
+            retries = spill.io_retries
+            for row_id, row in enumerate(spill.read_sparsest_first()):
+                faults.trip("pass2.row")
+                if spill.io_retries != retries:
+                    scan_stats.io_retries += spill.io_retries - retries
+                    retries = spill.io_retries
+                if keep is not None:
+                    row = tuple(c for c in row if c in keep)
+                yield row_id, row
+
+        return replay(), spill.rows_spilled
+
+    return rows_for
 
 
 def _record_validation(
@@ -576,12 +532,9 @@ def _in_memory_fallback(
     source: TransactionSource,
     threshold,
     kind: str,
-    bitmap: Optional[BitmapConfig],
-    guard,
+    options: PruningOptions,
     stats: PipelineStats,
     observer,
-    scan_engine: str = "serial",
-    vector_block_rows: Optional[int] = None,
 ) -> RuleSet:
     """Redo a mine entirely in memory (the spill degradation target).
 
@@ -589,30 +542,14 @@ def _in_memory_fallback(
     standard in-memory engine — the exact same rules, no disk beyond
     the source itself.
     """
-    from dataclasses import replace as dc_replace
-
-    from repro.core.dmc_imp import PruningOptions, find_implication_rules
-    from repro.core.dmc_sim import find_similarity_rules
-    from repro.matrix.binary_matrix import BinaryMatrix
-
     matrix = getattr(source, "_matrix", None)
     if matrix is None:
         matrix = BinaryMatrix(
             source.iter_rows(), n_columns=source.n_columns()
         )
-    options = dc_replace(
-        PruningOptions(), bitmap=bitmap, memory_guard=guard,
-        scan_engine=scan_engine, vector_block_rows=vector_block_rows,
-    )
     with observer.span("in-memory-fallback"):
-        if kind == "implication":
-            return find_implication_rules(
-                matrix, threshold, options=options,
-                stats=stats, observer=observer,
-            )
-        return find_similarity_rules(
-            matrix, threshold, options=options,
-            stats=stats, observer=observer,
+        return mine_matrix(
+            kind, matrix, threshold, options, stats, observer
         )
 
 
@@ -620,19 +557,22 @@ def _stream_rules(
     source: TransactionSource,
     threshold,
     kind: str,
-    bitmap: Optional[BitmapConfig],
-    spill_dir: Optional[str],
-    checkpoint_dir: Optional[str],
-    guard,
-    stats: Optional[PipelineStats],
+    options: PruningOptions,
+    spill_dir: Optional[str] = None,
+    checkpoint_dir: Optional[str] = None,
+    stats: Optional[PipelineStats] = None,
     observer=None,
     storage=None,
     spill_degrade: bool = True,
     preflight: bool = False,
-    scan_engine: str = "serial",
-    vector_block_rows: Optional[int] = None,
 ) -> RuleSet:
     """The shared two-pass pipeline behind both stream entry points.
+
+    ``kind`` is a :data:`repro.core.dmc_imp.TASKS` key and ``options``
+    the full :class:`~repro.core.dmc_imp.PruningOptions`; pass 2 is the
+    one DMC phase sequence, so every ablation toggle applies (the spill
+    buckets *are* the Section 4.1 reordering, so ``row_reordering`` has
+    no effect here).
 
     Runs under :func:`repro.runtime.supervisor.graceful_interrupts`:
     SIGTERM unwinds like Ctrl-C, so the spill buckets close and the
@@ -652,9 +592,8 @@ def _stream_rules(
         observer = NULL_OBSERVER
     try:
         return _stream_rules_on_disk(
-            source, threshold, kind, bitmap, spill_dir, checkpoint_dir,
-            guard, stats, observer, storage, preflight,
-            scan_engine, vector_block_rows,
+            source, threshold, kind, options, spill_dir, checkpoint_dir,
+            stats, observer, storage, preflight,
         )
     except OSError as error:
         if not terminal_io_error(error):
@@ -672,8 +611,7 @@ def _stream_rules(
             stacklevel=2,
         )
         return _in_memory_fallback(
-            source, threshold, kind, bitmap, guard, stats, observer,
-            scan_engine=scan_engine, vector_block_rows=vector_block_rows,
+            source, threshold, kind, options, stats, observer
         )
 
 
@@ -681,20 +619,16 @@ def _stream_rules_on_disk(
     source: TransactionSource,
     threshold,
     kind: str,
-    bitmap: Optional[BitmapConfig],
+    options: PruningOptions,
     spill_dir: Optional[str],
     checkpoint_dir: Optional[str],
-    guard,
     stats: PipelineStats,
     observer,
     storage,
     preflight: bool,
-    scan_engine: str = "serial",
-    vector_block_rows: Optional[int] = None,
 ) -> RuleSet:
     """One on-disk two-pass attempt (checkpointing degrades to off in
     place; terminal spill faults propagate to :func:`_stream_rules`)."""
-    rules = RuleSet()
     validator = getattr(source, "validator", None)
     skipped_before = validator.rows_skipped if validator else 0
     clamped_before = validator.rows_clamped if validator else 0
@@ -803,61 +737,10 @@ def _stream_rules_on_disk(
                         )
                         store = None
                         spill._delete_on_close = True
-            stats.columns_total = len(ones)
-
-            if kind == "implication":
-                hundred_policy: PairPolicy = HundredPercentPolicy(ones)
-            else:
-                hundred_policy = IdentityPolicy(ones)
-
-            with stats.timer.phase("100%-rules"), observer.phase("100%-rules"):
-                _scan_spill(
-                    spill,
-                    hundred_policy,
-                    rules,
-                    stats.hundred_percent_scan,
-                    bitmap,
-                    zero_miss=True,
-                    guard=guard,
-                    observer=observer,
-                )
-            stats.rules_hundred_percent = len(rules)
-
-            if threshold != 1:
-                with stats.timer.phase("<100%-rules"), observer.phase(
-                    "<100%-rules"
-                ):
-                    if kind == "implication":
-                        cutoff = confidence_removal_cutoff(threshold)
-                    else:
-                        cutoff = similarity_removal_cutoff(threshold)
-                    keep: Set[int] = {
-                        c for c, count in enumerate(ones) if count > cutoff
-                    }
-                    stats.columns_removed = len(ones) - len(keep)
-                    restricted = [
-                        count if c in keep else 0
-                        for c, count in enumerate(ones)
-                    ]
-                    if kind == "implication":
-                        partial_policy: PairPolicy = ImplicationPolicy(
-                            restricted, threshold
-                        )
-                    else:
-                        partial_policy = SimilarityPolicy(restricted, threshold)
-                    _scan_spill(
-                        spill,
-                        partial_policy,
-                        rules,
-                        stats.partial_scan,
-                        bitmap,
-                        keep=keep,
-                        guard=guard,
-                        observer=observer,
-                        scan_engine=scan_engine,
-                        vector_block_rows=vector_block_rows,
-                    )
-                stats.rules_partial = len(rules) - stats.rules_hundred_percent
+            rules = mine_passes(
+                kind, threshold, ones, _spill_rows(spill, observer),
+                options, stats, observer,
+            )
     finally:
         if spill is not None:
             spill.close()
@@ -925,11 +808,13 @@ def stream_implication_rules(
     row-at-a-time loop; ``vector_block_rows`` tunes its batch size.
     The rule set is identical either way.
     """
+    options = PruningOptions(
+        bitmap=bitmap, memory_guard=guard, scan_engine=scan_engine,
+        vector_block_rows=vector_block_rows,
+    )
     return _stream_rules(
-        source, minconf, "implication", bitmap, spill_dir,
-        checkpoint_dir, guard, stats, observer,
-        storage=storage, spill_degrade=spill_degrade, preflight=preflight,
-        scan_engine=scan_engine, vector_block_rows=vector_block_rows,
+        source, minconf, "implication", options, spill_dir,
+        checkpoint_dir, stats, observer, storage, spill_degrade, preflight,
     )
 
 
@@ -955,9 +840,11 @@ def stream_similarity_rules(
     ``scan_engine`` and the degradation ladder behave exactly as in
     :func:`stream_implication_rules`.
     """
+    options = PruningOptions(
+        bitmap=bitmap, memory_guard=guard, scan_engine=scan_engine,
+        vector_block_rows=vector_block_rows,
+    )
     return _stream_rules(
-        source, minsim, "similarity", bitmap, spill_dir,
-        checkpoint_dir, guard, stats, observer,
-        storage=storage, spill_degrade=spill_degrade, preflight=preflight,
-        scan_engine=scan_engine, vector_block_rows=vector_block_rows,
+        source, minsim, "similarity", options, spill_dir,
+        checkpoint_dir, stats, observer, storage, spill_degrade, preflight,
     )

@@ -34,12 +34,6 @@ class TestConfig:
         with pytest.raises(ValueError, match="unknown task"):
             MiningConfig(task="clustering", threshold=0.9)
 
-    def test_partitioned_and_budget_conflict(self):
-        with pytest.raises(ValueError, match="mutually"):
-            MiningConfig(
-                threshold=0.9, partitioned=True, memory_budget=1024
-            )
-
     def test_minconf_and_minsim_conflict(self):
         with pytest.raises(TypeError, match="not both"):
             mine(load_dataset("News", scale=0.05), minconf=0.9, minsim=0.8)
@@ -184,13 +178,9 @@ class TestDeprecations:
                 matrix, 0.9, n_partitions=2, candidate_log=[]
             )
 
-    def test_partitioned_flag_warns_but_works(self, matrix):
-        with pytest.warns(DeprecationWarning, match="engine='partitioned'"):
-            result = mine(matrix, minconf=0.9, partitioned=True)
-        assert result.engine == "partitioned"
-        assert result.rules.pairs() == find_implication_rules(
-            matrix, 0.9
-        ).pairs()
+    def test_partitioned_flag_removed(self, matrix):
+        with pytest.raises(TypeError, match="partitioned"):
+            mine(matrix, minconf=0.9, partitioned=True)
 
     def test_explicit_engine_does_not_warn(self, matrix):
         import warnings

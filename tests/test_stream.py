@@ -4,9 +4,11 @@ import os
 
 import pytest
 
-from repro.core.dmc_imp import find_implication_rules
+from repro.api import MiningConfig, mine, resolve_engine
+from repro.core.dmc_imp import PruningOptions, find_implication_rules
 from repro.core.dmc_sim import find_similarity_rules
 from repro.core.miss_counting import BitmapConfig
+from repro.datasets.registry import load_dataset
 from repro.matrix.binary_matrix import BinaryMatrix
 from repro.matrix.io import save_transactions
 from repro.matrix.stream import (
@@ -174,3 +176,87 @@ class TestStreamEdgeCases:
         source = IterableSource([[0], [7]], columns=2)
         rules = stream_implication_rules(source, 1)
         assert len(rules) == 0  # no co-occurrence, but no crash either
+
+
+@pytest.fixture(scope="module")
+def wlog():
+    return load_dataset("Wlog", scale=0.25)
+
+
+def _mine(matrix, engine, task="implication", threshold="3/5", **toggles):
+    """``mine`` on ``"dmc"``, ``"vector"``, ``"stream"`` or
+    ``"stream+vector"`` with the given ablation toggles."""
+    carrier, _, scan = engine.partition("+")
+    options = PruningOptions(scan_engine=scan or "serial", **toggles)
+    result = mine(
+        matrix, task=task, threshold=threshold, engine=carrier,
+        options=options,
+    )
+    assert result.engine == engine
+    return result
+
+
+class TestStreamAblations:
+    """The stream runs the one DMC phase sequence, so every ablation
+    toggle reaches its pass 2."""
+
+    def test_combined_pass(self, wlog):
+        stream = _mine(wlog, "stream", hundred_percent_pass=False)
+        dmc = _mine(wlog, "dmc", hundred_percent_pass=False)
+        assert list(stream.stats.timer.to_dict()) == ["pre-scan", "combined"]
+        assert stream.stats.hundred_percent_scan.rows_scanned == 0
+        # One pass over every column: both carriers scan the same rows
+        # in the same bucket order.
+        assert (
+            stream.stats.partial_scan.candidates_added
+            == dmc.stats.partial_scan.candidates_added
+        )
+
+    def test_similarity_pruning_toggles(self, wlog):
+        def added(**toggles):
+            result = _mine(wlog, "stream", task="similarity", **toggles)
+            return result.stats.partial_scan.candidates_added
+
+        pruned = added()
+        assert added(density_pruning=False) > pruned
+        assert added(max_hits_pruning=False) >= pruned
+        assert added(density_pruning=False, max_hits_pruning=False) > pruned
+
+    def test_rejects_row_reordering_off(self, wlog):
+        options = PruningOptions(row_reordering=False)
+        for streaming, engine in ((False, "stream"), (True, "auto")):
+            config = MiningConfig(
+                threshold=0.9, engine=engine, options=options
+            )
+            with pytest.raises(ValueError, match="row_reordering"):
+                resolve_engine(config, streaming=streaming)
+        with pytest.raises(ValueError, match="row_reordering"):
+            mine(wlog, minconf=0.9, engine="stream", options=options)
+
+
+@pytest.mark.parametrize("hundred_percent_pass", [True, False])
+@pytest.mark.parametrize("threshold", ["1", "3/5"])
+@pytest.mark.parametrize("task", ["implication", "similarity"])
+def test_cross_carrier_parity(wlog, task, threshold, hundred_percent_pass):
+    """Every carrier and scan engine mines the same rules through the
+    same phases, splitting them the same way between the passes."""
+    outcomes = {}
+    for engine in ("dmc", "vector", "stream", "stream+vector"):
+        result = _mine(
+            wlog, engine, task=task, threshold=threshold,
+            hundred_percent_pass=hundred_percent_pass,
+        )
+        stats = result.stats
+        outcomes[engine] = (
+            result.rules.sorted(),
+            stats.rules_hundred_percent,
+            stats.rules_partial,
+            stats.columns_removed,
+            list(stats.timer.to_dict()),
+        )
+    rules, _, partial, removed, _ = outcomes["dmc"]
+    assert rules
+    if threshold != "1":
+        assert partial and (removed or not hundred_percent_pass)
+    for engine, outcome in outcomes.items():
+        assert outcome == outcomes["dmc"], engine

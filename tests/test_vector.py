@@ -247,11 +247,6 @@ class TestResolver:
         plan, _ = self._resolve(memory_budget=1024)
         assert (plan.name, plan.carrier) == ("dmc", "guarded")
 
-    def test_auto_partitioned_flag_warns(self):
-        with pytest.warns(DeprecationWarning, match="engine='partitioned'"):
-            plan, _ = self._resolve(partitioned=True)
-        assert plan.carrier == "partitioned"
-
     def test_explicit_dmc(self):
         plan, _ = self._resolve(engine="dmc")
         assert (plan.name, plan.carrier, plan.scan_engine) == (
@@ -299,10 +294,6 @@ class TestResolver:
             "partitioned+vector", "partitioned",
         )
 
-    def test_vector_with_partitioned_flag_partitions(self):
-        plan, _ = self._resolve(engine="vector", partitioned=True)
-        assert plan.name == "partitioned+vector"
-
     def test_dmc_rejects_vector_scan_option(self):
         with pytest.raises(ValueError, match="engine='vector'"):
             self._resolve(
@@ -333,11 +324,9 @@ class TestResolver:
 
     def test_config_conflicts(self):
         for kwargs in (
-            {"engine": "dmc", "partitioned": True},
             {"engine": "dmc", "transport": "thread"},
             {"engine": "dmc", "memory_budget": 1024},
             {"engine": "vector", "memory_budget": 1024},
-            {"engine": "stream", "partitioned": True},
             {"engine": "stream", "memory_budget": 1024},
         ):
             with pytest.raises(ValueError):
@@ -382,8 +371,8 @@ class TestMineVector:
         result = mine(
             matrix,
             minconf=0.7,
-            engine="vector",
-            partitioned=True,
+            engine="partitioned",
+            options=PruningOptions(scan_engine="vector"),
             n_partitions=3,
         )
         assert result.engine == "partitioned+vector"
