@@ -31,7 +31,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from typing import Any, Dict, Iterator, Optional
 
-from repro.core.dmc_imp import PruningOptions, mine_matrix
+from repro.core.dmc_imp import PruningOptions, mine_matrix, vector_exact
 from repro.core.miss_counting import BitmapConfig
 from repro.core.partitioned import (
     find_implication_rules_partitioned,
@@ -370,19 +370,23 @@ def resolve_engine(
 
     - ``"auto"`` — streaming data streams; ``memory_budget`` runs the
       guarded carrier; a ``transport`` partitions; anything else is
-      in-memory DMC.  The scan engine follows ``options.scan_engine``.
+      in-memory (``"vector"``).
     - ``"dmc"`` / ``"vector"`` — the in-memory pipeline with the serial
       or vector scan; needs an in-memory matrix.  ``"vector"``
       combined with a ``transport`` or ``n_workers > 1`` runs the
       vector scan inside each partition (``"partitioned+vector"``).
-    - ``"stream"`` — the two-pass streaming pipeline; an in-memory
-      matrix is wrapped in a :class:`~repro.matrix.stream.
-      MatrixSource`.  Combine with ``options.scan_engine="vector"``
-      for the blocked pass 2 (``"stream+vector"``).  Its spill
-      buckets are the Section 4.1 row reordering, so
+    - ``"stream"`` — the two-pass streaming pipeline
+      (``"stream+vector"``); an in-memory matrix is wrapped in a
+      :class:`~repro.matrix.stream.MatrixSource`.  Its spill buckets
+      are the Section 4.1 row reordering, so
       ``options.row_reordering=False`` is rejected.
-    - ``"partitioned"`` — divide and conquer, serial or vector per
-      ``options.scan_engine``.
+    - ``"partitioned"`` — divide and conquer.
+
+    Every carrier but ``"dmc"`` runs the vector scan unless
+    ``options.scan_engine`` names one.  A pass whose policy's int64
+    twins are inexact runs serial instead, and :attr:`MiningResult.
+    engine` names the scan that ran (``"dmc"``, ``"stream"``...);
+    only ``engine="vector"`` raises there (see :func:`mine`).
 
     Contradictions raise ``ValueError`` (e.g. ``engine="vector"`` on a
     streaming source, ``engine="dmc"`` with
@@ -398,13 +402,15 @@ def resolve_engine(
 
     engine = config.engine
     scan = options.scan_engine
-    if engine == "dmc" and scan == "vector":
-        raise ValueError(
-            "engine='dmc' is the serial pipeline but "
-            "options.scan_engine='vector'; pass engine='vector' "
-            "(or drop the scan_engine override)"
-        )
-    if engine == "vector":
+    if engine == "dmc":
+        if scan == "vector":
+            raise ValueError(
+                "engine='dmc' is the serial pipeline but "
+                "options.scan_engine='vector'; pass engine='vector' "
+                "(or drop the scan_engine override)"
+            )
+        scan = "serial"
+    elif engine == "vector":
         scan = "vector"
 
     wants_partition = config.transport is not None
@@ -412,9 +418,7 @@ def resolve_engine(
     if streaming:
         if engine in ("dmc", "vector", "partitioned"):
             hint = (
-                " (for a vectorized pass 2 over a stream, use "
-                "engine='stream' with "
-                "options=PruningOptions(scan_engine='vector'))"
+                " (engine='stream' already runs the vector pass 2)"
                 if engine == "vector"
                 else ""
             )
@@ -459,6 +463,7 @@ def resolve_engine(
         if config.vector_block_rows is not None
         else options.vector_block_rows
     )
+    scan = scan or "vector"
     if scan == "vector" and block_rows is None:
         from repro.core.vector import DEFAULT_BLOCK_ROWS
 
@@ -585,6 +590,14 @@ def mine(data, *, config: Optional[MiningConfig] = None, **kwargs):
     config = _resolve_config(config, kwargs)
     matrix, source = _as_input(data)
     plan, options = resolve_engine(config, streaming=matrix is None)
+    if config.engine == "vector" and not vector_exact(
+        config.task, config.threshold, matrix.column_ones()
+    ):
+        raise ValueError(
+            "this threshold's exact fractions exceed the vector engine's "
+            "int64 range; use engine='auto' (which falls back to the "
+            "serial scan) or engine='dmc'"
+        )
     if plan.carrier == "stream" and source is None:
         source = MatrixSource(matrix)
     stats = PipelineStats()
@@ -609,14 +622,16 @@ def mine(data, *, config: Optional[MiningConfig] = None, **kwargs):
         profiler.start()
     try:
         with interruptible:
-            rules, engine = _run_plan(
+            rules, carrier = _run_plan(
                 plan, config, matrix, source, options, stats, observer
             )
-        # The guarded carrier may have degraded (resetting stats on the
-        # way); re-stamp what actually ran.
+        # The carriers stamp the block size of the scan that ran (None
+        # for serial); the guarded carrier may also have degraded.
+        engine = _engine_name(
+            carrier,
+            "serial" if stats.vector_block_rows is None else "vector",
+        )
         stats.engine = engine
-        if plan.scan_engine == "vector":
-            stats.vector_block_rows = options.vector_block_rows
         observer.finish(stats=stats, guard=options.memory_guard)
     except BaseException as error:
         status = getattr(observer, "status", None)
@@ -657,7 +672,9 @@ def mine(data, *, config: Optional[MiningConfig] = None, **kwargs):
 
 
 def _run_plan(plan, config, matrix, source, options, stats, observer):
-    """Run a resolved :class:`EnginePlan`; returns ``(rules, name)``.
+    """Run a resolved :class:`EnginePlan`; returns ``(rules, carrier)``
+    with the carrier that ran (the guarded one reports ``"dmc"`` or
+    ``"partitioned"``).
 
     All selection logic lives in :func:`resolve_engine`; this is pure
     dispatch on ``plan.carrier``.
@@ -676,7 +693,7 @@ def _run_plan(plan, config, matrix, source, options, stats, observer):
             spill_degrade=config.spill_degrade,
             preflight=config.preflight_disk,
         )
-        return rules, plan.name
+        return rules, plan.carrier
     if plan.carrier == "guarded":
         rules, carrier_ran = mine_with_memory_budget(
             matrix,
@@ -693,7 +710,7 @@ def _run_plan(plan, config, matrix, source, options, stats, observer):
             observer=observer,
             options=options,
         )
-        return rules, _engine_name(carrier_ran, plan.scan_engine)
+        return rules, carrier_ran
     if plan.carrier == "partitioned":
         partitioner = (
             find_implication_rules_partitioned
@@ -716,8 +733,8 @@ def _run_plan(plan, config, matrix, source, options, stats, observer):
             scan_engine=options.scan_engine,
             vector_block_rows=options.vector_block_rows,
         )
-        return rules, plan.name
+        return rules, plan.carrier
     rules = mine_matrix(
         config.task, matrix, config.threshold, options, stats, observer
     )
-    return rules, plan.name
+    return rules, plan.carrier

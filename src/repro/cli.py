@@ -94,9 +94,10 @@ def build_parser() -> argparse.ArgumentParser:
             choices=("auto", "dmc", "stream", "partitioned", "vector"),
             default="auto",
             help="mining engine (default auto: picked from the other "
-                 "flags); vector runs the blocked numpy second pass — "
-                 "combine with --workers to run it inside each "
-                 "partition, or with --stream for the streaming pass 2",
+                 "flags, with the blocked numpy second pass); dmc runs "
+                 "the serial row-at-a-time scan; vector forces the "
+                 "numpy pass in memory — combine with --workers to run "
+                 "it inside each partition (--stream already uses it)",
         )
         sub.add_argument(
             "--block-rows", type=int, default=None, metavar="N",
@@ -468,11 +469,15 @@ def _mine(args: argparse.Namespace) -> int:
         )
         return 2
     if use_stream and getattr(args, "engine", "auto") in (
-        "dmc", "partitioned",
+        "dmc", "partitioned", "vector",
     ):
+        hint = (
+            " (--stream already runs the vector pass 2)"
+            if args.engine == "vector" else ""
+        )
         print(
             f"--engine {args.engine} mines in memory and cannot be "
-            "combined with --stream/--checkpoint",
+            f"combined with --stream/--checkpoint{hint}",
             file=sys.stderr,
         )
         return 2
@@ -505,17 +510,7 @@ def _mine(args: argparse.Namespace) -> int:
                 else {"minsim": args.minsim}
             )
             engine = getattr(args, "engine", "auto")
-            engine_kwargs = {}
-            if use_stream and engine == "vector":
-                # `--stream --engine vector`: the vector scan runs as
-                # the streaming pipeline's pass 2.
-                from repro.core.dmc_imp import PruningOptions
-
-                engine = "stream"
-                engine_kwargs["options"] = PruningOptions(
-                    scan_engine="vector"
-                )
-            engine_kwargs["engine"] = engine
+            engine_kwargs = {"engine": engine}
             if getattr(args, "block_rows", None) is not None:
                 engine_kwargs["vector_block_rows"] = args.block_rows
             supervised = {}

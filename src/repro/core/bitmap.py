@@ -81,16 +81,16 @@ def emit_rules(
     stats.candidates_rejected += len(owners) - len(built)
 
 
-def _new_pairs(
-    dense, active, picked, co_block, eligible, live_keys, n_columns
-):
+def _new_pairs(block, picked, co_block, eligible, live_keys, n_columns):
     """``(owners, cands, hits)`` parts of the block's pairs of open
     owners (dense indices ``picked``) that are eligible and whose
-    ``owner * n_columns + cand`` key is not in ``live_keys``."""
+    ``owner * n_columns + cand`` key is not in ``live_keys``.  ``block``
+    is ``(lengths, cols, to_active, active)``."""
     parts = []
-    for owners, cands, hits in co_occurrences(dense, active, picked, co_block):
-        keep = eligible(owners, cands) & ~np.isin(
-            owners * n_columns + cands, live_keys
+    for owners, cands, hits in co_occurrences(*block, picked, co_block):
+        keep = eligible(owners, cands)
+        keep[keep] = ~np.isin(
+            owners[keep] * n_columns + cands[keep], live_keys
         )
         parts.append((owners[keep], cands[keep], hits[keep]))
     return parts
@@ -179,8 +179,9 @@ def bitmap_tail(
                     owners, cands, co = map(np.concatenate, zip(
                         (owners, cands, co),
                         *_new_pairs(
-                            dense, active, picked, co_block, eligible,
-                            owners * n_columns + cands, n_columns,
+                            (lengths, cols, to_active, active), picked,
+                            co_block, eligible, owners * n_columns + cands,
+                            n_columns,
                         ),
                     ))
 

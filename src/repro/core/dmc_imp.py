@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
 from typing import Callable, Dict, Iterator, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -49,6 +48,7 @@ from repro.core.thresholds import (
 )
 from repro.core.vector import vector_scan_rows
 from repro.matrix.binary_matrix import BinaryMatrix
+from repro.matrix.ops import DEFAULT_BLOCK_ROWS
 from repro.matrix.reorder import scan_order
 from repro.observe.progress import NULL_OBSERVER
 
@@ -81,17 +81,22 @@ class PruningOptions:
     #: the core free of runtime imports).
     memory_guard: Optional[object] = None
     #: Second-pass engine: ``"serial"`` runs the row-at-a-time scan of
-    #: :mod:`repro.core.miss_counting`; ``"vector"`` runs the blocked
-    #: numpy engine of :mod:`repro.core.vector`.  Both produce the
-    #: identical rule set; the zero-miss 100%-rule pass always runs
-    #: serial (its id-set layout is already near-optimal).
-    scan_engine: str = "serial"
-    #: Rows per block for ``scan_engine="vector"`` (None = the engine's
+    #: :mod:`repro.core.miss_counting` (the paper-faithful oracle);
+    #: ``"vector"`` runs the blocked numpy engine of
+    #: :mod:`repro.core.vector`, except for a pass whose policy has
+    #: inexact int64 array twins (``vector_ready()``), which runs serial.
+    #: Both produce the identical rule set.  None (the default) leaves
+    #: the choice to the caller: the ``find_*``/``stream_*`` entry
+    #: points run serial, :func:`repro.mine` runs vector on every
+    #: engine but ``"dmc"``.  The zero-miss 100%-rule pass always runs
+    #: serial (its id-set layout is near-optimal).
+    scan_engine: Optional[str] = None
+    #: Rows per block of the vector scan (None = the engine's
     #: :data:`repro.core.vector.DEFAULT_BLOCK_ROWS`).
     vector_block_rows: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.scan_engine not in ("serial", "vector"):
+        if self.scan_engine not in (None, "serial", "vector"):
             raise ValueError(
                 f"unknown scan_engine {self.scan_engine!r}; "
                 "use 'serial' or 'vector'"
@@ -133,6 +138,20 @@ TASKS: Dict[str, DmcTask] = {
     ),
 }
 
+
+def vector_exact(task: str, threshold, ones: Sequence[int]) -> bool:
+    """Whether the vector scan is exact for a run's <100% pass: its
+    policy over ``ones`` has exact int64 twins (``vector_ready()``).
+    That test reads only the largest count, so a one-column policy
+    decides it; removing columns never raises the largest count, so the
+    answer covers the restricted pass too."""
+    largest = [int(np.max(ones, initial=0))]
+    policy = TASKS[task].partial_policy(
+        largest, as_fraction(threshold), PruningOptions()
+    )
+    return policy.vector_ready()
+
+
 #: ``rows_for(keep, scan_stats) -> (rows, n_rows)``: the carrier's
 #: ``(row_id, columns)`` stream in scan order, with every column outside
 #: ``keep`` dropped (``keep=None`` keeps all).  ``scan_stats`` is the
@@ -158,19 +177,32 @@ def mine_passes(
     ``ones`` are the pre-scan's column counts and ``rows_for`` the
     carrier's row source (see :data:`RowSource`).  The 100% pass always
     runs the zero-miss scan; the other passes run the serial or vector
-    scan per ``options.scan_engine``.  Phases are timed into
-    ``stats.timer`` and reported to ``observer``.
+    scan per ``options.scan_engine`` (see :class:`PruningOptions`).
+    ``stats.vector_block_rows`` records the vector block size, or None
+    when the serial scan ran.  Phases are timed into ``stats.timer``
+    and reported to ``observer``.
     """
     threshold = as_fraction(threshold)
     spec = TASKS[task]
     rules = RuleSet()
     stats.columns_total = len(ones)
+    stats.vector_block_rows = None
     if options.scan_engine == "vector":
-        partial_scan = partial(
-            vector_scan_rows, block_rows=options.vector_block_rows
+        stats.vector_block_rows = (
+            DEFAULT_BLOCK_ROWS if options.vector_block_rows is None
+            else options.vector_block_rows
         )
-    else:
-        partial_scan = miss_counting_scan_rows
+
+    def partial_scan(rows, n_rows, policy, **kwargs):
+        if not policy.vector_ready():
+            # Exact only on the serial scan's arbitrary-precision path.
+            stats.vector_block_rows = None
+        if stats.vector_block_rows is None:
+            return miss_counting_scan_rows(rows, n_rows, policy, **kwargs)
+        return vector_scan_rows(
+            rows, n_rows, policy, block_rows=stats.vector_block_rows,
+            **kwargs,
+        )
 
     def scan(run, policy, keep, scan_stats: ScanStats) -> None:
         rows, n_rows = rows_for(keep, scan_stats)

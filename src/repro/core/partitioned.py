@@ -37,6 +37,7 @@ import warnings
 from contextlib import nullcontext
 from typing import List, Optional, Set, Tuple
 
+from repro.core.dmc_imp import vector_exact
 from repro.core.miss_counting import miss_counting_scan
 from repro.core.policies import ImplicationPolicy, SimilarityPolicy
 from repro.core.rules import (
@@ -52,6 +53,7 @@ from repro.core.thresholds import (
     similarity_holds,
 )
 from repro.matrix.binary_matrix import BinaryMatrix
+from repro.matrix.ops import DEFAULT_BLOCK_ROWS
 from repro.matrix.reorder import scan_order
 from repro.observe.progress import NULL_OBSERVER
 from repro.runtime.storage import io_error_kind, terminal_io_error
@@ -204,9 +206,23 @@ def _local_candidates(
     vector_block_rows: Optional[int] = None,
 ) -> Set[Tuple[int, int]]:
     """Mine every partition (serially, supervised, in a bare pool, or
-    on a distributed transport) and union the locally-valid pairs."""
+    on a distributed transport) and union the locally-valid pairs.
+
+    ``scan_engine="vector"`` runs serial when the whole matrix's
+    policy has inexact int64 twins.  (A partition's counts never
+    exceed the matrix's, so an exact whole-matrix policy makes every
+    partition's exact.)  The scan that ran is stamped on
+    ``stats.vector_block_rows``.
+    """
+    stats.vector_block_rows = None
     engine_tail: Tuple = ()
-    if scan_engine != "serial":
+    if scan_engine == "vector" and vector_exact(
+        kind, threshold, matrix.column_ones()
+    ):
+        stats.vector_block_rows = (
+            DEFAULT_BLOCK_ROWS if vector_block_rows is None
+            else vector_block_rows
+        )
         engine_tail = (scan_engine, vector_block_rows)
     jobs = [
         (
@@ -362,9 +378,10 @@ def find_implication_rules_partitioned(
     ``stats.degradations``.
 
     ``scan_engine="vector"`` mines each partition with the blocked
-    numpy engine (:mod:`repro.core.vector`) instead of the serial scan;
-    ``vector_block_rows`` tunes its batch size.  The rule set is
-    identical either way.
+    numpy engine (:mod:`repro.core.vector`) instead of the serial scan,
+    unless its int64 twins are inexact (see
+    :class:`~repro.core.dmc_imp.PruningOptions`); ``vector_block_rows``
+    tunes its batch size.  The rule set is identical either way.
     """
     minconf = as_fraction(minconf)
     if stats is None:

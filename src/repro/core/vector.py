@@ -8,9 +8,9 @@ row-at-a-time dict updates into numpy batch operations:
 - rows are consumed in blocks of ``block_rows``; each block becomes a
   dense 0/1 matrix over the columns active in it;
 - per-pair block hits come from one BLAS matmul (``D.T @ D``) on
-  narrow blocks, or from the gather and packed-bitmap popcount kernels
-  in :mod:`repro.matrix.ops` when the block touches too many columns
-  for a dense co-occurrence matrix;
+  narrow, dense blocks, or else from the gather and packed-bitmap
+  popcount kernels in :mod:`repro.matrix.ops`, with new pairs from
+  sparse CSR products whose cost follows the block's ones;
 - live pairs sit in a :class:`~repro.core.candidates.PairStore`
   (parallel owner/candidate/miss/budget arrays); every miss update,
   budget check, dynamic prune, and finished-column emission is an
@@ -223,9 +223,9 @@ def _scan_blocks(
 
             # -- admission: pairs co-occurring while the owner is open.
             # The full co-occurrence matrix covers discovery and the
-            # live-pair miss update at once when the block is narrow
-            # and mostly open; otherwise chunked discovery matmuls and
-            # per-pair kernels do.
+            # live-pair miss update at once when the block is narrow,
+            # dense and mostly open; otherwise sparse discovery
+            # products and per-pair kernels do.
             open_positions = np.nonzero(count[active] <= cutoff[active])[0]
             co = block_co_matrix(
                 dense, len(open_positions), dense_pair_columns
@@ -238,12 +238,15 @@ def _scan_blocks(
             new_pairs = []
             live_keys = store.keys(n_columns)
             for owners, cands, hits in co_occurrences(
-                dense, active, open_positions, co
+                lengths, cols, to_active, active, open_positions, co
             ):
                 keep = policy.eligible_mask(owners, cands)
+                owners, cands, hits = owners[keep], cands[keep], hits[keep]
                 budgets = policy.budget_array(owners, cands)
-                keep &= count[owners] <= budgets
-                keep &= ~np.isin(owners * n_columns + cands, live_keys)
+                keep = count[owners] <= budgets
+                keep[keep] = ~np.isin(
+                    owners[keep] * n_columns + cands[keep], live_keys
+                )
                 owners, cands = owners[keep], cands[keep]
                 budgets = budgets[keep]
                 block_miss = counts_block[owners] - hits[keep]

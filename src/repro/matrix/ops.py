@@ -8,8 +8,10 @@ its active columns, against which whole *arrays* of column pairs are
 evaluated — by one co-occurrence matmul, a gather of the pairs' dense
 columns, or packed-bitmap popcounts (``numpy.packbits``, eight rows per
 byte; misses are ``popcount(bm(c_j) & ~bm(c_k))``, the paper's Section
-4.2 formula).  Nothing here builds a dense array over more than one
-block.
+4.2 formula).  Pair *discovery* reads a narrow, dense block's
+co-occurrence matmul or else sparse products over the block's CSR
+form, whose cost follows the block's ones rather than its cells.
+Nothing here builds a dense array over more than one block.
 """
 
 from __future__ import annotations
@@ -31,14 +33,16 @@ MAX_BLOCK_ROWS = 1 << 20
 #: Blocks touching at most this many distinct columns may use one dense
 #: ``D.T @ D`` co-occurrence matrix for both discovery and live-pair
 #: hit lookup; wider blocks fall back to per-pair kernels for live
-#: pairs and chunked matmuls for discovery.
+#: pairs and sparse products for discovery.
 DENSE_PAIR_COLUMNS = 2048
 
-#: Entry budget (not bytes) for one discovery matmul chunk when the
-#: dense co-occurrence matrix is off the table.
-_DISCOVERY_CHUNK_ENTRIES = DENSE_PAIR_COLUMNS * DENSE_PAIR_COLUMNS
+#: The dense matrix must also pay for itself: its BLAS multiply-adds
+#: (rows x active columns squared) may be at most this many times the
+#: block's sparse discovery products (the sum of squared row lengths).
+#: Below that the sparse rows and per-pair kernels are cheaper.
+_DENSE_MACS_PER_PRODUCT = 64
 
-#: Entry budget for the co-occurrence rows discovery yields at once:
+#: Entry budget for the co-occurrence pairs discovery yields at once:
 #: each pair costs a dozen int64 temporaries downstream.
 _PAIR_CHUNK_ENTRIES = 1 << 18
 
@@ -66,7 +70,9 @@ def pack_columns(dense: np.ndarray) -> np.ndarray:
     ``dense[t, c]`` is nonzero.  Pad bits past ``n_rows`` are zero, so
     the pair kernels below never count phantom rows.
     """
-    return np.ascontiguousarray(np.packbits(dense != 0, axis=0).T)
+    return np.ascontiguousarray(
+        np.packbits(dense.astype(bool, copy=False), axis=0).T
+    )
 
 
 def pair_and_counts(
@@ -120,7 +126,7 @@ def dense_block(
 
     Returns ``(counts, active, to_active, dense)``: per-column ones in
     the block, the active column ids, the global -> active index map,
-    and the float32 ``(n_rows, n_active + 1)`` matrix.  The last dense
+    and the bool ``(n_rows, n_active + 1)`` matrix.  The last dense
     column is an all-zero guard: ``to_active`` sends every column absent
     from the block there, so pair lookups on it just return 0.
     """
@@ -129,8 +135,8 @@ def dense_block(
     n_active = len(active)
     to_active = np.full(n_columns, n_active, dtype=np.int64)
     to_active[active] = np.arange(n_active)
-    dense = np.zeros((len(lengths), n_active + 1), dtype=np.float32)
-    dense[np.repeat(np.arange(len(lengths)), lengths), to_active[cols]] = 1.0
+    dense = np.zeros((len(lengths), n_active + 1), dtype=bool)
+    dense[np.repeat(np.arange(len(lengths)), lengths), to_active[cols]] = True
     return counts, active, to_active, dense
 
 
@@ -139,12 +145,18 @@ def block_co_matrix(
     dense_pair_columns: int = DENSE_PAIR_COLUMNS,
 ) -> Optional[np.ndarray]:
     """The block's co-occurrence matrix ``D.T @ D`` when the block is
-    narrow and at least half its active columns are open for discovery
-    (``n_open``); None when chunked kernels do less work."""
-    n_active = dense.shape[1] - 1
-    if n_active <= dense_pair_columns and 2 * n_open >= n_active:
-        return dense.T @ dense
-    return None
+    narrow, at least half its active columns are open for discovery
+    (``n_open``) and dense enough to pay for the matmul (see
+    ``_DENSE_MACS_PER_PRODUCT``); None when the sparse and per-pair
+    kernels do less work."""
+    n_rows, n_active = dense.shape[0], dense.shape[1] - 1
+    if n_active > dense_pair_columns or 2 * n_open < n_active:
+        return None
+    lengths = dense.sum(axis=1, dtype=np.float64)
+    if n_rows * n_active**2 > _DENSE_MACS_PER_PRODUCT * (lengths @ lengths):
+        return None
+    dense = dense.astype(np.float32)
+    return dense.T @ dense
 
 
 def pair_hits(
@@ -155,35 +167,95 @@ def pair_hits(
     if co is not None:
         return co[left, right].astype(np.int64)
     if len(left) * dense.shape[0] <= _GATHER_PAIR_CELLS:
-        return np.einsum(
-            "ij,ij->j", dense[:, left], dense[:, right]
-        ).astype(np.int64)
+        return np.count_nonzero(dense[:, left] & dense[:, right], axis=0)
     return pair_and_counts(pack_columns(dense), left, right)
 
 
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Concatenated ``arange(start, start + count)`` for every pair."""
+    ends = np.cumsum(counts)
+    return np.repeat(starts - ends + counts, counts) + np.arange(
+        ends[-1] if len(ends) else 0
+    )
+
+
 def co_occurrences(
-    dense: np.ndarray, active: np.ndarray, picked: np.ndarray,
+    lengths: np.ndarray, cols: np.ndarray, to_active: np.ndarray,
+    active: np.ndarray, picked: np.ndarray,
     co: Optional[np.ndarray] = None,
 ) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Yield ``(owners, cands, hits)`` for every pair co-occurring in the
     block whose owner sits at a dense index in ``picked``.
 
-    Ids are global column ids and ``owners != cands``.  Without ``co``
-    the matmuls run in chunks of at most ``_DISCOVERY_CHUNK_ENTRIES``
-    entries, so discovery never builds a full co-occurrence matrix of a
-    wide block; a yield covers ``_PAIR_CHUNK_ENTRIES`` entries' rows.
+    The block is given as its rows (``lengths``/``cols``, global column
+    ids) plus ``to_active``/``active`` from :func:`dense_block`.  Ids
+    come back global and ``owners != cands``.  With ``co`` the pairs are
+    read off its rows.  Otherwise the block is read as a sparse matrix
+    ``D`` in CSR form (plus its column-major transpose) and each chunk
+    of owners costs one sparse product ``D.T[owners] @ D``: every row
+    holding an owner adds one hit to each of its columns.  The hits are
+    counted in place when the chunk's owner-by-column cells are few
+    next to its products, and by sorting the products otherwise.  An
+    owner's work is the summed length of the rows holding it, so the
+    empty cells of a sparse block cost nothing.  A sparse chunk keeps
+    its summed owner work, and so its pairs, within
+    ``_PAIR_CHUNK_ENTRIES`` (one owner at least); a ``co`` slice covers
+    at most that many entries.
     """
     width = max(len(active), 1)
-    chunk = max(1, _DISCOVERY_CHUNK_ENTRIES // width)
-    step = max(1, _PAIR_CHUNK_ENTRIES // width)
-    for lo in range(0, len(picked), chunk):
-        rows = picked[lo:lo + chunk]
-        co_rows = co[rows] if co is not None else dense[:, rows].T @ dense
-        co_rows[np.arange(len(rows)), rows] = 0  # a column with itself
-        for at in range(0, len(rows), step):
-            owner_pos, cand_pos = np.nonzero(co_rows[at:at + step])
-            owner_pos += at
+    if co is not None:
+        step = max(1, _PAIR_CHUNK_ENTRIES // width)
+        for lo in range(0, len(picked), step):
+            rows = picked[lo:lo + step]
+            co_rows = co[rows]
+            co_rows[np.arange(len(rows)), rows] = 0  # a column with itself
+            owner_pos, cand_pos = np.nonzero(co_rows)
             yield (
                 active[rows[owner_pos]], active[cand_pos],
                 co_rows[owner_pos, cand_pos].astype(np.int64),
             )
+        return
+    if not len(picked):
+        return
+    local = to_active[cols]
+    row_start = np.cumsum(lengths) - lengths
+    row_of = np.repeat(np.arange(len(lengths)), lengths)
+    # The transpose D.T in CSR form: the rows holding each column.
+    holding = row_of[np.argsort(local, kind="stable")]
+    column_rows = np.bincount(local, minlength=width)
+    column_start = np.cumsum(column_rows) - column_rows
+    work = np.bincount(
+        local, weights=lengths[row_of], minlength=width
+    )[picked].astype(np.int64)
+    ends = np.cumsum(work)
+    lo = 0
+    while lo < len(picked):
+        hi = max(lo + 1, int(np.searchsorted(
+            ends, ends[lo] - work[lo] + _PAIR_CHUNK_ENTRIES, side="right"
+        )))
+        owners = picked[lo:hi]
+        rows = holding[_ranges(column_start[owners], column_rows[owners])]
+        sizes = lengths[rows]
+        # One key ``owner_pos * width + cand`` per (owner, row, cand)
+        # product; a key's multiplicity is the pair's hits.
+        keys = np.repeat(
+            np.repeat(np.arange(len(owners)) * width, column_rows[owners]),
+            sizes,
+        ) + local[_ranges(row_start[rows], sizes)]
+        cells = len(owners) * width
+        if cells <= 2 * len(keys):  # dense enough to count in place
+            counts = np.bincount(keys, minlength=cells)
+            keys = np.flatnonzero(counts)
+            hits = counts[keys]
+        else:
+            keys.sort()
+            first = np.flatnonzero(np.diff(keys, prepend=-1))
+            hits = np.diff(first, append=len(keys))
+            keys = keys[first]
+        owner_pos, cand_pos = np.divmod(keys, width)
+        keep = cand_pos != owners[owner_pos]  # a column with itself
+        yield (
+            active[owners[owner_pos[keep]]], active[cand_pos[keep]],
+            hits[keep],
+        )
+        lo = hi

@@ -14,6 +14,8 @@ from __future__ import annotations
 import csv
 import json
 from fractions import Fraction
+from math import gcd
+from operator import attrgetter
 from typing import Optional
 
 from repro.core.rules import ImplicationRule, RuleSet, SimilarityRule
@@ -82,6 +84,38 @@ def similarity_rules_from_csv(path: str) -> RuleSet:
     return rules
 
 
+#: Per rule kind: its record laid out exactly as ``json.dumps(document,
+#: indent=2)`` nests it in the ``"rules"`` list (minus the closing
+#: brace), the labels that follow the fraction, and the record's four
+#: integers — the pair, then the fraction's (part, whole).
+_RECORDS = {
+    ImplicationRule: (
+        '    {\n      "kind": "implication",\n      "antecedent": %d,\n'
+        '      "consequent": %d,\n      "hits": %d,\n      "ones": %d,\n'
+        '      "confidence": "%s"',
+        ',\n      "antecedent_label": %s,\n      "consequent_label": %s',
+        attrgetter("antecedent", "consequent", "hits", "ones"),
+    ),
+    SimilarityRule: (
+        '    {\n      "kind": "similarity",\n      "first": %d,\n'
+        '      "second": %d,\n      "intersection": %d,\n'
+        '      "union": %d,\n      "similarity": "%s"',
+        ',\n      "first_label": %s,\n      "second_label": %s',
+        attrgetter("first", "second", "intersection", "union"),
+    ),
+}
+
+
+def _fraction(numerator: int, denominator: int) -> str:
+    """``str(Fraction(numerator, denominator))`` without the object."""
+    divisor = gcd(numerator, denominator)
+    numerator //= divisor
+    denominator //= divisor
+    if denominator == 1:
+        return str(numerator)
+    return f"{numerator}/{denominator}"
+
+
 def rules_to_json(
     rules: RuleSet,
     vocabulary: Optional[Vocabulary] = None,
@@ -94,42 +128,30 @@ def rules_to_json(
     document gains a ``"stats"`` key carrying the run's
     :class:`PipelineStats` (see :func:`stats_from_json`), so the export
     records how its rules were mined.
+
+    The text is byte for byte ``json.dumps(document, indent=2)``, but
+    each rule is written from a fixed template instead of a dict run
+    through the pure-Python indenting encoder.
     """
     records = []
     for rule in rules.sorted():
-        if isinstance(rule, ImplicationRule):
-            record = {
-                "kind": "implication",
-                "antecedent": rule.antecedent,
-                "consequent": rule.consequent,
-                "hits": rule.hits,
-                "ones": rule.ones,
-                "confidence": str(rule.confidence),
-            }
-            if vocabulary is not None:
-                record["antecedent_label"] = vocabulary.label_of(
-                    rule.antecedent
-                )
-                record["consequent_label"] = vocabulary.label_of(
-                    rule.consequent
-                )
-        else:
-            record = {
-                "kind": "similarity",
-                "first": rule.first,
-                "second": rule.second,
-                "intersection": rule.intersection,
-                "union": rule.union,
-                "similarity": str(rule.similarity),
-            }
-            if vocabulary is not None:
-                record["first_label"] = vocabulary.label_of(rule.first)
-                record["second_label"] = vocabulary.label_of(rule.second)
-        records.append(record)
-    document = {"rules": records}
+        record, labels, fields = _RECORDS[type(rule)]
+        first, second, part, whole = fields(rule)
+        text = record % (first, second, part, whole, _fraction(part, whole))
+        if vocabulary is not None:
+            text += labels % (
+                json.dumps(vocabulary.label_of(first)),
+                json.dumps(vocabulary.label_of(second)),
+            )
+        records.append(text + "\n    }")
+    if records:
+        document = '{\n  "rules": [\n' + ",\n".join(records) + "\n  ]"
+    else:
+        document = '{\n  "rules": []'
     if stats is not None:
-        document["stats"] = stats.to_dict()
-    return json.dumps(document, indent=2)
+        nested = json.dumps(stats.to_dict(), indent=2).replace("\n", "\n  ")
+        document += ',\n  "stats": ' + nested
+    return document + "\n}"
 
 
 def rules_from_json(document: str) -> RuleSet:

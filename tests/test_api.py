@@ -56,13 +56,13 @@ class TestEquivalence:
     def test_matches_find_implication_rules(self, matrix):
         result = mine(matrix, minconf=0.9)
         legacy = find_implication_rules(matrix, 0.9)
-        assert result.engine == "dmc"
+        assert result.engine == "vector"
         assert rules_to_json(result.rules) == rules_to_json(legacy)
 
     def test_matches_find_similarity_rules(self, matrix):
         result = mine(matrix, minsim=0.6)
         legacy = find_similarity_rules(matrix, 0.6)
-        assert result.engine == "dmc"
+        assert result.engine == "vector"
         assert rules_to_json(result.rules) == rules_to_json(legacy)
 
     def test_matches_partitioned_implication(self, matrix):
@@ -70,26 +70,26 @@ class TestEquivalence:
         legacy = find_implication_rules_partitioned(
             matrix, 0.9, n_partitions=3
         )
-        assert result.engine == "partitioned"
+        assert result.engine == "partitioned+vector"
         assert rules_to_json(result.rules) == rules_to_json(legacy)
         assert len(result.stats.partition_candidates) == 3
 
     def test_matches_partitioned_similarity(self, matrix):
         result = mine(matrix, minsim=0.6, engine="partitioned")
         legacy = find_similarity_rules_partitioned(matrix, 0.6)
-        assert result.engine == "partitioned"
+        assert result.engine == "partitioned+vector"
         assert rules_to_json(result.rules) == rules_to_json(legacy)
 
     def test_matches_stream_implication(self, matrix):
         result = mine(MatrixSource(matrix), minconf=0.9)
         legacy = stream_implication_rules(MatrixSource(matrix), 0.9)
-        assert result.engine == "stream"
+        assert result.engine == "stream+vector"
         assert rules_to_json(result.rules) == rules_to_json(legacy)
 
     def test_matches_stream_similarity(self, matrix):
         result = mine(MatrixSource(matrix), minsim=0.6)
         legacy = stream_similarity_rules(MatrixSource(matrix), 0.6)
-        assert result.engine == "stream"
+        assert result.engine == "stream+vector"
         assert rules_to_json(result.rules) == rules_to_json(legacy)
 
     def test_matches_memory_budget_wrapper(self, matrix):
@@ -97,7 +97,8 @@ class TestEquivalence:
         legacy, engine = mine_with_memory_budget(
             matrix, 0.9, budget_bytes=64, n_partitions=2
         )
-        assert result.engine == engine == "partitioned"
+        assert engine == "partitioned"
+        assert result.engine == "partitioned+vector"
         assert rules_to_json(result.rules) == rules_to_json(legacy)
 
     def test_file_path_input(self, matrix, tmp_path):
@@ -112,7 +113,7 @@ class TestEquivalence:
         path = str(tmp_path / "data.txt")
         save_transactions(numeric, path)
         result = mine(path, minconf=0.9)
-        assert result.engine == "stream"
+        assert result.engine == "stream+vector"
         assert result.rules.pairs() == find_implication_rules(
             matrix, 0.9
         ).pairs()
@@ -188,4 +189,4 @@ class TestDeprecations:
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             result = mine(matrix, minconf=0.9, engine="partitioned")
-        assert result.engine == "partitioned"
+        assert result.engine == "partitioned+vector"

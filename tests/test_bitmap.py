@@ -245,12 +245,12 @@ class TestBlockedTail:
 
     def test_chunked_discovery_and_packed_hits(self, monkeypatch):
         """Without the dense co-occurrence matrix the tail discovers new
-        pairs in tiny matmul chunks and counts live-pair hits with the
-        packed popcount kernel; the rules must not change."""
+        pairs in tiny sparse-product chunks and counts live-pair hits
+        with the packed popcount kernel; the rules must not change."""
         monkeypatch.setattr(
             bitmap_module, "block_co_matrix", lambda dense, n_open: None
         )
-        monkeypatch.setattr(ops, "_DISCOVERY_CHUNK_ENTRIES", 16)
+        monkeypatch.setattr(ops, "_PAIR_CHUNK_ENTRIES", 16)
         monkeypatch.setattr(ops, "_GATHER_PAIR_CELLS", 0)
         matrix = _tall_matrix()
         for policy, want in (
@@ -349,7 +349,7 @@ class TestStatsPinned:
     def test_mine_with_scaled_bitmap(self, scale, engine):
         matrix = load_dataset("plinkT", scale=scale)
         carrier, _, scan = engine.partition("+")
-        options = PruningOptions(scan_engine=scan) if scan else None
+        options = PruningOptions(scan_engine=scan or "serial")
         result = repro.mine(
             matrix, engine=carrier, minconf="3/4", bitmap=SCALED_BITMAP,
             options=options,

@@ -127,6 +127,15 @@ class TestMiningCommands:
         assert code == 2
         assert "cannot be combined" in capsys.readouterr().err
 
+    def test_vector_engine_conflicts_with_stream(
+        self, capsys, transactions_file
+    ):
+        code = main(
+            ["mine-imp", transactions_file, "--stream", "--engine", "vector"]
+        )
+        assert code == 2
+        assert "already runs the vector pass 2" in capsys.readouterr().err
+
     def test_ledger_conflicts_with_checkpoint(
         self, capsys, transactions_file, tmp_path
     ):

@@ -1,12 +1,16 @@
 """Rule serialization (repro.mining.export)."""
 
+import json
+
 import pytest
+
+import repro
 
 from repro.baselines.bruteforce import (
     implication_rules_bruteforce,
     similarity_rules_bruteforce,
 )
-from repro.core.rules import ImplicationRule, RuleSet
+from repro.core.rules import ImplicationRule, RuleSet, SimilarityRule
 from repro.matrix.binary_matrix import Vocabulary
 from repro.mining.export import (
     implication_rules_from_csv,
@@ -91,3 +95,80 @@ class TestJsonRoundTrip:
         from fractions import Fraction
 
         assert loaded[(0, 1)].confidence == Fraction(1, 3)
+
+
+def _reference_json(rules, vocabulary=None, stats=None):
+    """The document as dicts through ``json.dumps(..., indent=2)``."""
+    records = []
+    for rule in rules.sorted():
+        if isinstance(rule, ImplicationRule):
+            pair = ("antecedent", "consequent")
+            record = {
+                "kind": "implication",
+                "antecedent": rule.antecedent,
+                "consequent": rule.consequent,
+                "hits": rule.hits,
+                "ones": rule.ones,
+                "confidence": str(rule.confidence),
+            }
+        else:
+            pair = ("first", "second")
+            record = {
+                "kind": "similarity",
+                "first": rule.first,
+                "second": rule.second,
+                "intersection": rule.intersection,
+                "union": rule.union,
+                "similarity": str(rule.similarity),
+            }
+        if vocabulary is not None:
+            for key in pair:
+                record[f"{key}_label"] = vocabulary.label_of(record[key])
+        records.append(record)
+    document = {"rules": records}
+    if stats is not None:
+        document["stats"] = stats.to_dict()
+    return json.dumps(document, indent=2)
+
+
+class TestJsonLayout:
+    """rules_to_json writes its records from templates; the bytes must
+    stay exactly those of the indenting JSON encoder."""
+
+    LABELS = [
+        'say "hi"', "back\\slash", "café", "日本語", "tab\there",
+        "new\nline", "plain", "x", "y", "z",
+    ]
+
+    @pytest.fixture(scope="class")
+    def transactions(self):
+        rows = random_binary_matrix(9, max_rows=40, max_columns=10)
+        return [
+            [self.LABELS[column] for column in row]
+            for _, row in rows.iter_rows()
+        ]
+
+    @pytest.mark.parametrize("threshold", [
+        {"minconf": "3/5"}, {"minconf": 1}, {"minsim": "1/5"},
+    ])
+    def test_matches_the_indenting_encoder(self, transactions, threshold):
+        result = repro.mine(transactions, **threshold)
+        assert len(result.rules) > 0
+        for vocabulary in (None, result.vocabulary):
+            for stats in (None, result.stats):
+                assert rules_to_json(
+                    result.rules, vocabulary, stats
+                ) == _reference_json(result.rules, vocabulary, stats)
+
+    def test_edge_records(self):
+        vocabulary = Vocabulary(self.LABELS[:4])
+        for rules in (
+            RuleSet(),
+            RuleSet([ImplicationRule(0, 1, 0, 3), ImplicationRule(2, 3, 4, 4)]),
+            RuleSet([SimilarityRule(0, 1, 2, 6), SimilarityRule(2, 3, 5, 5)]),
+        ):
+            for labels in (None, vocabulary):
+                assert rules_to_json(rules, labels) == _reference_json(
+                    rules, labels
+                )
+

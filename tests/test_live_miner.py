@@ -284,7 +284,8 @@ class TestParityMatrix:
             miner.submit(seq, batch)
             consumed += len(batch)
             oracle = repro.mine(
-                rows[:consumed], task=task, threshold=threshold
+                rows[:consumed], task=task, threshold=threshold,
+                engine="dmc",
             )
             assert miner.rules() == oracle.rules
 
@@ -292,7 +293,9 @@ class TestParityMatrix:
         rows = make_rows(80, 8, seed=2)
         miner = LiveMiner(str(tmp_path / "live"), "implication", "2/3")
         miner.submit(1, rows)
-        oracle = repro.mine(rows, task="implication", threshold="2/3")
+        oracle = repro.mine(
+            rows, task="implication", threshold="2/3", engine="dmc"
+        )
         assert miner.rules() == oracle.rules
 
     def test_vocabulary_ids_match_batch_engine(self, tmp_path):
@@ -330,7 +333,9 @@ class TestExactlyOnce:
             for _ in range(3):  # a retrying client re-delivers everything
                 receipt = miner.submit(seq, batch)
             assert receipt.status == "duplicate"
-        oracle = repro.mine(rows, task="similarity", threshold="1/2")
+        oracle = repro.mine(
+            rows, task="similarity", threshold="1/2", engine="dmc"
+        )
         assert miner.rules() == oracle.rules
         assert miner.n_rows == len(rows)
 
@@ -364,7 +369,7 @@ class TestReadmission:
         assert len(miner.rules()) == 1
         oracle = repro.mine(
             [["a", "b"], ["a"], ["b"]] + [["c"]] + [["a", "b"]] * 10,
-            task="implication", threshold="3/4",
+            task="implication", threshold="3/4", engine="dmc",
         )
         assert miner.rules() == oracle.rules
 
@@ -393,7 +398,9 @@ class TestReadmission:
         for seq, batch in enumerate(random_splits(rows, 6, 8), 1):
             miner.submit(seq, batch)
         assert miner.degrades_total > 0
-        oracle = repro.mine(rows, task="implication", threshold="3/4")
+        oracle = repro.mine(
+            rows, task="implication", threshold="3/4", engine="dmc"
+        )
         assert miner.rules() == oracle.rules
 
     def test_snapshot_fingerprint_mismatch_degrades(self, tmp_path):
@@ -417,7 +424,9 @@ class TestReadmission:
         assert recovered.degrades_total >= 1
         events = [r["event"] for r in read_journal(journal_path)]
         assert "live-degrade" in events
-        oracle = repro.mine(rows, task="implication", threshold="2/3")
+        oracle = repro.mine(
+            rows, task="implication", threshold="2/3", engine="dmc"
+        )
         assert recovered.rules() == oracle.rules
 
     def test_config_mismatch_is_an_error_not_a_degrade(self, tmp_path):
@@ -540,7 +549,9 @@ class TestCrashPoints:
     def test_bounded_sweep(self, tmp_path, task, threshold):
         rows = make_rows(60, 8, seed=11)
         batches = random_splits(rows, seed=11, n_batches=4)
-        oracle = repro.mine(rows, task=task, threshold=threshold)
+        oracle = repro.mine(
+            rows, task=task, threshold=threshold, engine="dmc"
+        )
         run, recover, expected = _crash_workload(
             tmp_path, task, threshold, batches, oracle.rules
         )
@@ -554,7 +565,9 @@ class TestCrashPoints:
     def test_full_sweep(self, tmp_path, task, threshold):
         rows = make_rows(80, 10, seed=13)
         batches = random_splits(rows, seed=13, n_batches=5)
-        oracle = repro.mine(rows, task=task, threshold=threshold)
+        oracle = repro.mine(
+            rows, task=task, threshold=threshold, engine="dmc"
+        )
         run, recover, expected = _crash_workload(
             tmp_path, task, threshold, batches, oracle.rules
         )
@@ -575,7 +588,9 @@ class TestCrashPoints:
         assert miner.applied_seq == 1
         recovered = LiveMiner(root, "implication", "2/3")
         assert recovered.applied_seq == 2
-        oracle = repro.mine(rows, task="implication", threshold="2/3")
+        oracle = repro.mine(
+            rows, task="implication", threshold="2/3", engine="dmc"
+        )
         assert recovered.rules() == oracle.rules
 
 

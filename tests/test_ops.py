@@ -157,30 +157,122 @@ class TestBlockKernels:
         assert pair_hits(dense, left, right).tolist() == want  # packed
 
     def test_chunked_co_occurrences(self, monkeypatch):
-        rows, (_, active, _, dense) = self._block(seed=1)
+        rows, (_, active, to_active, dense) = self._block(seed=1)
+        _, lengths, cols = RowBlocks(rows).take(len(rows))
         picked = np.arange(len(active))
         whole = block_co_matrix(dense, n_open=len(active))
 
         def found(co):
-            return sorted(
-                (int(o), int(c), int(h))
-                for owners, cands, hits in co_occurrences(
-                    dense, active, picked, co
-                )
-                for o, c, h in zip(owners, cands, hits)
-            )
+            return _discovered(lengths, cols, to_active, active, picked, co)
 
         want = found(whole)
         assert want and all(o != c for o, c, _ in want)
         # Discovery must not touch the shared matrix the miss update reads.
         assert np.all(np.diag(whole)[:len(active)] > 0)
-        # One owner row per yield, out of the shared matrix or one matmul.
+        # One owner row per yield, out of the shared matrix or one
+        # sparse product.
         monkeypatch.setattr(ops, "_PAIR_CHUNK_ENTRIES", 1)
-        slices = list(co_occurrences(dense, active, picked, whole))
-        assert len(slices) == len(picked)
-        assert all(len(set(owners.tolist())) <= 1 for owners, _, _ in slices)
+        for co in (whole, None):
+            slices = list(co_occurrences(
+                lengths, cols, to_active, active, picked, co
+            ))
+            assert len(slices) == len(picked)
+            assert all(
+                len(set(owners.tolist())) <= 1 for owners, _, _ in slices
+            )
         assert found(whole) == want
         assert found(None) == want
-        monkeypatch.setattr(ops, "_DISCOVERY_CHUNK_ENTRIES", 1)
-        assert found(None) == want
         assert block_co_matrix(dense, n_open=0) is None
+
+
+def _discovered(lengths, cols, to_active, active, picked, co=None):
+    """Every ``(owner, cand, hits)`` co_occurrences yields, sorted."""
+    return sorted(
+        (int(o), int(c), int(h))
+        for owners, cands, hits in co_occurrences(
+            lengths, cols, to_active, active, picked, co
+        )
+        for o, c, h in zip(owners, cands, hits)
+    )
+
+
+def _counted(rows, picked_ids):
+    """The same triples, counted row by row in Python."""
+    hits = {}
+    for row in rows:
+        for owner in set(row) & picked_ids:
+            for cand in set(row) - {owner}:
+                hits[owner, cand] = hits.get((owner, cand), 0) + 1
+    return sorted((o, c, h) for (o, c), h in hits.items())
+
+
+class TestSparseDiscovery:
+    """The CSR discovery kernel (``co=None``) against the dense
+    co-occurrence matrix and a row-by-row count."""
+
+    @staticmethod
+    def _check(rows, n_columns, seed=0):
+        _, lengths, cols = RowBlocks(
+            list(enumerate(rows))
+        ).take(max(len(rows), 1))
+        if lengths is None:  # no rows at all
+            lengths = cols = np.empty(0, dtype=np.int64)
+        _, active, to_active, dense = dense_block(lengths, cols, n_columns)
+        generator = np.random.default_rng(seed)
+        picked = np.flatnonzero(generator.random(len(active)) < 0.6)
+        sparse = _discovered(lengths, cols, to_active, active, picked)
+        co = dense.T.astype(np.int64) @ dense
+        assert sparse == _discovered(
+            lengths, cols, to_active, active, picked, co
+        )
+        assert sparse == _counted(rows, set(active[picked].tolist()))
+        return sparse
+
+    def test_random_blocks(self):
+        for seed in range(12):
+            generator = np.random.default_rng(seed)
+            n_columns = int(generator.integers(2, 40))
+            density = generator.uniform(0.02, 0.5)
+            rows = [
+                tuple(np.flatnonzero(generator.random(n_columns) < density))
+                for _ in range(int(generator.integers(1, 80)))
+            ]
+            self._check(rows, n_columns, seed)
+
+    def test_wide_sparse_blocks(self):
+        """Few products next to many owner-by-column cells: the hits are
+        counted by sorting the products, not in place."""
+        for seed in range(6):
+            generator = np.random.default_rng(seed)
+            rows = [
+                tuple(np.flatnonzero(generator.random(500) < 0.01))
+                for _ in range(60)
+            ]
+            self._check(rows, 500, seed)
+
+    def test_one_very_dense_row(self):
+        generator = np.random.default_rng(3)
+        rows = [
+            tuple(np.flatnonzero(generator.random(300) < 0.01))
+            for _ in range(50)
+        ]
+        rows[17] = tuple(range(300))
+        assert self._check(rows, 300)
+
+    def test_empty_block(self):
+        assert self._check([(), (), ()], 5) == []
+        assert self._check([], 5) == []
+
+    def test_one_column_block(self):
+        assert self._check([(0,), (), (0,)], 1) == []
+
+    def test_tiny_chunk_bound_forces_many_chunks(self, monkeypatch):
+        generator = np.random.default_rng(5)
+        rows = [
+            tuple(np.flatnonzero(generator.random(30) < 0.3))
+            for _ in range(40)
+        ]
+        want = self._check(rows, 30)
+        for bound in (1, 7, 50):
+            monkeypatch.setattr(ops, "_PAIR_CHUNK_ENTRIES", bound)
+            assert self._check(rows, 30) == want

@@ -412,7 +412,7 @@ class TestFacade:
             n_workers=2, task_retries=1,
             ledger_dir=str(tmp_path / "ledger"),
         )
-        assert result.engine == "partitioned"
+        assert result.engine == "partitioned+vector"
         assert result.rules.pairs() == want
 
     def test_observer_counters_exported(self):

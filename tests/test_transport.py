@@ -440,7 +440,7 @@ class TestPublicSurface:
             matrix, minconf=0.5, transport="remote", nodes=2,
             ledger_dir=str(tmp_path / "ledger"), n_partitions=3,
         )
-        assert result.engine == "partitioned"
+        assert result.engine == "partitioned+vector"
         assert result.rules.pairs() == want
 
     def test_config_validation(self, tmp_path):

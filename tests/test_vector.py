@@ -10,10 +10,12 @@ asserting byte-identical rule sets against the row-at-a-time engine.
 from dataclasses import replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import repro
 from repro.api import ENGINES, MiningConfig, mine, resolve_engine
+from repro.baselines.bruteforce import similarity_rules_bruteforce
 from repro.core.dmc_imp import PruningOptions, find_implication_rules
 from repro.core.dmc_sim import find_similarity_rules
 from repro.core.miss_counting import BitmapConfig, miss_counting_scan
@@ -232,20 +234,34 @@ class TestResolver:
     def test_engine_names_are_documented(self):
         assert ENGINES == ("auto", "dmc", "stream", "partitioned", "vector")
 
-    def test_auto_in_memory_is_dmc(self):
+    def test_auto_in_memory_is_vector(self):
         plan, options = self._resolve()
         assert (plan.name, plan.carrier, plan.scan_engine) == (
-            "dmc", "dmc", "serial",
+            "vector", "dmc", "vector",
         )
-        assert options.scan_engine == "serial"
+        assert options.scan_engine == "vector"
+        assert options.vector_block_rows == DEFAULT_BLOCK_ROWS
+
+    def test_explicit_serial_scan_keeps_every_carrier_serial(self):
+        serial = PruningOptions(scan_engine="serial")
+        for kwargs, name in (
+            ({}, "dmc"),
+            ({"streaming": True}, "stream"),
+            ({"engine": "stream"}, "stream"),
+            ({"engine": "partitioned"}, "partitioned"),
+            ({"memory_budget": 1024}, "dmc"),
+        ):
+            plan, options = self._resolve(options=serial, **kwargs)
+            assert (plan.name, plan.scan_engine) == (name, "serial")
+            assert options.vector_block_rows is None
 
     def test_auto_streaming_streams(self):
         plan, _ = self._resolve(streaming=True)
-        assert (plan.name, plan.carrier) == ("stream", "stream")
+        assert (plan.name, plan.carrier) == ("stream+vector", "stream")
 
     def test_auto_memory_budget_is_guarded(self):
         plan, _ = self._resolve(memory_budget=1024)
-        assert (plan.name, plan.carrier) == ("dmc", "guarded")
+        assert (plan.name, plan.carrier) == ("vector", "guarded")
 
     def test_explicit_dmc(self):
         plan, _ = self._resolve(engine="dmc")
@@ -255,7 +271,7 @@ class TestResolver:
 
     def test_explicit_stream_wraps_matrix(self):
         plan, _ = self._resolve(engine="stream")
-        assert (plan.name, plan.carrier) == ("stream", "stream")
+        assert (plan.name, plan.carrier) == ("stream+vector", "stream")
 
     def test_stream_plus_vector_scan(self):
         plan, options = self._resolve(
@@ -267,7 +283,9 @@ class TestResolver:
 
     def test_explicit_partitioned(self):
         plan, _ = self._resolve(engine="partitioned")
-        assert (plan.name, plan.carrier) == ("partitioned", "partitioned")
+        assert (plan.name, plan.carrier) == (
+            "partitioned+vector", "partitioned",
+        )
 
     def test_partitioned_plus_vector_scan(self):
         plan, _ = self._resolve(
@@ -362,7 +380,7 @@ class TestMineVector:
         assert round_trip.vector_block_rows == 64
 
     def test_serial_stats_have_no_block_size(self, matrix):
-        result = mine(matrix, minconf=0.7)
+        result = mine(matrix, minconf=0.7, engine="dmc")
         assert result.stats.engine == "dmc"
         assert result.stats.vector_block_rows is None
 
@@ -411,3 +429,47 @@ class TestMineVector:
         observer = repro.RunObserver(status=status)
         mine(matrix, minconf=0.7, engine="vector", observer=observer)
         assert status.snapshot()["engine"] == "vector"
+
+
+class TestVectorFallback:
+    """A threshold whose exact fractions overflow the vector engine's
+    int64 twins: the default vector scan falls back to the serial one
+    and says so on the result, while an explicit engine='vector'
+    raises."""
+
+    MINSIM = Fraction(10**20 + 1, 10**20 + 3)
+
+    @pytest.fixture(scope="class")
+    def matrix(self):
+        dense = np.random.default_rng(11).random((60, 10)) < 0.3
+        dense[:, 1] = dense[:, 0]
+        dense[:, 3] = dense[:, 2]
+        return BinaryMatrix.from_dense(dense.astype(np.uint8))
+
+    @pytest.mark.parametrize("engine, ran", [
+        ("auto", "dmc"),
+        ("stream", "stream"),
+        ("partitioned", "partitioned"),
+    ])
+    @pytest.mark.parametrize("hundred_percent_pass", [True, False])
+    def test_default_falls_back_to_serial(
+        self, matrix, engine, ran, hundred_percent_pass
+    ):
+        result = mine(
+            matrix, minsim=self.MINSIM, engine=engine,
+            options=PruningOptions(hundred_percent_pass=hundred_percent_pass),
+        )
+        assert result.engine == result.stats.engine == ran
+        assert result.stats.vector_block_rows is None
+        want = similarity_rules_bruteforce(matrix, self.MINSIM)
+        assert len(want) > 0
+        assert result.rules == want
+
+    def test_exact_policies_stay_vector(self, matrix):
+        result = mine(matrix, minconf=self.MINSIM)
+        assert result.engine == "vector"
+        assert result.stats.vector_block_rows == DEFAULT_BLOCK_ROWS
+
+    def test_explicit_vector_engine_raises(self, matrix):
+        with pytest.raises(ValueError, match="int64"):
+            mine(matrix, minsim=self.MINSIM, engine="vector")
