@@ -11,21 +11,11 @@ Three measurements back the runtime's contract:
   pipes) at 10%;
 - ``test_supervised_crash_recovery`` — the same workload with one
   injected worker crash, measuring what a retry-plus-respawn actually
-  costs end to end;
-- ``test_remote_transport_clean`` — the same workload on the
-  distributed transport (two localhost node agents coordinating
-  through a lease-fenced shared directory); the overhead checker gates
-  it against the supervised pool at 10% — queue files, leases and
-  result commits must stay cheap next to the mining itself;
-- ``test_remote_node_kill_recovery`` — one node killed mid-claim per
-  round: the price of a lease expiry plus shard re-dispatch.
+  costs end to end.
 
 Every round mines the exact serial rule set (asserted), so the numbers
 never describe a run that silently dropped work.
 """
-
-import shutil
-import tempfile
 
 import pytest
 
@@ -94,46 +84,6 @@ def test_supervised_crash_recovery(benchmark, workload, serial_pairs):
         )
 
     rules = benchmark.pedantic(crashed, rounds=2, iterations=1)
-    assert rules.pairs() == serial_pairs
-    benchmark.extra_info["rules"] = len(rules)
-
-
-def _remote_run(workload, plan=None):
-    from repro.runtime.transport import RemoteTransport
-
-    ledger = tempfile.mkdtemp(prefix="bench-remote-")
-    try:
-        transport = RemoteTransport(
-            ledger, nodes=N_WORKERS,
-            lease_ttl=2.0, poll_interval=0.02, network_faults=plan,
-        )
-        return find_implication_rules_partitioned(
-            workload, THRESHOLD, n_partitions=N_PARTITIONS,
-            transport=transport,
-        )
-    finally:
-        shutil.rmtree(ledger, ignore_errors=True)
-
-
-def test_remote_transport_clean(benchmark, workload, serial_pairs):
-    """The distributed transport, two localhost agents, no faults."""
-    rules = benchmark.pedantic(
-        lambda: _remote_run(workload), rounds=3, iterations=1
-    )
-    assert rules.pairs() == serial_pairs
-    benchmark.extra_info["rules"] = len(rules)
-
-
-def test_remote_node_kill_recovery(benchmark, workload, serial_pairs):
-    """One node killed on its first claim per round: expiry + re-dispatch."""
-    from repro.runtime.faults import NetworkFault, NetworkFaultPlan
-
-    plan = NetworkFaultPlan(faults=(
-        NetworkFault("kill", task_id="implication-part-0001"),
-    ))
-    rules = benchmark.pedantic(
-        lambda: _remote_run(workload, plan), rounds=2, iterations=1
-    )
     assert rules.pairs() == serial_pairs
     benchmark.extra_info["rules"] = len(rules)
 

@@ -26,16 +26,10 @@ from typing import Dict, List, Optional
 
 BASELINE = "test_bare_pool_clean"
 CANDIDATE = "test_supervised_clean"
-REMOTE_BASELINE = "test_supervised_clean"
-REMOTE_CANDIDATE = "test_remote_transport_clean"
 
 #: Ignore differences below this many seconds regardless of ratio —
 #: spawn-context worker startup alone jitters by this much.
 ABSOLUTE_FLOOR_SECONDS = 0.5
-
-#: The remote pair's floor: two agent interpreters plus the shared-
-#: directory protocol add their own startup jitter on top.
-REMOTE_FLOOR_SECONDS = 1.0
 
 
 class OverheadExceeded(RuntimeError):
@@ -68,29 +62,6 @@ def check(document: Dict, threshold: float) -> str:
     return verdict
 
 
-def check_remote(document: Dict, threshold: float) -> Optional[str]:
-    """Gate the distributed transport against the supervised pool.
-
-    Returns ``None`` (skip, not failure) when the document predates the
-    remote benchmarks; raises :class:`OverheadExceeded` past threshold.
-    """
-    try:
-        baseline = _lookup(document, REMOTE_BASELINE)["min_seconds"]
-        candidate = _lookup(document, REMOTE_CANDIDATE)["min_seconds"]
-    except KeyError:
-        return None
-    overhead = candidate - baseline
-    ratio = overhead / baseline if baseline > 0 else 0.0
-    verdict = (
-        f"remote-transport clean-run overhead: {overhead * 1000:+.1f}ms "
-        f"({ratio * 100:+.2f}%) on a {baseline * 1000:.1f}ms supervised-"
-        f"pool baseline (threshold {threshold * 100:.0f}%)"
-    )
-    if overhead > REMOTE_FLOOR_SECONDS and ratio > threshold:
-        raise OverheadExceeded(verdict)
-    return verdict
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m benchmarks.check_supervisor_overhead",
@@ -108,15 +79,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         document = json.load(handle)
     try:
         verdict = check(document, args.threshold)
-        remote_verdict = check_remote(document, args.threshold)
     except OverheadExceeded as exc:
         print(f"FAIL: {exc}", file=sys.stderr)
         return 1
     print(f"OK: {verdict}")
-    if remote_verdict is None:
-        print("SKIP: no remote-transport benchmarks in this document")
-    else:
-        print(f"OK: {remote_verdict}")
     return 0
 
 

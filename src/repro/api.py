@@ -75,12 +75,12 @@ class MiningConfig:
 
         - ``"auto"`` (default) — pick from the data and the other
           knobs, exactly as before this field existed: streaming
-          sources stream, ``memory_budget`` guards, ``transport``
-          partitions, everything else runs in-memory DMC.
+          sources stream, ``memory_budget`` guards (degrading to
+          the partitioned carrier), everything else runs in memory.
         - ``"dmc"`` — the serial in-memory pipeline.
         - ``"vector"`` — the blocked numpy second-pass engine
-          (:mod:`repro.core.vector`); combined with ``n_workers`` /
-          ``transport`` it runs inside each partition.
+          (:mod:`repro.core.vector`); combined with
+          ``n_workers > 1`` it runs inside each partition.
         - ``"stream"`` — the two-pass on-disk pipeline (an in-memory
           matrix is wrapped in a
           :class:`~repro.matrix.stream.MatrixSource`).  Its spill
@@ -101,26 +101,18 @@ class MiningConfig:
         (pass ``options=PruningOptions(bitmap=None)`` to disable the
         switch entirely).
     n_partitions / n_workers:
-        Partitioned-engine tuning (``n_workers > 1`` mines partitions
-        on the supervised parallel runtime,
-        :class:`repro.runtime.supervisor.Supervisor`).
+        Partitioned-engine tuning, both at least 1 (``n_workers > 1``
+        mines partitions on the supervised spawn pool,
+        :class:`repro.runtime.supervisor.Supervisor`; ``None`` or 1
+        mines them in-process).
     task_timeout / task_retries / ledger_dir:
         Supervised-runtime tuning (``n_workers > 1`` only):
         hang-detection timeout in seconds (``None`` disables), failed
         attempts per partition before it is quarantined and re-run
         serially in-process, and the directory for the shard ledger
         that lets a killed run resume with only its unfinished
-        partitions.
-    transport / nodes:
-        ``transport="remote"`` mines the partitions on distributed node
-        agents (:mod:`repro.runtime.agent`) coordinated through the
-        lease-fenced ``ledger_dir`` (required), instead of the local
-        spawn pool; implies the partitioned carrier.  ``nodes=N`` spawns N
-        agent subprocesses on this host; ``nodes=0`` (the default)
-        expects externally launched ``python -m repro agent --ledger
-        DIR`` processes.  A ready-made
-        :class:`repro.runtime.transport.Transport` instance is also
-        accepted.
+        partitions.  ``ledger_dir`` without ``n_workers > 1`` is
+        rejected, since only the pool reads it.
     memory_budget:
         Hard counter-array budget in bytes; the DMC attempt degrades to
         the partitioned engine when exceeded (in-memory data only).
@@ -190,8 +182,6 @@ class MiningConfig:
     task_timeout: Optional[float] = None
     task_retries: int = 2
     ledger_dir: Optional[str] = None
-    transport: Optional[object] = None
-    nodes: int = 0
     memory_budget: Optional[int] = None
     spill_dir: Optional[str] = None
     checkpoint_dir: Optional[str] = None
@@ -219,42 +209,30 @@ class MiningConfig:
             )
         if self.vector_block_rows is not None and self.vector_block_rows < 1:
             raise ValueError("vector_block_rows must be at least 1")
-        if self.engine == "dmc" and self.transport is not None:
-            raise ValueError(
-                "engine='dmc' is the single-process in-memory pipeline; "
-                "it cannot be combined with transport= "
-                "(use engine='partitioned' or engine='vector')"
-            )
         if self.engine in ("dmc", "vector") and self.memory_budget is not None:
             raise ValueError(
                 f"engine={self.engine!r} and memory_budget= are mutually "
                 "exclusive (the budget's degradation path picks its own "
                 "engine; use engine='auto')"
             )
-        if self.engine == "stream" and (
-            self.transport is not None or self.memory_budget is not None
-        ):
+        if self.engine == "stream" and self.memory_budget is not None:
             raise ValueError(
-                "engine='stream' cannot be combined with transport=/"
-                "memory_budget= (the streaming pipeline is single-process)"
+                "engine='stream' cannot be combined with memory_budget= "
+                "(the streaming pipeline is single-process)"
+            )
+        if self.n_partitions < 1:
+            raise ValueError("n_partitions must be at least 1")
+        if self.n_workers is not None and self.n_workers < 1:
+            raise ValueError(
+                "n_workers must be at least 1 (or None for in-process)"
+            )
+        if self.ledger_dir is not None and (self.n_workers or 0) <= 1:
+            raise ValueError(
+                "ledger_dir= needs n_workers > 1: only the supervised "
+                "worker pool records and resumes a shard ledger"
             )
         if self.task_retries < 0:
             raise ValueError("task_retries must be non-negative")
-        if self.transport is not None and self.memory_budget is not None:
-            raise ValueError(
-                "transport= and memory_budget= are mutually exclusive "
-                "(a distributed run is always partitioned)"
-            )
-        if self.transport == "remote" and self.ledger_dir is None:
-            raise ValueError(
-                "transport='remote' needs ledger_dir= as the shared "
-                "coordination directory"
-            )
-        if self.nodes:
-            if self.nodes < 0:
-                raise ValueError("nodes must be non-negative")
-            if self.transport != "remote":
-                raise ValueError("nodes= requires transport='remote'")
         if self.task_timeout is not None and self.task_timeout <= 0:
             raise ValueError("task_timeout must be positive")
         if self.serve_metrics_port is not None and not (
@@ -369,12 +347,11 @@ def resolve_engine(
     The contract, per ``engine=`` value:
 
     - ``"auto"`` — streaming data streams; ``memory_budget`` runs the
-      guarded carrier; a ``transport`` partitions; anything else is
-      in-memory (``"vector"``).
+      guarded carrier; anything else is in-memory (``"vector"``).
     - ``"dmc"`` / ``"vector"`` — the in-memory pipeline with the serial
       or vector scan; needs an in-memory matrix.  ``"vector"``
-      combined with a ``transport`` or ``n_workers > 1`` runs the
-      vector scan inside each partition (``"partitioned+vector"``).
+      combined with ``n_workers > 1`` runs the vector scan inside each
+      partition (``"partitioned+vector"``).
     - ``"stream"`` — the two-pass streaming pipeline
       (``"stream+vector"``); an in-memory matrix is wrapped in a
       :class:`~repro.matrix.stream.MatrixSource`.  Its spill buckets
@@ -413,8 +390,6 @@ def resolve_engine(
     elif engine == "vector":
         scan = "vector"
 
-    wants_partition = config.transport is not None
-
     if streaming:
         if engine in ("dmc", "vector", "partitioned"):
             hint = (
@@ -426,10 +401,10 @@ def resolve_engine(
                 f"engine={engine!r} needs in-memory data; load the "
                 f"source into a BinaryMatrix first{hint}"
             )
-        if wants_partition or config.memory_budget is not None:
+        if config.memory_budget is not None:
             raise ValueError(
-                "partitioned/distributed/memory-budget mining needs "
-                "in-memory data; load the source into a BinaryMatrix first"
+                "memory-budget mining needs in-memory data; load the "
+                "source into a BinaryMatrix first"
             )
         carrier = "stream"
     elif engine == "stream":
@@ -437,20 +412,11 @@ def resolve_engine(
     elif engine == "partitioned":
         carrier = "partitioned"
     elif engine == "vector":
-        carrier = (
-            "partitioned"
-            if wants_partition or (config.n_workers or 0) > 1
-            else "dmc"
-        )
+        carrier = "partitioned" if (config.n_workers or 0) > 1 else "dmc"
     elif engine == "dmc":
-        carrier = "dmc"  # config rejected transport already
+        carrier = "dmc"
     else:  # auto
-        if config.memory_budget is not None:
-            carrier = "guarded"
-        elif wants_partition:
-            carrier = "partitioned"
-        else:
-            carrier = "dmc"
+        carrier = "guarded" if config.memory_budget is not None else "dmc"
     if carrier == "stream" and not options.row_reordering:
         raise ValueError(
             "the streaming pipeline's spill buckets are the Section 4.1 "
@@ -726,8 +692,6 @@ def _run_plan(plan, config, matrix, source, options, stats, observer):
             task_retries=config.task_retries,
             ledger_dir=config.ledger_dir,
             storage=config.storage,
-            transport=config.transport,
-            nodes=config.nodes,
             stats=stats,
             observer=observer,
             scan_engine=options.scan_engine,

@@ -147,19 +147,6 @@ def build_parser() -> argparse.ArgumentParser:
                  "(implies --workers 2)",
         )
         sub.add_argument(
-            "--transport", choices=("local", "remote"), default=None,
-            help="worker transport for the partitioned engine: local "
-                 "spawn pool (default) or distributed node agents "
-                 "coordinated through the lease-fenced --ledger "
-                 "directory (remote requires --ledger)",
-        )
-        sub.add_argument(
-            "--nodes", type=int, default=0, metavar="N",
-            help="with --transport remote: spawn N node agents on this "
-                 "host (0 = use externally launched "
-                 "`python -m repro agent` processes)",
-        )
-        sub.add_argument(
             "--no-spill-degrade", action="store_true",
             help="on a disk-full/read-only fault during a streaming "
                  "spill, fail with a StorageFull error instead of "
@@ -201,40 +188,6 @@ def build_parser() -> argparse.ArgumentParser:
                  "to PATH in folded format (feed to flamegraph.pl or "
                  "speedscope)",
         )
-
-    agent = subparsers.add_parser(
-        "agent",
-        help="run a distributed mining node agent that pulls shard "
-             "tasks from a lease-fenced ledger directory",
-    )
-    agent.add_argument(
-        "--ledger", required=True, metavar="DIR",
-        help="shared coordination directory (same as the "
-             "coordinator's --ledger)",
-    )
-    agent.add_argument(
-        "--port", type=int, default=0, metavar="PORT",
-        help="serve a read-only /healthz on 127.0.0.1:PORT "
-             "(0 picks an ephemeral port)",
-    )
-    agent.add_argument(
-        "--node-id", default=None, metavar="ID",
-        help="stable node identity (default: node-<pid>)",
-    )
-    agent.add_argument(
-        "--poll", type=float, default=0.1, metavar="SECONDS",
-        help="queue poll interval (default 0.1)",
-    )
-    agent.add_argument(
-        "--lease-ttl", type=float, default=2.0, metavar="SECONDS",
-        help="shard lease time-to-live; the lease is renewed every "
-             "TTL/3 while the shard runs (default 2.0)",
-    )
-    agent.add_argument(
-        "--max-idle", type=float, default=None, metavar="SECONDS",
-        help="exit after this long with no claimable work "
-             "(default: run until killed)",
-    )
 
     mine_topk = subparsers.add_parser(
         "mine-topk",
@@ -451,19 +404,11 @@ def _mine(args: argparse.Namespace) -> int:
         getattr(args, "stream", False) or getattr(args, "checkpoint", None)
     )
     workers = getattr(args, "workers", None)
-    transport = getattr(args, "transport", None)
-    if workers is None and getattr(args, "ledger", None) and transport is None:
+    if workers is None and getattr(args, "ledger", None):
         workers = 2
-    if transport == "remote" and not getattr(args, "ledger", None):
+    if use_stream and workers is not None:
         print(
-            "--transport remote needs --ledger DIR as the shared "
-            "coordination directory",
-            file=sys.stderr,
-        )
-        return 2
-    if use_stream and (workers is not None or transport is not None):
-        print(
-            "--workers/--ledger/--transport use the partitioned engine "
+            "--workers/--ledger use the partitioned engine "
             "and cannot be combined with --stream/--checkpoint",
             file=sys.stderr,
         )
@@ -514,7 +459,7 @@ def _mine(args: argparse.Namespace) -> int:
             if getattr(args, "block_rows", None) is not None:
                 engine_kwargs["vector_block_rows"] = args.block_rows
             supervised = {}
-            if workers is not None or transport is not None:
+            if workers is not None:
                 if engine == "auto":
                     engine_kwargs["engine"] = "partitioned"
                 supervised = {
@@ -523,8 +468,6 @@ def _mine(args: argparse.Namespace) -> int:
                     "task_timeout": getattr(args, "task_timeout", None),
                     "task_retries": getattr(args, "task_retries", 2),
                     "ledger_dir": getattr(args, "ledger", None),
-                    "transport": transport,
-                    "nodes": getattr(args, "nodes", 0),
                 }
             serve_port = getattr(args, "serve_metrics", None)
             if serve_port is not None:
@@ -815,26 +758,6 @@ def _report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _agent(args: argparse.Namespace) -> int:
-    from repro.runtime.agent import NodeAgent
-
-    agent = NodeAgent(
-        args.ledger,
-        node_id=args.node_id,
-        port=args.port,
-        poll_interval=args.poll,
-        lease_ttl=args.lease_ttl,
-        max_idle=args.max_idle,
-    )
-    try:
-        agent.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        agent.stop()
-    return 0
-
-
 def _serve(args: argparse.Namespace) -> int:
     from repro.service import MiningService, QuotaPolicy, TenantQuota
 
@@ -986,8 +909,6 @@ def _dispatch(argv: Optional[List[str]]) -> int:
         return _trace(args)
     if args.command == "watch":
         return _watch(args)
-    if args.command == "agent":
-        return _agent(args)
     if args.command == "serve":
         return _serve(args)
     if args.command == "generate":

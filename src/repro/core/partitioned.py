@@ -22,13 +22,9 @@ With ``n_workers > 1`` partitions run on the supervised parallel
 runtime (:mod:`repro.runtime.supervisor`): crash/hang/corrupt-tolerant
 spawn workers, per-task retry with backoff, quarantine with serial
 re-run, and an optional shard ledger for resume — every recovery path
-preserves the exact rule set.
-
-With ``transport="remote"`` (or a :class:`repro.runtime.transport.
-Transport` instance) the same partition tasks run on distributed node
-agents coordinated through the lease-fenced ledger directory — see
-:mod:`repro.runtime.transport` — with the identical exactness
-contract: no network fault plan may change the mined rule set.
+preserves the exact rule set.  With ``n_workers`` unset or ``<= 1``
+the partitions run in-process, one after another — the default path of
+the ``memory_budget`` fallback in :mod:`repro.runtime.guards`.
 """
 
 from __future__ import annotations
@@ -88,18 +84,14 @@ def _mine_chunk(args, observer=None) -> List[Tuple[int, int]]:
 
     Module-level (not a closure) so it is picklable for
     ``multiprocessing``.  The payload is ``(rows, n_columns, threshold,
-    kind)`` with two optional trailing elements ``scan_engine`` and
-    ``vector_block_rows`` — shorter payloads (from an older shard
-    ledger) default to the serial scan.  ``observer`` is the
+    kind, scan_engine, vector_block_rows)``.  ``observer`` is the
     per-attempt worker-side :class:`~repro.observe.RunObserver`
     injected by the supervisor's ``worker_telemetry`` mode (or the
     parent observer when partitions run serially); the chunk's scan
     folds onto its metrics under ``scan="partition"`` so merged totals
     match a serial run exactly.
     """
-    rows, n_columns, threshold, kind = args[:4]
-    scan_engine = args[4] if len(args) > 4 else "serial"
-    vector_block_rows = args[5] if len(args) > 5 else None
+    rows, n_columns, threshold, kind, scan_engine, vector_block_rows = args
     local = BinaryMatrix(rows, n_columns=n_columns)
     if kind == "implication":
         policy = _AllPairsImplicationPolicy(
@@ -156,36 +148,6 @@ def _decode_chunk_result(result) -> List[Tuple[int, int]]:
     return [tuple(entry) for entry in result]
 
 
-def _resolve_transport(transport, nodes, ledger_dir, storage):
-    """Turn the ``transport=`` / ``nodes=`` knobs into a Transport.
-
-    ``None`` / ``"local"`` keep the default spawn pool (``nodes`` must
-    then be 0); ``"remote"`` builds a :class:`~repro.runtime.transport.
-    RemoteTransport` on the ledger directory; anything else must be a
-    ready-made :class:`~repro.runtime.transport.Transport` (tests pass
-    instances with short lease TTLs and fault plans).
-    """
-    if transport is None or transport == "local":
-        if nodes:
-            raise ValueError("nodes= requires transport='remote'")
-        return None
-    if transport == "remote":
-        if ledger_dir is None:
-            raise ValueError(
-                "transport='remote' needs ledger_dir= as the shared "
-                "coordination directory"
-            )
-        from repro.runtime.transport import RemoteTransport
-
-        return RemoteTransport(ledger_dir, nodes=nodes, storage=storage)
-    if not hasattr(transport, "run_tasks"):
-        raise ValueError(
-            f"transport must be None, 'local', 'remote' or a Transport "
-            f"instance, not {transport!r}"
-        )
-    return transport
-
-
 def _local_candidates(
     matrix: BinaryMatrix,
     threshold,
@@ -200,13 +162,11 @@ def _local_candidates(
     supervise: bool = True,
     worker_faults=None,
     storage=None,
-    transport=None,
-    nodes: int = 0,
     scan_engine: str = "serial",
     vector_block_rows: Optional[int] = None,
 ) -> Set[Tuple[int, int]]:
-    """Mine every partition (serially, supervised, in a bare pool, or
-    on a distributed transport) and union the locally-valid pairs.
+    """Mine every partition (serially, supervised, or in a bare pool)
+    and union the locally-valid pairs.
 
     ``scan_engine="vector"`` runs serial when the whole matrix's
     policy has inexact int64 twins.  (A partition's counts never
@@ -215,7 +175,6 @@ def _local_candidates(
     ``stats.vector_block_rows``.
     """
     stats.vector_block_rows = None
-    engine_tail: Tuple = ()
     if scan_engine == "vector" and vector_exact(
         kind, threshold, matrix.column_ones()
     ):
@@ -223,26 +182,23 @@ def _local_candidates(
             DEFAULT_BLOCK_ROWS if vector_block_rows is None
             else vector_block_rows
         )
-        engine_tail = (scan_engine, vector_block_rows)
+    else:
+        scan_engine, vector_block_rows = "serial", None
     jobs = [
         (
             [matrix.row(row_id) for row_id in chunk],
             matrix.n_columns,
             threshold,
             kind,
+            scan_engine,
+            vector_block_rows,
         )
-        + engine_tail
         for chunk in _partition_rows(matrix, n_partitions)
     ]
     if not jobs:  # empty matrix: nothing to mine, no pool to size
         return set()
-    transport_obj = _resolve_transport(transport, nodes, ledger_dir, storage)
-    # A non-default transport always runs supervised: the supervisor is
-    # the policy half of the transport seam.
-    if transport_obj is not None or (
-        n_workers is not None and n_workers > 1 and len(jobs) > 1
-    ):
-        if supervise or transport_obj is not None:
+    if n_workers is not None and n_workers > 1 and len(jobs) > 1:
+        if supervise:
             from repro.runtime.supervisor import (
                 ShardLedger,
                 Supervisor,
@@ -301,17 +257,12 @@ def _local_candidates(
                 worker_faults=worker_faults,
                 observer=observer,
                 worker_telemetry=telemetry,
-                transport=transport_obj,
             )
             report = supervisor.run(tasks)
             per_chunk = report.results(tasks)
             stats.worker_restarts += report.worker_restarts
             stats.task_retries += report.task_retries
             stats.tasks_quarantined += report.tasks_quarantined
-            stats.lease_expiries += report.lease_expiries
-            stats.node_redispatches += report.node_redispatches
-            stats.node_results_deduped += report.node_results_deduped
-            stats.degradations.extend(report.degradations)
             if report.ledger_disabled:
                 stats.degradations.append("ledger-off")
         else:
@@ -344,8 +295,6 @@ def find_implication_rules_partitioned(
     supervise: bool = True,
     worker_faults=None,
     storage=None,
-    transport=None,
-    nodes: int = 0,
     scan_engine: str = "serial",
     vector_block_rows: Optional[int] = None,
 ) -> RuleSet:
@@ -366,16 +315,6 @@ def find_implication_rules_partitioned(
     ``verify-candidates`` phase plus the supervisor's task events;
     recovery counters land on ``stats.worker_restarts`` /
     ``stats.task_retries`` / ``stats.tasks_quarantined``.
-
-    ``transport="remote"`` (with ``ledger_dir`` as the shared
-    coordination directory) mines the partitions on distributed node
-    agents instead of the local pool; ``nodes=N`` spawns N agent
-    subprocesses on this host, ``nodes=0`` uses externally launched
-    ``python -m repro agent`` processes.  Lease expiries, shard
-    re-dispatches and deduped duplicate results land on
-    ``stats.lease_expiries`` / ``stats.node_redispatches`` /
-    ``stats.node_results_deduped``, and degradation-ladder steps on
-    ``stats.degradations``.
 
     ``scan_engine="vector"`` mines each partition with the blocked
     numpy engine (:mod:`repro.core.vector`) instead of the serial scan,
@@ -399,7 +338,6 @@ def find_implication_rules_partitioned(
             task_timeout=task_timeout, task_retries=task_retries,
             ledger_dir=ledger_dir, supervise=supervise,
             worker_faults=worker_faults, storage=storage,
-            transport=transport, nodes=nodes,
             scan_engine=scan_engine, vector_block_rows=vector_block_rows,
         )
 
@@ -443,8 +381,6 @@ def find_similarity_rules_partitioned(
     supervise: bool = True,
     worker_faults=None,
     storage=None,
-    transport=None,
-    nodes: int = 0,
     scan_engine: str = "serial",
     vector_block_rows: Optional[int] = None,
 ) -> RuleSet:
@@ -473,7 +409,6 @@ def find_similarity_rules_partitioned(
             task_timeout=task_timeout, task_retries=task_retries,
             ledger_dir=ledger_dir, supervise=supervise,
             worker_faults=worker_faults, storage=storage,
-            transport=transport, nodes=nodes,
             scan_engine=scan_engine, vector_block_rows=vector_block_rows,
         )
 

@@ -322,15 +322,6 @@ class PipelineStats:
     task_retries: int = 0
     #: Tasks that exhausted their retries and re-ran serially in-process.
     tasks_quarantined: int = 0
-    #: Distributed mining: task leases that expired before their node
-    #: renewed them (first rung of the node-loss ladder).
-    lease_expiries: int = 0
-    #: Distributed mining: shards re-dispatched to another live node
-    #: after a lease expiry (second rung).
-    node_redispatches: int = 0
-    #: Distributed mining: duplicate result deliveries suppressed by
-    #: lease fencing or the first-writer-wins exclusive commit.
-    node_results_deduped: int = 0
     #: Degradations taken when storage faulted, in order — e.g.
     #: ``"spill-to-memory"``, ``"checkpoint-off"``, ``"ledger-off"``.
     #: Empty for a clean run.
@@ -387,9 +378,6 @@ class PipelineStats:
             "worker_restarts": self.worker_restarts,
             "task_retries": self.task_retries,
             "tasks_quarantined": self.tasks_quarantined,
-            "lease_expiries": self.lease_expiries,
-            "node_redispatches": self.node_redispatches,
-            "node_results_deduped": self.node_results_deduped,
             "degradations": list(self.degradations),
         }
 
@@ -416,8 +404,5 @@ class PipelineStats:
             worker_restarts=record.get("worker_restarts", 0),
             task_retries=record.get("task_retries", 0),
             tasks_quarantined=record.get("tasks_quarantined", 0),
-            lease_expiries=record.get("lease_expiries", 0),
-            node_redispatches=record.get("node_redispatches", 0),
-            node_results_deduped=record.get("node_results_deduped", 0),
             degradations=list(record.get("degradations", [])),
         )

@@ -79,7 +79,7 @@ def trace_to_chrome(document: dict, process_name: str = "repro") -> dict:
     Track (``tid``) assignment mirrors the system's concurrency: each
     top-level span gets its own track, and a subtree tagged with a
     ``worker_id`` attribute — a span tree shipped back from a worker
-    process or node agent — moves onto a per-worker track, since its
+    process — moves onto a per-worker track, since its
     timestamps come from that worker's own clock.  Span attributes
     (including the propagated ``trace_id``) ride in ``args``.
     """

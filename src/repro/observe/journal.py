@@ -50,8 +50,6 @@ KNOWN_EVENTS = (
     "task-retry",
     "task-quarantined",
     "worker-restart",
-    "lease-expired",
-    "node-redispatch",
     "checkpoint",
     "rules-milestone",
     "curve-sample",
@@ -431,8 +429,7 @@ def summarize_journal(path: str, storage=None) -> Dict[str, object]:
                 )
         elif event in (
             "bitmap-switch", "guard-trip", "degradation", "task-retry",
-            "task-quarantined", "worker-restart", "lease-expired",
-            "node-redispatch",
+            "task-quarantined", "worker-restart",
         ):
             incidents.append(record)
         elif event == "curve-sample":

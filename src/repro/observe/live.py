@@ -33,9 +33,6 @@ class LiveRunStatus:
         self._lock = threading.Lock()
         #: worker id -> seconds since last heartbeat at the last sweep.
         self._worker_heartbeats: Dict[str, float] = {}
-        #: node id -> status dict at the coordinator's last sweep
-        #: (distributed transport only; empty for local runs).
-        self._node_table: Dict[str, dict] = {}
         self._rate_window_rows = 0
         self._rate_window_start = self.started_monotonic
         self._rows_per_second = 0.0
@@ -65,12 +62,6 @@ class LiveRunStatus:
         with self._lock:
             self._worker_heartbeats = dict(heartbeats)
 
-    def set_node_table(self, nodes: Dict[str, dict]) -> None:
-        with self._lock:
-            self._node_table = {
-                node_id: dict(record) for node_id, record in nodes.items()
-            }
-
     def set_live(self, **fields: object) -> None:
         """Merge continuous-mining fields into the status (shown as
         the ``live`` object of the ``/runs/<id>`` body)."""
@@ -91,13 +82,6 @@ class LiveRunStatus:
         with self._lock:
             return dict(self._worker_heartbeats)
 
-    def node_table(self) -> Dict[str, dict]:
-        with self._lock:
-            return {
-                node_id: dict(record)
-                for node_id, record in self._node_table.items()
-            }
-
     def live_fields(self) -> Dict[str, object]:
         with self._lock:
             return dict(self._live_fields)
@@ -116,7 +100,6 @@ class LiveRunStatus:
             "rules_emitted": self.rules_emitted,
             "rows_per_second": self.rows_per_second(),
             "workers": self.worker_heartbeats(),
-            "nodes": self.node_table(),
             "finished": self.finished,
             "failed": self.failed,
         }

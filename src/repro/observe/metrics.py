@@ -361,21 +361,6 @@ class MetricsRegistry:
                 "Tasks that exhausted their retries and re-ran serially "
                 "in-process.",
             ).inc(stats.tasks_quarantined)
-            # Distributed-transport counters (zero for local runs).
-            self.counter(
-                f"{p}_node_lease_expiries_total",
-                "Distributed shard leases that expired past their TTL.",
-            ).inc(stats.lease_expiries)
-            self.counter(
-                f"{p}_node_redispatches_total",
-                "Expired shards re-dispatched under a higher fencing "
-                "token.",
-            ).inc(stats.node_redispatches)
-            self.counter(
-                f"{p}_node_results_deduped_total",
-                "Duplicate or fenced shard results suppressed by "
-                "first-writer-wins commit.",
-            ).inc(stats.node_results_deduped)
 
     def record_guard(self, guard) -> None:
         """Fold a :class:`repro.runtime.guards.MemoryGuard`'s state."""

@@ -146,20 +146,6 @@ class ProgressObserver:
     def on_worker_heartbeats(self, heartbeats: dict) -> None:
         """Supervisor liveness sweep: ``worker_id -> seconds since beat``."""
 
-    def on_lease_expired(self, task_id: str, token: int) -> None:
-        """A distributed shard lease expired (node dead, partitioned or
-        stalled past its TTL); the shard becomes claimable again."""
-
-    def on_node_redispatch(self, task_id: str, token: int, node: str) -> None:
-        """An expired shard was re-claimed under a higher fencing
-        ``token`` (``node`` is the new owner) — the straggler's late
-        commit, if any, will be fenced or deduped."""
-
-    def on_node_status(self, nodes: dict) -> None:
-        """Coordinator node-table sweep: ``node_id -> status dict``
-        (``alive``, ``beat_age_seconds``, ``url``, ``task``, per-node
-        ``stats``)."""
-
 
 class NullObserver(ProgressObserver):
     """The disabled observer: the engine pays one attribute check."""
@@ -289,15 +275,4 @@ class ConsoleProgress(ProgressObserver):
     def on_task_quarantined(self, task_id: str) -> None:
         self._emit(
             f"[repro] task {task_id} quarantined; will re-run serially"
-        )
-
-    def on_lease_expired(self, task_id: str, token: int) -> None:
-        self._emit(
-            f"[repro] lease on {task_id} (token {token}) expired; shard "
-            "is claimable again"
-        )
-
-    def on_node_redispatch(self, task_id: str, token: int, node: str) -> None:
-        self._emit(
-            f"[repro] re-dispatched {task_id} to {node} (token {token})"
         )

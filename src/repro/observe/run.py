@@ -463,42 +463,6 @@ class RunObserver(ProgressObserver):
             self.progress.on_worker_heartbeats(heartbeats)
 
     # ------------------------------------------------------------------
-    # Distributed-transport hooks (repro.runtime.transport)
-    # ------------------------------------------------------------------
-
-    def on_lease_expired(self, task_id: str, token: int) -> None:
-        """A distributed shard lease expired past its TTL.
-
-        The lease/redispatch/dedup *counters* are folded from the run's
-        PipelineStats in finish(); here we only forward the live event.
-        """
-        if self.journal is not None:
-            self.journal.emit("lease-expired", task_id=task_id, token=token)
-        if self.progress.enabled:
-            self.progress.on_lease_expired(task_id, token)
-
-    def on_node_redispatch(self, task_id: str, token: int, node: str) -> None:
-        """An expired shard was re-claimed under a higher fencing token."""
-        if self.journal is not None:
-            self.journal.emit(
-                "node-redispatch", task_id=task_id, token=token, node=node
-            )
-        if self.progress.enabled:
-            self.progress.on_node_redispatch(task_id, token, node)
-
-    def on_node_status(self, nodes: dict) -> None:
-        """Coordinator node-table sweep (node id -> status dict)."""
-        if self.status is not None:
-            self.status.set_node_table(nodes)
-        self.metrics.gauge(
-            f"{self.metrics.prefix}_nodes_alive",
-            "Node agents with a fresh heartbeat at the coordinator's "
-            "latest sweep.",
-        ).set(sum(1 for record in nodes.values() if record.get("alive")))
-        if self.progress.enabled:
-            self.progress.on_node_status(nodes)
-
-    # ------------------------------------------------------------------
     # End of run
     # ------------------------------------------------------------------
 

@@ -7,9 +7,7 @@ daemon thread and serves three routes:
   format, with the format's versioned ``Content-Type``, scrapeable by
   a stock Prometheus;
 - ``/healthz`` — a small JSON liveness document (run phase, rows/sec,
-  worker-heartbeat ages, and — for distributed runs — the coordinator's
-  node table with a ``dead_nodes`` list) with a 200/503 status split on
-  run failure;
+  worker-heartbeat ages) with a 200/503 status split on run failure;
 - ``/runs/<run_id>`` — the full JSON snapshot of the identified run
   (404 for an unknown id).
 
@@ -383,14 +381,6 @@ class MetricsServer:
             "workers": heartbeats,
             "stale_workers": stale,
         }
-        nodes = status.node_table()
-        if nodes:
-            document["nodes"] = nodes
-            document["dead_nodes"] = sorted(
-                node_id
-                for node_id, record in nodes.items()
-                if not record.get("alive", False)
-            )
         return (503 if status.failed else 200), document
 
     def close(self) -> None:

@@ -30,13 +30,9 @@ The paper proves the mining *algorithms* exact; this package keeps the
 - :mod:`repro.runtime.crashpoints` — ALICE-style crash-point
   enumeration built on that op counting: crash a workload at every
   storage operation, recover, and demand the exact rule set each time.
-- :mod:`repro.runtime.transport` — the pluggable worker-execution
-  seam under the supervisor: :class:`LocalTransport` (the spawn pool)
-  and :class:`RemoteTransport` (node agents over shared storage with
-  lease-fenced coordination and a node-loss degradation ladder).
-- :mod:`repro.runtime.agent` — the node-agent process
-  (``python -m repro agent``) that claims shard tasks under leases,
-  renews on heartbeat, and publishes results first-writer-wins.
+- :mod:`repro.runtime.transport` — the spawn pool the supervisor runs
+  its tasks on: per-worker task queues and result pipes, heartbeat
+  hang detection, crash respawn.
 
 See :mod:`repro.matrix.stream` for the pipelines these wrap, and the
 "Fault tolerance & recovery" / "Durability & degraded modes" sections
@@ -57,12 +53,9 @@ from repro.runtime.checkpoint import (
     Pass1Checkpoint,
     source_fingerprint,
 )
-from repro.runtime.agent import AGENT_KILL_EXIT, NodeAgent
 from repro.runtime.faults import (
     Fault,
     FaultPlan,
-    NetworkFault,
-    NetworkFaultPlan,
     SimulatedCrash,
     TransientIOError,
     WorkerFault,
@@ -89,8 +82,6 @@ from repro.runtime.storage import (
     acquire_lease,
     io_error_kind,
     load_lease,
-    release_lease,
-    renew_lease,
     terminal_io_error,
     verify_lease,
 )
@@ -104,11 +95,6 @@ from repro.runtime.supervisor import (
     TaskOutcome,
     graceful_interrupts,
 )
-from repro.runtime.transport import (
-    LocalTransport,
-    RemoteTransport,
-    Transport,
-)
 from repro.runtime.validation import (
     VALIDATION_MODES,
     RowValidationError,
@@ -116,7 +102,6 @@ from repro.runtime.validation import (
 )
 
 __all__ = [
-    "AGENT_KILL_EXIT",
     "CheckpointCorrupted",
     "CheckpointError",
     "CheckpointStale",
@@ -131,14 +116,9 @@ __all__ = [
     "LeaseFenced",
     "LedgerFenced",
     "LocalStorage",
-    "LocalTransport",
     "MemoryBudgetExceeded",
     "MemoryGuard",
-    "NetworkFault",
-    "NetworkFaultPlan",
-    "NodeAgent",
     "Pass1Checkpoint",
-    "RemoteTransport",
     "RowValidationError",
     "RowValidator",
     "ShardLedger",
@@ -153,7 +133,6 @@ __all__ = [
     "Task",
     "TaskOutcome",
     "TransientIOError",
-    "Transport",
     "VALIDATION_MODES",
     "WorkerFault",
     "WorkerFaultPlan",
@@ -166,8 +145,6 @@ __all__ = [
     "io_error_kind",
     "load_lease",
     "mine_with_memory_budget",
-    "release_lease",
-    "renew_lease",
     "retry_io",
     "source_fingerprint",
     "terminal_io_error",

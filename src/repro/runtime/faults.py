@@ -154,109 +154,6 @@ class WorkerFaultPlan:
         return None
 
 
-#: The fault modes a distributed node can act out (see
-#: :mod:`repro.runtime.agent`).
-NETWORK_FAULT_MODES = ("kill", "partition", "drop", "delay", "duplicate")
-
-
-@dataclass(frozen=True)
-class NetworkFault:
-    """One scheduled network-level failure at the transport seam.
-
-    ``mode`` is one of:
-
-    - ``"kill"`` — the node dies (hard ``os._exit``) the moment it
-      claims a matching task: exercises lease expiry and re-dispatch
-      with one node permanently gone.
-    - ``"partition"`` — the node computes the result but is cut off
-      past its lease TTL (it stops renewing and sleeps ``seconds``,
-      default 2.5 x TTL), then *heals* and tries to commit: the fence
-      check must reject it (or the exclusive commit must dedup it)
-      because the shard was re-dispatched meanwhile.
-    - ``"drop"`` — the result message is lost: the node computes but
-      never commits (and stops renewing), so the lease expires and the
-      shard is re-dispatched.
-    - ``"delay"`` — a straggler: the node stops renewing, sleeps
-      ``seconds`` (default 2 x TTL), then commits anyway — duplicate
-      delivery against the re-dispatched node's result, resolved by
-      first-writer-wins dedup (safe because shard results are
-      deterministic).
-    - ``"duplicate"`` — the commit is delivered twice; the second copy
-      must dedup against the first.
-
-    ``task_id=None`` matches every task; ``tokens`` bounds which lease
-    fencing tokens (= dispatch attempts) of a matching task fail, so
-    ``tokens=1`` faults the first dispatch and lets the re-dispatch
-    run clean.
-    """
-
-    mode: str
-    task_id: Optional[str] = None
-    tokens: int = 1
-    #: Sleep window for ``partition``/``delay`` (0 = derive from TTL).
-    seconds: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.mode not in NETWORK_FAULT_MODES:
-            raise ValueError(
-                f"unknown network fault mode {self.mode!r}; expected one "
-                f"of {NETWORK_FAULT_MODES}"
-            )
-
-    def matches(self, task_id: str, token: int) -> bool:
-        """True when the dispatch under fencing ``token`` should fail."""
-        return (
-            self.task_id is None or self.task_id == task_id
-        ) and token <= self.tokens
-
-
-@dataclass(frozen=True)
-class NetworkFaultPlan:
-    """A JSON-round-trippable schedule of network faults.
-
-    Node agents run in their own processes (possibly other hosts), so
-    the plan travels through the shared coordination directory as
-    ``netfaults.json`` — written by
-    :class:`repro.runtime.transport.RemoteTransport`, read by every
-    :class:`repro.runtime.agent.NodeAgent` — and is consulted once per
-    task claim; the first matching fault wins.
-    """
-
-    faults: tuple = ()
-
-    def match(self, task_id: str, token: int) -> Optional[NetworkFault]:
-        """The first fault covering this dispatch, or ``None``."""
-        for fault in self.faults:
-            if fault.matches(task_id, token):
-                return fault
-        return None
-
-    def to_json(self) -> list:
-        return [
-            {
-                "mode": fault.mode,
-                "task_id": fault.task_id,
-                "tokens": fault.tokens,
-                "seconds": fault.seconds,
-            }
-            for fault in self.faults
-        ]
-
-    @classmethod
-    def from_json(cls, records: list) -> "NetworkFaultPlan":
-        return cls(
-            faults=tuple(
-                NetworkFault(
-                    mode=str(record["mode"]),
-                    task_id=record.get("task_id"),
-                    tokens=int(record.get("tokens", 1)),
-                    seconds=float(record.get("seconds", 0.0)),
-                )
-                for record in records
-            )
-        )
-
-
 #: The currently-installed plan (None = fault injection disabled).
 _active: Optional[FaultPlan] = None
 

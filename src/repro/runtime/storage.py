@@ -165,10 +165,10 @@ class Storage:
 
         Unlike :meth:`replace`, a link never overwrites: if ``dst``
         already exists the call returns ``False`` and the filesystem is
-        untouched.  This is the first-writer-wins primitive the
-        distributed result commit is built on — two nodes racing to
-        publish the same deterministic shard result cannot clobber each
-        other; exactly one link lands and the loser observes the dedup.
+        untouched.  This is the first-writer-wins primitive the service
+        result commit is built on — two writers racing to publish the
+        same deterministic result cannot clobber each other; exactly
+        one link lands and the loser observes the dedup.
         The parent directory is fsynced after a winning link so the new
         name survives power loss.
         """
@@ -269,7 +269,7 @@ class Storage:
         published; ours is discarded untouched).  Either way the temp
         file is cleaned up.  The existing ``path`` is **never**
         modified — that immutability is what makes duplicate result
-        delivery from re-dispatched shard nodes safe to dedup.
+        delivery (a recovered job racing a straggler) safe to dedup.
         """
         tmp_path = f"{path}.tmp-{os.getpid()}-{id(self) & 0xFFFF:04x}"
         try:
@@ -410,31 +410,30 @@ class FaultyStorage(LocalStorage):
 # Leases with monotonic fencing tokens
 # ----------------------------------------------------------------------
 #
-# The distributed transport coordinates nodes through shared storage,
-# and shared storage has the classic split-brain problem: a node that
-# pauses (GC, swap, network partition) past its lease and then comes
-# back must not act on a lease somebody else now holds.  Expiry alone
-# cannot prevent that — clocks skew, and the returning node's "am I
-# still the holder?" check races with its own write.  The standard fix
+# The shard ledger (:class:`repro.runtime.supervisor.ShardLedger`) is
+# owned through a lease file in its directory, and a directory shared
+# by two coordinators has the classic split-brain problem: a coordinator
+# that pauses (GC, swap, a stopped process) and then comes back must
+# not act on a lease somebody else now holds.  Expiry alone cannot
+# prevent that — clocks skew, and the returning holder's "am I still
+# the holder?" check races with its own write.  The standard fix
 # (Lamport; popularised as "fencing tokens") is a counter that
 # increments on every acquisition: writes carry the token they were
 # issued under, and any observer holding a newer token makes the old
 # write detectably stale.  Here the lease file *is* the authority —
 # :func:`verify_lease` re-reads it and raises :class:`LeaseFenced` on
-# any owner/token mismatch — and the result commit itself goes through
-# :meth:`Storage.create_exclusive_text`, so even an unfenced zombie
-# write can only ever dedup against the winner, never clobber it.
+# any owner/token mismatch.
 
 
 class LeaseFenced(RuntimeError):
     """A fencing check failed: another owner superseded this lease.
 
-    Raised by :func:`verify_lease` / :func:`renew_lease` when the lease
-    file on disk no longer carries the caller's owner id and token —
-    i.e. the lease expired and was re-acquired (straggler re-dispatch),
-    or a second coordinator took over (:class:`~repro.runtime.
-    supervisor.LedgerFenced` wraps this for the shard ledger).  The
-    holder must stop acting on the leased resource immediately.
+    Raised by :func:`verify_lease` when the lease file on disk no
+    longer carries the caller's owner id and token — i.e. the lease
+    expired and was re-acquired, or a second coordinator took over
+    (:class:`~repro.runtime.supervisor.LedgerFenced` wraps this for
+    the shard ledger).  The holder must stop acting on the leased
+    resource immediately.
     """
 
 
@@ -556,8 +555,8 @@ def verify_lease(storage: Storage, path: str, lease: Lease) -> Lease:
 
     Returns the on-disk lease when owner *and* token still match;
     raises :class:`LeaseFenced` otherwise.  This is the check every
-    holder runs before acting on the leased resource — a partitioned
-    node that comes back after re-dispatch fails it and stands down.
+    holder runs before acting on the leased resource — a superseded
+    coordinator fails it and stands down.
     """
     current = load_lease(storage, path)
     if current is None:
@@ -571,45 +570,3 @@ def verify_lease(storage: Storage, path: str, lease: Lease) -> Lease:
             f"superseded by {current.owner!r} (token {current.token})"
         )
     return current
-
-
-def renew_lease(
-    storage: Storage,
-    path: str,
-    lease: Lease,
-    ttl: float,
-    now: Optional[float] = None,
-) -> Lease:
-    """Extend a held lease's expiry without changing its token.
-
-    Fence-checks first (:class:`LeaseFenced` when superseded), then
-    rewrites the lease with a fresh deadline.  Called from the holder's
-    heartbeat loop; a renewal that raises tells the holder it was
-    re-dispatched and must abandon the task.
-    """
-    verify_lease(storage, path, lease)
-    wall = time.time() if now is None else now
-    renewed = Lease(
-        key=lease.key,
-        owner=lease.owner,
-        token=lease.token,
-        expires_at=wall + ttl,
-        acquired_at=lease.acquired_at,
-    )
-    storage.atomic_write_text(path, json.dumps(renewed.to_record()))
-    return renewed
-
-
-def release_lease(storage: Storage, path: str, lease: Lease) -> bool:
-    """Remove a held lease; False (not an error) when already fenced.
-
-    Only the current holder may release — a fenced-out holder's release
-    must not delete the new holder's lease, so a failed fence check
-    just reports False.
-    """
-    try:
-        verify_lease(storage, path, lease)
-    except LeaseFenced:
-        return False
-    storage.remove(path)
-    return True

@@ -30,7 +30,8 @@ aborts the whole two-pass run.  :class:`Supervisor` executes a list of
   only the unfinished tasks;
 - **graceful degradation** — with ``n_workers <= 1``, a single task, or
   no usable ``multiprocessing``, everything runs in-process through the
-  same bookkeeping.
+  same bookkeeping; so do the tasks a broken pool (workers dying
+  faster than tasks complete) leaves unfinished.
 
 Worker-scoped faults (:class:`repro.runtime.faults.WorkerFaultPlan`)
 are shipped to the spawned workers explicitly — a spawned process does
@@ -39,14 +40,9 @@ FaultPlan` — which is what makes crash/hang/corrupt recovery testable
 deterministically.  The supervisor process itself trips the
 ``"ledger.save"`` site on every ledger write.
 
-Since PR 6, *where* tasks execute is pluggable: the supervisor holds
-the policy (retries, validation, quarantine, ledger), and a
-:class:`repro.runtime.transport.Transport` holds the mechanics.  The
-spawn pool above lives in :class:`~repro.runtime.transport.
-LocalTransport` (the default); :class:`~repro.runtime.transport.
-RemoteTransport` runs the same tasks on node agents over shared
-storage with lease fencing.  The pool internals (``_worker_loop``,
-``_WorkerHandle``, ...) are re-exported here for back-compat.
+The spawn-pool mechanics live in :mod:`repro.runtime.transport`; the
+supervisor holds the policy (retries, validation, quarantine, ledger)
+and calls :func:`~repro.runtime.transport.run_pool` directly.
 """
 
 from __future__ import annotations
@@ -72,15 +68,7 @@ from repro.runtime.storage import (
     terminal_io_error,
     verify_lease,
 )
-from repro.runtime.transport import (  # noqa: F401  (re-exported)
-    WORKER_CRASH_EXIT,
-    LocalTransport,
-    Transport,
-    _corrupt_result,
-    _mp_available,
-    _worker_loop,
-    _WorkerHandle,
-)
+from repro.runtime.transport import pool_usable, run_pool
 
 #: Bump when the ledger manifest schema changes; older ledgers are stale.
 LEDGER_VERSION = 1
@@ -159,8 +147,7 @@ class SupervisorReport:
     worker_restarts: int = 0
     task_retries: int = 0
     tasks_quarantined: int = 0
-    #: ``"pool"`` (spawn workers), ``"remote"`` (node agents) or
-    #: ``"serial"`` (in-process) — a custom transport reports its name.
+    #: ``"pool"`` (spawn workers) or ``"serial"`` (in-process).
     mode: str = "serial"
     #: True when the pool died faster than it completed work and the
     #: remaining tasks were finished in-process instead.
@@ -169,19 +156,6 @@ class SupervisorReport:
     #: switched the shard ledger off mid-run; results stay exact but
     #: partition-level resume is lost for this run.
     ledger_disabled: bool = False
-    #: Remote transport: task leases that expired before their node
-    #: renewed them (first rung of the node-loss ladder).
-    lease_expiries: int = 0
-    #: Remote transport: shards handed to another live node after a
-    #: lease expiry (second rung).
-    node_redispatches: int = 0
-    #: Remote transport: duplicate result deliveries suppressed by the
-    #: fence check or the first-writer-wins exclusive commit.
-    node_results_deduped: int = 0
-    #: Degradation-ladder steps taken (``"node-serial-fallback"``,
-    #: ``"node-quarantine"``, ...); folded into
-    #: :attr:`repro.core.stats.PipelineStats.degradations`.
-    degradations: List[str] = field(default_factory=list)
 
     def results(self, tasks: Sequence[Task]) -> List[Any]:
         """The task results in the order of ``tasks``."""
@@ -415,18 +389,6 @@ class Supervisor:
     backoff_base / poll_interval:
         Retry backoff seed (doubles per failure) and the result-queue
         poll granularity.
-    transport:
-        Where tasks execute: any :class:`~repro.runtime.transport.
-        Transport`.  ``None`` means the default
-        :class:`~repro.runtime.transport.LocalTransport` (the spawn
-        pool); :class:`~repro.runtime.transport.RemoteTransport` runs
-        the same tasks on node agents over shared storage.  A transport
-        whose :meth:`~repro.runtime.transport.Transport.usable` check
-        declines (e.g. one worker, one task, no multiprocessing) falls
-        back to in-process serial execution, and any task a transport
-        leaves without an outcome is finished in-process afterwards —
-        the bottom of every degradation ladder is the same serial code
-        path.
     """
 
     def __init__(
@@ -445,7 +407,6 @@ class Supervisor:
         telemetry_flush_interval: float = 0.5,
         backoff_base: float = 0.05,
         poll_interval: float = 0.02,
-        transport: Optional[Transport] = None,
     ) -> None:
         from repro.observe.progress import NULL_OBSERVER
 
@@ -468,7 +429,6 @@ class Supervisor:
         self.telemetry_flush_interval = telemetry_flush_interval
         self.backoff_base = backoff_base
         self.poll_interval = poll_interval
-        self.transport = transport if transport is not None else LocalTransport()
         self._next_worker_id = 0
 
     # ------------------------------------------------------------------
@@ -504,21 +464,15 @@ class Supervisor:
             else:
                 pending.append(task)
 
-        if pending:
-            if self.transport.usable(len(pending), self.n_workers):
-                report.mode = self.transport.name
-                with graceful_interrupts():
-                    self.transport.run_tasks(self, pending, report)
-                # A transport that gave up (pool declared broken, every
-                # remote node gone) leaves tasks unfinished; finish
-                # them in-process — the universal bottom rung.
-                for task in pending:
-                    if task.task_id not in report.outcomes:
-                        self._run_serial(task, report, quarantined=False)
-            else:
-                report.mode = "serial"
-                for task in pending:
-                    self._run_serial(task, report, quarantined=False)
+        if pool_usable(len(pending), self.n_workers):
+            report.mode = "pool"
+            with graceful_interrupts():
+                run_pool(self, pending, report)
+        # A broken pool leaves tasks unfinished (and one worker or one
+        # task never starts a pool): finish them in-process.
+        for task in pending:
+            if task.task_id not in report.outcomes:
+                self._run_serial(task, report, quarantined=False)
 
         if self.ledger is not None:
             # Every task accounted for: the ledger has served its purpose.

@@ -1,99 +1,42 @@
-"""Pluggable worker transports for the supervised runtime.
+"""The supervised spawn pool: where :class:`~repro.runtime.supervisor.
+Supervisor` tasks execute when ``n_workers > 1``.
 
-:class:`repro.runtime.supervisor.Supervisor` owns the *policy* of a
-run — retry budgets, validation, quarantine, the shard ledger — but
-the *mechanics* of getting a task executed somewhere else live here,
-behind the small :class:`Transport` interface:
+The supervisor owns the *policy* of a run — retry budgets, validation,
+quarantine, the shard ledger.  This module holds the *mechanics* of
+running its tasks on spawn-context worker processes: one task queue
+and one result pipe per worker, heartbeat hang detection, and crash
+respawn.  Every *interval* comparison — heartbeats, hang deadlines,
+retry backoff eligibility — uses ``time.monotonic()``, so an NTP step
+can neither mass-expire nor never-expire heartbeats.
+(``time.monotonic`` is system-wide on Linux/macOS/Windows, so a
+worker's stamp and the supervisor's sweep read the same clock.)  Wall
+clock is kept only for reporting.
 
-- :class:`LocalTransport` — the in-process spawn pool that has carried
-  the partitioned engines since PR 3: spawn-context workers with
-  per-worker result pipes, heartbeat hang detection, crash respawn.
-  Moved here verbatim from ``supervisor.py`` (which keeps back-compat
-  aliases), with one correctness fix: every *interval* comparison —
-  heartbeats, hang deadlines, retry backoff eligibility — now uses
-  ``time.monotonic()``, so an NTP step can neither mass-expire nor
-  never-expire heartbeats.  (``time.monotonic`` is system-wide on
-  Linux/macOS/Windows, so a worker's stamp and the supervisor's sweep
-  read the same clock.)  Wall-clock time is kept only for reporting.
-- :class:`RemoteTransport` — multi-node mining over shared storage.
-  N node agents (:mod:`repro.runtime.agent`, launched with
-  ``python -m repro agent --ledger DIR``) pull shard tasks from a work
-  queue under the ledger directory, coordinated through **leases with
-  monotonic fencing tokens** (:mod:`repro.runtime.storage`): a node
-  renews its lease on heartbeat; an expired lease makes the shard
-  claimable again (straggler re-dispatch); a partitioned-then-returning
-  node fails the fence check — and even an unfenced zombie commit can
-  only dedup against the winner, never clobber it, because results are
-  published with the create-exclusive first-writer-wins discipline and
-  shard results are deterministic.
-
-The node-loss degradation ladder (ROADMAP item 4) is the remote
-transport's contract: **lease expiry → re-dispatch to a live node →
-quarantine serial fallback on the coordinator**.  The bottom rung runs
-the shard in the coordinator process — slower, but the rule set stays
-exact; every rung is counted in :class:`~repro.runtime.supervisor.
-SupervisorReport` and surfaces as ``dmc_node_*`` metrics, journal
-events, and the ``/healthz`` node table through the live-telemetry
-path.  Network faults are injected deterministically at this seam via
-:class:`~repro.runtime.faults.NetworkFaultPlan` (shipped to agents as
-``netfaults.json``).
+When workers die faster than tasks complete, :func:`run_pool` declares
+the pool broken (``SupervisorReport.pool_broken``) and returns early;
+the supervisor then finishes the leftover tasks in-process, so the
+rule set stays exact even when no worker survives.
 """
 
 from __future__ import annotations
 
-import base64
 import heapq
-import json
 import os
-import pickle
-import subprocess
-import sys
 import threading
 import time
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
-from repro.runtime.faults import NetworkFaultPlan, WorkerFaultPlan
-from repro.runtime.storage import (
-    LOCAL_STORAGE,
-    Lease,
-    acquire_lease,
-    load_lease,
-)
+from repro.runtime.faults import WorkerFaultPlan
 
 #: Exit code a worker uses for an injected hard crash (never a real one).
 WORKER_CRASH_EXIT = 23
-
-
-class Transport:
-    """How the supervisor gets a task executed somewhere else.
-
-    A transport receives the :class:`~repro.runtime.supervisor.
-    Supervisor` itself (for policy: ``fn``, retry budget, ``validate``,
-    ``_complete`` bookkeeping, quarantine via ``_run_serial``) plus the
-    pending tasks and the report to fill in.  Any task left without an
-    outcome when :meth:`run_tasks` returns is finished in-process by
-    the supervisor — the universal bottom of every degradation ladder.
-    """
-
-    #: Reported as ``SupervisorReport.mode`` when this transport runs.
-    name = "transport"
-
-    def usable(self, n_pending: int, n_workers: int) -> bool:
-        """Whether this transport should run at all (else: serial)."""
-        return n_pending > 0
-
-    def run_tasks(self, supervisor, pending: Sequence, report) -> None:
-        raise NotImplementedError
-
-    def close(self) -> None:
-        """Release any long-lived transport resources (idempotent)."""
 
 
 def _mp_available() -> bool:
     """Whether spawn-context multiprocessing is usable here.
 
     Split out (and intentionally tiny) so tests and exotic platforms
-    can force the in-process degradation path.
+    can force the in-process path.
     """
     try:
         import multiprocessing
@@ -307,690 +250,282 @@ class _WorkerHandle:
 
 
 # ----------------------------------------------------------------------
-# LocalTransport: the in-process spawn pool
+# The pool loop (supervisor side)
 # ----------------------------------------------------------------------
 
 
-class LocalTransport(Transport):
-    """The supervised spawn pool (the PR 3 runtime, behind the seam).
+def pool_usable(n_pending: int, n_workers: int) -> bool:
+    """Whether :func:`run_pool` should run at all (else: in-process)."""
+    return n_workers > 1 and n_pending > 1 and _mp_available()
 
-    Stateless between runs — every :meth:`run_tasks` spawns a fresh
-    pool and tears it down.  Reported as mode ``"pool"`` for
-    continuity with the pre-transport supervisor.
+
+def run_pool(supervisor, pending: Sequence, report) -> None:
+    """Run ``pending`` tasks on a fresh spawn pool, then tear it down.
+
+    ``supervisor`` supplies the policy (``fn``, retry budget,
+    ``validate``, ``_complete`` bookkeeping, quarantine via
+    ``_run_serial``); outcomes and counters go into ``report``.  Tasks
+    left without an outcome (a broken pool) are the caller's to finish.
     """
+    import multiprocessing
+    from multiprocessing import connection as mp_connection
 
-    name = "pool"
+    ctx = multiprocessing.get_context("spawn")
+    workers: List[_WorkerHandle] = []
+    #: (eligible_at, tiebreak, task) — retry backoff lives here,
+    #: on the monotonic clock (a wall step must not stall retries).
+    ready: List = []
+    failures: Dict[str, int] = {}
+    attempts: Dict[str, int] = {}
+    started_at: Dict[str, float] = {}
+    quarantine: List = []
+    #: Final telemetry payloads awaiting their attempt's acceptance.
+    telemetry_buffer: Dict = {}
+    last_heartbeat_notify = 0.0
+    target = len(pending)
+    #: Consecutive worker deaths with no task completing in between;
+    #: past the budget the pool is declared broken and the caller
+    #: finishes the leftovers in-process.
+    deaths_without_progress = 0
+    death_budget = max(
+        6, 2 * (supervisor.task_retries + 1), 2 * supervisor.n_workers + 2
+    )
 
-    def usable(self, n_pending: int, n_workers: int) -> bool:
-        return n_workers > 1 and n_pending > 1 and _mp_available()
+    for sequence, task in enumerate(pending):
+        heapq.heappush(ready, (0.0, sequence, task))
+    tiebreak = len(pending)
 
-    def run_tasks(self, supervisor, pending: Sequence, report) -> None:
-        import multiprocessing
-        from multiprocessing import connection as mp_connection
-
-        ctx = multiprocessing.get_context("spawn")
-        workers: List[_WorkerHandle] = []
-        #: (eligible_at, tiebreak, task) — retry backoff lives here,
-        #: on the monotonic clock (a wall step must not stall retries).
-        ready: List = []
-        failures: Dict[str, int] = {}
-        attempts: Dict[str, int] = {}
-        started_at: Dict[str, float] = {}
-        quarantine: List = []
-        #: Final telemetry payloads awaiting their attempt's acceptance.
-        telemetry_buffer: Dict = {}
-        last_heartbeat_notify = 0.0
-        target = len(pending)
-        #: Consecutive worker deaths with no task completing in between;
-        #: past the budget the pool is declared broken and the caller
-        #: finishes the leftovers in-process.
-        deaths_without_progress = 0
-        death_budget = max(
-            6, 2 * (supervisor.task_retries + 1), 2 * supervisor.n_workers + 2
+    def spawn_worker() -> _WorkerHandle:
+        worker_id = supervisor._next_worker_id
+        supervisor._next_worker_id += 1
+        task_queue = ctx.Queue()
+        recv_conn, send_conn = ctx.Pipe(duplex=False)
+        heartbeat = ctx.Value("d", 0.0)
+        process = ctx.Process(
+            target=_worker_loop,
+            args=(
+                worker_id, supervisor.fn, task_queue, send_conn,
+                heartbeat, supervisor.worker_faults,
+                supervisor.worker_telemetry,
+                supervisor.telemetry_flush_interval,
+            ),
+            daemon=True,
         )
+        process.start()
+        # Drop the parent's copy of the write end so a dead worker
+        # reads as EOF instead of an open-forever pipe.
+        send_conn.close()
+        handle = _WorkerHandle(
+            worker_id, process, task_queue, recv_conn, heartbeat
+        )
+        workers.append(handle)
+        return handle
 
-        for sequence, task in enumerate(pending):
-            heapq.heappush(ready, (0.0, sequence, task))
-        tiebreak = len(pending)
+    def fail(handle: Optional[_WorkerHandle], task, reason: str):
+        nonlocal tiebreak
+        # A failed attempt's metrics must never merge — but its
+        # span tree still belongs in the trace, tagged as failed,
+        # so a retry storm stays visible without double counting.
+        buffered = telemetry_buffer.pop(
+            (task.task_id, attempts.get(task.task_id)), None
+        )
+        if buffered is not None:
+            failed_payload = dict(buffered)
+            failed_payload["failed"] = True
+            failed_payload["failed_reason"] = reason
+            supervisor._notify(
+                "on_worker_telemetry", failed_payload, True
+            )
+        count = failures.get(task.task_id, 0) + 1
+        failures[task.task_id] = count
+        if count > supervisor.task_retries:
+            quarantine.append(task)
+            report.tasks_quarantined += 1
+            supervisor._notify("on_task_quarantined", task.task_id)
+        else:
+            report.task_retries += 1
+            supervisor._notify("on_task_retry", task.task_id, reason)
+            delay = supervisor.backoff_base * (2 ** (count - 1))
+            heapq.heappush(
+                ready, (time.monotonic() + delay, tiebreak, task)
+            )
+            tiebreak += 1
+        if handle is not None:
+            handle.task = None
 
-        def spawn_worker() -> _WorkerHandle:
-            worker_id = supervisor._next_worker_id
-            supervisor._next_worker_id += 1
-            task_queue = ctx.Queue()
-            recv_conn, send_conn = ctx.Pipe(duplex=False)
-            heartbeat = ctx.Value("d", 0.0)
-            process = ctx.Process(
-                target=_worker_loop,
-                args=(
-                    worker_id, supervisor.fn, task_queue, send_conn,
-                    heartbeat, supervisor.worker_faults,
-                    supervisor.worker_telemetry,
-                    supervisor.telemetry_flush_interval,
-                ),
-                daemon=True,
-            )
-            process.start()
-            # Drop the parent's copy of the write end so a dead worker
-            # reads as EOF instead of an open-forever pipe.
-            send_conn.close()
-            handle = _WorkerHandle(
-                worker_id, process, task_queue, recv_conn, heartbeat
-            )
-            workers.append(handle)
-            return handle
+    def respawn(handle: _WorkerHandle, reason: str) -> None:
+        nonlocal deaths_without_progress
+        deaths_without_progress += 1
+        if handle.process.is_alive():
+            handle.process.terminate()
+        handle.process.join(timeout=5.0)
+        if handle.process.is_alive():  # terminate ignored; escalate
+            handle.process.kill()
+            handle.process.join(timeout=5.0)
+        try:
+            handle.conn.close()
+        except OSError:
+            pass
+        workers.remove(handle)
+        report.worker_restarts += 1
+        supervisor._notify("on_worker_restart", handle.worker_id, reason)
+        spawn_worker()
 
-        def fail(handle: Optional[_WorkerHandle], task, reason: str):
-            nonlocal tiebreak
-            # A failed attempt's metrics must never merge — but its
-            # span tree still belongs in the trace, tagged as failed,
-            # so a retry storm stays visible without double counting.
-            buffered = telemetry_buffer.pop(
-                (task.task_id, attempts.get(task.task_id)), None
+    try:
+        for _ in range(min(supervisor.n_workers, len(pending))):
+            spawn_worker()
+
+        while True:
+            settled = sum(
+                1 for t in pending if t.task_id in report.outcomes
+            ) + len(quarantine)
+            if settled >= target:
+                break
+            if deaths_without_progress > death_budget:
+                report.pool_broken = True
+                break
+            now = time.monotonic()
+            # 1. Hand ready tasks to idle workers.
+            for handle in workers:
+                if not ready or handle.busy:
+                    continue
+                if not handle.process.is_alive():
+                    continue  # picked up by the liveness sweep below
+                eligible_at, _, task = ready[0]
+                if eligible_at > now:
+                    continue
+                heapq.heappop(ready)
+                attempt = attempts.get(task.task_id, 0) + 1
+                attempts[task.task_id] = attempt
+                handle.task = task
+                handle.attempt = attempt
+                handle.assigned_at = now
+                started_at[task.task_id] = now
+                handle.task_queue.put(
+                    (task.task_id, attempt, task.payload)
+                )
+
+            # 2. Drain ready results (or time out and sweep).  Each
+            #    pipe has exactly one writer, so a crashed worker
+            #    can only break its own channel — read as EOF here
+            #    and handled by the liveness sweep.
+            readable = mp_connection.wait(
+                [w.conn for w in workers],
+                timeout=supervisor.poll_interval,
             )
-            if buffered is not None:
-                failed_payload = dict(buffered)
-                failed_payload["failed"] = True
-                failed_payload["failed_reason"] = reason
+            for conn in readable:
+                handle = next(
+                    (w for w in workers if w.conn is conn), None
+                )
+                if handle is None:
+                    continue
+                try:
+                    message = conn.recv()
+                except (EOFError, OSError):
+                    continue  # dead worker; the sweep respawns it
+                task_id, attempt, status, result = message
+                current = (
+                    handle.task is not None
+                    and handle.task.task_id == task_id
+                    and handle.attempt == attempt
+                )
+                if status == "telemetry":
+                    # Worker metrics/spans ride the same ordered
+                    # pipe as results.  Finals wait in the buffer
+                    # until their attempt is *accepted*; in-flight
+                    # snapshots feed only live gauges.  Either way
+                    # a stale assignment's telemetry is dropped.
+                    if not current:
+                        continue
+                    if result.get("final"):
+                        telemetry_buffer[(task_id, attempt)] = result
+                    else:
+                        supervisor._notify(
+                            "on_worker_telemetry", result, False
+                        )
+                    continue
+                if current:
+                    task = handle.task
+                    handle.task = None
+                    if task_id in report.outcomes:
+                        pass  # already satisfied (stale double)
+                    elif status == "ok" and (
+                        supervisor.validate is None
+                        or supervisor.validate(result)
+                    ):
+                        deaths_without_progress = 0
+                        seconds = time.monotonic() - started_at[task_id]
+                        buffered = telemetry_buffer.pop(
+                            (task_id, attempt), None
+                        )
+                        if buffered is not None:
+                            supervisor._notify(
+                                "on_worker_telemetry", buffered, True
+                            )
+                        supervisor._complete(
+                            task, result, attempt, seconds, report,
+                            quarantined=False,
+                        )
+                    elif status == "ok":
+                        fail(None, task, "corrupt result")
+                    else:
+                        fail(None, task, str(result))
+                # else: a stale result for an assignment the
+                # supervisor already gave up on — drop it.
+
+            # 3. Liveness and hang sweep (monotonic throughout).
+            now = time.monotonic()
+            if (
+                supervisor.observer.enabled
+                and now - last_heartbeat_notify >= 0.5
+            ):
+                last_heartbeat_notify = now
                 supervisor._notify(
-                    "on_worker_telemetry", failed_payload, True
+                    "on_worker_heartbeats",
+                    {
+                        handle.worker_id: (
+                            round(now - handle.heartbeat.value, 3)
+                            if handle.heartbeat.value
+                            else -1.0
+                        )
+                        for handle in workers
+                        if handle.process.is_alive()
+                    },
                 )
-            count = failures.get(task.task_id, 0) + 1
-            failures[task.task_id] = count
-            if count > supervisor.task_retries:
-                quarantine.append(task)
-                report.tasks_quarantined += 1
-                supervisor._notify("on_task_quarantined", task.task_id)
-            else:
-                report.task_retries += 1
-                supervisor._notify("on_task_retry", task.task_id, reason)
-                delay = supervisor.backoff_base * (2 ** (count - 1))
-                heapq.heappush(
-                    ready, (time.monotonic() + delay, tiebreak, task)
-                )
-                tiebreak += 1
-            if handle is not None:
-                handle.task = None
-
-        def respawn(handle: _WorkerHandle, reason: str) -> None:
-            nonlocal deaths_without_progress
-            deaths_without_progress += 1
+            for handle in list(workers):
+                if not handle.process.is_alive():
+                    task = handle.task
+                    respawn(
+                        handle,
+                        f"exited with code {handle.process.exitcode}",
+                    )
+                    if task is not None:
+                        fail(None, task, "worker died mid-task")
+                elif handle.hung(now, supervisor.task_timeout):
+                    task = handle.task
+                    handle.task = None
+                    respawn(handle, "task timeout (hung)")
+                    fail(None, task, "task timeout")
+    finally:
+        for handle in workers:
+            try:
+                handle.task_queue.put(None)
+            except (OSError, ValueError):
+                pass
+        deadline = time.monotonic() + 5.0
+        for handle in workers:
+            handle.process.join(
+                timeout=max(0.1, deadline - time.monotonic())
+            )
             if handle.process.is_alive():
                 handle.process.terminate()
-            handle.process.join(timeout=5.0)
-            if handle.process.is_alive():  # terminate ignored; escalate
-                handle.process.kill()
-                handle.process.join(timeout=5.0)
+                handle.process.join(timeout=1.0)
             try:
                 handle.conn.close()
             except OSError:
                 pass
-            workers.remove(handle)
-            report.worker_restarts += 1
-            supervisor._notify("on_worker_restart", handle.worker_id, reason)
-            spawn_worker()
 
-        try:
-            for _ in range(min(supervisor.n_workers, len(pending))):
-                spawn_worker()
-
-            while True:
-                settled = sum(
-                    1 for t in pending if t.task_id in report.outcomes
-                ) + len(quarantine)
-                if settled >= target:
-                    break
-                if deaths_without_progress > death_budget:
-                    report.pool_broken = True
-                    break
-                now = time.monotonic()
-                # 1. Hand ready tasks to idle workers.
-                for handle in workers:
-                    if not ready or handle.busy:
-                        continue
-                    if not handle.process.is_alive():
-                        continue  # picked up by the liveness sweep below
-                    eligible_at, _, task = ready[0]
-                    if eligible_at > now:
-                        continue
-                    heapq.heappop(ready)
-                    attempt = attempts.get(task.task_id, 0) + 1
-                    attempts[task.task_id] = attempt
-                    handle.task = task
-                    handle.attempt = attempt
-                    handle.assigned_at = now
-                    started_at[task.task_id] = now
-                    handle.task_queue.put(
-                        (task.task_id, attempt, task.payload)
-                    )
-
-                # 2. Drain ready results (or time out and sweep).  Each
-                #    pipe has exactly one writer, so a crashed worker
-                #    can only break its own channel — read as EOF here
-                #    and handled by the liveness sweep.
-                readable = mp_connection.wait(
-                    [w.conn for w in workers],
-                    timeout=supervisor.poll_interval,
-                )
-                for conn in readable:
-                    handle = next(
-                        (w for w in workers if w.conn is conn), None
-                    )
-                    if handle is None:
-                        continue
-                    try:
-                        message = conn.recv()
-                    except (EOFError, OSError):
-                        continue  # dead worker; the sweep respawns it
-                    task_id, attempt, status, result = message
-                    current = (
-                        handle.task is not None
-                        and handle.task.task_id == task_id
-                        and handle.attempt == attempt
-                    )
-                    if status == "telemetry":
-                        # Worker metrics/spans ride the same ordered
-                        # pipe as results.  Finals wait in the buffer
-                        # until their attempt is *accepted*; in-flight
-                        # snapshots feed only live gauges.  Either way
-                        # a stale assignment's telemetry is dropped.
-                        if not current:
-                            continue
-                        if result.get("final"):
-                            telemetry_buffer[(task_id, attempt)] = result
-                        else:
-                            supervisor._notify(
-                                "on_worker_telemetry", result, False
-                            )
-                        continue
-                    if current:
-                        task = handle.task
-                        handle.task = None
-                        if task_id in report.outcomes:
-                            pass  # already satisfied (stale double)
-                        elif status == "ok" and (
-                            supervisor.validate is None
-                            or supervisor.validate(result)
-                        ):
-                            deaths_without_progress = 0
-                            seconds = time.monotonic() - started_at[task_id]
-                            buffered = telemetry_buffer.pop(
-                                (task_id, attempt), None
-                            )
-                            if buffered is not None:
-                                supervisor._notify(
-                                    "on_worker_telemetry", buffered, True
-                                )
-                            supervisor._complete(
-                                task, result, attempt, seconds, report,
-                                quarantined=False,
-                            )
-                        elif status == "ok":
-                            fail(None, task, "corrupt result")
-                        else:
-                            fail(None, task, str(result))
-                    # else: a stale result for an assignment the
-                    # supervisor already gave up on — drop it.
-
-                # 3. Liveness and hang sweep (monotonic throughout).
-                now = time.monotonic()
-                if (
-                    supervisor.observer.enabled
-                    and now - last_heartbeat_notify >= 0.5
-                ):
-                    last_heartbeat_notify = now
-                    supervisor._notify(
-                        "on_worker_heartbeats",
-                        {
-                            handle.worker_id: (
-                                round(now - handle.heartbeat.value, 3)
-                                if handle.heartbeat.value
-                                else -1.0
-                            )
-                            for handle in workers
-                            if handle.process.is_alive()
-                        },
-                    )
-                for handle in list(workers):
-                    if not handle.process.is_alive():
-                        task = handle.task
-                        respawn(
-                            handle,
-                            f"exited with code {handle.process.exitcode}",
-                        )
-                        if task is not None:
-                            fail(None, task, "worker died mid-task")
-                    elif handle.hung(now, supervisor.task_timeout):
-                        task = handle.task
-                        handle.task = None
-                        respawn(handle, "task timeout (hung)")
-                        fail(None, task, "task timeout")
-        finally:
-            for handle in workers:
-                try:
-                    handle.task_queue.put(None)
-                except (OSError, ValueError):
-                    pass
-            deadline = time.monotonic() + 5.0
-            for handle in workers:
-                handle.process.join(
-                    timeout=max(0.1, deadline - time.monotonic())
-                )
-                if handle.process.is_alive():
-                    handle.process.terminate()
-                    handle.process.join(timeout=1.0)
-                try:
-                    handle.conn.close()
-                except OSError:
-                    pass
-
-        # 4. Quarantined tasks re-run serially in-process: slower, but
-        #    exact — the worker-scoped faults cannot follow them here.
-        for task in quarantine:
-            supervisor._run_serial(task, report, quarantined=True)
-
-
-# ----------------------------------------------------------------------
-# RemoteTransport: node agents over shared storage
-# ----------------------------------------------------------------------
-
-#: Shared-directory layout under the ledger/coordination root.
-QUEUE_DIR = "queue"
-LEASES_DIR = "leases"
-RESULTS_DIR = "results"
-NODES_DIR = "nodes"
-NETFAULTS_NAME = "netfaults.json"
-
-
-def task_path(root: str, task_id: str) -> str:
-    return os.path.join(root, QUEUE_DIR, f"task-{task_id}.json")
-
-
-def lease_path(root: str, task_id: str) -> str:
-    return os.path.join(root, LEASES_DIR, f"lease-{task_id}.json")
-
-
-def result_path(root: str, task_id: str) -> str:
-    return os.path.join(root, RESULTS_DIR, f"result-{task_id}.json")
-
-
-def function_ref(fn: Callable) -> str:
-    """The ``module:qualname`` string agents use to import ``fn``."""
-    return f"{fn.__module__}:{fn.__qualname__}"
-
-
-class RemoteTransport(Transport):
-    """Coordinate node agents through a lease-fenced shared directory.
-
-    Parameters
-    ----------
-    ledger_dir:
-        The shared coordination root — the same directory the shard
-        ledger lives in.  The transport keeps per-run scratch state in
-        ``queue/``, ``leases/``, ``results/`` (cleared at every run
-        start; completed work persists in the ledger, not here) and
-        reads node registrations from ``nodes/``.
-    nodes:
-        Number of local agent subprocesses to spawn for the run
-        (``python -m repro agent`` on this host).  ``0`` means agents
-        are launched externally and discovered via their ``nodes/``
-        registration files.
-    lease_ttl:
-        Seconds a node's task lease lives between heartbeat renewals.
-        The re-dispatch latency after a node loss is one TTL.
-    poll_interval:
-        Coordinator result/lease scan granularity.
-    node_grace:
-        Seconds without any live node before the coordinator walks to
-        the bottom of the degradation ladder and finishes every
-        unfinished shard serially in-process.  Defaults to
-        ``max(4 * lease_ttl, 5 s)``.
-    max_redispatch:
-        Dispatch attempts (= lease fencing tokens) a shard may burn
-        before the coordinator quarantines it instead of re-dispatching
-        again.  Defaults to the supervisor's ``task_retries + 1``.
-    node_stale:
-        Seconds since a node's last registration beat before it is
-        reported (and counted) as dead.  Defaults to
-        ``max(2 * lease_ttl, 3 s)``.
-    network_faults:
-        A :class:`~repro.runtime.faults.NetworkFaultPlan` written to
-        ``netfaults.json`` for the agents to act out (tests only; the
-        coordinator's serial fallback bypasses it, which is what
-        restores exactness at the ladder's bottom).
-    storage:
-        The :class:`~repro.runtime.storage.Storage` for coordinator-
-        side I/O (agents always use the local filesystem).
-    """
-
-    name = "remote"
-
-    def __init__(
-        self,
-        ledger_dir: str,
-        nodes: int = 0,
-        *,
-        lease_ttl: float = 2.0,
-        poll_interval: float = 0.05,
-        node_grace: Optional[float] = None,
-        max_redispatch: Optional[int] = None,
-        node_stale: Optional[float] = None,
-        network_faults: Optional[NetworkFaultPlan] = None,
-        storage=None,
-    ) -> None:
-        if nodes < 0:
-            raise ValueError("nodes must be non-negative")
-        if lease_ttl <= 0:
-            raise ValueError("lease_ttl must be positive")
-        self.ledger_dir = ledger_dir
-        self.nodes = nodes
-        self.lease_ttl = lease_ttl
-        self.poll_interval = poll_interval
-        self.node_grace = (
-            node_grace if node_grace is not None else max(4 * lease_ttl, 5.0)
-        )
-        self.max_redispatch = max_redispatch
-        self.node_stale = (
-            node_stale if node_stale is not None else max(2 * lease_ttl, 3.0)
-        )
-        self.network_faults = network_faults
-        self.storage = storage if storage is not None else LOCAL_STORAGE
-        self.coordinator_id = f"coordinator-{os.getpid()}"
-        self._spawned: List[subprocess.Popen] = []
-
-    # -- setup ---------------------------------------------------------
-
-    def _setup_run(self, supervisor, pending: Sequence) -> None:
-        storage = self.storage
-        root = self.ledger_dir
-        for name in (QUEUE_DIR, LEASES_DIR, RESULTS_DIR):
-            path = os.path.join(root, name)
-            storage.rmtree(path)
-            storage.makedirs(path)
-        storage.makedirs(os.path.join(root, NODES_DIR))
-        netfaults = os.path.join(root, NETFAULTS_NAME)
-        if self.network_faults is not None:
-            storage.atomic_write_text(
-                netfaults, json.dumps(self.network_faults.to_json())
-            )
-        else:
-            storage.remove(netfaults, missing_ok=True)
-        fn_ref = function_ref(supervisor.fn)
-        # Trace context rides in every task file so a node agent can
-        # echo the originating request's identity into its committed
-        # result and its own journal lines.
-        trace_id = getattr(
-            getattr(supervisor.observer, "tracer", None), "trace_id", None
-        )
-        for task in pending:
-            payload = base64.b64encode(
-                pickle.dumps(task.payload)
-            ).decode("ascii")
-            record = {
-                "task_id": task.task_id,
-                "fn": fn_ref,
-                "payload": payload,
-            }
-            if trace_id is not None:
-                record["trace_id"] = trace_id
-            storage.atomic_write_text(
-                task_path(root, task.task_id), json.dumps(record)
-            )
-
-    def _spawn_agents(self) -> None:
-        for index in range(self.nodes):
-            self._spawned.append(
-                subprocess.Popen(
-                    [
-                        sys.executable,
-                        "-m",
-                        "repro",
-                        "agent",
-                        "--ledger",
-                        self.ledger_dir,
-                        "--port",
-                        "0",
-                        "--node-id",
-                        f"node-{os.getpid()}-{index}",
-                        "--poll",
-                        str(min(self.poll_interval, 0.1)),
-                        "--lease-ttl",
-                        str(self.lease_ttl),
-                    ],
-                    stdout=subprocess.DEVNULL,
-                    stderr=subprocess.DEVNULL,
-                )
-            )
-
-    def close(self) -> None:
-        spawned, self._spawned = self._spawned, []
-        for proc in spawned:
-            if proc.poll() is None:
-                proc.terminate()
-        for proc in spawned:
-            try:
-                proc.wait(timeout=5.0)
-            except subprocess.TimeoutExpired:
-                proc.kill()
-                proc.wait(timeout=5.0)
-
-    # -- node table ----------------------------------------------------
-
-    def scan_nodes(self) -> Dict[str, Dict[str, Any]]:
-        """The current node table from the ``nodes/`` registrations.
-
-        A node whose last beat is older than ``node_stale`` is reported
-        with ``alive=False`` — that is the dead-node row ``/healthz``
-        shows while the shard it held is being re-dispatched.
-        """
-        nodes_dir = os.path.join(self.ledger_dir, NODES_DIR)
-        table: Dict[str, Dict[str, Any]] = {}
-        try:
-            entries = sorted(os.listdir(nodes_dir))
-        except OSError:
-            return table
-        now = time.time()
-        for entry in entries:
-            if not entry.endswith(".json"):
-                continue
-            try:
-                with open(
-                    os.path.join(nodes_dir, entry), encoding="utf-8"
-                ) as handle:
-                    record = json.load(handle)
-            except (OSError, ValueError):
-                continue
-            node_id = str(record.get("node_id", entry[:-5]))
-            age = max(0.0, now - float(record.get("beat", 0.0)))
-            table[node_id] = {
-                "node_id": node_id,
-                "alive": age <= self.node_stale,
-                "beat_age_seconds": round(age, 3),
-                "url": record.get("url"),
-                "task": record.get("task"),
-                "stats": record.get("stats", {}),
-            }
-        return table
-
-    # -- the coordinator loop ------------------------------------------
-
-    def run_tasks(self, supervisor, pending: Sequence, report) -> None:
-        self._setup_run(supervisor, pending)
-        self._spawn_agents()
-        try:
-            self._coordinate(supervisor, pending, report)
-        finally:
-            self.close()
-
-    def _fallback(self, supervisor, task, report, reason: str) -> None:
-        """The ladder's bottom rung: fence the shard, run it here."""
-        # Steal the lease so any straggler still holding this shard is
-        # fenced out before the coordinator recomputes it.
-        acquire_lease(
-            self.storage,
-            lease_path(self.ledger_dir, task.task_id),
-            owner=self.coordinator_id,
-            ttl=None,
-            steal=True,
-        )
-        report.tasks_quarantined += 1
-        report.degradations.append(reason)
-        supervisor._notify("on_task_quarantined", task.task_id)
-        supervisor._notify("on_degradation", reason)
+    # 4. Quarantined tasks re-run serially in-process: slower, but
+    #    exact — the worker-scoped faults cannot follow them here.
+    for task in quarantine:
         supervisor._run_serial(task, report, quarantined=True)
-
-    def _coordinate(self, supervisor, pending: Sequence, report) -> None:
-        storage = self.storage
-        root = self.ledger_dir
-        unfinished = {task.task_id: task for task in pending}
-        failures: Dict[str, int] = {}
-        seen_tokens: Dict[str, int] = {}
-        counted_expiries: set = set()
-        dedup_seen: Dict[str, int] = {}
-        dispatch_started: Dict[str, float] = {}
-        redispatch_budget = (
-            self.max_redispatch
-            if self.max_redispatch is not None
-            else supervisor.task_retries + 1
-        )
-        start = time.monotonic()
-        last_alive = start
-        last_node_notify = 0.0
-
-        def retryable_failure(task, reason: str) -> None:
-            # Caller has already removed the task from ``unfinished``;
-            # a surviving retry budget puts it back for re-dispatch,
-            # an exhausted one walks it down the ladder.
-            count = failures.get(task.task_id, 0) + 1
-            failures[task.task_id] = count
-            if count > supervisor.task_retries:
-                self._fallback(supervisor, task, report, "node-quarantine")
-            else:
-                unfinished[task.task_id] = task
-                report.task_retries += 1
-                supervisor._notify("on_task_retry", task.task_id, reason)
-
-        while unfinished:
-            # 1. Accept newly committed results (first writer wins; the
-            #    file is immutable once linked, so no torn reads).
-            for task_id in list(unfinished):
-                path = result_path(root, task_id)
-                if not storage.exists(path):
-                    continue
-                try:
-                    with storage.open(path, "r", encoding="utf-8") as handle:
-                        record = json.load(handle)
-                except (OSError, ValueError):
-                    continue
-                task = unfinished[task_id]
-                if "error" in record:
-                    # A node executed the shard and the task function
-                    # raised: clear the slot so a re-dispatch can
-                    # commit, and burn one retry.
-                    storage.remove(path)
-                    del unfinished[task_id]
-                    retryable_failure(task, str(record["error"]))
-                    continue
-                result = record.get("result")
-                if supervisor.validate is not None and not supervisor.validate(
-                    result
-                ):
-                    storage.remove(path)
-                    del unfinished[task_id]
-                    retryable_failure(task, "corrupt result")
-                    continue
-                if supervisor.decode is not None:
-                    result = supervisor.decode(result)
-                del unfinished[task_id]
-                seconds = time.monotonic() - dispatch_started.get(
-                    task_id, start
-                )
-                attempts = max(1, int(record.get("token", 1)))
-                supervisor._complete(
-                    task, result, attempts, seconds, report,
-                    quarantined=False,
-                )
-
-            if not unfinished:
-                break
-
-            # 2. Lease sweep: count expiries and re-dispatches; walk a
-            #    shard that burned its dispatch budget down the ladder.
-            now_wall = time.time()
-            for task_id, task in list(unfinished.items()):
-                lease = load_lease(storage, lease_path(root, task_id))
-                if lease is None:
-                    continue
-                previous = seen_tokens.get(task_id, 0)
-                if lease.token > previous:
-                    seen_tokens[task_id] = lease.token
-                    dispatch_started.setdefault(task_id, time.monotonic())
-                    if previous >= 1:
-                        report.node_redispatches += 1
-                        supervisor._notify(
-                            "on_node_redispatch",
-                            task_id, lease.token, lease.owner,
-                        )
-                if (
-                    lease.expired(now_wall)
-                    and (task_id, lease.token) not in counted_expiries
-                ):
-                    counted_expiries.add((task_id, lease.token))
-                    report.lease_expiries += 1
-                    supervisor._notify(
-                        "on_lease_expired", task_id, lease.token
-                    )
-                    if lease.token >= redispatch_budget:
-                        del unfinished[task_id]
-                        self._fallback(
-                            supervisor, task, report, "node-quarantine"
-                        )
-
-            if not unfinished:
-                break
-
-            # 3. Node table: liveness, /healthz rows, dedup counters.
-            nodes = self.scan_nodes()
-            if any(node["alive"] for node in nodes.values()):
-                last_alive = time.monotonic()
-            for node_id, node in nodes.items():
-                suppressed = int(
-                    node.get("stats", {}).get("duplicates_suppressed", 0)
-                )
-                previous = dedup_seen.get(node_id, 0)
-                if suppressed > previous:
-                    dedup_seen[node_id] = suppressed
-                    report.node_results_deduped += suppressed - previous
-            if (
-                supervisor.observer.enabled
-                and time.monotonic() - last_node_notify >= 0.5
-            ):
-                last_node_notify = time.monotonic()
-                supervisor._notify("on_node_status", nodes)
-
-            # 4. No live node for a whole grace window: bottom rung for
-            #    everything still unfinished (the run must end exact
-            #    even with every agent gone — or never started).
-            if time.monotonic() - last_alive > self.node_grace:
-                for task_id, task in list(unfinished.items()):
-                    del unfinished[task_id]
-                    self._fallback(
-                        supervisor, task, report, "node-serial-fallback"
-                    )
-                break
-
-            time.sleep(self.poll_interval)
-
-        # One last node-table scan: pick up dedup counts beaten in
-        # after the final result landed, and end the telemetry
-        # snapshot with the post-run liveness picture.
-        nodes = self.scan_nodes()
-        for node_id, node in nodes.items():
-            suppressed = int(
-                node.get("stats", {}).get("duplicates_suppressed", 0)
-            )
-            previous = dedup_seen.get(node_id, 0)
-            if suppressed > previous:
-                dedup_seen[node_id] = suppressed
-                report.node_results_deduped += suppressed - previous
-        if supervisor.observer.enabled:
-            supervisor._notify("on_node_status", nodes)

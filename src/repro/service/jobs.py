@@ -14,8 +14,8 @@ fsync + atomic rename + parent-dir fsync — the shard-ledger
 discipline), so a ``kill -9`` at any instruction leaves either the
 previous state or the next one, never a torn record.  Results are
 published under ``results/`` with :meth:`~repro.runtime.storage.
-Storage.create_exclusive_text` — the first-writer-wins primitive of
-the distributed result commit — so a recovered job re-running
+Storage.create_exclusive_text` — a first-writer-wins commit — so a
+recovered job re-running
 concurrently with a straggler can never clobber or duplicate a
 completed result.
 

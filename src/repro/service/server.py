@@ -127,7 +127,7 @@ class ServiceServer(MetricsServer):
         if isinstance(document, dict) and not document.get("trace_id"):
             # Stamp the request's identity onto the spec: every span
             # the job ever produces — scheduler attempts, worker
-            # payloads, remote task files, live delta applies — then
+            # payloads, live delta applies — then
             # carries the X-Request-Id that submitted it.
             request_id = self.current_request_id()
             if request_id:

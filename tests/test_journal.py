@@ -222,6 +222,29 @@ class TestJournalCli:
         assert "pruning curve [" in out
         assert "events:" in out
 
+    def test_summarize_tolerates_retired_distributed_events(
+        self, tmp_path, capsys
+    ):
+        """Journals from runs on the retired remote transport carry
+        ``lease-expired``/``node-redispatch`` lines; they still fold."""
+        path = _journal_path(tmp_path)
+        with RunJournal(path, "run-old") as journal:
+            journal.emit("run-start", task="implication", engine="partitioned")
+            journal.emit("phase-start", name="partition-mining")
+            journal.emit("lease-expired", task_id="t-1", token=1)
+            journal.emit("node-redispatch", task_id="t-1", token=2, node="n")
+            journal.emit("phase-end", name="partition-mining", seconds=0.5)
+            journal.emit("run-end", rules=3)
+        summary = summarize_journal(path)
+        assert summary["run_id"] == "run-old"
+        assert summary["events"]["lease-expired"] == 1
+        assert summary["events"]["node-redispatch"] == 1
+        assert [phase["name"] for phase in summary["phases"]] == [
+            "partition-mining",
+        ]
+        assert main(["journal", "summarize", path]) == 0
+        assert "phases:" in capsys.readouterr().out
+
     def test_missing_journal_is_a_clean_error(self, tmp_path, capsys):
         assert main(
             ["journal", "tail", str(tmp_path / "absent.jsonl")]

@@ -344,6 +344,48 @@ class TestWorkerTelemetry:
         for age in heartbeats.values():
             assert age == -1.0 or age >= 0.0
 
+    @pytest.mark.timeout(180)
+    def test_metrics_scrape_during_pool_worker_crash(self):
+        """/metrics answers while the pool is mid-fault (a crashed
+        worker being replaced and its task re-dispatched)."""
+        matrix = _matrix(rows=80, cols=16)
+        plan = WorkerFaultPlan(faults=(
+            WorkerFault(
+                mode="crash", task_id="implication-part-0001", attempts=1,
+            ),
+        ))
+
+        class CrashScraper(ProgressObserver):
+            def __init__(self) -> None:
+                self.server = None
+                self.scrapes = []
+
+            def on_task_retry(self, task_id, reason) -> None:
+                code, _, body = _get(self.server.url + "/metrics")
+                self.scrapes.append((code, body.decode("utf-8")))
+
+            def on_worker_restart(self, worker_id, reason) -> None:
+                self.on_task_retry(str(worker_id), reason)
+
+        scraper = CrashScraper()
+        observer = RunObserver(progress=scraper)
+        stats = PipelineStats()
+        with MetricsServer(
+            observer.metrics, status=observer.status
+        ) as server:
+            scraper.server = server
+            rules = find_implication_rules_partitioned(
+                matrix, 0.7, n_partitions=4, n_workers=2,
+                worker_faults=plan, stats=stats, observer=observer,
+            )
+            code, _, _ = _get(server.url + "/metrics")
+            assert code == 200  # still serving after the fault run
+        want = find_implication_rules(matrix, 0.7).pairs()
+        assert rules.pairs() == want
+        assert stats.worker_restarts >= 1
+        assert scraper.scrapes, "no mid-fault scrape happened"
+        assert all(code == 200 for code, _ in scraper.scrapes)
+
 
 # ----------------------------------------------------------------------
 # The pruning curve (Algorithm 3.1's candidate-decay story)
@@ -386,147 +428,3 @@ class TestPruningCurve:
         assert value is not None
         # The gauge holds the curve's final live-candidate count.
         assert value == result.stats.pruning_curve[-1][1]
-
-
-# ----------------------------------------------------------------------
-# Distributed-node telemetry on /healthz
-# ----------------------------------------------------------------------
-
-
-class TestNodeTelemetry:
-    def test_healthz_serves_the_node_table_with_dead_rows(self):
-        """/healthz must answer mid-re-dispatch reporting the dead node
-        while its shard is being handed to a live one."""
-        status = LiveRunStatus("run-21")
-        status.set_node_table({
-            "agent-a": {
-                "node_id": "agent-a", "alive": True,
-                "beat_age_seconds": 0.1, "task": "implication-part-0002",
-            },
-            "agent-b": {
-                "node_id": "agent-b", "alive": False,
-                "beat_age_seconds": 7.3, "task": "implication-part-0001",
-            },
-        })
-        with MetricsServer(MetricsRegistry(), status=status) as server:
-            code, _, body = _get(server.url + "/healthz")
-        assert code == 200
-        document = json.loads(body)
-        assert document["dead_nodes"] == ["agent-b"]
-        assert document["nodes"]["agent-a"]["alive"] is True
-        assert document["nodes"]["agent-b"]["task"] == (
-            "implication-part-0001"
-        )
-
-    def test_healthz_omits_node_rows_for_local_runs(self):
-        status = LiveRunStatus("run-22")
-        with MetricsServer(MetricsRegistry(), status=status) as server:
-            code, _, body = _get(server.url + "/healthz")
-        assert code == 200
-        document = json.loads(body)
-        assert "nodes" not in document
-        assert "dead_nodes" not in document
-
-
-class _NodeScraper(ProgressObserver):
-    """Scrapes /healthz from inside distributed-run callbacks."""
-
-    def __init__(self) -> None:
-        self.observer = None
-        self.healthz = []
-        self.redispatches = []
-
-    def _scrape(self) -> None:
-        server = getattr(self.observer, "server", None)
-        if server is None or server.closed:
-            return
-        code, _, body = _get(server.url + "/healthz")
-        self.healthz.append((code, json.loads(body)))
-
-    def on_node_redispatch(self, task_id, token, node) -> None:
-        self.redispatches.append((task_id, token))
-        self._scrape()
-
-    def on_node_status(self, nodes) -> None:
-        self._scrape()
-
-
-class TestDistributedTelemetry:
-    @pytest.mark.timeout(180)
-    def test_healthz_keeps_serving_through_a_node_kill(self, tmp_path):
-        """A node dies holding a shard: the endpoint keeps answering
-        through re-dispatch, and the dead node shows up in its table."""
-        from repro.runtime.faults import NetworkFault, NetworkFaultPlan
-        from repro.runtime.transport import RemoteTransport
-
-        matrix = _matrix(rows=80, cols=16)
-        plan = NetworkFaultPlan(faults=(
-            NetworkFault("kill", task_id="implication-part-0001"),
-        ))
-        # node_stale below the lease TTL: the killed agent's frozen
-        # beat reads as dead from the re-dispatch scrapes onwards.
-        transport = RemoteTransport(
-            str(tmp_path / "ledger"), nodes=2,
-            lease_ttl=0.5, poll_interval=0.02, node_stale=0.35,
-            network_faults=plan,
-        )
-        scraper = _NodeScraper()
-        observer = RunObserver(progress=scraper)
-        scraper.observer = observer
-        result = mine(
-            matrix, minconf=0.7, transport=transport, n_partitions=4,
-            observer=observer, serve_metrics_port=0,
-        )
-        want = find_implication_rules(matrix, 0.7).pairs()
-        assert result.rules.pairs() == want
-        assert scraper.healthz, "no mid-run /healthz scrape happened"
-        assert all(code == 200 for code, _ in scraper.healthz)
-        # The killed agent's beat went stale: some scrape (at the
-        # latest, the final node-table notification) lists it dead.
-        assert any(
-            document.get("dead_nodes") for _, document in scraper.healthz
-        ), f"no dead node ever reported: {scraper.healthz!r}"
-        # ...and the run's own status object ends with the node table.
-        assert observer.status.node_table()
-
-    @pytest.mark.timeout(180)
-    def test_metrics_scrape_during_pool_worker_crash(self):
-        """/metrics answers while the pool is mid-fault (a crashed
-        worker being replaced and its task re-dispatched)."""
-        matrix = _matrix(rows=80, cols=16)
-        plan = WorkerFaultPlan(faults=(
-            WorkerFault(
-                mode="crash", task_id="implication-part-0001", attempts=1,
-            ),
-        ))
-
-        class CrashScraper(ProgressObserver):
-            def __init__(self) -> None:
-                self.server = None
-                self.scrapes = []
-
-            def on_task_retry(self, task_id, reason) -> None:
-                code, _, body = _get(self.server.url + "/metrics")
-                self.scrapes.append((code, body.decode("utf-8")))
-
-            def on_worker_restart(self, worker_id, reason) -> None:
-                self.on_task_retry(str(worker_id), reason)
-
-        scraper = CrashScraper()
-        observer = RunObserver(progress=scraper)
-        stats = PipelineStats()
-        with MetricsServer(
-            observer.metrics, status=observer.status
-        ) as server:
-            scraper.server = server
-            rules = find_implication_rules_partitioned(
-                matrix, 0.7, n_partitions=4, n_workers=2,
-                worker_faults=plan, stats=stats, observer=observer,
-            )
-            code, _, _ = _get(server.url + "/metrics")
-            assert code == 200  # still serving after the fault run
-        want = find_implication_rules(matrix, 0.7).pairs()
-        assert rules.pairs() == want
-        assert stats.worker_restarts >= 1
-        assert scraper.scrapes, "no mid-fault scrape happened"
-        assert all(code == 200 for code, _ in scraper.scrapes)

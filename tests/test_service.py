@@ -526,6 +526,22 @@ class TestServiceHTTP:
         assert http("POST", base + "/jobs", {"task": "implication"})[0] == 400
         assert http("POST", base + "/jobs", spec_doc("h1", nope=1))[0] == 400
 
+    def test_bad_partition_settings_are_refused_at_submit(self, service):
+        base = service.server.url
+        for job_id, bad in (
+            ("h1", {"n_partitions": 0}),
+            ("h2", {"n_workers": 0}),
+            ("h3", {"n_workers": -1}),
+        ):
+            code, document, _ = http(
+                "POST", base + "/jobs",
+                spec_doc(job_id, engine="partitioned", **bad),
+            )
+            assert code == 400
+            assert next(iter(bad)) in document["error"]
+            # Nothing was queued: every attempt would have failed.
+            assert http("GET", base + "/jobs/" + job_id)[0] == 404
+
     def test_disallowed_method_is_405_with_allow(self, service):
         base = service.server.url
         code, _, headers = http("PUT", base + "/jobs")

@@ -1,8 +1,10 @@
 """Instrumentation types (repro.core.stats)."""
 
+import json
 import time
 
 from repro.core.stats import PhaseTimer, PipelineStats, ScanStats
+from repro.mining.export import stats_from_json, stats_to_json
 
 
 class TestScanStats:
@@ -79,3 +81,16 @@ class TestPipelineStats:
             pass
         assert list(stats.breakdown()) == ["pre-scan"]
         assert stats.total_seconds == stats.timer.total()
+
+    def test_documents_with_retired_node_counters_still_load(self):
+        """Stats written while distributed mining existed carry three
+        node counters; they load, and the rest of the record survives."""
+        stats = PipelineStats(worker_restarts=2, task_retries=3)
+        record = json.loads(stats_to_json(stats))
+        record.update(
+            lease_expiries=4, node_redispatches=1, node_results_deduped=5,
+        )
+        loaded = stats_from_json(json.dumps(record))
+        assert loaded.worker_restarts == 2
+        assert loaded.task_retries == 3
+        assert loaded.to_dict() == stats.to_dict()

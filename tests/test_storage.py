@@ -558,7 +558,7 @@ def test_mine_facade_threads_storage_and_flags(tmp_path, demo_path):
 
 
 # ----------------------------------------------------------------------
-# Lease primitives (the distributed transport's fencing layer)
+# Lease primitives (the shard ledger's owner fencing)
 # ----------------------------------------------------------------------
 
 
@@ -603,46 +603,21 @@ class TestLeasePrimitives:
         assert stolen.token == 2
         assert stolen.expires_at is None  # never expires; steal-only
 
-    def test_verify_and_renew_fence_out_stale_holders(self, tmp_path):
+    def test_verify_fences_out_stale_holders(self, tmp_path):
         from repro.runtime.storage import (
             LOCAL_STORAGE,
             LeaseFenced,
             acquire_lease,
-            renew_lease,
             verify_lease,
         )
 
         path = self._path(tmp_path)
         old = acquire_lease(LOCAL_STORAGE, path, "node-a", ttl=10.0, now=0.0)
-        renewed = renew_lease(LOCAL_STORAGE, path, old, 10.0, now=5.0)
-        assert renewed.token == old.token  # renewal never bumps
-        assert renewed.expires_at == 15.0
+        assert verify_lease(LOCAL_STORAGE, path, old) == old
         # node-b re-acquires after expiry; node-a's handle is stale.
         acquire_lease(LOCAL_STORAGE, path, "node-b", ttl=10.0, now=20.0)
         with pytest.raises(LeaseFenced):
-            verify_lease(LOCAL_STORAGE, path, renewed)
-        with pytest.raises(LeaseFenced):
-            renew_lease(LOCAL_STORAGE, path, renewed, 10.0, now=21.0)
-
-    def test_release_is_holder_only(self, tmp_path):
-        from repro.runtime.storage import (
-            LOCAL_STORAGE,
-            acquire_lease,
-            load_lease,
-            release_lease,
-        )
-
-        path = self._path(tmp_path)
-        stale = acquire_lease(LOCAL_STORAGE, path, "node-a", ttl=10.0, now=0.0)
-        current = acquire_lease(
-            LOCAL_STORAGE, path, "node-b", ttl=10.0, now=20.0
-        )
-        # The fenced-out holder's release must not delete the new
-        # holder's lease.
-        assert release_lease(LOCAL_STORAGE, path, stale) is False
-        assert load_lease(LOCAL_STORAGE, path).owner == "node-b"
-        assert release_lease(LOCAL_STORAGE, path, current) is True
-        assert load_lease(LOCAL_STORAGE, path) is None
+            verify_lease(LOCAL_STORAGE, path, old)
 
     def test_torn_lease_file_reads_as_no_lease(self, tmp_path):
         from repro.runtime.storage import (

@@ -281,6 +281,32 @@ class TestPool:
         assert got == want
         assert stats.task_retries >= 1
 
+    @pytest.mark.timeout(180)
+    def test_crash_storm_breaks_pool_and_finishes_in_process(self):
+        """Every worker dies on every task: the death budget trips
+        before any task burns its retries, the pool is declared broken,
+        and the unfinished tasks finish in-process, exactly."""
+        tasks = _tasks(6)
+        plan = WorkerFaultPlan(faults=(
+            WorkerFault(mode="crash", task_id=None, attempts=10**6),
+        ))
+        # The pool breaks after max(6, 2 * (4 + 1), 2 * 2 + 2) = 10
+        # deaths without progress; the six tasks take turns dying, so
+        # none reaches the 5 failures that would quarantine it.
+        report = Supervisor(
+            _double, n_workers=2, task_retries=4, backoff_base=0.001,
+            worker_faults=plan,
+        ).run(tasks)
+        assert report.mode == "pool"
+        assert report.pool_broken
+        assert report.tasks_quarantined == 0
+        assert report.worker_restarts > 6
+        serial = Supervisor(_double, n_workers=1).run(tasks)
+        assert report.results(tasks) == serial.results(tasks)
+        assert not any(
+            outcome.quarantined for outcome in report.outcomes.values()
+        )
+
     @pytest.mark.slow
     def test_any_task_crash_fault_still_exact(self):
         """``task_id=None`` crashes every first attempt; all recover."""
@@ -401,6 +427,18 @@ class TestFacade:
             MiningConfig(threshold=0.9, task_retries=-1)
         with pytest.raises(ValueError):
             MiningConfig(threshold=0.9, task_timeout=0.0)
+        with pytest.raises(ValueError, match="n_partitions"):
+            MiningConfig(threshold=0.9, n_partitions=0)
+        for workers in (0, -1):
+            with pytest.raises(ValueError, match="n_workers"):
+                MiningConfig(threshold=0.9, n_workers=workers)
+        # Only the worker pool reads a shard ledger.
+        for workers in (None, 1):
+            with pytest.raises(ValueError, match="ledger_dir"):
+                MiningConfig(
+                    threshold=0.9, engine="partitioned",
+                    n_workers=workers, ledger_dir="ledger",
+                )
 
     def test_mine_supervised_partitioned(self, tmp_path):
         import repro

@@ -330,7 +330,7 @@ class TestResolver:
 
     def test_streaming_rejects_partition_requests(self):
         with pytest.raises(ValueError, match="in-memory"):
-            self._resolve(streaming=True, transport="thread")
+            self._resolve(streaming=True, memory_budget=1024)
 
     def test_config_rejects_unknown_engine(self):
         with pytest.raises(ValueError, match="unknown engine"):
@@ -342,7 +342,6 @@ class TestResolver:
 
     def test_config_conflicts(self):
         for kwargs in (
-            {"engine": "dmc", "transport": "thread"},
             {"engine": "dmc", "memory_budget": 1024},
             {"engine": "vector", "memory_budget": 1024},
             {"engine": "stream", "memory_budget": 1024},
