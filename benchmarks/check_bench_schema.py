@@ -1,7 +1,7 @@
 """Parse/shape check for the committed ``BENCH_*.json`` documents.
 
-The CI benchmark-smoke job emits one document per engine (in-memory,
-streaming, supervised) via :mod:`benchmarks.jsonbench`, and the repo
+The CI benchmark-smoke job emits one document per surface (in-memory
+engine, streaming, service, live) via :mod:`benchmarks.jsonbench`, and the repo
 commits them at the root so perf history accumulates per PR.  This
 checker keeps that trajectory honest: every document must parse, carry
 the version-1 schema, and hold plausible statistics — no empty runs,

@@ -79,13 +79,11 @@ from repro.runtime import (
     CheckpointStore,
     FaultyStorage,
     LocalStorage,
-    MemoryBudgetExceeded,
     MemoryGuard,
     RowValidationError,
     RowValidator,
     Storage,
     StorageFull,
-    mine_with_memory_budget,
 )
 
 __version__ = "1.0.0"
@@ -100,7 +98,6 @@ __all__ = [
     "FaultyStorage",
     "ImplicationRule",
     "LocalStorage",
-    "MemoryBudgetExceeded",
     "MemoryGuard",
     "MetricsRegistry",
     "MiningConfig",
@@ -132,7 +129,6 @@ __all__ = [
     "kmin_implication_rules",
     "load_dataset",
     "mine",
-    "mine_with_memory_budget",
     "minhash_similarity_rules",
     "resolve_engine",
     "similarity_components",

@@ -1,9 +1,9 @@
 """The :func:`repro.mine` facade: one call for every DMC pipeline.
 
-The library grew five mining entry points (in-memory DMC-imp/DMC-sim,
-their partitioned variants, the two-pass streaming pipelines) plus the
-memory-budget wrapper, each with its own calling convention.  This
-module unifies them behind a single keyword-only configuration:
+The library has six mining entry points (in-memory DMC-imp/DMC-sim,
+their partitioned variants, the two-pass streaming pipelines), each
+with its own calling convention.  This module unifies them behind a
+single keyword-only configuration:
 
     import repro
 
@@ -47,7 +47,7 @@ from repro.matrix.stream import (
     _stream_rules,
 )
 from repro.observe.progress import NULL_OBSERVER
-from repro.runtime.guards import mine_with_memory_budget
+from repro.runtime.guards import MemoryGuard, graceful_interrupts
 from repro.runtime.storage import io_error_kind, terminal_io_error
 
 #: The two rule kinds of the paper (Sections 4 and 5).
@@ -73,10 +73,8 @@ class MiningConfig:
         identical rule set; see :func:`resolve_engine` for the full
         resolution contract):
 
-        - ``"auto"`` (default) — pick from the data and the other
-          knobs, exactly as before this field existed: streaming
-          sources stream, ``memory_budget`` guards (degrading to
-          the partitioned carrier), everything else runs in memory.
+        - ``"auto"`` (default) — streaming sources stream, everything
+          else runs in memory on the vector scan.
         - ``"dmc"`` — the serial in-memory pipeline.
         - ``"vector"`` — the blocked numpy second-pass engine
           (:mod:`repro.core.vector`); combined with
@@ -102,25 +100,19 @@ class MiningConfig:
         switch entirely).
     n_partitions / n_workers:
         Partitioned-engine tuning, both at least 1 (``n_workers > 1``
-        mines partitions on the supervised spawn pool,
-        :class:`repro.runtime.supervisor.Supervisor`; ``None`` or 1
-        mines them in-process).
-    task_timeout / task_retries / ledger_dir:
-        Supervised-runtime tuning (``n_workers > 1`` only):
-        hang-detection timeout in seconds (``None`` disables), failed
-        attempts per partition before it is quarantined and re-run
-        serially in-process, and the directory for the shard ledger
-        that lets a killed run resume with only its unfinished
-        partitions.  ``ledger_dir`` without ``n_workers > 1`` is
-        rejected, since only the pool reads it.
+        mines partitions on a spawn process pool; ``None`` or 1 mines
+        them in-process).
     memory_budget:
-        Hard counter-array budget in bytes; the DMC attempt degrades to
-        the partitioned engine when exceeded (in-memory data only).
+        Hard counter-array budget in bytes for the in-memory scan: it
+        sets ``options.memory_guard`` to a
+        :class:`~repro.runtime.guards.MemoryGuard`, and a scan that
+        exceeds it hands over to the DMC-bitmap tail at once (the
+        rules are unchanged; in-memory data only).
     spill_dir / checkpoint_dir:
         Streaming-engine directories (see :mod:`repro.matrix.stream`).
     storage:
         The durable-I/O backend every checkpoint, spill bucket and
-        ledger write goes through (a :class:`repro.runtime.storage.
+        journal write goes through (a :class:`repro.runtime.storage.
         Storage`; ``None`` means the local filesystem with full fsync
         discipline).  Inject a
         :class:`~repro.runtime.storage.FaultyStorage` in tests, or
@@ -130,7 +122,7 @@ class MiningConfig:
         streaming spill, redo the run on the in-memory engine instead
         of raising :class:`~repro.runtime.storage.StorageFull`
         (default True; rules are identical either way).  Checkpoint and
-        ledger writes always degrade to "off with a warning".
+        journal writes always degrade to "off with a warning".
     preflight_disk:
         Check free disk space against the estimated spill footprint
         before the streaming pass 1 writes anything (degrades or raises
@@ -146,8 +138,8 @@ class MiningConfig:
         :func:`repro.observe.new_run_id`).
     journal_path:
         Append one JSONL event per notable state change (phase
-        transitions, bitmap switch, guard trips, degradations, task
-        retries, checkpoints, pruning-curve samples, ...) to this file
+        transitions, bitmap switch, guard trips, degradations,
+        checkpoints, pruning-curve samples, ...) to this file
         through the durable ``storage`` backend.  Inspect with
         ``python -m repro journal tail|summarize``.
     serve_metrics_port:
@@ -156,7 +148,7 @@ class MiningConfig:
         the run (``0`` picks an ephemeral port).  The server is
         reachable as ``observer.server`` while mining and is closed on
         completion — including a SIGTERM unwinding through
-        :func:`repro.runtime.supervisor.graceful_interrupts`.
+        :func:`repro.runtime.guards.graceful_interrupts`.
 
     profile:
         Write a sampling wall-clock profile of the run to this path, in
@@ -179,9 +171,6 @@ class MiningConfig:
     bitmap: Optional[BitmapConfig] = None
     n_partitions: int = 4
     n_workers: Optional[int] = None
-    task_timeout: Optional[float] = None
-    task_retries: int = 2
-    ledger_dir: Optional[str] = None
     memory_budget: Optional[int] = None
     spill_dir: Optional[str] = None
     checkpoint_dir: Optional[str] = None
@@ -209,12 +198,6 @@ class MiningConfig:
             )
         if self.vector_block_rows is not None and self.vector_block_rows < 1:
             raise ValueError("vector_block_rows must be at least 1")
-        if self.engine in ("dmc", "vector") and self.memory_budget is not None:
-            raise ValueError(
-                f"engine={self.engine!r} and memory_budget= are mutually "
-                "exclusive (the budget's degradation path picks its own "
-                "engine; use engine='auto')"
-            )
         if self.engine == "stream" and self.memory_budget is not None:
             raise ValueError(
                 "engine='stream' cannot be combined with memory_budget= "
@@ -226,15 +209,6 @@ class MiningConfig:
             raise ValueError(
                 "n_workers must be at least 1 (or None for in-process)"
             )
-        if self.ledger_dir is not None and (self.n_workers or 0) <= 1:
-            raise ValueError(
-                "ledger_dir= needs n_workers > 1: only the supervised "
-                "worker pool records and resumes a shard ledger"
-            )
-        if self.task_retries < 0:
-            raise ValueError("task_retries must be non-negative")
-        if self.task_timeout is not None and self.task_timeout <= 0:
-            raise ValueError("task_timeout must be positive")
         if self.serve_metrics_port is not None and not (
             0 <= self.serve_metrics_port <= 65535
         ):
@@ -309,9 +283,8 @@ class EnginePlan:
     """The resolved execution plan of one :func:`mine` call.
 
     ``carrier`` is the pipeline that owns the passes: ``"dmc"``
-    (in-memory), ``"stream"`` (two-pass on disk), ``"partitioned"``
-    (divide and conquer) or ``"guarded"`` (DMC under a memory budget,
-    degrading to partitioned).  ``scan_engine`` is what runs the
+    (in-memory), ``"stream"`` (two-pass on disk) or ``"partitioned"``
+    (divide and conquer).  ``scan_engine`` is what runs the
     miss-counting passes inside the carrier: ``"serial"`` or
     ``"vector"``.  ``name`` is the user-facing combination recorded on
     :attr:`MiningResult.engine`, :attr:`PipelineStats.engine` and the
@@ -340,14 +313,15 @@ def resolve_engine(
 
     Returns ``(plan, options)`` where ``options`` is the effective
     :class:`~repro.core.dmc_imp.PruningOptions` (the configured ones
-    with ``bitmap`` / ``scan_engine`` / ``vector_block_rows``
-    overrides applied).  ``streaming`` says whether the data arrived as
-    a source rather than an in-memory matrix.
+    with ``bitmap`` / ``memory_guard`` / ``scan_engine`` /
+    ``vector_block_rows`` overrides applied).  ``streaming`` says
+    whether the data arrived as a source rather than an in-memory
+    matrix.
 
     The contract, per ``engine=`` value:
 
-    - ``"auto"`` — streaming data streams; ``memory_budget`` runs the
-      guarded carrier; anything else is in-memory (``"vector"``).
+    - ``"auto"`` — streaming data streams; anything else is in-memory
+      (``"vector"``).
     - ``"dmc"`` / ``"vector"`` — the in-memory pipeline with the serial
       or vector scan; needs an in-memory matrix.  ``"vector"``
       combined with ``n_workers > 1`` runs the vector scan inside each
@@ -359,6 +333,8 @@ def resolve_engine(
       ``options.row_reordering=False`` is rejected.
     - ``"partitioned"`` — divide and conquer.
 
+    ``memory_budget`` guards the in-memory scan with a
+    :class:`~repro.runtime.guards.MemoryGuard` (``options.memory_guard``).
     Every carrier but ``"dmc"`` runs the vector scan unless
     ``options.scan_engine`` names one.  A pass whose policy's int64
     twins are inexact runs serial instead, and :attr:`MiningResult.
@@ -376,6 +352,10 @@ def resolve_engine(
     )
     if config.bitmap is not None:
         options = replace(options, bitmap=config.bitmap)
+    if config.memory_budget is not None:
+        options = replace(
+            options, memory_guard=MemoryGuard(config.memory_budget)
+        )
 
     engine = config.engine
     scan = options.scan_engine
@@ -407,16 +387,12 @@ def resolve_engine(
                 "source into a BinaryMatrix first"
             )
         carrier = "stream"
-    elif engine == "stream":
-        carrier = "stream"
-    elif engine == "partitioned":
+    elif engine in ("stream", "partitioned"):
+        carrier = engine
+    elif engine == "vector" and (config.n_workers or 0) > 1:
         carrier = "partitioned"
-    elif engine == "vector":
-        carrier = "partitioned" if (config.n_workers or 0) > 1 else "dmc"
-    elif engine == "dmc":
+    else:  # auto, dmc, vector
         carrier = "dmc"
-    else:  # auto
-        carrier = "guarded" if config.memory_budget is not None else "dmc"
     if carrier == "stream" and not options.row_reordering:
         raise ValueError(
             "the streaming pipeline's spill buckets are the Section 4.1 "
@@ -437,7 +413,7 @@ def resolve_engine(
     options = replace(
         options, scan_engine=scan, vector_block_rows=block_rows
     )
-    name = _engine_name("dmc" if carrier == "guarded" else carrier, scan)
+    name = _engine_name(carrier, scan)
     return EnginePlan(name=name, carrier=carrier, scan_engine=scan), options
 
 
@@ -575,8 +551,6 @@ def mine(data, *, config: Optional[MiningConfig] = None, **kwargs):
     # A live server/journal should also see a SIGTERM'd run unwind
     # cleanly (handler close, journal fsync) instead of dying torn.
     if journal is not None or server is not None:
-        from repro.runtime.supervisor import graceful_interrupts
-
         interruptible = graceful_interrupts()
     else:
         interruptible = nullcontext()
@@ -588,13 +562,13 @@ def mine(data, *, config: Optional[MiningConfig] = None, **kwargs):
         profiler.start()
     try:
         with interruptible:
-            rules, carrier = _run_plan(
+            rules = _run_plan(
                 plan, config, matrix, source, options, stats, observer
             )
         # The carriers stamp the block size of the scan that ran (None
-        # for serial); the guarded carrier may also have degraded.
+        # for serial).
         engine = _engine_name(
-            carrier,
+            plan.carrier,
             "serial" if stats.vector_block_rows is None else "vector",
         )
         stats.engine = engine
@@ -638,15 +612,13 @@ def mine(data, *, config: Optional[MiningConfig] = None, **kwargs):
 
 
 def _run_plan(plan, config, matrix, source, options, stats, observer):
-    """Run a resolved :class:`EnginePlan`; returns ``(rules, carrier)``
-    with the carrier that ran (the guarded one reports ``"dmc"`` or
-    ``"partitioned"``).
+    """Run a resolved :class:`EnginePlan`; returns its rules.
 
     All selection logic lives in :func:`resolve_engine`; this is pure
     dispatch on ``plan.carrier``.
     """
     if plan.carrier == "stream":
-        rules = _stream_rules(
+        return _stream_rules(
             source,
             config.threshold,
             config.task,
@@ -659,46 +631,22 @@ def _run_plan(plan, config, matrix, source, options, stats, observer):
             spill_degrade=config.spill_degrade,
             preflight=config.preflight_disk,
         )
-        return rules, plan.carrier
-    if plan.carrier == "guarded":
-        rules, carrier_ran = mine_with_memory_budget(
-            matrix,
-            config.threshold,
-            kind=config.task,
-            budget_bytes=config.memory_budget,
-            n_partitions=config.n_partitions,
-            n_workers=config.n_workers,
-            task_timeout=config.task_timeout,
-            task_retries=config.task_retries,
-            ledger_dir=config.ledger_dir,
-            storage=config.storage,
-            stats=stats,
-            observer=observer,
-            options=options,
-        )
-        return rules, carrier_ran
     if plan.carrier == "partitioned":
         partitioner = (
             find_implication_rules_partitioned
             if config.task == "implication"
             else find_similarity_rules_partitioned
         )
-        rules = partitioner(
+        return partitioner(
             matrix,
             config.threshold,
             n_partitions=config.n_partitions,
             n_workers=config.n_workers,
-            task_timeout=config.task_timeout,
-            task_retries=config.task_retries,
-            ledger_dir=config.ledger_dir,
-            storage=config.storage,
             stats=stats,
             observer=observer,
             scan_engine=options.scan_engine,
             vector_block_rows=options.vector_block_rows,
         )
-        return rules, plan.carrier
-    rules = mine_matrix(
+    return mine_matrix(
         config.task, matrix, config.threshold, options, stats, observer
     )
-    return rules, plan.carrier

@@ -122,29 +122,12 @@ def build_parser() -> argparse.ArgumentParser:
         )
         sub.add_argument(
             "--workers", type=int, default=None, metavar="N",
-            help="mine with the partitioned engine on N supervised "
-                 "worker processes (crash/hang recovery; incompatible "
-                 "with --stream)",
+            help="mine with the partitioned engine on N worker "
+                 "processes (incompatible with --stream)",
         )
         sub.add_argument(
             "--partitions", type=int, default=4, metavar="N",
             help="row partitions for the partitioned engine (default 4)",
-        )
-        sub.add_argument(
-            "--task-timeout", type=float, default=None, metavar="SECONDS",
-            help="declare a partition task hung after this many seconds "
-                 "and respawn its worker (default: no hang detection)",
-        )
-        sub.add_argument(
-            "--task-retries", type=int, default=2, metavar="N",
-            help="failed attempts per partition before it is "
-                 "quarantined and re-run in-process (default 2)",
-        )
-        sub.add_argument(
-            "--ledger", metavar="DIR", default=None,
-            help="persist completed partitions in DIR so a killed "
-                 "supervised run resumes with only the unfinished ones "
-                 "(implies --workers 2)",
         )
         sub.add_argument(
             "--no-spill-degrade", action="store_true",
@@ -303,9 +286,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--memory-budget", type=int, default=None, metavar="BYTES",
-        help="default per-job counter-array budget; jobs degrade to "
-             "the partitioned engine instead of exceeding it "
-             "(default: none)",
+        help="default per-job counter-array budget for engine=auto "
+             "jobs; a scan that exceeds it hands over to the "
+             "DMC-bitmap tail (default: none)",
     )
     serve.add_argument(
         "--min-free-bytes", type=int, default=None, metavar="BYTES",
@@ -404,11 +387,9 @@ def _mine(args: argparse.Namespace) -> int:
         getattr(args, "stream", False) or getattr(args, "checkpoint", None)
     )
     workers = getattr(args, "workers", None)
-    if workers is None and getattr(args, "ledger", None):
-        workers = 2
     if use_stream and workers is not None:
         print(
-            "--workers/--ledger use the partitioned engine "
+            "--workers uses the partitioned engine "
             "and cannot be combined with --stream/--checkpoint",
             file=sys.stderr,
         )
@@ -458,17 +439,13 @@ def _mine(args: argparse.Namespace) -> int:
             engine_kwargs = {"engine": engine}
             if getattr(args, "block_rows", None) is not None:
                 engine_kwargs["vector_block_rows"] = args.block_rows
-            supervised = {}
             if workers is not None:
                 if engine == "auto":
                     engine_kwargs["engine"] = "partitioned"
-                supervised = {
-                    "n_partitions": getattr(args, "partitions", 4),
-                    "n_workers": workers,
-                    "task_timeout": getattr(args, "task_timeout", None),
-                    "task_retries": getattr(args, "task_retries", 2),
-                    "ledger_dir": getattr(args, "ledger", None),
-                }
+                engine_kwargs["n_partitions"] = getattr(
+                    args, "partitions", 4
+                )
+                engine_kwargs["n_workers"] = workers
             serve_port = getattr(args, "serve_metrics", None)
             if serve_port is not None:
                 where = (
@@ -491,7 +468,6 @@ def _mine(args: argparse.Namespace) -> int:
                 serve_metrics_port=serve_port,
                 profile=getattr(args, "profile", None),
                 **engine_kwargs,
-                **supervised,
                 **threshold,
             )
             rules = result.rules

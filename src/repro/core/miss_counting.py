@@ -162,9 +162,9 @@ def miss_counting_scan_rows(
     A ``guard`` (:class:`repro.runtime.guards.MemoryGuard`) is checked
     at every row boundary, not just within the paper's end-of-scan
     switch window: when the counter array exceeds the guard's hard
-    budget the scan degrades to the DMC-bitmap tail immediately
-    (``action="bitmap"``) or aborts (``action="raise"``).  The tail is
-    position independent, so early degradation preserves exactness.
+    budget the scan degrades to the DMC-bitmap tail immediately.  The
+    tail is position independent, so early degradation preserves
+    exactness.
     """
     if stats is None:
         stats = ScanStats()

@@ -18,18 +18,23 @@ implication policy (a pair's canonical direction can differ between a
 partition and the full data), and candidates are verified only in their
 global canonical direction.
 
-With ``n_workers > 1`` partitions run on the supervised parallel
-runtime (:mod:`repro.runtime.supervisor`): crash/hang/corrupt-tolerant
-spawn workers, per-task retry with backoff, quarantine with serial
-re-run, and an optional shard ledger for resume — every recovery path
-preserves the exact rule set.  With ``n_workers`` unset or ``<= 1``
-the partitions run in-process, one after another — the default path of
-the ``memory_budget`` fallback in :mod:`repro.runtime.guards`.
+With ``n_workers > 1`` the partitions are mined on a spawn-context
+:class:`concurrent.futures.ProcessPoolExecutor`; a worker that dies
+breaks the pool, and the run raises
+:class:`~concurrent.futures.process.BrokenProcessPool` instead of
+returning a partial rule set.  With ``n_workers`` unset or ``<= 1``
+the partitions run in-process, one after another.
+
+At the scales this repository measures, divide and conquer loses to
+the single-pass pipeline on both time and memory (ALGORITHMS.md,
+section 6); a memory budget degrades through the DMC-bitmap tail
+instead (:class:`repro.runtime.guards.MemoryGuard`).
 """
 
 from __future__ import annotations
 
-import warnings
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from typing import List, Optional, Set, Tuple
 
@@ -52,7 +57,6 @@ from repro.matrix.binary_matrix import BinaryMatrix
 from repro.matrix.ops import DEFAULT_BLOCK_ROWS
 from repro.matrix.reorder import scan_order
 from repro.observe.progress import NULL_OBSERVER
-from repro.runtime.storage import io_error_kind, terminal_io_error
 
 
 class _AllPairsImplicationPolicy(ImplicationPolicy):
@@ -82,14 +86,11 @@ def _partition_rows(matrix: BinaryMatrix, n_partitions: int) -> List[List[int]]:
 def _mine_chunk(args, observer=None) -> List[Tuple[int, int]]:
     """Worker: mine one partition and return its unordered pairs.
 
-    Module-level (not a closure) so it is picklable for
-    ``multiprocessing``.  The payload is ``(rows, n_columns, threshold,
-    kind, scan_engine, vector_block_rows)``.  ``observer`` is the
-    per-attempt worker-side :class:`~repro.observe.RunObserver`
-    injected by the supervisor's ``worker_telemetry`` mode (or the
-    parent observer when partitions run serially); the chunk's scan
-    folds onto its metrics under ``scan="partition"`` so merged totals
-    match a serial run exactly.
+    Module-level (not a closure) so it is picklable for the process
+    pool.  The payload is ``(rows, n_columns, threshold, kind,
+    scan_engine, vector_block_rows)``.  ``observer`` is the parent's
+    when partitions run in-process (pool workers run unobserved); the
+    chunk's scan folds onto its metrics under ``scan="partition"``.
     """
     rows, n_columns, threshold, kind, scan_engine, vector_block_rows = args
     local = BinaryMatrix(rows, n_columns=n_columns)
@@ -129,25 +130,6 @@ def _mine_chunk(args, observer=None) -> List[Tuple[int, int]]:
     return sorted(pairs)
 
 
-def _valid_chunk_result(result) -> bool:
-    """Shape check for a worker's pair list (the corrupt-result defense)."""
-    if not isinstance(result, list):
-        return False
-    for entry in result:
-        if not (
-            isinstance(entry, (tuple, list))
-            and len(entry) == 2
-            and all(isinstance(c, int) for c in entry)
-        ):
-            return False
-    return True
-
-
-def _decode_chunk_result(result) -> List[Tuple[int, int]]:
-    """Rebuild a pair list loaded from the shard ledger's JSON."""
-    return [tuple(entry) for entry in result]
-
-
 def _local_candidates(
     matrix: BinaryMatrix,
     threshold,
@@ -156,17 +138,11 @@ def _local_candidates(
     n_workers: Optional[int],
     stats: PipelineStats,
     observer,
-    task_timeout: Optional[float] = None,
-    task_retries: int = 2,
-    ledger_dir: Optional[str] = None,
-    supervise: bool = True,
-    worker_faults=None,
-    storage=None,
     scan_engine: str = "serial",
     vector_block_rows: Optional[int] = None,
 ) -> Set[Tuple[int, int]]:
-    """Mine every partition (serially, supervised, or in a bare pool)
-    and union the locally-valid pairs.
+    """Mine every partition (in-process or on the spawn pool) and union
+    the locally-valid pairs.
 
     ``scan_engine="vector"`` runs serial when the whole matrix's
     policy has inexact int64 twins.  (A partition's counts never
@@ -198,79 +174,11 @@ def _local_candidates(
     if not jobs:  # empty matrix: nothing to mine, no pool to size
         return set()
     if n_workers is not None and n_workers > 1 and len(jobs) > 1:
-        if supervise:
-            from repro.runtime.supervisor import (
-                ShardLedger,
-                Supervisor,
-                Task,
-            )
-
-            tasks = [
-                Task(task_id=f"{kind}-part-{index:04d}", payload=job)
-                for index, job in enumerate(jobs)
-            ]
-            ledger = None
-            if ledger_dir is not None:
-                try:
-                    ledger = ShardLedger(
-                        ledger_dir,
-                        fingerprint={
-                            "kind": kind,
-                            "threshold": str(threshold),
-                            "partitions": len(jobs),
-                            "rows": matrix.n_rows,
-                            "columns": matrix.n_columns,
-                            "nnz": matrix.nnz,
-                        },
-                        observer=observer,
-                        storage=storage,
-                    )
-                except OSError as error:
-                    if not terminal_io_error(error):
-                        raise
-                    # The ledger directory is unusable (full/read-only);
-                    # mine without partition-level resume.
-                    stats.degradations.append("ledger-off")
-                    if observer is not None and observer.enabled:
-                        observer.on_io_error(io_error_kind(error))
-                        observer.on_degradation("ledger-off")
-                    warnings.warn(
-                        f"shard ledger disabled: {error}",
-                        RuntimeWarning,
-                        stacklevel=2,
-                    )
-            # Ship worker-side metrics/spans home only when someone is
-            # listening: a RunObserver (has a registry) that is enabled.
-            telemetry = (
-                observer is not None
-                and getattr(observer, "enabled", False)
-                and getattr(observer, "metrics", None) is not None
-            )
-            supervisor = Supervisor(
-                _mine_chunk,
-                n_workers=n_workers if n_workers is not None else 2,
-                task_timeout=task_timeout,
-                task_retries=task_retries,
-                validate=_valid_chunk_result,
-                ledger=ledger,
-                decode=_decode_chunk_result,
-                worker_faults=worker_faults,
-                observer=observer,
-                worker_telemetry=telemetry,
-            )
-            report = supervisor.run(tasks)
-            per_chunk = report.results(tasks)
-            stats.worker_restarts += report.worker_restarts
-            stats.task_retries += report.task_retries
-            stats.tasks_quarantined += report.tasks_quarantined
-            if report.ledger_disabled:
-                stats.degradations.append("ledger-off")
-        else:
-            import multiprocessing
-
-            context = multiprocessing.get_context("spawn")
-            with context.Pool(min(n_workers, len(jobs))) as pool:
-                per_chunk = pool.map(_mine_chunk, jobs)
+        with ProcessPoolExecutor(
+            min(n_workers, len(jobs)),
+            mp_context=multiprocessing.get_context("spawn"),
+        ) as pool:
+            per_chunk = list(pool.map(_mine_chunk, jobs))
     else:
         per_chunk = [_mine_chunk(job, observer=observer) for job in jobs]
 
@@ -289,12 +197,6 @@ def find_implication_rules_partitioned(
     n_workers: Optional[int] = None,
     stats: Optional[PipelineStats] = None,
     observer=None,
-    task_timeout: Optional[float] = None,
-    task_retries: int = 2,
-    ledger_dir: Optional[str] = None,
-    supervise: bool = True,
-    worker_faults=None,
-    storage=None,
     scan_engine: str = "serial",
     vector_block_rows: Optional[int] = None,
 ) -> RuleSet:
@@ -303,18 +205,11 @@ def find_implication_rules_partitioned(
     Produces exactly the rules of
     :func:`repro.core.dmc_imp.find_implication_rules`.  Per-partition
     candidate counts land on ``stats.partition_candidates``; with
-    ``n_workers > 1``
-    partitions are mined on supervised spawn workers
-    (:class:`repro.runtime.supervisor.Supervisor`): crashed or hung
-    workers are respawned, failed partitions retry ``task_retries``
-    times with backoff under ``task_timeout``-second hang detection,
-    poison partitions re-run serially in-process (never dropped), and
-    with ``ledger_dir`` a killed run resumes with only its unfinished
-    partitions.  ``supervise=False`` keeps the bare spawn-context pool
-    (no recovery).  ``observer`` sees a ``partition-mining`` and a
-    ``verify-candidates`` phase plus the supervisor's task events;
-    recovery counters land on ``stats.worker_restarts`` /
-    ``stats.task_retries`` / ``stats.tasks_quarantined``.
+    ``n_workers > 1`` partitions are mined on that many spawn
+    processes, and a worker death raises
+    :class:`~concurrent.futures.process.BrokenProcessPool`.
+    ``observer`` sees a ``partition-mining`` and a
+    ``verify-candidates`` phase.
 
     ``scan_engine="vector"`` mines each partition with the blocked
     numpy engine (:mod:`repro.core.vector`) instead of the serial scan,
@@ -335,9 +230,6 @@ def find_implication_rules_partitioned(
         candidates = _local_candidates(
             matrix, minconf, n_partitions, "implication", n_workers,
             stats, observer,
-            task_timeout=task_timeout, task_retries=task_retries,
-            ledger_dir=ledger_dir, supervise=supervise,
-            worker_faults=worker_faults, storage=storage,
             scan_engine=scan_engine, vector_block_rows=vector_block_rows,
         )
 
@@ -375,22 +267,14 @@ def find_similarity_rules_partitioned(
     n_workers: Optional[int] = None,
     stats: Optional[PipelineStats] = None,
     observer=None,
-    task_timeout: Optional[float] = None,
-    task_retries: int = 2,
-    ledger_dir: Optional[str] = None,
-    supervise: bool = True,
-    worker_faults=None,
-    storage=None,
     scan_engine: str = "serial",
     vector_block_rows: Optional[int] = None,
 ) -> RuleSet:
     """Mine similarity rules by partitioned candidate generation.
 
     Produces exactly the rules of
-    :func:`repro.core.dmc_sim.find_similarity_rules`.  ``stats``,
-    ``observer``, ``scan_engine`` and the supervised-runtime knobs
-    (``task_timeout`` / ``task_retries`` / ``ledger_dir`` /
-    ``supervise``) behave as in
+    :func:`repro.core.dmc_sim.find_similarity_rules`.  ``n_workers``,
+    ``stats``, ``observer`` and ``scan_engine`` behave as in
     :func:`find_implication_rules_partitioned`.
     """
     minsim = as_fraction(minsim)
@@ -406,9 +290,6 @@ def find_similarity_rules_partitioned(
         candidates = _local_candidates(
             matrix, minsim, n_partitions, "similarity", n_workers,
             stats, observer,
-            task_timeout=task_timeout, task_retries=task_retries,
-            ledger_dir=ledger_dir, supervise=supervise,
-            worker_faults=worker_faults, storage=storage,
             scan_engine=scan_engine, vector_block_rows=vector_block_rows,
         )
 

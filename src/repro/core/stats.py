@@ -316,14 +316,8 @@ class PipelineStats:
     #: New candidate pairs contributed by each partition (partitioned
     #: mining only).
     partition_candidates: List[int] = field(default_factory=list)
-    #: Dead or hung workers the supervised runtime replaced.
-    worker_restarts: int = 0
-    #: Supervised task attempts that failed and were retried.
-    task_retries: int = 0
-    #: Tasks that exhausted their retries and re-ran serially in-process.
-    tasks_quarantined: int = 0
     #: Degradations taken when storage faulted, in order — e.g.
-    #: ``"spill-to-memory"``, ``"checkpoint-off"``, ``"ledger-off"``.
+    #: ``"spill-to-memory"``, ``"checkpoint-off"``, ``"journal-off"``.
     #: Empty for a clean run.
     degradations: List[str] = field(default_factory=list)
 
@@ -375,9 +369,6 @@ class PipelineStats:
             "engine": self.engine,
             "vector_block_rows": self.vector_block_rows,
             "partition_candidates": list(self.partition_candidates),
-            "worker_restarts": self.worker_restarts,
-            "task_retries": self.task_retries,
-            "tasks_quarantined": self.tasks_quarantined,
             "degradations": list(self.degradations),
         }
 
@@ -401,8 +392,5 @@ class PipelineStats:
             partition_candidates=list(
                 record.get("partition_candidates", [])
             ),
-            worker_restarts=record.get("worker_restarts", 0),
-            task_retries=record.get("task_retries", 0),
-            tasks_quarantined=record.get("tasks_quarantined", 0),
             degradations=list(record.get("degradations", [])),
         )

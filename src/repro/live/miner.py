@@ -436,17 +436,21 @@ class LiveMiner:
         self._rules = self._emit_rules()
         self.applied_seq = seq
         diff = diff_rules(before, self._rules)
+        # One label table per batch, and none for a batch without churn.
+        vocabulary = (
+            self.vocabulary() if diff.added or diff.removed else None
+        )
         for entry in diff.entries():
             if entry.kind == "added":
                 self._journal(
                     "rule-appear", seq=seq, pair=list(entry.pair),
-                    rule=entry.after.format(self.vocabulary()),
+                    rule=entry.after.format(vocabulary),
                     recovered=recovered,
                 )
             elif entry.kind == "removed":
                 self._journal(
                     "rule-disappear", seq=seq, pair=list(entry.pair),
-                    rule=entry.before.format(self.vocabulary()),
+                    rule=entry.before.format(vocabulary),
                     recovered=recovered,
                 )
         self._journal(

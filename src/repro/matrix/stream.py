@@ -73,6 +73,7 @@ from repro.runtime.checkpoint import (
 from repro.runtime.guards import (
     ensure_disk_space,
     estimate_spill_bytes,
+    graceful_interrupts,
     retry_io,
 )
 from repro.runtime.storage import (
@@ -81,7 +82,6 @@ from repro.runtime.storage import (
     io_error_kind,
     terminal_io_error,
 )
-from repro.runtime.supervisor import graceful_interrupts
 from repro.runtime.validation import RowValidator
 
 
@@ -574,7 +574,7 @@ def _stream_rules(
     buckets *are* the Section 4.1 reordering, so ``row_reordering`` has
     no effect here).
 
-    Runs under :func:`repro.runtime.supervisor.graceful_interrupts`:
+    Runs under :func:`repro.runtime.guards.graceful_interrupts`:
     SIGTERM unwinds like Ctrl-C, so the spill buckets close and the
     pass-1 checkpoint (written *before* pass 2 starts) survives for
     the next run to resume from.

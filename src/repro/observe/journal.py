@@ -2,9 +2,8 @@
 
 Metrics answer "how much"; the journal answers "what happened, in what
 order".  Every notable state change of a run — phase transitions, the
-bitmap switch, guard trips, degradations, supervised-task retries and
-quarantines, checkpoints, rule-emission milestones, pruning-curve
-samples — is appended as one JSON object per line:
+bitmap switch, guard trips, degradations, checkpoints, rule-emission
+milestones, pruning-curve samples — is appended as one JSON object per line:
 
     {"run_id": "...", "seq": 17, "ts": 1722950000.1,
      "event": "bitmap-switch", "scan": "partial", "position": 96}
@@ -47,9 +46,6 @@ KNOWN_EVENTS = (
     "bitmap-switch",
     "guard-trip",
     "degradation",
-    "task-retry",
-    "task-quarantined",
-    "worker-restart",
     "checkpoint",
     "rules-milestone",
     "curve-sample",
@@ -73,8 +69,8 @@ RULES_MILESTONE_EVERY = 100
 class RunJournal:
     """Append-only JSONL journal for one mining run.
 
-    Thread-safe: the supervisor heartbeat thread, worker-merge path and
-    engine main thread may all emit concurrently.  ``fsync_every=0``
+    Thread-safe: the engine main thread, a live miner and the HTTP
+    access log may all emit concurrently.  ``fsync_every=0``
     (or 1) fsyncs on every event — slow, maximally durable.  The
     default batches: a count-triggered fsync additionally waits out
     ``fsync_min_interval`` seconds since the last one, so a hot scan
@@ -427,10 +423,7 @@ def summarize_journal(path: str, storage=None) -> Dict[str, object]:
                 row["max_seconds"] = max(
                     row["max_seconds"], float(seconds)
                 )
-        elif event in (
-            "bitmap-switch", "guard-trip", "degradation", "task-retry",
-            "task-quarantined", "worker-restart",
-        ):
+        elif event in ("bitmap-switch", "guard-trip", "degradation"):
             incidents.append(record)
         elif event == "curve-sample":
             scan = record.get("scan", "")

@@ -31,8 +31,6 @@ class LiveRunStatus:
         self.finished: bool = False
         self.failed: Optional[str] = None
         self._lock = threading.Lock()
-        #: worker id -> seconds since last heartbeat at the last sweep.
-        self._worker_heartbeats: Dict[str, float] = {}
         self._rate_window_rows = 0
         self._rate_window_start = self.started_monotonic
         self._rows_per_second = 0.0
@@ -58,10 +56,6 @@ class LiveRunStatus:
                 self._rate_window_rows = rows_scanned
                 self._rate_window_start = now
 
-    def set_worker_heartbeats(self, heartbeats: Dict[str, float]) -> None:
-        with self._lock:
-            self._worker_heartbeats = dict(heartbeats)
-
     def set_live(self, **fields: object) -> None:
         """Merge continuous-mining fields into the status (shown as
         the ``live`` object of the ``/runs/<id>`` body)."""
@@ -77,10 +71,6 @@ class LiveRunStatus:
     def rows_per_second(self) -> float:
         with self._lock:
             return self._rows_per_second
-
-    def worker_heartbeats(self) -> Dict[str, float]:
-        with self._lock:
-            return dict(self._worker_heartbeats)
 
     def live_fields(self) -> Dict[str, object]:
         with self._lock:
@@ -99,7 +89,6 @@ class LiveRunStatus:
             "live_candidates": self.live_candidates,
             "rules_emitted": self.rules_emitted,
             "rows_per_second": self.rows_per_second(),
-            "workers": self.worker_heartbeats(),
             "finished": self.finished,
             "failed": self.failed,
         }

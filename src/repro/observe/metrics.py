@@ -346,21 +346,6 @@ class MetricsRegistry:
                 "New candidate pairs contributed by each partition.",
                 partition=str(index),
             ).set(fresh)
-        if stats.partition_candidates:
-            # Supervised-runtime recovery counters (partitioned runs).
-            self.counter(
-                f"{p}_worker_restarts_total",
-                "Dead or hung workers replaced by the supervisor.",
-            ).inc(stats.worker_restarts)
-            self.counter(
-                f"{p}_task_retries_total",
-                "Supervised task attempts that failed and were retried.",
-            ).inc(stats.task_retries)
-            self.counter(
-                f"{p}_tasks_quarantined_total",
-                "Tasks that exhausted their retries and re-ran serially "
-                "in-process.",
-            ).inc(stats.tasks_quarantined)
 
     def record_guard(self, guard) -> None:
         """Fold a :class:`repro.runtime.guards.MemoryGuard`'s state."""

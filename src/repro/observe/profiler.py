@@ -10,7 +10,7 @@ Gregg's ``flamegraph.pl`` and of speedscope's "folded" importer.
 
 Sampling from a sibling thread (rather than a ``signal.setitimer``
 handler) keeps the profiler usable off the main thread — scheduler
-slots, supervised workers — and means a sample can never interrupt a
+slots, service threads — and means a sample can never interrupt a
 bytecode at an unsafe point: ``sys._current_frames`` returns a
 consistent snapshot.  The profiled code pays nothing per line; total
 cost is one stack walk per sample in the sampler thread.

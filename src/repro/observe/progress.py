@@ -102,25 +102,7 @@ class ProgressObserver:
     def on_degradation(self, path: str) -> None:
         """A storage fault forced a degradation: ``path`` names the
         ladder step taken (``"spill-to-memory"``, ``"checkpoint-off"``,
-        ``"ledger-off"``, ...).  Rules stay exact on every step."""
-
-    def on_task_done(
-        self,
-        task_id: str,
-        seconds: float,
-        attempt: int,
-        quarantined: bool = False,
-    ) -> None:
-        """A supervised task completed (possibly via quarantine)."""
-
-    def on_task_retry(self, task_id: str, reason: str) -> None:
-        """A supervised task failed and will be retried after backoff."""
-
-    def on_worker_restart(self, worker_id: int, reason: str) -> None:
-        """A dead or hung worker was replaced with a fresh process."""
-
-    def on_task_quarantined(self, task_id: str) -> None:
-        """A task exhausted its retries and awaits a serial re-run."""
+        ``"journal-off"``, ...).  Rules stay exact on every step."""
 
     def on_curve_sample(
         self,
@@ -131,20 +113,6 @@ class ProgressObserver:
         scan: str = "",
     ) -> None:
         """A pruning-curve point was sampled (every N rows + scan end)."""
-
-    def on_worker_telemetry(self, payload: dict, final: bool = False) -> None:
-        """A supervised worker shipped a telemetry delta.
-
-        ``payload`` carries ``task_id``/``attempt``/``worker_id`` plus a
-        serialized metrics document (and, when ``final`` is True, the
-        worker's spans for the finished attempt).  Non-final payloads
-        are periodic flushes of an attempt still in flight — they must
-        only feed *live* views (gauges), never exact counters, because
-        the attempt may yet fail and be retried.
-        """
-
-    def on_worker_heartbeats(self, heartbeats: dict) -> None:
-        """Supervisor liveness sweep: ``worker_id -> seconds since beat``."""
 
 
 class NullObserver(ProgressObserver):
@@ -254,25 +222,4 @@ class ConsoleProgress(ProgressObserver):
         self._emit(
             f"[repro] storage fault: degrading via {path} "
             "(rules stay exact)"
-        )
-
-    def on_task_done(
-        self,
-        task_id: str,
-        seconds: float,
-        attempt: int,
-        quarantined: bool = False,
-    ) -> None:
-        how = "quarantine re-run" if quarantined else f"attempt {attempt}"
-        self._emit(f"[repro] task {task_id} done in {seconds:.3f}s ({how})")
-
-    def on_task_retry(self, task_id: str, reason: str) -> None:
-        self._emit(f"[repro] retrying task {task_id}: {reason}")
-
-    def on_worker_restart(self, worker_id: int, reason: str) -> None:
-        self._emit(f"[repro] restarted worker {worker_id}: {reason}")
-
-    def on_task_quarantined(self, task_id: str) -> None:
-        self._emit(
-            f"[repro] task {task_id} quarantined; will re-run serially"
         )

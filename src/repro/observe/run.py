@@ -33,15 +33,10 @@ from repro.observe.progress import (
     NULL_OBSERVER,
     ProgressObserver,
 )
-from repro.observe.tracer import Span, Tracer
+from repro.observe.tracer import Tracer
 
 #: Number of scan-position bands for the candidates-alive gauges.
 DEFAULT_BANDS = 10
-
-#: Latency buckets for the supervised-task histogram (seconds).
-TASK_SECONDS_BUCKETS = (
-    0.001, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 30.0, 120.0, 600.0,
-)
 
 #: Span names that mark a checkpoint touch (journaled as events).
 _CHECKPOINT_SPANS = frozenset({"checkpoint-save", "checkpoint-load"})
@@ -188,9 +183,9 @@ class RunObserver(ProgressObserver):
 
         Idempotent and thread-safe: gauges get last-value/peak
         semantics, so re-flushing the same state is harmless.  Called
-        at curve-sample cadence, on phase boundaries, at finish(), and
-        by the supervisor's worker before serializing telemetry — the
-        live ``/metrics`` view is therefore at most one sample stale.
+        at curve-sample cadence, on phase boundaries and at finish() —
+        the live ``/metrics`` view is therefore at most one sample
+        stale.
         """
         with self._flush_lock:
             rows_seen = self._rows_seen
@@ -202,8 +197,8 @@ class RunObserver(ProgressObserver):
                 band_peaks = list(self._band_peaks.items())
             except RuntimeError:
                 # The engine inserted a new scan/band key mid-snapshot
-                # (worker flusher racing the hot loop); the next flush
-                # will pick the state up.
+                # (a scrape racing the hot loop); the next flush will
+                # pick the state up.
                 return
         flushed = self._flushed
         for scan, entries in entries_by_scan:
@@ -298,53 +293,6 @@ class RunObserver(ProgressObserver):
             self.progress.on_degradation(path)
 
     # ------------------------------------------------------------------
-    # Supervised-runtime hooks (repro.runtime.supervisor)
-    # ------------------------------------------------------------------
-
-    def on_task_done(
-        self,
-        task_id: str,
-        seconds: float,
-        attempt: int,
-        quarantined: bool = False,
-    ) -> None:
-        self.metrics.histogram(
-            f"{self.metrics.prefix}_task_seconds",
-            "Per-task wall-clock latency under the supervised runtime.",
-            buckets=TASK_SECONDS_BUCKETS,
-        ).observe(seconds)
-        self.metrics.counter(
-            f"{self.metrics.prefix}_tasks_completed_total",
-            "Supervised tasks completed, by path.",
-            path="quarantine" if quarantined else "pool",
-        ).inc()
-        if self.progress.enabled:
-            self.progress.on_task_done(task_id, seconds, attempt, quarantined)
-
-    def on_task_retry(self, task_id: str, reason: str) -> None:
-        # The retry/restart/quarantine *counters* are folded from the
-        # run's PipelineStats in finish() so they exist (at zero) for
-        # every supervised run; here we only forward the live event.
-        if self.journal is not None:
-            self.journal.emit("task-retry", task_id=task_id, reason=reason)
-        if self.progress.enabled:
-            self.progress.on_task_retry(task_id, reason)
-
-    def on_worker_restart(self, worker_id: int, reason: str) -> None:
-        if self.journal is not None:
-            self.journal.emit(
-                "worker-restart", worker_id=worker_id, reason=reason
-            )
-        if self.progress.enabled:
-            self.progress.on_worker_restart(worker_id, reason)
-
-    def on_task_quarantined(self, task_id: str) -> None:
-        if self.journal is not None:
-            self.journal.emit("task-quarantined", task_id=task_id)
-        if self.progress.enabled:
-            self.progress.on_task_quarantined(task_id)
-
-    # ------------------------------------------------------------------
     # Live telemetry hooks
     # ------------------------------------------------------------------
 
@@ -391,76 +339,6 @@ class RunObserver(ProgressObserver):
                 rows_scanned, live_candidates, cumulative_misses,
                 rules_emitted, scan,
             )
-
-    def on_worker_telemetry(self, payload: dict, final: bool = False) -> None:
-        """Merge a worker-shipped telemetry delta into this observer.
-
-        Non-final payloads are in-flight flushes: only gauges are
-        merged (high-water semantics make re-merging safe), because
-        the attempt may still fail and its counter deltas must never
-        land.  Final payloads — forwarded by the supervisor only for
-        *accepted* attempts — merge counters and histograms too, and
-        re-parent the worker's span tree under a ``task`` span tagged
-        with the task, attempt and worker ids.
-
-        A final payload carrying ``failed: True`` is a *rejected*
-        attempt's telemetry (corrupt result, validation failure, stale
-        double): its span tree still joins the trace — tagged
-        ``failed`` with the rejection reason, so a retry storm is
-        visible span by span — but none of its metrics merge, which is
-        what keeps the aggregated totals equal to a clean run's.
-        """
-        failed = bool(payload.get("failed"))
-        metrics_document = payload.get("metrics")
-        if metrics_document and not failed:
-            if final:
-                self.metrics.merge_document(metrics_document)
-            else:
-                self.metrics.merge_document(
-                    metrics_document, kinds={"gauge"}
-                )
-        if final:
-            children = [
-                Span.from_dict(record)
-                for record in payload.get("spans") or []
-            ]
-            worker_id = str(payload.get("worker_id", "?"))
-            attributes = {
-                "task_id": payload.get("task_id"),
-                "attempt": payload.get("attempt"),
-                "worker_id": worker_id,
-            }
-            if failed:
-                attributes["failed"] = True
-                if payload.get("failed_reason"):
-                    attributes["failed_reason"] = str(
-                        payload["failed_reason"]
-                    )
-            task_span = Span(
-                name="task",
-                start_seconds=0.0,
-                seconds=payload.get(
-                    "seconds", sum(child.seconds for child in children)
-                ),
-                attributes=attributes,
-                children=children,
-            )
-            for child in children:
-                child.annotate_tree(worker_id=worker_id)
-                if failed:
-                    child.annotate_tree(failed=True)
-            self.tracer.attach(task_span)
-        if self.progress.enabled:
-            self.progress.on_worker_telemetry(payload, final)
-
-    def on_worker_heartbeats(self, heartbeats: dict) -> None:
-        """Supervisor liveness sweep (worker id -> heartbeat age)."""
-        if self.status is not None:
-            self.status.set_worker_heartbeats(
-                {str(worker): age for worker, age in heartbeats.items()}
-            )
-        if self.progress.enabled:
-            self.progress.on_worker_heartbeats(heartbeats)
 
     # ------------------------------------------------------------------
     # End of run

@@ -6,8 +6,8 @@ daemon thread and serves three routes:
 - ``/metrics`` — the registry in the Prometheus text exposition
   format, with the format's versioned ``Content-Type``, scrapeable by
   a stock Prometheus;
-- ``/healthz`` — a small JSON liveness document (run phase, rows/sec,
-  worker-heartbeat ages) with a 200/503 status split on run failure;
+- ``/healthz`` — a small JSON liveness document (run phase, rows/sec)
+  with a 200/503 status split on run failure;
 - ``/runs/<run_id>`` — the full JSON snapshot of the identified run
   (404 for an unknown id).
 
@@ -23,7 +23,7 @@ ephemeral port, exposed as :attr:`port`), so tests and scripts can
 scrape immediately.  :meth:`close` shuts the listener down and joins
 the thread; the object is also a context manager, and `repro.mine`
 closes it on run completion and on SIGTERM via
-:func:`repro.runtime.supervisor.graceful_interrupts`.
+:func:`repro.runtime.guards.graceful_interrupts`.
 
 All request routing funnels through :meth:`MetricsServer.
 handle_request` — subclasses (the job API of :class:`repro.service.
@@ -47,9 +47,6 @@ from repro.observe.metrics import MetricsRegistry
 
 #: The Prometheus text exposition format's content type.
 PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
-
-#: Heartbeat age (seconds) past which ``/healthz`` flags a worker.
-WORKER_STALE_SECONDS = 10.0
 
 #: Bucket bounds (seconds) for the HTTP request-duration histogram.
 REQUEST_SECONDS_BUCKETS = (
@@ -365,12 +362,6 @@ class MetricsServer:
         status = self.status
         if status is None:
             return 200, {"status": "ok", "run": None}
-        heartbeats = status.worker_heartbeats()
-        stale = [
-            worker
-            for worker, age in heartbeats.items()
-            if age > WORKER_STALE_SECONDS
-        ]
         document = {
             "status": "failed" if status.failed else "ok",
             "run_id": status.run_id,
@@ -378,8 +369,6 @@ class MetricsServer:
             "finished": status.finished,
             "rows_scanned": status.rows_scanned,
             "rows_per_second": status.rows_per_second(),
-            "workers": heartbeats,
-            "stale_workers": stale,
         }
         return (503 if status.failed else 200), document
 

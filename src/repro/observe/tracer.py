@@ -55,11 +55,7 @@ class Span:
 
     @classmethod
     def from_dict(cls, record: Dict[str, Any]) -> "Span":
-        """Rebuild a span subtree written by :meth:`to_dict`.
-
-        Used to re-parent worker-process spans (shipped as JSON over
-        the result pipe) into the parent tracer's tree.
-        """
+        """Rebuild a span subtree written by :meth:`to_dict`."""
         return cls(
             name=record.get("name", ""),
             start_seconds=record.get("start_seconds", 0.0),
@@ -70,12 +66,6 @@ class Span:
                 for child in record.get("children", [])
             ],
         )
-
-    def annotate_tree(self, **attributes: Any) -> None:
-        """Set ``attributes`` on this span and every descendant."""
-        self.attributes.update(attributes)
-        for child in self.children:
-            child.annotate_tree(**attributes)
 
 
 class Tracer:
@@ -132,8 +122,8 @@ class Tracer:
         """Graft an already-finished span under the current position.
 
         The span becomes a child of the innermost open span, or a
-        top-level span when none is open — how worker-side span trees
-        are re-parented under the dispatching task's span.
+        top-level span when none is open — how a span tree recorded
+        elsewhere (another thread or process) joins this trace.
         """
         if self._stack:
             self._stack[-1].children.append(span)

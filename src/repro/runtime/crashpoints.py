@@ -1,7 +1,7 @@
 """ALICE-style crash-point enumeration over the storage layer.
 
-The recovery tests of PR 1/PR 3 crash a run at a handful of hand-picked
-moments (mid-pass-2, mid-ledger-write).  That style misses the crash
+Hand-written recovery tests crash a run at a handful of hand-picked
+moments (mid-pass-2, mid-checkpoint-write).  That style misses the crash
 windows nobody thought of — the instant *between* ``os.replace`` and
 the directory fsync, the moment after a bucket is opened but before the
 manifest exists.  This module brute-forces the schedule instead, in the
@@ -20,14 +20,14 @@ workload's storage schedule is *enumerable* —
    crash left behind, and check its result against the expected one.
 
 The paper's exactness guarantee must hold at *every* ``k``: a resume
-from a half-written checkpoint or ledger may redo work, but may never
+from a half-written checkpoint or job record may redo work, but may never
 change the mined rules.  :func:`enumerate_crash_points` returns a
 :class:`CrashPointReport` whose :attr:`~CrashPointReport.failures`
 list the tests assert empty.
 
 The harness knows nothing about mining — ``run`` is any
 ``storage -> result`` callable.  The tests compose it with the
-streaming-checkpoint pipeline and the supervised shard-ledger runtime.
+streaming-checkpoint pipeline and the job service's durable index.
 """
 
 from __future__ import annotations

@@ -17,17 +17,7 @@ Injection sites wired into the pipeline:
 - ``"spill.open"`` — each attempt to open a spill-bucket file for
   reading (inside the :func:`repro.runtime.guards.retry_io` loop, so a
   transient fault here exercises the backoff path);
-- ``"checkpoint.save"`` — each attempt to write a checkpoint manifest;
-- ``"ledger.save"`` — each attempt to write a supervisor shard-ledger
-  manifest (:class:`repro.runtime.supervisor.ShardLedger`).
-
-Spawned worker processes do **not** inherit the installed plan, so the
-parallel runtime has its own explicitly-shipped harness: a
-:class:`WorkerFaultPlan` of :class:`WorkerFault` entries is passed to
-:class:`repro.runtime.supervisor.Supervisor`, travels to every worker
-by pickling, and fires *inside* the worker — a hard ``os._exit`` crash,
-an infinite hang, or a corrupted result — keyed by task id and attempt
-number so recovery (retry, respawn, quarantine) is deterministic.
+- ``"checkpoint.save"`` — each attempt to write a checkpoint manifest.
 
 Example::
 
@@ -99,59 +89,6 @@ class FaultPlan:
             if fault.site == site and fault.covers(index):
                 self.fired[site] = self.fired.get(site, 0) + 1
                 fault.raise_(index)
-
-
-#: The fault modes a worker can act out (see ``_worker_loop``).
-WORKER_FAULT_MODES = ("crash", "hang", "corrupt")
-
-
-@dataclass(frozen=True)
-class WorkerFault:
-    """One scheduled worker-side failure.
-
-    ``mode`` is ``"crash"`` (hard ``os._exit``, no traceback),
-    ``"hang"`` (the worker holds the task forever) or ``"corrupt"``
-    (the task completes but its result is mangled).  ``task_id=None``
-    matches every task; ``attempts`` is how many attempts of a matching
-    task fail (so ``attempts=1`` fails once and lets the retry
-    succeed, while a large value forces quarantine).
-    """
-
-    mode: str
-    task_id: Optional[str] = None
-    attempts: int = 1
-
-    def __post_init__(self) -> None:
-        if self.mode not in WORKER_FAULT_MODES:
-            raise ValueError(
-                f"unknown worker fault mode {self.mode!r}; expected one "
-                f"of {WORKER_FAULT_MODES}"
-            )
-
-    def matches(self, task_id: str, attempt: int) -> bool:
-        """True when this attempt of ``task_id`` should fail."""
-        return (
-            self.task_id is None or self.task_id == task_id
-        ) and attempt <= self.attempts
-
-
-@dataclass(frozen=True)
-class WorkerFaultPlan:
-    """A picklable schedule of worker-side faults.
-
-    Unlike :class:`FaultPlan` (installed process-globally), this plan
-    is shipped to each spawned worker explicitly and consulted once per
-    task execution; the first matching fault wins.
-    """
-
-    faults: tuple = ()
-
-    def match(self, task_id: str, attempt: int) -> Optional[str]:
-        """The fault mode for this attempt, or ``None``."""
-        for fault in self.faults:
-            if fault.matches(task_id, attempt):
-                return fault.mode
-        return None
 
 
 #: The currently-installed plan (None = fault injection disabled).

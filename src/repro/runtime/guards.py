@@ -11,12 +11,11 @@ Three failure modes threaten a long scan in production:
   ``ENOSPC`` just burns the backoff budget before dying anyway.
 
 :class:`MemoryGuard` watches the candidate array's modelled bytes on
-every row of a scan and reacts when a hard budget is exceeded: either
-force the DMC-bitmap tail immediately (``action="bitmap"`` — graceful
-degradation, exactness preserved because the tail is position
-independent) or raise :class:`MemoryBudgetExceeded`
-(``action="raise"``) so the caller can fall back to the partitioned
-algorithm.  :func:`mine_with_memory_budget` packages the fallback.
+every row of a scan and, when a hard budget is exceeded, forces the
+DMC-bitmap tail immediately — the paper's own answer to memory
+pressure (Algorithm 4.1), exact because the tail is position
+independent.  ``repro.mine(..., memory_budget=N)`` runs its scan under
+one.
 
 :func:`retry_io` retries a transient-failure-prone operation with
 exponential backoff — but classifies errnos first: ``ENOSPC`` /
@@ -27,13 +26,20 @@ while ``EIO`` / ``EAGAIN`` / other ``OSError``\\ s stay retryable.
 :func:`ensure_disk_space` is the preflight half of the same idea: check
 ``disk_usage`` against the estimated spill footprint *before* pass 1,
 so a run that cannot fit degrades early instead of dying mid-pass.
+
+:func:`graceful_interrupts` turns SIGTERM into ``KeyboardInterrupt``
+so a terminated run unwinds through the same ``finally`` blocks
+(checkpoint flush, journal fsync) as an interrupted one.
 """
 
 from __future__ import annotations
 
 import os
+import signal
+import threading
 import time
-from typing import Callable, Optional, Tuple
+from contextlib import contextmanager
+from typing import Callable, Iterator, Optional, Tuple
 
 from repro.runtime.storage import (
     LOCAL_STORAGE,
@@ -51,16 +57,12 @@ TRANSIENT_ERRORS = (OSError,)
 DISK_HEADROOM = 1.25
 
 
-class MemoryBudgetExceeded(MemoryError):
-    """The counter array grew past a :class:`MemoryGuard`'s hard budget."""
-
-
 def backoff_delay(attempt: int, base_delay: float) -> float:
     """The exponential-backoff sleep before retry ``attempt`` (0-based).
 
     One schedule shared by every retry loop in the runtime —
     :func:`retry_io` for spill/checkpoint I/O and the job scheduler of
-    :mod:`repro.service` for worker-pool failures — so their latency
+    :mod:`repro.service` for transient run failures — so their latency
     behavior is documented in one place: ``base_delay * 2**attempt``.
     """
     return base_delay * (2 ** attempt)
@@ -73,27 +75,19 @@ class MemoryGuard:
     ----------
     budget_bytes:
         Hard budget on :meth:`repro.core.candidates.CandidateArray.
-        memory_bytes`.
-    action:
-        ``"bitmap"`` — ask the scan to hand over to the DMC-bitmap tail
-        at the current row (the scan finishes within the tail's packed
-        representation instead of growing further);
-        ``"raise"`` — raise :class:`MemoryBudgetExceeded`.
+        memory_bytes`.  Past it, the scan hands over to the DMC-bitmap
+        tail at the current row and finishes within the tail's packed
+        representation instead of growing further.
 
     The same instance may guard several scans of one pipeline; it
     records the high-water mark it observed, the row index of the first
     trip and the total number of trips.
     """
 
-    def __init__(self, budget_bytes: int, action: str = "bitmap") -> None:
-        if action not in ("bitmap", "raise"):
-            raise ValueError(
-                f"unknown guard action {action!r}; use 'bitmap' or 'raise'"
-            )
+    def __init__(self, budget_bytes: int) -> None:
         if budget_bytes <= 0:
             raise ValueError("budget_bytes must be positive")
         self.budget_bytes = budget_bytes
-        self.action = action
         self.high_water_bytes = 0
         self.tripped_at: Optional[int] = None
         self.trips = 0
@@ -107,8 +101,7 @@ class MemoryGuard:
     def tripping(self, memory_bytes: int, position: int) -> Optional[str]:
         """Check the budget at a row boundary.
 
-        Returns ``None`` (within budget) or ``"bitmap"`` (degrade now);
-        raises :class:`MemoryBudgetExceeded` when ``action="raise"``.
+        Returns ``None`` (within budget) or ``"bitmap"`` (degrade now).
         """
         self.observe(memory_bytes)
         if memory_bytes <= self.budget_bytes:
@@ -116,17 +109,11 @@ class MemoryGuard:
         self.trips += 1
         if self.tripped_at is None:
             self.tripped_at = position
-        if self.action == "raise":
-            raise MemoryBudgetExceeded(
-                f"counter array at {memory_bytes} bytes exceeds the "
-                f"{self.budget_bytes}-byte budget at scan row {position}"
-            )
         return "bitmap"
 
     def __repr__(self) -> str:
         return (
-            f"MemoryGuard(budget={self.budget_bytes}, "
-            f"action={self.action!r}, trips={self.trips})"
+            f"MemoryGuard(budget={self.budget_bytes}, trips={self.trips})"
         )
 
 
@@ -216,8 +203,8 @@ def ensure_disk_space(
 
     Checks the filesystem's free bytes against ``required_bytes *
     headroom`` and raises :class:`~repro.runtime.storage.StorageFull`
-    when they do not fit — the caller degrades to an in-memory or
-    partitioned engine before pass 1 writes a single bucket, instead of
+    when they do not fit — the caller degrades to the in-memory engine
+    before pass 1 writes a single bucket, instead of
     dying (or degrading with work wasted) mid-pass.  ``required_bytes=
     None`` (unknown footprint) passes trivially.  Returns the free
     bytes observed.
@@ -243,100 +230,31 @@ def ensure_disk_space(
     return free
 
 
-def mine_with_memory_budget(
-    matrix,
-    threshold,
-    kind: str = "implication",
-    budget_bytes: int = 50 * 2 ** 20,
-    n_partitions: int = 4,
-    n_workers: Optional[int] = None,
-    task_timeout: Optional[float] = None,
-    task_retries: int = 2,
-    ledger_dir: Optional[str] = None,
-    storage=None,
-    stats=None,
-    observer=None,
-    options=None,
-):
-    """Mine with a hard memory budget, degrading to partitioned mining.
+@contextmanager
+def graceful_interrupts() -> Iterator[None]:
+    """Convert SIGTERM into :class:`KeyboardInterrupt` while active.
 
-    Runs the standard DMC pipeline under a ``action="raise"``
-    :class:`MemoryGuard`; if the counter array would exceed
-    ``budget_bytes``, the run is abandoned and redone with the
-    divide-and-conquer algorithm of :mod:`repro.core.partitioned`,
-    whose working set is bounded by the partition size.  Both paths
-    produce the exact rule set.
-
-    ``stats`` (a :class:`repro.core.stats.PipelineStats`) and
-    ``observer`` (a :class:`repro.observe.ProgressObserver`) follow
-    whichever engine actually completes; on fallback the stats are
-    reset so they describe the partitioned run only, and the observer
-    records the attempt as a ``dmc-attempt`` span alongside the
-    fallback's phases.  ``task_timeout`` / ``task_retries`` /
-    ``ledger_dir`` tune the supervised runtime of the fallback (see
-    :func:`repro.core.partitioned.find_implication_rules_partitioned`).
-    ``options`` (a :class:`~repro.core.dmc_imp.PruningOptions`) seeds
-    the DMC attempt — its ``memory_guard`` is replaced by this budget's
-    guard, and its ``scan_engine`` / ``vector_block_rows`` carry over
-    to the partitioned fallback.
-
-    Returns ``(rules, engine)`` where ``engine`` is ``"dmc"`` or
-    ``"partitioned"``.
+    A terminated run then unwinds through the same ``finally`` blocks
+    an interrupted one does — flushing checkpoints and journals instead
+    of dying with them torn.  No-op off the main thread or where
+    ``SIGTERM`` does not exist.
     """
-    from dataclasses import replace
-
-    from repro.core.dmc_imp import PruningOptions, find_implication_rules
-    from repro.core.dmc_sim import find_similarity_rules
-    from repro.core.partitioned import (
-        find_implication_rules_partitioned,
-        find_similarity_rules_partitioned,
-    )
-    from repro.core.stats import PipelineStats
-    from repro.observe.progress import NULL_OBSERVER
-
-    if kind not in ("implication", "similarity"):
-        raise ValueError(f"unknown rule kind {kind!r}")
-    if observer is None:
-        observer = NULL_OBSERVER
-    guard = MemoryGuard(budget_bytes, action="raise")
-    if options is None:
-        options = PruningOptions()
-    options = replace(options, memory_guard=guard)
-    attempt_stats = stats if stats is not None else PipelineStats()
-    try:
-        with observer.span("dmc-attempt", budget_bytes=budget_bytes):
-            if kind == "implication":
-                rules = find_implication_rules(
-                    matrix, threshold, options=options,
-                    stats=attempt_stats, observer=observer,
-                )
-            else:
-                rules = find_similarity_rules(
-                    matrix, threshold, options=options,
-                    stats=attempt_stats, observer=observer,
-                )
-        return rules, "dmc"
-    except MemoryBudgetExceeded:
-        pass
-    if stats is not None:
-        # The aborted attempt's numbers would double-count; report the
-        # partitioned run only (the guard keeps the attempt's high water).
-        stats.__init__()
-    with observer.span(
-        "partitioned-fallback", budget_exceeded=True,
-        tripped_at=guard.tripped_at,
+    if (
+        threading.current_thread() is not threading.main_thread()
+        or not hasattr(signal, "SIGTERM")
     ):
-        partitioner = (
-            find_implication_rules_partitioned
-            if kind == "implication"
-            else find_similarity_rules_partitioned
-        )
-        rules = partitioner(
-            matrix, threshold, n_partitions=n_partitions,
-            n_workers=n_workers, task_timeout=task_timeout,
-            task_retries=task_retries, ledger_dir=ledger_dir,
-            storage=storage, stats=stats, observer=observer,
-            scan_engine=options.scan_engine,
-            vector_block_rows=options.vector_block_rows,
-        )
-    return rules, "partitioned"
+        yield
+        return
+
+    def _handler(signum, frame):
+        raise KeyboardInterrupt(f"terminated by signal {signum}")
+
+    try:
+        previous = signal.signal(signal.SIGTERM, _handler)
+    except ValueError:  # non-main interpreter thread after all
+        yield
+        return
+    try:
+        yield
+    finally:
+        signal.signal(signal.SIGTERM, previous)

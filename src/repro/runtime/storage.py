@@ -1,9 +1,8 @@
 """The injectable storage layer: every durable byte goes through here.
 
 The paper's exactness guarantee is only as strong as the bytes the
-runtime can trust after a fault.  PR 1/PR 3 made the *logical* recovery
-paths exact (checkpoint resume, shard-ledger resume, quarantine), but
-the physical write discipline had holes: spill buckets were never
+runtime can trust after a fault.  The *logical* recovery paths
+(checkpoint resume, job-index recovery) are exact, but the physical write discipline had holes: spill buckets were never
 fsynced before a manifest referenced them, the parent directory was not
 fsynced after ``os.replace`` (a rename can vanish on power loss), and a
 disk-full error was retried like a transient glitch.  This module
@@ -40,10 +39,8 @@ from __future__ import annotations
 
 import errno
 import hashlib
-import json
 import os
 import shutil
-import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -67,7 +64,7 @@ class StorageFull(OSError):
 
     Raised instead of retrying when an I/O error's errno is in
     :data:`TERMINAL_ERRNOS`; callers degrade (spill falls back to the
-    in-memory engine, checkpoint/ledger switch off with a warning)
+    in-memory engine, checkpoint/journal switch off with a warning)
     instead of aborting the mine.
     """
 
@@ -404,169 +401,3 @@ class FaultyStorage(LocalStorage):
             f"FaultyStorage(ops={self.op_count}, crash_at={self.crash_at}, "
             f"faults={len(self.faults)})"
         )
-
-
-# ----------------------------------------------------------------------
-# Leases with monotonic fencing tokens
-# ----------------------------------------------------------------------
-#
-# The shard ledger (:class:`repro.runtime.supervisor.ShardLedger`) is
-# owned through a lease file in its directory, and a directory shared
-# by two coordinators has the classic split-brain problem: a coordinator
-# that pauses (GC, swap, a stopped process) and then comes back must
-# not act on a lease somebody else now holds.  Expiry alone cannot
-# prevent that — clocks skew, and the returning holder's "am I still
-# the holder?" check races with its own write.  The standard fix
-# (Lamport; popularised as "fencing tokens") is a counter that
-# increments on every acquisition: writes carry the token they were
-# issued under, and any observer holding a newer token makes the old
-# write detectably stale.  Here the lease file *is* the authority —
-# :func:`verify_lease` re-reads it and raises :class:`LeaseFenced` on
-# any owner/token mismatch.
-
-
-class LeaseFenced(RuntimeError):
-    """A fencing check failed: another owner superseded this lease.
-
-    Raised by :func:`verify_lease` when the lease file on disk no
-    longer carries the caller's owner id and token — i.e. the lease
-    expired and was re-acquired, or a second coordinator took over
-    (:class:`~repro.runtime.supervisor.LedgerFenced` wraps this for
-    the shard ledger).  The holder must stop acting on the leased
-    resource immediately.
-    """
-
-
-@dataclass(frozen=True)
-class Lease:
-    """One acquired lease: who holds ``key``, under which fencing token.
-
-    ``token`` increases by one on *every* acquisition of the same lease
-    file — including steals and post-expiry re-acquisitions — which is
-    what makes it a fencing token: a holder can prove staleness by
-    comparison, without synchronised clocks.  ``expires_at`` is a
-    wall-clock deadline (the only cross-host clock we have); ``None``
-    means the lease never expires and changes hands only by steal.
-    """
-
-    key: str
-    owner: str
-    token: int
-    expires_at: Optional[float]
-    acquired_at: float
-
-    def expired(self, now: Optional[float] = None) -> bool:
-        """True when the expiry deadline has passed (never for
-        ``expires_at=None`` leases)."""
-        if self.expires_at is None:
-            return False
-        return (time.time() if now is None else now) > self.expires_at
-
-    def to_record(self) -> Dict[str, object]:
-        return {
-            "key": self.key,
-            "owner": self.owner,
-            "token": self.token,
-            "expires_at": self.expires_at,
-            "acquired_at": self.acquired_at,
-        }
-
-    @classmethod
-    def from_record(cls, record: Dict[str, object]) -> "Lease":
-        return cls(
-            key=str(record["key"]),
-            owner=str(record["owner"]),
-            token=int(record["token"]),
-            expires_at=(
-                None
-                if record.get("expires_at") is None
-                else float(record["expires_at"])  # type: ignore[arg-type]
-            ),
-            acquired_at=float(record.get("acquired_at", 0.0)),  # type: ignore[arg-type]
-        )
-
-
-def load_lease(storage: Storage, path: str) -> Optional[Lease]:
-    """Read the lease at ``path``; ``None`` when absent or torn.
-
-    A torn/garbage lease file is treated as no lease at all — the
-    atomic-write discipline makes that state unreachable from this
-    module's own writers, so garbage means an external scribble and
-    the safe reading is "up for grabs" (the next acquire bumps past
-    whatever token it carried anyway, because the acquirer re-reads
-    after writing).
-    """
-    if not storage.exists(path):
-        return None
-    try:
-        with storage.open(path, "r", encoding="utf-8") as handle:
-            record = json.load(handle)
-        return Lease.from_record(record)
-    except (OSError, ValueError, KeyError, TypeError):
-        return None
-
-
-def acquire_lease(
-    storage: Storage,
-    path: str,
-    owner: str,
-    ttl: Optional[float] = None,
-    steal: bool = False,
-    now: Optional[float] = None,
-) -> Optional[Lease]:
-    """Try to acquire the lease at ``path`` for ``owner``.
-
-    Succeeds when the lease is absent, expired, already ours, or
-    ``steal=True`` (unconditional takeover — the dual-coordinator
-    ledger handoff).  The new token is always ``previous + 1``, so a
-    fenced-out holder can never be confused with the current one.
-    Returns the acquired :class:`Lease`, or ``None`` when a live lease
-    belongs to someone else (or we lost the acquisition race — the
-    write is re-read afterwards, and only the writer whose record
-    survived owns the lease).
-    """
-    wall = time.time() if now is None else now
-    current = load_lease(storage, path)
-    if (
-        current is not None
-        and not steal
-        and current.owner != owner
-        and not current.expired(wall)
-    ):
-        return None
-    claim = Lease(
-        key=os.path.basename(path),
-        owner=owner,
-        token=(current.token if current is not None else 0) + 1,
-        expires_at=None if ttl is None else wall + ttl,
-        acquired_at=wall,
-    )
-    storage.atomic_write_text(path, json.dumps(claim.to_record()))
-    # Re-read: under a racing acquire the last atomic_write_text wins,
-    # so whoever's record survived is the real holder.
-    settled = load_lease(storage, path)
-    if settled is None or settled.owner != owner or settled.token != claim.token:
-        return None
-    return settled
-
-
-def verify_lease(storage: Storage, path: str, lease: Lease) -> Lease:
-    """Re-read ``path`` and fence-check it against ``lease``.
-
-    Returns the on-disk lease when owner *and* token still match;
-    raises :class:`LeaseFenced` otherwise.  This is the check every
-    holder runs before acting on the leased resource — a superseded
-    coordinator fails it and stands down.
-    """
-    current = load_lease(storage, path)
-    if current is None:
-        raise LeaseFenced(
-            f"lease {lease.key!r} held by {lease.owner!r} "
-            f"(token {lease.token}) no longer exists"
-        )
-    if current.owner != lease.owner or current.token != lease.token:
-        raise LeaseFenced(
-            f"lease {lease.key!r}: {lease.owner!r} (token {lease.token}) "
-            f"superseded by {current.owner!r} (token {current.token})"
-        )
-    return current

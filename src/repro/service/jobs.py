@@ -10,7 +10,7 @@ The :class:`JobIndex` is the service's source of truth and its crash
 story.  Every job is one file under ``jobs/`` holding the current
 :class:`JobRecord`; every state transition rewrites that file through
 :meth:`repro.runtime.storage.Storage.atomic_write_text` (write-temp +
-fsync + atomic rename + parent-dir fsync — the shard-ledger
+fsync + atomic rename + parent-dir fsync — the checkpoint
 discipline), so a ``kill -9`` at any instruction leaves either the
 previous state or the next one, never a torn record.  Results are
 published under ``results/`` with :meth:`~repro.runtime.storage.
@@ -26,7 +26,7 @@ between the commit and the index update) or put it back in ``queued``
 with its attempt count intact.  Queued jobs are re-queued as-is;
 terminal jobs are untouched.  Because specs are declarative and the
 engines deterministic, a re-queued job's re-run produces the identical
-rule set — and jobs that were mining with a checkpoint or shard ledger
+rule set — and streaming jobs that were mining with a checkpoint
 resume mid-run through the existing machinery, since their work
 directories are derived from the job id and therefore stable across
 restarts.
@@ -61,11 +61,16 @@ TERMINAL_STATES = frozenset((DONE, FAILED, CANCELLED))
 SPEC_KEYS = frozenset(
     (
         "job_id", "tenant", "task", "threshold", "data", "engine",
-        "n_partitions", "n_workers", "task_timeout", "task_retries",
-        "vector_block_rows", "timeout_seconds", "max_attempts",
-        "memory_budget", "kind", "trace_id",
+        "n_partitions", "n_workers", "vector_block_rows",
+        "timeout_seconds", "max_attempts", "memory_budget", "kind",
+        "trace_id",
     )
 )
+
+#: Keys older servers persisted with every job (the knobs of a retired
+#: supervised worker pool).  Reloading a stored record drops them, so
+#: those jobs survive an upgrade; a submit still rejects them.
+RETIRED_SPEC_KEYS = frozenset(("task_timeout", "task_retries"))
 
 #: Job kinds: ``batch`` runs once through the scheduler; ``live``
 #: opens a continuous-mining session fed by ``POST /jobs/<id>/deltas``.
@@ -97,8 +102,8 @@ class JobSpec:
     (``engine``/``n_partitions``/``n_workers``/...) plus the
     service-level knobs: ``timeout_seconds`` (per-job wall-clock
     limit), ``max_attempts`` (attempts before the job fails for good)
-    and ``memory_budget`` (per-job counter-array budget; the run
-    degrades to the partitioned engine instead of OOMing the host).
+    and ``memory_budget`` (per-job counter-array budget; the scan
+    degrades to the DMC-bitmap tail instead of OOMing the host).
     """
 
     task: str
@@ -109,8 +114,6 @@ class JobSpec:
     engine: str = "auto"
     n_partitions: int = 4
     n_workers: Optional[int] = None
-    task_timeout: Optional[float] = None
-    task_retries: int = 2
     vector_block_rows: Optional[int] = None
     timeout_seconds: Optional[float] = None
     max_attempts: int = 3
@@ -181,12 +184,6 @@ class JobSpec:
                 if document.get("n_workers") is None
                 else int(document["n_workers"])  # type: ignore[arg-type]
             ),
-            task_timeout=(
-                None
-                if document.get("task_timeout") is None
-                else float(document["task_timeout"])  # type: ignore[arg-type]
-            ),
-            task_retries=int(document.get("task_retries", 2)),
             vector_block_rows=(
                 None
                 if document.get("vector_block_rows") is None
@@ -236,11 +233,10 @@ class JobSpec:
             "engine": self.engine,
             "n_partitions": self.n_partitions,
             "max_attempts": self.max_attempts,
-            "task_retries": self.task_retries,
             "kind": self.kind,
         }
         for key in (
-            "n_workers", "task_timeout", "vector_block_rows",
+            "n_workers", "vector_block_rows",
             "timeout_seconds", "memory_budget", "trace_id",
         ):
             value = getattr(self, key)
@@ -324,22 +320,19 @@ class JobSpec:
         """The :func:`repro.mine` keyword arguments this spec encodes.
 
         ``workdir`` (the job's stable per-id scratch directory) seeds
-        the checkpoint / spill / ledger paths, so a re-run after a
-        crash *resumes* through the existing checkpoint and
-        shard-ledger machinery instead of starting over.  ``None``
-        validates the spec without binding directories.
+        the checkpoint / spill paths, so a streaming re-run after a
+        crash *resumes* through the existing checkpoint machinery
+        instead of starting over.  ``None`` validates the spec without
+        binding directories.
         """
         kwargs: Dict[str, object] = {
             "task": self.task,
             "threshold": self.threshold,
             "engine": self.engine,
             "n_partitions": self.n_partitions,
-            "task_retries": self.task_retries,
         }
         if self.n_workers is not None:
             kwargs["n_workers"] = self.n_workers
-        if self.task_timeout is not None:
-            kwargs["task_timeout"] = self.task_timeout
         if self.vector_block_rows is not None:
             kwargs["vector_block_rows"] = self.vector_block_rows
         budget = (
@@ -347,17 +340,14 @@ class JobSpec:
             if self.memory_budget is not None
             else default_memory_budget
         )
-        # A budget rides only on engine="auto" (the config rejects the
-        # other combinations: their degradation path picks the engine).
+        # A budget rides only on engine="auto": an explicit engine
+        # mines exactly as the client configured it.
         if budget is not None and self.engine == "auto":
             kwargs["memory_budget"] = budget
-        if workdir is not None:
-            if self.engine == "stream":
-                kwargs["checkpoint_dir"] = os.path.join(workdir, "checkpoint")
-                kwargs["spill_dir"] = os.path.join(workdir, "spill")
-                kwargs["preflight_disk"] = True
-            if (self.n_workers or 0) > 1:
-                kwargs["ledger_dir"] = os.path.join(workdir, "ledger")
+        if workdir is not None and self.engine == "stream":
+            kwargs["checkpoint_dir"] = os.path.join(workdir, "checkpoint")
+            kwargs["spill_dir"] = os.path.join(workdir, "spill")
+            kwargs["preflight_disk"] = True
         from repro.api import MiningConfig
 
         MiningConfig(**kwargs)  # reject contradictions at submit time
@@ -411,7 +401,14 @@ class JobRecord:
 
     @classmethod
     def from_mapping(cls, document: Dict[str, object]) -> "JobRecord":
-        spec = JobSpec.from_mapping(document["spec"])  # type: ignore[arg-type]
+        spec_document = document["spec"]
+        if isinstance(spec_document, dict):
+            spec_document = {
+                key: value
+                for key, value in spec_document.items()
+                if key not in RETIRED_SPEC_KEYS
+            }
+        spec = JobSpec.from_mapping(spec_document)  # type: ignore[arg-type]
         record = cls(
             spec=spec,
             state=str(document["state"]),
@@ -463,8 +460,8 @@ class JobIndex:
         traces/<job_id>.json    the per-run trace archive (the span
                                 trees of every attempt, atomically
                                 rewritten as attempts accumulate)
-        work/<job_id>/          per-job scratch (checkpoint / spill /
-                                ledger), stable across restarts
+        work/<job_id>/          per-job scratch (checkpoint / spill),
+                                stable across restarts
 
     Thread-safe; every mutation goes through the injected
     :class:`~repro.runtime.storage.Storage` so tests can count, crash

@@ -9,18 +9,18 @@ index write always precedes the side effect it announces, so the
 restart recovery of :meth:`repro.service.jobs.JobIndex.recover` can
 always tell where a crash landed.
 
-Failure classification mirrors the supervised runtime's:
+Failure classification (:func:`transient_failure`):
 
-- :func:`repro.runtime.supervisor.transient_pool_failure` failures
-  (worker-pool crashes, non-terminal I/O) are retried with the shared
-  exponential backoff of :func:`repro.runtime.guards.backoff_delay`,
-  up to the spec's ``max_attempts``;
+- a broken process pool (a partitioned run's worker died) or a
+  non-terminal ``OSError`` is retried with the shared exponential
+  backoff of :func:`repro.runtime.guards.backoff_delay`, up to the
+  spec's ``max_attempts``;
 - everything else — bad data (:class:`~repro.service.jobs.
   JobDataError`), disk full, engine bugs — fails the job permanently;
 - a per-job wall-clock timeout and cooperative cancellation are
   injected through the observer protocol: :class:`CancelWatch` rides
   the engine's existing progress hooks, so a cancel lands at the next
-  row/bucket/task boundary without any new engine plumbing.
+  phase/row/bucket boundary without any new engine plumbing.
 
 ``n_slots=0`` turns the scheduler synchronous: nothing runs until
 :meth:`Scheduler.run_until_idle` drains the queue in the calling
@@ -34,14 +34,14 @@ import random
 import threading
 import time
 from collections import deque
+from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Deque, Dict, Optional, Set, Tuple
 
 from repro.observe.progress import ProgressObserver
 from repro.observe.run import RunObserver
 from repro.observe.tracer import Tracer
 from repro.runtime.guards import backoff_delay
-from repro.runtime.storage import Storage
-from repro.runtime.supervisor import transient_pool_failure
+from repro.runtime.storage import Storage, terminal_io_error
 from repro.service.jobs import (
     CANCELLED, DONE, FAILED, QUEUED, RUNNING,
     JobIndex, JobRecord,
@@ -50,6 +50,20 @@ from repro.service.quotas import QuotaPolicy
 
 #: Backoff ceiling between retry attempts, seconds.
 MAX_RETRY_DELAY = 30.0
+
+
+def transient_failure(error: BaseException) -> bool:
+    """True when a fresh attempt may cure the run that raised ``error``.
+
+    A :class:`~concurrent.futures.process.BrokenProcessPool` (a worker
+    of the partitioned engine died — e.g. the host was briefly out of
+    memory) and a non-terminal ``OSError`` (``EIO``/``EAGAIN`` class)
+    are transient.  Terminal storage faults (disk full, read-only) are
+    not: a retry cannot change the outcome.
+    """
+    if isinstance(error, BrokenProcessPool):
+        return True
+    return isinstance(error, OSError) and not terminal_io_error(error)
 
 
 class JobCancelled(Exception):
@@ -64,8 +78,8 @@ class CancelWatch(ProgressObserver):
     """An observer that turns progress hooks into cancellation points.
 
     The engines already call these hooks at every natural boundary
-    (each second-scan row, each spill bucket, each supervised task,
-    each curve sample); raising from them unwinds the run through the
+    (each phase, each second-scan row, each spill bucket, each curve
+    sample); raising from them unwinds the run through the
     engine's normal exception path.  ``deadline`` is an absolute
     ``time.monotonic()`` instant enforcing the per-job timeout.
     """
@@ -103,11 +117,6 @@ class CancelWatch(ProgressObserver):
         self.check()
 
     def on_bucket(self, name: str, rows: int) -> None:
-        self.check()
-
-    def on_task_done(
-        self, task_id, seconds, attempt, quarantined=False
-    ) -> None:
         self.check()
 
 
@@ -507,7 +516,7 @@ class Scheduler:
     def _finish_cancel(self, job_id: str, watch: CancelWatch) -> None:
         if watch.requeue:
             # Drain interrupted the run: back to the durable queue, to
-            # be resumed (checkpoints and ledger intact) next boot.
+            # be resumed (checkpoints intact) next boot.
             self._finish(job_id, QUEUED, note="requeued by drain")
         else:
             self._finish(job_id, CANCELLED, note="cancelled while running")
@@ -534,7 +543,7 @@ class Scheduler:
         """Classify a run failure: transient → durable re-queue, with
         the backoff delay returned for the caller to wait out; anything
         else → permanent failure (returns None)."""
-        if transient_pool_failure(error) and attempt < record.spec.max_attempts:
+        if transient_failure(error) and attempt < record.spec.max_attempts:
             self._finish(
                 job_id, QUEUED,
                 note=f"retrying after attempt {attempt}: {error}",

@@ -25,9 +25,8 @@ def _watchdog_seconds(item) -> float:
 def pytest_runtest_call(item):
     """A SIGALRM per-test watchdog when pytest-timeout is not installed.
 
-    The supervisor tests exercise hang recovery with real spawned
-    processes; a regression there must fail the test, not wedge the
-    whole suite.  Defers to the real pytest-timeout plugin when
+    The process-pool and service tests spawn real processes; a
+    regression there must fail the test, not wedge the whole suite.  Defers to the real pytest-timeout plugin when
     present, and is a no-op off POSIX or off the main thread (SIGALRM
     cannot be delivered there).
     """

@@ -4,7 +4,7 @@ import pytest
 
 import repro
 from repro.api import MiningConfig, MiningResult, mine
-from repro.core.dmc_imp import find_implication_rules
+from repro.core.dmc_imp import PruningOptions, find_implication_rules
 from repro.core.dmc_sim import find_similarity_rules
 from repro.core.partitioned import (
     find_implication_rules_partitioned,
@@ -17,7 +17,7 @@ from repro.matrix.stream import (
     stream_similarity_rules,
 )
 from repro.mining.export import rules_to_json
-from repro.runtime.guards import mine_with_memory_budget
+from repro.runtime.guards import MemoryGuard
 
 
 @pytest.fixture(scope="module")
@@ -93,12 +93,15 @@ class TestEquivalence:
         assert rules_to_json(result.rules) == rules_to_json(legacy)
 
     def test_matches_memory_budget_wrapper(self, matrix):
-        result = mine(matrix, minconf=0.9, memory_budget=64, n_partitions=2)
-        legacy, engine = mine_with_memory_budget(
-            matrix, 0.9, budget_bytes=64, n_partitions=2
+        """``memory_budget=`` is the legacy entry point under a guard."""
+        result = mine(matrix, minconf=0.9, memory_budget=64)
+        guard = MemoryGuard(64)
+        legacy = find_implication_rules(
+            matrix, 0.9, options=PruningOptions(memory_guard=guard)
         )
-        assert engine == "partitioned"
-        assert result.engine == "partitioned+vector"
+        assert guard.tripped_at is not None
+        assert result.engine == "vector"
+        assert result.stats.partial_scan.guard_tripped_at is not None
         assert rules_to_json(result.rules) == rules_to_json(legacy)
 
     def test_file_path_input(self, matrix, tmp_path):

@@ -235,7 +235,7 @@ class TestBlockedTail:
                 # at row 1.
                 run, kwargs = vector_scan, {"block_rows": 1}
         stats = ScanStats()
-        guard = MemoryGuard(budget_bytes=1, action="bitmap")
+        guard = MemoryGuard(budget_bytes=1)
         got = run(matrix, policy, stats=stats, guard=guard, **kwargs)
         assert stats.guard_tripped_at == stats.bitmap_switch_at == 1
         assert got == want

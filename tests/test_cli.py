@@ -29,15 +29,16 @@ class TestParser:
 
     def test_supervised_worker_options(self):
         args = build_parser().parse_args(
-            ["mine-imp", "data.txt", "--workers", "3", "--partitions",
-             "6", "--task-timeout", "5", "--task-retries", "1",
-             "--ledger", "/tmp/ledger"]
+            ["mine-imp", "data.txt", "--workers", "3", "--partitions", "6"]
         )
         assert args.workers == 3
         assert args.partitions == 6
-        assert args.task_timeout == 5.0
-        assert args.task_retries == 1
-        assert args.ledger == "/tmp/ledger"
+        # The retired worker-pool knobs are gone from the parser.
+        for flag in ("--task-timeout", "--task-retries", "--ledger"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(
+                    ["mine-imp", "data.txt", flag, "1"]
+                )
 
     def test_storage_options(self):
         args = build_parser().parse_args(
@@ -136,13 +137,12 @@ class TestMiningCommands:
         assert code == 2
         assert "already runs the vector pass 2" in capsys.readouterr().err
 
-    def test_ledger_conflicts_with_checkpoint(
+    def test_workers_conflict_with_checkpoint(
         self, capsys, transactions_file, tmp_path
     ):
         code = main(
             ["mine-imp", transactions_file,
-             "--checkpoint", str(tmp_path / "c"),
-             "--ledger", str(tmp_path / "l")]
+             "--checkpoint", str(tmp_path / "c"), "--workers", "2"]
         )
         assert code == 2
         assert "cannot be combined" in capsys.readouterr().err

@@ -1,9 +1,9 @@
 """Crash-point enumeration: exactness at *every* storage operation.
 
-The acceptance property of the durable-storage PR: crash a checkpointed
-streaming run — or a supervised shard-ledger run — after its k-th
-storage operation, for every k, restart it, and the mined rules must
-equal the serial in-memory engine's.  No hand-picked crash windows;
+The acceptance property of the durable-storage layer: crash a
+checkpointed streaming run after its k-th storage operation, for every
+k, restart it, and the mined rules must equal the serial in-memory
+engine's.  No hand-picked crash windows;
 :func:`repro.runtime.crashpoints.enumerate_crash_points` sweeps them
 all (ALICE-style).
 
@@ -18,10 +18,6 @@ import pytest
 
 from repro.core.dmc_imp import find_implication_rules
 from repro.core.dmc_sim import find_similarity_rules
-from repro.core.partitioned import (
-    find_implication_rules_partitioned,
-    find_similarity_rules_partitioned,
-)
 from repro.matrix.binary_matrix import BinaryMatrix
 from repro.matrix.io import save_transactions
 from repro.matrix.stream import (
@@ -44,13 +40,11 @@ ENGINES = {
     "implication": (
         stream_implication_rules,
         find_implication_rules,
-        find_implication_rules_partitioned,
         0.8,
     ),
     "similarity": (
         stream_similarity_rules,
         find_similarity_rules,
-        find_similarity_rules_partitioned,
         0.6,
     ),
 }
@@ -188,7 +182,7 @@ def test_faulty_storage_schedule_is_deterministic(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# The acceptance sweeps: streaming checkpoint and supervisor ledger.
+# The acceptance sweep: the streaming checkpoint.
 # ----------------------------------------------------------------------
 
 
@@ -198,7 +192,7 @@ def test_streaming_checkpoint_survives_every_crash_point(
 ):
     """Crash a checkpointed streaming run at every storage operation;
     a restart must always mine the serial engine's exact rules."""
-    stream, serial, _, threshold = ENGINES[kind]
+    stream, serial, threshold = ENGINES[kind]
     expected = sorted(serial(demo_matrix, threshold))
     checkpoint_dir = str(tmp_path / "ckpt")
 
@@ -214,33 +208,6 @@ def test_streaming_checkpoint_survives_every_crash_point(
 
     report = enumerate_crash_points(run, expected=expected)
     assert report.total_ops > 10  # the sweep actually covers something
-    assert report.failures == [], report.describe_failures()
-
-
-@pytest.mark.parametrize("kind", sorted(ENGINES))
-def test_supervisor_ledger_survives_every_crash_point(
-    tmp_path, demo_matrix, kind
-):
-    """Crash a supervised partitioned run at every ledger storage
-    operation; a restart must resume to the exact serial rules."""
-    _, serial, partitioned, threshold = ENGINES[kind]
-    expected = sorted(serial(demo_matrix, threshold))
-    ledger_dir = str(tmp_path / "ledger")
-
-    def run(storage):
-        return sorted(
-            partitioned(
-                demo_matrix,
-                threshold,
-                n_partitions=3,
-                n_workers=2,
-                ledger_dir=ledger_dir,
-                storage=storage,
-            )
-        )
-
-    report = enumerate_crash_points(run, expected=expected)
-    assert report.total_ops > 5
     assert report.failures == [], report.describe_failures()
 
 

@@ -1,12 +1,7 @@
-"""Live telemetry: /metrics endpoint, cross-process aggregation, and
-the pruning curve.
+"""Live telemetry: the /metrics endpoint and the pruning curve.
 
 The acceptance spine of the observability layer:
 
-- a supervised ``workers=4`` partitioned run with injected faults (one
-  worker crash, one retried corrupt result) merges worker telemetry
-  into counters equal to the serial engine's, and the trace carries
-  the workers' spans re-parented under ``task`` spans;
 - ``/metrics`` answers mid-run with valid Prometheus text and the
   server shuts down cleanly on completion and on SIGTERM;
 - ``PipelineStats.pruning_curve`` is populated for both rule kinds,
@@ -24,9 +19,6 @@ import numpy as np
 import pytest
 
 from repro.api import mine
-from repro.core.dmc_imp import find_implication_rules
-from repro.core.partitioned import find_implication_rules_partitioned
-from repro.core.stats import PipelineStats
 from repro.matrix.binary_matrix import BinaryMatrix
 from repro.observe import (
     LiveRunStatus,
@@ -36,7 +28,6 @@ from repro.observe import (
     RunObserver,
 )
 from repro.observe.server import PROMETHEUS_CONTENT_TYPE
-from repro.runtime.faults import WorkerFault, WorkerFaultPlan
 from tests.conftest import random_binary_matrix
 
 
@@ -63,14 +54,12 @@ class TestLiveRunStatus:
         status.on_rows(42)
         status.live_candidates = 9
         status.rules_emitted = 3
-        status.set_worker_heartbeats({"0": 0.1, "1": 2.5})
         snapshot = status.snapshot()
         assert snapshot["run_id"] == "run-7"
         assert snapshot["phase"] == "<100%-rules"
         assert snapshot["rows_scanned"] == 42
         assert snapshot["live_candidates"] == 9
         assert snapshot["rules_emitted"] == 3
-        assert snapshot["workers"] == {"0": 0.1, "1": 2.5}
         assert snapshot["finished"] is False
         json.dumps(snapshot)  # the /runs/<id> body must be JSON-ready
 
@@ -101,7 +90,6 @@ class TestMetricsServer:
     def test_healthz_route_reports_run_liveness(self):
         status = LiveRunStatus("run-9")
         status.set_phase("partition-mining")
-        status.set_worker_heartbeats({"0": 0.2, "1": 99.0})
         with MetricsServer(MetricsRegistry(), status=status) as server:
             code, headers, body = _get(server.url + "/healthz")
         assert code == 200
@@ -109,7 +97,6 @@ class TestMetricsServer:
         document = json.loads(body)
         assert document["status"] == "ok"
         assert document["phase"] == "partition-mining"
-        assert document["stale_workers"] == ["1"]
 
     def test_healthz_without_status_is_plain_ok(self):
         with MetricsServer(MetricsRegistry()) as server:
@@ -237,154 +224,6 @@ class TestServedRuns:
 # ----------------------------------------------------------------------
 # Cross-process aggregation under faults (the acceptance test)
 # ----------------------------------------------------------------------
-
-
-def _find_spans(spans, name):
-    found = []
-    for span in spans:
-        if span.name == name:
-            found.append(span)
-        found.extend(_find_spans(span.children, name))
-    return found
-
-
-class TestWorkerTelemetry:
-    PARTITION_COUNTERS = (
-        "dmc_rows_scanned_total",
-        "dmc_candidates_added_total",
-        "dmc_rules_emitted_total",
-    )
-
-    @pytest.mark.timeout(180)
-    def test_merged_metrics_equal_serial_under_faults(self):
-        """workers=4 with one crash and one retried corrupt result."""
-        matrix = _matrix()
-        serial_observer = RunObserver()
-        serial_stats = PipelineStats()
-        want = find_implication_rules_partitioned(
-            matrix, 0.7, n_partitions=4, n_workers=None,
-            stats=serial_stats, observer=serial_observer,
-        ).pairs()
-        assert want == find_implication_rules(matrix, 0.7).pairs()
-
-        plan = WorkerFaultPlan(faults=(
-            WorkerFault(
-                mode="crash", task_id="implication-part-0001", attempts=1,
-            ),
-            WorkerFault(
-                mode="corrupt", task_id="implication-part-0002", attempts=1,
-            ),
-        ))
-        pool_observer = RunObserver()
-        pool_stats = PipelineStats()
-        got = find_implication_rules_partitioned(
-            matrix, 0.7, n_partitions=4, n_workers=4,
-            stats=pool_stats, observer=pool_observer, worker_faults=plan,
-        ).pairs()
-        assert got == want
-        assert pool_stats.task_retries >= 2  # the crash and the corrupt
-        assert pool_stats.worker_restarts >= 1
-
-        # Merged worker counters equal the serial engine's, exactly:
-        # failed attempts' telemetry never lands, accepted attempts'
-        # lands once.
-        for name in self.PARTITION_COUNTERS:
-            serial_value = serial_observer.metrics.value(
-                name, scan="partition"
-            )
-            pool_value = pool_observer.metrics.value(name, scan="partition")
-            assert serial_value is not None, name
-            assert pool_value == serial_value, name
-        rows_scanned = pool_observer.metrics.value(
-            "dmc_rows_scanned_total", scan="partition"
-        )
-        # Pruning may stop a partition's scan early, so the total is
-        # bounded by the matrix, not equal to it.
-        assert 0 < rows_scanned <= matrix.n_rows
-
-        # Task accounting: every partition completed exactly once.
-        completed = 0.0
-        for path in ("pool", "quarantine"):
-            completed += pool_observer.metrics.value(
-                "dmc_tasks_completed_total", path=path
-            ) or 0.0
-        assert completed == 4
-
-    @pytest.mark.timeout(180)
-    def test_worker_spans_are_reparented_into_the_trace(self):
-        matrix = _matrix()
-        observer = RunObserver()
-        find_implication_rules_partitioned(
-            matrix, 0.7, n_partitions=4, n_workers=4, observer=observer,
-        )
-        task_spans = _find_spans(observer.tracer.spans, "task")
-        assert len(task_spans) == 4
-        task_ids = {span.attributes["task_id"] for span in task_spans}
-        assert task_ids == {
-            f"implication-part-{index:04d}" for index in range(4)
-        }
-        for span in task_spans:
-            assert "worker_id" in span.attributes
-            assert span.attributes["attempt"] >= 1
-            scans = _find_spans(span.children, "partition-scan")
-            assert len(scans) == 1  # the worker's own span, re-parented
-            assert scans[0].attributes["worker_id"] == (
-                span.attributes["worker_id"]
-            )
-
-    @pytest.mark.timeout(180)
-    def test_healthz_worker_heartbeats_populate_during_pool_runs(self):
-        matrix = _matrix()
-        observer = RunObserver(status=LiveRunStatus("run-hb"))
-        find_implication_rules_partitioned(
-            matrix, 0.7, n_partitions=4, n_workers=2, observer=observer,
-        )
-        heartbeats = observer.status.worker_heartbeats()
-        assert heartbeats, "no heartbeat sweep reached the status"
-        for age in heartbeats.values():
-            assert age == -1.0 or age >= 0.0
-
-    @pytest.mark.timeout(180)
-    def test_metrics_scrape_during_pool_worker_crash(self):
-        """/metrics answers while the pool is mid-fault (a crashed
-        worker being replaced and its task re-dispatched)."""
-        matrix = _matrix(rows=80, cols=16)
-        plan = WorkerFaultPlan(faults=(
-            WorkerFault(
-                mode="crash", task_id="implication-part-0001", attempts=1,
-            ),
-        ))
-
-        class CrashScraper(ProgressObserver):
-            def __init__(self) -> None:
-                self.server = None
-                self.scrapes = []
-
-            def on_task_retry(self, task_id, reason) -> None:
-                code, _, body = _get(self.server.url + "/metrics")
-                self.scrapes.append((code, body.decode("utf-8")))
-
-            def on_worker_restart(self, worker_id, reason) -> None:
-                self.on_task_retry(str(worker_id), reason)
-
-        scraper = CrashScraper()
-        observer = RunObserver(progress=scraper)
-        stats = PipelineStats()
-        with MetricsServer(
-            observer.metrics, status=observer.status
-        ) as server:
-            scraper.server = server
-            rules = find_implication_rules_partitioned(
-                matrix, 0.7, n_partitions=4, n_workers=2,
-                worker_faults=plan, stats=stats, observer=observer,
-            )
-            code, _, _ = _get(server.url + "/metrics")
-            assert code == 200  # still serving after the fault run
-        want = find_implication_rules(matrix, 0.7).pairs()
-        assert rules.pairs() == want
-        assert stats.worker_restarts >= 1
-        assert scraper.scrapes, "no mid-fault scrape happened"
-        assert all(code == 200 for code, _ in scraper.scrapes)
 
 
 # ----------------------------------------------------------------------

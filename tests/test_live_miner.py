@@ -477,6 +477,37 @@ class TestChurnSurface:
         assert "delta-applied" in events
         assert "rule-appear" in events
 
+    def test_vocabulary_built_once_per_batch(self, tmp_path, monkeypatch):
+        """Formatting a batch's churn events needs the label table once,
+        not once per event — and a batch without churn needs none."""
+        builds = []
+        build = LiveMiner.vocabulary
+
+        def counting(miner):
+            builds.append(1)
+            return build(miner)
+
+        monkeypatch.setattr(LiveMiner, "vocabulary", counting)
+        journal_path = str(tmp_path / "journal.jsonl")
+        journal = RunJournal(journal_path, run_id="t")
+        miner = LiveMiner(
+            str(tmp_path / "live"), "implication", "3/4", journal=journal,
+        )
+        labels = [f"c{i}" for i in range(10)]
+        miner.submit(1, [labels] * 3)        # 45 rules appear
+        assert len(builds) == 1
+        miner.submit(2, [labels])            # counts move, no churn
+        assert len(builds) == 1
+        miner.submit(3, [["c0"]] * 4)        # the c0 rules disappear
+        assert len(builds) == 2
+        journal.close()
+        appeared = [
+            r for r in read_journal(journal_path)
+            if r["event"] == "rule-appear" and r["seq"] == 1
+        ]
+        assert len(appeared) == 45
+        assert all("c" in record["rule"] for record in appeared)
+
     def test_status_live_fields(self, tmp_path):
         status = LiveRunStatus(run_id="live-1")
         miner = LiveMiner(

@@ -394,27 +394,20 @@ class TestStreamingObservation:
         replayed = observer.metrics.value("dmc_buckets_replayed_total")
         assert replayed is not None and replayed > 0
 
-    def test_memory_budget_fallback_is_observed(self):
-        from repro.core.stats import PipelineStats
-        from repro.runtime.guards import mine_with_memory_budget
+    def test_memory_budget_trip_is_observed(self):
+        import repro
 
         matrix = load_dataset("News", scale=0.1, seed=3)
         observer = RunObserver()
-        stats = PipelineStats()
-        rules, engine = mine_with_memory_budget(
-            matrix, 0.9, budget_bytes=64, n_partitions=2,
-            stats=stats, observer=observer,
+        result = repro.mine(
+            matrix, minconf=0.9, memory_budget=64, observer=observer
         )
-        assert engine == "partitioned"
         baseline = find_implication_rules(matrix, 0.9)
-        assert rules.pairs() == baseline.pairs()
+        assert result.rules.pairs() == baseline.pairs()
         names = [span.name for span in observer.tracer.spans]
-        assert "dmc-attempt" in names
-        assert "partitioned-fallback" in names
-        fallback = next(
-            span
-            for span in observer.tracer.spans
-            if span.name == "partitioned-fallback"
-        )
-        assert fallback.attributes["budget_exceeded"] is True
-        assert stats.partition_candidates
+        assert names == ["pre-scan", "100%-rules", "<100%-rules"]
+        assert observer.metrics.value("dmc_guard_budget_bytes") == 64
+        assert result.stats.partial_scan.guard_tripped_at is not None
+        assert observer.metrics.value(
+            "dmc_guard_trips_total", scan="partial"
+        ) >= 1

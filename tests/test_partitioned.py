@@ -1,6 +1,11 @@
 """Divide-and-conquer DMC (repro.core.partitioned, Section 7)."""
 
+import os
+from concurrent.futures.process import BrokenProcessPool
+
 import pytest
+
+import repro
 
 from repro.baselines.bruteforce import (
     implication_rules_bruteforce,
@@ -143,3 +148,41 @@ class TestSimilarity:
                 matrix, 0.5, n_partitions=3, scan_engine="vector"
             ).pairs()
             assert vector == serial, seed
+
+
+def _die(args, observer=None):
+    """A partition worker that dies without a word."""
+    os._exit(3)
+
+
+class TestProcessPool:
+    """``n_workers > 1`` mines partitions on a spawn process pool."""
+
+    @pytest.mark.timeout(180)
+    def test_pool_matches_oracle(self):
+        matrix = random_binary_matrix(5, max_rows=60, max_columns=12)
+        for kwargs, oracle in (
+            ({"minconf": 0.7}, implication_rules_bruteforce(matrix, 0.7)),
+            ({"minsim": 0.4}, similarity_rules_bruteforce(matrix, 0.4)),
+        ):
+            result = repro.mine(
+                matrix, engine="partitioned", n_partitions=3, n_workers=2,
+                **kwargs,
+            )
+            assert len(oracle) > 0
+            assert result.engine == "partitioned+vector"
+            assert result.rules == oracle
+            assert len(result.stats.partition_candidates) == 3
+
+    @pytest.mark.timeout(180)
+    def test_dead_worker_raises_instead_of_returning_partial_rules(
+        self, monkeypatch
+    ):
+        import repro.core.partitioned as partitioned
+
+        monkeypatch.setattr(partitioned, "_mine_chunk", _die)
+        matrix = random_binary_matrix(4, max_rows=60, max_columns=12)
+        with pytest.raises(BrokenProcessPool):
+            find_implication_rules_partitioned(
+                matrix, 0.7, n_partitions=3, n_workers=2
+            )

@@ -10,9 +10,17 @@ from __future__ import annotations
 
 import json
 import os
+import signal
+import time
 
+import numpy as np
 import pytest
 
+import repro
+from repro.baselines.bruteforce import (
+    implication_rules_bruteforce,
+    similarity_rules_bruteforce,
+)
 from repro.core.dmc_imp import PruningOptions, find_implication_rules
 from repro.core.dmc_sim import find_similarity_rules
 from repro.core.stats import PipelineStats
@@ -22,10 +30,13 @@ from repro.matrix.stream import (
     BucketSpill,
     FileSource,
     IterableSource,
+    MatrixSource,
     SourceNotReiterableError,
     stream_implication_rules,
     stream_similarity_rules,
 )
+from repro.mining.export import rules_to_json
+from repro.observe import ProgressObserver
 from repro.runtime import faults
 from repro.runtime.checkpoint import (
     CheckpointCorrupted,
@@ -35,9 +46,8 @@ from repro.runtime.checkpoint import (
 )
 from repro.runtime.faults import Fault, FaultPlan, SimulatedCrash
 from repro.runtime.guards import (
-    MemoryBudgetExceeded,
     MemoryGuard,
-    mine_with_memory_budget,
+    graceful_interrupts,
     retry_io,
 )
 
@@ -467,7 +477,7 @@ def test_retry_io_does_not_retry_non_transient_errors():
 
 
 # ----------------------------------------------------------------------
-# Memory guard: graceful degradation and partitioned fallback.
+# Memory guard: graceful degradation through the DMC-bitmap tail.
 # ----------------------------------------------------------------------
 
 
@@ -475,7 +485,7 @@ def test_retry_io_does_not_retry_non_transient_errors():
 def test_memory_guard_bitmap_degradation_is_exact(seed):
     matrix = random_binary_matrix(seed)
     baseline = find_implication_rules(matrix, 0.8)
-    guard = MemoryGuard(budget_bytes=1, action="bitmap")
+    guard = MemoryGuard(budget_bytes=1)
     stats = PipelineStats()
     guarded = find_implication_rules(
         matrix,
@@ -495,7 +505,7 @@ def test_memory_guard_bitmap_degradation_is_exact(seed):
 def test_memory_guard_similarity_degradation_is_exact():
     matrix = random_binary_matrix(seed=5)
     baseline = find_similarity_rules(matrix, 0.5)
-    guard = MemoryGuard(budget_bytes=1, action="bitmap")
+    guard = MemoryGuard(budget_bytes=1)
     assert (
         find_similarity_rules(
             matrix, 0.5, options=PruningOptions(memory_guard=guard)
@@ -506,7 +516,7 @@ def test_memory_guard_similarity_degradation_is_exact():
 
 def test_memory_guard_on_streaming_pipeline(demo_path):
     baseline = stream_implication_rules(FileSource(demo_path), 0.8)
-    guard = MemoryGuard(budget_bytes=1, action="bitmap")
+    guard = MemoryGuard(budget_bytes=1)
     assert (
         stream_implication_rules(FileSource(demo_path), 0.8, guard=guard)
         == baseline
@@ -514,41 +524,162 @@ def test_memory_guard_on_streaming_pipeline(demo_path):
     assert guard.high_water_bytes > 0
 
 
-def test_memory_guard_raise_action(demo_matrix):
-    guard = MemoryGuard(budget_bytes=1, action="raise")
-    with pytest.raises(MemoryBudgetExceeded):
-        find_implication_rules(
-            demo_matrix, 0.8, options=PruningOptions(memory_guard=guard)
-        )
-
-
 def test_memory_guard_rejects_bad_arguments():
     with pytest.raises(ValueError):
         MemoryGuard(budget_bytes=0)
     with pytest.raises(ValueError):
-        MemoryGuard(budget_bytes=100, action="explode")
+        MemoryGuard(budget_bytes=-1)
 
 
-def test_mine_with_memory_budget_falls_back_to_partitioned(demo_matrix):
-    baseline = find_implication_rules(demo_matrix, 0.8)
-    rules, engine = mine_with_memory_budget(
-        demo_matrix, 0.8, budget_bytes=1
+class _GuardCapture(ProgressObserver):
+    """Keeps the guard :func:`repro.mine` hands to ``finish``."""
+
+    guard = None
+
+    def finish(self, stats=None, guard=None) -> None:
+        self.guard = guard
+
+
+def _budget_matrix() -> BinaryMatrix:
+    """300 rows with 100% rules (column copies and subsets) and
+    partial ones (noisy column copies)."""
+    generator = np.random.default_rng(2)
+    base = generator.random((300, 12)) < 0.3
+    subset = base & (generator.random((300, 12)) < 0.7)
+    noisy = (base & (generator.random((300, 12)) < 0.85)) | (
+        generator.random((300, 12)) < 0.05
     )
-    assert engine == "partitioned"
-    assert rules == baseline
-
-    rules, engine = mine_with_memory_budget(demo_matrix, 0.8)
-    assert engine == "dmc"
-    assert rules == baseline
-
-
-def test_mine_with_memory_budget_similarity(demo_matrix):
-    baseline = find_similarity_rules(demo_matrix, 0.6)
-    rules, engine = mine_with_memory_budget(
-        demo_matrix, 0.6, kind="similarity", budget_bytes=1
+    extra = generator.random((300, 6)) < 0.2
+    return BinaryMatrix.from_dense(
+        np.hstack([base, base[:, :3], subset, noisy, extra]).astype(np.uint8)
     )
-    assert engine == "partitioned"
-    assert rules == baseline
+
+
+BUDGET_TASKS = {
+    "implication": ("7/10", implication_rules_bruteforce),
+    "similarity": ("3/5", similarity_rules_bruteforce),
+}
+
+
+def _mine_under_budget(matrix, task, engine, budget):
+    threshold = BUDGET_TASKS[task][0]
+    capture = _GuardCapture()
+    # One-row vector blocks put a guard check after every row, as the
+    # serial scan does.
+    blocks = {"vector_block_rows": 1} if engine == "vector" else {}
+    result = repro.mine(
+        matrix, task=task, threshold=threshold, engine=engine,
+        memory_budget=budget, observer=capture, **blocks,
+    )
+    return result, capture.guard
+
+
+class TestMemoryBudget:
+    """``memory_budget=`` degrades through the DMC-bitmap tail and
+    still mines brute force's rules, byte for byte."""
+
+    @pytest.mark.parametrize("engine", ["dmc", "vector"])
+    @pytest.mark.parametrize("task", sorted(BUDGET_TASKS))
+    @pytest.mark.parametrize("when", ["row-1", "mid-scan", "never"])
+    def test_budget_matches_bruteforce(self, task, engine, when):
+        matrix = _budget_matrix()
+        threshold, bruteforce = BUDGET_TASKS[task]
+        want = bruteforce(matrix, threshold)
+        unguarded, probe = _mine_under_budget(
+            matrix, task, engine, 10 ** 12
+        )
+        assert unguarded.stats.rules_hundred_percent > 0
+        assert unguarded.stats.rules_partial > 0
+        budget = {
+            "row-1": 1,
+            "mid-scan": probe.high_water_bytes // 2,
+            "never": 10 ** 12,
+        }[when]
+        result, guard = _mine_under_budget(matrix, task, engine, budget)
+        assert rules_to_json(result.rules) == rules_to_json(want)
+        assert result.engine == engine
+        assert guard.budget_bytes == budget
+        if when == "never":
+            assert guard.tripped_at is None
+            assert guard.trips == 0
+        elif when == "row-1":
+            assert guard.tripped_at == 1
+            assert result.stats.hundred_percent_scan.guard_tripped_at == 1
+        else:
+            assert 1 < guard.tripped_at < matrix.n_rows
+            assert result.stats.partial_scan.guard_tripped_at is not None
+
+    @pytest.mark.parametrize("budget", [1, 8, 64, 512, 10 ** 6])
+    def test_random_budgets_match_bruteforce(self, budget):
+        for seed in range(15):
+            matrix = random_binary_matrix(seed, max_rows=60, max_columns=16)
+            for task, (threshold, bruteforce) in BUDGET_TASKS.items():
+                want = rules_to_json(bruteforce(matrix, threshold))
+                for engine in ("dmc", "vector"):
+                    result, _ = _mine_under_budget(
+                        matrix, task, engine, budget
+                    )
+                    assert rules_to_json(result.rules) == want, (
+                        seed, task, engine,
+                    )
+
+    def test_budget_metrics_reach_the_observer(self):
+        from repro.observe import RunObserver
+
+        observer = RunObserver()
+        repro.mine(
+            _budget_matrix(), minconf="7/10", memory_budget=1,
+            observer=observer,
+        )
+        text = observer.metrics.to_prometheus()
+        assert "dmc_guard_budget_bytes 1" in text
+        assert "dmc_guard_trips_total" in text
+
+
+# ----------------------------------------------------------------------
+# Graceful interrupts: SIGTERM unwinds like Ctrl-C.
+# ----------------------------------------------------------------------
+
+
+class TestGracefulInterrupts:
+    def test_sigterm_becomes_keyboard_interrupt(self):
+        with pytest.raises(KeyboardInterrupt):
+            with graceful_interrupts():
+                os.kill(os.getpid(), signal.SIGTERM)
+                # The handler fires at the next bytecode boundary.
+                time.sleep(1.0)
+                pytest.fail("SIGTERM was not delivered")
+
+    def test_previous_handler_restored(self):
+        before = signal.getsignal(signal.SIGTERM)
+        with graceful_interrupts():
+            assert signal.getsignal(signal.SIGTERM) is not before
+        assert signal.getsignal(signal.SIGTERM) is before
+
+    def test_sigint_mid_pass2_checkpoint_resume(self, tmp_path):
+        matrix = random_binary_matrix(3)
+        want = find_implication_rules(matrix, 0.7).pairs()
+        checkpoint_dir = str(tmp_path / "ckpt")
+
+        plan = FaultPlan(
+            [Fault("pass2.row", first=2, error=KeyboardInterrupt)]
+        )
+        with pytest.raises(KeyboardInterrupt):
+            with faults.install(plan):
+                stream_implication_rules(
+                    MatrixSource(matrix), 0.7,
+                    checkpoint_dir=checkpoint_dir,
+                )
+
+        # The pass-1 checkpoint survived; the re-run resumes at pass 2
+        # (no pre-scan phase) and mines the exact rule set.
+        stats = PipelineStats()
+        got = stream_implication_rules(
+            MatrixSource(matrix), 0.7,
+            checkpoint_dir=checkpoint_dir, stats=stats,
+        ).pairs()
+        assert got == want
+        assert "pre-scan" not in stats.timer.seconds
 
 
 # ----------------------------------------------------------------------

@@ -10,6 +10,7 @@ best-effort).  The subprocess chaos suites (real ``SIGKILL``/
 ``SIGTERM`` against ``python -m repro serve``) are marked ``slow``.
 """
 
+import errno
 import json
 import os
 import shutil
@@ -19,6 +20,7 @@ import sys
 import time
 import urllib.error
 import urllib.request
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -26,8 +28,7 @@ import repro
 from repro.cli import build_parser
 from repro.mining.export import rules_to_json
 from repro.runtime.crashpoints import enumerate_crash_points
-from repro.runtime.storage import FaultyStorage
-from repro.runtime.supervisor import SupervisorError, transient_pool_failure
+from repro.runtime.storage import FaultyStorage, StorageFull
 from repro.service import (
     AdmissionError,
     JobSpec,
@@ -39,6 +40,7 @@ from repro.service import (
 from repro.service.jobs import (
     CANCELLED, DONE, FAILED, QUEUED, RUNNING, JobDataError, JobIndex,
 )
+from repro.service.scheduler import transient_failure
 
 # Small deterministic data: a->b holds at 3/4, b->a at 3/5.
 TRANSACTIONS = [
@@ -97,6 +99,11 @@ class TestJobSpec:
     def test_unknown_keys_rejected(self):
         with pytest.raises(ValueError, match="unknown job-spec keys"):
             JobSpec.from_mapping(spec_doc("j1", frobnicate=1))
+
+    @pytest.mark.parametrize("key", ["task_timeout", "task_retries"])
+    def test_retired_pool_keys_rejected_at_submit(self, key):
+        with pytest.raises(ValueError, match="unknown job-spec keys"):
+            JobSpec.from_mapping(spec_doc("j1", **{key: 2}))
 
     def test_missing_required_key(self):
         document = spec_doc("j1")
@@ -157,7 +164,7 @@ class TestJobSpec:
         )
         with pytest.raises(JobDataError):
             spec.load_data()
-        assert not transient_pool_failure(JobDataError("x"))
+        assert not transient_failure(JobDataError("x"))
 
     def test_memory_budget_rides_only_on_auto(self):
         auto = JobSpec.from_mapping(spec_doc("j1", memory_budget=1 << 20))
@@ -238,6 +245,50 @@ class TestJobIndex:
         assert sorted(report.terminal) == ["a", "b", "c"]
         assert reborn.get("b").state == FAILED
 
+    def test_records_from_older_servers_reload_in_their_state(
+        self, tmp_path
+    ):
+        """Older servers wrote ``task_retries`` (and ``task_timeout``
+        when set) into every persisted spec; those jobs must survive
+        an upgrade, not be skipped as corrupt."""
+        os.makedirs(tmp_path / "jobs")
+        for job_id, state, extra in (
+            ("old-queued", QUEUED, {}),
+            ("old-running", RUNNING, {"task_timeout": 5.0}),
+            ("old-done", DONE, {}),
+        ):
+            spec = {
+                "job_id": job_id, "tenant": "default",
+                "task": "implication", "threshold": "3/4",
+                "data": {"transactions": TRANSACTIONS},
+                "engine": "partitioned", "n_partitions": 2,
+                "max_attempts": 3, "task_retries": 2, "kind": "batch",
+                "n_workers": 2, **extra,
+            }
+            record = {
+                "version": 1, "job_id": job_id, "tenant": "default",
+                "state": state, "attempts": 1, "created_at": 1.0,
+                "updated_at": 2.0, "error": None, "rules": None,
+                "history": [[state, 2.0, "written by an older server"]],
+                "spec": spec,
+            }
+            (tmp_path / "jobs" / f"{job_id}.json").write_text(
+                json.dumps(record)
+            )
+        index = JobIndex(str(tmp_path))
+        report = index.recover()
+        assert report.corrupt == []
+        assert report.queued == ["old-queued"]
+        assert report.requeued == ["old-running"]
+        assert report.terminal == ["old-done"]
+        assert index.get("old-queued").state == QUEUED
+        assert index.get("old-running").state == QUEUED
+        assert index.get("old-done").state == DONE
+        reloaded = index.get("old-running")
+        assert reloaded.attempts == 1
+        assert reloaded.spec.n_workers == 2
+        assert "task_retries" not in reloaded.spec.to_mapping()
+
     def test_recover_skips_corrupt_file(self, tmp_path):
         index = JobIndex(str(tmp_path))
         index.create(JobSpec.from_mapping(spec_doc("good")))
@@ -298,6 +349,19 @@ def make_index(tmp_path, *job_ids, **spec_extra):
 
 
 class TestScheduler:
+    def test_failure_classification(self):
+        # A dead pool worker and curable I/O errors are transient...
+        assert transient_failure(BrokenProcessPool("worker died"))
+        assert transient_failure(OSError(errno.EIO, "I/O error"))
+        assert transient_failure(OSError(errno.EAGAIN, "try again"))
+        # ...terminal storage faults are not: a retry cannot free disk.
+        assert not transient_failure(OSError(errno.ENOSPC, "disk full"))
+        assert not transient_failure(OSError(errno.EROFS, "read-only"))
+        assert not transient_failure(StorageFull(errno.ENOSPC, "full"))
+        # ...and neither are bad data or engine bugs.
+        assert not transient_failure(JobDataError("no such file"))
+        assert not transient_failure(ValueError("bad threshold"))
+
     def test_success_commits_result(self, tmp_path):
         index = make_index(tmp_path, "j1")
 
@@ -318,7 +382,7 @@ class TestScheduler:
         def flaky(record, workdir, observer, **kwargs):
             attempts.append(record.attempts)
             if len(attempts) < 3:
-                raise SupervisorError("worker pool fell over")
+                raise BrokenProcessPool("worker pool fell over")
             return '{"rules": []}', 0
 
         scheduler = Scheduler(
@@ -335,7 +399,7 @@ class TestScheduler:
         index = make_index(tmp_path, "j1", max_attempts=2)
 
         def always_down(record, workdir, observer, **kwargs):
-            raise SupervisorError("still down")
+            raise BrokenProcessPool("still down")
 
         scheduler = Scheduler(
             index, n_slots=0, executor=always_down, retry_base_delay=0.0
@@ -345,7 +409,7 @@ class TestScheduler:
         record = index.get("j1")
         assert record.state == FAILED
         assert record.attempts == 2
-        assert "SupervisorError" in record.error
+        assert "BrokenProcessPool" in record.error
 
     def test_permanent_failure_never_retries(self, tmp_path):
         index = make_index(tmp_path, "j1", max_attempts=5)

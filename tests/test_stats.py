@@ -83,14 +83,16 @@ class TestPipelineStats:
         assert stats.total_seconds == stats.timer.total()
 
     def test_documents_with_retired_node_counters_still_load(self):
-        """Stats written while distributed mining existed carry three
-        node counters; they load, and the rest of the record survives."""
-        stats = PipelineStats(worker_restarts=2, task_retries=3)
+        """Stats written while distributed mining and the supervised
+        worker pool existed carry their counters; they load, and the
+        rest of the record survives."""
+        stats = PipelineStats(columns_total=2, rules_partial=3)
         record = json.loads(stats_to_json(stats))
         record.update(
             lease_expiries=4, node_redispatches=1, node_results_deduped=5,
+            worker_restarts=2, task_retries=3, tasks_quarantined=1,
         )
         loaded = stats_from_json(json.dumps(record))
-        assert loaded.worker_restarts == 2
-        assert loaded.task_retries == 3
+        assert loaded.columns_total == 2
+        assert loaded.rules_partial == 3
         assert loaded.to_dict() == stats.to_dict()

@@ -8,7 +8,7 @@ Three layers of coverage:
    (op counting, crash-forever, errno fault scheduling) and the errno
    classification consumed by ``retry_io``.
 3. End-to-end degradation: an injected ``ENOSPC`` at any spill,
-   checkpoint or ledger write still completes the mine with the exact
+   checkpoint or journal write still completes the mine with the exact
    rule set, records the ladder step in ``stats.degradations`` and in
    the ``dmc_degradations_total`` metric.
 """
@@ -22,7 +22,6 @@ import pytest
 
 from repro.core.dmc_imp import PruningOptions, find_implication_rules
 from repro.core.dmc_sim import find_similarity_rules
-from repro.core.partitioned import find_implication_rules_partitioned
 from repro.core.stats import PipelineStats
 from repro.matrix.binary_matrix import BinaryMatrix
 from repro.matrix.io import save_transactions
@@ -467,33 +466,6 @@ def test_readonly_checkpoint_directory_turns_checkpoint_off(
     assert stats.degradations == ["checkpoint-off"]
 
 
-def test_enospc_on_ledger_write_disables_ledger_not_the_run(
-    tmp_path, demo_matrix
-):
-    expected = find_implication_rules(demo_matrix, 0.8)
-    storage = FaultyStorage(
-        faults=(StorageFault(path_contains="ledger", code=errno.ENOSPC),)
-    )
-    stats = PipelineStats()
-    observer = RunObserver()
-    with pytest.warns(RuntimeWarning, match="ledger"):
-        rules = find_implication_rules_partitioned(
-            demo_matrix,
-            0.8,
-            n_workers=2,
-            ledger_dir=str(tmp_path / "ledger"),
-            storage=storage,
-            stats=stats,
-            observer=observer,
-        )
-    assert rules == expected
-    assert "ledger-off" in stats.degradations
-    assert (
-        observer.metrics.value("dmc_degradations_total", path="ledger-off")
-        == 1
-    )
-
-
 def test_transient_eio_on_spill_is_retried_to_success(
     tmp_path, demo_path
 ):
@@ -525,9 +497,9 @@ def test_transient_eio_on_spill_is_retried_to_success(
 
 def test_degradations_survive_stats_round_trip():
     stats = PipelineStats()
-    stats.degradations.extend(["spill-to-memory", "ledger-off"])
+    stats.degradations.extend(["spill-to-memory", "journal-off"])
     clone = PipelineStats.from_dict(stats.to_dict())
-    assert clone.degradations == ["spill-to-memory", "ledger-off"]
+    assert clone.degradations == ["spill-to-memory", "journal-off"]
 
 
 def test_mine_facade_threads_storage_and_flags(tmp_path, demo_path):
@@ -555,92 +527,6 @@ def test_mine_facade_threads_storage_and_flags(tmp_path, demo_path):
             spill_dir=str(tmp_path),
             spill_degrade=False,
         )
-
-
-# ----------------------------------------------------------------------
-# Lease primitives (the shard ledger's owner fencing)
-# ----------------------------------------------------------------------
-
-
-class TestLeasePrimitives:
-    def _path(self, tmp_path):
-        return str(tmp_path / "lease-t0.json")
-
-    def test_acquire_fresh_then_blocked(self, tmp_path):
-        from repro.runtime.storage import LOCAL_STORAGE, acquire_lease
-
-        path = self._path(tmp_path)
-        lease = acquire_lease(LOCAL_STORAGE, path, "node-a", ttl=10.0)
-        assert lease is not None and lease.token == 1
-        assert lease.owner == "node-a"
-        # A live lease blocks other owners...
-        assert acquire_lease(LOCAL_STORAGE, path, "node-b", ttl=10.0) is None
-        # ...but re-acquisition by the same owner bumps the token.
-        again = acquire_lease(LOCAL_STORAGE, path, "node-a", ttl=10.0)
-        assert again is not None and again.token == 2
-
-    def test_expired_lease_is_claimable_with_token_bump(self, tmp_path):
-        from repro.runtime.storage import LOCAL_STORAGE, acquire_lease
-
-        path = self._path(tmp_path)
-        acquire_lease(LOCAL_STORAGE, path, "node-a", ttl=10.0, now=1000.0)
-        taken = acquire_lease(
-            LOCAL_STORAGE, path, "node-b", ttl=10.0, now=1011.0
-        )
-        assert taken is not None
-        assert taken.owner == "node-b"
-        assert taken.token == 2  # fences node-a's stale claim
-
-    def test_steal_takes_over_a_live_lease(self, tmp_path):
-        from repro.runtime.storage import LOCAL_STORAGE, acquire_lease
-
-        path = self._path(tmp_path)
-        acquire_lease(LOCAL_STORAGE, path, "node-a", ttl=60.0)
-        stolen = acquire_lease(
-            LOCAL_STORAGE, path, "coordinator", ttl=None, steal=True
-        )
-        assert stolen is not None
-        assert stolen.token == 2
-        assert stolen.expires_at is None  # never expires; steal-only
-
-    def test_verify_fences_out_stale_holders(self, tmp_path):
-        from repro.runtime.storage import (
-            LOCAL_STORAGE,
-            LeaseFenced,
-            acquire_lease,
-            verify_lease,
-        )
-
-        path = self._path(tmp_path)
-        old = acquire_lease(LOCAL_STORAGE, path, "node-a", ttl=10.0, now=0.0)
-        assert verify_lease(LOCAL_STORAGE, path, old) == old
-        # node-b re-acquires after expiry; node-a's handle is stale.
-        acquire_lease(LOCAL_STORAGE, path, "node-b", ttl=10.0, now=20.0)
-        with pytest.raises(LeaseFenced):
-            verify_lease(LOCAL_STORAGE, path, old)
-
-    def test_torn_lease_file_reads_as_no_lease(self, tmp_path):
-        from repro.runtime.storage import (
-            LOCAL_STORAGE,
-            acquire_lease,
-            load_lease,
-        )
-
-        path = self._path(tmp_path)
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write('{"key": "lease-t0.json", "own')  # torn write
-        assert load_lease(LOCAL_STORAGE, path) is None
-        # ...and the next acquire simply claims it.
-        lease = acquire_lease(LOCAL_STORAGE, path, "node-a", ttl=10.0)
-        assert lease is not None and lease.token == 1
-
-    def test_lease_record_round_trip(self):
-        from repro.runtime.storage import Lease
-
-        lease = Lease(
-            key="k", owner="o", token=3, expires_at=None, acquired_at=1.5
-        )
-        assert Lease.from_record(lease.to_record()) == lease
 
 
 class TestExclusiveCommit:

@@ -2,8 +2,8 @@
 
 The exactness bar for traces mirrors the repo's mining bar: a span
 tree recovered from the per-run archive must equal the in-memory
-tracer's tree — including under worker retries, where failed attempts
-appear *tagged* but never merge their metrics.  The Chrome-trace
+tracer's tree — including under scheduler retries, where failed
+attempts appear *tagged*.  The Chrome-trace
 exporter is checked against the Catapult JSON object format that
 ``chrome://tracing`` and Perfetto load directly.
 """
@@ -14,21 +14,16 @@ import re
 import time
 import urllib.error
 import urllib.request
+from concurrent.futures.process import BrokenProcessPool
 
-import numpy as np
 import pytest
 
 import repro
 from repro.cli import main as cli_main
-from repro.core.dmc_imp import find_implication_rules
-from repro.core.partitioned import find_implication_rules_partitioned
-from repro.core.stats import PipelineStats
 from repro.live.miner import LiveMiner
-from repro.matrix.binary_matrix import BinaryMatrix
 from repro.observe import (
     MetricsRegistry,
     RunJournal,
-    RunObserver,
     SamplingProfiler,
     read_journal,
     route_label,
@@ -39,20 +34,12 @@ from repro.observe import (
 from repro.observe.profiler import fold_stack
 from repro.observe.server import MetricsServer
 from repro.observe.tracer import Span, Tracer
-from repro.runtime.faults import WorkerFault, WorkerFaultPlan
-from repro.runtime.supervisor import SupervisorError
 from repro.service import JobSpec, MiningService, Scheduler
 from repro.service.jobs import DONE, JobIndex
 
 TRANSACTIONS = [
     ["a", "b"], ["a", "b"], ["a", "b"], ["a"], ["b", "c"], ["b", "c"],
 ]
-
-
-def _matrix(seed: int = 7, rows: int = 80, cols: int = 16) -> BinaryMatrix:
-    generator = np.random.default_rng(seed)
-    dense = (generator.random((rows, cols)) < 0.3).astype(np.uint8)
-    return BinaryMatrix.from_dense(dense)
 
 
 def sample_tracer() -> Tracer:
@@ -70,13 +57,6 @@ def sample_tracer() -> Tracer:
         )
         tracer.attach(worker)
     return tracer
-
-
-def walk(spans):
-    for span in spans:
-        yield span
-        for child in walk(span.children):
-            yield child
 
 
 def walk_dicts(spans):
@@ -202,93 +182,6 @@ class TestChromeExport:
             with open(path, "r", encoding="utf-8") as handle:
                 loaded = json.load(handle)
             assert "traceEvents" in loaded
-
-
-# ----------------------------------------------------------------------
-# Failed-attempt telemetry: tagged, never double-counted
-# ----------------------------------------------------------------------
-
-
-class TestFailedAttemptTelemetry:
-    def worker_payload(self, failed=False):
-        registry = MetricsRegistry()
-        registry.counter(
-            f"{registry.prefix}_buckets_replayed_total", "replays"
-        ).inc(7)
-        payload = {
-            "worker_id": "2",
-            "task_id": "implication-part-0001",
-            "attempt": 1,
-            "seconds": 0.1,
-            "metrics": registry.to_dict(),
-            "spans": [
-                {"name": "scan", "start_seconds": 0.0, "seconds": 0.1}
-            ],
-        }
-        if failed:
-            payload["failed"] = True
-            payload["failed_reason"] = "corrupt result"
-        return payload
-
-    def test_accepted_final_payload_merges_and_attaches(self):
-        observer = RunObserver(run_id="r")
-        observer.on_worker_telemetry(self.worker_payload(), final=True)
-        text = observer.metrics.to_prometheus()
-        assert "dmc_buckets_replayed_total 7" in text
-        (task,) = observer.tracer.spans
-        assert task.name == "task"
-        assert not task.attributes.get("failed")
-        assert task.children[0].attributes["worker_id"] == "2"
-
-    def test_failed_payload_attaches_tagged_but_merges_nothing(self):
-        observer = RunObserver(run_id="r")
-        observer.on_worker_telemetry(
-            self.worker_payload(failed=True), final=True
-        )
-        assert "dmc_buckets_replayed_total" not in (
-            observer.metrics.to_prometheus()
-        )
-        (task,) = observer.tracer.spans
-        assert task.attributes["failed"] is True
-        assert task.attributes["failed_reason"] == "corrupt result"
-        assert task.children[0].attributes["failed"] is True
-
-    @pytest.mark.slow
-    def test_retry_storm_trace_is_exact(self):
-        """A corrupt first attempt: rules stay exact, the rejected
-        attempt's spans appear tagged, each partition is accepted
-        exactly once, and the archive round trip is lossless."""
-        matrix = _matrix()
-        want = find_implication_rules(matrix, 0.7).pairs()
-        plan = WorkerFaultPlan(faults=(
-            WorkerFault(
-                mode="corrupt", task_id="implication-part-0001", attempts=1
-            ),
-        ))
-        stats = PipelineStats()
-        observer = RunObserver(run_id="storm")
-        got = find_implication_rules_partitioned(
-            matrix, 0.7, n_partitions=4, n_workers=2,
-            stats=stats, observer=observer, worker_faults=plan,
-        ).pairs()
-        assert got == want
-        assert stats.task_retries >= 1
-        tasks = [
-            span
-            for span in walk(observer.tracer.spans)
-            if span.name == "task"
-        ]
-        failed = [s for s in tasks if s.attributes.get("failed")]
-        accepted = [s for s in tasks if not s.attributes.get("failed")]
-        assert len(failed) >= 1
-        assert failed[0].attributes["task_id"] == "implication-part-0001"
-        # exactly one accepted attempt per partition: never double-counted
-        accepted_ids = sorted(s.attributes["task_id"] for s in accepted)
-        assert accepted_ids == [
-            f"implication-part-{i:04d}" for i in range(4)
-        ]
-        document = observer.tracer.to_dict()
-        assert Tracer.from_dict(document).to_dict() == document
 
 
 # ----------------------------------------------------------------------
@@ -493,7 +386,7 @@ class TestSchedulerRetryArchive:
             with observer.tracer.span("scan", rows=6):
                 pass
             if len(attempts) < 3:
-                raise SupervisorError("worker pool fell over")
+                raise BrokenProcessPool("worker pool fell over")
             return '{"rules": []}', 0
 
         scheduler = Scheduler(
@@ -509,7 +402,7 @@ class TestSchedulerRetryArchive:
         assert [
             bool(s["attributes"].get("failed")) for s in spans
         ] == [True, True, False]
-        assert "SupervisorError" in spans[0]["attributes"]["failed_reason"]
+        assert "BrokenProcessPool" in spans[0]["attributes"]["failed_reason"]
         for span in spans:  # every attempt kept its engine spans
             assert [c["name"] for c in span["children"]] == ["scan"]
         expected = dict(archive)

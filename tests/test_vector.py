@@ -260,8 +260,11 @@ class TestResolver:
         assert (plan.name, plan.carrier) == ("stream+vector", "stream")
 
     def test_auto_memory_budget_is_guarded(self):
-        plan, _ = self._resolve(memory_budget=1024)
-        assert (plan.name, plan.carrier) == ("vector", "guarded")
+        for engine, name in (("auto", "vector"), ("vector", "vector"),
+                             ("dmc", "dmc")):
+            plan, options = self._resolve(engine=engine, memory_budget=1024)
+            assert (plan.name, plan.carrier) == (name, "dmc")
+            assert options.memory_guard.budget_bytes == 1024
 
     def test_explicit_dmc(self):
         plan, _ = self._resolve(engine="dmc")
@@ -341,13 +344,11 @@ class TestResolver:
             MiningConfig(threshold=0.9, vector_block_rows=0)
 
     def test_config_conflicts(self):
-        for kwargs in (
-            {"engine": "dmc", "memory_budget": 1024},
-            {"engine": "vector", "memory_budget": 1024},
-            {"engine": "stream", "memory_budget": 1024},
-        ):
-            with pytest.raises(ValueError):
-                MiningConfig(threshold=0.9, **kwargs)
+        with pytest.raises(ValueError):
+            MiningConfig(threshold=0.9, engine="stream", memory_budget=1024)
+        # The budget guards whichever in-memory scan runs.
+        for engine in ("dmc", "vector"):
+            MiningConfig(threshold=0.9, engine=engine, memory_budget=1024)
 
 
 class TestMineVector:
