@@ -75,7 +75,9 @@ class MiningConfig:
 
         - ``"auto"`` (default) — streaming sources stream, everything
           else runs in memory on the vector scan.
-        - ``"dmc"`` — the serial in-memory pipeline.
+        - ``"dmc"`` — the serial in-memory pipeline (the only engine
+          that runs the paper's row-at-a-time scan; every other one
+          runs the vector scan).
         - ``"vector"`` — the blocked numpy second-pass engine
           (:mod:`repro.core.vector`); combined with
           ``n_workers > 1`` it runs inside each partition.
@@ -85,13 +87,9 @@ class MiningConfig:
           buckets are the Section 4.1 reordering, so it rejects
           ``options.row_reordering=False``.
         - ``"partitioned"`` — divide-and-conquer candidate generation.
-    vector_block_rows:
-        Rows per block for the vector engine (None = the engine's
-        :data:`repro.core.vector.DEFAULT_BLOCK_ROWS`); overrides
-        ``options.vector_block_rows``.
     options:
         A :class:`~repro.core.dmc_imp.PruningOptions` (ablation
-        toggles, memory guard, scan engine).
+        toggles, memory guard).
     bitmap:
         Shorthand overriding ``options.bitmap`` — a
         :class:`~repro.core.miss_counting.BitmapConfig` tuning the
@@ -166,7 +164,6 @@ class MiningConfig:
     task: str = "implication"
     threshold: Any = None
     engine: str = "auto"
-    vector_block_rows: Optional[int] = None
     options: Optional[PruningOptions] = None
     bitmap: Optional[BitmapConfig] = None
     n_partitions: int = 4
@@ -196,8 +193,6 @@ class MiningConfig:
             raise ValueError(
                 f"unknown engine {self.engine!r}; expected one of {ENGINES}"
             )
-        if self.vector_block_rows is not None and self.vector_block_rows < 1:
-            raise ValueError("vector_block_rows must be at least 1")
         if self.engine == "stream" and self.memory_budget is not None:
             raise ValueError(
                 "engine='stream' cannot be combined with memory_budget= "
@@ -284,11 +279,12 @@ class EnginePlan:
 
     ``carrier`` is the pipeline that owns the passes: ``"dmc"``
     (in-memory), ``"stream"`` (two-pass on disk) or ``"partitioned"``
-    (divide and conquer).  ``scan_engine`` is what runs the
-    miss-counting passes inside the carrier: ``"serial"`` or
-    ``"vector"``.  ``name`` is the user-facing combination recorded on
-    :attr:`MiningResult.engine`, :attr:`PipelineStats.engine` and the
-    journal's ``run-start`` event.
+    (divide and conquer).  ``scan_engine`` is the scan the facade picks
+    for the miss-counting passes inside the carrier: ``"serial"`` for
+    ``engine="dmc"``, ``"vector"`` for every other engine.  ``name`` is
+    the user-facing combination recorded on the journal's ``run-start``
+    event; :attr:`MiningResult.engine` names the scan that actually
+    ran (see :func:`resolve_engine`).
     """
 
     name: str
@@ -313,10 +309,9 @@ def resolve_engine(
 
     Returns ``(plan, options)`` where ``options`` is the effective
     :class:`~repro.core.dmc_imp.PruningOptions` (the configured ones
-    with ``bitmap`` / ``memory_guard`` / ``scan_engine`` /
-    ``vector_block_rows`` overrides applied).  ``streaming`` says
-    whether the data arrived as a source rather than an in-memory
-    matrix.
+    with the ``bitmap`` / ``memory_guard`` overrides applied).
+    ``streaming`` says whether the data arrived as a source rather than
+    an in-memory matrix.
 
     The contract, per ``engine=`` value:
 
@@ -335,15 +330,14 @@ def resolve_engine(
 
     ``memory_budget`` guards the in-memory scan with a
     :class:`~repro.runtime.guards.MemoryGuard` (``options.memory_guard``).
-    Every carrier but ``"dmc"`` runs the vector scan unless
-    ``options.scan_engine`` names one.  A pass whose policy's int64
-    twins are inexact runs serial instead, and :attr:`MiningResult.
-    engine` names the scan that ran (``"dmc"``, ``"stream"``...);
-    only ``engine="vector"`` raises there (see :func:`mine`).
+    ``engine="dmc"`` runs the serial scan; every other engine runs the
+    vector scan.  A pass whose policy's int64 twins are inexact runs
+    serial instead, and :attr:`MiningResult.engine` names the scan that
+    ran (``"dmc"``, ``"stream"``...); only ``engine="vector"`` raises
+    there (see :func:`mine`).
 
     Contradictions raise ``ValueError`` (e.g. ``engine="vector"`` on a
-    streaming source, ``engine="dmc"`` with
-    ``options.scan_engine="vector"``, or the stream carrier with
+    streaming source, or the stream carrier with
     ``options.row_reordering=False``); config-only conflicts are
     already rejected by :class:`MiningConfig`.
     """
@@ -358,18 +352,6 @@ def resolve_engine(
         )
 
     engine = config.engine
-    scan = options.scan_engine
-    if engine == "dmc":
-        if scan == "vector":
-            raise ValueError(
-                "engine='dmc' is the serial pipeline but "
-                "options.scan_engine='vector'; pass engine='vector' "
-                "(or drop the scan_engine override)"
-            )
-        scan = "serial"
-    elif engine == "vector":
-        scan = "vector"
-
     if streaming:
         if engine in ("dmc", "vector", "partitioned"):
             hint = (
@@ -400,19 +382,7 @@ def resolve_engine(
             "and engine='dmc' or engine='vector'"
         )
 
-    block_rows = (
-        config.vector_block_rows
-        if config.vector_block_rows is not None
-        else options.vector_block_rows
-    )
-    scan = scan or "vector"
-    if scan == "vector" and block_rows is None:
-        from repro.core.vector import DEFAULT_BLOCK_ROWS
-
-        block_rows = DEFAULT_BLOCK_ROWS
-    options = replace(
-        options, scan_engine=scan, vector_block_rows=block_rows
-    )
+    scan = "serial" if engine == "dmc" else "vector"
     name = _engine_name(carrier, scan)
     return EnginePlan(name=name, carrier=carrier, scan_engine=scan), options
 
@@ -479,7 +449,6 @@ def _resolve_telemetry(
                 task=config.task,
                 threshold=str(config.threshold),
                 engine=plan.name,
-                vector_block_rows=stats.vector_block_rows,
                 n_workers=config.n_workers,
             )
 
@@ -544,8 +513,6 @@ def mine(data, *, config: Optional[MiningConfig] = None, **kwargs):
         source = MatrixSource(matrix)
     stats = PipelineStats()
     stats.engine = plan.name
-    if plan.scan_engine == "vector":
-        stats.vector_block_rows = options.vector_block_rows
     observer, journal, server = _resolve_telemetry(config, stats, plan)
 
     # A live server/journal should also see a SIGTERM'd run unwind
@@ -565,13 +532,13 @@ def mine(data, *, config: Optional[MiningConfig] = None, **kwargs):
             rules = _run_plan(
                 plan, config, matrix, source, options, stats, observer
             )
-        # The carriers stamp the block size of the scan that ran (None
-        # for serial).
-        engine = _engine_name(
-            plan.carrier,
-            "serial" if stats.vector_block_rows is None else "vector",
-        )
+        # The carriers record the scan that ran (serial after an int64
+        # fallback), which may differ from the plan's.
+        engine = _engine_name(plan.carrier, stats.scan_engine)
         stats.engine = engine
+        status = getattr(observer, "status", None)
+        if status is not None:
+            status.engine = engine
         observer.finish(stats=stats, guard=options.memory_guard)
     except BaseException as error:
         status = getattr(observer, "status", None)
@@ -623,6 +590,7 @@ def _run_plan(plan, config, matrix, source, options, stats, observer):
             config.threshold,
             config.task,
             options,
+            plan.scan_engine,
             spill_dir=config.spill_dir,
             checkpoint_dir=config.checkpoint_dir,
             stats=stats,
@@ -644,9 +612,9 @@ def _run_plan(plan, config, matrix, source, options, stats, observer):
             n_workers=config.n_workers,
             stats=stats,
             observer=observer,
-            scan_engine=options.scan_engine,
-            vector_block_rows=options.vector_block_rows,
+            scan_engine=plan.scan_engine,
         )
     return mine_matrix(
-        config.task, matrix, config.threshold, options, stats, observer
+        config.task, matrix, config.threshold, options, stats, observer,
+        plan.scan_engine,
     )

@@ -100,11 +100,6 @@ def build_parser() -> argparse.ArgumentParser:
                  "it inside each partition (--stream already uses it)",
         )
         sub.add_argument(
-            "--block-rows", type=int, default=None, metavar="N",
-            help="rows per block for the vector engine "
-                 "(default: its built-in block size)",
-        )
-        sub.add_argument(
             "--stream", action="store_true",
             help="mine with the two-pass streaming pipeline (never "
                  "loads the matrix; numeric ids only)",
@@ -437,8 +432,6 @@ def _mine(args: argparse.Namespace) -> int:
             )
             engine = getattr(args, "engine", "auto")
             engine_kwargs = {"engine": engine}
-            if getattr(args, "block_rows", None) is not None:
-                engine_kwargs["vector_block_rows"] = args.block_rows
             if workers is not None:
                 if engine == "auto":
                     engine_kwargs["engine"] = "partitioned"
@@ -561,8 +554,6 @@ def _journal(args: argparse.Namespace) -> int:
     header = f"run {summary['run_id']}"
     if summary.get("engine"):
         header += f" [{summary['engine']}]"
-        if summary.get("vector_block_rows"):
-            header += f" (block_rows={summary['vector_block_rows']})"
     if summary["rules"] is not None:
         header += f": {summary['rules']} rules"
     if wall is not None:

@@ -48,7 +48,6 @@ from repro.core.thresholds import (
 )
 from repro.core.vector import vector_scan_rows
 from repro.matrix.binary_matrix import BinaryMatrix
-from repro.matrix.ops import DEFAULT_BLOCK_ROWS
 from repro.matrix.reorder import scan_order
 from repro.observe.progress import NULL_OBSERVER
 
@@ -80,27 +79,6 @@ class PruningOptions:
     #: hard counter-array budget on every scan (duck-typed here to keep
     #: the core free of runtime imports).
     memory_guard: Optional[object] = None
-    #: Second-pass engine: ``"serial"`` runs the row-at-a-time scan of
-    #: :mod:`repro.core.miss_counting` (the paper-faithful oracle);
-    #: ``"vector"`` runs the blocked numpy engine of
-    #: :mod:`repro.core.vector`, except for a pass whose policy has
-    #: inexact int64 array twins (``vector_ready()``), which runs serial.
-    #: Both produce the identical rule set.  None (the default) leaves
-    #: the choice to the caller: the ``find_*``/``stream_*`` entry
-    #: points run serial, :func:`repro.mine` runs vector on every
-    #: engine but ``"dmc"``.  The zero-miss 100%-rule pass always runs
-    #: serial (its id-set layout is near-optimal).
-    scan_engine: Optional[str] = None
-    #: Rows per block of the vector scan (None = the engine's
-    #: :data:`repro.core.vector.DEFAULT_BLOCK_ROWS`).
-    vector_block_rows: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if self.scan_engine not in (None, "serial", "vector"):
-            raise ValueError(
-                f"unknown scan_engine {self.scan_engine!r}; "
-                "use 'serial' or 'vector'"
-            )
 
 
 @dataclass(frozen=True)
@@ -152,6 +130,17 @@ def vector_exact(task: str, threshold, ones: Sequence[int]) -> bool:
     return policy.vector_ready()
 
 
+def check_scan(scan: str) -> None:
+    """Reject a scan name other than ``"serial"`` (the paper's
+    row-at-a-time loop, :mod:`repro.core.miss_counting`) and
+    ``"vector"`` (the blocked numpy engine, :mod:`repro.core.vector`).
+    Both mine the identical rules."""
+    if scan not in ("serial", "vector"):
+        raise ValueError(
+            f"unknown scan_engine {scan!r}; use 'serial' or 'vector'"
+        )
+
+
 #: ``rows_for(keep, scan_stats) -> (rows, n_rows)``: the carrier's
 #: ``(row_id, columns)`` stream in scan order, with every column outside
 #: ``keep`` dropped (``keep=None`` keeps all).  ``scan_stats`` is the
@@ -169,6 +158,7 @@ def mine_passes(
     ones: Sequence[int],
     rows_for: RowSource,
     options: PruningOptions,
+    scan: str,
     stats: PipelineStats,
     observer,
 ) -> RuleSet:
@@ -176,33 +166,25 @@ def mine_passes(
 
     ``ones`` are the pre-scan's column counts and ``rows_for`` the
     carrier's row source (see :data:`RowSource`).  The 100% pass always
-    runs the zero-miss scan; the other passes run the serial or vector
-    scan per ``options.scan_engine`` (see :class:`PruningOptions`).
-    ``stats.vector_block_rows`` records the vector block size, or None
-    when the serial scan ran.  Phases are timed into ``stats.timer``
-    and reported to ``observer``.
+    runs the zero-miss scan; the other passes run ``scan`` (see
+    :func:`check_scan`), except that a ``"vector"`` pass whose policy
+    has inexact int64 twins (``vector_ready()``) runs serial.
+    ``stats.scan_engine`` records the scan that ran.  Phases are timed
+    into ``stats.timer`` and reported to ``observer``.
     """
     threshold = as_fraction(threshold)
     spec = TASKS[task]
     rules = RuleSet()
     stats.columns_total = len(ones)
-    stats.vector_block_rows = None
-    if options.scan_engine == "vector":
-        stats.vector_block_rows = (
-            DEFAULT_BLOCK_ROWS if options.vector_block_rows is None
-            else options.vector_block_rows
-        )
+    stats.scan_engine = scan
 
     def partial_scan(rows, n_rows, policy, **kwargs):
         if not policy.vector_ready():
             # Exact only on the serial scan's arbitrary-precision path.
-            stats.vector_block_rows = None
-        if stats.vector_block_rows is None:
+            stats.scan_engine = "serial"
+        if stats.scan_engine == "serial":
             return miss_counting_scan_rows(rows, n_rows, policy, **kwargs)
-        return vector_scan_rows(
-            rows, n_rows, policy, block_rows=stats.vector_block_rows,
-            **kwargs,
-        )
+        return vector_scan_rows(rows, n_rows, policy, **kwargs)
 
     def scan(run, policy, keep, scan_stats: ScanStats) -> None:
         rows, n_rows = rows_for(keep, scan_stats)
@@ -256,8 +238,10 @@ def mine_matrix(
     options: Optional[PruningOptions] = None,
     stats: Optional[PipelineStats] = None,
     observer=None,
+    scan: str = "serial",
 ) -> RuleSet:
-    """Step 1 over an in-memory matrix, then :func:`mine_passes`.
+    """Step 1 over an in-memory matrix, then :func:`mine_passes` with
+    ``scan``.
 
     The row source serves the pre-scan's bucket order for the full
     matrix and re-buckets the restricted matrix for step 4 (removed
@@ -285,7 +269,7 @@ def mine_matrix(
         return restricted.iter_rows(restricted_order), len(restricted_order)
 
     return mine_passes(
-        task, threshold, ones, rows_for, options, stats, observer
+        task, threshold, ones, rows_for, options, scan, stats, observer
     )
 
 

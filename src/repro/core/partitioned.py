@@ -38,7 +38,7 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from typing import List, Optional, Set, Tuple
 
-from repro.core.dmc_imp import vector_exact
+from repro.core.dmc_imp import check_scan, vector_exact
 from repro.core.miss_counting import miss_counting_scan
 from repro.core.policies import ImplicationPolicy, SimilarityPolicy
 from repro.core.rules import (
@@ -54,7 +54,6 @@ from repro.core.thresholds import (
     similarity_holds,
 )
 from repro.matrix.binary_matrix import BinaryMatrix
-from repro.matrix.ops import DEFAULT_BLOCK_ROWS
 from repro.matrix.reorder import scan_order
 from repro.observe.progress import NULL_OBSERVER
 
@@ -88,11 +87,11 @@ def _mine_chunk(args, observer=None) -> List[Tuple[int, int]]:
 
     Module-level (not a closure) so it is picklable for the process
     pool.  The payload is ``(rows, n_columns, threshold, kind,
-    scan_engine, vector_block_rows)``.  ``observer`` is the parent's
+    scan_engine)``.  ``observer`` is the parent's
     when partitions run in-process (pool workers run unobserved); the
     chunk's scan folds onto its metrics under ``scan="partition"``.
     """
-    rows, n_columns, threshold, kind, scan_engine, vector_block_rows = args
+    rows, n_columns, threshold, kind, scan_engine = args
     local = BinaryMatrix(rows, n_columns=n_columns)
     if kind == "implication":
         policy = _AllPairsImplicationPolicy(
@@ -114,7 +113,7 @@ def _mine_chunk(args, observer=None) -> List[Tuple[int, int]]:
 
             local_rules = vector_scan(
                 local, policy, order=scan_order(local), stats=scan_stats,
-                observer=observer, block_rows=vector_block_rows,
+                observer=observer,
             )
         else:
             local_rules = miss_counting_scan(
@@ -138,8 +137,7 @@ def _local_candidates(
     n_workers: Optional[int],
     stats: PipelineStats,
     observer,
-    scan_engine: str = "serial",
-    vector_block_rows: Optional[int] = None,
+    scan_engine: str,
 ) -> Set[Tuple[int, int]]:
     """Mine every partition (in-process or on the spawn pool) and union
     the locally-valid pairs.
@@ -147,19 +145,15 @@ def _local_candidates(
     ``scan_engine="vector"`` runs serial when the whole matrix's
     policy has inexact int64 twins.  (A partition's counts never
     exceed the matrix's, so an exact whole-matrix policy makes every
-    partition's exact.)  The scan that ran is stamped on
-    ``stats.vector_block_rows``.
+    partition's exact.)  The scan that ran is recorded on
+    ``stats.scan_engine``.
     """
-    stats.vector_block_rows = None
-    if scan_engine == "vector" and vector_exact(
+    check_scan(scan_engine)
+    if scan_engine == "vector" and not vector_exact(
         kind, threshold, matrix.column_ones()
     ):
-        stats.vector_block_rows = (
-            DEFAULT_BLOCK_ROWS if vector_block_rows is None
-            else vector_block_rows
-        )
-    else:
-        scan_engine, vector_block_rows = "serial", None
+        scan_engine = "serial"
+    stats.scan_engine = scan_engine
     jobs = [
         (
             [matrix.row(row_id) for row_id in chunk],
@@ -167,7 +161,6 @@ def _local_candidates(
             threshold,
             kind,
             scan_engine,
-            vector_block_rows,
         )
         for chunk in _partition_rows(matrix, n_partitions)
     ]
@@ -198,7 +191,6 @@ def find_implication_rules_partitioned(
     stats: Optional[PipelineStats] = None,
     observer=None,
     scan_engine: str = "serial",
-    vector_block_rows: Optional[int] = None,
 ) -> RuleSet:
     """Mine implication rules by partitioned candidate generation.
 
@@ -214,8 +206,8 @@ def find_implication_rules_partitioned(
     ``scan_engine="vector"`` mines each partition with the blocked
     numpy engine (:mod:`repro.core.vector`) instead of the serial scan,
     unless its int64 twins are inexact (see
-    :class:`~repro.core.dmc_imp.PruningOptions`); ``vector_block_rows``
-    tunes its batch size.  The rule set is identical either way.
+    :func:`~repro.core.dmc_imp.vector_exact`).  The rule set is
+    identical either way.
     """
     minconf = as_fraction(minconf)
     if stats is None:
@@ -229,8 +221,7 @@ def find_implication_rules_partitioned(
     ):
         candidates = _local_candidates(
             matrix, minconf, n_partitions, "implication", n_workers,
-            stats, observer,
-            scan_engine=scan_engine, vector_block_rows=vector_block_rows,
+            stats, observer, scan_engine,
         )
 
     from repro.baselines.bruteforce import pairwise_intersections
@@ -268,7 +259,6 @@ def find_similarity_rules_partitioned(
     stats: Optional[PipelineStats] = None,
     observer=None,
     scan_engine: str = "serial",
-    vector_block_rows: Optional[int] = None,
 ) -> RuleSet:
     """Mine similarity rules by partitioned candidate generation.
 
@@ -289,8 +279,7 @@ def find_similarity_rules_partitioned(
     ):
         candidates = _local_candidates(
             matrix, minsim, n_partitions, "similarity", n_workers,
-            stats, observer,
-            scan_engine=scan_engine, vector_block_rows=vector_block_rows,
+            stats, observer, scan_engine,
         )
 
     from repro.baselines.bruteforce import pairwise_intersections

@@ -182,27 +182,6 @@ class ScanStats:
         if memory_bytes > self.peak_bytes:
             self.peak_bytes = memory_bytes
 
-    def merge_peaks(self, other: "ScanStats") -> None:
-        """Fold another scan's peaks and counters into this one."""
-        self.peak_entries = max(self.peak_entries, other.peak_entries)
-        self.peak_bytes = max(self.peak_bytes, other.peak_bytes)
-        self.rows_scanned += other.rows_scanned
-        self.candidates_added += other.candidates_added
-        self.candidates_deleted += other.candidates_deleted
-        self.candidates_deleted_budget += other.candidates_deleted_budget
-        self.candidates_deleted_dynamic += other.candidates_deleted_dynamic
-        self.candidates_rejected += other.candidates_rejected
-        self.rules_emitted += other.rules_emitted
-        self.rows_skipped += other.rows_skipped
-        self.rows_clamped += other.rows_clamped
-        self.io_retries += other.io_retries
-        self.misses_recorded += other.misses_recorded
-        if self.guard_tripped_at is None:
-            self.guard_tripped_at = other.guard_tripped_at
-        self.bitmap_bytes = max(self.bitmap_bytes, other.bitmap_bytes)
-        self.bitmap_seconds += other.bitmap_seconds
-        self.scan_seconds += other.scan_seconds
-
     def accounting_balanced(self) -> bool:
         """Every candidate ever added must be accounted for exactly.
 
@@ -311,8 +290,9 @@ class PipelineStats:
     #: None when the run predates engine recording or bypassed
     #: ``repro.mine()``.
     engine: Optional[str] = None
-    #: Rows per block of the vector engine (None for serial engines).
-    vector_block_rows: Optional[int] = None
+    #: Second-pass scan that ran (``"serial"`` or ``"vector"``); None
+    #: before a run.
+    scan_engine: Optional[str] = None
     #: New candidate pairs contributed by each partition (partitioned
     #: mining only).
     partition_candidates: List[int] = field(default_factory=list)
@@ -367,7 +347,7 @@ class PipelineStats:
             "rules_hundred_percent": self.rules_hundred_percent,
             "rules_partial": self.rules_partial,
             "engine": self.engine,
-            "vector_block_rows": self.vector_block_rows,
+            "scan_engine": self.scan_engine,
             "partition_candidates": list(self.partition_candidates),
             "degradations": list(self.degradations),
         }
@@ -388,7 +368,7 @@ class PipelineStats:
             rules_hundred_percent=record.get("rules_hundred_percent", 0),
             rules_partial=record.get("rules_partial", 0),
             engine=record.get("engine"),
-            vector_block_rows=record.get("vector_block_rows"),
+            scan_engine=record.get("scan_engine"),
             partition_candidates=list(
                 record.get("partition_candidates", [])
             ),

@@ -36,8 +36,9 @@ SCALED_BITMAP = BitmapConfig(switch_rows=64, memory_budget_bytes=12 * 1024)
 
 
 def _options(bitmap: Optional[BitmapConfig] = SCALED_BITMAP, **kwargs):
-    """The figures time the paper's row-at-a-time DMC scan."""
-    return PruningOptions(bitmap=bitmap, scan_engine="serial", **kwargs)
+    """The figures time the paper's row-at-a-time DMC scan (the
+    ``find_*`` entry points always run it)."""
+    return PruningOptions(bitmap=bitmap, **kwargs)
 
 
 @register("table1")

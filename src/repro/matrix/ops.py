@@ -7,10 +7,11 @@ Rows arrive ``block_rows`` at a time from a block source (``take(n) ->
 its active columns, against which whole *arrays* of column pairs are
 evaluated — by one co-occurrence matmul, a gather of the pairs' dense
 columns, or packed-bitmap popcounts (``numpy.packbits``, eight rows per
-byte; misses are ``popcount(bm(c_j) & ~bm(c_k))``, the paper's Section
-4.2 formula).  Pair *discovery* reads a narrow, dense block's
-co-occurrence matmul or else sparse products over the block's CSR
-form, whose cost follows the block's ones rather than its cells.
+byte).  Those count hits; the paper's Section 4.2 misses,
+``popcount(bm(c_j) & ~bm(c_k))``, are ``ones(c_j)`` minus them.  Pair
+*discovery* reads a narrow, dense block's co-occurrence matmul or else
+sparse products over the block's CSR form, whose cost follows the
+block's ones rather than its cells.
 Nothing here builds a dense array over more than one block.
 """
 
@@ -21,9 +22,9 @@ from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
-#: Default rows per block.  Large enough that the per-block Python
-#: overhead vanishes against the array work; small enough that the
-#: dense block matrix stays cache-friendly.
+#: Rows per block of every vector scan (a constant, not a knob).  Large
+#: enough that the per-block Python overhead vanishes against the array
+#: work; small enough that the dense block matrix stays cache-friendly.
 DEFAULT_BLOCK_ROWS = 1024
 
 #: Hard cap on the block size: float32 block matmuls are exact only
@@ -85,18 +86,6 @@ def pair_and_counts(
     guard row to model a column absent from the block.
     """
     return _popcount_sum(packed[left] & packed[right], axis=1)
-
-
-def pair_and_not_counts(
-    packed: np.ndarray, left: np.ndarray, right: np.ndarray
-) -> np.ndarray:
-    """Vectorized misses: ``popcount(packed[l] & ~packed[r])`` per pair.
-
-    Rows where the left column is 1 but the right column is 0.  Pad
-    bits are zero on the left side, so ``~right``'s phantom tail never
-    contributes.
-    """
-    return _popcount_sum(packed[left] & ~packed[right], axis=1)
 
 
 class RowBlocks:

@@ -55,7 +55,12 @@ import tempfile
 import warnings
 from typing import Iterable, Iterator, List, Optional, TextIO, Tuple
 
-from repro.core.dmc_imp import PruningOptions, mine_matrix, mine_passes
+from repro.core.dmc_imp import (
+    PruningOptions,
+    check_scan,
+    mine_matrix,
+    mine_passes,
+)
 from repro.core.miss_counting import BitmapConfig
 from repro.core.rules import RuleSet
 from repro.core.stats import PipelineStats
@@ -533,6 +538,7 @@ def _in_memory_fallback(
     threshold,
     kind: str,
     options: PruningOptions,
+    scan: str,
     stats: PipelineStats,
     observer,
 ) -> RuleSet:
@@ -549,7 +555,7 @@ def _in_memory_fallback(
         )
     with observer.span("in-memory-fallback"):
         return mine_matrix(
-            kind, matrix, threshold, options, stats, observer
+            kind, matrix, threshold, options, stats, observer, scan
         )
 
 
@@ -558,6 +564,7 @@ def _stream_rules(
     threshold,
     kind: str,
     options: PruningOptions,
+    scan: str,
     spill_dir: Optional[str] = None,
     checkpoint_dir: Optional[str] = None,
     stats: Optional[PipelineStats] = None,
@@ -568,8 +575,9 @@ def _stream_rules(
 ) -> RuleSet:
     """The shared two-pass pipeline behind both stream entry points.
 
-    ``kind`` is a :data:`repro.core.dmc_imp.TASKS` key and ``options``
-    the full :class:`~repro.core.dmc_imp.PruningOptions`; pass 2 is the
+    ``kind`` is a :data:`repro.core.dmc_imp.TASKS` key, ``options``
+    the full :class:`~repro.core.dmc_imp.PruningOptions` and ``scan``
+    pass 2's scan (``"serial"`` or ``"vector"``); pass 2 is the
     one DMC phase sequence, so every ablation toggle applies (the spill
     buckets *are* the Section 4.1 reordering, so ``row_reordering`` has
     no effect here).
@@ -585,6 +593,7 @@ def _stream_rules(
     describe the run that actually produced the rules, with the
     degradation recorded in ``stats.degradations``.
     """
+    check_scan(scan)
     threshold = as_fraction(threshold)
     if stats is None:
         stats = PipelineStats()
@@ -592,8 +601,8 @@ def _stream_rules(
         observer = NULL_OBSERVER
     try:
         return _stream_rules_on_disk(
-            source, threshold, kind, options, spill_dir, checkpoint_dir,
-            stats, observer, storage, preflight,
+            source, threshold, kind, options, scan, spill_dir,
+            checkpoint_dir, stats, observer, storage, preflight,
         )
     except OSError as error:
         if not terminal_io_error(error):
@@ -611,7 +620,7 @@ def _stream_rules(
             stacklevel=2,
         )
         return _in_memory_fallback(
-            source, threshold, kind, options, stats, observer
+            source, threshold, kind, options, scan, stats, observer
         )
 
 
@@ -620,6 +629,7 @@ def _stream_rules_on_disk(
     threshold,
     kind: str,
     options: PruningOptions,
+    scan: str,
     spill_dir: Optional[str],
     checkpoint_dir: Optional[str],
     stats: PipelineStats,
@@ -739,7 +749,7 @@ def _stream_rules_on_disk(
                         spill._delete_on_close = True
             rules = mine_passes(
                 kind, threshold, ones, _spill_rows(spill, observer),
-                options, stats, observer,
+                options, scan, stats, observer,
             )
     finally:
         if spill is not None:
@@ -773,7 +783,6 @@ def stream_implication_rules(
     spill_degrade: bool = True,
     preflight: bool = False,
     scan_engine: str = "serial",
-    vector_block_rows: Optional[int] = None,
 ) -> RuleSet:
     """Two-pass DMC-imp over a streaming source.
 
@@ -805,15 +814,11 @@ def stream_implication_rules(
 
     ``scan_engine="vector"`` replays pass 2's <100% scan through the
     blocked numpy engine (:mod:`repro.core.vector`) instead of the
-    row-at-a-time loop; ``vector_block_rows`` tunes its batch size.
-    The rule set is identical either way.
+    row-at-a-time loop.  The rule set is identical either way.
     """
-    options = PruningOptions(
-        bitmap=bitmap, memory_guard=guard, scan_engine=scan_engine,
-        vector_block_rows=vector_block_rows,
-    )
+    options = PruningOptions(bitmap=bitmap, memory_guard=guard)
     return _stream_rules(
-        source, minconf, "implication", options, spill_dir,
+        source, minconf, "implication", options, scan_engine, spill_dir,
         checkpoint_dir, stats, observer, storage, spill_degrade, preflight,
     )
 
@@ -831,7 +836,6 @@ def stream_similarity_rules(
     spill_degrade: bool = True,
     preflight: bool = False,
     scan_engine: str = "serial",
-    vector_block_rows: Optional[int] = None,
 ) -> RuleSet:
     """Two-pass DMC-sim over a streaming source.
 
@@ -840,11 +844,8 @@ def stream_similarity_rules(
     ``scan_engine`` and the degradation ladder behave exactly as in
     :func:`stream_implication_rules`.
     """
-    options = PruningOptions(
-        bitmap=bitmap, memory_guard=guard, scan_engine=scan_engine,
-        vector_block_rows=vector_block_rows,
-    )
+    options = PruningOptions(bitmap=bitmap, memory_guard=guard)
     return _stream_rules(
-        source, minsim, "similarity", options, spill_dir,
+        source, minsim, "similarity", options, scan_engine, spill_dir,
         checkpoint_dir, stats, observer, storage, spill_degrade, preflight,
     )

@@ -60,7 +60,6 @@ from repro.observe.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    metrics_delta,
 )
 from repro.observe.progress import (
     NULL_OBSERVER,
@@ -93,7 +92,6 @@ __all__ = [
     "follow_journal",
     "load_metrics",
     "load_trace",
-    "metrics_delta",
     "metrics_format_for",
     "new_run_id",
     "read_journal",

@@ -76,17 +76,13 @@ def trace_to_chrome(document: dict, process_name: str = "repro") -> dict:
     ``ts``/``dur``, plus ``"M"`` metadata events naming the process
     and per-track threads.
 
-    Track (``tid``) assignment mirrors the system's concurrency: each
-    top-level span gets its own track, and a subtree tagged with a
-    ``worker_id`` attribute — a span tree shipped back from a worker
-    process — moves onto a per-worker track, since its
-    timestamps come from that worker's own clock.  Span attributes
-    (including the propagated ``trace_id``) ride in ``args``.
+    Each top-level span gets its own track (``tid``) and its subtree
+    stays on it.  Span attributes (including the propagated
+    ``trace_id``) ride in ``args``.
     """
     trace_id = document.get("trace_id")
     events = []
     track_names = {}
-    worker_tracks = {}
     next_tid = [0]
 
     def allocate(name: str) -> int:
@@ -96,12 +92,6 @@ def trace_to_chrome(document: dict, process_name: str = "repro") -> dict:
 
     def emit(span: dict, tid: int) -> None:
         attributes = dict(span.get("attributes") or {})
-        worker_id = attributes.get("worker_id")
-        if worker_id is not None:
-            key = str(worker_id)
-            if key not in worker_tracks:
-                worker_tracks[key] = allocate(f"worker {key}")
-            tid = worker_tracks[key]
         if trace_id is not None:
             attributes.setdefault("trace_id", trace_id)
         events.append(

@@ -383,7 +383,6 @@ def summarize_journal(path: str, storage=None) -> Dict[str, object]:
     }
     run_id = None
     engine = None
-    vector_block_rows = None
     first_ts = last_ts = None
     rules_final = None
     for record in read_journal(path, storage=storage):
@@ -398,9 +397,6 @@ def summarize_journal(path: str, storage=None) -> Dict[str, object]:
             last_ts = ts
         if event == "run-start":
             engine = record.get("engine", engine)
-            vector_block_rows = record.get(
-                "vector_block_rows", vector_block_rows
-            )
         elif event == "phase-start":
             phases.append({"name": record.get("name"), "seconds": None})
         elif event == "phase-end":
@@ -454,11 +450,13 @@ def summarize_journal(path: str, storage=None) -> Dict[str, object]:
                 deltas["last_seq"] = record.get("seq")
         elif event == "run-end":
             rules_final = record.get("rules", rules_final)
+            # The engine that ran (an int64 fallback turns the planned
+            # vector scan serial).
+            engine = record.get("engine") or engine
     return {
         "version": JOURNAL_VERSION,
         "run_id": run_id,
         "engine": engine,
-        "vector_block_rows": vector_block_rows,
         "events": event_counts,
         "phases": phases,
         "span_table": [

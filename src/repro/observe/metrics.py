@@ -135,16 +135,6 @@ class Histogram:
                 if value <= upper:
                     self.counts[index] += 1
 
-    def merge_counts(self, counts: Sequence[int], sum_: float,
-                     count: int) -> None:
-        """Bucket-wise add another histogram's per-bucket counts."""
-        with self._lock:
-            for index, extra in enumerate(counts):
-                if index < len(self.counts):
-                    self.counts[index] += int(extra)
-            self.sum += sum_
-            self.count += int(count)
-
     def cumulative(self) -> List[Tuple[float, int]]:
         """``(upper_bound, cumulative_count)`` pairs, plus ``+Inf``."""
         return list(zip(self.buckets, self.counts)) + [
@@ -403,47 +393,6 @@ class MetricsRegistry:
             )
         return {"version": 1, "metrics": families}
 
-    def merge_document(
-        self, document: Dict[str, object], kinds: Optional[set] = None
-    ) -> None:
-        """Fold a :meth:`to_dict` document from another registry in.
-
-        Cross-process aggregation: counters are summed, gauges
-        high-water merged, histograms bucket-wise added (per-bucket
-        counts are independent tallies, so addition is exact).  Pass
-        ``kinds={"gauge"}`` to fold only the live families — the merge
-        discipline for in-flight worker flushes, whose counter deltas
-        must wait until the attempt is accepted.
-        """
-        for family_record in document.get("metrics", []):
-            kind = family_record.get("kind")
-            if kinds is not None and kind not in kinds:
-                continue
-            name = family_record.get("name", "")
-            help_text = family_record.get("help", "")
-            for record in family_record.get("instances", []):
-                labels = record.get("labels", {})
-                if kind == "counter":
-                    value = float(record.get("value", 0.0))
-                    if value:
-                        self.counter(name, help_text, **labels).inc(value)
-                elif kind == "gauge":
-                    self.gauge(name, help_text, **labels).set_max(
-                        float(record.get("value", 0.0))
-                    )
-                elif kind == "histogram":
-                    buckets_record = record.get("buckets", [])
-                    uppers = [b["le"] for b in buckets_record]
-                    histogram = self.histogram(
-                        name, help_text,
-                        buckets=uppers or DEFAULT_BUCKETS, **labels,
-                    )
-                    histogram.merge_counts(
-                        [b["count"] for b in buckets_record],
-                        float(record.get("sum", 0.0)),
-                        int(record.get("count", 0)),
-                    )
-
     def to_json(self, indent: int = 2) -> str:
         """The registry as a JSON document."""
         return json.dumps(self.to_dict(), indent=indent)
@@ -487,75 +436,3 @@ class MetricsRegistry:
 
     def __repr__(self) -> str:
         return f"MetricsRegistry(families={len(self._families)})"
-
-
-def metrics_delta(
-    current: Dict[str, object], baseline: Dict[str, object]
-) -> Dict[str, object]:
-    """The change between two :meth:`MetricsRegistry.to_dict` snapshots.
-
-    Counters and histograms are subtracted (instances absent from
-    ``baseline`` pass through whole); gauges pass through at their
-    current value, since a gauge delta is meaningless under max-merge.
-    Workers use this to ship periodic flush ticks that the parent can
-    merge without double counting what an earlier tick already carried.
-    """
-
-    def index(document):
-        table = {}
-        for family_record in document.get("metrics", []):
-            for record in family_record.get("instances", []):
-                key = (
-                    family_record.get("name", ""),
-                    _label_key(record.get("labels", {})),
-                )
-                table[key] = record
-        return table
-
-    base = index(baseline)
-    families = []
-    for family_record in current.get("metrics", []):
-        kind = family_record.get("kind")
-        name = family_record.get("name", "")
-        instances = []
-        for record in family_record.get("instances", []):
-            previous = base.get((name, _label_key(record.get("labels", {}))))
-            out = dict(record)
-            if previous is not None and kind == "counter":
-                out["value"] = record.get("value", 0.0) - previous.get(
-                    "value", 0.0
-                )
-                if not out["value"]:
-                    continue
-            elif previous is not None and kind == "histogram":
-                out["sum"] = record.get("sum", 0.0) - previous.get(
-                    "sum", 0.0
-                )
-                out["count"] = record.get("count", 0) - previous.get(
-                    "count", 0
-                )
-                previous_counts = {
-                    b["le"]: b["count"]
-                    for b in previous.get("buckets", [])
-                }
-                out["buckets"] = [
-                    {
-                        "le": b["le"],
-                        "count": b["count"]
-                        - previous_counts.get(b["le"], 0),
-                    }
-                    for b in record.get("buckets", [])
-                ]
-                if not out["count"]:
-                    continue
-            instances.append(out)
-        if instances:
-            families.append(
-                {
-                    "name": name,
-                    "kind": kind,
-                    "help": family_record.get("help", ""),
-                    "instances": instances,
-                }
-            )
-    return {"version": 1, "metrics": families}

@@ -367,6 +367,7 @@ class RunObserver(ProgressObserver):
         if self.journal is not None and stats is not None:
             self.journal.emit(
                 "run-end",
+                engine=stats.engine,
                 rules=stats.rules_hundred_percent + stats.rules_partial,
                 rows_scanned=(
                     stats.hundred_percent_scan.rows_scanned

@@ -41,7 +41,6 @@ aborting.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 from dataclasses import dataclass
@@ -110,14 +109,6 @@ def source_fingerprint(source) -> Dict[str, object]:
     if callable(n_columns):
         columns = n_columns()
     return {"kind": type(source).__name__, "columns": columns}
-
-
-def _sha256_file(path: str) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        for chunk in iter(lambda: handle.read(1 << 16), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
 
 
 class CheckpointStore:

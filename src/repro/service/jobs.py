@@ -40,7 +40,7 @@ import threading
 import time
 import uuid
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.runtime.storage import LOCAL_STORAGE, Storage
 
@@ -61,16 +61,18 @@ TERMINAL_STATES = frozenset((DONE, FAILED, CANCELLED))
 SPEC_KEYS = frozenset(
     (
         "job_id", "tenant", "task", "threshold", "data", "engine",
-        "n_partitions", "n_workers", "vector_block_rows",
-        "timeout_seconds", "max_attempts", "memory_budget", "kind",
-        "trace_id",
+        "n_partitions", "n_workers", "timeout_seconds", "max_attempts",
+        "memory_budget", "kind", "trace_id",
     )
 )
 
-#: Keys older servers persisted with every job (the knobs of a retired
-#: supervised worker pool).  Reloading a stored record drops them, so
-#: those jobs survive an upgrade; a submit still rejects them.
-RETIRED_SPEC_KEYS = frozenset(("task_timeout", "task_retries"))
+#: Keys older servers persisted with jobs (the knobs of a retired
+#: supervised worker pool, and the retired vector block size).
+#: Reloading a stored record drops them, so those jobs survive an
+#: upgrade; a submit still rejects them.
+RETIRED_SPEC_KEYS = frozenset(
+    ("task_timeout", "task_retries", "vector_block_rows")
+)
 
 #: Job kinds: ``batch`` runs once through the scheduler; ``live``
 #: opens a continuous-mining session fed by ``POST /jobs/<id>/deltas``.
@@ -114,7 +116,6 @@ class JobSpec:
     engine: str = "auto"
     n_partitions: int = 4
     n_workers: Optional[int] = None
-    vector_block_rows: Optional[int] = None
     timeout_seconds: Optional[float] = None
     max_attempts: int = 3
     memory_budget: Optional[int] = None
@@ -184,11 +185,6 @@ class JobSpec:
                 if document.get("n_workers") is None
                 else int(document["n_workers"])  # type: ignore[arg-type]
             ),
-            vector_block_rows=(
-                None
-                if document.get("vector_block_rows") is None
-                else int(document["vector_block_rows"])  # type: ignore[arg-type]
-            ),
             timeout_seconds=(
                 None
                 if document.get("timeout_seconds") is None
@@ -236,8 +232,7 @@ class JobSpec:
             "kind": self.kind,
         }
         for key in (
-            "n_workers", "vector_block_rows",
-            "timeout_seconds", "memory_budget", "trace_id",
+            "n_workers", "timeout_seconds", "memory_budget", "trace_id",
         ):
             value = getattr(self, key)
             if value is not None:
@@ -333,8 +328,6 @@ class JobSpec:
         }
         if self.n_workers is not None:
             kwargs["n_workers"] = self.n_workers
-        if self.vector_block_rows is not None:
-            kwargs["vector_block_rows"] = self.vector_block_rows
         budget = (
             self.memory_budget
             if self.memory_budget is not None

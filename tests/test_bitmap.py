@@ -14,7 +14,6 @@ from repro.baselines.bruteforce import (
     similarity_rules_bruteforce,
 )
 from repro.core.bitmap import bitmap_tail
-from repro.core.dmc_imp import PruningOptions
 from repro.core.miss_counting import (
     BitmapConfig,
     miss_counting_scan,
@@ -27,13 +26,14 @@ from repro.core.policies import (
     SimilarityPolicy,
 )
 from repro.core.rules import ImplicationRule, RuleSet, SimilarityRule
-from repro.core.stats import ScanStats
+from repro.core.stats import PipelineStats, ScanStats
 from repro.core.vector import vector_scan
 from repro.datasets.registry import load_dataset
 from repro.experiments.figures import SCALED_BITMAP
 from repro.matrix.binary_matrix import BinaryMatrix
 from repro.matrix.ops import DEFAULT_BLOCK_ROWS, RowBlocks
 from repro.matrix.reorder import scan_order
+from repro.matrix.stream import MatrixSource, stream_implication_rules
 from repro.runtime.guards import MemoryGuard
 from tests.conftest import random_binary_matrix
 
@@ -348,16 +348,25 @@ class TestStatsPinned:
     )
     def test_mine_with_scaled_bitmap(self, scale, engine):
         matrix = load_dataset("plinkT", scale=scale)
-        carrier, _, scan = engine.partition("+")
-        options = PruningOptions(scan_engine=scan or "serial")
-        result = repro.mine(
-            matrix, engine=carrier, minconf="3/4", bitmap=SCALED_BITMAP,
-            options=options,
-        )
-        assert result.engine == engine
+        if engine == "stream":
+            # mine() streams on the vector scan; the serial stream is
+            # the direct entry point.
+            stats = PipelineStats()
+            stream_implication_rules(
+                MatrixSource(matrix), "3/4", bitmap=SCALED_BITMAP,
+                stats=stats, scan_engine="serial",
+            )
+            assert stats.scan_engine == "serial"
+        else:
+            result = repro.mine(
+                matrix, engine=engine.partition("+")[0], minconf="3/4",
+                bitmap=SCALED_BITMAP,
+            )
+            assert result.engine == engine
+            stats = result.stats
         got = (
-            _counters(result.stats.hundred_percent_scan),
-            _counters(result.stats.partial_scan),
+            _counters(stats.hundred_percent_scan),
+            _counters(stats.partial_scan),
         )
         assert got == _PINNED[("mine", scale, engine)]
 

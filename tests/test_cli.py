@@ -137,6 +137,12 @@ class TestMiningCommands:
         assert code == 2
         assert "already runs the vector pass 2" in capsys.readouterr().err
 
+    def test_block_rows_is_retired(self, capsys, transactions_file):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["mine-imp", transactions_file, "--block-rows", "8"])
+        assert exit_info.value.code == 2
+        assert "--block-rows" in capsys.readouterr().err
+
     def test_workers_conflict_with_checkpoint(
         self, capsys, transactions_file, tmp_path
     ):

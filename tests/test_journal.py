@@ -245,6 +245,23 @@ class TestJournalCli:
         assert main(["journal", "summarize", path]) == 0
         assert "phases:" in capsys.readouterr().out
 
+    def test_summarize_reads_run_start_with_a_block_size(
+        self, tmp_path, capsys
+    ):
+        """Older runs recorded ``vector_block_rows`` on ``run-start``;
+        the summary still reads them, preferring the run-end engine."""
+        path = _journal_path(tmp_path)
+        with RunJournal(path, "run-old") as journal:
+            journal.emit(
+                "run-start", task="similarity", engine="vector",
+                vector_block_rows=1024,
+            )
+            journal.emit("run-end", rules=3, engine="dmc")
+        summary = summarize_journal(path)
+        assert (summary["engine"], summary["rules"]) == ("dmc", 3)
+        assert main(["journal", "summarize", path]) == 0
+        assert capsys.readouterr().out.startswith("run run-old [dmc]: 3")
+
     def test_missing_journal_is_a_clean_error(self, tmp_path, capsys):
         assert main(
             ["journal", "tail", str(tmp_path / "absent.jsonl")]

@@ -12,7 +12,6 @@ from repro.matrix.ops import (
     dense_block,
     pack_columns,
     pair_and_counts,
-    pair_and_not_counts,
     pair_hits,
 )
 
@@ -43,13 +42,20 @@ def _pair(kernel, packed, to_active, left, right):
     return int(kernel(packed, to_active[[left]], to_active[[right]])[0])
 
 
+def _misses(packed, left, right):
+    """The paper's misses, ``popcount(bm(l) & ~bm(r))``, as the kernels
+    count them: ``l``'s ones minus the pair's hits."""
+    left, right = np.asarray(left), np.asarray(right)
+    return popcount_rows(packed)[left] - pair_and_counts(packed, left, right)
+
+
 class TestCounting:
     def test_count_ones(self):
         assert popcount_rows(_pack([1, 0, 1, 1])).tolist() == [3]
 
     def test_count_and_not_is_misses(self):
         packed = _pack([1, 1, 0, 1], [1, 0, 0, 0])
-        assert pair_and_not_counts(packed, [0], [1]).tolist() == [2]
+        assert _misses(packed, [0], [1]).tolist() == [2]
 
     def test_count_and_is_hits(self):
         packed = _pack([1, 1, 0, 1], [1, 0, 1, 1])
@@ -59,7 +65,7 @@ class TestCounting:
         """Two columns hold the same rows iff neither misses the other."""
         packed = _pack([1, 0], [1, 0], [0, 1])
         left, right = np.array([0, 1, 0]), np.array([1, 0, 2])
-        misses = pair_and_not_counts(packed, left, right)
+        misses = _misses(packed, left, right)
         assert misses.tolist() == [0, 0, 1]
 
     @given(
@@ -76,7 +82,7 @@ class TestCounting:
         assert pair_and_counts(packed, [0], [1]).tolist() == [
             len(set_a & set_b)
         ]
-        assert pair_and_not_counts(packed, [0], [1]).tolist() == [
+        assert _misses(packed, [0], [1]).tolist() == [
             len(set_a - set_b)
         ]
 
@@ -88,14 +94,14 @@ class TestPackRows:
         rows = [(10, (0, 2)), (11, (2,)), (12, (0,))]
         packed, to_active = _window(rows, 3)
         assert popcount_rows(packed)[to_active[[0, 2]]].tolist() == [2, 2]
-        assert _pair(pair_and_not_counts, packed, to_active, 0, 2) == 1
+        assert _misses(packed, to_active[[0]], to_active[[2]])[0] == 1
         assert _pair(pair_and_counts, packed, to_active, 0, 2) == 1
 
     def test_absent_column_is_all_zero(self):
         packed, to_active = _window([(0, (1,))], 10)
         assert popcount_rows(packed)[to_active[9]] == 0
-        assert _pair(pair_and_not_counts, packed, to_active, 1, 9) == 1
-        assert _pair(pair_and_not_counts, packed, to_active, 9, 1) == 0
+        assert _misses(packed, to_active[[1]], to_active[[9]])[0] == 1
+        assert _misses(packed, to_active[[9]], to_active[[1]])[0] == 0
 
     def test_column_filter(self):
         _, lengths, cols = RowBlocks([(0, (1, 2, 3))]).take(1)
@@ -108,9 +114,9 @@ class TestPackRows:
         packed, to_active = _window(
             [(0, (1, 2)), (1, (1, 2)), (2, (3,))], 4
         )
-        assert _pair(pair_and_not_counts, packed, to_active, 1, 2) == 0
-        assert _pair(pair_and_not_counts, packed, to_active, 2, 1) == 0
-        assert _pair(pair_and_not_counts, packed, to_active, 1, 3) == 2
+        assert _misses(packed, to_active[[1]], to_active[[2]])[0] == 0
+        assert _misses(packed, to_active[[2]], to_active[[1]])[0] == 0
+        assert _misses(packed, to_active[[1]], to_active[[3]])[0] == 2
 
     def test_empty_window(self):
         assert RowBlocks([]).take(4) == (0, None, None)

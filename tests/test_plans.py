@@ -1,0 +1,103 @@
+"""Every execution plan ``resolve_engine()`` can produce, end to end.
+
+One table enumerates each ``(engine, input, memory_budget)`` request
+``repro.mine()`` can receive, plus one ``n_workers=2`` request.  Each
+entry names the engine the run reports, or ``None`` where the request
+is rejected.  Accepted plans must mine brute force's rules byte for
+byte, for both tasks.
+"""
+
+import numpy as np
+import pytest
+
+from repro.api import ENGINES, mine
+from repro.baselines.bruteforce import (
+    implication_rules_bruteforce,
+    similarity_rules_bruteforce,
+)
+from repro.matrix.binary_matrix import BinaryMatrix
+from repro.matrix.stream import MatrixSource
+from repro.mining.export import rules_to_json
+
+TASKS = {
+    "implication": ("7/10", implication_rules_bruteforce),
+    "similarity": ("3/5", similarity_rules_bruteforce),
+}
+
+#: ``(engine, streaming input, memory_budget, n_workers)`` -> the
+#: engine ``mine()`` reports, or None when the request is rejected.
+PLANS = {
+    ("auto", False, None, None): "vector",
+    ("auto", False, 1024, None): "vector",
+    ("auto", True, None, None): "stream+vector",
+    ("auto", True, 1024, None): None,
+    ("dmc", False, None, None): "dmc",
+    ("dmc", False, 1024, None): "dmc",
+    ("dmc", True, None, None): None,
+    ("dmc", True, 1024, None): None,
+    ("vector", False, None, None): "vector",
+    ("vector", False, 1024, None): "vector",
+    ("vector", True, None, None): None,
+    ("vector", True, 1024, None): None,
+    ("stream", False, None, None): "stream+vector",
+    ("stream", False, 1024, None): None,
+    ("stream", True, None, None): "stream+vector",
+    ("stream", True, 1024, None): None,
+    ("partitioned", False, None, None): "partitioned+vector",
+    ("partitioned", False, 1024, None): "partitioned+vector",
+    ("partitioned", True, None, None): None,
+    ("partitioned", True, 1024, None): None,
+    ("vector", False, None, 2): "partitioned+vector",
+}
+
+
+def _plan_id(key):
+    engine, streaming, budget, workers = key
+    data = "source" if streaming else "matrix"
+    return f"{engine}-{data}-budget={budget}-workers={workers}"
+
+
+@pytest.fixture(scope="module")
+def matrix():
+    """200 rows with 100% rules (column copies) and partial ones
+    (noisy copies), so every plan runs both passes; wide enough that
+    a 1024-byte budget trips the guard."""
+    generator = np.random.default_rng(4)
+    base = generator.random((200, 30)) < 0.3
+    noisy = (base & (generator.random((200, 30)) < 0.85)) | (
+        generator.random((200, 30)) < 0.05
+    )
+    return BinaryMatrix.from_dense(
+        np.hstack([base, base[:, :2], noisy]).astype(np.uint8)
+    )
+
+
+def test_table_covers_every_request():
+    requests = {
+        (engine, streaming, budget, None)
+        for engine in ENGINES
+        for streaming in (False, True)
+        for budget in (None, 1024)
+    }
+    assert set(PLANS) == requests | {("vector", False, None, 2)}
+
+
+@pytest.mark.parametrize("task", sorted(TASKS))
+@pytest.mark.parametrize("key", list(PLANS), ids=_plan_id)
+def test_plan_matches_bruteforce(matrix, task, key):
+    engine, streaming, budget, workers = key
+    threshold, bruteforce = TASKS[task]
+    data = MatrixSource(matrix) if streaming else matrix
+    kwargs = dict(
+        task=task, threshold=threshold, engine=engine,
+        memory_budget=budget, n_workers=workers,
+    )
+    if PLANS[key] is None:
+        with pytest.raises(ValueError):
+            mine(data, **kwargs)
+        return
+    result = mine(data, **kwargs)
+    assert result.engine == PLANS[key]
+    want = bruteforce(matrix, threshold)
+    assert len(want) > 0
+    assert rules_to_json(result.rules) == rules_to_json(want)

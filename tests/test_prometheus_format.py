@@ -4,20 +4,13 @@ The ``/metrics`` endpoint promises a document a stock Prometheus can
 scrape, so the format details are pinned here: HELP/TYPE comment
 lines, label escaping, the ``+Inf`` bucket, ``_sum``/``_count``
 series, and cumulative bucket counts that never decrease.  The hammer
-tests pin the thread-safety contract the cross-process merge and the
-live HTTP exporter rely on.
+tests pin the thread-safety contract the live HTTP exporter relies on.
 """
 
 import re
 import threading
 
-import pytest
-
-from repro.observe import (
-    DEFAULT_BUCKETS,
-    MetricsRegistry,
-    metrics_delta,
-)
+from repro.observe import MetricsRegistry
 
 #: A metric sample line: name, optional {labels}, space, value.
 SAMPLE_RE = re.compile(
@@ -122,84 +115,6 @@ class TestExpositionFormat:
         registry = MetricsRegistry()
         registry.gauge("dmc_g", "g").set(3.0)
         assert "dmc_g 3\n" in registry.to_prometheus()
-
-
-class TestMergeDocument:
-    def test_counters_sum_gauges_max_histograms_add(self):
-        worker_a, worker_b, parent = (
-            _filled_registry(), _filled_registry(), MetricsRegistry()
-        )
-        worker_b.gauge("dmc_live_candidates", scan="partial").set(3)
-        parent.merge_document(worker_a.to_dict())
-        parent.merge_document(worker_b.to_dict())
-        assert parent.value(
-            "dmc_rows_scanned_total", scan="partial"
-        ) == 256
-        assert parent.value("dmc_live_candidates", scan="partial") == 7
-        merged = parent.get("dmc_task_seconds")
-        assert merged.count == 10
-        assert merged.counts == [2, 6, 8]
-        assert merged.sum == pytest.approx(112.1)
-
-    def test_gauge_only_merge_skips_counters_and_histograms(self):
-        parent = MetricsRegistry()
-        parent.merge_document(
-            _filled_registry().to_dict(), kinds={"gauge"}
-        )
-        assert parent.value("dmc_rows_scanned_total", scan="partial") is None
-        assert parent.get("dmc_task_seconds") is None
-        assert parent.value("dmc_live_candidates", scan="partial") == 7
-
-    def test_merged_exposition_stays_conformant(self):
-        parent = MetricsRegistry()
-        parent.merge_document(_filled_registry().to_dict())
-        for line in parent.to_prometheus().rstrip("\n").splitlines():
-            if not line.startswith("#"):
-                assert SAMPLE_RE.match(line), line
-
-
-class TestMetricsDelta:
-    def test_counter_delta_subtracts_and_drops_zero(self):
-        baseline = _filled_registry()
-        current = _filled_registry()
-        current.counter("dmc_rows_scanned_total", scan="partial").inc(72)
-        delta = metrics_delta(current.to_dict(), baseline.to_dict())
-        by_name = {f["name"]: f for f in delta["metrics"]}
-        rows = by_name["dmc_rows_scanned_total"]["instances"]
-        assert [record["value"] for record in rows] == [72]
-        # Unchanged histogram deltas to zero observations.
-        tasks = by_name.get("dmc_task_seconds")
-        if tasks is not None:
-            for record in tasks["instances"]:
-                assert record["count"] == 0
-
-    def test_gauges_pass_through_current_value(self):
-        baseline = _filled_registry()
-        current = _filled_registry()
-        current.gauge("dmc_live_candidates", scan="partial").set(2)
-        delta = metrics_delta(current.to_dict(), baseline.to_dict())
-        by_name = {f["name"]: f for f in delta["metrics"]}
-        gauge_records = by_name["dmc_live_candidates"]["instances"]
-        assert [record["value"] for record in gauge_records] == [2]
-
-    def test_delta_merges_back_to_current(self):
-        baseline = _filled_registry()
-        current = _filled_registry()
-        current.counter("dmc_rows_scanned_total", scan="partial").inc(10)
-        current.histogram(
-            "dmc_task_seconds", buckets=(0.1, 1.0, 10.0)
-        ).observe(0.5)
-        rebuilt = MetricsRegistry()
-        rebuilt.merge_document(baseline.to_dict())
-        rebuilt.merge_document(
-            metrics_delta(current.to_dict(), baseline.to_dict())
-        )
-        assert rebuilt.value(
-            "dmc_rows_scanned_total", scan="partial"
-        ) == current.value("dmc_rows_scanned_total", scan="partial")
-        assert rebuilt.get("dmc_task_seconds").counts == (
-            current.get("dmc_task_seconds").counts
-        )
 
 
 class TestThreadSafety:

@@ -23,6 +23,7 @@ from repro.baselines.bruteforce import (
 )
 from repro.core.dmc_imp import PruningOptions, find_implication_rules
 from repro.core.dmc_sim import find_similarity_rules
+from repro.core import vector
 from repro.core.stats import PipelineStats
 from repro.matrix.binary_matrix import BinaryMatrix
 from repro.matrix.io import save_transactions
@@ -564,12 +565,9 @@ BUDGET_TASKS = {
 def _mine_under_budget(matrix, task, engine, budget):
     threshold = BUDGET_TASKS[task][0]
     capture = _GuardCapture()
-    # One-row vector blocks put a guard check after every row, as the
-    # serial scan does.
-    blocks = {"vector_block_rows": 1} if engine == "vector" else {}
     result = repro.mine(
         matrix, task=task, threshold=threshold, engine=engine,
-        memory_budget=budget, observer=capture, **blocks,
+        memory_budget=budget, observer=capture,
     )
     return result, capture.guard
 
@@ -577,6 +575,12 @@ def _mine_under_budget(matrix, task, engine, budget):
 class TestMemoryBudget:
     """``memory_budget=`` degrades through the DMC-bitmap tail and
     still mines brute force's rules, byte for byte."""
+
+    @pytest.fixture(autouse=True)
+    def one_row_blocks(self, monkeypatch):
+        # One-row vector blocks put a guard check after every row, as
+        # the serial scan does.
+        monkeypatch.setattr(vector, "DEFAULT_BLOCK_ROWS", 1)
 
     @pytest.mark.parametrize("engine", ["dmc", "vector"])
     @pytest.mark.parametrize("task", sorted(BUDGET_TASKS))

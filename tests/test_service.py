@@ -289,6 +289,38 @@ class TestJobIndex:
         assert reloaded.spec.n_workers == 2
         assert "task_retries" not in reloaded.spec.to_mapping()
 
+    def test_records_with_a_block_size_reload_in_their_state(
+        self, tmp_path
+    ):
+        """Older servers persisted ``vector_block_rows`` when a client
+        set it; the block size is now a constant, and the job reloads
+        without it."""
+        os.makedirs(tmp_path / "jobs")
+        spec = spec_doc(
+            "old-vector", engine="vector", vector_block_rows=256,
+            tenant="default", n_partitions=4, max_attempts=3,
+            kind="batch",
+        )
+        record = {
+            "version": 1, "job_id": "old-vector", "tenant": "default",
+            "state": QUEUED, "attempts": 0, "created_at": 1.0,
+            "updated_at": 2.0, "error": None, "rules": None,
+            "history": [[QUEUED, 2.0, "written by an older server"]],
+            "spec": spec,
+        }
+        (tmp_path / "jobs" / "old-vector.json").write_text(
+            json.dumps(record)
+        )
+        index = JobIndex(str(tmp_path))
+        report = index.recover()
+        assert report.corrupt == []
+        assert report.queued == ["old-vector"]
+        reloaded = index.get("old-vector")
+        assert reloaded.state == QUEUED
+        assert reloaded.spec.engine == "vector"
+        assert "vector_block_rows" not in reloaded.spec.to_mapping()
+        assert "vector_block_rows" not in reloaded.spec.mining_kwargs(None)
+
     def test_recover_skips_corrupt_file(self, tmp_path):
         index = JobIndex(str(tmp_path))
         index.create(JobSpec.from_mapping(spec_doc("good")))
@@ -589,6 +621,16 @@ class TestServiceHTTP:
         base = service.server.url
         assert http("POST", base + "/jobs", {"task": "implication"})[0] == 400
         assert http("POST", base + "/jobs", spec_doc("h1", nope=1))[0] == 400
+
+    def test_retired_block_size_is_400(self, service):
+        base = service.server.url
+        code, document, _ = http(
+            "POST", base + "/jobs",
+            spec_doc("h1", engine="vector", vector_block_rows=64),
+        )
+        assert code == 400
+        assert "vector_block_rows" in json.dumps(document)
+        assert service.list_jobs() == []
 
     def test_bad_partition_settings_are_refused_at_submit(self, service):
         base = service.server.url

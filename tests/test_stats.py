@@ -18,21 +18,6 @@ class TestScanStats:
         assert stats.rows_scanned == 3
         assert stats.candidate_history == [5, 3, 9]
 
-    def test_merge_peaks(self):
-        a = ScanStats()
-        a.record_row(5, 100)
-        a.candidates_added = 7
-        b = ScanStats()
-        b.record_row(9, 50)
-        b.candidates_added = 3
-        b.bitmap_seconds = 0.5
-        a.merge_peaks(b)
-        assert a.peak_entries == 9
-        assert a.peak_bytes == 100
-        assert a.candidates_added == 10
-        assert a.rows_scanned == 2
-        assert a.bitmap_seconds == 0.5
-
     def test_defaults(self):
         stats = ScanStats()
         assert stats.bitmap_switch_at is None

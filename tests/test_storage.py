@@ -20,7 +20,7 @@ import os
 
 import pytest
 
-from repro.core.dmc_imp import PruningOptions, find_implication_rules
+from repro.core.dmc_imp import find_implication_rules
 from repro.core.dmc_sim import find_similarity_rules
 from repro.core.stats import PipelineStats
 from repro.matrix.binary_matrix import BinaryMatrix
@@ -512,10 +512,8 @@ def test_mine_facade_threads_storage_and_flags(tmp_path, demo_path):
         result = repro.mine(
             demo_path, minconf=0.8, storage=storage, spill_dir=str(tmp_path)
         )
-    baseline = repro.mine(
-        demo_path, minconf=0.8, options=PruningOptions(scan_engine="serial")
-    )
-    assert result.rules == baseline.rules
+    baseline = stream_implication_rules(FileSource(demo_path), 0.8)
+    assert result.rules == baseline
     assert result.stats.degradations == ["spill-to-memory"]
     with pytest.raises(StorageFull):
         repro.mine(

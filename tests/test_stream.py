@@ -8,6 +8,7 @@ from repro.api import MiningConfig, mine, resolve_engine
 from repro.core.dmc_imp import PruningOptions, find_implication_rules
 from repro.core.dmc_sim import find_similarity_rules
 from repro.core.miss_counting import BitmapConfig
+from repro.core.stats import PipelineStats
 from repro.datasets.registry import load_dataset
 from repro.matrix.binary_matrix import BinaryMatrix
 from repro.matrix.io import save_transactions
@@ -17,6 +18,7 @@ from repro.matrix.stream import (
     IterableSource,
     MatrixSource,
     TransactionSource,
+    _stream_rules,
     stream_implication_rules,
     stream_similarity_rules,
 )
@@ -184,16 +186,25 @@ def wlog():
 
 
 def _mine(matrix, engine, task="implication", threshold="3/5", **toggles):
-    """``mine`` on ``"dmc"``, ``"vector"``, ``"stream"`` or
-    ``"stream+vector"`` with the given ablation toggles."""
-    carrier, _, scan = engine.partition("+")
-    options = PruningOptions(scan_engine=scan or "serial", **toggles)
+    """Mine on ``"dmc"``, ``"vector"``, ``"stream"`` or
+    ``"stream+vector"`` with the given ablation toggles; returns
+    ``(rules, stats)``.  ``mine`` streams on the vector scan, so the
+    serial ``"stream"`` runs the stream pipeline directly."""
+    options = PruningOptions(**toggles)
+    if engine == "stream":
+        stats = PipelineStats()
+        rules = _stream_rules(
+            MatrixSource(matrix), threshold, task, options, "serial",
+            stats=stats,
+        )
+        assert stats.scan_engine == "serial"
+        return rules, stats
     result = mine(
-        matrix, task=task, threshold=threshold, engine=carrier,
-        options=options,
+        matrix, task=task, threshold=threshold,
+        engine=engine.partition("+")[0], options=options,
     )
     assert result.engine == engine
-    return result
+    return result.rules, result.stats
 
 
 class TestStreamAblations:
@@ -201,21 +212,21 @@ class TestStreamAblations:
     toggle reaches its pass 2."""
 
     def test_combined_pass(self, wlog):
-        stream = _mine(wlog, "stream", hundred_percent_pass=False)
-        dmc = _mine(wlog, "dmc", hundred_percent_pass=False)
-        assert list(stream.stats.timer.to_dict()) == ["pre-scan", "combined"]
-        assert stream.stats.hundred_percent_scan.rows_scanned == 0
+        _, stream = _mine(wlog, "stream", hundred_percent_pass=False)
+        _, dmc = _mine(wlog, "dmc", hundred_percent_pass=False)
+        assert list(stream.timer.to_dict()) == ["pre-scan", "combined"]
+        assert stream.hundred_percent_scan.rows_scanned == 0
         # One pass over every column: both carriers scan the same rows
         # in the same bucket order.
         assert (
-            stream.stats.partial_scan.candidates_added
-            == dmc.stats.partial_scan.candidates_added
+            stream.partial_scan.candidates_added
+            == dmc.partial_scan.candidates_added
         )
 
     def test_similarity_pruning_toggles(self, wlog):
         def added(**toggles):
-            result = _mine(wlog, "stream", task="similarity", **toggles)
-            return result.stats.partial_scan.candidates_added
+            _, stats = _mine(wlog, "stream", task="similarity", **toggles)
+            return stats.partial_scan.candidates_added
 
         pruned = added()
         assert added(density_pruning=False) > pruned
@@ -242,13 +253,12 @@ def test_cross_carrier_parity(wlog, task, threshold, hundred_percent_pass):
     same phases, splitting them the same way between the passes."""
     outcomes = {}
     for engine in ("dmc", "vector", "stream", "stream+vector"):
-        result = _mine(
+        rules, stats = _mine(
             wlog, engine, task=task, threshold=threshold,
             hundred_percent_pass=hundred_percent_pass,
         )
-        stats = result.stats
         outcomes[engine] = (
-            result.rules.sorted(),
+            rules.sorted(),
             stats.rules_hundred_percent,
             stats.rules_partial,
             stats.columns_removed,

@@ -144,7 +144,9 @@ class TestChromeExport:
             if event["ph"] == "X":
                 assert event["args"]["trace_id"] == "req-0123abcd"
 
-    def test_worker_subtree_moves_to_its_own_track(self):
+    def test_worker_subtree_stays_on_parent_track(self):
+        """Archived traces may hold ``worker_id``-tagged subtrees from
+        an older worker pool; they convert onto their parent's track."""
         chrome = trace_to_chrome(sample_tracer().to_dict())
         events = {
             e["name"]: e for e in chrome["traceEvents"] if e["ph"] == "X"
@@ -154,8 +156,9 @@ class TestChromeExport:
             for e in chrome["traceEvents"]
             if e["ph"] == "M" and e["name"] == "thread_name"
         }
-        assert events["task"]["tid"] == tracks["worker 3"]
-        assert events["attempt"]["tid"] != events["task"]["tid"]
+        assert events["task"]["tid"] == events["attempt"]["tid"]
+        assert events["task"]["args"]["worker_id"] == "3"
+        assert "worker 3" not in tracks
 
     def test_durations_are_microseconds(self):
         tracer = Tracer()

@@ -7,7 +7,6 @@ harness: random matrices x every policy family x awkward block sizes,
 asserting byte-identical rule sets against the row-at-a-time engine.
 """
 
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -16,8 +15,10 @@ import pytest
 import repro
 from repro.api import ENGINES, MiningConfig, mine, resolve_engine
 from repro.baselines.bruteforce import similarity_rules_bruteforce
+from repro.core import vector
 from repro.core.dmc_imp import PruningOptions, find_implication_rules
 from repro.core.dmc_sim import find_similarity_rules
+from repro.core.partitioned import find_implication_rules_partitioned
 from repro.core.miss_counting import BitmapConfig, miss_counting_scan
 from repro.core.policies import (
     HundredPercentPolicy,
@@ -25,7 +26,7 @@ from repro.core.policies import (
     ImplicationPolicy,
     SimilarityPolicy,
 )
-from repro.core.stats import ScanStats
+from repro.core.stats import PipelineStats, ScanStats
 from repro.core.vector import (
     DEFAULT_BLOCK_ROWS,
     vector_scan,
@@ -34,7 +35,7 @@ from repro.core.vector import (
 from repro.datasets.registry import load_dataset
 from repro.matrix.binary_matrix import BinaryMatrix
 from repro.matrix.reorder import scan_order
-from repro.matrix.stream import MatrixSource
+from repro.matrix.stream import MatrixSource, stream_implication_rules
 from repro.observe.journal import summarize_journal
 from repro.observe.live import LiveRunStatus
 from tests.conftest import random_binary_matrix
@@ -182,12 +183,24 @@ class TestScanParity:
         assert stats.accounting_balanced()
 
     def test_rejects_unknown_scan_engine(self):
+        matrix = random_binary_matrix(0)
         with pytest.raises(ValueError, match="scan_engine"):
-            PruningOptions(scan_engine="simd")
+            stream_implication_rules(
+                MatrixSource(matrix), 0.5, scan_engine="simd"
+            )
+        with pytest.raises(ValueError, match="scan_engine"):
+            find_implication_rules_partitioned(
+                matrix, 0.5, scan_engine="simd"
+            )
 
 
 class TestPipelineParity:
-    """The full two-pass pipelines under scan_engine='vector'."""
+    """The full two-pass pipelines on the vector scan, in 7-row
+    blocks."""
+
+    @pytest.fixture(autouse=True)
+    def seven_row_blocks(self, monkeypatch):
+        monkeypatch.setattr(vector, "DEFAULT_BLOCK_ROWS", 7)
 
     def test_implication_with_ablations(self):
         for seed in range(4):
@@ -198,28 +211,22 @@ class TestPipelineParity:
                 PruningOptions(max_hits_pruning=False),
                 PruningOptions(hundred_percent_pass=False),
             ):
-                vector_options = replace(
-                    options, scan_engine="vector", vector_block_rows=7
-                )
                 want = find_implication_rules(
                     matrix, Fraction(3, 5), options=options
                 ).pairs()
-                got = find_implication_rules(
-                    matrix, Fraction(3, 5), options=vector_options
-                ).pairs()
+                got = mine(
+                    matrix, minconf=Fraction(3, 5), engine="vector",
+                    options=options,
+                ).rules.pairs()
                 assert got == want, seed
 
     def test_similarity(self):
         for seed in range(4):
             matrix = random_binary_matrix(seed)
             want = find_similarity_rules(matrix, Fraction(2, 5)).pairs()
-            got = find_similarity_rules(
-                matrix,
-                Fraction(2, 5),
-                options=PruningOptions(
-                    scan_engine="vector", vector_block_rows=7
-                ),
-            ).pairs()
+            got = mine(
+                matrix, minsim=Fraction(2, 5), engine="vector"
+            ).rules.pairs()
             assert got == want, seed
 
 
@@ -239,21 +246,27 @@ class TestResolver:
         assert (plan.name, plan.carrier, plan.scan_engine) == (
             "vector", "dmc", "vector",
         )
-        assert options.scan_engine == "vector"
-        assert options.vector_block_rows == DEFAULT_BLOCK_ROWS
+        assert options == PruningOptions()
 
     def test_explicit_serial_scan_keeps_every_carrier_serial(self):
-        serial = PruningOptions(scan_engine="serial")
-        for kwargs, name in (
-            ({}, "dmc"),
-            ({"streaming": True}, "stream"),
-            ({"engine": "stream"}, "stream"),
-            ({"engine": "partitioned"}, "partitioned"),
-            ({"memory_budget": 1024}, "dmc"),
+        """engine='dmc' and the direct entry points (whose
+        ``scan_engine`` defaults to "serial") run the paper's scan."""
+        matrix = random_binary_matrix(3)
+        plan, _ = self._resolve(engine="dmc", memory_budget=1024)
+        assert plan.scan_engine == "serial"
+        for run in (
+            lambda stats: find_implication_rules(matrix, 0.6, stats=stats),
+            lambda stats: stream_implication_rules(
+                MatrixSource(matrix), 0.6, stats=stats,
+                scan_engine="serial",
+            ),
+            lambda stats: find_implication_rules_partitioned(
+                matrix, 0.6, stats=stats, scan_engine="serial"
+            ),
         ):
-            plan, options = self._resolve(options=serial, **kwargs)
-            assert (plan.name, plan.scan_engine) == (name, "serial")
-            assert options.vector_block_rows is None
+            stats = PipelineStats()
+            run(stats)
+            assert stats.scan_engine == "serial"
 
     def test_auto_streaming_streams(self):
         plan, _ = self._resolve(streaming=True)
@@ -277,12 +290,8 @@ class TestResolver:
         assert (plan.name, plan.carrier) == ("stream+vector", "stream")
 
     def test_stream_plus_vector_scan(self):
-        plan, options = self._resolve(
-            engine="stream",
-            options=PruningOptions(scan_engine="vector"),
-        )
-        assert plan.name == "stream+vector"
-        assert options.vector_block_rows == DEFAULT_BLOCK_ROWS
+        plan, _ = self._resolve(engine="stream")
+        assert (plan.name, plan.scan_engine) == ("stream+vector", "vector")
 
     def test_explicit_partitioned(self):
         plan, _ = self._resolve(engine="partitioned")
@@ -291,23 +300,25 @@ class TestResolver:
         )
 
     def test_partitioned_plus_vector_scan(self):
-        plan, _ = self._resolve(
-            engine="partitioned",
-            options=PruningOptions(scan_engine="vector"),
+        plan, _ = self._resolve(engine="partitioned")
+        assert (plan.name, plan.scan_engine) == (
+            "partitioned+vector", "vector",
         )
-        assert plan.name == "partitioned+vector"
 
     def test_vector_defaults_block_rows(self):
         plan, options = self._resolve(engine="vector")
         assert (plan.name, plan.carrier, plan.scan_engine) == (
             "vector", "dmc", "vector",
         )
-        assert options.scan_engine == "vector"
-        assert options.vector_block_rows == DEFAULT_BLOCK_ROWS
+        # The block size is a constant of the kernel, not a plan field.
+        assert options == PruningOptions()
 
     def test_vector_block_rows_override(self):
-        _, options = self._resolve(engine="vector", vector_block_rows=256)
-        assert options.vector_block_rows == 256
+        with pytest.raises(TypeError, match="vector_block_rows"):
+            mine(
+                random_binary_matrix(0), minconf=0.9, engine="vector",
+                vector_block_rows=256,
+            )
 
     def test_vector_with_workers_partitions(self):
         plan, _ = self._resolve(engine="vector", n_workers=2)
@@ -316,11 +327,12 @@ class TestResolver:
         )
 
     def test_dmc_rejects_vector_scan_option(self):
-        with pytest.raises(ValueError, match="engine='vector'"):
-            self._resolve(
-                engine="dmc",
-                options=PruningOptions(scan_engine="vector"),
-            )
+        # engine= is the facade's only scan choice: the options cannot
+        # carry one to contradict engine='dmc'.
+        with pytest.raises(TypeError, match="scan_engine"):
+            PruningOptions(scan_engine="vector")
+        plan, _ = self._resolve(engine="dmc")
+        assert plan.scan_engine == "serial"
 
     def test_streaming_rejects_in_memory_engines(self):
         for engine in ("dmc", "partitioned"):
@@ -340,7 +352,7 @@ class TestResolver:
             MiningConfig(threshold=0.9, engine="gpu")
 
     def test_config_rejects_bad_block_rows(self):
-        with pytest.raises(ValueError, match="vector_block_rows"):
+        with pytest.raises(TypeError, match="vector_block_rows"):
             MiningConfig(threshold=0.9, vector_block_rows=0)
 
     def test_config_conflicts(self):
@@ -370,19 +382,31 @@ class TestMineVector:
         assert vector.rules.pairs() == serial.rules.pairs()
 
     def test_stats_record_engine_and_block_size(self, matrix):
-        result = mine(
-            matrix, minconf=0.7, engine="vector", vector_block_rows=64
-        )
+        """The stats name the scan; the block size is the kernel's
+        constant, so no document records it."""
+        result = mine(matrix, minconf=0.7, engine="vector")
         assert result.stats.engine == "vector"
-        assert result.stats.vector_block_rows == 64
-        round_trip = repro.PipelineStats.from_dict(result.stats.to_dict())
+        assert result.stats.scan_engine == "vector"
+        document = result.stats.to_dict()
+        assert "vector_block_rows" not in document
+        round_trip = repro.PipelineStats.from_dict(document)
         assert round_trip.engine == "vector"
-        assert round_trip.vector_block_rows == 64
+        assert round_trip.scan_engine == "vector"
 
     def test_serial_stats_have_no_block_size(self, matrix):
         result = mine(matrix, minconf=0.7, engine="dmc")
         assert result.stats.engine == "dmc"
-        assert result.stats.vector_block_rows is None
+        assert result.stats.scan_engine == "serial"
+        assert "vector_block_rows" not in result.stats.to_dict()
+
+    def test_stats_from_older_documents_still_load(self, matrix):
+        document = mine(matrix, minconf=0.7).stats.to_dict()
+        del document["scan_engine"]
+        document["vector_block_rows"] = 1024
+        loaded = repro.PipelineStats.from_dict(document)
+        assert loaded.engine == "vector"
+        assert loaded.scan_engine is None
+        assert loaded.to_dict()["rules_partial"] == document["rules_partial"]
 
     def test_partitioned_vector_carrier(self, matrix):
         serial = mine(matrix, minconf=0.7, engine="dmc")
@@ -390,7 +414,6 @@ class TestMineVector:
             matrix,
             minconf=0.7,
             engine="partitioned",
-            options=PruningOptions(scan_engine="vector"),
             n_partitions=3,
         )
         assert result.engine == "partitioned+vector"
@@ -398,12 +421,7 @@ class TestMineVector:
 
     def test_stream_vector_carrier(self, matrix):
         serial = mine(matrix, minconf=0.7, engine="dmc")
-        result = mine(
-            matrix,
-            minconf=0.7,
-            engine="stream",
-            options=PruningOptions(scan_engine="vector"),
-        )
+        result = mine(matrix, minconf=0.7, engine="stream")
         assert result.engine == "stream+vector"
         assert result.rules.pairs() == serial.rules.pairs()
 
@@ -413,16 +431,10 @@ class TestMineVector:
 
     def test_journal_records_engine(self, matrix, tmp_path):
         path = str(tmp_path / "run.jsonl")
-        mine(
-            matrix,
-            minconf=0.7,
-            engine="vector",
-            vector_block_rows=64,
-            journal_path=path,
-        )
+        mine(matrix, minconf=0.7, engine="vector", journal_path=path)
         summary = summarize_journal(path)
         assert summary["engine"] == "vector"
-        assert summary["vector_block_rows"] == 64
+        assert "vector_block_rows" not in summary
 
     def test_live_status_reports_engine(self, matrix):
         status = LiveRunStatus("run-vec")
@@ -460,7 +472,7 @@ class TestVectorFallback:
             options=PruningOptions(hundred_percent_pass=hundred_percent_pass),
         )
         assert result.engine == result.stats.engine == ran
-        assert result.stats.vector_block_rows is None
+        assert result.stats.scan_engine == "serial"
         want = similarity_rules_bruteforce(matrix, self.MINSIM)
         assert len(want) > 0
         assert result.rules == want
@@ -468,7 +480,22 @@ class TestVectorFallback:
     def test_exact_policies_stay_vector(self, matrix):
         result = mine(matrix, minconf=self.MINSIM)
         assert result.engine == "vector"
-        assert result.stats.vector_block_rows == DEFAULT_BLOCK_ROWS
+        assert result.stats.scan_engine == "vector"
+
+    def test_fallback_reaches_live_status_and_journal(
+        self, matrix, tmp_path
+    ):
+        """/runs/<id> and the journal name the scan that ran, not the
+        planned one."""
+        path = str(tmp_path / "run.jsonl")
+        status = LiveRunStatus("run-fallback")
+        result = mine(
+            matrix, minsim=self.MINSIM, journal_path=path,
+            observer=repro.RunObserver(status=status),
+        )
+        assert result.engine == "dmc"
+        assert status.snapshot()["engine"] == "dmc"
+        assert summarize_journal(path)["engine"] == "dmc"
 
     def test_explicit_vector_engine_raises(self, matrix):
         with pytest.raises(ValueError, match="int64"):
