@@ -30,7 +30,7 @@ Package layout:
 - :mod:`repro.mining` — rule grouping and verification.
 - :mod:`repro.experiments` — one harness function per table/figure.
 - :mod:`repro.runtime` — fault tolerance for production runs:
-  checkpoint/resume, input validation, memory guards, I/O retry.
+  checkpoint/resume, input validation, disk preflight, I/O retry.
 - :mod:`repro.observe` — zero-dependency tracing, metrics and progress
   reporting threaded through every pipeline.
 """
@@ -79,7 +79,6 @@ from repro.runtime import (
     CheckpointStore,
     FaultyStorage,
     LocalStorage,
-    MemoryGuard,
     RowValidationError,
     RowValidator,
     Storage,
@@ -98,7 +97,6 @@ __all__ = [
     "FaultyStorage",
     "ImplicationRule",
     "LocalStorage",
-    "MemoryGuard",
     "MetricsRegistry",
     "MiningConfig",
     "MiningResult",

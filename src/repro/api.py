@@ -47,7 +47,7 @@ from repro.matrix.stream import (
     _stream_rules,
 )
 from repro.observe.progress import NULL_OBSERVER
-from repro.runtime.guards import MemoryGuard, graceful_interrupts
+from repro.runtime.guards import graceful_interrupts
 from repro.runtime.storage import io_error_kind, terminal_io_error
 
 #: The two rule kinds of the paper (Sections 4 and 5).
@@ -89,7 +89,7 @@ class MiningConfig:
         - ``"partitioned"`` — divide-and-conquer candidate generation.
     options:
         A :class:`~repro.core.dmc_imp.PruningOptions` (ablation
-        toggles, memory guard).
+        toggles, the bitmap switch).
     bitmap:
         Shorthand overriding ``options.bitmap`` — a
         :class:`~repro.core.miss_counting.BitmapConfig` tuning the
@@ -101,11 +101,11 @@ class MiningConfig:
         mines partitions on a spawn process pool; ``None`` or 1 mines
         them in-process).
     memory_budget:
-        Hard counter-array budget in bytes for the in-memory scan: it
-        sets ``options.memory_guard`` to a
-        :class:`~repro.runtime.guards.MemoryGuard`, and a scan that
-        exceeds it hands over to the DMC-bitmap tail at once (the
-        rules are unchanged; in-memory data only).
+        Hard counter-array budget in bytes: it sets the bitmap
+        switch's ``hard_budget_bytes`` (see :func:`resolve_engine`),
+        and a scan that exceeds it hands over to the DMC-bitmap tail
+        at once (the rules are unchanged).  The partitioned carrier
+        does not take one.
     spill_dir / checkpoint_dir:
         Streaming-engine directories (see :mod:`repro.matrix.stream`).
     storage:
@@ -193,10 +193,14 @@ class MiningConfig:
             raise ValueError(
                 f"unknown engine {self.engine!r}; expected one of {ENGINES}"
             )
-        if self.engine == "stream" and self.memory_budget is not None:
+        if self.memory_budget is not None and (
+            self.engine == "partitioned"
+            or (self.engine == "vector" and (self.n_workers or 0) > 1)
+        ):
             raise ValueError(
-                "engine='stream' cannot be combined with memory_budget= "
-                "(the streaming pipeline is single-process)"
+                "memory_budget= does not reach the partitioned carrier's "
+                "scans; use engine='dmc', 'vector' (one worker) or "
+                "'stream'"
             )
         if self.n_partitions < 1:
             raise ValueError("n_partitions must be at least 1")
@@ -309,7 +313,7 @@ def resolve_engine(
 
     Returns ``(plan, options)`` where ``options`` is the effective
     :class:`~repro.core.dmc_imp.PruningOptions` (the configured ones
-    with the ``bitmap`` / ``memory_guard`` overrides applied).
+    with the ``bitmap`` / ``memory_budget`` overrides applied).
     ``streaming`` says whether the data arrived as a source rather than
     an in-memory matrix.
 
@@ -328,8 +332,10 @@ def resolve_engine(
       ``options.row_reordering=False`` is rejected.
     - ``"partitioned"`` — divide and conquer.
 
-    ``memory_budget`` guards the in-memory scan with a
-    :class:`~repro.runtime.guards.MemoryGuard` (``options.memory_guard``).
+    ``memory_budget=N`` becomes the bitmap switch's
+    ``hard_budget_bytes`` (on ``BitmapConfig(switch_rows=0)`` when the
+    options carry no switch, so only the budget hands over); the dmc,
+    vector and stream carriers honour it.
     ``engine="dmc"`` runs the serial scan; every other engine runs the
     vector scan.  A pass whose policy's int64 twins are inexact runs
     serial instead, and :attr:`MiningResult.engine` names the scan that
@@ -347,8 +353,10 @@ def resolve_engine(
     if config.bitmap is not None:
         options = replace(options, bitmap=config.bitmap)
     if config.memory_budget is not None:
+        switch = options.bitmap or BitmapConfig(switch_rows=0)
         options = replace(
-            options, memory_guard=MemoryGuard(config.memory_budget)
+            options,
+            bitmap=replace(switch, hard_budget_bytes=config.memory_budget),
         )
 
     engine = config.engine
@@ -362,11 +370,6 @@ def resolve_engine(
             raise ValueError(
                 f"engine={engine!r} needs in-memory data; load the "
                 f"source into a BinaryMatrix first{hint}"
-            )
-        if config.memory_budget is not None:
-            raise ValueError(
-                "memory-budget mining needs in-memory data; load the "
-                "source into a BinaryMatrix first"
             )
         carrier = "stream"
     elif engine in ("stream", "partitioned"):
@@ -514,6 +517,13 @@ def mine(data, *, config: Optional[MiningConfig] = None, **kwargs):
     stats = PipelineStats()
     stats.engine = plan.name
     observer, journal, server = _resolve_telemetry(config, stats, plan)
+    budget = options.bitmap and options.bitmap.hard_budget_bytes
+    metrics = getattr(observer, "metrics", None)
+    if budget and metrics is not None:
+        metrics.gauge(
+            f"{metrics.prefix}_guard_budget_bytes",
+            "Hard counter-array budget (memory_budget=).",
+        ).set(budget)
 
     # A live server/journal should also see a SIGTERM'd run unwind
     # cleanly (handler close, journal fsync) instead of dying torn.
@@ -539,7 +549,7 @@ def mine(data, *, config: Optional[MiningConfig] = None, **kwargs):
         status = getattr(observer, "status", None)
         if status is not None:
             status.engine = engine
-        observer.finish(stats=stats, guard=options.memory_guard)
+        observer.finish(stats=stats)
     except BaseException as error:
         status = getattr(observer, "status", None)
         if status is not None and not status.finished:

@@ -49,20 +49,19 @@ from repro.observe.progress import NULL_OBSERVER
 
 
 def tail_due(
-    bitmap, guard, memory: int, position: int, rows_left: int
+    bitmap, memory: int, position: int, rows_left: int
 ) -> Tuple[bool, bool]:
-    """``(hand_over, guard_tripped)`` at a row boundary: the Section 4.4
-    rule (a ``BitmapConfig``) fires in its end-of-scan window, or else a
-    ``MemoryGuard`` may force an early hand-over past the first row."""
-    if (
-        bitmap is not None
-        and rows_left <= bitmap.switch_rows
-        and memory > bitmap.memory_budget_bytes
-    ):
+    """``(hand_over, guard_tripped)`` at a row or block boundary, the
+    one place a scan decides to hand over to the tail: a
+    ``BitmapConfig``'s Section 4.4 rule fires in its end-of-scan
+    window, or else its ``hard_budget_bytes`` forces an early hand-over
+    past the first row."""
+    if bitmap is None:
+        return False, False
+    if rows_left <= bitmap.switch_rows and memory > bitmap.memory_budget_bytes:
         return True, False
-    tripped = bool(
-        guard is not None and position and guard.tripping(memory, position)
-    )
+    hard = bitmap.hard_budget_bytes
+    tripped = hard is not None and position > 0 and memory > hard
     return tripped, tripped
 
 
@@ -117,7 +116,7 @@ def bitmap_tail(
     holds ``cnt(c_j)`` there and ``owners``/``cands``/``misses`` the
     live pairs.  ``lists`` names every column owning a live list, empty
     ones included (default: the pairs' owners).  ``guard_tripped`` marks
-    a hand-over a MemoryGuard forced.  Rules go into ``rules``; the
+    a hand-over the hard budget forced.  Rules go into ``rules``; the
     switch, the tail's measurements and the candidates it discovers or
     rejects go on ``stats``, so the added/deleted/emitted accounting
     stays exact.  ``observer`` gets a ``bitmap-tail`` span with one

@@ -17,8 +17,8 @@ Two layouts implement it:
   owner ids, candidate ids, miss counts and budgets, updated and
   compacted whole-array at a time.  The blocked vector engine
   (:mod:`repro.core.vector`) runs on this; both layouts model memory
-  with the same per-entry/per-list byte charges so guard and bitmap
-  switch decisions agree across engines.
+  with the same per-entry/per-list byte charges so the bitmap switch
+  (and its hard budget) decides alike across engines.
 """
 
 from __future__ import annotations
@@ -49,9 +49,9 @@ class CandidateArray:
     """All live candidate lists, keyed by the antecedent column id.
 
     ``on_memory``, if given, is called with the modelled byte total at
-    every growth step — a :class:`repro.runtime.guards.MemoryGuard`
-    registers its ``observe`` here to see spikes between row boundaries
-    (the scan loop itself only checks the budget once per row).
+    every growth step — an enabled observer registers its
+    ``observe_memory`` here to see spikes between row boundaries (the
+    scan loop itself only checks the budget once per row).
     """
 
     def __init__(

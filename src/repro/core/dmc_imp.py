@@ -66,8 +66,8 @@ class PruningOptions:
     #: Section 4.3 — split mining into a 100%-rule pass plus a
     #: low-frequency column removal before the <100% pass.
     hundred_percent_pass: bool = True
-    #: Section 4.2 — switch to DMC-bitmap near the end of the scan
-    #: (None disables the switch entirely).
+    #: Section 4.2 — switch to DMC-bitmap near the end of the scan, or
+    #: at once past a hard budget (None disables the switch entirely).
     bitmap: Optional[BitmapConfig] = field(default_factory=BitmapConfig)
     #: Section 5.1 — drop pairs whose cardinality ratio is below minsim
     #: (similarity mining only).
@@ -75,10 +75,6 @@ class PruningOptions:
     #: Section 5.2 — drop pairs whose best achievable similarity is
     #: below minsim (similarity mining only).
     max_hits_pruning: bool = True
-    #: Optional :class:`repro.runtime.guards.MemoryGuard` enforcing a
-    #: hard counter-array budget on every scan (duck-typed here to keep
-    #: the core free of runtime imports).
-    memory_guard: Optional[object] = None
 
 
 @dataclass(frozen=True)
@@ -195,19 +191,18 @@ def mine_passes(
             stats=scan_stats,
             bitmap=options.bitmap,
             rules=rules,
-            guard=options.memory_guard,
             observer=observer,
         )
 
     if not options.hundred_percent_pass:
         # Ablation: one combined pass over every column.
-        with stats.timer.phase("combined"), observer.phase("combined"):
+        with observer.phase("combined", stats.timer):
             policy = spec.partial_policy(ones, threshold, options)
             scan(partial_scan, policy, None, stats.partial_scan)
         stats.rules_partial = len(rules)
         return rules
 
-    with stats.timer.phase("100%-rules"), observer.phase("100%-rules"):
+    with observer.phase("100%-rules", stats.timer):
         policy = spec.hundred_policy(ones)
         scan(zero_miss_scan_rows, policy, None, stats.hundred_percent_scan)
         stats.rules_hundred_percent = len(rules)
@@ -215,7 +210,7 @@ def mine_passes(
     if threshold == 1:
         return rules
 
-    with stats.timer.phase("<100%-rules"), observer.phase("<100%-rules"):
+    with observer.phase("<100%-rules", stats.timer):
         counts = np.asarray(ones, dtype=np.int64)
         kept = counts > spec.removal_cutoff(threshold)
         keep = set(np.flatnonzero(kept).tolist())
@@ -255,7 +250,7 @@ def mine_matrix(
         observer = NULL_OBSERVER
     sparsest_first = options.row_reordering
 
-    with stats.timer.phase("pre-scan"), observer.phase("pre-scan"):
+    with observer.phase("pre-scan", stats.timer):
         ones = matrix.column_ones()
         order = scan_order(matrix, sparsest_first=sparsest_first)
 

@@ -54,10 +54,20 @@ class BitmapConfig:
     the authors' implementation) *and* the counter array exceeds
     ``memory_budget_bytes`` (50 MB in the paper).  The scaled defaults
     here keep the same mechanism observable on synthetic data.
+
+    ``hard_budget_bytes`` (``repro.mine(memory_budget=N)``) also hands
+    over at any row or block boundary after the first once the counter
+    array exceeds it; the tail is position independent, so the rules
+    are unchanged.
     """
 
     switch_rows: int = 64
     memory_budget_bytes: int = 50 * 2**20
+    hard_budget_bytes: Optional[int] = None
+
+    def __post_init__(self) -> None:
+        if self.hard_budget_bytes is not None and self.hard_budget_bytes <= 0:
+            raise ValueError("hard_budget_bytes must be positive")
 
 
 def _matrix_rows(matrix: BinaryMatrix, policy: PairPolicy, order):
@@ -73,28 +83,6 @@ def _matrix_rows(matrix: BinaryMatrix, policy: PairPolicy, order):
     return ((row_id, matrix.row(row_id)) for row_id in order), len(order)
 
 
-def _memory_listener(guard, observer):
-    """Compose the counter array's growth callback from guard+observer.
-
-    Both want to see between-row memory spikes; neither must cost
-    anything when absent.
-    """
-    if guard is not None and observer.enabled:
-        guard_observe = guard.observe
-        observer_observe = observer.observe_memory
-
-        def listen(memory_bytes: int) -> None:
-            guard_observe(memory_bytes)
-            observer_observe(memory_bytes)
-
-        return listen
-    if guard is not None:
-        return guard.observe
-    if observer.enabled:
-        return observer.observe_memory
-    return None
-
-
 def miss_counting_scan(
     matrix: BinaryMatrix,
     policy: PairPolicy,
@@ -102,7 +90,6 @@ def miss_counting_scan(
     stats: Optional[ScanStats] = None,
     bitmap: Optional[BitmapConfig] = None,
     rules: Optional[RuleSet] = None,
-    guard=None,
     observer=None,
 ) -> RuleSet:
     """Run one DMC-base scan over an in-memory matrix.
@@ -120,12 +107,10 @@ def miss_counting_scan(
     stats:
         Optional :class:`ScanStats` to fill with per-row measurements.
     bitmap:
-        Optional switch rule for the DMC-bitmap tail.
+        Optional switch rule for the DMC-bitmap tail (with its hard
+        budget, checked at every row).
     rules:
         Optional existing :class:`RuleSet` to append into.
-    guard:
-        Optional :class:`repro.runtime.guards.MemoryGuard` enforcing a
-        hard budget on the counter array at every row.
     observer:
         Optional :class:`repro.observe.ProgressObserver` /
         :class:`repro.observe.RunObserver`; when disabled (the
@@ -134,7 +119,7 @@ def miss_counting_scan(
     rows, n_rows = _matrix_rows(matrix, policy, order)
     return miss_counting_scan_rows(
         rows, n_rows, policy, stats=stats, bitmap=bitmap, rules=rules,
-        guard=guard, observer=observer,
+        observer=observer,
     )
 
 
@@ -145,7 +130,6 @@ def miss_counting_scan_rows(
     stats: Optional[ScanStats] = None,
     bitmap: Optional[BitmapConfig] = None,
     rules: Optional[RuleSet] = None,
-    guard=None,
     observer=None,
 ) -> RuleSet:
     """Run one DMC-base scan over a row stream (Algorithm 3.1).
@@ -159,12 +143,11 @@ def miss_counting_scan_rows(
     what Algorithm 4.1 does: "read the rest of the rows and create
     bitmaps").
 
-    A ``guard`` (:class:`repro.runtime.guards.MemoryGuard`) is checked
-    at every row boundary, not just within the paper's end-of-scan
-    switch window: when the counter array exceeds the guard's hard
-    budget the scan degrades to the DMC-bitmap tail immediately.  The
-    tail is position independent, so early degradation preserves
-    exactness.
+    A ``bitmap.hard_budget_bytes`` is checked at every row boundary,
+    not just within the paper's end-of-scan switch window: when the
+    counter array exceeds it the scan degrades to the DMC-bitmap tail
+    immediately.  The tail is position independent, so early
+    degradation preserves exactness.
     """
     if stats is None:
         stats = ScanStats()
@@ -176,7 +159,9 @@ def miss_counting_scan_rows(
 
     ones = policy.ones
     count = [0] * len(ones)
-    cand = CandidateArray(on_memory=_memory_listener(guard, observer))
+    cand = CandidateArray(
+        on_memory=observer.observe_memory if observer.enabled else None
+    )
     rows = iter(rows)
     curve = stats.pruning_curve
     misses_base = stats.misses_recorded
@@ -184,7 +169,7 @@ def miss_counting_scan_rows(
 
     for position in range(n_rows):
         hand_over, tripped = tail_due(
-            bitmap, guard, cand.memory_bytes(), position, n_rows - position
+            bitmap, cand.memory_bytes(), position, n_rows - position
         )
         if hand_over:
             stats.misses_recorded = misses_base + misses_seen
@@ -313,7 +298,6 @@ def zero_miss_scan(
     stats: Optional[ScanStats] = None,
     bitmap: Optional[BitmapConfig] = None,
     rules: Optional[RuleSet] = None,
-    guard=None,
     observer=None,
 ) -> RuleSet:
     """Section 4.3 fast path for policies whose budgets are all zero.
@@ -327,7 +311,7 @@ def zero_miss_scan(
     rows, n_rows = _matrix_rows(matrix, policy, order)
     return zero_miss_scan_rows(
         rows, n_rows, policy, stats=stats, bitmap=bitmap, rules=rules,
-        guard=guard, observer=observer,
+        observer=observer,
     )
 
 
@@ -338,7 +322,6 @@ def zero_miss_scan_rows(
     stats: Optional[ScanStats] = None,
     bitmap: Optional[BitmapConfig] = None,
     rules: Optional[RuleSet] = None,
-    guard=None,
     observer=None,
 ) -> RuleSet:
     """Streaming core of :func:`zero_miss_scan` (see there)."""
@@ -362,7 +345,7 @@ def zero_miss_scan_rows(
     for position in range(n_rows):
         memory = entries * BYTES_PER_ID + len(lists) * BYTES_PER_LIST
         hand_over, tripped = tail_due(
-            bitmap, guard, memory, position, n_rows - position
+            bitmap, memory, position, n_rows - position
         )
         if hand_over:
             stats.misses_recorded = misses_base + misses_seen

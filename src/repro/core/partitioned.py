@@ -28,7 +28,8 @@ the partitions run in-process, one after another.
 At the scales this repository measures, divide and conquer loses to
 the single-pass pipeline on both time and memory (ALGORITHMS.md,
 section 6); a memory budget degrades through the DMC-bitmap tail
-instead (:class:`repro.runtime.guards.MemoryGuard`).
+instead (``BitmapConfig.hard_budget_bytes``), which this carrier does
+not take.
 """
 
 from __future__ import annotations
@@ -216,9 +217,7 @@ def find_implication_rules_partitioned(
         observer = NULL_OBSERVER
     stats.columns_total = matrix.n_columns
 
-    with stats.timer.phase("partition-mining"), observer.phase(
-        "partition-mining"
-    ):
+    with observer.phase("partition-mining", stats.timer):
         candidates = _local_candidates(
             matrix, minconf, n_partitions, "implication", n_workers,
             stats, observer, scan_engine,
@@ -226,9 +225,7 @@ def find_implication_rules_partitioned(
 
     from repro.baselines.bruteforce import pairwise_intersections
 
-    with stats.timer.phase("verify-candidates"), observer.phase(
-        "verify-candidates"
-    ):
+    with observer.phase("verify-candidates", stats.timer):
         ones = matrix.column_ones()
         intersections = pairwise_intersections(matrix, candidates)
         rules = RuleSet()
@@ -274,9 +271,7 @@ def find_similarity_rules_partitioned(
         observer = NULL_OBSERVER
     stats.columns_total = matrix.n_columns
 
-    with stats.timer.phase("partition-mining"), observer.phase(
-        "partition-mining"
-    ):
+    with observer.phase("partition-mining", stats.timer):
         candidates = _local_candidates(
             matrix, minsim, n_partitions, "similarity", n_workers,
             stats, observer, scan_engine,
@@ -284,9 +279,7 @@ def find_similarity_rules_partitioned(
 
     from repro.baselines.bruteforce import pairwise_intersections
 
-    with stats.timer.phase("verify-candidates"), observer.phase(
-        "verify-candidates"
-    ):
+    with observer.phase("verify-candidates", stats.timer):
         ones = matrix.column_ones()
         intersections = pairwise_intersections(matrix, candidates)
         rules = RuleSet()

@@ -13,10 +13,10 @@ here:
 
 from __future__ import annotations
 
-import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
+
+from repro.observe.progress import NULL_OBSERVER
 
 #: Default row stride between pruning-curve samples.
 DEFAULT_CURVE_EVERY = 32
@@ -134,7 +134,8 @@ class ScanStats:
     rules_emitted: int = 0
     #: Index into the scan order at which DMC-bitmap took over (or None).
     bitmap_switch_at: Optional[int] = None
-    #: Row at which a MemoryGuard forced early degradation (or None).
+    #: Row at which the bitmap switch's hard budget forced early
+    #: degradation (or None).
     guard_tripped_at: Optional[int] = None
     #: Rows dropped by a ``skip``-mode RowValidator during the first pass.
     rows_skipped: int = 0
@@ -250,15 +251,15 @@ class PhaseTimer:
 
     seconds: Dict[str, float] = field(default_factory=dict)
 
-    @contextmanager
     def phase(self, name: str):
-        """Time a ``with`` block under ``name`` (accumulating)."""
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            elapsed = time.perf_counter() - start
-            self.seconds[name] = self.seconds.get(name, 0.0) + elapsed
+        """Time a ``with`` block under ``name`` (accumulating); the
+        pipelines time theirs through ``observer.phase(name, timer)``,
+        which feeds the observer the same reading."""
+        return NULL_OBSERVER.phase(name, self)
+
+    def add(self, name: str, seconds: float) -> None:
+        """Accumulate ``seconds`` under ``name``."""
+        self.seconds[name] = self.seconds.get(name, 0.0) + seconds
 
     def total(self) -> float:
         """Total seconds across all phases."""

@@ -37,11 +37,11 @@ randomized harness.
 
 ``PipelineStats`` semantics are preserved at block granularity:
 per-row histories are extended block-wise (``ScanStats.record_block``),
-the pruning curve is sampled at every block boundary, a
-:class:`~repro.runtime.guards.MemoryGuard` is checked between blocks,
-and the Section 4.4 bitmap switch hands the surviving pairs — the
-``PairStore`` arrays as they are — and the unread rows to the
-Algorithm 4.1 tail (:mod:`repro.core.bitmap`), which every scan shares.
+the pruning curve is sampled at every block boundary, and the bitmap
+switch (the Section 4.4 rule, or its hard budget at any boundary)
+hands the surviving pairs — the ``PairStore`` arrays as they are — and
+the unread rows to the Algorithm 4.1 tail (:mod:`repro.core.bitmap`),
+which every scan shares.
 """
 
 from __future__ import annotations
@@ -95,7 +95,6 @@ def vector_scan(
     stats: Optional[ScanStats] = None,
     bitmap: Optional[BitmapConfig] = None,
     rules: Optional[RuleSet] = None,
-    guard=None,
     observer=None,
     block_rows: Optional[int] = None,
 ) -> RuleSet:
@@ -117,13 +116,12 @@ def vector_scan(
         source = _FlatBlocks(matrix)
         return _scan_blocks(
             source, source.n_rows, policy, stats=stats, bitmap=bitmap,
-            rules=rules, guard=guard, observer=observer,
-            block_rows=block_rows,
+            rules=rules, observer=observer, block_rows=block_rows,
         )
     row_pairs = [(row_id, matrix.row(row_id)) for row_id in order]
     return vector_scan_rows(
         row_pairs, len(row_pairs), policy, stats=stats, bitmap=bitmap,
-        rules=rules, guard=guard, observer=observer, block_rows=block_rows,
+        rules=rules, observer=observer, block_rows=block_rows,
     )
 
 
@@ -134,7 +132,6 @@ def vector_scan_rows(
     stats: Optional[ScanStats] = None,
     bitmap: Optional[BitmapConfig] = None,
     rules: Optional[RuleSet] = None,
-    guard=None,
     observer=None,
     block_rows: Optional[int] = None,
     dense_pair_columns: int = DENSE_PAIR_COLUMNS,
@@ -148,7 +145,7 @@ def vector_scan_rows(
     """
     return _scan_blocks(
         RowBlocks(rows), n_rows, policy, stats=stats, bitmap=bitmap,
-        rules=rules, guard=guard, observer=observer, block_rows=block_rows,
+        rules=rules, observer=observer, block_rows=block_rows,
         dense_pair_columns=dense_pair_columns,
     )
 
@@ -160,7 +157,6 @@ def _scan_blocks(
     stats: Optional[ScanStats] = None,
     bitmap: Optional[BitmapConfig] = None,
     rules: Optional[RuleSet] = None,
-    guard=None,
     observer=None,
     block_rows: Optional[int] = None,
     dense_pair_columns: int = DENSE_PAIR_COLUMNS,
@@ -194,7 +190,7 @@ def _scan_blocks(
     while position < n_rows:
         memory = store.memory_bytes()
         hand_over, tripped = tail_due(
-            bitmap, guard, memory, position, n_rows - position
+            bitmap, memory, position, n_rows - position
         )
         if hand_over:
             stats.misses_recorded = misses_base + misses_seen
@@ -312,8 +308,6 @@ def _scan_blocks(
         n_lists = store.n_lists()
         memory = store.memory_bytes(n_lists)
         stats.record_block(block_size, entries, memory)
-        if guard is not None:
-            guard.observe(memory)
         misses_now = misses_base + misses_seen
         curve.sample(stats.rows_scanned, entries, misses_now,
                      stats.rules_emitted)

@@ -28,8 +28,8 @@ Resilience (see :mod:`repro.runtime`):
 - attach a :class:`repro.runtime.validation.RowValidator` to a
   :class:`FileSource` / :class:`IterableSource` to survive malformed
   rows under a ``strict`` / ``skip`` / ``clamp`` policy;
-- pass ``guard=`` (a :class:`repro.runtime.guards.MemoryGuard`) to cap
-  the counter array's memory;
+- pass ``bitmap=BitmapConfig(hard_budget_bytes=N)`` to cap the counter
+  array's memory (pass 2 hands over to the DMC-bitmap tail past it);
 - spill-bucket reads retry transient I/O errors with backoff, and the
   whole pipeline is instrumented with fault-injection sites
   (:mod:`repro.runtime.faults`);
@@ -533,6 +533,18 @@ def _note_degradation(stats, observer, path: str, error: BaseException) -> None:
         observer.on_degradation(path)
 
 
+def _checkpoint_off(stats, observer, error: OSError) -> None:
+    """The checkpoint ladder step: re-raise a curable ``error``, else
+    record ``"checkpoint-off"`` and warn; the caller then mines on
+    without resume protection (it drops its store)."""
+    if not terminal_io_error(error):
+        raise error
+    _note_degradation(stats, observer, "checkpoint-off", error)
+    warnings.warn(
+        f"checkpointing disabled: {error}", RuntimeWarning, stacklevel=3
+    )
+
+
 def _in_memory_fallback(
     source: TransactionSource,
     threshold,
@@ -667,16 +679,9 @@ def _stream_rules_on_disk(
                 )
                 ones = list(checkpoint.ones)
         except OSError as error:
-            if not terminal_io_error(error):
-                raise
             # The checkpoint directory is unusable (full/read-only);
             # mine without checkpointing rather than fail the run.
-            _note_degradation(stats, observer, "checkpoint-off", error)
-            warnings.warn(
-                f"checkpointing disabled: {error}",
-                RuntimeWarning,
-                stacklevel=2,
-            )
+            _checkpoint_off(stats, observer, error)
             store = None
             spill = None
             ones = None
@@ -701,23 +706,14 @@ def _stream_rules_on_disk(
                             storage=storage,
                         )
                     except OSError as error:
-                        if not terminal_io_error(error):
-                            raise
                         # The checkpoint directory cannot take the
                         # buckets; spill somewhere temporary instead
                         # and mine without resume protection.
-                        _note_degradation(
-                            stats, observer, "checkpoint-off", error
-                        )
-                        warnings.warn(
-                            f"checkpointing disabled: {error}",
-                            RuntimeWarning,
-                            stacklevel=2,
-                        )
+                        _checkpoint_off(stats, observer, error)
                         store = None
                 if spill is None:
                     spill = BucketSpill(directory=spill_dir, storage=storage)
-                with stats.timer.phase("pre-scan"), observer.phase("pre-scan"):
+                with observer.phase("pre-scan", stats.timer):
                     ones = _first_scan(source, spill)
                 _record_validation(source, stats, skipped_before, clamped_before)
                 if store is not None:
@@ -732,19 +728,10 @@ def _stream_rules_on_disk(
                                 params,
                             )
                     except OSError as error:
-                        if not terminal_io_error(error):
-                            raise
                         # The buckets are written and readable — only
                         # their durable checkpoint failed.  Finish the
                         # mine without resume protection.
-                        _note_degradation(
-                            stats, observer, "checkpoint-off", error
-                        )
-                        warnings.warn(
-                            f"checkpointing disabled: {error}",
-                            RuntimeWarning,
-                            stacklevel=2,
-                        )
+                        _checkpoint_off(stats, observer, error)
                         store = None
                         spill._delete_on_close = True
             rules = mine_passes(
@@ -776,7 +763,6 @@ def stream_implication_rules(
     bitmap: Optional[BitmapConfig] = None,
     spill_dir: Optional[str] = None,
     checkpoint_dir: Optional[str] = None,
-    guard=None,
     stats: Optional[PipelineStats] = None,
     observer=None,
     storage=None,
@@ -795,8 +781,8 @@ def stream_implication_rules(
     :mod:`repro.runtime.checkpoint`): a crash after pass 1 resumes at
     pass 2 on the next call with the same directory, source and
     threshold, and the resumed run produces the identical rule set.
-    ``guard`` caps the counter array
-    (:class:`repro.runtime.guards.MemoryGuard`); ``stats`` collects the
+    ``bitmap`` is the DMC-bitmap switch (off by default); its
+    ``hard_budget_bytes`` caps the counter array.  ``stats`` collects the
     same :class:`PipelineStats` the in-memory pipeline fills, plus
     validation/retry counters.  ``observer`` (any
     :class:`repro.observe.ProgressObserver`) additionally sees bucket
@@ -816,7 +802,7 @@ def stream_implication_rules(
     blocked numpy engine (:mod:`repro.core.vector`) instead of the
     row-at-a-time loop.  The rule set is identical either way.
     """
-    options = PruningOptions(bitmap=bitmap, memory_guard=guard)
+    options = PruningOptions(bitmap=bitmap)
     return _stream_rules(
         source, minconf, "implication", options, scan_engine, spill_dir,
         checkpoint_dir, stats, observer, storage, spill_degrade, preflight,
@@ -829,7 +815,6 @@ def stream_similarity_rules(
     bitmap: Optional[BitmapConfig] = None,
     spill_dir: Optional[str] = None,
     checkpoint_dir: Optional[str] = None,
-    guard=None,
     stats: Optional[PipelineStats] = None,
     observer=None,
     storage=None,
@@ -840,11 +825,11 @@ def stream_similarity_rules(
     """Two-pass DMC-sim over a streaming source.
 
     Equivalent to :func:`repro.core.dmc_sim.find_similarity_rules`.
-    Checkpointing, validation, guarding, stats, observer, storage,
-    ``scan_engine`` and the degradation ladder behave exactly as in
+    Checkpointing, validation, the bitmap switch, stats, observer,
+    storage, ``scan_engine`` and the degradation ladder behave exactly as in
     :func:`stream_implication_rules`.
     """
-    options = PruningOptions(bitmap=bitmap, memory_guard=guard)
+    options = PruningOptions(bitmap=bitmap)
     return _stream_rules(
         source, minsim, "similarity", options, scan_engine, spill_dir,
         checkpoint_dir, stats, observer, storage, spill_degrade, preflight,

@@ -7,10 +7,9 @@ the tracer it is zero dependency and cheap: a counter increment is one
 attribute add, a gauge high-water update is one compare.
 
 The registry also knows how to fold the engine's own measurements
-(:class:`repro.core.stats.PipelineStats` / ``ScanStats``, a
-:class:`repro.runtime.guards.MemoryGuard`) onto metric families, so a
-run's statistical provenance and its operational counters live in one
-exportable document.
+(:class:`repro.core.stats.PipelineStats` / ``ScanStats``) onto metric
+families, so a run's statistical provenance and its operational
+counters live in one exportable document.
 """
 
 from __future__ import annotations
@@ -285,7 +284,8 @@ class MetricsRegistry:
         if scan.guard_tripped_at is not None:
             self.counter(
                 f"{p}_guard_trips_total",
-                "Rows at which a MemoryGuard forced degradation.", **labels,
+                "Scans whose hard budget forced the bitmap tail early.",
+                **labels,
             ).inc()
         self.counter(
             f"{p}_rows_skipped_total",
@@ -336,21 +336,6 @@ class MetricsRegistry:
                 "New candidate pairs contributed by each partition.",
                 partition=str(index),
             ).set(fresh)
-
-    def record_guard(self, guard) -> None:
-        """Fold a :class:`repro.runtime.guards.MemoryGuard`'s state."""
-        p = self.prefix
-        self.gauge(
-            f"{p}_guard_budget_bytes", "MemoryGuard hard budget."
-        ).set(guard.budget_bytes)
-        self.gauge(
-            f"{p}_guard_high_water_bytes",
-            "Highest counter-array memory the guard observed.",
-        ).set_max(guard.high_water_bytes)
-        self.counter(
-            f"{p}_guard_budget_exceeded_total",
-            "Times the guard found the counter array over budget.",
-        ).inc(guard.trips)
 
     # ------------------------------------------------------------------
     # Export

@@ -33,17 +33,23 @@ class ProgressObserver:
     enabled = True
 
     @contextmanager
-    def phase(self, name: str) -> Iterator[None]:
-        """A top-level pipeline phase; emits the phase start/end hooks."""
-        if not self.enabled:
-            yield
-            return
+    def phase(self, name: str, timer=None) -> Iterator[None]:
+        """A top-level pipeline phase; emits the phase start/end hooks.
+
+        ``timer`` (a :class:`repro.core.stats.PhaseTimer`) accumulates
+        the phase's seconds: the one clock reading the end hook sees.
+        """
+        if self.enabled:
+            self.on_phase_start(name)
         started = time.perf_counter()
-        self.on_phase_start(name)
         try:
             yield
         finally:
-            self.on_phase_end(name, time.perf_counter() - started)
+            seconds = time.perf_counter() - started
+            if timer is not None:
+                timer.add(name, seconds)
+            if self.enabled:
+                self.on_phase_end(name, seconds)
 
     @contextmanager
     def span(self, name: str, **attributes) -> Iterator[None]:
@@ -56,7 +62,7 @@ class ProgressObserver:
     def observe_memory(self, memory_bytes: int) -> None:
         """Counter-array growth sample (may fire between rows)."""
 
-    def finish(self, stats=None, guard=None) -> None:
+    def finish(self, stats=None) -> None:
         """Fold a completed run's measurements (metric observers only)."""
 
     def on_phase_start(self, name: str) -> None:
@@ -87,7 +93,7 @@ class ProgressObserver:
         """The scan handed over to the DMC-bitmap tail at ``position``."""
 
     def on_guard_trip(self, position: int, scan: str = "") -> None:
-        """A MemoryGuard forced early degradation at ``position``."""
+        """The hard budget forced an early hand-over at ``position``."""
 
     def on_bucket(self, name: str, rows: int) -> None:
         """Pass 2 started replaying spill bucket ``name`` (``rows`` rows)."""

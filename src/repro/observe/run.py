@@ -104,8 +104,13 @@ class RunObserver(ProgressObserver):
     # ------------------------------------------------------------------
 
     @contextmanager
-    def phase(self, name: str) -> Iterator[None]:
-        """A top-level pipeline phase: traced span + scan label."""
+    def phase(self, name: str, timer=None) -> Iterator[None]:
+        """A top-level pipeline phase: traced span + scan label.
+
+        ``timer`` (a :class:`repro.core.stats.PhaseTimer`) accumulates
+        the span's own ``seconds``, so the stats breakdown and the
+        trace agree exactly.
+        """
         previous = self._scan
         self._scan = name
         if self.status is not None:
@@ -119,6 +124,8 @@ class RunObserver(ProgressObserver):
                 yield
         finally:
             self._scan = previous
+            if timer is not None:
+                timer.add(name, span.seconds)
             self.flush()
             if self.journal is not None:
                 self.journal.emit(
@@ -235,13 +242,11 @@ class RunObserver(ProgressObserver):
         if memory_bytes > self.memory_high_water:
             self.memory_high_water = memory_bytes
 
+    # The switch row and the trip count are metrics of the finished
+    # scan: record_scan() folds them once, labelled like the other
+    # per-scan families.
     def on_bitmap_switch(self, position: int, scan: str = "") -> None:
         scan = scan or self._scan
-        self.metrics.gauge(
-            f"{self.metrics.prefix}_bitmap_switch_row",
-            "Scan-order row at which the DMC-bitmap tail took over "
-            "(-1: never).", scan=scan,
-        ).set(position)
         if self.journal is not None:
             self.journal.emit("bitmap-switch", scan=scan, position=position)
         if self.progress.enabled:
@@ -249,10 +254,6 @@ class RunObserver(ProgressObserver):
 
     def on_guard_trip(self, position: int, scan: str = "") -> None:
         scan = scan or self._scan
-        self.metrics.counter(
-            f"{self.metrics.prefix}_guard_trips_total",
-            "Rows at which a MemoryGuard forced degradation.", scan=scan,
-        ).inc()
         if self.journal is not None:
             self.journal.emit("guard-trip", scan=scan, position=position)
         if self.progress.enabled:
@@ -344,19 +345,16 @@ class RunObserver(ProgressObserver):
     # End of run
     # ------------------------------------------------------------------
 
-    def finish(self, stats=None, guard=None) -> None:
+    def finish(self, stats=None) -> None:
         """Fold a completed run's measurements onto the registry.
 
         Call once per mined run (the :func:`repro.mine` facade and the
         CLI do this for you).  ``stats`` is the run's
-        :class:`~repro.core.stats.PipelineStats`; ``guard`` an optional
-        :class:`~repro.runtime.guards.MemoryGuard` that watched it.
+        :class:`~repro.core.stats.PipelineStats`.
         """
         self.flush()
         if stats is not None:
             self.metrics.record_pipeline(stats)
-        if guard is not None:
-            self.metrics.record_guard(guard)
         self.metrics.gauge(
             f"{self.metrics.prefix}_memory_high_water_bytes",
             "Counter-array high water across the run, including "

@@ -9,9 +9,12 @@ The paper proves the mining *algorithms* exact; this package keeps the
   writes, staleness and corruption detection.
 - :mod:`repro.runtime.validation` — ``strict`` / ``skip`` / ``clamp``
   policies for malformed input rows, with line-numbered diagnostics.
-- :mod:`repro.runtime.guards` — a memory-budget watchdog that degrades
-  to the DMC-bitmap tail instead of OOM-ing, retry-with-backoff for
-  transient spill I/O, and SIGTERM-to-``KeyboardInterrupt`` unwinding.
+- :mod:`repro.runtime.guards` — a disk-space preflight,
+  retry-with-backoff for transient spill I/O, and
+  SIGTERM-to-``KeyboardInterrupt`` unwinding.  (A memory budget is no
+  runtime object: ``memory_budget=N`` is the bitmap switch's
+  ``hard_budget_bytes``, which hands a scan over to the DMC-bitmap
+  tail instead of OOM-ing.)
 - :mod:`repro.runtime.faults` — a deterministic fault-injection
   harness used by the test suite to prove the above (a run killed
   mid-pass-2 resumes to the byte-identical rule set).
@@ -51,7 +54,6 @@ from repro.runtime.faults import (
     TransientIOError,
 )
 from repro.runtime.guards import (
-    MemoryGuard,
     ensure_disk_space,
     estimate_spill_bytes,
     graceful_interrupts,
@@ -86,7 +88,6 @@ __all__ = [
     "FaultyStorage",
     "LOCAL_STORAGE",
     "LocalStorage",
-    "MemoryGuard",
     "Pass1Checkpoint",
     "RowValidationError",
     "RowValidator",

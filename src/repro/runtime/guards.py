@@ -1,21 +1,17 @@
-"""Resource guards: memory watchdog, disk preflight, I/O retry policy.
+"""Resource guards: disk preflight, I/O retry policy, SIGTERM unwinding.
 
-Three failure modes threaten a long scan in production:
+Two storage failure modes threaten a long scan in production:
 
-- the counter array outgrowing memory — the paper's own DMC-bitmap
-  switch (Section 4.4) only fires near the *end* of a scan, so an
-  adversarial row order can still OOM mid-scan;
 - transient I/O errors on the spill-bucket files (network filesystems,
   overloaded disks) aborting pass 2 outright; and
 - the disk filling up mid-pass — which is *not* transient: retrying an
   ``ENOSPC`` just burns the backoff budget before dying anyway.
 
-:class:`MemoryGuard` watches the candidate array's modelled bytes on
-every row of a scan and, when a hard budget is exceeded, forces the
-DMC-bitmap tail immediately — the paper's own answer to memory
-pressure (Algorithm 4.1), exact because the tail is position
-independent.  ``repro.mine(..., memory_budget=N)`` runs its scan under
-one.
+(The third, the counter array outgrowing memory, is the bitmap
+switch's: ``repro.mine(..., memory_budget=N)`` sets
+``BitmapConfig.hard_budget_bytes``, and a scan past it hands over to
+the DMC-bitmap tail at once — the paper's own answer to memory
+pressure, Algorithm 4.1.)
 
 :func:`retry_io` retries a transient-failure-prone operation with
 exponential backoff — but classifies errnos first: ``ENOSPC`` /
@@ -66,55 +62,6 @@ def backoff_delay(attempt: int, base_delay: float) -> float:
     behavior is documented in one place: ``base_delay * 2**attempt``.
     """
     return base_delay * (2 ** attempt)
-
-
-class MemoryGuard:
-    """A watchdog over the candidate (counter) array's modelled memory.
-
-    Parameters
-    ----------
-    budget_bytes:
-        Hard budget on :meth:`repro.core.candidates.CandidateArray.
-        memory_bytes`.  Past it, the scan hands over to the DMC-bitmap
-        tail at the current row and finishes within the tail's packed
-        representation instead of growing further.
-
-    The same instance may guard several scans of one pipeline; it
-    records the high-water mark it observed, the row index of the first
-    trip and the total number of trips.
-    """
-
-    def __init__(self, budget_bytes: int) -> None:
-        if budget_bytes <= 0:
-            raise ValueError("budget_bytes must be positive")
-        self.budget_bytes = budget_bytes
-        self.high_water_bytes = 0
-        self.tripped_at: Optional[int] = None
-        self.trips = 0
-
-    def observe(self, memory_bytes: int) -> None:
-        """Record a memory sample (suitable as a CandidateArray
-        ``on_memory`` listener — catches spikes between row boundaries)."""
-        if memory_bytes > self.high_water_bytes:
-            self.high_water_bytes = memory_bytes
-
-    def tripping(self, memory_bytes: int, position: int) -> Optional[str]:
-        """Check the budget at a row boundary.
-
-        Returns ``None`` (within budget) or ``"bitmap"`` (degrade now).
-        """
-        self.observe(memory_bytes)
-        if memory_bytes <= self.budget_bytes:
-            return None
-        self.trips += 1
-        if self.tripped_at is None:
-            self.tripped_at = position
-        return "bitmap"
-
-    def __repr__(self) -> str:
-        return (
-            f"MemoryGuard(budget={self.budget_bytes}, trips={self.trips})"
-        )
 
 
 def retry_io(

@@ -6,10 +6,12 @@ import repro
 from repro.api import MiningConfig, MiningResult, mine
 from repro.core.dmc_imp import PruningOptions, find_implication_rules
 from repro.core.dmc_sim import find_similarity_rules
+from repro.core.miss_counting import BitmapConfig
 from repro.core.partitioned import (
     find_implication_rules_partitioned,
     find_similarity_rules_partitioned,
 )
+from repro.core.stats import PipelineStats
 from repro.datasets.registry import load_dataset
 from repro.matrix.stream import (
     MatrixSource,
@@ -17,7 +19,6 @@ from repro.matrix.stream import (
     stream_similarity_rules,
 )
 from repro.mining.export import rules_to_json
-from repro.runtime.guards import MemoryGuard
 
 
 @pytest.fixture(scope="module")
@@ -93,13 +94,17 @@ class TestEquivalence:
         assert rules_to_json(result.rules) == rules_to_json(legacy)
 
     def test_matches_memory_budget_wrapper(self, matrix):
-        """``memory_budget=`` is the legacy entry point under a guard."""
+        """``memory_budget=`` is the legacy entry point with the budget
+        on its bitmap switch."""
         result = mine(matrix, minconf=0.9, memory_budget=64)
-        guard = MemoryGuard(64)
+        stats = PipelineStats()
         legacy = find_implication_rules(
-            matrix, 0.9, options=PruningOptions(memory_guard=guard)
+            matrix, 0.9, stats=stats,
+            options=PruningOptions(
+                bitmap=BitmapConfig(hard_budget_bytes=64)
+            ),
         )
-        assert guard.tripped_at is not None
+        assert stats.partial_scan.guard_tripped_at is not None
         assert result.engine == "vector"
         assert result.stats.partial_scan.guard_tripped_at is not None
         assert rules_to_json(result.rules) == rules_to_json(legacy)
@@ -166,9 +171,18 @@ class TestResult:
         )
         assert emitted_partial == result.stats.partial_scan.rules_emitted
 
-    def test_streaming_rejects_memory_budget(self, matrix):
-        with pytest.raises(ValueError, match="in-memory"):
-            mine(MatrixSource(matrix), minconf=0.9, memory_budget=1024)
+    def test_streaming_honours_memory_budget(self, matrix):
+        result = mine(MatrixSource(matrix), minconf=0.9, memory_budget=64)
+        baseline = mine(MatrixSource(matrix), minconf=0.9)
+        assert result.engine == "stream+vector"
+        assert result.stats.partial_scan.guard_tripped_at is not None
+        assert rules_to_json(result.rules) == rules_to_json(baseline.rules)
+
+    def test_partitioned_rejects_memory_budget(self, matrix):
+        for kwargs in ({"engine": "partitioned"},
+                       {"engine": "vector", "n_workers": 2}):
+            with pytest.raises(ValueError, match="partitioned"):
+                mine(matrix, minconf=0.9, memory_budget=1024, **kwargs)
 
     def test_unsupported_input_type(self):
         with pytest.raises(TypeError, match="expects"):

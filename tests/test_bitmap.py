@@ -34,7 +34,6 @@ from repro.matrix.binary_matrix import BinaryMatrix
 from repro.matrix.ops import DEFAULT_BLOCK_ROWS, RowBlocks
 from repro.matrix.reorder import scan_order
 from repro.matrix.stream import MatrixSource, stream_implication_rules
-from repro.runtime.guards import MemoryGuard
 from tests.conftest import random_binary_matrix
 
 _NO_PAIRS = np.empty(0, dtype=np.int64)
@@ -235,8 +234,8 @@ class TestBlockedTail:
                 # at row 1.
                 run, kwargs = vector_scan, {"block_rows": 1}
         stats = ScanStats()
-        guard = MemoryGuard(budget_bytes=1)
-        got = run(matrix, policy, stats=stats, guard=guard, **kwargs)
+        bitmap = BitmapConfig(switch_rows=0, hard_budget_bytes=1)
+        got = run(matrix, policy, stats=stats, bitmap=bitmap, **kwargs)
         assert stats.guard_tripped_at == stats.bitmap_switch_at == 1
         assert got == want
         assert len(want) > 0

@@ -281,6 +281,22 @@ class TestObservers:
         assert names == ["pre-scan", "100%-rules", "<100%-rules"]
         assert observer.tracer.depth == 0
 
+    @pytest.mark.parametrize("engine", ["dmc", "vector", "stream"])
+    def test_breakdown_equals_the_traced_phase_spans(self, engine):
+        """One clock per phase: the stats breakdown and the trace read
+        the same seconds, to the bit."""
+        import repro
+
+        observer = RunObserver()
+        result = repro.mine(
+            load_dataset("News", scale=0.1, seed=3), minconf=0.9,
+            engine=engine, observer=observer,
+        )
+        spans = {span.name: span.seconds for span in observer.tracer.spans}
+        assert list(spans) == ["pre-scan", "100%-rules", "<100%-rules"]
+        assert result.stats.breakdown() == spans
+        assert result.stats.total_seconds == sum(spans.values())
+
     def test_run_observer_nests_the_bitmap_tail(self):
         observer = RunObserver()
         options = PruningOptions(
@@ -411,3 +427,45 @@ class TestStreamingObservation:
         assert observer.metrics.value(
             "dmc_guard_trips_total", scan="partial"
         ) >= 1
+
+    def test_switch_and_trip_metrics_have_one_series_per_scan(self):
+        """The end-of-run fold is the only writer of the per-scan switch
+        row and trip count, labelled ``100%-rules`` / ``partial``."""
+        import repro
+
+        observer = RunObserver()
+        result = repro.mine(
+            load_dataset("News", scale=0.1, seed=3), minconf=0.9,
+            engine="dmc", memory_budget=64, observer=observer,
+        )
+        scans = {
+            "100%-rules": result.stats.hundred_percent_scan,
+            "partial": result.stats.partial_scan,
+        }
+        tripped = [
+            label for label, scan in scans.items()
+            if scan.guard_tripped_at is not None
+        ]
+        assert tripped == ["100%-rules", "partial"]
+        families = {
+            family["name"]: family
+            for family in observer.metrics.to_dict()["metrics"]
+        }
+
+        def series(name):
+            return sorted(
+                instance["labels"]["scan"]
+                for instance in families[name]["instances"]
+            )
+
+        assert series("dmc_guard_trips_total") == sorted(tripped)
+        assert series("dmc_bitmap_switch_row") == sorted(scans)
+        trips = sum(
+            observer.metrics.value("dmc_guard_trips_total", scan=label)
+            for label in tripped
+        )
+        assert trips == len(tripped)
+        for label, scan in scans.items():
+            assert observer.metrics.value(
+                "dmc_bitmap_switch_row", scan=label
+            ) == scan.bitmap_switch_at

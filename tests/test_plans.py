@@ -1,7 +1,7 @@
 """Every execution plan ``resolve_engine()`` can produce, end to end.
 
 One table enumerates each ``(engine, input, memory_budget)`` request
-``repro.mine()`` can receive, plus one ``n_workers=2`` request.  Each
+``repro.mine()`` can receive, plus the ``n_workers=2`` requests.  Each
 entry names the engine the run reports, or ``None`` where the request
 is rejected.  Accepted plans must mine brute force's rules byte for
 byte, for both tasks.
@@ -30,7 +30,7 @@ PLANS = {
     ("auto", False, None, None): "vector",
     ("auto", False, 1024, None): "vector",
     ("auto", True, None, None): "stream+vector",
-    ("auto", True, 1024, None): None,
+    ("auto", True, 1024, None): "stream+vector",
     ("dmc", False, None, None): "dmc",
     ("dmc", False, 1024, None): "dmc",
     ("dmc", True, None, None): None,
@@ -40,14 +40,15 @@ PLANS = {
     ("vector", True, None, None): None,
     ("vector", True, 1024, None): None,
     ("stream", False, None, None): "stream+vector",
-    ("stream", False, 1024, None): None,
+    ("stream", False, 1024, None): "stream+vector",
     ("stream", True, None, None): "stream+vector",
-    ("stream", True, 1024, None): None,
+    ("stream", True, 1024, None): "stream+vector",
     ("partitioned", False, None, None): "partitioned+vector",
-    ("partitioned", False, 1024, None): "partitioned+vector",
+    ("partitioned", False, 1024, None): None,
     ("partitioned", True, None, None): None,
     ("partitioned", True, 1024, None): None,
     ("vector", False, None, 2): "partitioned+vector",
+    ("vector", False, 1024, 2): None,
 }
 
 
@@ -79,7 +80,9 @@ def test_table_covers_every_request():
         for streaming in (False, True)
         for budget in (None, 1024)
     }
-    assert set(PLANS) == requests | {("vector", False, None, 2)}
+    assert set(PLANS) == requests | {
+        ("vector", False, None, 2), ("vector", False, 1024, 2),
+    }
 
 
 @pytest.mark.parametrize("task", sorted(TASKS))

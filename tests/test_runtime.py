@@ -12,6 +12,7 @@ import json
 import os
 import signal
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from repro.baselines.bruteforce import (
     similarity_rules_bruteforce,
 )
 from repro.core.dmc_imp import PruningOptions, find_implication_rules
+from repro.core.miss_counting import BitmapConfig
 from repro.core.dmc_sim import find_similarity_rules
 from repro.core import vector
 from repro.core.stats import PipelineStats
@@ -37,7 +39,6 @@ from repro.matrix.stream import (
     stream_similarity_rules,
 )
 from repro.mining.export import rules_to_json
-from repro.observe import ProgressObserver
 from repro.runtime import faults
 from repro.runtime.checkpoint import (
     CheckpointCorrupted,
@@ -47,7 +48,6 @@ from repro.runtime.checkpoint import (
 )
 from repro.runtime.faults import Fault, FaultPlan, SimulatedCrash
 from repro.runtime.guards import (
-    MemoryGuard,
     graceful_interrupts,
     retry_io,
 )
@@ -482,34 +482,40 @@ def test_retry_io_does_not_retry_non_transient_errors():
 # ----------------------------------------------------------------------
 
 
+#: A hard budget of one byte: every scan trips at its first check.
+ONE_BYTE = BitmapConfig(switch_rows=0, hard_budget_bytes=1)
+
+
+def _tripped_at(stats):
+    """Row of the run's first hard-budget trip (the 100% scan runs
+    first), or None."""
+    for scan in (stats.hundred_percent_scan, stats.partial_scan):
+        if scan.guard_tripped_at is not None:
+            return scan.guard_tripped_at
+    return None
+
+
 @pytest.mark.parametrize("seed", [11, 29, 47])
 def test_memory_guard_bitmap_degradation_is_exact(seed):
     matrix = random_binary_matrix(seed)
     baseline = find_implication_rules(matrix, 0.8)
-    guard = MemoryGuard(budget_bytes=1)
     stats = PipelineStats()
     guarded = find_implication_rules(
         matrix,
         0.8,
-        options=PruningOptions(memory_guard=guard),
+        options=PruningOptions(bitmap=ONE_BYTE),
         stats=stats,
     )
     assert guarded == baseline
-    if guard.trips:
-        assert guard.tripped_at is not None
-        assert (
-            stats.hundred_percent_scan.guard_tripped_at is not None
-            or stats.partial_scan.guard_tripped_at is not None
-        )
+    assert _tripped_at(stats) is not None
 
 
 def test_memory_guard_similarity_degradation_is_exact():
     matrix = random_binary_matrix(seed=5)
     baseline = find_similarity_rules(matrix, 0.5)
-    guard = MemoryGuard(budget_bytes=1)
     assert (
         find_similarity_rules(
-            matrix, 0.5, options=PruningOptions(memory_guard=guard)
+            matrix, 0.5, options=PruningOptions(bitmap=ONE_BYTE)
         )
         == baseline
     )
@@ -517,28 +523,23 @@ def test_memory_guard_similarity_degradation_is_exact():
 
 def test_memory_guard_on_streaming_pipeline(demo_path):
     baseline = stream_implication_rules(FileSource(demo_path), 0.8)
-    guard = MemoryGuard(budget_bytes=1)
+    stats = PipelineStats()
     assert (
-        stream_implication_rules(FileSource(demo_path), 0.8, guard=guard)
+        stream_implication_rules(
+            FileSource(demo_path), 0.8, bitmap=ONE_BYTE, stats=stats
+        )
         == baseline
     )
-    assert guard.high_water_bytes > 0
+    assert _tripped_at(stats) == 1
 
 
 def test_memory_guard_rejects_bad_arguments():
-    with pytest.raises(ValueError):
-        MemoryGuard(budget_bytes=0)
-    with pytest.raises(ValueError):
-        MemoryGuard(budget_bytes=-1)
-
-
-class _GuardCapture(ProgressObserver):
-    """Keeps the guard :func:`repro.mine` hands to ``finish``."""
-
-    guard = None
-
-    def finish(self, stats=None, guard=None) -> None:
-        self.guard = guard
+    with pytest.raises(ValueError, match="positive"):
+        BitmapConfig(hard_budget_bytes=0)
+    with pytest.raises(ValueError, match="positive"):
+        BitmapConfig(hard_budget_bytes=-1)
+    with pytest.raises(ValueError, match="positive"):
+        repro.mine([["a", "b"]], minconf=0.9, memory_budget=0)
 
 
 def _budget_matrix() -> BinaryMatrix:
@@ -562,14 +563,11 @@ BUDGET_TASKS = {
 }
 
 
-def _mine_under_budget(matrix, task, engine, budget):
-    threshold = BUDGET_TASKS[task][0]
-    capture = _GuardCapture()
-    result = repro.mine(
-        matrix, task=task, threshold=threshold, engine=engine,
-        memory_budget=budget, observer=capture,
+def _mine_under_budget(data, task, engine, budget):
+    return repro.mine(
+        data, task=task, threshold=BUDGET_TASKS[task][0], engine=engine,
+        memory_budget=budget,
     )
-    return result, capture.guard
 
 
 class TestMemoryBudget:
@@ -578,39 +576,38 @@ class TestMemoryBudget:
 
     @pytest.fixture(autouse=True)
     def one_row_blocks(self, monkeypatch):
-        # One-row vector blocks put a guard check after every row, as
+        # One-row vector blocks put a budget check after every row, as
         # the serial scan does.
         monkeypatch.setattr(vector, "DEFAULT_BLOCK_ROWS", 1)
 
-    @pytest.mark.parametrize("engine", ["dmc", "vector"])
+    @pytest.mark.parametrize("engine", ["dmc", "vector", "stream"])
     @pytest.mark.parametrize("task", sorted(BUDGET_TASKS))
     @pytest.mark.parametrize("when", ["row-1", "mid-scan", "never"])
     def test_budget_matches_bruteforce(self, task, engine, when):
         matrix = _budget_matrix()
+        data = MatrixSource(matrix) if engine == "stream" else matrix
         threshold, bruteforce = BUDGET_TASKS[task]
         want = bruteforce(matrix, threshold)
-        unguarded, probe = _mine_under_budget(
-            matrix, task, engine, 10 ** 12
-        )
+        unguarded = _mine_under_budget(data, task, engine, 10 ** 12)
         assert unguarded.stats.rules_hundred_percent > 0
         assert unguarded.stats.rules_partial > 0
         budget = {
             "row-1": 1,
-            "mid-scan": probe.high_water_bytes // 2,
+            "mid-scan": unguarded.stats.peak_bytes // 2,
             "never": 10 ** 12,
         }[when]
-        result, guard = _mine_under_budget(matrix, task, engine, budget)
+        result = _mine_under_budget(data, task, engine, budget)
         assert rules_to_json(result.rules) == rules_to_json(want)
-        assert result.engine == engine
-        assert guard.budget_bytes == budget
+        assert result.engine == unguarded.engine
+        assert result.engine.split("+")[0] == engine
+        tripped = _tripped_at(result.stats)
         if when == "never":
-            assert guard.tripped_at is None
-            assert guard.trips == 0
+            assert tripped is None
         elif when == "row-1":
-            assert guard.tripped_at == 1
+            assert tripped == 1
             assert result.stats.hundred_percent_scan.guard_tripped_at == 1
         else:
-            assert 1 < guard.tripped_at < matrix.n_rows
+            assert 1 < tripped < matrix.n_rows
             assert result.stats.partial_scan.guard_tripped_at is not None
 
     @pytest.mark.parametrize("budget", [1, 8, 64, 512, 10 ** 6])
@@ -620,7 +617,7 @@ class TestMemoryBudget:
             for task, (threshold, bruteforce) in BUDGET_TASKS.items():
                 want = rules_to_json(bruteforce(matrix, threshold))
                 for engine in ("dmc", "vector"):
-                    result, _ = _mine_under_budget(
+                    result = _mine_under_budget(
                         matrix, task, engine, budget
                     )
                     assert rules_to_json(result.rules) == want, (
@@ -638,6 +635,28 @@ class TestMemoryBudget:
         text = observer.metrics.to_prometheus()
         assert "dmc_guard_budget_bytes 1" in text
         assert "dmc_guard_trips_total" in text
+        for retired in ("guard_high_water_bytes", "budget_exceeded_total"):
+            assert retired not in text
+
+    def test_budget_keeps_the_options_switch(self):
+        """A budget rides on the configured switch, so the Section 4.4
+        window still fires where it would without one."""
+        switch = BitmapConfig(switch_rows=64, memory_budget_bytes=12288)
+        config = repro.MiningConfig(
+            threshold=0.9, bitmap=switch, memory_budget=10 ** 12
+        )
+        _, options = repro.resolve_engine(config, streaming=False)
+        assert options.bitmap == BitmapConfig(64, 12288, 10 ** 12)
+        bare = replace(config, bitmap=None)
+        _, options = repro.resolve_engine(bare, streaming=False)
+        assert options.bitmap == BitmapConfig(64, 50 * 2 ** 20, 10 ** 12)
+        unswitched = replace(
+            config, bitmap=None, options=PruningOptions(bitmap=None)
+        )
+        _, options = repro.resolve_engine(unswitched, streaming=False)
+        assert options.bitmap == BitmapConfig(
+            switch_rows=0, hard_budget_bytes=10 ** 12
+        )
 
 
 # ----------------------------------------------------------------------

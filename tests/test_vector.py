@@ -277,7 +277,7 @@ class TestResolver:
                              ("dmc", "dmc")):
             plan, options = self._resolve(engine=engine, memory_budget=1024)
             assert (plan.name, plan.carrier) == (name, "dmc")
-            assert options.memory_guard.budget_bytes == 1024
+            assert options.bitmap == BitmapConfig(hard_budget_bytes=1024)
 
     def test_explicit_dmc(self):
         plan, _ = self._resolve(engine="dmc")
@@ -343,9 +343,10 @@ class TestResolver:
         with pytest.raises(ValueError, match="engine='stream'"):
             self._resolve(engine="vector", streaming=True)
 
-    def test_streaming_rejects_partition_requests(self):
-        with pytest.raises(ValueError, match="in-memory"):
-            self._resolve(streaming=True, memory_budget=1024)
+    def test_streaming_takes_memory_budget(self):
+        plan, options = self._resolve(streaming=True, memory_budget=1024)
+        assert (plan.name, plan.carrier) == ("stream+vector", "stream")
+        assert options.bitmap.hard_budget_bytes == 1024
 
     def test_config_rejects_unknown_engine(self):
         with pytest.raises(ValueError, match="unknown engine"):
@@ -356,10 +357,18 @@ class TestResolver:
             MiningConfig(threshold=0.9, vector_block_rows=0)
 
     def test_config_conflicts(self):
-        with pytest.raises(ValueError):
-            MiningConfig(threshold=0.9, engine="stream", memory_budget=1024)
-        # The budget guards whichever in-memory scan runs.
-        for engine in ("dmc", "vector"):
+        # The partitioned carrier's scans take no budget.
+        with pytest.raises(ValueError, match="partitioned"):
+            MiningConfig(
+                threshold=0.9, engine="partitioned", memory_budget=1024
+            )
+        with pytest.raises(ValueError, match="partitioned"):
+            MiningConfig(
+                threshold=0.9, engine="vector", n_workers=2,
+                memory_budget=1024,
+            )
+        # The budget guards whichever single scan runs.
+        for engine in ("auto", "dmc", "vector", "stream"):
             MiningConfig(threshold=0.9, engine=engine, memory_budget=1024)
 
 
