@@ -74,10 +74,11 @@ def emit_rules(
     stats: ScanStats,
 ) -> None:
     """Emit the valid pairs as rules; count the others as rejected."""
-    built = policy.make_rules(owners, cands, misses)
-    rules.add_many(built)
-    stats.rules_emitted += len(built)
-    stats.candidates_rejected += len(owners) - len(built)
+    columns = policy.make_rules(owners, cands, misses)
+    rules.add_columns(policy.rule_type, *columns)
+    emitted = len(columns[0])
+    stats.rules_emitted += emitted
+    stats.candidates_rejected += len(owners) - emitted
 
 
 def _new_pairs(block, picked, co_block, eligible, live_keys, n_columns):

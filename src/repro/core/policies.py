@@ -16,7 +16,6 @@ column ``c_j`` is 1 but the candidate ``c_k`` is 0.  See
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -25,6 +24,7 @@ from repro.core.rules import (
     ImplicationRule,
     SimilarityRule,
     canonical_before,
+    rule_columns,
 )
 from repro.core.thresholds import (
     Threshold,
@@ -149,34 +149,25 @@ class PairPolicy:
 
     def make_rules(
         self, owners: np.ndarray, cands: np.ndarray, misses: np.ndarray
-    ) -> list:
-        """Array twin of :meth:`make_rule`: the valid pairs' rules, in
-        order.  Validity comes from :meth:`valid_mask`, or from the exact
-        per-rule path when the int64 twins are not (:meth:`vector_ready`).
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Array twin of :meth:`make_rule`: the valid pairs' rules as
+        ``(left, right, part, whole)`` int64 columns, in order (see
+        :meth:`repro.core.rules.RuleSet.add_columns`).  Validity comes
+        from :meth:`valid_mask`, or from the exact per-rule path when
+        the int64 twins are not (:meth:`vector_ready`).
         """
         if not self.vector_ready():
             built = map(
                 self.make_rule, owners.tolist(), cands.tolist(),
                 misses.tolist(),
             )
-            return [rule for rule in built if rule is not None]
+            survivors = [rule for rule in built if rule is not None]
+            return rule_columns(survivors)[1:]
         keep = self.valid_mask(owners, cands, misses)
         owners, cands, misses = owners[keep], cands[keep], misses[keep]
-        ids = self._shared_ints[0]
-        return list(map(
-            self.rule_type, ids[owners].tolist(), ids[cands].tolist(),
-            (self.ones_array()[owners] - misses).tolist(),
-            self._rule_totals(owners, cands, misses).tolist(),
-        ))
-
-    @cached_property
-    def _shared_ints(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Column ids and ``ones`` as object arrays of Python ints:
-        bulk-built rules then share these int objects, as
-        :meth:`make_rule`'s do, instead of holding one copy each."""
         return (
-            np.array(range(len(self.ones)), dtype=object),
-            np.array(self.ones, dtype=object),
+            owners, cands, self.ones_array()[owners] - misses,
+            self._rule_totals(owners, cands, misses),
         )
 
     def _rule_totals(
@@ -184,7 +175,7 @@ class PairPolicy:
     ) -> np.ndarray:
         """Each valid pair's rule denominator: ``ones(c_j)`` (a
         similarity's union overrides this)."""
-        return self._shared_ints[1][owners]
+        return self.ones_array()[owners]
 
     def vector_ready(self) -> bool:
         """Whether the int64 array twins are exact for this instance."""

@@ -11,7 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from itertools import islice
+from operator import attrgetter
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+
+import numpy as np
 
 from repro.matrix.binary_matrix import Vocabulary
 
@@ -98,74 +103,314 @@ class SimilarityRule:
         return f"{left} ~ {right} ({float(self.similarity):.3f})"
 
 
+#: Each rule kind's fields in column order: the pair, then the exact
+#: fraction's ``(part, whole)``.
+_FIELDS = {
+    ImplicationRule: attrgetter("antecedent", "consequent", "hits", "ones"),
+    SimilarityRule: attrgetter("first", "second", "intersection", "union"),
+}
+
+#: Column ids stay below this, so :func:`pair_keys` keys a pair.
+ID_LIMIT = 1 << 31
+_INT64 = np.iinfo(np.int64)
+
+#: A sorted run of rules: ``(keys, part, whole)`` int64 columns.
+Run = Tuple[np.ndarray, np.ndarray, np.ndarray]
+_EMPTY = np.zeros(0, dtype=np.int64)
+_EMPTY_RUN: Run = (_EMPTY, _EMPTY, _EMPTY)
+
+
+def _int64_column(values) -> np.ndarray:
+    """``values`` as an int64 array; ``ValueError`` if one does not fit."""
+    if isinstance(values, np.ndarray) and values.dtype.kind in "biu":
+        if values.dtype.kind == "u" and len(values) and (
+            values.max() > _INT64.max
+        ):
+            raise ValueError("rule counts must fit in int64")
+        return values.astype(np.int64, copy=False)
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError as error:
+        raise ValueError("rule counts must fit in int64") from error
+
+
+def _check_ids(column: np.ndarray) -> None:
+    if len(column) and (column.min() < 0 or column.max() >= ID_LIMIT):
+        raise ValueError("column ids must lie in [0, 2**31)")
+
+
+def rule_columns(rules: List) -> Tuple:
+    """``(kind, left, right, part, whole)`` of a list of rules of one
+    kind (``kind`` is None for an empty list)."""
+    kinds = set(map(type, rules))
+    if len(kinds) > 1:
+        names = sorted(kind.__name__ for kind in kinds)
+        raise ValueError(f"a RuleSet holds one rule kind, not {names}")
+    kind = kinds.pop() if kinds else None
+    if kind is None:
+        return (None, _EMPTY, _EMPTY, _EMPTY, _EMPTY)
+    if kind not in _FIELDS:
+        raise ValueError(f"not a rule kind: {kind!r}")
+    columns = zip(*map(_FIELDS[kind], rules))
+    return (kind, *map(_int64_column, columns))
+
+
+def _merge(older: Run, newer: Run) -> Run:
+    """Merge two sorted runs whose keys are disjoint."""
+    if not len(older[0]):
+        return newer
+    if not len(newer[0]):
+        return older
+    size = len(older[0]) + len(newer[0])
+    at = np.searchsorted(older[0], newer[0]) + np.arange(len(newer[0]))
+    from_older = np.ones(size, dtype=bool)
+    from_older[at] = False
+    merged = []
+    for old, new in zip(older, newer):
+        column = np.empty(size, dtype=np.int64)
+        column[at] = new
+        column[from_older] = old
+        merged.append(column)
+    return tuple(merged)
+
+
+def _push(runs: Tuple[Run, ...], run: Run) -> Tuple[Run, ...]:
+    """Append ``run``, then merge the last two runs while the newer is at
+    least half the older: n rules in any batches cost O(n log n)."""
+    if not len(run[0]):
+        return runs
+    runs = list(runs) + [run]
+    while len(runs) > 1 and 2 * len(runs[-1][0]) >= len(runs[-2][0]):
+        runs[-2:] = [_merge(runs[-2], runs[-1])]
+    return tuple(runs)
+
+
+def pair_keys(left, right):
+    """The sort key ``left << 32 | right`` of pairs (arrays or ints)."""
+    return left << 32 | right
+
+
+def _sorted_run(left, right, part, whole) -> Run:
+    keys = pair_keys(left, right)
+    order = np.argsort(keys, kind="stable")
+    return keys[order], part[order], whole[order]
+
+
+def _readonly(column: np.ndarray) -> np.ndarray:
+    view = column.view()
+    view.flags.writeable = False
+    return view
+
+
 class RuleSet:
     """A deduplicating container for mined rules of one kind.
 
     Rules are keyed by their column pair; inserting the same pair twice
     (e.g. a 100% rule rediscovered by the <100% pass) keeps one copy and
-    asserts the statistics agree.
+    checks that the statistics agree.
+
+    The set is columnar: four int64 columns ``(left, right, part,
+    whole)`` (the pair, then the exact fraction's two counts) sorted by
+    the key ``left << 32 | right``.  Rule objects are built only when a
+    caller asks for rules, so iteration follows pair order.  Column ids
+    must lie in ``[0, 2**31)``, counts must fit in int64, and one set
+    holds one rule kind; anything else raises ``ValueError``.
+
+    Bulk writes (:meth:`add_columns`, :meth:`add_many`) land as sorted
+    runs, each checked against every run before anything is inserted;
+    runs merge LSM-style (see :func:`_push`).  :meth:`add` buffers the
+    rule object itself, which the next read or bulk write folds into a
+    run; ``rules[pair]`` keeps returning that object.
     """
 
     def __init__(self, rules: Iterable = ()) -> None:
-        self._by_pair: Dict[Tuple[int, int], object] = {}
-        for rule in rules:
-            self.add(rule)
+        self._kind: Optional[type] = None
+        #: Rules passed to :meth:`add`, by pair, in insertion order.
+        self._objects: Dict[Tuple[int, int], object] = {}
+        #: ``(runs, folded)``: the runs (disjoint keys) and how many of
+        #: ``_objects`` they hold.  Replaced as one value, so readers
+        #: folding the same set at once stay consistent.
+        self._state: Tuple[Tuple[Run, ...], int] = ((), 0)
+        self.update(rules)
+
+    @property
+    def kind(self) -> Optional[type]:
+        """The rule class held, or None while the set is empty."""
+        return self._kind
+
+    def _check_kind(self, kind: type) -> None:
+        if kind not in _FIELDS:
+            raise ValueError(f"not a rule kind: {kind!r}")
+        if self._kind is not None and kind is not self._kind:
+            raise ValueError(
+                f"a RuleSet holds one rule kind: cannot add "
+                f"{kind.__name__} to a set of {self._kind.__name__}"
+            )
+
+    def _runs(self) -> Tuple[Run, ...]:
+        """The runs after folding in the buffered :meth:`add` rules."""
+        runs, folded = self._state
+        if folded < len(self._objects):
+            pending = list(islice(self._objects.values(), folded, None))
+            runs = _push(runs, _sorted_run(*rule_columns(pending)[1:]))
+            self._state = (runs, folded + len(pending))
+        return runs
+
+    def _run(self) -> Run:
+        """The whole set as one sorted run."""
+        run = reduce(_merge, self._runs(), _EMPTY_RUN)
+        self._state = ((run,), self._state[1])
+        return run
+
+    def _lookup(self, pair) -> Optional[object]:
+        """The rule at ``pair`` (an :meth:`add`-ed object first)."""
+        found = self._objects.get(pair)
+        if found is not None or len(pair) != 2:
+            return found
+        left, right = map(int, pair)
+        if not (0 <= left < ID_LIMIT and 0 <= right < ID_LIMIT):
+            return None
+        key = pair_keys(left, right)
+        for keys, part, whole in self._state[0]:
+            at = int(np.searchsorted(keys, key))
+            if at < len(keys) and keys[at] == key:
+                return self._kind(left, right, int(part[at]), int(whole[at]))
+        return None
 
     def add(self, rule) -> None:
         """Insert ``rule``, ignoring an identical duplicate."""
-        existing = self._by_pair.get(rule.pair)
+        kind = type(rule)
+        self._check_kind(kind)
+        left, right, part, whole = _FIELDS[kind](rule)
+        if not (0 <= left < ID_LIMIT and 0 <= right < ID_LIMIT):
+            raise ValueError(
+                f"column ids must lie in [0, 2**31): {(left, right)}"
+            )
+        if not (
+            _INT64.min <= part <= _INT64.max
+            and _INT64.min <= whole <= _INT64.max
+        ):
+            raise ValueError(f"rule counts must fit in int64: {rule}")
+        existing = self._lookup((left, right))
         if existing is None:
-            self._by_pair[rule.pair] = rule
+            self._kind = kind
+            self._objects[(left, right)] = rule
         elif existing != rule:
             raise ValueError(
                 f"conflicting statistics for pair {rule.pair}: "
                 f"{existing} vs {rule}"
             )
 
-    def add_many(self, rules: List) -> None:
-        """:meth:`add` every rule in ``rules``, comparing only the pairs
-        already present; a conflict raises before anything is inserted."""
-        batch = {rule.pair: rule for rule in rules}
-        if len(batch) != len(rules):  # duplicates within the batch
-            self.update(rules)
+    def add_columns(self, kind: type, left, right, part, whole) -> None:
+        """Insert the rules of ``kind`` given as four columns, ignoring
+        identical duplicates; a conflicting pair (in the batch or
+        against the set) raises before anything is inserted."""
+        left, right, part, whole = map(
+            _int64_column, (left, right, part, whole)
+        )
+        if not len(left) == len(right) == len(part) == len(whole):
+            raise ValueError("rule columns must have equal lengths")
+        if not len(left):
             return
-        for pair in self._by_pair.keys() & batch.keys():
-            if self._by_pair[pair] != batch[pair]:
-                raise ValueError(
-                    f"conflicting statistics for pair {pair}: "
-                    f"{self._by_pair[pair]} vs {batch[pair]}"
-                )
-        self._by_pair.update(batch)
+        self._check_kind(kind)
+        _check_ids(left)
+        _check_ids(right)
+        keys, part, whole = _sorted_run(left, right, part, whole)
+        fresh = np.ones(len(keys), dtype=bool)
+        repeat = np.flatnonzero(keys[1:] == keys[:-1])
+        self._check_clash(kind, (keys, part, whole), repeat + 1, repeat)
+        fresh[repeat + 1] = False
+        runs = self._runs()
+        for run in runs:
+            at = np.searchsorted(run[0], keys)
+            found = np.flatnonzero(at < len(run[0]))
+            found = found[run[0][at[found]] == keys[found]]
+            self._check_clash(kind, (keys, part, whole), found, at[found], run)
+            fresh[found] = False
+        self._kind = kind
+        self._state = (
+            _push(runs, (keys[fresh], part[fresh], whole[fresh])),
+            self._state[1],
+        )
+
+    @staticmethod
+    def _check_clash(kind, batch: Run, picked, at, run: Run = None) -> None:
+        """Raise on the first of ``batch[picked]`` whose counts differ
+        from ``run[at]`` (default: from ``batch[at]``)."""
+        run = batch if run is None else run
+        clash = (batch[1][picked] != run[1][at]) | (
+            batch[2][picked] != run[2][at]
+        )
+        if np.any(clash):
+            first = np.flatnonzero(clash)[0]
+            new, old = int(picked[first]), int(at[first])
+            pair = divmod(int(batch[0][new]), 1 << 32)
+            existing = kind(*pair, int(run[1][old]), int(run[2][old]))
+            rule = kind(*pair, int(batch[1][new]), int(batch[2][new]))
+            raise ValueError(
+                f"conflicting statistics for pair {pair}: "
+                f"{existing} vs {rule}"
+            )
+
+    def add_many(self, rules: List) -> None:
+        """:meth:`add` every rule in ``rules`` as one batch: a conflict
+        raises before anything is inserted."""
+        kind, *columns = rule_columns(rules)
+        if kind is not None:
+            self.add_columns(kind, *columns)
 
     def update(self, rules: Iterable) -> None:
         """Insert every rule in ``rules``."""
         for rule in rules:
             self.add(rule)
 
+    def columns(self) -> Tuple[np.ndarray, ...]:
+        """The read-only ``(left, right, part, whole)`` int64 columns,
+        in pair order."""
+        keys, part, whole = self._run()
+        return (
+            keys >> 32, keys & (ID_LIMIT - 1), _readonly(part),
+            _readonly(whole),
+        )
+
     def pairs(self) -> Set[Tuple[int, int]]:
         """Return the set of column pairs present."""
-        return set(self._by_pair)
+        left, right = self.columns()[:2]
+        return set(zip(left.tolist(), right.tolist()))
 
     def sorted(self) -> List:
         """Return rules sorted by pair for stable output."""
-        return [self._by_pair[pair] for pair in sorted(self._by_pair)]
+        if self._kind is None:
+            return []
+        columns = (column.tolist() for column in self.columns())
+        return list(map(self._kind, *columns))
 
     def __iter__(self) -> Iterator:
-        return iter(self._by_pair.values())
+        return iter(self.sorted())
 
     def __len__(self) -> int:
-        return len(self._by_pair)
+        runs, folded = self._state
+        return sum(len(run[0]) for run in runs) + len(self._objects) - folded
 
     def __contains__(self, pair: Tuple[int, int]) -> bool:
-        return pair in self._by_pair
+        return self._lookup(pair) is not None
 
     def __getitem__(self, pair: Tuple[int, int]):
-        return self._by_pair[pair]
+        found = self._lookup(pair)
+        if found is None:
+            raise KeyError(pair)
+        return found
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RuleSet):
             return NotImplemented
-        return self._by_pair == other._by_pair
+        mine, theirs = self._run(), other._run()
+        if len(mine[0]) != len(theirs[0]):
+            return False
+        return not len(mine[0]) or (
+            self._kind is other._kind
+            and all(map(np.array_equal, mine, theirs))
+        )
 
     def __repr__(self) -> str:
         return f"RuleSet({len(self)} rules)"

@@ -38,7 +38,9 @@ randomized harness.
 ``PipelineStats`` semantics are preserved at block granularity:
 per-row histories are extended block-wise (``ScanStats.record_block``),
 the pruning curve is sampled at every block boundary, and the bitmap
-switch (the Section 4.4 rule, or its hard budget at any boundary)
+switch (the Section 4.4 rule, or its hard budget at any boundary;
+under a hard budget blocks grow 1, 2, 4, ... rows, so the budget is
+checked from the second row on, as in the serial scan's row walk)
 hands the surviving pairs — the ``PairStore`` arrays as they are — and
 the unread rows to the Algorithm 4.1 tail (:mod:`repro.core.bitmap`),
 which every scan shares.
@@ -186,6 +188,11 @@ def _scan_blocks(
     misses_base = stats.misses_recorded
     misses_seen = 0
     position = 0
+    # Under a hard budget, blocks grow 1, 2, 4, ... rows up to
+    # ``block_rows``, so the budget is checked early in the scan too.
+    ramp = block_rows
+    if bitmap is not None and bitmap.hard_budget_bytes is not None:
+        ramp = 1
 
     while position < n_rows:
         memory = store.memory_bytes()
@@ -202,7 +209,8 @@ def _scan_blocks(
             stats.scan_seconds += time.perf_counter() - started
             return rules
 
-        take = min(block_rows, n_rows - position)
+        take = min(ramp, n_rows - position)
+        ramp = min(2 * ramp, block_rows)
         if bitmap is not None and n_rows - position > bitmap.switch_rows:
             # Never stride past the switch window: land a block
             # boundary exactly where the serial engine would first

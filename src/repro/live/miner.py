@@ -331,13 +331,12 @@ class LiveMiner:
                     del self._retired_by_col[column]
 
     def _emit_rules(self) -> RuleSet:
+        built = (
+            pair_rule(self.task, self.threshold, self._ones, a, b, hits)
+            for (a, b), hits in self._tracked.items()
+        )
         rules = RuleSet()
-        for (a, b), hits in self._tracked.items():
-            rule = pair_rule(
-                self.task, self.threshold, self._ones, a, b, hits
-            )
-            if rule is not None:
-                rules.add(rule)
+        rules.add_many([rule for rule in built if rule is not None])
         return rules
 
     def _apply_batch(

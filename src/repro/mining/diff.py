@@ -12,7 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, List, Optional, Tuple
 
-from repro.core.rules import RuleSet
+import numpy as np
+
+from repro.core.rules import RuleSet, pair_keys
 from repro.matrix.binary_matrix import Vocabulary
 
 
@@ -107,25 +109,46 @@ class RuleDiff:
         return "\n".join(lines)
 
 
+def _subset(kind, columns, keep: np.ndarray) -> RuleSet:
+    """The rules at ``keep`` of a set's ``columns``, as a new set."""
+    rules = RuleSet()
+    rules.add_columns(kind, *(column[keep] for column in columns))
+    return rules
+
+
 def diff_rules(before: RuleSet, after: RuleSet) -> RuleDiff:
-    """Diff two rule sets of the same kind, pair by pair."""
-    before_pairs = before.pairs()
-    after_pairs = after.pairs()
-    added = RuleSet(
-        after[pair] for pair in sorted(after_pairs - before_pairs)
+    """Diff two rule sets of the same kind, pair by pair.
+
+    One merge of the two sets' sorted pair keys: ``added`` and
+    ``removed`` are column slices, and only the ``changed`` pairs
+    become rule objects.
+    """
+    if before.kind and after.kind and before.kind is not after.kind:
+        raise ValueError(
+            f"cannot diff {before.kind.__name__} rules against "
+            f"{after.kind.__name__} rules"
+        )
+    old, new = before.columns(), after.columns()
+    old_keys, new_keys = pair_keys(*old[:2]), pair_keys(*new[:2])
+    at = np.searchsorted(new_keys, old_keys)
+    common = np.flatnonzero(at < len(new_keys))
+    common = common[new_keys[at[common]] == old_keys[common]]
+    matched = at[common]
+    differs = (old[2][common] != new[2][matched]) | (
+        old[3][common] != new[3][matched]
     )
-    removed = RuleSet(
-        before[pair] for pair in sorted(before_pairs - after_pairs)
+    only_old = np.ones(len(old_keys), dtype=bool)
+    only_old[common] = False
+    only_new = np.ones(len(new_keys), dtype=bool)
+    only_new[matched] = False
+    rows = zip(
+        *(column[common[differs]].tolist() for column in old),
+        *(column[matched[differs]].tolist() for column in new),
     )
-    changed = []
-    unchanged = 0
-    for pair in sorted(before_pairs & after_pairs):
-        if before[pair] != after[pair]:
-            changed.append((before[pair], after[pair]))
-        else:
-            unchanged += 1
-    changed.sort(key=lambda pair: pair[0].pair)
+    changed = [(before.kind(*row[:4]), after.kind(*row[4:])) for row in rows]
     return RuleDiff(
-        added=added, removed=removed, changed=changed,
-        unchanged=unchanged,
+        added=_subset(after.kind, new, only_new),
+        removed=_subset(before.kind, old, only_old),
+        changed=changed,
+        unchanged=len(common) - len(changed),
     )

@@ -14,9 +14,9 @@ from __future__ import annotations
 import csv
 import json
 from fractions import Fraction
-from math import gcd
-from operator import attrgetter
 from typing import Optional
+
+import numpy as np
 
 from repro.core.rules import ImplicationRule, RuleSet, SimilarityRule
 from repro.core.stats import PipelineStats
@@ -86,34 +86,45 @@ def similarity_rules_from_csv(path: str) -> RuleSet:
 
 #: Per rule kind: its record laid out exactly as ``json.dumps(document,
 #: indent=2)`` nests it in the ``"rules"`` list (minus the closing
-#: brace), the labels that follow the fraction, and the record's four
-#: integers — the pair, then the fraction's (part, whole).
+#: brace), and the labels that follow the fraction.
 _RECORDS = {
     ImplicationRule: (
         '    {\n      "kind": "implication",\n      "antecedent": %d,\n'
         '      "consequent": %d,\n      "hits": %d,\n      "ones": %d,\n'
         '      "confidence": "%s"',
         ',\n      "antecedent_label": %s,\n      "consequent_label": %s',
-        attrgetter("antecedent", "consequent", "hits", "ones"),
     ),
     SimilarityRule: (
         '    {\n      "kind": "similarity",\n      "first": %d,\n'
         '      "second": %d,\n      "intersection": %d,\n'
         '      "union": %d,\n      "similarity": "%s"',
         ',\n      "first_label": %s,\n      "second_label": %s',
-        attrgetter("first", "second", "intersection", "union"),
     ),
 }
 
 
-def _fraction(numerator: int, denominator: int) -> str:
-    """``str(Fraction(numerator, denominator))`` without the object."""
-    divisor = gcd(numerator, denominator)
-    numerator //= divisor
-    denominator //= divisor
-    if denominator == 1:
-        return str(numerator)
-    return f"{numerator}/{denominator}"
+def _indented(value, indent: str = "") -> str:
+    """``json.dumps(value, indent=2)``, nested ``indent`` deep.
+
+    Dicts with string keys recurse and lists of ints are one join, so
+    the long per-row stats histories skip the pure-Python indenting
+    encoder; everything else goes to ``json.dumps``.
+    """
+    inner = indent + "  "
+    if isinstance(value, dict) and value and all(
+        type(key) is str for key in value
+    ):
+        items = ",\n".join(
+            f"{inner}{json.dumps(key)}: {_indented(item, inner)}"
+            for key, item in value.items()
+        )
+        return "{\n" + items + "\n" + indent + "}"
+    if isinstance(value, list) and value and all(
+        type(item) is int for item in value
+    ):
+        joined = (",\n" + inner).join(map(str, value))
+        return "[\n" + inner + joined + "\n" + indent + "]"
+    return json.dumps(value, indent=2).replace("\n", "\n" + indent)
 
 
 def rules_to_json(
@@ -130,27 +141,46 @@ def rules_to_json(
     records how its rules were mined.
 
     The text is byte for byte ``json.dumps(document, indent=2)``, but
-    each rule is written from a fixed template instead of a dict run
-    through the pure-Python indenting encoder.
+    the records are formatted from the set's columns with a fixed
+    template instead of dicts run through the indenting encoder.
     """
-    records = []
-    for rule in rules.sorted():
-        record, labels, fields = _RECORDS[type(rule)]
-        first, second, part, whole = fields(rule)
-        text = record % (first, second, part, whole, _fraction(part, whole))
-        if vocabulary is not None:
-            text += labels % (
-                json.dumps(vocabulary.label_of(first)),
-                json.dumps(vocabulary.label_of(second)),
+    left, right, part, whole = rules.columns()
+    if len(left):
+        record, labels = _RECORDS[rules.kind]
+        divisor = np.gcd(part, whole)
+        fractions = [
+            f"{numerator}/{denominator}" if denominator != 1
+            else str(numerator)
+            for numerator, denominator in zip(
+                (part // divisor).tolist(), (whole // divisor).tolist()
             )
-        records.append(text + "\n    }")
-    if records:
-        document = '{\n  "rules": [\n' + ",\n".join(records) + "\n  ]"
+        ]
+        fields = [
+            left.tolist(), right.tolist(), part.tolist(), whole.tolist(),
+            fractions,
+        ]
+        template = record
+        if vocabulary is not None:
+            used, slots = np.unique(
+                np.concatenate([left, right]), return_inverse=True
+            )
+            names = np.array(
+                [json.dumps(vocabulary.label_of(c)) for c in used.tolist()],
+                dtype=object,
+            )[slots]
+            fields += [names[:len(left)].tolist(), names[len(left):].tolist()]
+            template += labels
+        # One ``%`` over the whole list: the fields interleaved record
+        # by record, against the template repeated once per record.
+        values = [None] * (len(fields) * len(left))
+        for slot, field in enumerate(fields):
+            values[slot::len(fields)] = field
+        records = ",\n".join([template + "\n    }"] * len(left))
+        document = '{\n  "rules": [\n' + records % tuple(values) + "\n  ]"
     else:
         document = '{\n  "rules": []'
     if stats is not None:
-        nested = json.dumps(stats.to_dict(), indent=2).replace("\n", "\n  ")
-        document += ',\n  "stats": ' + nested
+        document += ',\n  "stats": ' + _indented(stats.to_dict(), "  ")
     return document + "\n}"
 
 
@@ -194,7 +224,7 @@ def rules_from_json(document: str) -> RuleSet:
 
 def stats_to_json(stats: PipelineStats) -> str:
     """Serialize a run's :class:`PipelineStats` to a JSON document."""
-    return json.dumps(stats.to_dict(), indent=2)
+    return _indented(stats.to_dict())
 
 
 def stats_from_json(document: str) -> PipelineStats:

@@ -25,7 +25,12 @@ from repro.core.policies import (
     ImplicationPolicy,
     SimilarityPolicy,
 )
-from repro.core.rules import ImplicationRule, RuleSet, SimilarityRule
+from repro.core.rules import (
+    ImplicationRule,
+    RuleSet,
+    SimilarityRule,
+    rule_columns,
+)
 from repro.core.stats import PipelineStats, ScanStats
 from repro.core.vector import vector_scan
 from repro.datasets.registry import load_dataset
@@ -421,22 +426,36 @@ class TestBulkEmission:
         misses[::3] = 0
         return owners, cands, misses
 
+    @staticmethod
+    def _assert_columns_match(policy, owners, cands, misses):
+        """``make_rules``' columns are ``make_rule``'s survivors, in
+        order, as int64 columns of the policy's rule kind."""
+        survivors = [
+            rule
+            for rule in map(
+                policy.make_rule, owners.tolist(), cands.tolist(),
+                misses.tolist(),
+            )
+            if rule is not None
+        ]
+        assert survivors, type(policy).__name__
+        kind, *want = rule_columns(survivors)
+        assert kind is policy.rule_type
+        got = policy.make_rules(owners, cands, misses)
+        assert len(got) == 4
+        for column, expected in zip(got, want):
+            assert column.dtype == np.int64
+            assert column.tolist() == expected.tolist(), type(policy).__name__
+        built = RuleSet()
+        built.add_columns(policy.rule_type, *got)
+        assert built == RuleSet(survivors)
+
     def test_make_rules_matches_make_rule(self):
         ones = [3, 4, 4, 6, 8, 8, 1]
         owners, cands, misses = self._all_pairs(ones)
         for policy in _policies(ones):
             assert policy.vector_ready()
-            want = [
-                rule
-                for rule in map(
-                    policy.make_rule, owners.tolist(), cands.tolist(),
-                    misses.tolist(),
-                )
-                if rule is not None
-            ]
-            got = policy.make_rules(owners, cands, misses)
-            assert got == want, type(policy).__name__
-            assert want, type(policy).__name__
+            self._assert_columns_match(policy, owners, cands, misses)
 
     def test_make_rules_falls_back_to_exact_fractions(self):
         """Thresholds whose int64 twins could overflow take the exact
@@ -446,16 +465,7 @@ class TestBulkEmission:
         policy = SimilarityPolicy(ones, Fraction(huge - 1, 2 * huge))
         assert not policy.vector_ready()
         owners, cands, misses = self._all_pairs(ones)
-        want = [
-            rule
-            for rule in map(
-                policy.make_rule, owners.tolist(), cands.tolist(),
-                misses.tolist(),
-            )
-            if rule is not None
-        ]
-        assert policy.make_rules(owners, cands, misses) == want
-        assert want
+        self._assert_columns_match(policy, owners, cands, misses)
 
         matrix = random_binary_matrix(9)
         minsim = Fraction(huge - 1, 2 * huge)

@@ -11,6 +11,7 @@ from repro.baselines.bruteforce import (
     similarity_rules_bruteforce,
 )
 from repro.core.rules import ImplicationRule, RuleSet, SimilarityRule
+from repro.core.stats import PipelineStats
 from repro.matrix.binary_matrix import Vocabulary
 from repro.mining.export import (
     implication_rules_from_csv,
@@ -20,6 +21,7 @@ from repro.mining.export import (
     rules_to_text,
     similarity_rules_from_csv,
     similarity_rules_to_csv,
+    stats_to_json,
 )
 from tests.conftest import random_binary_matrix
 
@@ -172,3 +174,23 @@ class TestJsonLayout:
                     rules, labels
                 )
 
+
+    def test_stats_with_empty_and_long_histories(self):
+        """Int lists are written by a join, not the indenting encoder:
+        an empty history, a 10k-row one, and the nested rest match it."""
+        result = repro.mine(
+            [["a", "b"], ["a", "b", "c"], ["b"]], minconf="1/2"
+        )
+        stats = PipelineStats.from_dict(result.stats.to_dict())
+        stats.hundred_percent_scan.candidate_history = []
+        stats.hundred_percent_scan.memory_history = []
+        stats.partial_scan.candidate_history = list(range(10_000))
+        stats.partial_scan.memory_history = [
+            (row * 7919) % 100_003 for row in range(10_000)
+        ]
+        stats.partition_candidates = [0, -1, 2**70]
+        for rules in (RuleSet(), result.rules):
+            assert rules_to_json(rules, None, stats) == _reference_json(
+                rules, None, stats
+            )
+        assert stats_to_json(stats) == json.dumps(stats.to_dict(), indent=2)

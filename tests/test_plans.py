@@ -104,3 +104,21 @@ def test_plan_matches_bruteforce(matrix, task, key):
     want = bruteforce(matrix, threshold)
     assert len(want) > 0
     assert rules_to_json(result.rules) == rules_to_json(want)
+
+
+@pytest.mark.parametrize("task", sorted(TASKS))
+def test_vector_scan_checks_the_budget_before_its_first_block_ends(
+    matrix, task
+):
+    """The 200-row matrix is one default block; a hard budget still
+    trips the vector <100% scan inside it, as it trips the serial one."""
+    threshold, bruteforce = TASKS[task]
+    for engine in ("dmc", "vector"):
+        result = mine(
+            matrix, task=task, threshold=threshold, engine=engine,
+            memory_budget=1024,
+        )
+        assert result.stats.partial_scan.guard_tripped_at is not None, engine
+        assert rules_to_json(result.rules) == rules_to_json(
+            bruteforce(matrix, threshold)
+        )
