@@ -31,7 +31,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from typing import Any, Dict, Iterator, Optional
 
-from repro.core.dmc_imp import PruningOptions, mine_matrix, vector_exact
+from repro.core.dmc_imp import PruningOptions, mine_matrix
 from repro.core.miss_counting import BitmapConfig
 from repro.core.partitioned import (
     find_implication_rules_partitioned,
@@ -226,13 +226,12 @@ class MiningConfig:
 class MiningResult:
     """What every :func:`mine` call returns.
 
-    ``engine`` names the pipeline that produced the rules — the
-    carrier, plus a vector suffix when the blocked numpy scan ran under
-    it: ``"dmc"``, ``"vector"``, ``"stream"``, ``"stream+vector"``,
-    ``"partitioned"`` or ``"partitioned+vector"``.  ``trace`` is the observer's
-    span tree (the :meth:`repro.observe.Tracer.to_dict` document) when
-    a tracing observer watched the run, else ``None``.  Iterating the
-    result iterates its rules.
+    ``engine`` names the plan that produced the rules
+    (:attr:`EnginePlan.name`): ``"dmc"``, ``"vector"``,
+    ``"stream+vector"`` or ``"partitioned+vector"``.  ``trace`` is the
+    observer's span tree (the :meth:`repro.observe.Tracer.to_dict`
+    document) when a tracing observer watched the run, else ``None``.
+    Iterating the result iterates its rules.
     """
 
     rules: RuleSet
@@ -287,22 +286,12 @@ class EnginePlan:
     for the miss-counting passes inside the carrier: ``"serial"`` for
     ``engine="dmc"``, ``"vector"`` for every other engine.  ``name`` is
     the user-facing combination recorded on the journal's ``run-start``
-    event; :attr:`MiningResult.engine` names the scan that actually
-    ran (see :func:`resolve_engine`).
+    event and on :attr:`MiningResult.engine`.
     """
 
     name: str
     carrier: str
     scan_engine: str
-
-
-def _engine_name(carrier: str, scan_engine: str) -> str:
-    """The recorded engine name for a carrier/scan combination."""
-    if scan_engine != "vector":
-        return carrier
-    if carrier == "dmc":
-        return "vector"
-    return f"{carrier}+vector"
 
 
 def resolve_engine(
@@ -337,10 +326,8 @@ def resolve_engine(
     options carry no switch, so only the budget hands over); the dmc,
     vector and stream carriers honour it.
     ``engine="dmc"`` runs the serial scan; every other engine runs the
-    vector scan.  A pass whose policy's int64 twins are inexact runs
-    serial instead, and :attr:`MiningResult.engine` names the scan that
-    ran (``"dmc"``, ``"stream"``...); only ``engine="vector"`` raises
-    there (see :func:`mine`).
+    vector scan.  Both are exact at any threshold, so every plan runs
+    the scan it names.
 
     Contradictions raise ``ValueError`` (e.g. ``engine="vector"`` on a
     streaming source, or the stream carrier with
@@ -385,9 +372,12 @@ def resolve_engine(
             "and engine='dmc' or engine='vector'"
         )
 
-    scan = "serial" if engine == "dmc" else "vector"
-    name = _engine_name(carrier, scan)
-    return EnginePlan(name=name, carrier=carrier, scan_engine=scan), options
+    if engine == "dmc":
+        plan = EnginePlan(name="dmc", carrier="dmc", scan_engine="serial")
+    else:
+        name = "vector" if carrier == "dmc" else f"{carrier}+vector"
+        plan = EnginePlan(name=name, carrier=carrier, scan_engine="vector")
+    return plan, options
 
 
 def _resolve_telemetry(
@@ -499,19 +489,13 @@ def mine(data, *, config: Optional[MiningConfig] = None, **kwargs):
     every :class:`MiningConfig` field is accepted as a keyword, plus
     the ``minconf=`` / ``minsim=`` aliases that set the task and the
     threshold together.  Returns a :class:`MiningResult`; the mined
-    rules are identical to the corresponding legacy entry point's.
+    rules are identical to the corresponding legacy entry point's, and
+    ``result.engine`` is the plan :func:`resolve_engine` made, at any
+    threshold.
     """
     config = _resolve_config(config, kwargs)
     matrix, source = _as_input(data)
     plan, options = resolve_engine(config, streaming=matrix is None)
-    if config.engine == "vector" and not vector_exact(
-        config.task, config.threshold, matrix.column_ones()
-    ):
-        raise ValueError(
-            "this threshold's exact fractions exceed the vector engine's "
-            "int64 range; use engine='auto' (which falls back to the "
-            "serial scan) or engine='dmc'"
-        )
     if plan.carrier == "stream" and source is None:
         source = MatrixSource(matrix)
     stats = PipelineStats()
@@ -542,13 +526,6 @@ def mine(data, *, config: Optional[MiningConfig] = None, **kwargs):
             rules = _run_plan(
                 plan, config, matrix, source, options, stats, observer
             )
-        # The carriers record the scan that ran (serial after an int64
-        # fallback), which may differ from the plan's.
-        engine = _engine_name(plan.carrier, stats.scan_engine)
-        stats.engine = engine
-        status = getattr(observer, "status", None)
-        if status is not None:
-            status.engine = engine
         observer.finish(stats=stats)
     except BaseException as error:
         status = getattr(observer, "status", None)
@@ -581,7 +558,7 @@ def mine(data, *, config: Optional[MiningConfig] = None, **kwargs):
     return MiningResult(
         rules=rules,
         stats=stats,
-        engine=engine,
+        engine=plan.name,
         trace=trace,
         vocabulary=vocabulary,
         run_id=getattr(observer, "run_id", config.run_id),

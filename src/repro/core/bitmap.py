@@ -138,14 +138,7 @@ def bitmap_tail(
         count = np.asarray(count, dtype=np.int64)
         ones = policy.ones_array()
         n_columns = len(ones)
-        if policy.vector_ready():
-            cutoff, eligible = policy.add_cutoff_array(), policy.eligible_mask
-        else:  # the int64 twins could overflow: use the exact scalars
-            cutoff = np.array(
-                list(map(policy.add_cutoff, range(n_columns))), dtype=np.int64
-            )
-            eligible = np.vectorize(policy.eligible, otypes=[bool])
-
+        cutoff, eligible = policy.add_cutoff_array(), policy.eligible_mask
         closed = count > cutoff
         if lists is None:
             lists = np.unique(owners)

@@ -113,19 +113,6 @@ TASKS: Dict[str, DmcTask] = {
 }
 
 
-def vector_exact(task: str, threshold, ones: Sequence[int]) -> bool:
-    """Whether the vector scan is exact for a run's <100% pass: its
-    policy over ``ones`` has exact int64 twins (``vector_ready()``).
-    That test reads only the largest count, so a one-column policy
-    decides it; removing columns never raises the largest count, so the
-    answer covers the restricted pass too."""
-    largest = [int(np.max(ones, initial=0))]
-    policy = TASKS[task].partial_policy(
-        largest, as_fraction(threshold), PruningOptions()
-    )
-    return policy.vector_ready()
-
-
 def check_scan(scan: str) -> None:
     """Reject a scan name other than ``"serial"`` (the paper's
     row-at-a-time loop, :mod:`repro.core.miss_counting`) and
@@ -163,10 +150,9 @@ def mine_passes(
     ``ones`` are the pre-scan's column counts and ``rows_for`` the
     carrier's row source (see :data:`RowSource`).  The 100% pass always
     runs the zero-miss scan; the other passes run ``scan`` (see
-    :func:`check_scan`), except that a ``"vector"`` pass whose policy
-    has inexact int64 twins (``vector_ready()``) runs serial.
-    ``stats.scan_engine`` records the scan that ran.  Phases are timed
-    into ``stats.timer`` and reported to ``observer``.
+    :func:`check_scan`), which ``stats.scan_engine`` records.  Every
+    policy's int64 twins are exact, so both scans take any threshold.
+    Phases are timed into ``stats.timer`` and reported to ``observer``.
     """
     threshold = as_fraction(threshold)
     spec = TASKS[task]
@@ -174,13 +160,9 @@ def mine_passes(
     stats.columns_total = len(ones)
     stats.scan_engine = scan
 
-    def partial_scan(rows, n_rows, policy, **kwargs):
-        if not policy.vector_ready():
-            # Exact only on the serial scan's arbitrary-precision path.
-            stats.scan_engine = "serial"
-        if stats.scan_engine == "serial":
-            return miss_counting_scan_rows(rows, n_rows, policy, **kwargs)
-        return vector_scan_rows(rows, n_rows, policy, **kwargs)
+    partial_scan = (
+        miss_counting_scan_rows if scan == "serial" else vector_scan_rows
+    )
 
     def scan(run, policy, keep, scan_stats: ScanStats) -> None:
         rows, n_rows = rows_for(keep, scan_stats)

@@ -39,7 +39,7 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from typing import List, Optional, Set, Tuple
 
-from repro.core.dmc_imp import check_scan, vector_exact
+from repro.core.dmc_imp import check_scan
 from repro.core.miss_counting import miss_counting_scan
 from repro.core.policies import ImplicationPolicy, SimilarityPolicy
 from repro.core.rules import (
@@ -140,20 +140,11 @@ def _local_candidates(
     observer,
     scan_engine: str,
 ) -> Set[Tuple[int, int]]:
-    """Mine every partition (in-process or on the spawn pool) and union
-    the locally-valid pairs.
-
-    ``scan_engine="vector"`` runs serial when the whole matrix's
-    policy has inexact int64 twins.  (A partition's counts never
-    exceed the matrix's, so an exact whole-matrix policy makes every
-    partition's exact.)  The scan that ran is recorded on
-    ``stats.scan_engine``.
+    """Mine every partition (in-process or on the spawn pool) with
+    ``scan_engine`` and union the locally-valid pairs.  The scan is
+    recorded on ``stats.scan_engine``.
     """
     check_scan(scan_engine)
-    if scan_engine == "vector" and not vector_exact(
-        kind, threshold, matrix.column_ones()
-    ):
-        scan_engine = "serial"
     stats.scan_engine = scan_engine
     jobs = [
         (
@@ -205,10 +196,8 @@ def find_implication_rules_partitioned(
     ``verify-candidates`` phase.
 
     ``scan_engine="vector"`` mines each partition with the blocked
-    numpy engine (:mod:`repro.core.vector`) instead of the serial scan,
-    unless its int64 twins are inexact (see
-    :func:`~repro.core.dmc_imp.vector_exact`).  The rule set is
-    identical either way.
+    numpy engine (:mod:`repro.core.vector`) instead of the serial scan.
+    The rule set is identical either way.
     """
     minconf = as_fraction(minconf)
     if stats is None:

@@ -24,11 +24,11 @@ from repro.core.rules import (
     ImplicationRule,
     SimilarityRule,
     canonical_before,
-    rule_columns,
 )
 from repro.core.thresholds import (
     Threshold,
     as_fraction,
+    farey_ceiling,
     max_misses,
     similarity_holds,
 )
@@ -153,16 +153,8 @@ class PairPolicy:
         """Array twin of :meth:`make_rule`: the valid pairs' rules as
         ``(left, right, part, whole)`` int64 columns, in order (see
         :meth:`repro.core.rules.RuleSet.add_columns`).  Validity comes
-        from :meth:`valid_mask`, or from the exact per-rule path when
-        the int64 twins are not (:meth:`vector_ready`).
+        from :meth:`valid_mask`.
         """
-        if not self.vector_ready():
-            built = map(
-                self.make_rule, owners.tolist(), cands.tolist(),
-                misses.tolist(),
-            )
-            survivors = [rule for rule in built if rule is not None]
-            return rule_columns(survivors)[1:]
         keep = self.valid_mask(owners, cands, misses)
         owners, cands, misses = owners[keep], cands[keep], misses[keep]
         return (
@@ -176,10 +168,6 @@ class PairPolicy:
         """Each valid pair's rule denominator: ``ones(c_j)`` (a
         similarity's union overrides this)."""
         return self.ones_array()[owners]
-
-    def vector_ready(self) -> bool:
-        """Whether the int64 array twins are exact for this instance."""
-        return True
 
 
 class ImplicationPolicy(PairPolicy):
@@ -244,6 +232,12 @@ class HundredPercentPolicy(ImplicationPolicy):
         super().__init__(ones, Fraction(1))
 
 
+#: The largest column count :class:`SimilarityPolicy` accepts: its
+#: snapped terms stay ``<= 2**31 + 1``, so ``q*ones`` and ``p*union``
+#: stay below ``2**63``.
+MAX_ONES = 2**30
+
+
 class SimilarityPolicy(PairPolicy):
     """Similarity-threshold mining of unordered pairs (Algorithm 5.1).
 
@@ -252,6 +246,12 @@ class SimilarityPolicy(PairPolicy):
     Section 5.2 maximum-hits pruning runs as the dynamic check.  Both
     prunings can be disabled for the ablation benchmarks; disabling them
     never changes the mined rules, only the work done.
+
+    Every decision compares some ``x/y`` with ``y <= 2*max(ones) + 1``
+    against ``minsim``, so the twins use its Farey ceiling of that order
+    (:func:`~repro.core.thresholds.farey_ceiling`) as ``p/q``: the same
+    decisions, with terms small enough that every product fits int64
+    while no column has more than :data:`MAX_ONES` 1's.
     """
 
     rule_type = SimilarityRule
@@ -267,8 +267,15 @@ class SimilarityPolicy(PairPolicy):
         self.minsim: Fraction = as_fraction(minsim)
         self.use_density_pruning = use_density_pruning
         self.use_max_hits_pruning = use_max_hits_pruning
-        self._p = self.minsim.numerator
-        self._q = self.minsim.denominator
+        largest = max(self.ones, default=0)
+        if largest > MAX_ONES:
+            raise ValueError(
+                f"similarity mining supports at most {MAX_ONES} 1's in "
+                f"one column, got {largest}"
+            )
+        snapped = farey_ceiling(self.minsim, 2 * largest + 1)
+        self._p = snapped.numerator
+        self._q = snapped.denominator
 
     def eligible(self, column_j: int, candidate_k: int) -> bool:
         if not super().eligible(column_j, candidate_k):
@@ -383,14 +390,6 @@ class SimilarityPolicy(PairPolicy):
         self, owners: np.ndarray, cands: np.ndarray, misses: np.ndarray
     ) -> np.ndarray:
         return self.ones_array()[cands] + misses
-
-    def vector_ready(self) -> bool:
-        # The array twins do the p/q cross-multiplications in int64;
-        # pathological Fraction thresholds with astronomically large
-        # terms must stay on the exact arbitrary-precision scalar path.
-        scale = max(self._p, self._q, 1)
-        magnitude = 2 * max(self.ones, default=1) + 1
-        return scale <= (2**62) // max(magnitude, 1)
 
 
 class IdentityPolicy(PairPolicy):

@@ -286,10 +286,9 @@ class PipelineStats:
     columns_removed: int = 0
     rules_hundred_percent: int = 0
     rules_partial: int = 0
-    #: Resolved engine that actually ran (``"dmc"``, ``"vector"``,
-    #: ``"stream"``, ``"partitioned"``, ``"partitioned+vector"``...);
-    #: None when the run predates engine recording or bypassed
-    #: ``repro.mine()``.
+    #: Resolved engine that ran (``"dmc"``, ``"vector"``,
+    #: ``"stream+vector"`` or ``"partitioned+vector"``); None when the
+    #: run predates engine recording or bypassed ``repro.mine()``.
     engine: Optional[str] = None
     #: Second-pass scan that ran (``"serial"`` or ``"vector"``); None
     #: before a run.

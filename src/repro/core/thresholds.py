@@ -57,6 +57,33 @@ def as_fraction(threshold: Threshold) -> Fraction:
     return value
 
 
+def farey_ceiling(value: Fraction, order: int) -> Fraction:
+    """The smallest fraction ``>= value`` whose denominator is ``<= order``.
+
+    For ``0 <= value <= 1`` and every ``x/y`` with ``1 <= y <= order``,
+    ``x/y >= value`` iff ``x/y >= farey_ceiling(value, order)``: no such
+    ``x/y`` lies in between.  The continued-fraction walk is the one of
+    :meth:`fractions.Fraction.limit_denominator`; its two bounds are the
+    neighbours of ``value`` in the Farey sequence of ``order``.
+    """
+    if order < 1:
+        raise ValueError("order must be at least 1")
+    if value.denominator <= order:
+        return value
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    n, d = value.numerator, value.denominator
+    while True:
+        a = n // d
+        q2 = q0 + a * q1
+        if q2 > order:
+            break
+        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
+        n, d = d, n - a * d
+    k = (order - q0) // q1
+    bounds = Fraction(p0 + k * p1, q0 + k * q1), Fraction(p1, q1)
+    return max(bounds)
+
+
 # ----------------------------------------------------------------------
 # Confidence (implication rules)
 # ----------------------------------------------------------------------

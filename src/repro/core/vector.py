@@ -163,11 +163,6 @@ def _scan_blocks(
     block_rows: Optional[int] = None,
     dense_pair_columns: int = DENSE_PAIR_COLUMNS,
 ) -> RuleSet:
-    if not policy.vector_ready():
-        raise ValueError(
-            "this policy's thresholds exceed the vector engine's int64 "
-            "range; use the serial engine for this run"
-        )
     if stats is None:
         stats = ScanStats()
     if rules is None:

@@ -23,16 +23,6 @@ def zipf_weights(n: int, exponent: float = 1.0) -> np.ndarray:
     return weights / weights.sum()
 
 
-def sample_zipf_subset(
-    rng: np.random.Generator,
-    weights: np.ndarray,
-    size: int,
-) -> np.ndarray:
-    """Sample ``size`` distinct item ids by Zipf popularity."""
-    size = min(size, len(weights))
-    return rng.choice(len(weights), size=size, replace=False, p=weights)
-
-
 def random_matrix(
     n_rows: int,
     n_columns: int,

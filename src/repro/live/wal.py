@@ -236,16 +236,6 @@ class DeltaLog:
             watermark=seq, rows=len(normalized),
         )
 
-    def total_bytes(self) -> int:
-        """Retained WAL bytes (all committed segments)."""
-        total = 0
-        for seq in range(1, self._watermark + 1):
-            try:
-                total += self.storage.getsize(self.segment_path(seq))
-            except OSError:
-                pass
-        return total
-
 
 class SnapshotStore:
     """Durable state snapshots, atomically replaced, never required.

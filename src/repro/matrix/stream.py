@@ -743,12 +743,14 @@ def _stream_rules_on_disk(
             spill.close()
 
     if store is not None:
-        # The run completed; the checkpoint has served its purpose.
+        # The run completed; the checkpoint has served its purpose.  A
+        # failed delete must not lose the rules: clear() removes the
+        # manifest first, so a leftover is orphan buckets (the next
+        # run's prepare_buckets clears them) or a whole checkpoint
+        # (load_pass1 verifies it before any resume).
         try:
             store.clear()
         except OSError as error:
-            if not terminal_io_error(error):
-                raise
             warnings.warn(
                 f"could not remove the finished checkpoint: {error}",
                 RuntimeWarning,

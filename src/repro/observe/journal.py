@@ -450,8 +450,6 @@ def summarize_journal(path: str, storage=None) -> Dict[str, object]:
                 deltas["last_seq"] = record.get("seq")
         elif event == "run-end":
             rules_final = record.get("rules", rules_final)
-            # The engine that ran (an int64 fallback turns the planned
-            # vector scan serial).
             engine = record.get("engine") or engine
     return {
         "version": JOURNAL_VERSION,

@@ -34,7 +34,6 @@ shutdown is journalled).
 
 from __future__ import annotations
 
-import json
 import os
 import signal
 import threading
@@ -433,10 +432,6 @@ class MiningService:
     def read_trace(self, job_id: str) -> Optional[dict]:
         """The job's archived span-tree document, or ``None``."""
         return self.index.read_trace(job_id)
-
-    def result_document(self, job_id: str) -> dict:
-        """The committed result parsed back into a document."""
-        return json.loads(self.index.read_result(job_id))
 
     def cancel_job(self, job_id: str) -> Optional[str]:
         record = self.index.get(job_id)

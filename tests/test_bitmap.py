@@ -454,26 +454,27 @@ class TestBulkEmission:
         ones = [3, 4, 4, 6, 8, 8, 1]
         owners, cands, misses = self._all_pairs(ones)
         for policy in _policies(ones):
-            assert policy.vector_ready()
             self._assert_columns_match(policy, owners, cands, misses)
 
-    def test_make_rules_falls_back_to_exact_fractions(self):
-        """Thresholds whose int64 twins could overflow take the exact
-        per-rule path; the tail on such a policy stays exact too."""
+    def test_make_rules_stays_exact_at_huge_thresholds(self):
+        """A threshold whose raw terms would overflow int64 products
+        snaps to its Farey ceiling: the array twins, the serial tail
+        and the vector scan all keep brute force's rules."""
         ones = [3, 4, 4, 6]
         huge = 2**80
-        policy = SimilarityPolicy(ones, Fraction(huge - 1, 2 * huge))
-        assert not policy.vector_ready()
+        minsim = Fraction(huge - 1, 2 * huge)
+        policy = SimilarityPolicy(ones, minsim)
         owners, cands, misses = self._all_pairs(ones)
         self._assert_columns_match(policy, owners, cands, misses)
 
-        matrix = random_binary_matrix(9)
-        minsim = Fraction(huge - 1, 2 * huge)
-        policy = SimilarityPolicy(matrix.column_ones(), minsim)
-        assert not policy.vector_ready()
+        matrix = random_binary_matrix(5)
+        want = similarity_rules_bruteforce(matrix, minsim)
+        assert len(want) > 0
         config = BitmapConfig(switch_rows=1000, memory_budget_bytes=0)
-        got = miss_counting_scan(matrix, policy, bitmap=config)
-        assert got == similarity_rules_bruteforce(matrix, minsim)
+        for scan in (miss_counting_scan, vector_scan):
+            policy = SimilarityPolicy(matrix.column_ones(), minsim)
+            got = scan(matrix, policy, bitmap=config)
+            assert got == want, scan.__name__
 
     def test_add_many_matches_add(self):
         rules = [

@@ -495,6 +495,51 @@ def test_transient_eio_on_spill_is_retried_to_success(
     assert observer.metrics.value("dmc_io_errors_total", kind="EIO") == 1
 
 
+@pytest.mark.parametrize(
+    "code", [errno.EIO, errno.EROFS], ids=["EIO", "EROFS"]
+)
+def test_failed_checkpoint_removal_keeps_the_rules(
+    tmp_path, demo_matrix, code
+):
+    """The run finished, so a failed delete of its checkpoint (the
+    second rmtree; the first prepares the buckets) only warns: the
+    next run clears or verifies what is left."""
+    import repro
+
+    from repro.baselines.bruteforce import implication_rules_bruteforce
+
+    storage = FaultyStorage(
+        faults=(StorageFault(op="rmtree", code=code, first=2),)
+    )
+    with pytest.warns(
+        RuntimeWarning, match="could not remove the finished checkpoint"
+    ):
+        result = repro.mine(
+            demo_matrix, minconf=0.6, engine="stream",
+            checkpoint_dir=str(tmp_path / "ckpt"), storage=storage,
+        )
+    assert storage.errors_raised
+    assert result.rules == implication_rules_bruteforce(demo_matrix, 0.6)
+
+
+def test_unwritable_profile_keeps_the_rules(tmp_path, demo_matrix):
+    """A full disk when the profile is written warns; the finished
+    mine's rules are returned."""
+    import repro
+
+    baseline = repro.mine(demo_matrix, minconf=0.6).rules
+    storage = FaultyStorage(
+        faults=(StorageFault(path_contains="prof", code=errno.ENOSPC),)
+    )
+    with pytest.warns(RuntimeWarning, match="profile not written"):
+        result = repro.mine(
+            demo_matrix, minconf=0.6, storage=storage,
+            profile=str(tmp_path / "run.prof"),
+        )
+    assert storage.errors_raised == {"ENOSPC": 1}
+    assert result.rules == baseline
+
+
 def test_degradations_survive_stats_round_trip():
     stats = PipelineStats()
     stats.degradations.extend(["spill-to-memory", "journal-off"])

@@ -2,15 +2,18 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.core.policies import MAX_ONES, SimilarityPolicy
 from repro.core.thresholds import (
     as_fraction,
     confidence_holds,
     confidence_removal_cutoff,
     density_prunable,
+    farey_ceiling,
     max_hits_prunable,
     max_misses,
     max_possible_hits,
@@ -279,3 +282,64 @@ class TestMaxHitsPruning:
         inter = ones_i - best_final_misses
         union = ones_j + best_final_misses
         assert not similarity_holds(inter, union, minsim)
+
+
+class TestFareyCeiling:
+    def test_in_sequence_passes_through(self):
+        assert farey_ceiling(Fraction(3, 5), 5) == Fraction(3, 5)
+
+    def test_rounds_up_to_the_next_neighbour(self):
+        assert farey_ceiling(Fraction(3, 5) + Fraction(1, 10**20), 7) == (
+            Fraction(2, 3)
+        )
+        assert farey_ceiling(Fraction(10**20 + 1, 10**20 + 3), 21) == 1
+
+    def test_order_below_one_rejected(self):
+        with pytest.raises(ValueError):
+            farey_ceiling(Fraction(1, 2), 0)
+
+    @given(
+        q=st.integers(min_value=1, max_value=10**30),
+        p=st.integers(min_value=1, max_value=10**30),
+        n=st.integers(min_value=1, max_value=40),
+    )
+    def test_same_decisions_and_nothing_skipped(self, q, p, n):
+        theta = Fraction(min(p, q), q)
+        ceiling = farey_ceiling(theta, n)
+        assert theta <= ceiling <= 1 and ceiling.denominator <= n
+        top, bottom = ceiling.numerator, ceiling.denominator
+        for y in range(1, n + 1):
+            # The smallest x/y at or above theta is not below the ceiling.
+            smallest = -(-theta.numerator * y // theta.denominator)
+            assert Fraction(smallest, y) >= ceiling
+            for x in range(2 * n + 2):
+                assert (x * bottom >= top * y) == (
+                    x * theta.denominator >= theta.numerator * y
+                ), (x, y)
+
+
+class TestSimilarityPolicyBound:
+    def test_more_ones_than_the_bound_rejected(self):
+        with pytest.raises(ValueError, match="at most"):
+            SimilarityPolicy([1, MAX_ONES + 1], Fraction(1, 2))
+
+    def test_twins_stay_exact_at_the_bound(self):
+        """With the largest accepted count and a threshold that snaps to
+        terms near 2**31, the int64 twins equal the exact scalars."""
+        ones = [MAX_ONES, MAX_ONES - 1, MAX_ONES // 2 + 1, MAX_ONES // 2]
+        minsim = Fraction(10**30 + 1, 2 * 10**30)
+        policy = SimilarityPolicy(ones, minsim)
+        assert policy._q > 2**30
+        pairs = [(1, 0), (2, 1), (3, 2), (3, 0), (2, 0)]
+        owners, cands = np.array(pairs, dtype=np.int64).T
+        misses = np.arange(len(pairs), dtype=np.int64)
+        assert policy.budget_array(owners, cands).tolist() == [
+            policy.pair_budget(j, k) for j, k in pairs
+        ]
+        assert policy.eligible_mask(owners, cands).tolist() == [
+            policy.eligible(j, k) for j, k in pairs
+        ]
+        assert policy.valid_mask(owners, cands, misses).tolist() == [
+            policy.make_rule(j, k, m) is not None
+            for (j, k), m in zip(pairs, misses.tolist())
+        ]

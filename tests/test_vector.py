@@ -9,12 +9,10 @@ asserting byte-identical rule sets against the row-at-a-time engine.
 
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 import repro
 from repro.api import ENGINES, MiningConfig, mine, resolve_engine
-from repro.baselines.bruteforce import similarity_rules_bruteforce
 from repro.core import vector
 from repro.core.dmc_imp import PruningOptions, find_implication_rules
 from repro.core.dmc_sim import find_similarity_rules
@@ -450,62 +448,3 @@ class TestMineVector:
         observer = repro.RunObserver(status=status)
         mine(matrix, minconf=0.7, engine="vector", observer=observer)
         assert status.snapshot()["engine"] == "vector"
-
-
-class TestVectorFallback:
-    """A threshold whose exact fractions overflow the vector engine's
-    int64 twins: the default vector scan falls back to the serial one
-    and says so on the result, while an explicit engine='vector'
-    raises."""
-
-    MINSIM = Fraction(10**20 + 1, 10**20 + 3)
-
-    @pytest.fixture(scope="class")
-    def matrix(self):
-        dense = np.random.default_rng(11).random((60, 10)) < 0.3
-        dense[:, 1] = dense[:, 0]
-        dense[:, 3] = dense[:, 2]
-        return BinaryMatrix.from_dense(dense.astype(np.uint8))
-
-    @pytest.mark.parametrize("engine, ran", [
-        ("auto", "dmc"),
-        ("stream", "stream"),
-        ("partitioned", "partitioned"),
-    ])
-    @pytest.mark.parametrize("hundred_percent_pass", [True, False])
-    def test_default_falls_back_to_serial(
-        self, matrix, engine, ran, hundred_percent_pass
-    ):
-        result = mine(
-            matrix, minsim=self.MINSIM, engine=engine,
-            options=PruningOptions(hundred_percent_pass=hundred_percent_pass),
-        )
-        assert result.engine == result.stats.engine == ran
-        assert result.stats.scan_engine == "serial"
-        want = similarity_rules_bruteforce(matrix, self.MINSIM)
-        assert len(want) > 0
-        assert result.rules == want
-
-    def test_exact_policies_stay_vector(self, matrix):
-        result = mine(matrix, minconf=self.MINSIM)
-        assert result.engine == "vector"
-        assert result.stats.scan_engine == "vector"
-
-    def test_fallback_reaches_live_status_and_journal(
-        self, matrix, tmp_path
-    ):
-        """/runs/<id> and the journal name the scan that ran, not the
-        planned one."""
-        path = str(tmp_path / "run.jsonl")
-        status = LiveRunStatus("run-fallback")
-        result = mine(
-            matrix, minsim=self.MINSIM, journal_path=path,
-            observer=repro.RunObserver(status=status),
-        )
-        assert result.engine == "dmc"
-        assert status.snapshot()["engine"] == "dmc"
-        assert summarize_journal(path)["engine"] == "dmc"
-
-    def test_explicit_vector_engine_raises(self, matrix):
-        with pytest.raises(ValueError, match="int64"):
-            mine(matrix, minsim=self.MINSIM, engine="vector")
