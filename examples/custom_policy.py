@@ -27,6 +27,8 @@ from repro.core.rules import SimilarityRule
 class DicePolicy(PairPolicy):
     """Mine pairs with Dice coefficient >= ``min_dice``, exactly."""
 
+    rule_type = SimilarityRule
+
     def __init__(self, ones, min_dice: Fraction) -> None:
         super().__init__(ones)
         self.min_dice = Fraction(min_dice)
@@ -40,18 +42,15 @@ class DicePolicy(PairPolicy):
         # Best case: a candidate with the same cardinality.
         return self.pair_budget(column_j, column_j)
 
-    def make_rule(self, column_j, candidate_k, misses):
-        intersection = self.ones[column_j] - misses
-        total = self.ones[column_j] + self.ones[candidate_k]
-        if 2 * intersection * self.min_dice.denominator < (
+    def valid_mask(self, owners, cands, misses):
+        # The one emission hook: which surviving pairs are rules.  The
+        # scan builds each rule from ``make_rules``: intersection
+        # ``ones_j - misses`` and union ``ones_k + misses``.
+        ones = self.ones_array()
+        intersection = ones[owners] - misses
+        total = ones[owners] + ones[cands]
+        return 2 * intersection * self.min_dice.denominator >= (
             self.min_dice.numerator * total
-        ):
-            return None
-        return SimilarityRule(
-            first=column_j,
-            second=candidate_k,
-            intersection=intersection,
-            union=total - intersection,
         )
 
 

@@ -72,7 +72,7 @@ def apriori_pair_rules(
             pair = (i, j)
             pair_counts[pair] = pair_counts.get(pair, 0) + 1
 
-    rules = RuleSet()
+    rules = []
     for (i, j), inter in pair_counts.items():
         if require_pair_support and inter < minsup_count:
             continue
@@ -81,7 +81,7 @@ def apriori_pair_rules(
         else:
             antecedent, consequent = j, i
         if confidence_holds(inter, int(ones[antecedent]), minconf):
-            rules.add(
+            rules.append(
                 ImplicationRule(
                     antecedent=antecedent,
                     consequent=consequent,
@@ -93,7 +93,9 @@ def apriori_pair_rules(
     # static implementation must allocate, not just touched pairs.
     counters = len(frequent) * (len(frequent) - 1) // 2
     return AprioriResult(
-        rules=rules, frequent_columns=frequent, counters_used=counters
+        rules=RuleSet(rules),
+        frequent_columns=frequent,
+        counters_used=counters,
     )
 
 
@@ -127,7 +129,7 @@ def apriori_pair_similarity(
             pair = (i, j)
             pair_counts[pair] = pair_counts.get(pair, 0) + 1
 
-    rules = RuleSet()
+    rules = []
     for (i, j), inter in pair_counts.items():
         union = int(ones[i]) + int(ones[j]) - inter
         if similarity_holds(inter, union, minsim):
@@ -135,7 +137,7 @@ def apriori_pair_similarity(
                 first, second = i, j
             else:
                 first, second = j, i
-            rules.add(
+            rules.append(
                 SimilarityRule(
                     first=first,
                     second=second,
@@ -144,7 +146,9 @@ def apriori_pair_similarity(
                 )
             )
     counters = len(frequent_set) * (len(frequent_set) - 1) // 2
-    return AprioriSimilarityResult(rules=rules, counters_used=counters)
+    return AprioriSimilarityResult(
+        rules=RuleSet(rules), counters_used=counters
+    )
 
 
 @dataclass

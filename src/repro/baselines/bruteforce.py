@@ -45,14 +45,14 @@ def implication_rules_bruteforce(matrix: BinaryMatrix, minconf) -> RuleSet:
     """All canonical implication rules with confidence ``>= minconf``."""
     minconf = as_fraction(minconf)
     ones = matrix.column_ones()
-    rules = RuleSet()
+    rules = []
     for i, j, inter in cooccurrence_counts(matrix):
         if canonical_before(ones[i], i, ones[j], j):
             antecedent, consequent = i, j
         else:
             antecedent, consequent = j, i
         if confidence_holds(inter, int(ones[antecedent]), minconf):
-            rules.add(
+            rules.append(
                 ImplicationRule(
                     antecedent=antecedent,
                     consequent=consequent,
@@ -60,14 +60,14 @@ def implication_rules_bruteforce(matrix: BinaryMatrix, minconf) -> RuleSet:
                     ones=int(ones[antecedent]),
                 )
             )
-    return rules
+    return RuleSet(rules)
 
 
 def similarity_rules_bruteforce(matrix: BinaryMatrix, minsim) -> RuleSet:
     """All column pairs with similarity ``>= minsim``."""
     minsim = as_fraction(minsim)
     ones = matrix.column_ones()
-    rules = RuleSet()
+    rules = []
     for i, j, inter in cooccurrence_counts(matrix):
         union = int(ones[i]) + int(ones[j]) - inter
         if similarity_holds(inter, union, minsim):
@@ -75,7 +75,7 @@ def similarity_rules_bruteforce(matrix: BinaryMatrix, minsim) -> RuleSet:
                 first, second = i, j
             else:
                 first, second = j, i
-            rules.add(
+            rules.append(
                 SimilarityRule(
                     first=first,
                     second=second,
@@ -83,7 +83,7 @@ def similarity_rules_bruteforce(matrix: BinaryMatrix, minsim) -> RuleSet:
                     union=union,
                 )
             )
-    return rules
+    return RuleSet(rules)
 
 
 def pairwise_intersections(

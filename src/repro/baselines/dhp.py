@@ -72,7 +72,7 @@ def dhp_pair_rules(
             pair = (i, j)
             pair_counts[pair] = pair_counts.get(pair, 0) + 1
 
-    rules = RuleSet()
+    rules = []
     for (i, j), inter in pair_counts.items():
         if inter < minsup_count:
             # The bucket filter is only sound against pairs that could
@@ -85,7 +85,7 @@ def dhp_pair_rules(
         else:
             antecedent, consequent = j, i
         if confidence_holds(inter, int(ones[antecedent]), minconf):
-            rules.add(
+            rules.append(
                 ImplicationRule(
                     antecedent=antecedent,
                     consequent=consequent,
@@ -94,7 +94,7 @@ def dhp_pair_rules(
                 )
             )
     return DhpResult(
-        rules=rules,
+        rules=RuleSet(rules),
         counters_used=len(pair_counts),
         buckets_passed=len(passed),
         n_buckets=n_buckets,

@@ -94,11 +94,11 @@ def kmin_implication_rules(
     from repro.baselines.bruteforce import pairwise_intersections
 
     intersections = pairwise_intersections(matrix, candidates)
-    rules = RuleSet()
+    rules = []
     for antecedent, consequent in candidates:
         hits = intersections[(antecedent, consequent)]
         if confidence_holds(hits, int(ones[antecedent]), minconf):
-            rules.add(
+            rules.append(
                 ImplicationRule(
                     antecedent=antecedent,
                     consequent=consequent,
@@ -107,5 +107,5 @@ def kmin_implication_rules(
                 )
             )
     return KMinResult(
-        rules=rules, candidates_checked=len(candidates), k=k
+        rules=RuleSet(rules), candidates_checked=len(candidates), k=k
     )

@@ -133,7 +133,7 @@ def minhash_similarity_rules(
 
     ones = matrix.column_ones()
     intersections = pairwise_intersections(matrix, candidates)
-    rules = RuleSet()
+    rules = []
     for i, j in candidates:
         inter = intersections[(i, j)]
         union = int(ones[i]) + int(ones[j]) - inter
@@ -142,7 +142,7 @@ def minhash_similarity_rules(
                 first, second = i, j
             else:
                 first, second = j, i
-            rules.add(
+            rules.append(
                 SimilarityRule(
                     first=first,
                     second=second,
@@ -151,5 +151,5 @@ def minhash_similarity_rules(
                 )
             )
     return MinHashResult(
-        rules=rules, candidates_checked=len(candidates), k=k
+        rules=RuleSet(rules), candidates_checked=len(candidates), k=k
     )

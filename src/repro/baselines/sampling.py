@@ -71,7 +71,7 @@ def sampled_implication_rules(
         for candidate in candidates
     }
     intersections = pairwise_intersections(matrix, unordered)
-    rules = RuleSet()
+    rules = []
     for low, high in unordered:
         if canonical_before(ones[low], low, ones[high], high):
             antecedent, consequent = low, high
@@ -79,7 +79,7 @@ def sampled_implication_rules(
             antecedent, consequent = high, low
         hits = intersections[(low, high)]
         if confidence_holds(hits, int(ones[antecedent]), minconf):
-            rules.add(
+            rules.append(
                 ImplicationRule(
                     antecedent=antecedent,
                     consequent=consequent,
@@ -88,7 +88,7 @@ def sampled_implication_rules(
                 )
             )
     return SamplingResult(
-        rules=rules,
+        rules=RuleSet(rules),
         sample_rows=n_sample,
         candidates_checked=len(candidates),
     )

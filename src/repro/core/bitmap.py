@@ -73,7 +73,10 @@ def emit_rules(
     rules: RuleSet,
     stats: ScanStats,
 ) -> None:
-    """Emit the valid pairs as rules; count the others as rejected."""
+    """Emit the valid pairs as rules; count the others as rejected.
+
+    The one emission path: the serial, zero-miss and vector scans and
+    the tail all hand their finished pairs here."""
     columns = policy.make_rules(owners, cands, misses)
     rules.add_columns(policy.rule_type, *columns)
     emitted = len(columns[0])

@@ -110,12 +110,6 @@ class CandidateArray:
         del self._lists[column][candidate]
         self._entries -= 1
 
-    def items(self, column: int) -> Iterator[Tuple[int, int]]:
-        """Yield ``(candidate, misses)`` pairs for ``column``."""
-        candidate_list = self._lists.get(column)
-        if candidate_list:
-            yield from candidate_list.items()
-
     def to_pairs(self) -> Tuple[np.ndarray, ...]:
         """:func:`list_pairs` of the live lists, plus the miss counts."""
         misses = itertools.chain.from_iterable(

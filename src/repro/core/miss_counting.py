@@ -11,7 +11,11 @@ every column ``c_j`` set in that row it
 - increments the miss counter of every candidate absent from the row and
   deletes a candidate the moment its counter exceeds the pair budget,
 - and, once ``cnt(c_j)`` reaches ``ones(c_j)``, emits every surviving
-  candidate as a rule and frees the list (step 3(b)).
+  candidate as a rule and frees the list (step 3(b)).  The survivors
+  are gathered and handed to :func:`repro.core.bitmap.emit_rules` in
+  one batch before each pruning-curve sample, before a bitmap
+  hand-over and at scan end, so every scan emits through the same
+  array path.
 
 All variant-specific behaviour lives in the
 :class:`~repro.core.policies.PairPolicy`.  If a
@@ -29,11 +33,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Dict, Iterator, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.core.bitmap import bitmap_tail, tail_due
+from repro.core.bitmap import bitmap_tail, emit_rules, tail_due
 from repro.core.candidates import BYTES_PER_LIST, CandidateArray, list_pairs
 from repro.core.policies import PairPolicy
 from repro.core.rules import RuleSet
@@ -81,6 +86,32 @@ def _matrix_rows(matrix: BinaryMatrix, policy: PairPolicy, order):
     if order is None:
         order = [row_id for row_id, row in matrix.iter_rows() if row]
     return ((row_id, matrix.row(row_id)) for row_id in order), len(order)
+
+
+class _Finished:
+    """The survivors of the columns a serial scan finished since the
+    last :meth:`flush`, as ``(owner, candidate, misses)`` int lists."""
+
+    def __init__(self, policy: PairPolicy, rules: RuleSet, stats: ScanStats):
+        self.policy, self.rules, self.stats = policy, rules, stats
+        self.owners, self.cands, self.misses = [], [], []
+
+    def add(self, owner: int, cands, misses) -> None:
+        """Gather ``owner``'s survivors ``cands`` with their ``misses``."""
+        self.owners.extend(repeat(owner, len(cands)))
+        self.cands.extend(cands)
+        self.misses.extend(misses)
+
+    def flush(self) -> None:
+        """Emit the gathered pairs as one :func:`emit_rules` batch."""
+        if self.owners:
+            columns = (self.owners, self.cands, self.misses)
+            emit_rules(
+                self.policy,
+                *(np.array(column, dtype=np.int64) for column in columns),
+                self.rules, self.stats,
+            )
+            self.owners, self.cands, self.misses = [], [], []
 
 
 def miss_counting_scan(
@@ -166,12 +197,14 @@ def miss_counting_scan_rows(
     curve = stats.pruning_curve
     misses_base = stats.misses_recorded
     misses_seen = 0
+    finished = _Finished(policy, rules, stats)
 
     for position in range(n_rows):
         hand_over, tripped = tail_due(
             bitmap, cand.memory_bytes(), position, n_rows - position
         )
         if hand_over:
+            finished.flush()
             stats.misses_recorded = misses_base + misses_seen
             lists, owners, cands, misses = cand.to_pairs()
             bitmap_tail(
@@ -251,19 +284,16 @@ def miss_counting_scan_rows(
         for column_j in row:
             count[column_j] += 1
             if count[column_j] == ones[column_j]:
-                for candidate_k, misses in cand.items(column_j):
-                    rule = policy.make_rule(column_j, candidate_k, misses)
-                    if rule is not None:
-                        rules.add(rule)
-                        stats.rules_emitted += 1
-                    else:
-                        stats.candidates_rejected += 1
+                survivors = cand.get(column_j)
+                if survivors:
+                    finished.add(column_j, survivors, survivors.values())
                 cand.release(column_j)
 
         entries = cand.total_entries
         memory = cand.memory_bytes()
         stats.record_row(entries, memory)
         if curve.due(stats.rows_scanned):
+            finished.flush()
             misses_now = misses_base + misses_seen
             curve.sample(
                 stats.rows_scanned, entries, misses_now,
@@ -277,6 +307,7 @@ def miss_counting_scan_rows(
         if observer.enabled:
             observer.on_row(position, n_rows, entries, memory)
 
+    finished.flush()
     stats.misses_recorded = misses_base + misses_seen
     curve.sample_final(
         stats.rows_scanned, cand.total_entries, stats.misses_recorded,
@@ -341,6 +372,7 @@ def zero_miss_scan_rows(
     curve = stats.pruning_curve
     misses_base = stats.misses_recorded
     misses_seen = 0
+    finished = _Finished(policy, rules, stats)
 
     for position in range(n_rows):
         memory = entries * BYTES_PER_ID + len(lists) * BYTES_PER_LIST
@@ -348,6 +380,7 @@ def zero_miss_scan_rows(
             bitmap, memory, position, n_rows - position
         )
         if hand_over:
+            finished.flush()
             stats.misses_recorded = misses_base + misses_seen
             list_owners, owners, cands = list_pairs(lists)
             bitmap_tail(
@@ -391,19 +424,16 @@ def zero_miss_scan_rows(
             count[column_j] += 1
             if count[column_j] == ones[column_j]:
                 survivors = lists.pop(column_j, None)
-                if survivors is not None:
+                if survivors:
                     entries -= len(survivors)
-                    for candidate_k in survivors:
-                        rule = policy.make_rule(column_j, candidate_k, 0)
-                        if rule is not None:
-                            rules.add(rule)
-                            stats.rules_emitted += 1
-                        else:
-                            stats.candidates_rejected += 1
+                    finished.add(
+                        column_j, survivors, repeat(0, len(survivors))
+                    )
 
         memory = entries * BYTES_PER_ID + len(lists) * BYTES_PER_LIST
         stats.record_row(entries, memory)
         if curve.due(stats.rows_scanned):
+            finished.flush()
             misses_now = misses_base + misses_seen
             curve.sample(
                 stats.rows_scanned, entries, misses_now,
@@ -417,6 +447,7 @@ def zero_miss_scan_rows(
         if observer.enabled:
             observer.on_row(position, n_rows, entries, memory)
 
+    finished.flush()
     stats.misses_recorded = misses_base + misses_seen
     curve.sample_final(
         stats.rows_scanned, entries, stats.misses_recorded,

@@ -217,7 +217,7 @@ def find_implication_rules_partitioned(
     with observer.phase("verify-candidates", stats.timer):
         ones = matrix.column_ones()
         intersections = pairwise_intersections(matrix, candidates)
-        rules = RuleSet()
+        found = []
         for low, high in candidates:
             if canonical_before(ones[low], low, ones[high], high):
                 antecedent, consequent = low, high
@@ -225,7 +225,7 @@ def find_implication_rules_partitioned(
                 antecedent, consequent = high, low
             hits = intersections[(low, high)]
             if confidence_holds(hits, int(ones[antecedent]), minconf):
-                rules.add(
+                found.append(
                     ImplicationRule(
                         antecedent=antecedent,
                         consequent=consequent,
@@ -233,6 +233,7 @@ def find_implication_rules_partitioned(
                         ones=int(ones[antecedent]),
                     )
                 )
+        rules = RuleSet(found)
     stats.rules_partial = len(rules)
     return rules
 
@@ -271,7 +272,7 @@ def find_similarity_rules_partitioned(
     with observer.phase("verify-candidates", stats.timer):
         ones = matrix.column_ones()
         intersections = pairwise_intersections(matrix, candidates)
-        rules = RuleSet()
+        found = []
         for low, high in candidates:
             intersection = intersections[(low, high)]
             union = int(ones[low]) + int(ones[high]) - intersection
@@ -280,7 +281,7 @@ def find_similarity_rules_partitioned(
                     first, second = low, high
                 else:
                     first, second = high, low
-                rules.add(
+                found.append(
                     SimilarityRule(
                         first=first,
                         second=second,
@@ -288,5 +289,6 @@ def find_similarity_rules_partitioned(
                         union=union,
                     )
                 )
+        rules = RuleSet(found)
     stats.rules_partial = len(rules)
     return rules

@@ -8,6 +8,15 @@ candidates may still be added, and the final validity test.  A
 :class:`PairPolicy` bundles those four decisions, so each algorithm
 variant in the paper is one policy class here.
 
+The scalar methods (:meth:`~PairPolicy.eligible`,
+:meth:`~PairPolicy.pair_budget`, :meth:`~PairPolicy.add_cutoff`,
+:meth:`~PairPolicy.dynamic_prune`) serve only the serial loop's in-scan
+decisions; the vector engine and the DMC-bitmap tail use their array
+twins.  Emission has one form for every scan: the finished pairs go to
+:meth:`PairPolicy.make_rules` (through
+:func:`repro.core.bitmap.emit_rules`), and a policy's only emission
+hook is :meth:`PairPolicy.valid_mask`.
+
 All budgets are on *sparse-side* misses: rows where the list-owning
 column ``c_j`` is 1 but the candidate ``c_k`` is 0.  See
 :mod:`repro.core.thresholds` for the derivations.
@@ -30,7 +39,6 @@ from repro.core.thresholds import (
     as_fraction,
     farey_ceiling,
     max_misses,
-    similarity_holds,
 )
 
 
@@ -88,14 +96,12 @@ class PairPolicy:
         """Optional in-scan pruning beyond the budget (default: none)."""
         return False
 
-    def make_rule(self, column_j: int, candidate_k: int, misses: int):
-        """Return the final rule for a surviving pair, or None if invalid."""
-        raise NotImplementedError
-
     # ------------------------------------------------------------------
-    # Array twins, consumed by the vector engine (repro.core.vector).
-    # Each must agree pair-for-pair with its scalar counterpart above;
-    # the parity tests sweep both forms against each other.
+    # Array twins, consumed by the vector engine (repro.core.vector)
+    # and the bitmap tail.  Each must agree pair-for-pair with its
+    # scalar counterpart above; the parity tests sweep both forms
+    # against each other.  Emission (valid_mask, make_rules) is array
+    # only: every scan emits through it.
     # ------------------------------------------------------------------
 
     def ones_array(self) -> np.ndarray:
@@ -144,30 +150,29 @@ class PairPolicy:
     def valid_mask(
         self, owners: np.ndarray, cands: np.ndarray, misses: np.ndarray
     ) -> np.ndarray:
-        """Array twin of the final :meth:`make_rule` validity test."""
+        """The final validity test of each surviving pair: the policy's
+        one emission hook."""
         raise NotImplementedError
 
     def make_rules(
         self, owners: np.ndarray, cands: np.ndarray, misses: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Array twin of :meth:`make_rule`: the valid pairs' rules as
-        ``(left, right, part, whole)`` int64 columns, in order (see
+        """The valid pairs' rules as ``(left, right, part, whole)``
+        int64 columns, in order (see
         :meth:`repro.core.rules.RuleSet.add_columns`).  Validity comes
-        from :meth:`valid_mask`.
+        from :meth:`valid_mask`; ``part`` is the hits ``ones(c_j) -
+        misses``, and ``whole`` is ``ones(c_j)`` for an implication
+        rule and the union ``ones(c_k) + misses`` for a similarity
+        rule.
         """
         keep = self.valid_mask(owners, cands, misses)
         owners, cands, misses = owners[keep], cands[keep], misses[keep]
-        return (
-            owners, cands, self.ones_array()[owners] - misses,
-            self._rule_totals(owners, cands, misses),
-        )
-
-    def _rule_totals(
-        self, owners: np.ndarray, cands: np.ndarray, misses: np.ndarray
-    ) -> np.ndarray:
-        """Each valid pair's rule denominator: ``ones(c_j)`` (a
-        similarity's union overrides this)."""
-        return self.ones_array()[owners]
+        ones = self.ones_array()
+        if self.rule_type is ImplicationRule:
+            whole = ones[owners]
+        else:
+            whole = ones[cands] + misses
+        return owners, cands, ones[owners] - misses, whole
 
 
 class ImplicationPolicy(PairPolicy):
@@ -189,19 +194,6 @@ class ImplicationPolicy(PairPolicy):
 
     def add_cutoff(self, column_j: int) -> int:
         return self.maxmiss[column_j]
-
-    def make_rule(
-        self, column_j: int, candidate_k: int, misses: int
-    ) -> Optional[ImplicationRule]:
-        if misses > self.maxmiss[column_j]:
-            return None
-        ones_j = self.ones[column_j]
-        return ImplicationRule(
-            antecedent=column_j,
-            consequent=candidate_k,
-            hits=ones_j - misses,
-            ones=ones_j,
-        )
 
     def maxmiss_array(self) -> np.ndarray:
         """``maxmiss`` as an int64 vector (cached)."""
@@ -320,20 +312,6 @@ class SimilarityPolicy(PairPolicy):
         best_final_misses = misses + max(0, remaining_j - remaining_k)
         return best_final_misses > self.pair_budget(column_j, candidate_k)
 
-    def make_rule(
-        self, column_j: int, candidate_k: int, misses: int
-    ) -> Optional[SimilarityRule]:
-        intersection = self.ones[column_j] - misses
-        union = self.ones[candidate_k] + misses
-        if not similarity_holds(intersection, union, self.minsim):
-            return None
-        return SimilarityRule(
-            first=column_j,
-            second=candidate_k,
-            intersection=intersection,
-            union=union,
-        )
-
     def eligible_mask(
         self, owners: np.ndarray, cands: np.ndarray
     ) -> np.ndarray:
@@ -386,12 +364,6 @@ class SimilarityPolicy(PairPolicy):
         union = ones[cands] + misses
         return (union > 0) & (intersection * self._q >= self._p * union)
 
-    def _rule_totals(
-        self, owners: np.ndarray, cands: np.ndarray, misses: np.ndarray
-    ) -> np.ndarray:
-        return self.ones_array()[cands] + misses
-
-
 class IdentityPolicy(PairPolicy):
     """100%-similarity (identical columns) — DMC-sim step 2.
 
@@ -412,19 +384,6 @@ class IdentityPolicy(PairPolicy):
 
     def add_cutoff(self, column_j: int) -> int:
         return 0
-
-    def make_rule(
-        self, column_j: int, candidate_k: int, misses: int
-    ) -> Optional[SimilarityRule]:
-        if misses != 0:
-            return None
-        ones_j = self.ones[column_j]
-        return SimilarityRule(
-            first=column_j,
-            second=candidate_k,
-            intersection=ones_j,
-            union=ones_j,
-        )
 
     def eligible_mask(
         self, owners: np.ndarray, cands: np.ndarray

@@ -12,9 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import islice
-from operator import attrgetter
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from operator import attrgetter, index
+from typing import Iterable, Iterator, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -216,21 +215,18 @@ class RuleSet:
     must lie in ``[0, 2**31)``, counts must fit in int64, and one set
     holds one rule kind; anything else raises ``ValueError``.
 
-    Bulk writes (:meth:`add_columns`, :meth:`add_many`) land as sorted
-    runs, each checked against every run before anything is inserted;
-    runs merge LSM-style (see :func:`_push`).  :meth:`add` buffers the
-    rule object itself, which the next read or bulk write folds into a
-    run; ``rules[pair]`` keeps returning that object.
+    Every write is a batch (:meth:`add_columns`; :meth:`add_many`,
+    :meth:`update` and :meth:`add` build one from rule objects) that
+    lands as one sorted run, checked against every run before anything
+    is inserted, so a conflict leaves the set unchanged; runs merge
+    LSM-style (see :func:`_push`).  Only integer pairs (Python or numpy
+    ints) are looked up; any other key is absent.
     """
 
     def __init__(self, rules: Iterable = ()) -> None:
         self._kind: Optional[type] = None
-        #: Rules passed to :meth:`add`, by pair, in insertion order.
-        self._objects: Dict[Tuple[int, int], object] = {}
-        #: ``(runs, folded)``: the runs (disjoint keys) and how many of
-        #: ``_objects`` they hold.  Replaced as one value, so readers
-        #: folding the same set at once stay consistent.
-        self._state: Tuple[Tuple[Run, ...], int] = ((), 0)
+        #: Sorted runs with disjoint keys, replaced as one value.
+        self._runs: Tuple[Run, ...] = ()
         self.update(rules)
 
     @property
@@ -247,59 +243,31 @@ class RuleSet:
                 f"{kind.__name__} to a set of {self._kind.__name__}"
             )
 
-    def _runs(self) -> Tuple[Run, ...]:
-        """The runs after folding in the buffered :meth:`add` rules."""
-        runs, folded = self._state
-        if folded < len(self._objects):
-            pending = list(islice(self._objects.values(), folded, None))
-            runs = _push(runs, _sorted_run(*rule_columns(pending)[1:]))
-            self._state = (runs, folded + len(pending))
-        return runs
-
     def _run(self) -> Run:
         """The whole set as one sorted run."""
-        run = reduce(_merge, self._runs(), _EMPTY_RUN)
-        self._state = ((run,), self._state[1])
+        run = reduce(_merge, self._runs, _EMPTY_RUN)
+        self._runs = (run,)
         return run
 
     def _lookup(self, pair) -> Optional[object]:
-        """The rule at ``pair`` (an :meth:`add`-ed object first)."""
-        found = self._objects.get(pair)
-        if found is not None or len(pair) != 2:
-            return found
-        left, right = map(int, pair)
+        """The rule at ``pair``, or None unless it is two integer ids."""
+        try:
+            left, right = map(index, pair)
+        except (TypeError, ValueError):
+            return None
         if not (0 <= left < ID_LIMIT and 0 <= right < ID_LIMIT):
             return None
         key = pair_keys(left, right)
-        for keys, part, whole in self._state[0]:
+        for keys, part, whole in self._runs:
             at = int(np.searchsorted(keys, key))
             if at < len(keys) and keys[at] == key:
                 return self._kind(left, right, int(part[at]), int(whole[at]))
         return None
 
     def add(self, rule) -> None:
-        """Insert ``rule``, ignoring an identical duplicate."""
-        kind = type(rule)
-        self._check_kind(kind)
-        left, right, part, whole = _FIELDS[kind](rule)
-        if not (0 <= left < ID_LIMIT and 0 <= right < ID_LIMIT):
-            raise ValueError(
-                f"column ids must lie in [0, 2**31): {(left, right)}"
-            )
-        if not (
-            _INT64.min <= part <= _INT64.max
-            and _INT64.min <= whole <= _INT64.max
-        ):
-            raise ValueError(f"rule counts must fit in int64: {rule}")
-        existing = self._lookup((left, right))
-        if existing is None:
-            self._kind = kind
-            self._objects[(left, right)] = rule
-        elif existing != rule:
-            raise ValueError(
-                f"conflicting statistics for pair {rule.pair}: "
-                f"{existing} vs {rule}"
-            )
+        """Insert ``rule`` (a one-rule :meth:`add_many`), ignoring an
+        identical duplicate."""
+        self.add_many([rule])
 
     def add_columns(self, kind: type, left, right, part, whole) -> None:
         """Insert the rules of ``kind`` given as four columns, ignoring
@@ -320,7 +288,7 @@ class RuleSet:
         repeat = np.flatnonzero(keys[1:] == keys[:-1])
         self._check_clash(kind, (keys, part, whole), repeat + 1, repeat)
         fresh[repeat + 1] = False
-        runs = self._runs()
+        runs = self._runs
         for run in runs:
             at = np.searchsorted(run[0], keys)
             found = np.flatnonzero(at < len(run[0]))
@@ -328,10 +296,7 @@ class RuleSet:
             self._check_clash(kind, (keys, part, whole), found, at[found], run)
             fresh[found] = False
         self._kind = kind
-        self._state = (
-            _push(runs, (keys[fresh], part[fresh], whole[fresh])),
-            self._state[1],
-        )
+        self._runs = _push(runs, (keys[fresh], part[fresh], whole[fresh]))
 
     @staticmethod
     def _check_clash(kind, batch: Run, picked, at, run: Run = None) -> None:
@@ -353,16 +318,22 @@ class RuleSet:
             )
 
     def add_many(self, rules: List) -> None:
-        """:meth:`add` every rule in ``rules`` as one batch: a conflict
-        raises before anything is inserted."""
+        """Insert the rule objects in the list ``rules`` as one batch,
+        ignoring identical duplicates: a conflict raises before anything
+        is inserted."""
         kind, *columns = rule_columns(rules)
         if kind is not None:
             self.add_columns(kind, *columns)
 
     def update(self, rules: Iterable) -> None:
-        """Insert every rule in ``rules``."""
-        for rule in rules:
-            self.add(rule)
+        """Insert every rule in ``rules`` as one batch (a
+        :class:`RuleSet` by its columns): a conflict raises before
+        anything is inserted."""
+        if isinstance(rules, RuleSet):
+            if rules.kind is not None:
+                self.add_columns(rules.kind, *rules.columns())
+        else:
+            self.add_many(list(rules))
 
     def columns(self) -> Tuple[np.ndarray, ...]:
         """The read-only ``(left, right, part, whole)`` int64 columns,
@@ -389,8 +360,7 @@ class RuleSet:
         return iter(self.sorted())
 
     def __len__(self) -> int:
-        runs, folded = self._state
-        return sum(len(run[0]) for run in runs) + len(self._objects) - folded
+        return sum(len(run[0]) for run in self._runs)
 
     def __contains__(self, pair: Tuple[int, int]) -> bool:
         return self._lookup(pair) is not None

@@ -43,10 +43,10 @@ def implication_rules_to_csv(rules: RuleSet, path: str) -> None:
 
 def implication_rules_from_csv(path: str) -> RuleSet:
     """Read rules written by :func:`implication_rules_to_csv`."""
-    rules = RuleSet()
+    rules = []
     with open(path, "r", encoding="utf-8", newline="") as handle:
         for record in csv.DictReader(handle):
-            rules.add(
+            rules.append(
                 ImplicationRule(
                     antecedent=int(record["antecedent"]),
                     consequent=int(record["consequent"]),
@@ -54,7 +54,7 @@ def implication_rules_from_csv(path: str) -> RuleSet:
                     ones=int(record["ones"]),
                 )
             )
-    return rules
+    return RuleSet(rules)
 
 
 def similarity_rules_to_csv(rules: RuleSet, path: str) -> None:
@@ -70,10 +70,10 @@ def similarity_rules_to_csv(rules: RuleSet, path: str) -> None:
 
 def similarity_rules_from_csv(path: str) -> RuleSet:
     """Read pairs written by :func:`similarity_rules_to_csv`."""
-    rules = RuleSet()
+    rules = []
     with open(path, "r", encoding="utf-8", newline="") as handle:
         for record in csv.DictReader(handle):
-            rules.add(
+            rules.append(
                 SimilarityRule(
                     first=int(record["first"]),
                     second=int(record["second"]),
@@ -81,7 +81,7 @@ def similarity_rules_from_csv(path: str) -> RuleSet:
                     union=int(record["union"]),
                 )
             )
-    return rules
+    return RuleSet(rules)
 
 
 #: Per rule kind: its record laid out exactly as ``json.dumps(document,
@@ -190,7 +190,7 @@ def rules_from_json(document: str) -> RuleSet:
     The exact-fraction fields are validated against the integer
     statistics on load.
     """
-    rules = RuleSet()
+    rules = []
     for record in json.loads(document)["rules"]:
         if record["kind"] == "implication":
             rule = ImplicationRule(
@@ -218,8 +218,8 @@ def rules_from_json(document: str) -> RuleSet:
                 )
         else:
             raise ValueError(f"unknown rule kind {record['kind']!r}")
-        rules.add(rule)
-    return rules
+        rules.append(rule)
+    return RuleSet(rules)
 
 
 def stats_to_json(stats: PipelineStats) -> str:

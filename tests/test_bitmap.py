@@ -32,6 +32,7 @@ from repro.core.rules import (
     rule_columns,
 )
 from repro.core.stats import PipelineStats, ScanStats
+from repro.core.thresholds import confidence_holds, similarity_holds
 from repro.core.vector import vector_scan
 from repro.datasets.registry import load_dataset
 from repro.experiments.figures import SCALED_BITMAP
@@ -413,32 +414,47 @@ def _policies(ones):
     ]
 
 
+def _exact_rules(policy, owners, cands, misses):
+    """The rules brute force's exact ``Fraction`` predicates keep among
+    the surviving pairs ``(owner, cand, misses)``."""
+    ones = policy.ones
+    threshold = getattr(
+        policy, "minconf", getattr(policy, "minsim", Fraction(1))
+    )
+    kept = []
+    for j, k, m in zip(owners.tolist(), cands.tolist(), misses.tolist()):
+        hits = ones[j] - m
+        if policy.rule_type is ImplicationRule:
+            if confidence_holds(hits, ones[j], threshold):
+                kept.append(ImplicationRule(j, k, hits, ones[j]))
+        elif similarity_holds(hits, ones[k] + m, threshold):
+            kept.append(SimilarityRule(j, k, hits, ones[k] + m))
+    return kept
+
+
 class TestBulkEmission:
-    """``make_rules`` / ``add_many`` against ``make_rule`` / ``add``."""
+    """``make_rules`` against the exact predicates, ``add_many`` against
+    ``add``."""
 
     @staticmethod
-    def _all_pairs(ones):
-        n = len(ones)
+    def _all_pairs(policy):
+        """Every eligible pair (the pairs a scan can hand over), some
+        with no miss and the rest with half their owner's ones."""
+        n = len(policy.ones)
         owners, cands = np.divmod(np.arange(n * n, dtype=np.int64), n)
-        keep = owners != cands
+        keep = policy.eligible_mask(owners, cands)
         owners, cands = owners[keep], cands[keep]
-        misses = np.asarray(ones, dtype=np.int64)[owners] // 2
+        misses = policy.ones_array()[owners] // 2
         misses[::3] = 0
         return owners, cands, misses
 
     @staticmethod
     def _assert_columns_match(policy, owners, cands, misses):
-        """``make_rules``' columns are ``make_rule``'s survivors, in
-        order, as int64 columns of the policy's rule kind."""
-        survivors = [
-            rule
-            for rule in map(
-                policy.make_rule, owners.tolist(), cands.tolist(),
-                misses.tolist(),
-            )
-            if rule is not None
-        ]
+        """``make_rules``' columns are the exactly valid pairs' rules,
+        in order, as int64 columns of the policy's rule kind."""
+        survivors = _exact_rules(policy, owners, cands, misses)
         assert survivors, type(policy).__name__
+        assert len(survivors) < len(owners), type(policy).__name__
         kind, *want = rule_columns(survivors)
         assert kind is policy.rule_type
         got = policy.make_rules(owners, cands, misses)
@@ -450,11 +466,10 @@ class TestBulkEmission:
         built.add_columns(policy.rule_type, *got)
         assert built == RuleSet(survivors)
 
-    def test_make_rules_matches_make_rule(self):
+    def test_make_rules_matches_the_exact_predicates(self):
         ones = [3, 4, 4, 6, 8, 8, 1]
-        owners, cands, misses = self._all_pairs(ones)
         for policy in _policies(ones):
-            self._assert_columns_match(policy, owners, cands, misses)
+            self._assert_columns_match(policy, *self._all_pairs(policy))
 
     def test_make_rules_stays_exact_at_huge_thresholds(self):
         """A threshold whose raw terms would overflow int64 products
@@ -464,8 +479,7 @@ class TestBulkEmission:
         huge = 2**80
         minsim = Fraction(huge - 1, 2 * huge)
         policy = SimilarityPolicy(ones, minsim)
-        owners, cands, misses = self._all_pairs(ones)
-        self._assert_columns_match(policy, owners, cands, misses)
+        self._assert_columns_match(policy, *self._all_pairs(policy))
 
         matrix = random_binary_matrix(5)
         want = similarity_rules_bruteforce(matrix, minsim)

@@ -42,7 +42,7 @@ class TestEntries:
         cand = CandidateArray()
         cand.ensure(0)
         cand.add(0, 1, 2)
-        assert list(cand.items(0)) == [(1, 2)]
+        assert cand.get(0) == {1: 2}
 
     def test_remove(self):
         cand = CandidateArray()
@@ -50,10 +50,7 @@ class TestEntries:
         cand.add(0, 1, 0)
         cand.remove(0, 1)
         assert cand.total_entries == 0
-        assert list(cand.items(0)) == []
-
-    def test_items_of_missing_column_is_empty(self):
-        assert list(CandidateArray().items(9)) == []
+        assert cand.get(0) == {}
 
     def test_total_entries_across_lists(self):
         cand = CandidateArray()

@@ -5,6 +5,12 @@ Example 1.2 (Figure 1), Example 1.3, and Example 3.1 (Figure 2) with
 its candidate-count histories under both scan orders.
 """
 
+import bisect
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
 from repro.baselines.bruteforce import (
     implication_rules_bruteforce,
     similarity_rules_bruteforce,
@@ -20,8 +26,10 @@ from repro.core.policies import (
     ImplicationPolicy,
     SimilarityPolicy,
 )
-from repro.core.stats import ScanStats
+from repro.core.stats import PruningCurve, ScanStats
 from repro.matrix.binary_matrix import BinaryMatrix
+from repro.matrix.reorder import scan_order
+from repro.observe import RunJournal, RunObserver, summarize_journal
 from tests.conftest import (
     EXAMPLE12_100_RULES,
     EXAMPLE31_RULES,
@@ -282,3 +290,68 @@ class TestEngineMisuse:
         # n_rows over-declared: the engine stops at stream end.
         rules = miss_counting_scan_rows(iter(rows), 5, policy)
         assert rules.pairs() == {(0, 1)}
+
+
+def _curve_matrix() -> BinaryMatrix:
+    """90 rows with copied columns (100% and identical pairs) and noisy
+    copies (partial rules), so every scan finishes columns with rules
+    all along the scan."""
+    generator = np.random.default_rng(7)
+    base = generator.random((90, 10)) < 0.3
+    noisy = (base & (generator.random((90, 10)) < 0.85)) | (
+        generator.random((90, 10)) < 0.05
+    )
+    return BinaryMatrix.from_dense(
+        np.hstack([base, base[:, :3], noisy]).astype(np.uint8)
+    )
+
+
+#: ``id -> (scan, policy factory)``: both serial scans, both tasks.
+CURVE_CASES = {
+    "implication-serial": (
+        miss_counting_scan,
+        lambda ones: ImplicationPolicy(ones, Fraction(7, 10)),
+    ),
+    "implication-zero-miss": (zero_miss_scan, HundredPercentPolicy),
+    "similarity-serial": (
+        miss_counting_scan,
+        lambda ones: SimilarityPolicy(ones, Fraction(1, 2)),
+    ),
+    "similarity-zero-miss": (zero_miss_scan, IdentityPolicy),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CURVE_CASES))
+def test_curve_counts_the_rules_of_finished_columns(tmp_path, case):
+    """Every pruning-curve point's ``rules_emitted`` is the number of
+    mined rules whose left column has its last 1 within the rows
+    scanned so far (the serial scans emit before each sample), and a
+    ``RunObserver`` journal carries the same points."""
+    scan, make_policy = CURVE_CASES[case]
+    matrix = _curve_matrix()
+    order = scan_order(matrix)
+    stats = ScanStats(pruning_curve=PruningCurve(every=1))
+    path = str(tmp_path / "run.jsonl")
+    with RunJournal(path, "run-1") as journal:
+        rules = scan(
+            matrix, make_policy(matrix.column_ones()), order=order,
+            stats=stats, observer=RunObserver(journal=journal),
+        )
+
+    last = {}
+    for position, row_id in enumerate(order):
+        for column in matrix.row(row_id):
+            last[column] = position
+    finished_at = sorted(last[left] for left in rules.columns()[0].tolist())
+    points = stats.pruning_curve.points
+    assert [point[0] for point in points] == list(range(1, len(order) + 1))
+    emitted = [point[3] for point in points]
+    assert emitted == [
+        bisect.bisect_left(finished_at, rows) for rows, *_ in points
+    ]
+    assert emitted[-1] == len(rules) == stats.rules_emitted
+    # Rules finish all along the scan, not only at its end.
+    assert len(set(emitted)) > 3, emitted
+    assert summarize_journal(path)["pruning_curves"]["scan"] == [
+        list(point) for point in points
+    ]

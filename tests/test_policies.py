@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from repro.core.policies import (
@@ -11,6 +12,17 @@ from repro.core.policies import (
     PairPolicy,
     SimilarityPolicy,
 )
+
+
+def _rule(policy, column_j, candidate_k, misses):
+    """``make_rules`` on one surviving pair: its rule, or None."""
+    pair = [np.array([value], dtype=np.int64)
+            for value in (column_j, candidate_k, misses)]
+    columns = policy.make_rules(*pair)
+    assert all(column.dtype == np.int64 for column in columns)
+    if not len(columns[0]):
+        return None
+    return policy.rule_type(*(int(column[0]) for column in columns))
 
 
 class TestBasePolicy:
@@ -28,7 +40,7 @@ class TestBasePolicy:
         with pytest.raises(NotImplementedError):
             policy.add_cutoff(0)
         with pytest.raises(NotImplementedError):
-            policy.make_rule(0, 1, 0)
+            _rule(policy, 0, 1, 0)
 
     def test_default_dynamic_prune_is_off(self):
         assert not PairPolicy([1, 1]).dynamic_prune(0, 1, 0, 0, 0)
@@ -42,8 +54,8 @@ class TestImplicationPolicy:
 
     def test_make_rule_checks_budget(self):
         policy = ImplicationPolicy([100, 200], 0.85)
-        assert policy.make_rule(0, 1, 16) is None
-        rule = policy.make_rule(0, 1, 15)
+        assert _rule(policy, 0, 1, 16) is None
+        rule = _rule(policy, 0, 1, 15)
         assert rule.hits == 85
         assert rule.confidence == Fraction(17, 20)
 
@@ -55,8 +67,8 @@ class TestImplicationPolicy:
         policy = HundredPercentPolicy([5, 7])
         assert policy.pair_budget(0, 1) == 0
         assert policy.add_cutoff(1) == 0
-        assert policy.make_rule(0, 1, 0).confidence == 1
-        assert policy.make_rule(0, 1, 1) is None
+        assert _rule(policy, 0, 1, 0).confidence == 1
+        assert _rule(policy, 0, 1, 1) is None
 
 
 class TestSimilarityPolicy:
@@ -85,9 +97,9 @@ class TestSimilarityPolicy:
 
     def test_make_rule_is_exact(self):
         policy = SimilarityPolicy([4, 5], 0.75)
-        rule = policy.make_rule(0, 1, 0)
+        rule = _rule(policy, 0, 1, 0)
         assert rule.similarity == Fraction(4, 5)
-        assert policy.make_rule(0, 1, 1) is None
+        assert _rule(policy, 0, 1, 1) is None
 
     def test_dynamic_prune_uses_max_hits(self):
         policy = SimilarityPolicy([4, 5], 0.75)
@@ -113,7 +125,7 @@ class TestIdentityPolicy:
 
     def test_make_rule(self):
         policy = IdentityPolicy([3, 3])
-        rule = policy.make_rule(0, 1, 0)
+        rule = _rule(policy, 0, 1, 0)
         assert rule.similarity == 1
         assert rule.intersection == rule.union == 3
-        assert policy.make_rule(0, 1, 1) is None
+        assert _rule(policy, 0, 1, 1) is None

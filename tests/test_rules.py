@@ -106,7 +106,7 @@ class TestRuleSet:
         rule = ImplicationRule(0, 1, 4, 5)
         rules = RuleSet([rule])
         assert (0, 1) in rules
-        assert rules[(0, 1)] is rule
+        assert rules[(0, 1)] == rule
 
     def test_sorted_is_stable_by_pair(self):
         rules = RuleSet(
@@ -124,6 +124,44 @@ class TestRuleSet:
         rules = RuleSet()
         rules.update([ImplicationRule(0, 1, 1, 1), ImplicationRule(1, 2, 1, 1)])
         assert len(rules) == 2
+
+    def test_only_integer_pairs_match(self):
+        rules = RuleSet([ImplicationRule(0, 1, 4, 5)])
+        assert len(rules) == 1  # a read before and after the lookups
+        for pair in ((0.5, 1), ("0", "1"), (0.0, 1.0), (0, 1, 2), 0, None):
+            assert pair not in rules
+            with pytest.raises(KeyError):
+                rules[pair]
+        with pytest.raises(KeyError):
+            rules[(0.5, 1.2)]
+        for pair in ((np.int64(0), np.int32(1)), np.array([0, 1])):
+            assert pair in rules
+            assert rules[pair] == ImplicationRule(0, 1, 4, 5)
+        assert len(rules) == 1
+
+    def test_update_is_atomic(self):
+        kept = ImplicationRule(5, 6, 1, 1)
+        batch = [
+            ImplicationRule(0, 1, 4, 5),
+            ImplicationRule(1, 2, 1, 1),
+            ImplicationRule(0, 1, 3, 5),  # clashes with the first
+        ]
+        rules = RuleSet([kept])
+        with pytest.raises(ValueError, match="conflicting"):
+            rules.update(batch)
+        with pytest.raises(ValueError, match="conflicting"):
+            rules.update(iter(batch))
+        with pytest.raises(ValueError, match="conflicting"):
+            rules.update(
+                [ImplicationRule(1, 2, 1, 1), ImplicationRule(5, 6, 0, 1)]
+            )
+        with pytest.raises(ValueError, match="one rule kind"):
+            rules.update(
+                [ImplicationRule(1, 2, 1, 1), SimilarityRule(3, 4, 1, 1)]
+            )
+        assert rules.sorted() == [kept]
+        with pytest.raises(ValueError, match="conflicting"):
+            RuleSet(batch)
 
     def test_equality(self):
         a = RuleSet([ImplicationRule(0, 1, 1, 1)])
@@ -240,20 +278,16 @@ class _Model:
 
     def __init__(self):
         self.rules = {}
-        self.added = {}  # pairs first inserted by add(): their objects
 
     def kind(self):
         return type(next(iter(self.rules.values()), None))
 
-    def add(self, rule, same_object=True):
-        """``same_object``: whether the set gets this very object."""
+    def add(self, rule):
         if self.rules and type(rule) is not self.kind():
             raise ValueError("one rule kind")
         existing = self.rules.get(rule.pair)
         if existing is None:
             self.rules[rule.pair] = rule
-            if same_object:
-                self.added[rule.pair] = rule
         elif existing != rule:
             raise ValueError("conflicting")
 
@@ -285,17 +319,15 @@ def _apply(rules, model, operation):
             lambda: model.add_batch(argument),
             lambda: rules.add_columns(kind or ImplicationRule, *columns),
         )
-    elif name == "update":  # one add() at a time: may stop midway, as
-        # does updating from a set (below), in pair order
+    elif name == "update":
         steps = (
-            lambda: [model.add(rule) for rule in argument],
+            lambda: model.add_batch(argument),
             lambda: rules.update(argument),
         )
     else:
         built = _Model()
         try:
-            for rule in argument:
-                built.add(rule)
+            built.add_batch(argument)
         except ValueError:
             with pytest.raises(ValueError):
                 RuleSet(argument)
@@ -303,10 +335,7 @@ def _apply(rules, model, operation):
         other = RuleSet(argument)
         _assert_matches(other, built)
         steps = (
-            lambda: [
-                model.add(rule, same_object=False)
-                for _, rule in sorted(built.rules.items())
-            ],
+            lambda: model.add_batch(list(built.rules.values())),
             lambda: rules.update(other),
         )
     on_model, on_rules = steps
@@ -328,8 +357,16 @@ def _assert_matches(rules, model):
     assert list(rules) == rules.sorted()
     for pair, rule in want:
         assert pair in rules and rules[pair] == rule
-        if model.added.get(pair) is rule:
-            assert rules[pair] is rule
+        left, right = pair
+        assert rules[(np.int64(left), np.int32(right))] == rule
+        # Only integer ids match: no float, string or truncated key.
+        for other in (
+            (left + 0.5, right), (float(left), float(right)),
+            (str(left), str(right)), (left + 0.5, right + 0.2),
+        ):
+            assert other not in rules
+            with pytest.raises(KeyError):
+                rules[other]
     for pair in ((4, 4), (0, 2**31), (2**31 - 1, 2**31 - 1)):
         if pair not in model.rules:
             assert pair not in rules

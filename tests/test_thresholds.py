@@ -340,6 +340,6 @@ class TestSimilarityPolicyBound:
             policy.eligible(j, k) for j, k in pairs
         ]
         assert policy.valid_mask(owners, cands, misses).tolist() == [
-            policy.make_rule(j, k, m) is not None
+            similarity_holds(ones[j] - m, ones[k] + m, minsim)
             for (j, k), m in zip(pairs, misses.tolist())
         ]
