@@ -94,25 +94,17 @@ def pairwise_intersections(
     Per-pair Python-set intersections dominate the verification cost
     of the candidate-generating algorithms (partitioned, sampling,
     Min-Hash, K-Min); this routine intersects sorted row-id arrays in
-    C instead.  Columns' row arrays are materialized once.
+    C instead: row ``c`` of the transpose holds ``S_c``'s sorted row ids.
     """
     import numpy as np
 
-    pairs = list(pairs)
-    needed = {column for pair in pairs for column in pair}
-    sets = matrix.column_sets()
-    arrays = {
-        column: np.fromiter(
-            sorted(sets[column]), dtype=np.int64, count=len(sets[column])
-        )
-        for column in needed
-    }
+    held = matrix.transpose()
+    offsets, rows = held.offsets, held.cols
     return {
-        (i, j): int(
-            np.intersect1d(
-                arrays[i], arrays[j], assume_unique=True
-            ).size
-        )
+        (i, j): int(np.intersect1d(
+            rows[offsets[i]:offsets[i + 1]], rows[offsets[j]:offsets[j + 1]],
+            assume_unique=True,
+        ).size)
         for i, j in pairs
     }
 

@@ -48,11 +48,10 @@ def bottom_k_samples(
     """Per-column bottom-k row samples under one global random hash."""
     rng = np.random.default_rng(seed)
     hashes = rng.random(matrix.n_rows)
+    held = matrix.transpose()  # row c holds S_c's sorted row ids
     samples: Dict[int, Tuple[int, ...]] = {}
-    for column, rows in enumerate(matrix.column_sets()):
-        if not rows:
-            continue
-        row_array = np.fromiter(rows, dtype=np.int64, count=len(rows))
+    for column in np.flatnonzero(held.row_densities()).tolist():
+        row_array = held.cols[held.offsets[column]:held.offsets[column + 1]]
         if len(row_array) > k:
             order = np.argsort(hashes[row_array], kind="stable")
             row_array = row_array[order[:k]]

@@ -47,10 +47,9 @@ def minhash_signatures(
     rng = np.random.default_rng(seed)
     hashes = rng.random((k, matrix.n_rows))
     signatures = np.full((k, matrix.n_columns), np.inf)
-    for row_id, row in matrix.iter_rows():
-        if not row:
-            continue
-        columns = np.fromiter(row, dtype=np.int64, count=len(row))
+    offsets = matrix.offsets
+    for row_id in np.flatnonzero(matrix.row_densities()):
+        columns = matrix.cols[offsets[row_id]:offsets[row_id + 1]]
         row_hashes = hashes[:, row_id : row_id + 1]
         signatures[:, columns] = np.minimum(
             signatures[:, columns], row_hashes

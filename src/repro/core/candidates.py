@@ -24,7 +24,7 @@ Two layouts implement it:
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Dict, Iterator, Mapping, Optional, Tuple
+from typing import Callable, Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -86,14 +86,6 @@ class CandidateArray:
         released = self._lists.pop(column, None)
         if released is not None:
             self._entries -= len(released)
-
-    def has_list(self, column: int) -> bool:
-        """True when ``column`` currently owns a candidate list."""
-        return column in self._lists
-
-    def open_columns(self) -> Iterator[int]:
-        """Yield the ids of columns that own a live list."""
-        return iter(self._lists)
 
     # ------------------------------------------------------------------
     # Entry operations

@@ -75,17 +75,18 @@ class BitmapConfig:
             raise ValueError("hard_budget_bytes must be positive")
 
 
-def _matrix_rows(matrix: BinaryMatrix, policy: PairPolicy, order):
-    """``(rows, n_rows)`` to scan: ``order``'s rows (default: stored
-    order, empty rows skipped), once ``policy`` is checked to fit."""
+def matrix_order(matrix: BinaryMatrix, policy: PairPolicy, order):
+    """The row ids a scan of ``matrix`` visits: ``order`` (default:
+    stored order, empty rows skipped), once ``policy`` is checked to
+    fit."""
     if len(policy.ones) != matrix.n_columns:
         raise ValueError(
             f"policy was built for {len(policy.ones)} columns but the "
             f"matrix has {matrix.n_columns}"
         )
     if order is None:
-        order = [row_id for row_id, row in matrix.iter_rows() if row]
-    return ((row_id, matrix.row(row_id)) for row_id in order), len(order)
+        return np.flatnonzero(matrix.row_densities()).tolist()
+    return order
 
 
 class _Finished:
@@ -147,10 +148,10 @@ def miss_counting_scan(
         :class:`repro.observe.RunObserver`; when disabled (the
         default) the loop pays one attribute check per row.
     """
-    rows, n_rows = _matrix_rows(matrix, policy, order)
+    order = matrix_order(matrix, policy, order)
     return miss_counting_scan_rows(
-        rows, n_rows, policy, stats=stats, bitmap=bitmap, rules=rules,
-        observer=observer,
+        matrix.iter_rows(order), len(order), policy, stats=stats,
+        bitmap=bitmap, rules=rules, observer=observer,
     )
 
 
@@ -339,10 +340,10 @@ def zero_miss_scan(
     added.  Produces exactly the rules of :func:`miss_counting_scan`
     with the same zero-budget policy.
     """
-    rows, n_rows = _matrix_rows(matrix, policy, order)
+    order = matrix_order(matrix, policy, order)
     return zero_miss_scan_rows(
-        rows, n_rows, policy, stats=stats, bitmap=bitmap, rules=rules,
-        observer=observer,
+        matrix.iter_rows(order), len(order), policy, stats=stats,
+        bitmap=bitmap, rules=rules, observer=observer,
     )
 
 

@@ -77,23 +77,23 @@ def _partition_rows(matrix: BinaryMatrix, n_partitions: int) -> List[List[int]]:
     """Round-robin row ids into ``n_partitions`` non-empty-safe chunks."""
     if n_partitions < 1:
         raise ValueError("n_partitions must be at least 1")
-    chunks: List[List[int]] = [[] for _ in range(n_partitions)]
-    for row_id in range(matrix.n_rows):
-        chunks[row_id % n_partitions].append(row_id)
-    return [chunk for chunk in chunks if chunk]
+    return [
+        list(range(first, matrix.n_rows, n_partitions))
+        for first in range(min(n_partitions, matrix.n_rows))
+    ]
 
 
 def _mine_chunk(args, observer=None) -> List[Tuple[int, int]]:
     """Worker: mine one partition and return its unordered pairs.
 
     Module-level (not a closure) so it is picklable for the process
-    pool.  The payload is ``(rows, n_columns, threshold, kind,
-    scan_engine)``.  ``observer`` is the parent's
-    when partitions run in-process (pool workers run unobserved); the
-    chunk's scan folds onto its metrics under ``scan="partition"``.
+    pool.  The payload is ``(local, threshold, kind, scan_engine)``,
+    ``local`` being the partition's rows as a :class:`BinaryMatrix`.
+    ``observer`` is the parent's when partitions run in-process (pool
+    workers run unobserved); the chunk's scan folds onto its metrics
+    under ``scan="partition"``.
     """
-    rows, n_columns, threshold, kind, scan_engine = args
-    local = BinaryMatrix(rows, n_columns=n_columns)
+    local, threshold, kind, scan_engine = args
     if kind == "implication":
         policy = _AllPairsImplicationPolicy(
             local.column_ones(), threshold
@@ -103,7 +103,8 @@ def _mine_chunk(args, observer=None) -> List[Tuple[int, int]]:
     scan_stats = ScanStats()
     span = (
         observer.span(
-            "partition-scan", rows=len(rows), columns=n_columns, kind=kind,
+            "partition-scan", rows=local.n_rows, columns=local.n_columns,
+            kind=kind,
         )
         if hasattr(observer, "span")
         else nullcontext()
@@ -147,13 +148,7 @@ def _local_candidates(
     check_scan(scan_engine)
     stats.scan_engine = scan_engine
     jobs = [
-        (
-            [matrix.row(row_id) for row_id in chunk],
-            matrix.n_columns,
-            threshold,
-            kind,
-            scan_engine,
-        )
+        (matrix.select_rows(chunk), threshold, kind, scan_engine)
         for chunk in _partition_rows(matrix, n_partitions)
     ]
     if not jobs:  # empty matrix: nothing to mine, no pool to size

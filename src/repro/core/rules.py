@@ -11,13 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import partial, reduce
 from operator import attrgetter, index
 from typing import Iterable, Iterator, List, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.matrix.binary_matrix import Vocabulary
+from repro.matrix.binary_matrix import Vocabulary, int64_array
 
 
 def canonical_before(
@@ -111,7 +111,6 @@ _FIELDS = {
 
 #: Column ids stay below this, so :func:`pair_keys` keys a pair.
 ID_LIMIT = 1 << 31
-_INT64 = np.iinfo(np.int64)
 
 #: A sorted run of rules: ``(keys, part, whole)`` int64 columns.
 Run = Tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -119,18 +118,7 @@ _EMPTY = np.zeros(0, dtype=np.int64)
 _EMPTY_RUN: Run = (_EMPTY, _EMPTY, _EMPTY)
 
 
-def _int64_column(values) -> np.ndarray:
-    """``values`` as an int64 array; ``ValueError`` if one does not fit."""
-    if isinstance(values, np.ndarray) and values.dtype.kind in "biu":
-        if values.dtype.kind == "u" and len(values) and (
-            values.max() > _INT64.max
-        ):
-            raise ValueError("rule counts must fit in int64")
-        return values.astype(np.int64, copy=False)
-    try:
-        return np.array(values, dtype=np.int64)
-    except OverflowError as error:
-        raise ValueError("rule counts must fit in int64") from error
+_int64_column = partial(int64_array, what="rule ids and counts")
 
 
 def _check_ids(column: np.ndarray) -> None:

@@ -55,11 +55,15 @@ import numpy as np
 
 from repro.core.bitmap import bitmap_tail, emit_rules, tail_due
 from repro.core.candidates import PairStore
-from repro.core.miss_counting import BitmapConfig
+from repro.core.miss_counting import BitmapConfig, matrix_order
 from repro.core.policies import PairPolicy
 from repro.core.rules import RuleSet
 from repro.core.stats import ScanStats
-from repro.matrix.binary_matrix import BinaryMatrix
+from repro.matrix.binary_matrix import (
+    BinaryMatrix,
+    concat_ranges,
+    int64_array,
+)
 from repro.matrix.ops import (
     DEFAULT_BLOCK_ROWS,
     DENSE_PAIR_COLUMNS,
@@ -73,21 +77,22 @@ from repro.matrix.ops import (
 from repro.observe.progress import NULL_OBSERVER
 
 
-class _FlatBlocks:
-    """Block source slicing a matrix's cached CSR-style flat arrays."""
+class _MatrixBlocks:
+    """Block source slicing a matrix's CSR rows in scan ``order``."""
 
-    def __init__(self, matrix: BinaryMatrix) -> None:
-        self._lengths, self._cols, self._offsets = matrix.flat_rows()
+    def __init__(self, matrix: BinaryMatrix, order) -> None:
+        self._offsets, self._cols = matrix.offsets, matrix.cols
+        self._lengths = matrix.row_densities()
+        self._order = int64_array(order, "row ids")
         self._pos = 0
-        self.n_rows = len(self._lengths)
+        self.n_rows = len(self._order)
 
-    def take(
-        self, n: int
-    ) -> Tuple[int, Optional[np.ndarray], Optional[np.ndarray]]:
-        lo, hi = self._pos, min(self._pos + n, self.n_rows)
-        self._pos = hi
-        cols = self._cols[self._offsets[lo]:self._offsets[hi]]
-        return hi - lo, self._lengths[lo:hi], cols
+    def take(self, n: int) -> Tuple[int, np.ndarray, np.ndarray]:
+        rows = self._order[self._pos:self._pos + n]
+        self._pos += len(rows)
+        lengths = self._lengths[rows]
+        cols = self._cols[concat_ranges(self._offsets[rows], lengths)]
+        return len(rows), lengths, cols
 
 
 def vector_scan(
@@ -107,22 +112,9 @@ def vector_scan(
     statistics.  ``block_rows`` tunes the batch size (default
     ``DEFAULT_BLOCK_ROWS``).
     """
-    if len(policy.ones) != matrix.n_columns:
-        raise ValueError(
-            f"policy was built for {len(policy.ones)} columns but the "
-            f"matrix has {matrix.n_columns}"
-        )
-    if order is None:
-        # Natural order over the non-empty rows: slice the matrix's
-        # cached flat arrays instead of iterating row tuples.
-        source = _FlatBlocks(matrix)
-        return _scan_blocks(
-            source, source.n_rows, policy, stats=stats, bitmap=bitmap,
-            rules=rules, observer=observer, block_rows=block_rows,
-        )
-    row_pairs = [(row_id, matrix.row(row_id)) for row_id in order]
-    return vector_scan_rows(
-        row_pairs, len(row_pairs), policy, stats=stats, bitmap=bitmap,
+    source = _MatrixBlocks(matrix, matrix_order(matrix, policy, order))
+    return _scan_blocks(
+        source, source.n_rows, policy, stats=stats, bitmap=bitmap,
         rules=rules, observer=observer, block_rows=block_rows,
     )
 

@@ -5,7 +5,8 @@ rows ("transactions") and ``m`` columns ("attributes").  This package
 provides:
 
 - :class:`~repro.matrix.binary_matrix.BinaryMatrix` — the matrix itself,
-  stored row-major as sorted column-id tuples with cached column views.
+  stored row-major as two read-only CSR arrays (row offsets and the
+  rows' sorted column ids).
 - :class:`~repro.matrix.binary_matrix.Vocabulary` — label <-> column-id
   mapping for datasets whose attributes are words or URLs.
 - :mod:`~repro.matrix.reorder` — the Section 4.1 row re-ordering via

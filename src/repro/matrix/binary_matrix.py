@@ -1,17 +1,89 @@
 """Boolean matrix abstraction used by every algorithm in this package.
 
-The representation is row-major: each row is a sorted tuple of the column
-ids that are 1 in that row (Section 2 of the paper: "a row consists of a
-set of columns").  Column-oriented views (the sets ``S_i`` of rows with a
-1 in column ``c_i``) are derived lazily and cached, because only the
-verification oracle and the bitmap phases need them.
+The representation is row-major CSR (Section 2 of the paper: "a row
+consists of a set of columns"): two read-only int64 arrays, ``cols``
+holding every row's column ids — sorted and deduplicated within each
+row — one row after another, and ``offsets``, where row ``i`` is
+``cols[offsets[i]:offsets[i + 1]]``.  Every derived matrix (selected
+rows, restricted or compacted columns, the transpose) is an array
+expression over those two arrays, so rows are sorted once, when the
+matrix is first built.  Row tuples and the column sets ``S_i`` are
+built on demand for the serial scans and the verification oracle.
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
+
+
+def int64_array(values, what: str) -> np.ndarray:
+    """``values`` as an int64 array; ``ValueError`` naming ``what`` when
+    one is fractional (never truncated) or does not fit in int64."""
+    array = np.asarray(
+        values if isinstance(values, (np.ndarray, list)) else list(values)
+    )
+    if array.dtype.kind in "bi":
+        return array.astype(np.int64, copy=False)
+    try:
+        with np.errstate(invalid="ignore"):
+            exact = array.astype(np.int64)
+    except (TypeError, ValueError, OverflowError):
+        exact = None
+    # A value that is fractional or out of range does not survive the
+    # cast unchanged.
+    if (
+        exact is None or array.dtype.kind not in "ufO"
+        or not np.array_equal(exact, array)
+    ):
+        raise ValueError(f"{what} must be integers that fit in int64")
+    return exact
+
+
+def concat_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Concatenated ``arange(start, start + count)`` for every pair."""
+    ends = np.cumsum(counts)
+    return np.repeat(starts - ends + counts, counts) + np.arange(
+        ends[-1] if len(ends) else 0
+    )
+
+
+def _offsets_of(lengths: np.ndarray) -> np.ndarray:
+    """Row offsets (``len(lengths) + 1`` entries) for rows of ``lengths``."""
+    offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=offsets[1:])
+    return offsets
+
+
+def _csr_entries(
+    row_of: np.ndarray, cols: np.ndarray, n_rows: int,
+    n_columns: Optional[int],
+) -> Tuple[np.ndarray, np.ndarray, int]:
+    """``(offsets, cols, n_columns)`` of the entries ``(row_of[i],
+    cols[i])``: sorted by row then column, repeats dropped (no sort
+    when they already are), ``n_columns`` checked or inferred."""
+    if len(cols) and cols.min() < 0:
+        raise ValueError("column ids must be non-negative")
+    if len(row_of) and (row_of.min() < 0 or row_of.max() >= n_rows):
+        raise ValueError(f"row ids must lie in [0, {n_rows})")
+    step = np.diff(row_of)
+    if np.any((step < 0) | ((step == 0) & (cols[1:] <= cols[:-1]))):
+        by_entry = np.lexsort((cols, row_of))
+        row_of, cols = row_of[by_entry], cols[by_entry]
+        fresh = np.ones(len(cols), dtype=bool)
+        fresh[1:] = (row_of[1:] != row_of[:-1]) | (cols[1:] != cols[:-1])
+        row_of, cols = row_of[fresh], cols[fresh]
+    max_seen = int(cols.max()) if len(cols) else -1
+    if n_columns is None:
+        n_columns = max_seen + 1
+    elif n_columns <= max_seen:
+        raise ValueError(
+            f"n_columns={n_columns} but a row references column {max_seen}"
+        )
+    lengths = np.bincount(row_of, minlength=n_rows)
+    return _offsets_of(lengths), cols, int(n_columns)
 
 
 class Vocabulary:
@@ -66,7 +138,7 @@ class Vocabulary:
 
 
 class BinaryMatrix:
-    """An ``n x m`` 0/1 matrix stored as rows of sorted column ids.
+    """An ``n x m`` 0/1 matrix stored as CSR rows of sorted column ids.
 
     Parameters
     ----------
@@ -78,6 +150,12 @@ class BinaryMatrix:
         column id seen (zero for an empty matrix).
     vocabulary:
         Optional :class:`Vocabulary` mapping labels to column ids.
+
+    Attributes
+    ----------
+    offsets, cols:
+        The read-only int64 storage: row ``i`` is
+        ``cols[offsets[i]:offsets[i + 1]]``, sorted and deduplicated.
     """
 
     def __init__(
@@ -86,26 +164,35 @@ class BinaryMatrix:
         n_columns: Optional[int] = None,
         vocabulary: Optional[Vocabulary] = None,
     ) -> None:
-        self._rows: List[Tuple[int, ...]] = [
-            tuple(sorted(set(int(c) for c in row))) for row in rows
+        rows = [
+            row if isinstance(row, (list, tuple)) else list(row)
+            for row in rows
         ]
-        max_seen = -1
-        for row in self._rows:
-            if row and row[-1] > max_seen:
-                max_seen = row[-1]
-            if row and row[0] < 0:
-                raise ValueError("column ids must be non-negative")
-        if n_columns is None:
-            n_columns = max_seen + 1
-        elif n_columns <= max_seen:
-            raise ValueError(
-                f"n_columns={n_columns} but a row references column {max_seen}"
-            )
-        self._n_columns = int(n_columns)
-        self.vocabulary = vocabulary
-        self._column_ones: Optional[np.ndarray] = None
-        self._column_sets: Optional[List[frozenset]] = None
-        self._flat: Optional[Tuple[np.ndarray, ...]] = None
+        lengths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+        cols = int64_array(
+            list(itertools.chain.from_iterable(rows)), "column ids"
+        )
+        row_of = np.repeat(np.arange(len(rows)), lengths)
+        entries = _csr_entries(row_of, cols, len(rows), n_columns)
+        self.__setstate__((*entries, vocabulary))
+
+    @classmethod
+    def _from_csr(
+        cls, offsets: np.ndarray, cols: np.ndarray, n_columns: int,
+        vocabulary: Optional[Vocabulary] = None,
+    ) -> "BinaryMatrix":
+        """The matrix over ``offsets``/``cols``, whose rows are already
+        sorted and deduplicated (every derived matrix comes from here)."""
+        matrix = cls.__new__(cls)
+        matrix.__setstate__((offsets, cols, n_columns, vocabulary))
+        return matrix
+
+    def __getstate__(self):
+        return self.offsets, self.cols, self._n_columns, self.vocabulary
+
+    def __setstate__(self, state) -> None:
+        self.offsets, self.cols, self._n_columns, self.vocabulary = state
+        self.offsets.flags.writeable = self.cols.flags.writeable = False
 
     # ------------------------------------------------------------------
     # Constructors
@@ -117,8 +204,7 @@ class BinaryMatrix:
         dense = np.asarray(array)
         if dense.ndim != 2:
             raise ValueError("dense input must be two-dimensional")
-        rows = [np.flatnonzero(dense[i]).tolist() for i in range(dense.shape[0])]
-        return cls(rows, n_columns=dense.shape[1])
+        return cls._from_csr(*_csr_entries(*np.nonzero(dense), *dense.shape))
 
     @classmethod
     def from_transactions(
@@ -140,21 +226,17 @@ class BinaryMatrix:
         n_columns: int,
     ) -> "BinaryMatrix":
         """Build from ``(row, column)`` pairs, e.g. a page-link graph."""
-        rows: List[List[int]] = [[] for _ in range(n_rows)]
-        for r, c in edges:
-            rows[r].append(c)
-        return cls(rows, n_columns=n_columns)
+        pairs = int64_array(list(edges), "edge ids").reshape(-1, 2)
+        return cls._from_csr(
+            *_csr_entries(pairs[:, 0], pairs[:, 1], n_rows, n_columns)
+        )
 
     @classmethod
     def from_column_sets(
         cls, column_sets: Sequence[Iterable[int]], n_rows: int
     ) -> "BinaryMatrix":
         """Build from per-column row sets (the ``S_i`` of the paper)."""
-        rows: List[List[int]] = [[] for _ in range(n_rows)]
-        for column, row_ids in enumerate(column_sets):
-            for r in row_ids:
-                rows[r].append(column)
-        return cls(rows, n_columns=len(column_sets))
+        return cls(column_sets, n_columns=n_rows).transpose()
 
     # ------------------------------------------------------------------
     # Shape and row access
@@ -163,7 +245,7 @@ class BinaryMatrix:
     @property
     def n_rows(self) -> int:
         """Number of rows ``n``."""
-        return len(self._rows)
+        return len(self.offsets) - 1
 
     @property
     def n_columns(self) -> int:
@@ -173,82 +255,50 @@ class BinaryMatrix:
     @property
     def nnz(self) -> int:
         """Total number of 1 entries."""
-        return sum(len(row) for row in self._rows)
+        return int(self.offsets[-1])
 
     def row(self, index: int) -> Tuple[int, ...]:
         """Return row ``index`` as a sorted tuple of column ids."""
-        return self._rows[index]
+        index = range(self.n_rows)[index]
+        lo, hi = self.offsets[index:index + 2].tolist()
+        return tuple(self.cols[lo:hi].tolist())
 
     def iter_rows(
         self, order: Optional[Sequence[int]] = None
     ) -> Iterator[Tuple[int, Tuple[int, ...]]]:
         """Yield ``(row_id, columns)`` pairs, optionally in a custom order."""
-        if order is None:
-            yield from enumerate(self._rows)
-        else:
-            for index in order:
-                yield index, self._rows[index]
+        cols, offsets = self.cols.tolist(), self.offsets.tolist()
+        for index in range(self.n_rows) if order is None else order:
+            yield index, tuple(cols[offsets[index]:offsets[index + 1]])
 
     def row_densities(self) -> np.ndarray:
         """Return the number of 1's in each row."""
-        return np.array([len(row) for row in self._rows], dtype=np.int64)
+        return np.diff(self.offsets)
 
-    def flat_rows(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """CSR-style view of the non-empty rows, cached.
-
-        Returns ``(lengths, cols, offsets)``: the non-empty rows' lengths
-        in natural order, all their column ids concatenated, and the
-        prefix offsets into ``cols`` (length ``len(lengths) + 1``).  The
-        vectorized scan engine slices blocks straight out of these
-        arrays instead of touching row tuples.
-        """
-        if self._flat is None:
-            import itertools
-
-            rows = [row for row in self._rows if row]
-            lengths = np.fromiter(
-                map(len, rows), dtype=np.int64, count=len(rows)
-            )
-            cols = np.fromiter(
-                itertools.chain.from_iterable(rows),
-                dtype=np.int64,
-                count=int(lengths.sum()),
-            )
-            offsets = np.zeros(len(rows) + 1, dtype=np.int64)
-            np.cumsum(lengths, out=offsets[1:])
-            self._flat = (lengths, cols, offsets)
-        return self._flat
+    def _row_of(self) -> np.ndarray:
+        """The row id of every entry of ``cols``."""
+        return np.repeat(np.arange(self.n_rows), self.row_densities())
 
     # ------------------------------------------------------------------
     # Column views
     # ------------------------------------------------------------------
 
     def column_ones(self) -> np.ndarray:
-        """Return ``ones(c_i)`` for every column (cached).
+        """Return ``ones(c_i)`` for every column.
 
         This is exactly the first scan of Algorithm 3.1 step 1.
         """
-        if self._column_ones is None:
-            counts = np.zeros(self._n_columns, dtype=np.int64)
-            for row in self._rows:
-                for column in row:
-                    counts[column] += 1
-            self._column_ones = counts
-        return self._column_ones
+        return np.bincount(self.cols, minlength=self._n_columns).astype(
+            np.int64, copy=False
+        )
 
     def column_set(self, column: int) -> frozenset:
         """Return ``S_i``: the set of row ids with a 1 in ``column``."""
-        return self.column_sets()[column]
+        return frozenset(self.transpose().row(column))
 
     def column_sets(self) -> List[frozenset]:
-        """Return all ``S_i`` sets (cached)."""
-        if self._column_sets is None:
-            sets: List[set] = [set() for _ in range(self._n_columns)]
-            for row_id, row in enumerate(self._rows):
-                for column in row:
-                    sets[column].add(row_id)
-            self._column_sets = [frozenset(s) for s in sets]
-        return self._column_sets
+        """Return all ``S_i`` sets."""
+        return [frozenset(row) for _, row in self.transpose().iter_rows()]
 
     # ------------------------------------------------------------------
     # Transformations
@@ -256,18 +306,18 @@ class BinaryMatrix:
 
     def transpose(self) -> "BinaryMatrix":
         """Return the transposed matrix (used for plinkF vs plinkT)."""
-        rows: List[List[int]] = [[] for _ in range(self._n_columns)]
-        for row_id, row in enumerate(self._rows):
-            for column in row:
-                rows[column].append(row_id)
-        return BinaryMatrix(rows, n_columns=self.n_rows)
+        return self._from_csr(*_csr_entries(
+            self.cols, self._row_of(), self._n_columns, self.n_rows
+        ))
 
     def select_rows(self, row_ids: Sequence[int]) -> "BinaryMatrix":
         """Return a new matrix containing only ``row_ids`` (same columns)."""
-        return BinaryMatrix(
-            [self._rows[i] for i in row_ids],
-            n_columns=self._n_columns,
-            vocabulary=self.vocabulary,
+        rows = int64_array(row_ids, "row ids")
+        lengths = self.row_densities()[rows]
+        return self._from_csr(
+            _offsets_of(lengths),
+            self.cols[concat_ranges(self.offsets[:-1][rows], lengths)],
+            self._n_columns, self.vocabulary,
         )
 
     def restrict_columns(self, keep: Iterable[int]) -> "BinaryMatrix":
@@ -277,12 +327,13 @@ class BinaryMatrix:
         all-zero — so rules mined from the restriction use the original
         ids.  This is how DMC-imp step 3 removes low-frequency columns.
         """
-        keep_set = set(keep)
-        rows = [
-            tuple(c for c in row if c in keep_set) for row in self._rows
-        ]
-        return BinaryMatrix(
-            rows, n_columns=self._n_columns, vocabulary=self.vocabulary
+        ids = int64_array(keep, "column ids")
+        mask = np.zeros(self._n_columns, dtype=bool)
+        mask[ids[(ids >= 0) & (ids < self._n_columns)]] = True
+        kept = mask[self.cols]
+        return self._from_csr(
+            _offsets_of(kept)[self.offsets], self.cols[kept],
+            self._n_columns, self.vocabulary,
         )
 
     def compact_columns(
@@ -297,21 +348,23 @@ class BinaryMatrix:
         data sets (Table 1 reports the shrunken column counts).
         """
         if keep is None:
-            ones = self.column_ones()
-            kept = [c for c in range(self._n_columns) if ones[c] > 0]
+            kept = np.flatnonzero(self.column_ones())
         else:
-            kept = sorted(set(keep))
-        remap = {old: new for new, old in enumerate(kept)}
-        rows = [
-            [remap[c] for c in row if c in remap] for row in self._rows
-        ]
+            kept = np.unique(int64_array(keep, "column ids"))
+        inside = (kept >= 0) & (kept < self._n_columns)
+        remap = np.full(self._n_columns, -1, dtype=np.int64)
+        remap[kept[inside]] = np.flatnonzero(inside)
+        cols = remap[self.cols]
+        hit = cols >= 0
+        kept = kept.tolist()
         vocabulary = None
         if self.vocabulary is not None:
             vocabulary = Vocabulary(
                 self.vocabulary.label_of(old) for old in kept
             )
-        compacted = BinaryMatrix(
-            rows, n_columns=len(kept), vocabulary=vocabulary
+        compacted = self._from_csr(
+            _offsets_of(hit)[self.offsets], cols[hit], len(kept),
+            vocabulary,
         )
         return compacted, kept
 
@@ -327,46 +380,33 @@ class BinaryMatrix:
         support 35, maximum 3278).
         """
         ones = self.column_ones()
-        keep = [
-            c
-            for c in range(self._n_columns)
-            if ones[c] >= min_ones
-            and (max_ones is None or ones[c] <= max_ones)
-        ]
-        compacted, _ = self.compact_columns(keep)
+        inside = ones >= min_ones
+        if max_ones is not None:
+            inside &= ones <= max_ones
+        compacted, _ = self.compact_columns(np.flatnonzero(inside))
         return compacted
 
     def drop_empty_rows(self) -> "BinaryMatrix":
         """Return a copy without all-zero rows."""
-        return BinaryMatrix(
-            [row for row in self._rows if row],
-            n_columns=self._n_columns,
-            vocabulary=self.vocabulary,
+        return self._from_csr(
+            np.unique(self.offsets), self.cols, self._n_columns,
+            self.vocabulary,
         )
 
     def to_dense(self) -> np.ndarray:
         """Return a dense ``uint8`` array (small matrices only)."""
         dense = np.zeros((self.n_rows, self._n_columns), dtype=np.uint8)
-        for row_id, row in enumerate(self._rows):
-            for column in row:
-                dense[row_id, column] = 1
+        dense[self._row_of(), self.cols] = 1
         return dense
 
     def to_csr(self):
-        """Return a ``scipy.sparse.csr_matrix`` view (for the oracle)."""
+        """Return a ``scipy.sparse.csr_matrix`` copy (for the oracle)."""
         from scipy.sparse import csr_matrix
 
-        indptr = np.zeros(self.n_rows + 1, dtype=np.int64)
-        for row_id, row in enumerate(self._rows):
-            indptr[row_id + 1] = indptr[row_id] + len(row)
-        indices = np.empty(self.nnz, dtype=np.int64)
-        position = 0
-        for row in self._rows:
-            indices[position : position + len(row)] = row
-            position += len(row)
-        data = np.ones(self.nnz, dtype=np.int64)
         return csr_matrix(
-            (data, indices, indptr), shape=(self.n_rows, self._n_columns)
+            (np.ones(self.nnz, dtype=np.int64), self.cols.copy(),
+             self.offsets.copy()),
+            shape=(self.n_rows, self._n_columns),
         )
 
     # ------------------------------------------------------------------
@@ -380,7 +420,9 @@ class BinaryMatrix:
         if not isinstance(other, BinaryMatrix):
             return NotImplemented
         return (
-            self._rows == other._rows and self._n_columns == other._n_columns
+            self._n_columns == other._n_columns
+            and np.array_equal(self.offsets, other.offsets)
+            and np.array_equal(self.cols, other.cols)
         )
 
     def __repr__(self) -> str:

@@ -5,7 +5,7 @@ Two formats are supported:
 - a human-readable transactions text format — one row per line, entries
   separated by spaces; integer entries are column ids, anything else is
   treated as a label and resolved through a vocabulary header; and
-- a compact ``.npz`` format storing the CSR-like row structure.
+- a compact ``.npz`` format storing the matrix's CSR arrays.
 """
 
 from __future__ import annotations
@@ -95,16 +95,9 @@ def load_transactions(path: str, validator=None) -> BinaryMatrix:
 
 def save_npz(matrix: BinaryMatrix, path: str) -> None:
     """Write ``matrix`` to a compressed ``.npz`` file."""
-    indptr = np.zeros(matrix.n_rows + 1, dtype=np.int64)
-    indices = np.empty(matrix.nnz, dtype=np.int64)
-    position = 0
-    for row_id, row in matrix.iter_rows():
-        indices[position : position + len(row)] = row
-        position += len(row)
-        indptr[row_id + 1] = position
     arrays = {
-        "indptr": indptr,
-        "indices": indices,
+        "indptr": matrix.offsets,
+        "indices": matrix.cols,
         "n_columns": np.array([matrix.n_columns], dtype=np.int64),
     }
     if matrix.vocabulary is not None:
@@ -117,14 +110,12 @@ def load_npz(path: str) -> BinaryMatrix:
     if not os.path.exists(path) and os.path.exists(path + ".npz"):
         path = path + ".npz"
     with np.load(path, allow_pickle=True) as data:
-        indptr = data["indptr"]
-        indices = data["indices"]
-        n_columns = int(data["n_columns"][0])
         vocabulary = None
         if "labels" in data:
             vocabulary = Vocabulary(str(label) for label in data["labels"])
-        rows = [
-            indices[indptr[i] : indptr[i + 1]].tolist()
-            for i in range(len(indptr) - 1)
-        ]
-        return BinaryMatrix(rows, n_columns=n_columns, vocabulary=vocabulary)
+        return BinaryMatrix._from_csr(
+            data["indptr"].astype(np.int64),
+            data["indices"].astype(np.int64),
+            int(data["n_columns"][0]),
+            vocabulary,
+        )

@@ -22,6 +22,8 @@ from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
+from repro.matrix.binary_matrix import concat_ranges
+
 #: Rows per block of every vector scan (a constant, not a knob).  Large
 #: enough that the per-block Python overhead vanishes against the array
 #: work; small enough that the dense block matrix stays cache-friendly.
@@ -160,14 +162,6 @@ def pair_hits(
     return pair_and_counts(pack_columns(dense), left, right)
 
 
-def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Concatenated ``arange(start, start + count)`` for every pair."""
-    ends = np.cumsum(counts)
-    return np.repeat(starts - ends + counts, counts) + np.arange(
-        ends[-1] if len(ends) else 0
-    )
-
-
 def co_occurrences(
     lengths: np.ndarray, cols: np.ndarray, to_active: np.ndarray,
     active: np.ndarray, picked: np.ndarray,
@@ -223,14 +217,16 @@ def co_occurrences(
             ends, ends[lo] - work[lo] + _PAIR_CHUNK_ENTRIES, side="right"
         )))
         owners = picked[lo:hi]
-        rows = holding[_ranges(column_start[owners], column_rows[owners])]
+        rows = holding[
+            concat_ranges(column_start[owners], column_rows[owners])
+        ]
         sizes = lengths[rows]
         # One key ``owner_pos * width + cand`` per (owner, row, cand)
         # product; a key's multiplicity is the pair's hits.
         keys = np.repeat(
             np.repeat(np.arange(len(owners)) * width, column_rows[owners]),
             sizes,
-        ) + local[_ranges(row_start[rows], sizes)]
+        ) + local[concat_ranges(row_start[rows], sizes)]
         cells = len(owners) * width
         if cells <= 2 * len(keys):  # dense enough to count in place
             counts = np.bincount(keys, minlength=cells)

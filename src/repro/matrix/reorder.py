@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from typing import List, Sequence
 
+import numpy as np
+
 from repro.matrix.binary_matrix import BinaryMatrix
 
 
@@ -29,6 +31,22 @@ def bucket_index(density: int) -> int:
     return density.bit_length() - 1
 
 
+def _bucketed(matrix: BinaryMatrix):
+    """``(rows, buckets)``: the non-empty row ids, grouped by bucket
+    from the sparsest up (original order within a bucket), and each
+    one's :func:`bucket_index`."""
+    lengths = matrix.row_densities()
+    rows = np.flatnonzero(lengths)
+    lengths = lengths[rows]
+    # A row's bucket is the number of powers of two up to its length,
+    # less one: ``length.bit_length() - 1``, in integers throughout.
+    top = int(lengths.max(initial=0)).bit_length()
+    powers = np.left_shift(1, np.arange(top, dtype=np.int64))
+    buckets = np.searchsorted(powers, lengths, side="right") - 1
+    by_bucket = np.argsort(buckets, kind="stable")
+    return rows[by_bucket], buckets[by_bucket]
+
+
 def density_buckets(matrix: BinaryMatrix) -> List[List[int]]:
     """Partition row ids into density buckets, sparsest bucket first.
 
@@ -36,16 +54,11 @@ def density_buckets(matrix: BinaryMatrix) -> List[List[int]]:
     whose density lies in ``[2**i, 2**(i+1))``, in original row order.
     Empty rows are dropped.  Trailing empty buckets are trimmed.
     """
-    if matrix.n_columns == 0:
+    rows, buckets = _bucketed(matrix)
+    if not len(rows):
         return []
-    n_buckets = max(matrix.n_columns.bit_length(), 1)
-    buckets: List[List[int]] = [[] for _ in range(n_buckets)]
-    for row_id, row in matrix.iter_rows():
-        if row:
-            buckets[bucket_index(len(row))].append(row_id)
-    while buckets and not buckets[-1]:
-        buckets.pop()
-    return buckets
+    ends = np.cumsum(np.bincount(buckets))
+    return [chunk.tolist() for chunk in np.split(rows, ends[:-1])]
 
 
 def scan_order(matrix: BinaryMatrix, sparsest_first: bool = True) -> List[int]:
@@ -58,11 +71,8 @@ def scan_order(matrix: BinaryMatrix, sparsest_first: bool = True) -> List[int]:
     ablation experiments.
     """
     if not sparsest_first:
-        return [row_id for row_id, row in matrix.iter_rows() if row]
-    order: List[int] = []
-    for bucket in density_buckets(matrix):
-        order.extend(bucket)
-    return order
+        return np.flatnonzero(matrix.row_densities()).tolist()
+    return _bucketed(matrix)[0].tolist()
 
 
 def exact_sparsest_order(matrix: BinaryMatrix) -> List[int]:
@@ -72,16 +82,11 @@ def exact_sparsest_order(matrix: BinaryMatrix) -> List[int]:
     exact order is used by tests that reproduce the Example 3.1 candidate
     history ``(1, 2, 3, 5, 6, 8, 5, 2, 2)``.
     """
-    nonempty = [
-        (len(row), row_id) for row_id, row in matrix.iter_rows() if row
-    ]
-    nonempty.sort()
-    return [row_id for _, row_id in nonempty]
+    lengths = matrix.row_densities()
+    rows = np.flatnonzero(lengths)
+    return rows[np.argsort(lengths[rows], kind="stable")].tolist()
 
 
 def order_is_valid(matrix: BinaryMatrix, order: Sequence[int]) -> bool:
     """Check that ``order`` is a permutation of the non-empty rows."""
-    nonempty = {row_id for row_id, row in matrix.iter_rows() if row}
-    return len(order) == len(set(order)) == len(nonempty) and set(
-        order
-    ) == nonempty
+    return sorted(order) == scan_order(matrix, sparsest_first=False)

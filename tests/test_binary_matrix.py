@@ -1,7 +1,11 @@
 """The 0/1 matrix substrate (repro.matrix.binary_matrix)."""
 
+import pickle
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.matrix.binary_matrix import BinaryMatrix, Vocabulary
 
@@ -22,6 +26,14 @@ class TestConstruction:
     def test_negative_column_rejected(self):
         with pytest.raises(ValueError):
             BinaryMatrix([[-1]])
+
+    def test_fractional_column_rejected(self):
+        """A fractional id is refused, never truncated to a column."""
+        with pytest.raises(ValueError, match="integers"):
+            BinaryMatrix([[1.5, 2.7]])
+        with pytest.raises(ValueError, match="integers"):
+            BinaryMatrix([[0], [np.float64(0.5)]])
+        assert BinaryMatrix([[2.0, 1]]).row(0) == (1, 2)
 
     def test_empty_matrix(self):
         matrix = BinaryMatrix([])
@@ -170,3 +182,98 @@ class TestVocabulary:
     def test_equality(self):
         assert Vocabulary(["a"]) == Vocabulary(["a"])
         assert Vocabulary(["a"]) != Vocabulary(["b"])
+
+
+def _reference_matches(matrix, rows, n_columns):
+    """Check ``matrix`` against naive sorted-tuple rows ``rows``."""
+    assert matrix.n_rows == len(rows) and matrix.n_columns == n_columns
+    assert not matrix.offsets.flags.writeable
+    assert not matrix.cols.flags.writeable
+    assert [matrix.row(i) for i in range(len(rows))] == rows
+    assert list(matrix.iter_rows()) == list(enumerate(rows))
+    assert matrix.nnz == sum(map(len, rows))
+    assert matrix.row_densities().tolist() == list(map(len, rows))
+    assert matrix.column_ones().tolist() == [
+        sum(column in row for row in rows) for column in range(n_columns)
+    ]
+    assert matrix.column_sets() == [
+        frozenset(i for i, row in enumerate(rows) if column in row)
+        for column in range(n_columns)
+    ]
+    dense = np.zeros((len(rows), n_columns), dtype=np.uint8)
+    for i, row in enumerate(rows):
+        dense[i, list(row)] = 1
+    assert np.array_equal(matrix.to_dense(), dense)
+    assert np.array_equal(matrix.to_csr().toarray(), dense)
+    assert matrix == BinaryMatrix(rows, n_columns=n_columns)
+
+
+@st.composite
+def _raw_matrices(draw):
+    """Unsorted rows with repeated ids, empty rows, sometimes numpy
+    ints, and ``n_columns`` sometimes above the largest id."""
+    rows = draw(
+        st.lists(st.lists(st.integers(0, 9), max_size=7), max_size=10)
+    )
+    if draw(st.booleans()):
+        rows = [np.array(row, dtype=np.int32) for row in rows]
+    largest = max((int(c) for row in rows for c in row), default=-1)
+    n_columns = largest + 1 + draw(st.integers(0, 3))
+    return rows, n_columns
+
+
+class TestAgainstTupleReference:
+    @given(raw=_raw_matrices(), data=st.data())
+    def test_csr_matrix_matches_tuple_rows(self, raw, data):
+        raw_rows, n_columns = raw
+        rows = [tuple(sorted(set(int(c) for c in row))) for row in raw_rows]
+        matrix = BinaryMatrix(raw_rows, n_columns=n_columns)
+        _reference_matches(matrix, rows, n_columns)
+        _reference_matches(pickle.loads(pickle.dumps(matrix)), rows, n_columns)
+        if n_columns:
+            assert matrix != BinaryMatrix(rows, n_columns=n_columns + 1)
+
+        keep = data.draw(st.sets(st.integers(0, n_columns + 2)))
+        _reference_matches(
+            matrix.restrict_columns(keep),
+            [tuple(c for c in row if c in keep) for row in rows],
+            n_columns,
+        )
+
+        picked = data.draw(
+            st.lists(st.integers(0, max(len(rows) - 1, 0)), max_size=12)
+            if rows else st.just([])
+        )
+        _reference_matches(
+            matrix.select_rows(picked), [rows[i] for i in picked], n_columns
+        )
+
+        _reference_matches(
+            matrix.transpose(),
+            [
+                tuple(i for i, row in enumerate(rows) if column in row)
+                for column in range(n_columns)
+            ],
+            len(rows),
+        )
+
+        kept = sorted(data.draw(st.sets(st.integers(0, n_columns + 1))))
+        compacted, old_ids = matrix.compact_columns(kept)
+        assert old_ids == kept
+        _reference_matches(
+            compacted,
+            [tuple(kept.index(c) for c in row if c in kept) for row in rows],
+            len(kept),
+        )
+        compacted, old_ids = matrix.compact_columns()
+        used = sorted({c for row in rows for c in row})
+        assert old_ids == used
+        _reference_matches(
+            compacted,
+            [tuple(used.index(c) for c in row) for row in rows],
+            len(used),
+        )
+
+        _reference_matches(
+            matrix.drop_empty_rows(), [row for row in rows if row], n_columns
+        )

@@ -12,7 +12,6 @@ class TestLifecycle:
         cand = CandidateArray()
         first = cand.ensure(3)
         assert cand.ensure(3) is first
-        assert cand.has_list(3)
 
     def test_get_missing_is_none(self):
         assert CandidateArray().get(0) is None
@@ -23,18 +22,12 @@ class TestLifecycle:
         cand.add(0, 1, 0)
         cand.release(0)
         assert cand.total_entries == 0
-        assert not cand.has_list(0)
+        assert cand.get(0) is None
 
     def test_release_is_idempotent(self):
         cand = CandidateArray()
         cand.release(0)
         assert cand.total_entries == 0
-
-    def test_open_columns(self):
-        cand = CandidateArray()
-        cand.ensure(2)
-        cand.ensure(5)
-        assert set(cand.open_columns()) == {2, 5}
 
 
 class TestEntries:

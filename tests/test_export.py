@@ -87,6 +87,13 @@ class TestJsonRoundTrip:
         with pytest.raises(ValueError):
             rules_from_json(document)
 
+    def test_fractional_column_rejected(self):
+        document = rules_to_json(RuleSet([ImplicationRule(1, 2, 1, 2)]))
+        record = json.loads(document)
+        record["rules"][0]["antecedent"] = 1.5
+        with pytest.raises(ValueError, match="integers"):
+            rules_from_json(json.dumps(record))
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             rules_from_json('{"rules": [{"kind": "bogus"}]}')

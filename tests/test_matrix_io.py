@@ -75,6 +75,19 @@ class TestNpzFormat:
         save_npz(plain_matrix, base + ".npz")
         assert load_npz(base) == plain_matrix
 
+    def test_round_trip_with_empty_rows(self, tmp_path):
+        matrix = BinaryMatrix([[], [2, 0], [], [], [1], []], n_columns=4)
+        path = str(tmp_path / "gaps.npz")
+        save_npz(matrix, path)
+        loaded = load_npz(path)
+        assert loaded == matrix
+        assert [row for _, row in loaded.iter_rows()] == [
+            (), (0, 2), (), (), (1,), ()
+        ]
+        assert loaded.row_densities().tolist() == [0, 2, 0, 0, 1, 0]
+        assert not loaded.offsets.flags.writeable
+        assert not loaded.cols.flags.writeable
+
     def test_empty_matrix(self, tmp_path):
         matrix = BinaryMatrix([], n_columns=0)
         path = str(tmp_path / "empty.npz")

@@ -104,6 +104,36 @@ class TestScanOrder:
             EXAMPLE31_SPARSEST_ORDER
         )
 
+    @given(
+        densities=st.lists(
+            st.integers(min_value=0, max_value=40), max_size=60
+        )
+    )
+    def test_scan_order_is_the_bucket_walk(self, densities):
+        """Section 4.1's definition: walk the buckets from the sparsest
+        up and visit each bucket's rows in their original order."""
+        matrix = BinaryMatrix(
+            [range(density) for density in densities], n_columns=40
+        )
+        walk = []
+        for bucket in range(40 .bit_length()):
+            walk.extend(
+                row_id
+                for row_id, density in enumerate(densities)
+                if density and 2**bucket <= density < 2 ** (bucket + 1)
+            )
+        assert scan_order(matrix) == walk
+        buckets = density_buckets(matrix)
+        assert [row for bucket in buckets for row in bucket] == walk
+        for index, bucket in enumerate(buckets):
+            assert all(bucket_index(densities[row]) == index for row in bucket)
+        assert scan_order(matrix, sparsest_first=False) == [
+            row_id for row_id, density in enumerate(densities) if density
+        ]
+        assert exact_sparsest_order(matrix) == sorted(
+            walk, key=lambda row_id: densities[row_id]
+        )
+
     def test_bucketed_order_never_increases_bucket(self):
         matrix = BinaryMatrix(
             [[0, 1, 2, 3, 4], [0], [1, 2], [3], [0, 1]], n_columns=5

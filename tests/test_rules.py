@@ -219,6 +219,18 @@ class TestRuleSetLimits:
                 )
         assert rules.pairs() == {(0, 1)}
 
+    def test_fractional_id_or_count_raises(self):
+        """Non-integral ids and counts are refused, never truncated."""
+        with pytest.raises(ValueError, match="integers"):
+            RuleSet([ImplicationRule(0.9, 1, 1, 1)])
+        rules = RuleSet([ImplicationRule(0, 1, 1, 1)])
+        with pytest.raises(ValueError, match="integers"):
+            rules.add(ImplicationRule(2, 3, 1.5, 2))
+        with pytest.raises(ValueError, match="integers"):
+            rules.add_columns(ImplicationRule, [2], [3.5], [1], [2])
+        rules.add(ImplicationRule(2.0, 3, 1, 2))  # integral: taken as 2
+        assert rules.pairs() == {(0, 1), (2, 3)}
+
     def test_mixing_kinds_raises(self):
         rules = RuleSet([ImplicationRule(0, 1, 1, 1)])
         with pytest.raises(ValueError, match="one rule kind"):
