@@ -26,9 +26,11 @@ from repro.core.dmc_imp import PruningOptions, find_implication_rules
 from repro.core.miss_counting import BitmapConfig
 from repro.core.dmc_sim import find_similarity_rules
 from repro.core import vector
+from repro.core.policies import HundredPercentPolicy, IdentityPolicy
 from repro.core.stats import PipelineStats
 from repro.matrix.binary_matrix import BinaryMatrix
 from repro.matrix.io import save_transactions
+from repro.matrix.reorder import scan_order
 from repro.matrix.stream import (
     BucketSpill,
     FileSource,
@@ -563,6 +565,30 @@ BUDGET_TASKS = {
 }
 
 
+def _first_pair_row(matrix, task) -> int:
+    """The first row after which a vector 100% pass in one-row blocks
+    holds a pair, and so exceeds a one-byte budget: a row where a
+    column with more than one 1 first occurs beside an eligible
+    candidate (the ``PairStore`` charges nothing for a list with no
+    pairs)."""
+    ones = matrix.column_ones()
+    policy = (
+        HundredPercentPolicy(ones) if task == "implication"
+        else IdentityPolicy(ones)
+    )
+    seen = set()
+    for position, (_, row) in enumerate(
+        matrix.iter_rows(scan_order(matrix))
+    ):
+        for owner in set(row) - seen:
+            if ones[owner] > 1 and any(
+                policy.eligible(owner, cand) for cand in row if cand != owner
+            ):
+                return position + 1
+        seen.update(row)
+    raise AssertionError("no row admits a pair")
+
+
 def _mine_under_budget(data, task, engine, budget):
     return repro.mine(
         data, task=task, threshold=BUDGET_TASKS[task][0], engine=engine,
@@ -604,8 +630,10 @@ class TestMemoryBudget:
         if when == "never":
             assert tripped is None
         elif when == "row-1":
-            assert tripped == 1
-            assert result.stats.hundred_percent_scan.guard_tripped_at == 1
+            # The zero-miss scan charges every list from its first row.
+            first = 1 if engine == "dmc" else _first_pair_row(matrix, task)
+            assert tripped == first
+            assert result.stats.hundred_percent_scan.guard_tripped_at == first
         else:
             assert 1 < tripped < matrix.n_rows
             assert result.stats.partial_scan.guard_tripped_at is not None
