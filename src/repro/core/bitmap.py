@@ -40,10 +40,10 @@ from repro.core.rules import RuleSet
 from repro.core.stats import ScanStats
 from repro.matrix.ops import (
     DEFAULT_BLOCK_ROWS,
+    BlockHits,
     block_co_matrix,
     co_occurrences,
     dense_block,
-    pair_hits,
 )
 from repro.observe.progress import NULL_OBSERVER
 
@@ -167,9 +167,9 @@ def bitmap_tail(
                 co_block = block_co_matrix(dense, len(picked))
                 touched = np.flatnonzero(counts[owners])
                 if len(touched):
-                    co[touched] += pair_hits(
-                        dense, to_active[owners[touched]],
-                        to_active[cands[touched]], co_block,
+                    co[touched] += BlockHits(dense, co_block)(
+                        to_active[owners[touched]],
+                        to_active[cands[touched]],
                     )
                 if len(picked):
                     owners, cands, co = map(np.concatenate, zip(

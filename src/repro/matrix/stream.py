@@ -66,6 +66,7 @@ from repro.core.rules import RuleSet
 from repro.core.stats import PipelineStats
 from repro.core.thresholds import as_fraction
 from repro.matrix.binary_matrix import BinaryMatrix
+from repro.matrix.ops import RowBlocks
 from repro.matrix.reorder import bucket_index
 from repro.observe.progress import NULL_OBSERVER
 from repro.runtime import faults
@@ -480,12 +481,13 @@ def _first_scan(
     return counts
 
 
-def _spill_rows(spill: BucketSpill, observer):
+def _spill_rows(spill: BucketSpill, observer, scan: str):
     """Pass 2's row source (a :data:`repro.core.dmc_imp.RowSource`).
 
     Every pass replays the bucket files sparsest-first, straight into
     the scan engine — nothing is materialized except what the engine
-    holds — and drops the columns outside ``keep`` on the fly.  Spill
+    holds — and drops the columns outside ``keep`` on the fly; a vector
+    ``scan`` reads the replay in blocks (:class:`RowBlocks`).  Spill
     I/O retries are charged to the pass that hit them.
     """
     spill.observer = observer
@@ -502,7 +504,10 @@ def _spill_rows(spill: BucketSpill, observer):
                     row = tuple(c for c in row if c in keep)
                 yield row_id, row
 
-        return replay(), spill.rows_spilled
+        rows = replay()
+        if scan == "vector":
+            rows = RowBlocks(rows)
+        return rows, spill.rows_spilled
 
     return rows_for
 
@@ -735,7 +740,7 @@ def _stream_rules_on_disk(
                         store = None
                         spill._delete_on_close = True
             rules = mine_passes(
-                kind, threshold, ones, _spill_rows(spill, observer),
+                kind, threshold, ones, _spill_rows(spill, observer, scan),
                 options, scan, stats, observer,
             )
     finally:
@@ -800,9 +805,10 @@ def stream_implication_rules(
     ``preflight=True`` checks free disk space against the estimated
     spill footprint before pass 1 starts.
 
-    ``scan_engine="vector"`` replays pass 2's <100% scan through the
-    blocked numpy engine (:mod:`repro.core.vector`) instead of the
-    row-at-a-time loop.  The rule set is identical either way.
+    ``scan_engine="vector"`` runs both of pass 2's scans (100% and
+    <100%) on the blocked numpy engine (:mod:`repro.core.vector`);
+    ``"serial"`` keeps the zero-miss and miss-counting scans.  The rule
+    set is identical either way.
     """
     options = PruningOptions(bitmap=bitmap)
     return _stream_rules(
