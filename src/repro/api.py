@@ -98,7 +98,8 @@ class MiningConfig:
         switch entirely).
     n_partitions / n_workers:
         Partitioned-engine tuning, both at least 1 (``n_workers > 1``
-        mines partitions on a spawn process pool; ``None`` or 1 mines
+        mines partitions on a spawn process pool and needs
+        ``engine="partitioned"`` or ``"vector"``; ``None`` or 1 mines
         them in-process).
     memory_budget:
         Hard counter-array budget in bytes: it sets the bitmap
@@ -208,6 +209,13 @@ class MiningConfig:
             raise ValueError(
                 "n_workers must be at least 1 (or None for in-process)"
             )
+        if (self.n_workers or 0) > 1 and self.engine not in (
+            "partitioned", "vector",
+        ):
+            raise ValueError(
+                f"n_workers > 1 needs engine='partitioned' or 'vector', "
+                f"not {self.engine!r}"
+            )
         if self.serve_metrics_port is not None and not (
             0 <= self.serve_metrics_port <= 65535
         ):
@@ -282,11 +290,10 @@ class EnginePlan:
 
     ``carrier`` is the pipeline that owns the passes: ``"dmc"``
     (in-memory), ``"stream"`` (two-pass on disk) or ``"partitioned"``
-    (divide and conquer).  ``scan_engine`` is the scan the facade picks
-    for the miss-counting passes inside the carrier: ``"serial"`` for
-    ``engine="dmc"``, ``"vector"`` for every other engine.  ``name`` is
-    the user-facing combination recorded on the journal's ``run-start``
-    event and on :attr:`MiningResult.engine`.
+    (divide and conquer).  ``scan_engine`` is the scan its passes run:
+    ``"serial"`` for ``engine="dmc"``, ``"vector"`` for every other
+    engine.  ``name`` is the user-facing combination recorded on the
+    journal's ``run-start`` event and on :attr:`MiningResult.engine`.
     """
 
     name: str
@@ -577,7 +584,6 @@ def _run_plan(plan, config, matrix, source, options, stats, observer):
             config.threshold,
             config.task,
             options,
-            plan.scan_engine,
             spill_dir=config.spill_dir,
             checkpoint_dir=config.checkpoint_dir,
             stats=stats,
@@ -599,7 +605,6 @@ def _run_plan(plan, config, matrix, source, options, stats, observer):
             n_workers=config.n_workers,
             stats=stats,
             observer=observer,
-            scan_engine=plan.scan_engine,
         )
     return mine_matrix(
         config.task, matrix, config.threshold, options, stats, observer,

@@ -118,7 +118,8 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument(
             "--workers", type=int, default=None, metavar="N",
             help="mine with the partitioned engine on N worker "
-                 "processes (incompatible with --stream)",
+                 "processes (--engine auto, partitioned or vector; "
+                 "incompatible with --stream)",
         )
         sub.add_argument(
             "--partitions", type=int, default=4, metavar="N",
@@ -402,6 +403,20 @@ def _mine(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
+    engine = getattr(args, "engine", "auto")
+    engine_kwargs = {"engine": engine}
+    if workers is not None:
+        if engine == "auto":
+            engine_kwargs["engine"] = "partitioned"
+        engine_kwargs["n_partitions"] = getattr(args, "partitions", 4)
+        engine_kwargs["n_workers"] = workers
+        from repro.api import MiningConfig
+
+        try:
+            MiningConfig(threshold=1, **engine_kwargs)
+        except ValueError as error:
+            print(f"--workers: {error}", file=sys.stderr)
+            return 2
     observer = _build_observer(args)
 
     vocabulary = None
@@ -430,15 +445,6 @@ def _mine(args: argparse.Namespace) -> int:
                 if args.command == "mine-imp"
                 else {"minsim": args.minsim}
             )
-            engine = getattr(args, "engine", "auto")
-            engine_kwargs = {"engine": engine}
-            if workers is not None:
-                if engine == "auto":
-                    engine_kwargs["engine"] = "partitioned"
-                engine_kwargs["n_partitions"] = getattr(
-                    args, "partitions", 4
-                )
-                engine_kwargs["n_workers"] = workers
             serve_port = getattr(args, "serve_metrics", None)
             if serve_port is not None:
                 where = (

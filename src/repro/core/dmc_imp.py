@@ -124,24 +124,13 @@ TASKS: Dict[str, DmcTask] = {
 }
 
 
-def check_scan(scan: str) -> None:
-    """Reject a scan name other than ``"serial"`` (the paper's
-    row-at-a-time loop, :mod:`repro.core.miss_counting`) and
-    ``"vector"`` (the blocked numpy engine, :mod:`repro.core.vector`).
-    Both mine the identical rules."""
-    if scan not in ("serial", "vector"):
-        raise ValueError(
-            f"unknown scan_engine {scan!r}; use 'serial' or 'vector'"
-        )
-
-
 #: ``rows_for(keep, scan_stats) -> (rows, n_rows)``: the carrier's rows
 #: in scan order, with every column outside ``keep`` dropped
 #: (``keep=None`` keeps all), in the form the carrier's scan reads: a
-#: ``(row_id, columns)`` stream for the serial scans, a block source
-#: (``take(n) -> (n, lengths, cols)``) for the vector scan —
-#: :class:`repro.core.vector.MatrixBlocks` over an in-memory matrix's
-#: CSR arrays, :class:`repro.matrix.ops.RowBlocks` over a stream.
+#: ``(row_id, columns)`` stream for the serial scans (in-memory only), a
+#: block source (``take(n) -> (n, lengths, cols)``) for the vector scan
+#: — :class:`repro.core.vector.MatrixBlocks` over an in-memory matrix's
+#: CSR arrays, :class:`repro.matrix.ops.RowBlocks` over the spill.
 #: ``scan_stats`` is the pass's :class:`ScanStats`, for counters the row
 #: source itself keeps (spill I/O retries).
 RowSource = Callable[
@@ -167,10 +156,11 @@ def mine_passes(
 
     ``ones`` are the pre-scan's column counts and ``rows_for`` the
     carrier's row source (see :data:`RowSource`).  Every pass runs
-    ``scan`` (see :func:`check_scan`), which ``stats.scan_engine``
-    records; under ``"serial"`` the 100% pass runs its Section 4.3
-    specialization, the zero-miss scan.  Every policy's int64 twins
-    are exact, so both scans take any threshold.
+    ``scan``, ``"serial"`` (only ``engine="dmc"`` picks it) or
+    ``"vector"``, which ``stats.scan_engine`` records; under
+    ``"serial"`` the 100% pass runs its Section 4.3 specialization, the
+    zero-miss scan.  Every policy's int64 twins are exact, so both
+    scans take any threshold.
     Phases are timed into ``stats.timer`` and reported to ``observer``.
     """
     threshold = as_fraction(threshold)

@@ -168,12 +168,12 @@ def miss_counting_scan_rows(
 
     ``rows`` yields ``(row_id, column_ids)`` pairs exactly once, in
     scan order; ``n_rows`` is the total the stream will yield (known
-    from the first pass).  This is the streaming core behind
-    :func:`miss_counting_scan` and :mod:`repro.matrix.stream` — rows
-    are consumed strictly sequentially, and on a bitmap switch the
-    remainder of the stream is drained into the tail (which is exactly
-    what Algorithm 4.1 does: "read the rest of the rows and create
-    bitmaps").
+    from the first pass).  This is the core behind
+    :func:`miss_counting_scan` and the ``engine="dmc"`` passes of
+    :func:`repro.core.dmc_imp.mine_matrix` — rows are consumed strictly
+    sequentially, and on a bitmap switch the remainder of the stream is
+    drained into the tail (which is exactly what Algorithm 4.1 does:
+    "read the rest of the rows and create bitmaps").
 
     A ``bitmap.hard_budget_bytes`` is checked at every row boundary,
     not just within the paper's end-of-scan switch window: when the

@@ -39,8 +39,6 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from typing import List, Optional, Set, Tuple
 
-from repro.core.dmc_imp import check_scan
-from repro.core.miss_counting import miss_counting_scan
 from repro.core.policies import ImplicationPolicy, SimilarityPolicy
 from repro.core.rules import (
     ImplicationRule,
@@ -54,6 +52,7 @@ from repro.core.thresholds import (
     confidence_holds,
     similarity_holds,
 )
+from repro.core.vector import vector_scan
 from repro.matrix.binary_matrix import BinaryMatrix
 from repro.matrix.reorder import scan_order
 from repro.observe.progress import NULL_OBSERVER
@@ -65,9 +64,6 @@ class _AllPairsImplicationPolicy(ImplicationPolicy):
     Local partitions must mine both directions of every pair because the
     globally canonical direction may be locally non-canonical.
     """
-
-    def eligible(self, column_j: int, candidate_k: int) -> bool:
-        return column_j != candidate_k
 
     def eligible_mask(self, owners, cands):
         return owners != cands
@@ -84,16 +80,16 @@ def _partition_rows(matrix: BinaryMatrix, n_partitions: int) -> List[List[int]]:
 
 
 def _mine_chunk(args, observer=None) -> List[Tuple[int, int]]:
-    """Worker: mine one partition and return its unordered pairs.
+    """Worker: vector-scan one partition; return its unordered pairs.
 
     Module-level (not a closure) so it is picklable for the process
-    pool.  The payload is ``(local, threshold, kind, scan_engine)``,
-    ``local`` being the partition's rows as a :class:`BinaryMatrix`.
+    pool.  The payload is ``(local, threshold, kind)``, ``local`` being
+    the partition's rows as a :class:`BinaryMatrix`.
     ``observer`` is the parent's when partitions run in-process (pool
     workers run unobserved); the chunk's scan folds onto its metrics
     under ``scan="partition"``.
     """
-    local, threshold, kind, scan_engine = args
+    local, threshold, kind = args
     if kind == "implication":
         policy = _AllPairsImplicationPolicy(
             local.column_ones(), threshold
@@ -110,18 +106,10 @@ def _mine_chunk(args, observer=None) -> List[Tuple[int, int]]:
         else nullcontext()
     )
     with span:
-        if scan_engine == "vector":
-            from repro.core.vector import vector_scan
-
-            local_rules = vector_scan(
-                local, policy, order=scan_order(local), stats=scan_stats,
-                observer=observer,
-            )
-        else:
-            local_rules = miss_counting_scan(
-                local, policy, order=scan_order(local), stats=scan_stats,
-                observer=observer,
-            )
+        local_rules = vector_scan(
+            local, policy, order=scan_order(local), stats=scan_stats,
+            observer=observer,
+        )
     metrics = getattr(observer, "metrics", None)
     if metrics is not None:
         metrics.record_scan("partition", scan_stats)
@@ -139,16 +127,12 @@ def _local_candidates(
     n_workers: Optional[int],
     stats: PipelineStats,
     observer,
-    scan_engine: str,
 ) -> Set[Tuple[int, int]]:
-    """Mine every partition (in-process or on the spawn pool) with
-    ``scan_engine`` and union the locally-valid pairs.  The scan is
-    recorded on ``stats.scan_engine``.
-    """
-    check_scan(scan_engine)
-    stats.scan_engine = scan_engine
+    """Mine every partition (in-process or on the spawn pool) and union
+    the locally-valid pairs."""
+    stats.scan_engine = "vector"
     jobs = [
-        (matrix.select_rows(chunk), threshold, kind, scan_engine)
+        (matrix.select_rows(chunk), threshold, kind)
         for chunk in _partition_rows(matrix, n_partitions)
     ]
     if not jobs:  # empty matrix: nothing to mine, no pool to size
@@ -177,7 +161,6 @@ def find_implication_rules_partitioned(
     n_workers: Optional[int] = None,
     stats: Optional[PipelineStats] = None,
     observer=None,
-    scan_engine: str = "serial",
 ) -> RuleSet:
     """Mine implication rules by partitioned candidate generation.
 
@@ -188,11 +171,8 @@ def find_implication_rules_partitioned(
     processes, and a worker death raises
     :class:`~concurrent.futures.process.BrokenProcessPool`.
     ``observer`` sees a ``partition-mining`` and a
-    ``verify-candidates`` phase.
-
-    ``scan_engine="vector"`` mines each partition with the blocked
-    numpy engine (:mod:`repro.core.vector`) instead of the serial scan.
-    The rule set is identical either way.
+    ``verify-candidates`` phase.  Each partition is mined with the
+    blocked numpy scan (:mod:`repro.core.vector`).
     """
     minconf = as_fraction(minconf)
     if stats is None:
@@ -204,7 +184,7 @@ def find_implication_rules_partitioned(
     with observer.phase("partition-mining", stats.timer):
         candidates = _local_candidates(
             matrix, minconf, n_partitions, "implication", n_workers,
-            stats, observer, scan_engine,
+            stats, observer,
         )
 
     from repro.baselines.bruteforce import pairwise_intersections
@@ -240,13 +220,12 @@ def find_similarity_rules_partitioned(
     n_workers: Optional[int] = None,
     stats: Optional[PipelineStats] = None,
     observer=None,
-    scan_engine: str = "serial",
 ) -> RuleSet:
     """Mine similarity rules by partitioned candidate generation.
 
     Produces exactly the rules of
     :func:`repro.core.dmc_sim.find_similarity_rules`.  ``n_workers``,
-    ``stats``, ``observer`` and ``scan_engine`` behave as in
+    ``stats`` and ``observer`` behave as in
     :func:`find_implication_rules_partitioned`.
     """
     minsim = as_fraction(minsim)
@@ -259,7 +238,7 @@ def find_similarity_rules_partitioned(
     with observer.phase("partition-mining", stats.timer):
         candidates = _local_candidates(
             matrix, minsim, n_partitions, "similarity", n_workers,
-            stats, observer, scan_engine,
+            stats, observer,
         )
 
     from repro.baselines.bruteforce import pairwise_intersections

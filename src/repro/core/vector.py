@@ -127,7 +127,7 @@ def vector_scan(
     ``DEFAULT_BLOCK_ROWS``).
     """
     source = MatrixBlocks(matrix, matrix_order(matrix, policy, order))
-    return _scan_blocks(
+    return vector_scan_rows(
         source, source.n_rows, policy, stats=stats, bitmap=bitmap,
         rules=rules, observer=observer, block_rows=block_rows,
     )
@@ -149,29 +149,10 @@ def vector_scan_rows(
     ``source`` is a block source (``take(n) -> (n, lengths, cols)``)
     serving every row exactly once in scan order: :class:`MatrixBlocks`
     over a matrix's CSR rows, or :class:`repro.matrix.ops.RowBlocks`
-    over a ``(row_id, column_ids)`` stream like the one
-    :func:`repro.core.miss_counting.miss_counting_scan_rows` reads.  It
-    is consumed strictly sequentially, block by block, so spill-bucket
-    replay and checkpoint resume work unchanged.
+    over the stream carrier's spill-bucket replay of ``(row_id,
+    column_ids)`` pairs.  It is consumed strictly sequentially, block by
+    block, so spill-bucket replay and checkpoint resume work unchanged.
     """
-    return _scan_blocks(
-        source, n_rows, policy, stats=stats, bitmap=bitmap,
-        rules=rules, observer=observer, block_rows=block_rows,
-        dense_pair_columns=dense_pair_columns,
-    )
-
-
-def _scan_blocks(
-    source,
-    n_rows: int,
-    policy: PairPolicy,
-    stats: Optional[ScanStats] = None,
-    bitmap: Optional[BitmapConfig] = None,
-    rules: Optional[RuleSet] = None,
-    observer=None,
-    block_rows: Optional[int] = None,
-    dense_pair_columns: int = DENSE_PAIR_COLUMNS,
-) -> RuleSet:
     if stats is None:
         stats = ScanStats()
     if rules is None:

@@ -55,12 +55,7 @@ import tempfile
 import warnings
 from typing import Iterable, Iterator, List, Optional, TextIO, Tuple
 
-from repro.core.dmc_imp import (
-    PruningOptions,
-    check_scan,
-    mine_matrix,
-    mine_passes,
-)
+from repro.core.dmc_imp import PruningOptions, mine_matrix, mine_passes
 from repro.core.miss_counting import BitmapConfig
 from repro.core.rules import RuleSet
 from repro.core.stats import PipelineStats
@@ -481,14 +476,14 @@ def _first_scan(
     return counts
 
 
-def _spill_rows(spill: BucketSpill, observer, scan: str):
+def _spill_rows(spill: BucketSpill, observer):
     """Pass 2's row source (a :data:`repro.core.dmc_imp.RowSource`).
 
     Every pass replays the bucket files sparsest-first, straight into
-    the scan engine — nothing is materialized except what the engine
-    holds — and drops the columns outside ``keep`` on the fly; a vector
-    ``scan`` reads the replay in blocks (:class:`RowBlocks`).  Spill
-    I/O retries are charged to the pass that hit them.
+    the vector scan in blocks (:class:`RowBlocks`) — nothing is
+    materialized except what the scan holds — and drops the columns
+    outside ``keep`` on the fly.  Spill I/O retries are charged to the
+    pass that hit them.
     """
     spill.observer = observer
 
@@ -504,10 +499,7 @@ def _spill_rows(spill: BucketSpill, observer, scan: str):
                     row = tuple(c for c in row if c in keep)
                 yield row_id, row
 
-        rows = replay()
-        if scan == "vector":
-            rows = RowBlocks(rows)
-        return rows, spill.rows_spilled
+        return RowBlocks(replay()), spill.rows_spilled
 
     return rows_for
 
@@ -555,15 +547,14 @@ def _in_memory_fallback(
     threshold,
     kind: str,
     options: PruningOptions,
-    scan: str,
     stats: PipelineStats,
     observer,
 ) -> RuleSet:
     """Redo a mine entirely in memory (the spill degradation target).
 
     Materializes the source as a :class:`BinaryMatrix` and runs the
-    standard in-memory engine — the exact same rules, no disk beyond
-    the source itself.
+    in-memory pipeline on the same vector scan — the exact same rules,
+    no disk beyond the source itself.
     """
     matrix = getattr(source, "_matrix", None)
     if matrix is None:
@@ -572,7 +563,7 @@ def _in_memory_fallback(
         )
     with observer.span("in-memory-fallback"):
         return mine_matrix(
-            kind, matrix, threshold, options, stats, observer, scan
+            kind, matrix, threshold, options, stats, observer, "vector"
         )
 
 
@@ -581,7 +572,6 @@ def _stream_rules(
     threshold,
     kind: str,
     options: PruningOptions,
-    scan: str,
     spill_dir: Optional[str] = None,
     checkpoint_dir: Optional[str] = None,
     stats: Optional[PipelineStats] = None,
@@ -592,12 +582,11 @@ def _stream_rules(
 ) -> RuleSet:
     """The shared two-pass pipeline behind both stream entry points.
 
-    ``kind`` is a :data:`repro.core.dmc_imp.TASKS` key, ``options``
-    the full :class:`~repro.core.dmc_imp.PruningOptions` and ``scan``
-    pass 2's scan (``"serial"`` or ``"vector"``); pass 2 is the
-    one DMC phase sequence, so every ablation toggle applies (the spill
-    buckets *are* the Section 4.1 reordering, so ``row_reordering`` has
-    no effect here).
+    ``kind`` is a :data:`repro.core.dmc_imp.TASKS` key and ``options``
+    the full :class:`~repro.core.dmc_imp.PruningOptions`; pass 2 is the
+    one DMC phase sequence on the vector scan, so every ablation toggle
+    applies (the spill buckets *are* the Section 4.1 reordering, so
+    ``row_reordering`` has no effect here).
 
     Runs under :func:`repro.runtime.guards.graceful_interrupts`:
     SIGTERM unwinds like Ctrl-C, so the spill buckets close and the
@@ -610,7 +599,6 @@ def _stream_rules(
     describe the run that actually produced the rules, with the
     degradation recorded in ``stats.degradations``.
     """
-    check_scan(scan)
     threshold = as_fraction(threshold)
     if stats is None:
         stats = PipelineStats()
@@ -618,7 +606,7 @@ def _stream_rules(
         observer = NULL_OBSERVER
     try:
         return _stream_rules_on_disk(
-            source, threshold, kind, options, scan, spill_dir,
+            source, threshold, kind, options, spill_dir,
             checkpoint_dir, stats, observer, storage, preflight,
         )
     except OSError as error:
@@ -637,7 +625,7 @@ def _stream_rules(
             stacklevel=2,
         )
         return _in_memory_fallback(
-            source, threshold, kind, options, scan, stats, observer
+            source, threshold, kind, options, stats, observer
         )
 
 
@@ -646,7 +634,6 @@ def _stream_rules_on_disk(
     threshold,
     kind: str,
     options: PruningOptions,
-    scan: str,
     spill_dir: Optional[str],
     checkpoint_dir: Optional[str],
     stats: PipelineStats,
@@ -740,8 +727,8 @@ def _stream_rules_on_disk(
                         store = None
                         spill._delete_on_close = True
             rules = mine_passes(
-                kind, threshold, ones, _spill_rows(spill, observer, scan),
-                options, scan, stats, observer,
+                kind, threshold, ones, _spill_rows(spill, observer),
+                options, "vector", stats, observer,
             )
     finally:
         if spill is not None:
@@ -775,13 +762,13 @@ def stream_implication_rules(
     storage=None,
     spill_degrade: bool = True,
     preflight: bool = False,
-    scan_engine: str = "serial",
 ) -> RuleSet:
     """Two-pass DMC-imp over a streaming source.
 
     Pass 1 counts column frequencies and spills rows to density-bucket
     files; pass 2 replays the buckets sparsest-first through the
-    100%-rule and <100% scans.  Equivalent to
+    100%-rule and <100% scans, both on the blocked numpy engine
+    (:mod:`repro.core.vector`).  Equivalent to
     :func:`repro.core.dmc_imp.find_implication_rules`.
 
     With ``checkpoint_dir`` the pass-1 state is persisted there (see
@@ -804,15 +791,10 @@ def stream_implication_rules(
     :class:`~repro.runtime.storage.StorageFull` instead).
     ``preflight=True`` checks free disk space against the estimated
     spill footprint before pass 1 starts.
-
-    ``scan_engine="vector"`` runs both of pass 2's scans (100% and
-    <100%) on the blocked numpy engine (:mod:`repro.core.vector`);
-    ``"serial"`` keeps the zero-miss and miss-counting scans.  The rule
-    set is identical either way.
     """
     options = PruningOptions(bitmap=bitmap)
     return _stream_rules(
-        source, minconf, "implication", options, scan_engine, spill_dir,
+        source, minconf, "implication", options, spill_dir,
         checkpoint_dir, stats, observer, storage, spill_degrade, preflight,
     )
 
@@ -828,17 +810,16 @@ def stream_similarity_rules(
     storage=None,
     spill_degrade: bool = True,
     preflight: bool = False,
-    scan_engine: str = "serial",
 ) -> RuleSet:
     """Two-pass DMC-sim over a streaming source.
 
     Equivalent to :func:`repro.core.dmc_sim.find_similarity_rules`.
     Checkpointing, validation, the bitmap switch, stats, observer,
-    storage, ``scan_engine`` and the degradation ladder behave exactly as in
+    storage and the degradation ladder behave exactly as in
     :func:`stream_implication_rules`.
     """
     options = PruningOptions(bitmap=bitmap)
     return _stream_rules(
-        source, minsim, "similarity", options, scan_engine, spill_dir,
+        source, minsim, "similarity", options, spill_dir,
         checkpoint_dir, stats, observer, storage, spill_degrade, preflight,
     )

@@ -401,6 +401,10 @@ class JobRecord:
                 for key, value in spec_document.items()
                 if key not in RETIRED_SPEC_KEYS
             }
+            if spec_document.get("engine") not in ("partitioned", "vector"):
+                # Older servers accepted, then ignored, a worker count
+                # here; a submit now refuses it (MiningConfig).
+                spec_document.pop("n_workers", None)
         spec = JobSpec.from_mapping(spec_document)  # type: ignore[arg-type]
         record = cls(
             spec=spec,

@@ -31,7 +31,7 @@ from repro.core.rules import (
     SimilarityRule,
     rule_columns,
 )
-from repro.core.stats import PipelineStats, ScanStats
+from repro.core.stats import ScanStats
 from repro.core.thresholds import confidence_holds, similarity_holds
 from repro.core.vector import vector_scan
 from repro.datasets.registry import load_dataset
@@ -39,7 +39,6 @@ from repro.experiments.figures import SCALED_BITMAP
 from repro.matrix.binary_matrix import BinaryMatrix
 from repro.matrix.ops import DEFAULT_BLOCK_ROWS, RowBlocks
 from repro.matrix.reorder import scan_order
-from repro.matrix.stream import MatrixSource, stream_implication_rules
 from tests.conftest import random_binary_matrix
 
 _NO_PAIRS = np.empty(0, dtype=np.int64)
@@ -306,17 +305,9 @@ _PINNED = {
     # The stream replays its spill buckets with removed columns filtered
     # out instead of re-bucketing the restricted rows, so its <100% pass
     # sees another row order than the in-memory carriers.
-    ("mine", 0.5, "stream"): (
-        (2689, 0, 1287, 1402, 0, 0, 0, None),
-        (2093, 0, 181, 2826, 0, 0, 0, None),
-    ),
     ("mine", 0.5, "stream+vector"): (
         (2689, 0, 1287, 2369, 0, 0, 0, None),
         (2093, 0, 181, 6911, 0, 0, 0, None),
-    ),
-    ("mine", 1, "stream"): (
-        (40736, 20098, 19450, 2674, 914, 116, 8240, 996),
-        (36547, 33137, 934, 8538, 654, 90, 5952, 996),
     ),
     ("mine", 1, "stream+vector"): (
         (40736, 20098, 19450, 4053, 212, 116, 8240, 996),
@@ -350,30 +341,17 @@ class TestStatsPinned:
     tail, so rules *and* statistics stay identical for every engine."""
 
     @pytest.mark.parametrize("scale", [0.5, 1])
-    @pytest.mark.parametrize(
-        "engine", ["dmc", "vector", "stream", "stream+vector"]
-    )
+    @pytest.mark.parametrize("engine", ["dmc", "vector", "stream+vector"])
     def test_mine_with_scaled_bitmap(self, scale, engine):
         matrix = load_dataset("plinkT", scale=scale)
-        if engine == "stream":
-            # mine() streams on the vector scan; the serial stream is
-            # the direct entry point.
-            stats = PipelineStats()
-            stream_implication_rules(
-                MatrixSource(matrix), "3/4", bitmap=SCALED_BITMAP,
-                stats=stats, scan_engine="serial",
-            )
-            assert stats.scan_engine == "serial"
-        else:
-            result = repro.mine(
-                matrix, engine=engine.partition("+")[0], minconf="3/4",
-                bitmap=SCALED_BITMAP,
-            )
-            assert result.engine == engine
-            stats = result.stats
+        result = repro.mine(
+            matrix, engine=engine.partition("+")[0], minconf="3/4",
+            bitmap=SCALED_BITMAP,
+        )
+        assert result.engine == engine
         got = (
-            _counters(stats.hundred_percent_scan),
-            _counters(stats.partial_scan),
+            _counters(result.stats.hundred_percent_scan),
+            _counters(result.stats.partial_scan),
         )
         assert got == _PINNED[("mine", scale, engine)]
 

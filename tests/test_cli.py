@@ -143,6 +143,17 @@ class TestMiningCommands:
         assert exit_info.value.code == 2
         assert "--block-rows" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("engine", ["dmc", "stream"])
+    def test_workers_need_a_partitioning_engine(
+        self, capsys, engine, transactions_file
+    ):
+        code = main(
+            ["mine-imp", transactions_file, "--engine", engine,
+             "--workers", "2"]
+        )
+        assert code == 2
+        assert "n_workers > 1" in capsys.readouterr().err
+
     def test_workers_conflict_with_checkpoint(
         self, capsys, transactions_file, tmp_path
     ):

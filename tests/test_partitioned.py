@@ -138,17 +138,6 @@ class TestSimilarity:
                 sets[rule.first] & sets[rule.second]
             )
 
-    def test_vector_scan_engine_matches_serial(self):
-        for seed in range(4):
-            matrix = random_binary_matrix(seed)
-            serial = find_similarity_rules_partitioned(
-                matrix, 0.5, n_partitions=3
-            ).pairs()
-            vector = find_similarity_rules_partitioned(
-                matrix, 0.5, n_partitions=3, scan_engine="vector"
-            ).pairs()
-            assert vector == serial, seed
-
 
 def _die(args, observer=None):
     """A partition worker that dies without a word."""

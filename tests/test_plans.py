@@ -70,6 +70,11 @@ PLANS = {
     ("partitioned", True, 1024, None): None,
     ("vector", False, None, 2): "partitioned+vector",
     ("vector", False, 1024, 2): None,
+    # Only the partitioned carrier runs a worker pool, so every other
+    # engine refuses n_workers > 1.
+    ("auto", False, None, 2): None,
+    ("dmc", False, None, 2): None,
+    ("stream", False, None, 2): None,
 }
 
 
@@ -103,6 +108,8 @@ def test_table_covers_every_request():
     }
     assert set(PLANS) == requests | {
         ("vector", False, None, 2), ("vector", False, 1024, 2),
+        ("auto", False, None, 2), ("dmc", False, None, 2),
+        ("stream", False, None, 2),
     }
 
 

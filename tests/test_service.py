@@ -321,6 +321,38 @@ class TestJobIndex:
         assert "vector_block_rows" not in reloaded.spec.to_mapping()
         assert "vector_block_rows" not in reloaded.spec.mining_kwargs(None)
 
+    @pytest.mark.parametrize("engine", ["auto", "dmc", "stream"])
+    def test_records_with_ignored_workers_reload_in_process(
+        self, tmp_path, engine
+    ):
+        """Older servers accepted ``n_workers > 1`` beside an engine
+        without a worker pool and mined on one process; a submit now
+        refuses that, and a stored job reloads without the count and
+        still mines in process."""
+        os.makedirs(tmp_path / "jobs")
+        spec = spec_doc(
+            "old-workers", engine=engine, n_workers=2, tenant="default",
+            n_partitions=4, max_attempts=3, kind="batch",
+        )
+        record = {
+            "version": 1, "job_id": "old-workers", "tenant": "default",
+            "state": QUEUED, "attempts": 0, "created_at": 1.0,
+            "updated_at": 2.0, "error": None, "rules": None,
+            "history": [[QUEUED, 2.0, "written by an older server"]],
+            "spec": spec,
+        }
+        (tmp_path / "jobs" / "old-workers.json").write_text(
+            json.dumps(record)
+        )
+        index = JobIndex(str(tmp_path))
+        report = index.recover()
+        assert report.corrupt == []
+        assert report.queued == ["old-workers"]
+        reloaded = index.get("old-workers")
+        assert reloaded.spec.engine == engine
+        assert reloaded.spec.n_workers is None
+        assert "n_workers" not in reloaded.spec.mining_kwargs(None)
+
     def test_recover_skips_corrupt_file(self, tmp_path):
         index = JobIndex(str(tmp_path))
         index.create(JobSpec.from_mapping(spec_doc("good")))
@@ -634,14 +666,18 @@ class TestServiceHTTP:
 
     def test_bad_partition_settings_are_refused_at_submit(self, service):
         base = service.server.url
-        for job_id, bad in (
-            ("h1", {"n_partitions": 0}),
-            ("h2", {"n_workers": 0}),
-            ("h3", {"n_workers": -1}),
+        for job_id, engine, bad in (
+            ("h1", "partitioned", {"n_partitions": 0}),
+            ("h2", "partitioned", {"n_workers": 0}),
+            ("h3", "partitioned", {"n_workers": -1}),
+            # Only the partitioned carrier runs a worker pool.
+            ("h4", "auto", {"n_workers": 2}),
+            ("h5", "dmc", {"n_workers": 2}),
+            ("h6", "stream", {"n_workers": 2}),
         ):
             code, document, _ = http(
                 "POST", base + "/jobs",
-                spec_doc(job_id, engine="partitioned", **bad),
+                spec_doc(job_id, engine=engine, **bad),
             )
             assert code == 400
             assert next(iter(bad)) in document["error"]

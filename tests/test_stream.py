@@ -188,16 +188,15 @@ def wlog():
 def _mine(matrix, engine, task="implication", threshold="3/5", **toggles):
     """Mine on ``"dmc"``, ``"vector"``, ``"stream"`` or
     ``"stream+vector"`` with the given ablation toggles; returns
-    ``(rules, stats)``.  ``mine`` streams on the vector scan, so the
-    serial ``"stream"`` runs the stream pipeline directly."""
+    ``(rules, stats)``.  ``"stream+vector"`` goes through ``mine``,
+    ``"stream"`` runs the stream pipeline directly."""
     options = PruningOptions(**toggles)
     if engine == "stream":
         stats = PipelineStats()
         rules = _stream_rules(
-            MatrixSource(matrix), threshold, task, options, "serial",
-            stats=stats,
+            MatrixSource(matrix), threshold, task, options, stats=stats,
         )
-        assert stats.scan_engine == "serial"
+        assert stats.scan_engine == "vector"
         return rules, stats
     result = mine(
         matrix, task=task, threshold=threshold,

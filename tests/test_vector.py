@@ -16,7 +16,10 @@ from repro.api import ENGINES, MiningConfig, mine, resolve_engine
 from repro.core import vector
 from repro.core.dmc_imp import PruningOptions, find_implication_rules
 from repro.core.dmc_sim import find_similarity_rules
-from repro.core.partitioned import find_implication_rules_partitioned
+from repro.core.partitioned import (
+    find_implication_rules_partitioned,
+    find_similarity_rules_partitioned,
+)
 from repro.core.miss_counting import BitmapConfig, miss_counting_scan
 from repro.core.policies import (
     HundredPercentPolicy,
@@ -34,7 +37,11 @@ from repro.datasets.registry import load_dataset
 from repro.matrix.binary_matrix import BinaryMatrix
 from repro.matrix.ops import RowBlocks
 from repro.matrix.reorder import scan_order
-from repro.matrix.stream import MatrixSource, stream_implication_rules
+from repro.matrix.stream import (
+    MatrixSource,
+    stream_implication_rules,
+    stream_similarity_rules,
+)
 from repro.observe.journal import summarize_journal
 from repro.observe.live import LiveRunStatus
 from tests.conftest import random_binary_matrix
@@ -191,17 +198,6 @@ class TestScanParity:
         else:
             assert got[0] >= counters[0]
 
-    def test_rejects_unknown_scan_engine(self):
-        matrix = random_binary_matrix(0)
-        with pytest.raises(ValueError, match="scan_engine"):
-            stream_implication_rules(
-                MatrixSource(matrix), 0.5, scan_engine="simd"
-            )
-        with pytest.raises(ValueError, match="scan_engine"):
-            find_implication_rules_partitioned(
-                matrix, 0.5, scan_engine="simd"
-            )
-
 
 class TestPipelineParity:
     """The full two-pass pipelines on the vector scan, in 7-row
@@ -257,25 +253,53 @@ class TestResolver:
         )
         assert options == PruningOptions()
 
-    def test_explicit_serial_scan_keeps_every_carrier_serial(self):
-        """engine='dmc' and the direct entry points (whose
-        ``scan_engine`` defaults to "serial") run the paper's scan."""
+    def test_serial_scan_is_the_in_memory_carriers_alone(self):
+        """engine='dmc' and the direct ``find_*`` calls run the paper's
+        scan; the direct stream and partitioned entry points run the
+        vector scan."""
         matrix = random_binary_matrix(3)
         plan, _ = self._resolve(engine="dmc", memory_budget=1024)
         assert plan.scan_engine == "serial"
-        for run in (
-            lambda stats: find_implication_rules(matrix, 0.6, stats=stats),
-            lambda stats: stream_implication_rules(
-                MatrixSource(matrix), 0.6, stats=stats,
-                scan_engine="serial",
-            ),
-            lambda stats: find_implication_rules_partitioned(
-                matrix, 0.6, stats=stats, scan_engine="serial"
-            ),
+        result = mine(matrix, minconf=0.6, engine="dmc")
+        assert result.stats.scan_engine == "serial"
+        for run, scan in (
+            (lambda stats: find_implication_rules(
+                matrix, 0.6, stats=stats), "serial"),
+            (lambda stats: find_similarity_rules(
+                matrix, 0.6, stats=stats), "serial"),
+            (lambda stats: stream_implication_rules(
+                MatrixSource(matrix), 0.6, stats=stats), "vector"),
+            (lambda stats: stream_similarity_rules(
+                MatrixSource(matrix), 0.6, stats=stats), "vector"),
+            (lambda stats: find_implication_rules_partitioned(
+                matrix, 0.6, stats=stats), "vector"),
+            (lambda stats: find_similarity_rules_partitioned(
+                matrix, 0.6, stats=stats), "vector"),
         ):
             stats = PipelineStats()
             run(stats)
-            assert stats.scan_engine == "serial"
+            assert stats.scan_engine == scan
+
+    @pytest.mark.parametrize("entry", [
+        lambda matrix, **kw: stream_implication_rules(
+            MatrixSource(matrix), 0.6, **kw),
+        lambda matrix, **kw: stream_similarity_rules(
+            MatrixSource(matrix), 0.6, **kw),
+        lambda matrix, **kw: find_implication_rules_partitioned(
+            matrix, 0.6, **kw),
+        lambda matrix, **kw: find_similarity_rules_partitioned(
+            matrix, 0.6, **kw),
+    ], ids=[
+        "stream_implication_rules", "stream_similarity_rules",
+        "find_implication_rules_partitioned",
+        "find_similarity_rules_partitioned",
+    ])
+    @pytest.mark.parametrize("scan", ["serial", "vector"])
+    def test_scan_engine_is_retired(self, entry, scan):
+        """The stream and partitioned carriers run only the vector
+        scan, so their entry points take no scan choice."""
+        with pytest.raises(TypeError, match="scan_engine"):
+            entry(random_binary_matrix(0), scan_engine=scan)
 
     def test_auto_streaming_streams(self):
         plan, _ = self._resolve(streaming=True)
