@@ -39,6 +39,7 @@ from repro.core.partitioned import (
 )
 from repro.core.rules import RuleSet
 from repro.core.stats import PipelineStats
+from repro.core.thresholds import as_fraction
 from repro.matrix.binary_matrix import BinaryMatrix, Vocabulary
 from repro.matrix.stream import (
     FileSource,
@@ -190,6 +191,7 @@ class MiningConfig:
             raise ValueError(
                 "a threshold is required (threshold=, minconf= or minsim=)"
             )
+        as_fraction(self.threshold)  # raises on a threshold outside (0, 1]
         if self.engine not in ENGINES:
             raise ValueError(
                 f"unknown engine {self.engine!r}; expected one of {ENGINES}"

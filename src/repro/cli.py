@@ -403,19 +403,27 @@ def _mine(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    engine = getattr(args, "engine", "auto")
-    engine_kwargs = {"engine": engine}
-    if workers is not None:
-        if engine == "auto":
-            engine_kwargs["engine"] = "partitioned"
-        engine_kwargs["n_partitions"] = getattr(args, "partitions", 4)
-        engine_kwargs["n_workers"] = workers
+    config = None
+    if args.command != "mine-topk":
         from repro.api import MiningConfig
 
+        engine = getattr(args, "engine", "auto")
+        if workers is not None and engine == "auto":
+            engine = "partitioned"
+        # Every setting is checked here, before the input is read: a
+        # bad one is a usage error, not an unreadable file.
         try:
-            MiningConfig(threshold=1, **engine_kwargs)
-        except ValueError as error:
-            print(f"--workers: {error}", file=sys.stderr)
+            config = MiningConfig(
+                task="implication" if args.command == "mine-imp"
+                else "similarity",
+                threshold=args.minconf if args.command == "mine-imp"
+                else args.minsim,
+                engine=engine,
+                n_partitions=args.partitions,
+                n_workers=workers,
+            )
+        except (TypeError, ValueError) as error:
+            print(f"invalid configuration: {error}", file=sys.stderr)
             return 2
     observer = _build_observer(args)
 
@@ -440,11 +448,6 @@ def _mine(args: argparse.Namespace) -> int:
 
                 data = load_transactions(args.path, validator=validator)
                 vocabulary = data.vocabulary
-            threshold = (
-                {"minconf": args.minconf}
-                if args.command == "mine-imp"
-                else {"minsim": args.minsim}
-            )
             serve_port = getattr(args, "serve_metrics", None)
             if serve_port is not None:
                 where = (
@@ -459,6 +462,7 @@ def _mine(args: argparse.Namespace) -> int:
                 )
             result = mine(
                 data,
+                config=config,
                 checkpoint_dir=getattr(args, "checkpoint", None),
                 spill_degrade=not getattr(args, "no_spill_degrade", False),
                 preflight_disk=getattr(args, "preflight_disk", False),
@@ -466,8 +470,6 @@ def _mine(args: argparse.Namespace) -> int:
                 journal_path=getattr(args, "journal", None),
                 serve_metrics_port=serve_port,
                 profile=getattr(args, "profile", None),
-                **engine_kwargs,
-                **threshold,
             )
             rules = result.rules
             if result.stats.degradations:

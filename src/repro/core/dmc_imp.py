@@ -24,16 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import (
-    Callable,
-    Dict,
-    Iterator,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-    Union,
-)
+from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -58,7 +49,6 @@ from repro.core.thresholds import (
 )
 from repro.core.vector import MatrixBlocks, vector_scan_rows
 from repro.matrix.binary_matrix import BinaryMatrix
-from repro.matrix.ops import RowBlocks
 from repro.matrix.reorder import scan_order
 from repro.observe.progress import NULL_OBSERVER
 
@@ -124,21 +114,19 @@ TASKS: Dict[str, DmcTask] = {
 }
 
 
-#: ``rows_for(keep, scan_stats) -> (rows, n_rows)``: the carrier's rows
-#: in scan order, with every column outside ``keep`` dropped
-#: (``keep=None`` keeps all), in the form the carrier's scan reads: a
-#: ``(row_id, columns)`` stream for the serial scans (in-memory only), a
-#: block source (``take(n) -> (n, lengths, cols)``) for the vector scan
-#: — :class:`repro.core.vector.MatrixBlocks` over an in-memory matrix's
-#: CSR arrays, :class:`repro.matrix.ops.RowBlocks` over the spill.
-#: ``scan_stats`` is the pass's :class:`ScanStats`, for counters the row
-#: source itself keeps (spill I/O retries).
+#: ``rows_for(kept, scan_stats) -> (rows, n_rows)``: the carrier's rows
+#: in scan order, with every column outside ``kept`` (a bool mask over
+#: the column ids; ``None`` keeps all) dropped, in the form the
+#: carrier's scan reads: a ``(row_id, columns)`` stream for the serial
+#: scans (in-memory only), a block source (``take(n) -> (n, lengths,
+#: cols)``) for the vector scan — :class:`repro.core.vector.
+#: MatrixBlocks` over an in-memory matrix's CSR arrays, or the stream
+#: carrier's replay of its spill-bucket records.  ``scan_stats`` is the
+#: pass's :class:`ScanStats`, for counters the row source itself keeps
+#: (spill I/O retries).
 RowSource = Callable[
-    [Optional[Set[int]], ScanStats],
-    Tuple[
-        Union[Iterator[Tuple[int, Tuple[int, ...]]], RowBlocks, MatrixBlocks],
-        int,
-    ],
+    [Optional[np.ndarray], ScanStats],
+    Tuple[Any, int],
 ]
 
 
@@ -176,8 +164,8 @@ def mine_passes(
     else:
         hundred_scan = partial_scan = vector_scan_rows
 
-    def scan(run, policy, keep, scan_stats: ScanStats) -> None:
-        rows, n_rows = rows_for(keep, scan_stats)
+    def scan(run, policy, kept, scan_stats: ScanStats) -> None:
+        rows, n_rows = rows_for(kept, scan_stats)
         run(
             rows,
             n_rows,
@@ -207,14 +195,13 @@ def mine_passes(
     with observer.phase("<100%-rules", stats.timer):
         counts = np.asarray(ones, dtype=np.int64)
         kept = counts > spec.removal_cutoff(threshold)
-        keep = set(np.flatnonzero(kept).tolist())
-        stats.columns_removed = len(counts) - len(keep)
+        stats.columns_removed = len(counts) - int(kept.sum())
         # Removed columns count as all-zero: exactly the restricted
         # matrix's column_ones, without a recount.
         policy = spec.partial_policy(
             np.where(kept, counts, 0), threshold, options
         )
-        scan(partial_scan, policy, keep, stats.partial_scan)
+        scan(partial_scan, policy, kept, stats.partial_scan)
         stats.rules_partial = len(rules) - stats.rules_hundred_percent
 
     return rules
@@ -249,10 +236,10 @@ def mine_matrix(
         ones = matrix.column_ones()
         order = scan_order(matrix, sparsest_first=sparsest_first)
 
-    def rows_for(keep, scan_stats):
+    def rows_for(kept, scan_stats):
         source, source_order = matrix, order
-        if keep is not None:
-            source = matrix.restrict_columns(keep)
+        if kept is not None:
+            source = matrix.restrict_columns(np.flatnonzero(kept))
             source_order = scan_order(source, sparsest_first=sparsest_first)
         if scan == "vector":
             return MatrixBlocks(source, source_order), len(source_order)

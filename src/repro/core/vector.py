@@ -148,10 +148,10 @@ def vector_scan_rows(
 
     ``source`` is a block source (``take(n) -> (n, lengths, cols)``)
     serving every row exactly once in scan order: :class:`MatrixBlocks`
-    over a matrix's CSR rows, or :class:`repro.matrix.ops.RowBlocks`
-    over the stream carrier's spill-bucket replay of ``(row_id,
-    column_ids)`` pairs.  It is consumed strictly sequentially, block by
-    block, so spill-bucket replay and checkpoint resume work unchanged.
+    over a matrix's CSR rows, or the stream carrier's replay of its
+    spill-bucket records (:mod:`repro.matrix.stream`).  It is consumed
+    strictly sequentially, block by block, so spill-bucket replay and
+    checkpoint resume work unchanged.
     """
     if stats is None:
         stats = ScanStats()

@@ -92,7 +92,8 @@ def pair_and_counts(
 
 
 class RowBlocks:
-    """Block source over a ``(row_id, columns)`` iterator (streaming)."""
+    """Block source over a ``(row_id, columns)`` iterator: the rows a
+    serial scan hands over to the DMC-bitmap tail."""
 
     def __init__(self, rows: Iterator[Tuple[int, Tuple[int, ...]]]) -> None:
         self._rows = iter(rows)

@@ -31,18 +31,22 @@ def bucket_index(density: int) -> int:
     return density.bit_length() - 1
 
 
+def bucket_indices(densities: np.ndarray) -> np.ndarray:
+    """:func:`bucket_index` of every (positive) density in an array."""
+    # A row's bucket is the number of powers of two up to its length,
+    # less one: ``length.bit_length() - 1``, in integers throughout.
+    top = int(densities.max(initial=0)).bit_length()
+    powers = np.left_shift(1, np.arange(top, dtype=np.int64))
+    return np.searchsorted(powers, densities, side="right") - 1
+
+
 def _bucketed(matrix: BinaryMatrix):
     """``(rows, buckets)``: the non-empty row ids, grouped by bucket
     from the sparsest up (original order within a bucket), and each
     one's :func:`bucket_index`."""
     lengths = matrix.row_densities()
     rows = np.flatnonzero(lengths)
-    lengths = lengths[rows]
-    # A row's bucket is the number of powers of two up to its length,
-    # less one: ``length.bit_length() - 1``, in integers throughout.
-    top = int(lengths.max(initial=0)).bit_length()
-    powers = np.left_shift(1, np.arange(top, dtype=np.int64))
-    buckets = np.searchsorted(powers, lengths, side="right") - 1
+    buckets = bucket_indices(lengths[rows])
     by_bucket = np.argsort(buckets, kind="stable")
     return rows[by_bucket], buckets[by_bucket]
 

@@ -16,6 +16,16 @@ large to hold as a :class:`BinaryMatrix`:
 - :func:`stream_implication_rules` / :func:`stream_similarity_rules` —
   the full two-pass pipelines over a source.
 
+Rows travel from the source to the scan as CSR blocks ``(lengths,
+cols)``, the block contract of :class:`repro.core.vector.MatrixBlocks`:
+a source's :meth:`~TransactionSource.iter_rows` returns a
+:class:`RowStream` whose ``blocks`` pass 1 reads (a file is parsed a
+bounded chunk of characters at a time, with numpy), each block is
+counted with one ``bincount`` and spilled as one binary record per
+density bucket, and pass 2 replays the records straight into the
+vector scan, dropping step 3's removed columns with a mask.  No row
+becomes a tuple on that path.
+
 The streamed pipelines produce exactly the rules of their in-memory
 counterparts; the tests assert it.
 
@@ -27,7 +37,9 @@ Resilience (see :mod:`repro.runtime`):
   falls back to a full rescan;
 - attach a :class:`repro.runtime.validation.RowValidator` to a
   :class:`FileSource` / :class:`IterableSource` to survive malformed
-  rows under a ``strict`` / ``skip`` / ``clamp`` policy;
+  rows under a ``strict`` / ``skip`` / ``clamp`` policy; without one a
+  garbage token, or a column id outside ``[0, 2**31)``, fails pass 1
+  with a ``ValueError`` before the bad row reaches the spill;
 - pass ``bitmap=BitmapConfig(hard_budget_bytes=N)`` to cap the counter
   array's memory (pass 2 hands over to the DMC-bitmap tail past it);
 - spill-bucket reads retry transient I/O errors with backoff, and the
@@ -50,19 +62,26 @@ Resilience (see :mod:`repro.runtime`):
 
 from __future__ import annotations
 
+import itertools
 import os
 import tempfile
 import warnings
-from typing import Iterable, Iterator, List, Optional, TextIO, Tuple
+from typing import BinaryIO, Iterable, Iterator, List, Optional, Tuple
+
+import numpy as np
 
 from repro.core.dmc_imp import PruningOptions, mine_matrix, mine_passes
 from repro.core.miss_counting import BitmapConfig
-from repro.core.rules import RuleSet
+from repro.core.rules import ID_LIMIT, RuleSet
 from repro.core.stats import PipelineStats
 from repro.core.thresholds import as_fraction
-from repro.matrix.binary_matrix import BinaryMatrix
-from repro.matrix.ops import RowBlocks
-from repro.matrix.reorder import bucket_index
+from repro.matrix.binary_matrix import (
+    BinaryMatrix,
+    _csr_entries,
+    _offsets_of,
+    concat_ranges,
+)
+from repro.matrix.reorder import bucket_indices
 from repro.observe.progress import NULL_OBSERVER
 from repro.runtime import faults
 from repro.runtime.checkpoint import (
@@ -85,6 +104,37 @@ from repro.runtime.storage import (
 )
 from repro.runtime.validation import RowValidator
 
+#: A CSR block of rows: int64 ``(lengths, cols)``, row ``i`` being the
+#: next ``lengths[i]`` column ids of ``cols``.
+Block = Tuple[np.ndarray, np.ndarray]
+
+#: Characters of a transactions file parsed at a time (a constant, not
+#: a knob): pass 1 holds one chunk and its arrays, whatever the file's
+#: size.
+PARSE_CHUNK_CHARS = 1 << 18
+
+#: Rows per block where rows come one at a time (an iterable source, a
+#: validator) or from an in-memory matrix.
+PACK_ROWS = 1 << 12
+
+#: A spill-bucket record is its row count, then that many row lengths,
+#: then their column ids, all little-endian (ids are below 2**31).
+RECORD_COUNT = np.dtype("<i8")
+RECORD_ID = np.dtype("<i4")
+
+# ``str.split()``'s separators: ``_SPACE[c]`` is ``chr(c).isspace()``
+# for every code point up to U+3001; past U+3000 nothing is a space.
+_SPACE = np.zeros(0x3002, dtype=bool)
+_SPACE[[
+    *range(0x09, 0x0E), *range(0x1C, 0x21), 0x85, 0xA0, 0x1680,
+    *range(0x2000, 0x200B), 0x2028, 0x2029, 0x202F, 0x205F, 0x3000,
+]] = True
+
+# Decimal digits a token may have and still be parsed in int64 by the
+# vector path; longer tokens (and anything not plain ASCII digits) go
+# through ``int()``.
+_PLAIN_DIGITS = 18
+
 
 class SourceNotReiterableError(RuntimeError):
     """A source yielded rows once and then came back empty.
@@ -96,11 +146,94 @@ class SourceNotReiterableError(RuntimeError):
     """
 
 
+class RowStream:
+    """One pass over a source's rows.
+
+    ``blocks`` yields them as CSR :data:`Block`\\ s; iterating the stream
+    yields each row as a tuple of column ids instead, built from the
+    same blocks (a view for callers that want rows one at a time —
+    pass 1 reads the blocks).
+    """
+
+    def __init__(self, blocks: Iterator[Block]) -> None:
+        self.blocks = blocks
+        self._rows: Optional[Iterator[Tuple[int, ...]]] = None
+
+    def __iter__(self) -> "RowStream":
+        return self
+
+    def __next__(self) -> Tuple[int, ...]:
+        if self._rows is None:
+            self._rows = _tuples(self.blocks)
+        return next(self._rows)
+
+
+def _tuples(blocks: Iterable[Block]) -> Iterator[Tuple[int, ...]]:
+    """Every row of ``blocks`` as a tuple."""
+    for lengths, cols in blocks:
+        ids = cols.tolist()
+        start = 0
+        for end in np.cumsum(lengths).tolist():
+            yield tuple(ids[start:end])
+            start = end
+
+
+def _id_error(value: int, number: int, where: str) -> ValueError:
+    """The error for column id ``value`` on line ``number`` of ``where``."""
+    if value < 0:
+        reason = "column ids must be non-negative"
+    else:
+        reason = f"column ids must be below 2**31 ({ID_LIMIT})"
+    return ValueError(f"{where}, line {number}: {reason}, got {value}")
+
+
+def _packed(
+    numbered: Iterator[Tuple[int, Tuple[int, ...]]], where: str
+) -> Iterator[Block]:
+    """Pack ``(line_number, row)`` pairs into blocks of ``PACK_ROWS``
+    rows, rejecting any id outside ``[0, 2**31)``."""
+    while True:
+        batch = list(itertools.islice(numbered, PACK_ROWS))
+        if not batch:
+            return
+        numbers, rows = zip(*batch)
+        lengths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+        try:
+            cols = np.fromiter(
+                itertools.chain.from_iterable(rows), dtype=np.int64,
+                count=int(lengths.sum()),
+            )
+        except OverflowError:  # an id past int64: out of range too
+            number, value = next(
+                (number, value) for number, row in batch for value in row
+                if not 0 <= value < ID_LIMIT
+            )
+            raise _id_error(value, number, where) from None
+        bad = np.flatnonzero((cols < 0) | (cols >= ID_LIMIT))
+        if len(bad):
+            row = int(np.searchsorted(np.cumsum(lengths), bad[0], "right"))
+            raise _id_error(int(cols[bad[0]]), numbers[row], where)
+        yield lengths, cols
+
+
+def _blocks_of(rows: Iterable[Tuple[int, ...]]) -> Iterator[Block]:
+    """The blocks of one pass: a :class:`RowStream`'s own, or any other
+    row iterable's (a custom source's ``iter_rows``), packed."""
+    if isinstance(rows, RowStream):
+        return rows.blocks
+    return _packed(enumerate(rows, start=1), "row stream")
+
+
 class TransactionSource:
     """A re-iterable source of rows (each a tuple of column ids)."""
 
-    def iter_rows(self) -> Iterator[Tuple[int, ...]]:
-        """Yield every row; must be repeatable (two passes)."""
+    def iter_rows(self) -> Iterable[Tuple[int, ...]]:
+        """One pass over every row; must be repeatable (two passes).
+
+        The built-in sources return a :class:`RowStream`, whose CSR
+        blocks pass 1 reads directly; any other iterable of row tuples
+        works too.
+        """
         raise NotImplementedError
 
     def n_columns(self) -> Optional[int]:
@@ -114,9 +247,16 @@ class MatrixSource(TransactionSource):
     def __init__(self, matrix: BinaryMatrix) -> None:
         self._matrix = matrix
 
-    def iter_rows(self) -> Iterator[Tuple[int, ...]]:
-        for _, row in self._matrix.iter_rows():
-            yield row
+    def iter_rows(self) -> RowStream:
+        return RowStream(self._blocks())
+
+    def _blocks(self) -> Iterator[Block]:
+        """Slices of the matrix's CSR arrays, ``PACK_ROWS`` rows each."""
+        matrix = self._matrix
+        lengths, offsets = matrix.row_densities(), matrix.offsets
+        for lo in range(0, matrix.n_rows, PACK_ROWS):
+            hi = min(lo + PACK_ROWS, matrix.n_rows)
+            yield lengths[lo:hi], matrix.cols[offsets[lo]:offsets[hi]]
 
     def n_columns(self) -> Optional[int]:
         return self._matrix.n_columns
@@ -143,7 +283,12 @@ class IterableSource(TransactionSource):
         self.validator = validator
         self._last_iteration_rows: Optional[int] = None
 
-    def iter_rows(self) -> Iterator[Tuple[int, ...]]:
+    def iter_rows(self) -> RowStream:
+        return RowStream(_packed(self._normalized(), "iterable source"))
+
+    def _normalized(self) -> Iterator[Tuple[int, Tuple[int, ...]]]:
+        """``(row_number, row)`` for every row the validator keeps,
+        sorted and deduplicated."""
         yielded = 0
         for row_number, row in enumerate(self._rows, start=1):
             if self.validator is None:
@@ -157,7 +302,7 @@ class IterableSource(TransactionSource):
             if normalized is None:
                 continue
             yielded += 1
-            yield normalized
+            yield row_number, normalized
         if self._last_iteration_rows and not yielded:
             raise SourceNotReiterableError(
                 "source is not re-iterable: the previous pass yielded "
@@ -180,9 +325,16 @@ class FileSource(TransactionSource):
     construction time, so a declared ``#columns`` count is available to
     pre-size the pass-1 counts array before the first iteration.
 
-    An optional :class:`RowValidator` decides what happens to malformed
-    lines (diagnostics carry the 1-based line number and the path);
-    without one, any garbage token raises a plain ``ValueError``.
+    Without a validator the file is parsed ``PARSE_CHUNK_CHARS``
+    characters at a time with numpy, each chunk one block: lines
+    starting with ``#`` are comments (``#columns N`` also updates
+    :meth:`n_columns`), every other line is one row, its tokens split
+    as ``str.split`` does, sorted and deduplicated (an empty line is an
+    empty row), and a token ``int()`` rejects — or an id outside ``[0,
+    2**31)`` — raises ``ValueError`` naming the line.  An optional
+    :class:`RowValidator` decides what happens to malformed lines
+    instead, one line at a time (diagnostics carry the 1-based line
+    number and the path).
     """
 
     def __init__(
@@ -203,39 +355,137 @@ class FileSource(TransactionSource):
                     self._columns = int(line[len("#columns "):])
                     break
 
-    def iter_rows(self) -> Iterator[Tuple[int, ...]]:
+    def iter_rows(self) -> RowStream:
+        return RowStream(self._blocks())
+
+    def _blocks(self) -> Iterator[Block]:
         with open(self.path, "r", encoding="utf-8") as handle:
-            for line_number, line in enumerate(handle, start=1):
-                line = line.rstrip("\n")
-                if line.startswith("#columns "):
-                    self._columns = int(line[len("#columns "):])
-                    continue
-                if line.startswith("#"):
-                    continue
-                if not line:
-                    yield ()
-                    continue
-                tokens = line.split()
-                if self.validator is None:
-                    yield tuple(sorted(set(int(t) for t in tokens)))
-                    continue
-                row = self.validator.validate_tokens(
-                    tokens, line_number=line_number, source=self.path
-                )
-                if row is not None:
-                    yield row
+            if self.validator is not None:
+                yield from _packed(self._validated(handle), self.path)
+                return
+            line_number, carry = 1, ""
+            while True:
+                text = handle.read(PARSE_CHUNK_CHARS)
+                if not text:
+                    break
+                # Parse whole lines; a partial last line waits for the
+                # next read.
+                text = carry + text
+                cut = text.rfind("\n") + 1
+                carry = text[cut:]
+                if cut:
+                    yield self._parse(text[:cut], line_number)
+                    line_number += text.count("\n", 0, cut)
+            if carry:
+                yield self._parse(carry, line_number)
+
+    def _validated(self, handle) -> Iterator[Tuple[int, Tuple[int, ...]]]:
+        """``(line_number, row)`` for every row the validator keeps."""
+        for line_number, line in enumerate(handle, start=1):
+            line = line.rstrip("\n")
+            if line.startswith("#columns "):
+                self._columns = int(line[len("#columns "):])
+                continue
+            if line.startswith("#"):
+                continue
+            if not line:
+                yield line_number, ()
+                continue
+            row = self.validator.validate_tokens(
+                line.split(), line_number=line_number, source=self.path
+            )
+            if row is not None:
+                yield line_number, row
+
+    def _parse(self, text: str, first_line: int) -> Block:
+        """The block of the whole lines in ``text``, whose first line is
+        line ``first_line`` of the file."""
+        if text.isascii():
+            codes = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+        else:
+            codes = np.frombuffer(text.encode("utf-32-le"), dtype=np.uint32)
+        size = len(codes)
+        breaks = np.flatnonzero(codes == ord("\n"))
+        starts = np.concatenate(([0], breaks + 1))
+        if starts[-1] == size:
+            starts = starts[:-1]
+        comment = codes[starts] == ord("#")
+        # Tokens are the maximal runs of non-space characters.
+        word = ~_SPACE.take(codes, mode="clip")
+        begins = np.flatnonzero(word[1:] & ~word[:-1]) + 1
+        ends = np.flatnonzero(word[:-1] & ~word[1:]) + 1
+        if word[0]:
+            begins = np.concatenate(([0], begins))
+        if word[-1]:
+            ends = np.append(ends, size)
+        token_line = np.searchsorted(breaks, begins)
+        line_ends = np.append(breaks, size)
+        for line in np.flatnonzero(comment).tolist():
+            body = text[starts[line]:line_ends[line]]
+            if body.startswith("#columns "):
+                self._columns = int(body[len("#columns "):])
+        if comment.any():
+            data = ~comment[token_line]
+            begins, ends, token_line = (
+                part[data] for part in (begins, ends, token_line)
+            )
+        values, plain = _digit_values(codes, begins, ends - begins)
+        # The first token that is no id in range stops the parse, in
+        # file order: a non-plain token goes through ``int()``, which
+        # raises on garbage exactly as a per-line parse would.
+        stop = np.flatnonzero(plain & (values >= ID_LIMIT))
+        stop = int(stop[0]) if len(stop) else len(begins)
+        for token in np.flatnonzero(~plain).tolist():
+            if token > stop:
+                break
+            value = int(text[begins[token]:ends[token]])
+            if not 0 <= value < ID_LIMIT:
+                stop = token
+                break
+            values[token] = value
+        if stop < len(begins):
+            raise _id_error(
+                int(text[begins[stop]:ends[stop]]),
+                first_line + int(token_line[stop]), self.path,
+            )
+        rows = ~comment
+        row_of = (np.cumsum(rows) - 1)[token_line]
+        offsets, cols, _ = _csr_entries(row_of, values, int(rows.sum()), None)
+        return np.diff(offsets), cols
 
     def n_columns(self) -> Optional[int]:
         return self._columns
 
 
+def _digit_values(
+    codes: np.ndarray, begins: np.ndarray, widths: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(values, plain)`` of the tokens ``codes[begins:begins+widths]``:
+    ``plain`` marks tokens of at most ``_PLAIN_DIGITS`` ASCII digits,
+    whose decimal value ``values`` holds (other entries are garbage)."""
+    values = np.zeros(len(begins), dtype=np.int64)
+    plain = widths <= _PLAIN_DIGITS
+    # Horner's rule one digit position at a time, for every token at
+    # once: a loop over the widest token's width, not over tokens.
+    for position in range(min(int(widths.max(initial=0)), _PLAIN_DIGITS)):
+        live = widths > position
+        digit = codes[np.where(live, begins + position, 0)].astype(np.int64)
+        digit -= ord("0")
+        plain &= ~live | ((digit >= 0) & (digit <= 9))
+        values = np.where(live, values * 10 + digit, values)
+    return values, plain
+
+
 class BucketSpill:
     """First-scan density bucketing into spill files.
 
-    Rows are appended to the bucket file for their density range
-    ``[2**i, 2**(i+1))`` as they stream past; ``read_sparsest_first``
-    then replays them bucket by bucket.  Use as a context manager so
-    the files are always cleaned up.
+    Each block of rows is split by density range ``[2**i, 2**(i+1))``
+    and appended to the bucket file of each range it touches as one
+    binary record (its row count, the rows' lengths, then their column
+    ids: :data:`RECORD_COUNT`, :data:`RECORD_ID`); :meth:`records`
+    then replays them bucket by bucket, sparsest first, in file order
+    within a bucket.  Use as a context manager so the files are always
+    cleaned up.
 
     Two modes:
 
@@ -273,7 +523,7 @@ class BucketSpill:
             )
         self._durable = durable
         self._delete_on_close = not durable
-        self._handles: List[TextIO] = []
+        self._handles: List[BinaryIO] = []
         self._paths: List[str] = []
         self._rows_per_bucket: List[int] = []
         self._writable = True
@@ -309,7 +559,15 @@ class BucketSpill:
         self.close()
 
     def add(self, row: Tuple[int, ...]) -> None:
-        """Spill one non-empty row to its density bucket.
+        """Spill one row (an empty row is dropped)."""
+        self.add_block(
+            np.array([len(row)], dtype=np.int64),
+            np.array(row, dtype=np.int64),
+        )
+
+    def add_block(self, lengths: np.ndarray, cols: np.ndarray) -> None:
+        """Spill a block's non-empty rows: one record per density bucket
+        they fall in, holding its rows in block order.
 
         A failed write removes the partial bucket file before the error
         propagates — a truncated bucket must never survive to fail the
@@ -318,24 +576,46 @@ class BucketSpill:
         """
         if not self._writable:
             raise RuntimeError("spill is finished or closed (read-only)")
-        if not row:
+        rows = np.flatnonzero(lengths)
+        if not len(rows):
             return
-        bucket = bucket_index(len(row))
+        buckets = bucket_indices(lengths[rows])
+        by_bucket = np.argsort(buckets, kind="stable")
+        rows, buckets = rows[by_bucket], buckets[by_bucket]
+        sizes = lengths[rows]
+        ids = cols[concat_ranges(_offsets_of(lengths)[rows], sizes)]
+        ids = ids.astype(RECORD_ID)
+        row_bounds = np.concatenate(
+            ([0], np.flatnonzero(np.diff(buckets)) + 1, [len(rows)])
+        ).tolist()
+        id_bounds = _offsets_of(sizes)[row_bounds].tolist()
+        sizes = sizes.astype(RECORD_ID)
+        for lo, hi, id_lo, id_hi in zip(
+            row_bounds, row_bounds[1:], id_bounds, id_bounds[1:]
+        ):
+            bucket = int(buckets[lo])
+            self._open_through(bucket)
+            try:
+                self._handles[bucket].write(
+                    np.array(hi - lo, dtype=RECORD_COUNT).tobytes()
+                    + sizes[lo:hi].tobytes() + ids[id_lo:id_hi].tobytes()
+                )
+            except OSError:
+                self._discard_partial(bucket)
+                raise
+            self._rows_per_bucket[bucket] += hi - lo
+        self.rows_spilled += len(rows)
+
+    def _open_through(self, bucket: int) -> None:
+        """Create the bucket files up to ``bucket``, in index order."""
         while bucket >= len(self._handles):
             path = os.path.join(
-                self._directory, f"bucket-{len(self._handles):02d}.txt"
+                self._directory, f"bucket-{len(self._handles):02d}.bin"
             )
-            handle = self.storage.open(path, "w", encoding="utf-8")
+            handle = self.storage.open(path, "wb")
             self._paths.append(path)
             self._handles.append(handle)
             self._rows_per_bucket.append(0)
-        try:
-            self._handles[bucket].write(" ".join(map(str, row)) + "\n")
-        except OSError:
-            self._discard_partial(bucket)
-            raise
-        self._rows_per_bucket[bucket] += 1
-        self.rows_spilled += 1
 
     def _discard_partial(self, bucket: int) -> None:
         """Drop a bucket whose write failed: close the handle and remove
@@ -393,8 +673,13 @@ class BucketSpill:
         if errors:
             raise errors[0]
 
-    def read_sparsest_first(self) -> Iterator[Tuple[int, ...]]:
-        """Replay all spilled rows, sparsest bucket first."""
+    def records(self, kept: Optional[np.ndarray] = None) -> Iterator[Block]:
+        """Replay every spilled record as a block, sparsest bucket
+        first and in file order within a bucket.
+
+        ``kept`` (a bool mask over the column ids) drops every other
+        column from the rows; a row may come back empty.
+        """
         for handle in self._handles:
             handle.flush()
         for index, path in enumerate(self._paths):
@@ -411,12 +696,28 @@ class BucketSpill:
                 on_giveup=self._note_giveup,
             )
             with handle:
-                for line in handle:
-                    yield tuple(int(token) for token in line.split())
+                while True:
+                    head = handle.read(RECORD_COUNT.itemsize)
+                    if not head:
+                        break
+                    count = int(np.frombuffer(head, dtype=RECORD_COUNT)[0])
+                    lengths = _read_ids(handle, count)
+                    cols = _read_ids(handle, int(lengths.sum()))
+                    if kept is not None:
+                        inside = kept[cols]
+                        cols = cols[inside]
+                        lengths = np.diff(
+                            _offsets_of(inside)[_offsets_of(lengths)]
+                        )
+                    yield lengths, cols
 
-    def _open_bucket(self, path: str) -> TextIO:
+    def read_sparsest_first(self) -> Iterator[Tuple[int, ...]]:
+        """Replay all spilled rows as tuples, sparsest bucket first."""
+        return _tuples(self.records())
+
+    def _open_bucket(self, path: str) -> BinaryIO:
         faults.trip("spill.open")
-        return self.storage.open(path, "r", encoding="utf-8")
+        return self.storage.open(path, "rb")
 
     def _note_retry(self, error: BaseException) -> None:
         self.io_retries += 1
@@ -458,48 +759,86 @@ class BucketSpill:
             raise errors[0]
 
 
-def _first_scan(
-    source: TransactionSource, spill: BucketSpill
-) -> List[int]:
-    """Pass 1: count ones per column while spilling rows to buckets."""
-    counts: List[int] = []
-    declared = source.n_columns()
-    if declared:
-        counts = [0] * declared
-    for row in source.iter_rows():
-        faults.trip("pass1.row")
-        for column in row:
-            if column >= len(counts):
-                counts.extend([0] * (column + 1 - len(counts)))
-            counts[column] += 1
-        spill.add(row)
-    return counts
+def _read_ids(handle: BinaryIO, count: int) -> np.ndarray:
+    """The next ``count`` record ids of a bucket file, as int64."""
+    data = handle.read(count * RECORD_ID.itemsize)
+    if len(data) != count * RECORD_ID.itemsize:
+        raise ValueError(f"spill bucket {handle.name} is truncated")
+    return np.frombuffer(data, dtype=RECORD_ID).astype(np.int64)
+
+
+def _first_scan(source: TransactionSource, spill: BucketSpill) -> np.ndarray:
+    """Pass 1: count ones per column while spilling rows to buckets, a
+    block at a time; ``ones`` grows past the declared universe for any
+    larger id."""
+    ones = np.zeros(source.n_columns() or 0, dtype=np.int64)
+    for lengths, cols in _blocks_of(source.iter_rows()):
+        faults.trip_rows("pass1.row", len(lengths))
+        counts = np.bincount(cols, minlength=len(ones))
+        if len(counts) > len(ones):
+            ones = np.pad(ones, (0, len(counts) - len(ones)))
+        ones += counts
+        spill.add_block(lengths, cols)
+    return ones
+
+
+class _Replay:
+    """Pass 2's block source: ``take(n)`` serves the next ``n`` rows of
+    the spill's records, cutting records wherever a block ends.
+
+    Every ``take`` counts its rows at the ``"pass2.row"`` fault site and
+    charges the spill I/O retries it caused to ``scan_stats``.
+    """
+
+    def __init__(self, spill: BucketSpill, kept, scan_stats) -> None:
+        self._records = spill.records(kept)
+        self._spill, self._stats = spill, scan_stats
+        self._retries = spill.io_retries
+        self._lengths = self._cols = np.zeros(0, dtype=np.int64)
+        self._offsets = np.zeros(1, dtype=np.int64)
+        self._row = 0
+
+    def take(
+        self, n: int
+    ) -> Tuple[int, Optional[np.ndarray], Optional[np.ndarray]]:
+        lengths, cols = [], []
+        taken = 0
+        while taken < n:
+            if self._row == len(self._lengths):
+                record = next(self._records, None)
+                if record is None:
+                    break
+                self._lengths, self._cols = record
+                self._offsets = _offsets_of(self._lengths)
+                self._row = 0
+            stop = min(self._row + n - taken, len(self._lengths))
+            lengths.append(self._lengths[self._row:stop])
+            cols.append(
+                self._cols[self._offsets[self._row]:self._offsets[stop]]
+            )
+            taken += stop - self._row
+            self._row = stop
+        self._stats.io_retries += self._spill.io_retries - self._retries
+        self._retries = self._spill.io_retries
+        faults.trip_rows("pass2.row", taken)
+        if not taken:
+            return 0, None, None
+        return taken, np.concatenate(lengths), np.concatenate(cols)
 
 
 def _spill_rows(spill: BucketSpill, observer):
     """Pass 2's row source (a :data:`repro.core.dmc_imp.RowSource`).
 
-    Every pass replays the bucket files sparsest-first, straight into
-    the vector scan in blocks (:class:`RowBlocks`) — nothing is
+    Every pass replays the bucket records sparsest-first, straight into
+    the vector scan in blocks (:class:`_Replay`) — nothing is
     materialized except what the scan holds — and drops the columns
-    outside ``keep`` on the fly.  Spill I/O retries are charged to the
-    pass that hit them.
+    outside the ``kept`` mask from each record as it is read.  Spill
+    I/O retries are charged to the pass that hit them.
     """
     spill.observer = observer
 
-    def rows_for(keep, scan_stats):
-        def replay():
-            retries = spill.io_retries
-            for row_id, row in enumerate(spill.read_sparsest_first()):
-                faults.trip("pass2.row")
-                if spill.io_retries != retries:
-                    scan_stats.io_retries += spill.io_retries - retries
-                    retries = spill.io_retries
-                if keep is not None:
-                    row = tuple(c for c in row if c in keep)
-                yield row_id, row
-
-        return RowBlocks(replay()), spill.rows_spilled
+    def rows_for(kept, scan_stats):
+        return _Replay(spill, kept, scan_stats), spill.rows_spilled
 
     return rows_for
 
@@ -552,14 +891,21 @@ def _in_memory_fallback(
 ) -> RuleSet:
     """Redo a mine entirely in memory (the spill degradation target).
 
-    Materializes the source as a :class:`BinaryMatrix` and runs the
-    in-memory pipeline on the same vector scan — the exact same rules,
-    no disk beyond the source itself.
+    Materializes the source's blocks as a :class:`BinaryMatrix` and
+    runs the in-memory pipeline on the same vector scan — the exact
+    same rules, no disk beyond the source itself.
     """
     matrix = getattr(source, "_matrix", None)
     if matrix is None:
-        matrix = BinaryMatrix(
-            source.iter_rows(), n_columns=source.n_columns()
+        n_columns = source.n_columns()
+        empty = np.zeros(0, dtype=np.int64)
+        lengths, cols = (
+            np.concatenate(parts)
+            for parts in zip((empty, empty), *_blocks_of(source.iter_rows()))
+        )
+        row_of = np.repeat(np.arange(len(lengths)), lengths)
+        matrix = BinaryMatrix._from_csr(
+            *_csr_entries(row_of, cols, len(lengths), n_columns)
         )
     with observer.span("in-memory-fallback"):
         return mine_matrix(
@@ -649,7 +995,7 @@ def _stream_rules_on_disk(
 
     store: Optional[CheckpointStore] = None
     spill: Optional[BucketSpill] = None
-    ones: Optional[List[int]] = None
+    ones: Optional[np.ndarray] = None
     fingerprint = params = None
     if checkpoint_dir is not None:
         fingerprint = source_fingerprint(source)
@@ -669,7 +1015,7 @@ def _stream_rules_on_disk(
                 spill = BucketSpill.from_checkpoint(
                     store.buckets_directory, checkpoint, storage=storage
                 )
-                ones = list(checkpoint.ones)
+                ones = np.array(checkpoint.ones, dtype=np.int64)
         except OSError as error:
             # The checkpoint directory is unusable (full/read-only);
             # mine without checkpointing rather than fail the run.

@@ -23,7 +23,7 @@ Safety properties:
 The checkpoint directory layout::
 
     <dir>/manifest.json      # atomic, written after pass 1 completes
-    <dir>/buckets/bucket-NN.txt
+    <dir>/buckets/bucket-NN.bin   # binary records, see BucketSpill
 
 - **Durability** — every file operation goes through the injectable
   :class:`repro.runtime.storage.Storage` layer: bucket files are
@@ -46,12 +46,15 @@ import os
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.runtime import faults
 from repro.runtime.guards import retry_io
 from repro.runtime.storage import LOCAL_STORAGE, io_error_kind
 
-#: Bump when the manifest schema changes; older manifests become stale.
-CHECKPOINT_VERSION = 1
+#: Bump when the manifest schema or the bucket format changes; older
+#: checkpoints become stale (version 2: binary bucket records).
+CHECKPOINT_VERSION = 2
 
 _MANIFEST_NAME = "manifest.json"
 _BUCKETS_SUBDIR = "buckets"
@@ -202,7 +205,7 @@ class CheckpointStore:
             "version": CHECKPOINT_VERSION,
             "fingerprint": fingerprint,
             "params": params,
-            "ones": list(ones),
+            "ones": np.asarray(ones).tolist(),
             "rows_spilled": rows_spilled,
             "buckets": buckets,
         }

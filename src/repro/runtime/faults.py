@@ -10,10 +10,12 @@ exactly which call at which site should fail, and with what.
 
 Injection sites wired into the pipeline:
 
-- ``"pass1.row"`` — before each row of the first (counting/spilling)
-  scan in :func:`repro.matrix.stream._first_scan`;
-- ``"pass2.row"`` — before each row replayed from the spill buckets in
-  the second scan (both the 100%-rule and the partial pass);
+- ``"pass1.row"`` — each row of the first (counting/spilling) scan in
+  :func:`repro.matrix.stream._first_scan`, counted a block at a time
+  with :func:`trip_rows` before the block is counted and spilled;
+- ``"pass2.row"`` — each row replayed from the spill buckets in the
+  second scan (both the 100%-rule and the partial pass), counted with
+  :func:`trip_rows` as each block is served to the scan;
 - ``"spill.open"`` — each attempt to open a spill-bucket file for
   reading (inside the :func:`repro.runtime.guards.retry_io` loop, so a
   transient fault here exercises the backoff path);
@@ -81,14 +83,31 @@ class FaultPlan:
     def __post_init__(self) -> None:
         self.faults = list(self.faults)
 
+    def trip_rows(self, site: str, n: int) -> None:
+        """Count ``n`` calls at ``site`` at once; raise at the first one
+        a fault covers, exactly as ``n`` single calls would, with the
+        count stopping at it."""
+        start = self.calls.get(site, 0)
+        firing = None
+        for fault in self.faults:
+            index = max(fault.first, start + 1)  # its first call from here
+            if (
+                fault.site == site and fault.covers(index)
+                and index <= start + n
+                and (firing is None or index < firing[0])
+            ):
+                firing = (index, fault)
+        if firing is None:
+            self.calls[site] = start + n
+            return
+        index, fault = firing
+        self.calls[site] = index
+        self.fired[site] = self.fired.get(site, 0) + 1
+        fault.raise_(index)
+
     def trip(self, site: str) -> None:
         """Count one call at ``site`` and raise if a fault covers it."""
-        index = self.calls.get(site, 0) + 1
-        self.calls[site] = index
-        for fault in self.faults:
-            if fault.site == site and fault.covers(index):
-                self.fired[site] = self.fired.get(site, 0) + 1
-                fault.raise_(index)
+        self.trip_rows(site, 1)
 
 
 #: The currently-installed plan (None = fault injection disabled).
@@ -115,3 +134,12 @@ def trip(site: str) -> None:
     """
     if _active is not None:
         _active.trip(site)
+
+
+def trip_rows(site: str, n: int) -> None:
+    """Injection point for ``n`` calls at once (a block of rows): fail
+    at the first one the active plan covers, so per-row fault positions
+    keep their meaning when rows move in blocks.  One global read when
+    no plan is installed."""
+    if _active is not None:
+        _active.trip_rows(site, n)

@@ -114,29 +114,44 @@ def retry_io(
 
 
 def estimate_spill_bytes(source=None, matrix=None) -> Optional[int]:
-    """Estimate the spill-bucket footprint of a pass-1 scan, in bytes.
+    """Bound the spill-bucket footprint of a pass-1 scan, in bytes.
 
-    - A file-backed source spills the same tokens its file carries, so
-      the file's size is the estimate.
+    A bucket record (:class:`repro.matrix.stream.BucketSpill`) is a row
+    count, then one length per row and one id per set bit; a spilled
+    row holds at least one id, so each id costs at most an id and a
+    length.  Each block of rows writes at most one record per bucket,
+    and there are at most 31 buckets (row lengths are below 2**31).
+
+    - A file-backed source spills at most one id per two bytes of the
+      file (a token is a digit or more plus a separator; only the last
+      one may lack it), in at most ``(size + 1) // PACK_ROWS + 2``
+      blocks (``PACK_ROWS`` lines, or ``PARSE_CHUNK_CHARS`` characters,
+      each): with 4-byte lengths and ids, 4 times the file's size.
     - An in-memory matrix (or a :class:`~repro.matrix.stream.
-      MatrixSource`) spills one decimal token plus a separator per set
-      bit; eight bytes per ``nnz`` covers column ids into the tens of
-      millions.
+      MatrixSource`) spills its ``nnz`` ids in ``n_rows // PACK_ROWS +
+      1`` blocks.
     - Anything else is unknowable without scanning: returns ``None``
       (the preflight is skipped rather than guessed).
     """
+    from repro.matrix.stream import PACK_ROWS, RECORD_COUNT, RECORD_ID
+
+    per_id = 2 * RECORD_ID.itemsize
+    per_block = 31 * RECORD_COUNT.itemsize
     if matrix is None and source is not None:
         matrix = getattr(source, "_matrix", None)
     if matrix is not None:
         nnz = getattr(matrix, "nnz", None)
         if nnz is not None:
-            return int(nnz) * 8
+            blocks = matrix.n_rows // PACK_ROWS + 1
+            return per_id * int(nnz) + per_block * blocks
     path = getattr(source, "path", None)
     if isinstance(path, str):
         try:
-            return os.path.getsize(path)
+            size = os.path.getsize(path)
         except OSError:
             return None
+        blocks = (size + 1) // PACK_ROWS + 2
+        return per_id * ((size + 1) // 2) + per_block * blocks
     return None
 
 

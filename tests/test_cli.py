@@ -164,6 +164,37 @@ class TestMiningCommands:
         assert code == 2
         assert "cannot be combined" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, flag", [
+        ("mine-imp", "--minconf"), ("mine-sim", "--minsim"),
+    ])
+    def test_bad_threshold_is_a_usage_error(
+        self, capsys, transactions_file, command, flag
+    ):
+        assert main([command, transactions_file, flag, "1.5"]) == 2
+        err = capsys.readouterr().err
+        assert "threshold must be in (0, 1], got 3/2" in err
+        assert "cannot read" not in err
+
+    @pytest.mark.parametrize("extra", [[], ["--workers", "2"]])
+    def test_partitions_reach_the_partitioned_engine(
+        self, capsys, transactions_file, extra
+    ):
+        code = main(
+            ["mine-imp", transactions_file, "--engine", "partitioned",
+             "--partitions", "0", *extra]
+        )
+        assert code == 2
+        assert "n_partitions must be at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("stream", [[], ["--stream"]])
+    @pytest.mark.parametrize("row", ["1 x", "1 -1"])
+    def test_bad_input_is_a_read_error(self, capsys, tmp_path, stream, row):
+        path = str(tmp_path / "tx.txt")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(f"#dmc-matrix\n0 1\n{row}\n0 1\n")
+        assert main(["mine-imp", path, "--minconf", "0.5", *stream]) == 1
+        assert f"cannot read {path}: " in capsys.readouterr().err
+
     @pytest.mark.slow
     def test_supervised_workers_match_serial(
         self, capsys, transactions_file

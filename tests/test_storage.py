@@ -26,6 +26,7 @@ from repro.core.stats import PipelineStats
 from repro.matrix.binary_matrix import BinaryMatrix
 from repro.matrix.io import save_transactions
 from repro.matrix.stream import (
+    PACK_ROWS,
     FileSource,
     stream_implication_rules,
     stream_similarity_rules,
@@ -285,12 +286,19 @@ def test_retry_io_exhaustion_calls_giveup():
 
 
 def test_estimate_spill_bytes_from_file(demo_path):
+    # An id and a length per two bytes of file, plus 31 record headers
+    # per block.
+    size = os.path.getsize(demo_path)
     estimate = estimate_spill_bytes(source=FileSource(demo_path))
-    assert estimate == os.path.getsize(demo_path)
+    assert estimate == 8 * ((size + 1) // 2) + 31 * 8 * (
+        (size + 1) // PACK_ROWS + 2
+    )
 
 
 def test_estimate_spill_bytes_from_matrix(demo_matrix):
-    assert estimate_spill_bytes(matrix=demo_matrix) == demo_matrix.nnz * 8
+    assert estimate_spill_bytes(matrix=demo_matrix) == (
+        demo_matrix.nnz * 8 + 31 * 8 * (demo_matrix.n_rows // PACK_ROWS + 1)
+    )
 
 
 def test_estimate_spill_bytes_unknown_source_is_none():
