@@ -9,8 +9,11 @@ as per-column bitmaps and the scan finishes in two phases:
   can gain no new candidates, so each existing candidate's final miss
   count is its current count plus ``popcount(bm(c_j) & ~bm(c_k))``.
 - **Phase 2** — columns that could still gain candidates are finished
-  by *hit* counting over the remaining rows, which also discovers
-  brand-new eligible candidates.
+  by *hit* counting over the remaining rows, which also discovers new
+  eligible pairs, row-exactly: an owner pairs only over the rows where
+  its count is still within its add cutoff (:func:`new_pairs`, the
+  vector scan's discovery step).  A pair first meeting later has
+  missed more often than any budget allows.
 
 Both phases are array expressions over one block-by-block walk of the
 remaining rows with the vector engine's kernels (:mod:`repro.matrix.
@@ -84,19 +87,32 @@ def emit_rules(
     stats.candidates_rejected += len(owners) - emitted
 
 
-def _new_pairs(block, picked, co_block, eligible, live_keys, n_columns):
-    """``(owners, cands, hits)`` parts of the block's pairs of open
-    owners (dense indices ``picked``) that are eligible and whose
-    ``owner * n_columns + cand`` key is not in ``live_keys``.  ``block``
-    is ``(lengths, cols, to_active, active)``."""
-    parts = []
-    for owners, cands, hits in co_occurrences(*block, picked, co_block):
-        keep = eligible(owners, cands)
+def new_pairs(block, picked, allowance, co, block_hits, admit, live_keys):
+    """Yield ``(owners, cands, hits)`` for the block's pairs of the
+    owners at dense indices ``picked``, each over its first
+    ``allowance`` rows, that ``admit(owners, cands)`` takes and whose
+    ``owner * n_columns + cand`` key is not in ``live_keys``: the
+    discovery step of the vector scan and the tail.  ``block`` is
+    ``(lengths, cols, counts, active, to_active)``; a capped owner's
+    whole-block ``hits`` come from ``block_hits``."""
+    lengths, cols, counts, active, to_active = block
+    n_columns = len(to_active)
+    capped = np.zeros(len(active) + 1, dtype=bool)
+    capped[picked] = allowance < counts[active[picked]]
+    for owners, cands, hits in co_occurrences(
+        lengths, cols, to_active, active, picked, co, allowance,
+    ):
+        keep = admit(owners, cands)
         keep[keep] = ~np.isin(
             owners[keep] * n_columns + cands[keep], live_keys
         )
-        parts.append((owners[keep], cands[keep], hits[keep]))
-    return parts
+        owners, cands, hits = owners[keep], cands[keep], hits[keep]
+        partial = np.flatnonzero(capped[to_active[owners]])
+        if len(partial):
+            hits[partial] = block_hits(
+                to_active[owners[partial]], to_active[cands[partial]]
+            )
+        yield owners, cands, hits
 
 
 def bitmap_tail(
@@ -141,7 +157,7 @@ def bitmap_tail(
         count = np.asarray(count, dtype=np.int64)
         ones = policy.ones_array()
         n_columns = len(ones)
-        cutoff, eligible = policy.add_cutoff_array(), policy.eligible_mask
+        cutoff = policy.add_cutoff_array()
         closed = count > cutoff
         if lists is None:
             lists = np.unique(owners)
@@ -162,22 +178,25 @@ def bitmap_tail(
                 counts, active, to_active, dense = dense_block(
                     lengths, cols, n_columns
                 )
+                allowance = cutoff[active] - (count + remaining)[active] + 1
+                picked = np.flatnonzero(allowance > 0)
                 remaining += counts
-                picked = np.flatnonzero(~closed[active])
                 co_block = block_co_matrix(dense, len(picked))
+                block_hits = BlockHits(dense, co_block)
                 touched = np.flatnonzero(counts[owners])
                 if len(touched):
-                    co[touched] += BlockHits(dense, co_block)(
+                    co[touched] += block_hits(
                         to_active[owners[touched]],
                         to_active[cands[touched]],
                     )
                 if len(picked):
                     owners, cands, co = map(np.concatenate, zip(
                         (owners, cands, co),
-                        *_new_pairs(
-                            (lengths, cols, to_active, active), picked,
-                            co_block, eligible, owners * n_columns + cands,
-                            n_columns,
+                        *new_pairs(
+                            (lengths, cols, counts, active, to_active),
+                            picked, allowance[picked], co_block,
+                            block_hits, policy.eligible_mask,
+                            owners * n_columns + cands,
                         ),
                     ))
 

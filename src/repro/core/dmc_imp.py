@@ -4,15 +4,16 @@ Steps, as in the paper:
 
 1. Pre-scan: count ``ones(c_i)`` and bucket rows by density (Section
    4.1) so the second scan reads sparsest rows first.
-2. Extract 100%-confidence rules with the plan's scan and its bitmap
-   tail: the simplified (id-set) scan when serial, else the vector
-   scan.
+2. Extract the 100%-confidence rules of the columns step 3 removes
+   (only they own lists) with the plan's scan and its bitmap tail: the
+   simplified (id-set) scan when serial, else the vector scan.
 3. Remove every column whose miss budget is zero — such columns can only
    participate in 100% rules, which step 2 already found.  (We use the
    exact ``maxmiss == 0`` cutoff; see DESIGN.md on the paper's
    off-by-one.)
-4. Extract the remaining ``>= minconf`` rules with DMC-base + DMC-bitmap
-   over the restricted matrix, and merge with step 2's output.
+4. Extract the remaining ``>= minconf`` rules, the kept columns' 100%
+   rules among them, with DMC-base + DMC-bitmap over the restricted
+   matrix.
 
 DMC-sim (Algorithm 5.1) runs the same steps; only the pair policies and
 the removal cutoff differ (:data:`TASKS`).  :func:`mine_passes` writes
@@ -82,8 +83,8 @@ class PruningOptions:
 class DmcTask:
     """The only per-task choices of the DMC phase sequence."""
 
-    #: Step 2's zero-miss policy, built from ``ones``.
-    hundred_policy: Callable[[Sequence[int]], PairPolicy]
+    #: Step 2's zero-miss policy, built from ``(ones, owners)``.
+    hundred_policy: Callable[[Sequence[int], np.ndarray], PairPolicy]
     #: Step 3: columns with ``ones <= cutoff(threshold)`` are removed.
     removal_cutoff: Callable[[Fraction], int]
     #: Step 4's policy, built from ``(ones, threshold, options)``.
@@ -184,26 +185,31 @@ def mine_passes(
         stats.rules_partial = len(rules)
         return rules
 
-    with observer.phase("100%-rules", stats.timer):
-        policy = spec.hundred_policy(ones)
-        scan(hundred_scan, policy, None, stats.hundred_percent_scan)
-        stats.rules_hundred_percent = len(rules)
-
-    if threshold == 1:
-        return rules
-
-    with observer.phase("<100%-rules", stats.timer):
-        counts = np.asarray(ones, dtype=np.int64)
+    # Step 3's mask first: the <100% pass emits a kept column's 100%
+    # rules again (ALGORITHMS.md §4), so only the removed columns own
+    # lists in step 2; at threshold 1 every column counts as removed.
+    counts = np.asarray(ones, dtype=np.int64)
+    kept = np.zeros(len(counts), dtype=bool)
+    if threshold < 1:
         kept = counts > spec.removal_cutoff(threshold)
-        stats.columns_removed = len(counts) - int(kept.sum())
-        # Removed columns count as all-zero: exactly the restricted
-        # matrix's column_ones, without a recount.
-        policy = spec.partial_policy(
-            np.where(kept, counts, 0), threshold, options
-        )
-        scan(partial_scan, policy, kept, stats.partial_scan)
-        stats.rules_partial = len(rules) - stats.rules_hundred_percent
 
+    with observer.phase("100%-rules", stats.timer):
+        policy = spec.hundred_policy(ones, ~kept)
+        scan(hundred_scan, policy, None, stats.hundred_percent_scan)
+
+    if threshold < 1:
+        with observer.phase("<100%-rules", stats.timer):
+            stats.columns_removed = len(counts) - int(kept.sum())
+            # Removed columns count as all-zero: exactly the restricted
+            # matrix's column_ones, without a recount.
+            policy = spec.partial_policy(
+                np.where(kept, counts, 0), threshold, options
+            )
+            scan(partial_scan, policy, kept, stats.partial_scan)
+
+    part, whole = rules.columns()[2:]
+    stats.rules_hundred_percent = int(np.count_nonzero(part == whole))
+    stats.rules_partial = len(rules) - stats.rules_hundred_percent
     return rules
 
 

@@ -26,7 +26,8 @@ array has outgrown its budget (Section 4.4's switch rule).
 ``zero_miss_scan`` is the Section 4.3 specialization for 100% rules: no
 miss counters at all — candidate lists are plain id sets, intersected
 with each row — and no candidate is ever added after a column's first
-occurrence.
+occurrence.  A column the policy never opens (add cutoff -1: outside a
+zero-budget policy's ``owners``) gets no list at all.
 """
 
 from __future__ import annotations
@@ -367,6 +368,7 @@ def zero_miss_scan_rows(
 
     ones = policy.ones
     count = [0] * len(ones)
+    opens = (policy.add_cutoff_array() >= 0).tolist()
     lists: Dict[int, Set[int]] = {}
     entries = 0
     rows = iter(rows)
@@ -399,7 +401,7 @@ def zero_miss_scan_rows(
             break
         row_set = set(row)
         for column_j in row:
-            if count[column_j] == 0:
+            if count[column_j] == 0 and opens[column_j]:
                 created = {
                     candidate_k
                     for candidate_k in row

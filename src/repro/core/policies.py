@@ -217,11 +217,45 @@ class ImplicationPolicy(PairPolicy):
         return misses <= self.maxmiss_array()[owners]
 
 
-class HundredPercentPolicy(ImplicationPolicy):
-    """The Section 4.3 special case: zero misses allowed anywhere."""
+class _OwnerMask:
+    """Only the columns of the bool mask ``owners`` (None: all) own
+    lists: any other is never an eligible owner, and its add cutoff is
+    -1, so no scan opens it.  Each policy's scalar ``eligible`` tests it
+    inline, as the zero-miss scan calls that once per pair."""
 
-    def __init__(self, ones: Sequence[int]) -> None:
+    def _own(self, owners) -> None:
+        self.owners = np.ones(len(self.ones), dtype=bool)
+        if owners is not None:
+            self.owners[:] = owners  # a mask of another length raises
+        self._cutoffs = self.owners.astype(np.int64) - 1
+        self._cutoff_list = self._cutoffs.tolist()
+
+    def eligible_mask(
+        self, owners: np.ndarray, cands: np.ndarray
+    ) -> np.ndarray:
+        return super().eligible_mask(owners, cands) & self.owners[owners]
+
+    def add_cutoff(self, column_j: int) -> int:
+        return self._cutoff_list[column_j]
+
+    def add_cutoff_array(self) -> np.ndarray:
+        return self._cutoffs
+
+
+class HundredPercentPolicy(_OwnerMask, ImplicationPolicy):
+    """The Section 4.3 special case: zero misses allowed anywhere, on
+    lists of the ``owners`` columns (see :class:`_OwnerMask`)."""
+
+    def __init__(
+        self, ones: Sequence[int], owners: Optional[np.ndarray] = None
+    ) -> None:
         super().__init__(ones, Fraction(1))
+        self._own(owners)
+
+    def eligible(self, column_j: int, candidate_k: int) -> bool:
+        return self._cutoff_list[column_j] == 0 and canonical_before(
+            self.ones[column_j], column_j, self.ones[candidate_k], candidate_k
+        )
 
 
 #: The largest column count :class:`SimilarityPolicy` accepts: its
@@ -364,40 +398,45 @@ class SimilarityPolicy(PairPolicy):
         union = ones[cands] + misses
         return (union > 0) & (intersection * self._q >= self._p * union)
 
-class IdentityPolicy(PairPolicy):
+
+class IdentityPolicy(_OwnerMask, PairPolicy):
     """100%-similarity (identical columns) — DMC-sim step 2.
 
-    Only pairs with equal cardinality are eligible and no miss at all is
+    Only pairs with equal cardinality are eligible, on lists of the
+    ``owners`` columns (see :class:`_OwnerMask`), and no miss at all is
     allowed.
     """
 
     rule_type = SimilarityRule
 
+    def __init__(
+        self, ones: Sequence[int], owners: Optional[np.ndarray] = None
+    ) -> None:
+        super().__init__(ones)
+        self._own(owners)
+
     def eligible(self, column_j: int, candidate_k: int) -> bool:
         return (
-            self.ones[column_j] == self.ones[candidate_k]
+            self._cutoff_list[column_j] == 0
+            and self.ones[column_j] == self.ones[candidate_k]
             and column_j < candidate_k
         )
 
     def pair_budget(self, column_j: int, candidate_k: int) -> int:
         return 0
 
-    def add_cutoff(self, column_j: int) -> int:
-        return 0
-
     def eligible_mask(
         self, owners: np.ndarray, cands: np.ndarray
     ) -> np.ndarray:
         ones = self.ones_array()
-        return (ones[owners] == ones[cands]) & (owners < cands)
+        return (ones[owners] == ones[cands]) & super().eligible_mask(
+            owners, cands
+        )
 
     def budget_array(
         self, owners: np.ndarray, cands: np.ndarray
     ) -> np.ndarray:
         return np.zeros(len(owners), dtype=np.int64)
-
-    def add_cutoff_array(self) -> np.ndarray:
-        return np.zeros(len(self.ones), dtype=np.int64)
 
     def valid_mask(
         self, owners: np.ndarray, cands: np.ndarray, misses: np.ndarray

@@ -21,14 +21,15 @@ Admission is row-exact.  The serial scan adds ``c_k`` to ``c_j``'s
 list only at a row where ``cnt(c_j)`` is within the add cutoff; here
 an owner whose block-start count ``cnt_start(c_j)`` is within it gets
 an allowance of ``cutoff - cnt_start + 1`` rows, and discovery
-(:func:`repro.matrix.ops.co_occurrences`) pairs it only over its first
-that many rows of the block.  So for every policy whose pair budget is
-its add cutoff (implication, 100%, identical columns) the engine
-admits exactly the serial scan's pairs, and its candidate counters
-match; a similarity policy may admit more, because its per-pair budget
-is checked against ``cnt_start`` and its dynamic check runs in the
-block's sweep.  Every pass of a vector plan, the 100% pass included,
-runs here.
+(:func:`repro.core.bitmap.new_pairs`, shared with the bitmap tail)
+pairs it only over its first that many rows of the block.  So for
+every policy whose pair budget is its add cutoff (implication, 100%,
+identical columns) the engine admits exactly the serial scan's pairs,
+and its candidate counters match; a similarity policy may admit more,
+because its per-pair budget is checked against ``cnt_start`` and its
+dynamic check runs in the block's sweep.  Every pass of a vector plan,
+the 100% pass included (on lists of the removed columns only), runs
+here.
 
 Exactness argument (why block granularity cannot change the rules):
 ``policy.make_rules`` applies the exact final validity test, so the
@@ -68,7 +69,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.bitmap import bitmap_tail, emit_rules, tail_due
+from repro.core.bitmap import bitmap_tail, emit_rules, new_pairs, tail_due
 from repro.core.candidates import PairStore
 from repro.core.miss_counting import BitmapConfig, matrix_order
 from repro.core.policies import PairPolicy
@@ -85,7 +86,6 @@ from repro.matrix.ops import (
     MAX_BLOCK_ROWS,
     BlockHits,
     block_co_matrix,
-    co_occurrences,
     dense_block,
 )
 from repro.observe.progress import NULL_OBSERVER
@@ -179,6 +179,12 @@ def vector_scan_rows(
     if bitmap is not None and bitmap.hard_budget_bytes is not None:
         ramp = 1
 
+    def admit(owners, cands):
+        # Eligible, with the owner's misses before the block in budget.
+        return policy.eligible_mask(owners, cands) & (
+            count[owners] <= policy.budget_array(owners, cands)
+        )
+
     while position < n_rows:
         memory = store.memory_bytes()
         hand_over, tripped = tail_due(
@@ -220,43 +226,22 @@ def vector_scan_rows(
             # per-pair kernels do.
             allowance = cutoff[active] - count[active] + 1
             open_positions = np.flatnonzero(allowance > 0)
-            allowance = allowance[open_positions]
             co = block_co_matrix(
                 dense, len(open_positions), dense_pair_columns
             )
             block_hits = BlockHits(dense, co)
-            capped = np.zeros(len(active) + 1, dtype=bool)
-            capped[open_positions] = (
-                allowance < counts_block[active[open_positions]]
-            )
 
             # New pairs are collected first and appended *after* the
             # live-pair miss update, with their exact block misses; a
             # pair over budget already is counted as added and swept
             # (budget) but never stored.
-            new_pairs = []
-            live_keys = store.keys(n_columns)
-            for owners, cands, hits in co_occurrences(
-                lengths, cols, to_active, active, open_positions, co,
-                allowance,
+            new = []
+            for owners, cands, hits in new_pairs(
+                (lengths, cols, counts_block, active, to_active),
+                open_positions, allowance[open_positions], co, block_hits,
+                admit, store.keys(n_columns),
             ):
-                keep = policy.eligible_mask(owners, cands)
-                owners, cands, hits = owners[keep], cands[keep], hits[keep]
                 budgets = policy.budget_array(owners, cands)
-                keep = count[owners] <= budgets
-                keep[keep] = ~np.isin(
-                    owners[keep] * n_columns + cands[keep], live_keys
-                )
-                owners, cands = owners[keep], cands[keep]
-                budgets, hits = budgets[keep], hits[keep]
-                # A capped owner's discovery counted its allowed rows
-                # only; its pairs' block hits come from the kernels.
-                partial = np.flatnonzero(capped[to_active[owners]])
-                if len(partial):
-                    hits[partial] = block_hits(
-                        to_active[owners[partial]],
-                        to_active[cands[partial]],
-                    )
                 block_miss = counts_block[owners] - hits
                 misses_seen += int(block_miss.sum())
                 misses = count[owners] + block_miss
@@ -265,8 +250,8 @@ def vector_scan_rows(
                 stats.candidates_added += over
                 stats.candidates_deleted += over
                 stats.candidates_deleted_budget += over
-                new_pairs.append((owners[within], cands[within],
-                                  misses[within], budgets[within]))
+                new.append((owners[within], cands[within],
+                            misses[within], budgets[within]))
 
             # -- miss update: block misses for every previously live
             #    pair whose owner appears in the block.
@@ -282,7 +267,7 @@ def vector_scan_rows(
                     store.misses[touched] += delta
                     misses_seen += int(delta.sum())
 
-            for owners, cands, misses, budgets in new_pairs:
+            for owners, cands, misses, budgets in new:
                 store.append(owners, cands, misses, budgets)
                 stats.candidates_added += len(owners)
 

@@ -10,12 +10,14 @@ grouping is connected components, implemented here on networkx graphs.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
 from typing import Iterable, List, Optional, Sequence, Set, Union
-
-import networkx as nx
 
 from repro.core.rules import ImplicationRule, RuleSet, SimilarityRule
 from repro.matrix.binary_matrix import Vocabulary
+
+if TYPE_CHECKING:  # networkx is imported where a graph is built
+    import networkx as nx
 
 
 def implication_rule_graph(rules: Iterable[ImplicationRule]) -> nx.DiGraph:
@@ -23,6 +25,7 @@ def implication_rule_graph(rules: Iterable[ImplicationRule]) -> nx.DiGraph:
 
     Edge attribute ``confidence`` carries the exact confidence.
     """
+    import networkx as nx
     graph = nx.DiGraph()
     for rule in rules:
         graph.add_edge(
@@ -33,6 +36,7 @@ def implication_rule_graph(rules: Iterable[ImplicationRule]) -> nx.DiGraph:
 
 def similarity_rule_graph(rules: Iterable[SimilarityRule]) -> nx.Graph:
     """Undirected graph: edge per similar pair, weighted by similarity."""
+    import networkx as nx
     graph = nx.Graph()
     for rule in rules:
         graph.add_edge(rule.first, rule.second, similarity=rule.similarity)
@@ -124,6 +128,7 @@ def implication_equivalence_groups(
     reverse edges are included; without them only explicitly-present
     edges count.  Singleton components are dropped; largest first.
     """
+    import networkx as nx
     graph = _bidirectional_graph(rules, ones, threshold)
     groups = [
         set(component)
@@ -149,6 +154,7 @@ def group_implication_dag(
     paper's conclusion sketches.  See
     :func:`implication_equivalence_groups` for the role of ``ones``.
     """
+    import networkx as nx
     graph = _bidirectional_graph(rules, ones, threshold)
     condensation = nx.condensation(graph)
     dag = nx.DiGraph()
@@ -171,6 +177,7 @@ def similarity_components(
     attributes related by pairwise similarity (e.g. mirror pages, or a
     synonym family in the dictionary data).
     """
+    import networkx as nx
     graph = similarity_rule_graph(rules)
     components = [set(c) for c in nx.connected_components(graph)]
     components.sort(key=lambda c: (-len(c), min(c)))

@@ -73,3 +73,24 @@ def test_cli_entry_point_importable():
     from repro.cli import main
 
     assert callable(main)
+
+
+def test_cli_import_leaves_networkx_unloaded():
+    """Rule grouping imports networkx where it builds a graph, so a CLI
+    call or a ``repro serve`` spawn does not pay for it at start-up."""
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    environment = dict(os.environ)
+    environment["PYTHONPATH"] = str(
+        pathlib.Path(__file__).resolve().parent.parent / "src"
+    )
+    loaded = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, repro.cli; print('networkx' in sys.modules)"],
+        capture_output=True, text=True, check=True, env=environment,
+    )
+    assert loaded.stdout.strip() == "False"
+

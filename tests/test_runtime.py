@@ -13,6 +13,7 @@ import os
 import signal
 import time
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,11 +23,10 @@ from repro.baselines.bruteforce import (
     implication_rules_bruteforce,
     similarity_rules_bruteforce,
 )
-from repro.core.dmc_imp import PruningOptions, find_implication_rules
+from repro.core.dmc_imp import TASKS, PruningOptions, find_implication_rules
 from repro.core.miss_counting import BitmapConfig
 from repro.core.dmc_sim import find_similarity_rules
 from repro.core import vector
-from repro.core.policies import HundredPercentPolicy, IdentityPolicy
 from repro.core.stats import PipelineStats
 from repro.matrix.binary_matrix import BinaryMatrix
 from repro.matrix.io import save_transactions
@@ -565,28 +565,54 @@ BUDGET_TASKS = {
 }
 
 
-def _first_pair_row(matrix, task) -> int:
-    """The first row after which a vector 100% pass in one-row blocks
-    holds a pair, and so exceeds a one-byte budget: a row where a
-    column with more than one 1 first occurs beside an eligible
-    candidate (the ``PairStore`` charges nothing for a list with no
-    pairs)."""
-    ones = matrix.column_ones()
-    policy = (
-        HundredPercentPolicy(ones) if task == "implication"
-        else IdentityPolicy(ones)
-    )
-    seen = set()
+def _first_held_row(matrix, policy, serial):
+    """The first row after which a scan of ``matrix`` in scan order and
+    one-row blocks holds something, and so exceeds a one-byte budget,
+    or None: a row where an open column (its count within its add
+    cutoff) does not finish.  The serial scans charge its list even
+    when empty; the vector scan (the ``PairStore`` charges nothing for
+    a list with no pairs) only a pair with an eligible candidate that
+    is within its budget and survives the dynamic check."""
+    count = [0] * matrix.n_columns
     for position, (_, row) in enumerate(
         matrix.iter_rows(scan_order(matrix))
     ):
-        for owner in set(row) - seen:
-            if ones[owner] > 1 and any(
-                policy.eligible(owner, cand) for cand in row if cand != owner
+        for j in row:
+            if count[j] > policy.add_cutoff(j):
+                continue
+            if count[j] + 1 == policy.ones[j]:
+                continue
+            if serial or any(
+                k != j and policy.eligible(j, k)
+                and count[j] <= policy.pair_budget(j, k)
+                and not policy.dynamic_prune(
+                    j, k, count[j] + 1, count[j], count[k] + 1
+                )
+                for k in row
             ):
                 return position + 1
-        seen.update(row)
-    raise AssertionError("no row admits a pair")
+        for j in row:
+            count[j] += 1
+    return None
+
+
+def _first_trip(matrix, task, engine):
+    """``(scan, row)`` of a one-byte budget's trip.  The 100% pass runs
+    first, but only the columns step 3 removes own lists there; when it
+    holds nothing, the trip belongs to the <100% pass."""
+    spec = TASKS[task]
+    threshold = Fraction(BUDGET_TASKS[task][0])
+    ones = matrix.column_ones()
+    kept = np.asarray(ones) > spec.removal_cutoff(threshold)
+    serial = engine == "dmc"
+    row = _first_held_row(matrix, spec.hundred_policy(ones, ~kept), serial)
+    if row is not None:
+        return "hundred_percent_scan", row
+    restricted = matrix.restrict_columns(np.flatnonzero(kept))
+    policy = spec.partial_policy(
+        restricted.column_ones(), threshold, PruningOptions()
+    )
+    return "partial_scan", _first_held_row(restricted, policy, serial)
 
 
 def _mine_under_budget(data, task, engine, budget):
@@ -630,10 +656,9 @@ class TestMemoryBudget:
         if when == "never":
             assert tripped is None
         elif when == "row-1":
-            # The zero-miss scan charges every list from its first row.
-            first = 1 if engine == "dmc" else _first_pair_row(matrix, task)
+            scan, first = _first_trip(matrix, task, engine)
             assert tripped == first
-            assert result.stats.hundred_percent_scan.guard_tripped_at == first
+            assert getattr(result.stats, scan).guard_tripped_at == first
         else:
             assert 1 < tripped < matrix.n_rows
             assert result.stats.partial_scan.guard_tripped_at is not None
