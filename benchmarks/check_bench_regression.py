@@ -9,7 +9,10 @@ more than the threshold (default 25%).  The statistic compared is the
 median, which a single slow round cannot drag; when either document
 predates ``median_seconds`` the gate falls back to the mean.
 
-Only benchmarks present in **both** documents are compared — a new
+Both documents must come from the same module at the same
+``BENCH_SCALE`` and ``BENCH_SEED``: a fresh run at another scale times
+another workload, so the gate refuses it instead of comparing.  Only
+benchmarks present in **both** documents are compared — a new
 benchmark has no history to regress against, and a deleted one has no
 fresh number — and a small absolute floor keeps sub-millisecond
 scheduler jitter from flipping the verdict on micro-entries.
@@ -70,13 +73,16 @@ def check(
     """Return one verdict line per shared benchmark.
 
     Raises :class:`BenchmarkRegression` listing every breach, after
-    examining all shared benchmarks (so one report names them all).
+    examining all shared benchmarks (so one report names them all),
+    and ``ValueError`` when the documents differ in module, scale or
+    seed: those numbers measure different workloads.
     """
-    if committed.get("module") != fresh.get("module"):
-        raise ValueError(
-            f"module mismatch: committed {committed.get('module')!r} "
-            f"vs fresh {fresh.get('module')!r}"
-        )
+    for key in ("module", "scale", "seed"):
+        if committed.get(key) != fresh.get(key):
+            raise ValueError(
+                f"{key} mismatch: committed {committed.get(key)!r} "
+                f"vs fresh {fresh.get(key)!r}"
+            )
     baseline_entries = _by_name(committed)
     fresh_entries = _by_name(fresh)
     shared = [

@@ -591,12 +591,6 @@ def _journal(args: argparse.Namespace) -> int:
         )
         if deltas.get("n_rules") is not None:
             line += f" ({deltas['n_rules']} now)"
-        if deltas.get("readmitted"):
-            line += f", readmitted {deltas['readmitted']}"
-        if deltas.get("replayed_rows"):
-            line += f", replayed {deltas['replayed_rows']} rows"
-        if deltas.get("degraded"):
-            line += f", degraded {deltas['degraded']}x"
         print(line)
     events = " ".join(
         f"{name}={count}"
@@ -816,10 +810,6 @@ def _format_watch_line(record: dict) -> Optional[str]:
             f"+{record.get('appeared', 0)}/-{record.get('disappeared', 0)} "
             f"rules ({record.get('n_rules', 0)} total)"
         )
-        if record.get("readmitted"):
-            line += f", readmitted {record['readmitted']}"
-        if record.get("degraded"):
-            line += f" [degraded: {record['degraded']}]"
         if record.get("recovered"):
             line += " [recovered]"
         return line

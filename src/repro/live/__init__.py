@@ -1,17 +1,16 @@
-"""Continuous mining: crash-safe incremental delta ingestion.
+"""Continuous mining: crash-safe delta ingestion.
 
-The package splits the continuous-mining tentpole into two layers:
+The package has two layers:
 
 - :mod:`repro.live.wal` — the durable write-ahead delta log
   (atomic-commit segments, monotonic sequence discipline, SHA-256
-  chain fingerprint) and the optional state snapshot store;
-- :mod:`repro.live.miner` — :class:`LiveMiner`, the long-lived
-  incremental miner whose rule set stays byte-identical to a full
-  re-mine of the concatenated data after every committed batch.
+  chain fingerprint) and the optional snapshot store;
+- :mod:`repro.live.miner` — :class:`LiveMiner`, the long-lived miner
+  that re-mines the rows so far after every committed batch, so its
+  rule set is a one-shot mine's of the concatenated data.
 
-The pure threshold/bound arithmetic lives in
-:mod:`repro.core.incremental`; the service-facing session (applier
-thread, backpressure) in :mod:`repro.service.live`.
+The service-facing session (applier thread, backpressure) lives in
+:mod:`repro.service.live`.
 """
 
 from repro.live.miner import DeltaReceipt, LiveMiner

@@ -24,11 +24,12 @@ Exactly-once application falls out of the sequence discipline:
 
 Segments are chained by SHA-256 (each records the previous segment's
 digest), giving restarts a fingerprint to verify a snapshot against;
-a mismatch is an invariant breach that forces the degradation ladder
-(see :mod:`repro.live.miner`) rather than silent wrongness.
+a mismatch is an invariant breach that makes the miner journal a
+``live-degrade`` and rebuild at the watermark (see
+:mod:`repro.live.miner`) rather than trust the snapshot.
 
-Segments are retained indefinitely — they are the replay source for
-exact re-admission counts and for the journalled full re-mine.
+Segments are retained indefinitely — they are the only copy of the
+rows, which every restart rebuilds from.
 """
 
 from __future__ import annotations

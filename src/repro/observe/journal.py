@@ -357,9 +357,9 @@ def summarize_journal(path: str, storage=None) -> Dict[str, object]:
       a run that enters the same phase once per bucket or per delta
       batch still summarizes to one row per phase;
     - ``deltas`` — continuous-mining totals folded over the
-      ``delta-applied`` events (batches, rows, rule churn,
-      re-admissions, replayed rows, degradations), which a live job's
-      journal carries instead of a single run-end record.
+      ``delta-applied`` events (batches, rows, rule churn, recovered
+      batches), which a live job's journal carries instead of a single
+      run-end record.
     """
     event_counts: Dict[str, int] = {}
     phases: List[Dict[str, object]] = []
@@ -374,9 +374,6 @@ def summarize_journal(path: str, storage=None) -> Dict[str, object]:
         "appeared": 0,
         "disappeared": 0,
         "changed": 0,
-        "readmitted": 0,
-        "replayed_rows": 0,
-        "degraded": 0,
         "recovered": 0,
         "n_rules": None,
         "last_seq": None,
@@ -435,13 +432,8 @@ def summarize_journal(path: str, storage=None) -> Dict[str, object]:
             per_scan[point[0]] = point
         elif event == "delta-applied":
             deltas["batches"] += 1
-            for key in (
-                "rows", "appeared", "disappeared", "changed",
-                "readmitted", "replayed_rows",
-            ):
+            for key in ("rows", "appeared", "disappeared", "changed"):
                 deltas[key] += int(record.get(key) or 0)
-            if record.get("degraded"):
-                deltas["degraded"] += 1
             if record.get("recovered"):
                 deltas["recovered"] += 1
             if record.get("n_rules") is not None:

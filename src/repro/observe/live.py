@@ -35,8 +35,8 @@ class LiveRunStatus:
         self._rate_window_start = self.started_monotonic
         self._rows_per_second = 0.0
         #: Continuous-mining fields (delta watermark, applied seq,
-        #: re-admission counters ...) published by a live miner; empty
-        #: for batch runs.
+        #: rule count ...) published by a live miner; empty for batch
+        #: runs.
         self._live_fields: Dict[str, object] = {}
 
     # -- engine-side writers ------------------------------------------

@@ -51,7 +51,7 @@ from repro.service.jobs import (
     CANCELLED, DONE, FAILED, QUEUED, RUNNING, STATES, TERMINAL_STATES,
     JobDataError, JobIndex, JobRecord, JobSpec, RecoveryReport,
 )
-from repro.service.live import DEFAULT_REPLAY_BUDGET_ROWS, LiveSession
+from repro.service.live import LiveSession
 from repro.service.quotas import (
     AdmissionError, QuotaPolicy, TenantQuota,
 )
@@ -123,14 +123,12 @@ class MiningService:
         min_free_bytes: Optional[int] = None,
         registry: Optional[MetricsRegistry] = None,
         max_live_backlog: int = 64,
-        live_replay_budget_rows: Optional[int] = None,
     ) -> None:
         self.state_dir = str(state_dir)
         self.storage = storage if storage is not None else LOCAL_STORAGE
         self.policy = policy if policy is not None else QuotaPolicy()
         self.min_free_bytes = min_free_bytes
         self.max_live_backlog = max_live_backlog
-        self.live_replay_budget_rows = live_replay_budget_rows
         self.live_sessions: Dict[str, LiveSession] = {}
         self._live_lock = threading.RLock()
         self.started_at = time.time()
@@ -329,11 +327,6 @@ class MiningService:
                 journal=self.journal,
                 trace_id=record.spec.trace_id,
                 max_backlog=self.max_live_backlog,
-                replay_budget_rows=(
-                    self.live_replay_budget_rows
-                    if self.live_replay_budget_rows is not None
-                    else DEFAULT_REPLAY_BUDGET_ROWS
-                ),
             )
             session.submit_delta(
                 1, list(record.spec.data.get("transactions") or [])

@@ -42,10 +42,6 @@ from repro.service.quotas import AdmissionError
 #: up (``max_live_backlog`` on the service overrides it).
 DEFAULT_MAX_BACKLOG = 64
 
-#: Default replay budget (rows) before a re-admission replay degrades
-#: to the journalled full re-mine inside a service-run session.
-DEFAULT_REPLAY_BUDGET_ROWS = 2_000_000
-
 
 class LiveSession:
     """One open continuous-mining session of a ``live`` job.
@@ -67,7 +63,6 @@ class LiveSession:
         journal=None,
         trace_id: Optional[str] = None,
         max_backlog: int = DEFAULT_MAX_BACKLOG,
-        replay_budget_rows: Optional[int] = DEFAULT_REPLAY_BUDGET_ROWS,
         snapshot_every: int = 4,
     ) -> None:
         if max_backlog < 1:
@@ -97,7 +92,6 @@ class LiveSession:
             status=self.status,
             tracer=self.tracer,
             snapshot_every=snapshot_every,
-            replay_budget_rows=replay_budget_rows,
         )
         self._applier = threading.Thread(
             target=self._apply_loop,
@@ -121,8 +115,9 @@ class LiveSession:
             # Fold outside the session lock: committing new batches
             # must stay possible *while* applying, or the backlog (and
             # its 429) could never actually arise.  The miner's commit
-            # and apply paths touch disjoint state (WAL tail vs folded
-            # counters); the journal and status have their own locks.
+            # and apply paths touch disjoint state (WAL tail vs the
+            # mined rows and rules); the journal and status have their
+            # own locks.
             try:
                 receipts = self.miner.apply_committed()
             except Exception as error:  # surface, don't die silently

@@ -285,9 +285,6 @@ class ServiceServer(MetricsServer):
                 "appeared": receipt.appeared,
                 "disappeared": receipt.disappeared,
                 "n_rules": receipt.n_rules,
-                "readmitted": receipt.readmitted,
-                "replayed_rows": receipt.replayed_rows,
-                "degraded": receipt.degraded,
             },
         )
 

@@ -65,3 +65,35 @@ class TestMedianGate:
         fresh["benchmarks"][0]["median_seconds"] = 0.126
         with pytest.raises(BenchmarkRegression):
             check(committed, fresh)
+
+
+class TestWorkloadIdentity:
+    @pytest.mark.parametrize("key,committed_value,fresh_value", [
+        ("module", "bench_live", "bench_service"),
+        ("scale", 1.0, 0.05),
+        ("seed", 0, 1),
+    ])
+    def test_mismatch_is_refused(
+        self, tmp_path, key, committed_value, fresh_value
+    ):
+        """A document at another scale or seed times another workload:
+        the gate refuses to compare rather than pass a smaller run."""
+        import json
+
+        committed = _document(scan={"median_seconds": 0.100,
+                                    "mean_seconds": 0.100})
+        fresh = _document(scan={"median_seconds": 0.010,
+                                 "mean_seconds": 0.010})
+        committed[key] = committed_value
+        fresh[key] = fresh_value
+        with pytest.raises(ValueError, match=f"{key} mismatch"):
+            check(committed, fresh)
+        paths = []
+        for name, document in (("old", committed), ("new", fresh)):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(document))
+            paths.append(str(path))
+        assert main(paths) == 1
+        fresh[key] = committed_value
+        (verdict,) = check(committed, fresh)
+        assert verdict.startswith("scan: median")

@@ -1,4 +1,4 @@
-"""Continuous mining: the delta WAL and the incremental live miner.
+"""Continuous mining: the delta WAL and the live miner.
 
 The heart of this suite is the parity matrix: *any* partition of a
 dataset into append batches — across implication/similarity, several
@@ -17,14 +17,6 @@ import random
 import pytest
 
 import repro
-from repro.core.incremental import (
-    RetiredPair,
-    canonical_pair,
-    pair_alive,
-    pair_rule,
-    readmission_bound,
-    readmission_required,
-)
 from repro.live import (
     DeltaLog,
     DeltaMismatch,
@@ -167,74 +159,6 @@ class TestSnapshotStore:
 
 
 # ----------------------------------------------------------------------
-# The pure incremental arithmetic.
-# ----------------------------------------------------------------------
-
-
-class TestIncrementalMath:
-    def test_pair_alive_matches_thresholds(self):
-        thr = Fraction(3, 4)
-        # Implication: canonical direction is the sparser side.
-        assert pair_alive("implication", thr, 10, 4, 3)
-        assert not pair_alive("implication", thr, 10, 4, 2)
-        # Similarity: |A∩B| / |A∪B|.
-        assert pair_alive("similarity", Fraction(1, 2), 4, 4, 3)
-        assert not pair_alive("similarity", Fraction(1, 2), 6, 6, 3)
-
-    def test_unknown_task_raises(self):
-        with pytest.raises(ValueError):
-            pair_alive("frequency", Fraction(1, 2), 1, 1, 1)
-
-    def test_readmission_bound_dominates_true_hits(self):
-        rng = random.Random(0)
-        for _ in range(300):
-            ones_a_r = rng.randint(0, 20)
-            ones_b_r = rng.randint(0, 20)
-            hits_r = rng.randint(0, min(ones_a_r, ones_b_r))
-            grow_a = rng.randint(0, 15)
-            grow_b = rng.randint(0, 15)
-            true_growth = rng.randint(0, min(grow_a, grow_b))
-            snapshot = RetiredPair(hits_r, ones_a_r, ones_b_r)
-            bound = readmission_bound(
-                snapshot, ones_a_r + grow_a, ones_b_r + grow_b
-            )
-            assert bound >= hits_r + true_growth
-
-    def test_readmission_required_never_false_negative(self):
-        # If the exact count makes a rule, the bound must flag it.
-        rng = random.Random(1)
-        thr = Fraction(2, 3)
-        for _ in range(300):
-            ones_a_r = rng.randint(1, 15)
-            ones_b_r = rng.randint(1, 15)
-            hits_r = rng.randint(0, min(ones_a_r, ones_b_r))
-            grow = rng.randint(0, 10)
-            ones_a, ones_b = ones_a_r + grow, ones_b_r + grow
-            hits = min(hits_r + grow, ones_a, ones_b)
-            snapshot = RetiredPair(hits_r, ones_a_r, ones_b_r)
-            for task in ("implication", "similarity"):
-                if pair_alive(task, thr, ones_a, ones_b, hits):
-                    assert readmission_required(
-                        task, thr, snapshot, ones_a, ones_b
-                    )
-
-    def test_canonical_pair_tracks_current_counts(self):
-        assert canonical_pair([5, 2], 0, 1) == (1, 0)
-        assert canonical_pair([2, 5], 0, 1) == (0, 1)
-        # Equal counts: lower id first.
-        assert canonical_pair([3, 3], 1, 0) == (0, 1)
-
-    def test_pair_rule_matches_engine_objects(self):
-        ones = [4, 10]
-        rule = pair_rule("implication", Fraction(1, 2), ones, 0, 1, 3)
-        assert rule.antecedent == 0 and rule.consequent == 1
-        assert rule.hits == 3 and rule.ones == 4
-        sim = pair_rule("similarity", Fraction(1, 4), ones, 0, 1, 3)
-        assert sim.intersection == 3 and sim.union == 11
-        assert pair_rule("implication", Fraction(9, 10), ones, 0, 1, 3) is None
-
-
-# ----------------------------------------------------------------------
 # The parity matrix (the acceptance criterion).
 # ----------------------------------------------------------------------
 
@@ -246,9 +170,23 @@ PARITY_CASES = [
     ("similarity", "3/4"),
 ]
 
+#: Thresholds that pairs of the random-split data meet exactly (``ones
+#: * threshold`` integral, confidence or similarity equal to it), so
+#: the ``>=`` of the Fraction comparison decides those rules.
+BOUNDARY_CASES = [
+    ("implication", "1/4"),
+    ("similarity", "1/8"),
+]
+
+
+def rule_value(rule):
+    if hasattr(rule, "confidence"):
+        return rule.confidence
+    return rule.similarity
+
 
 class TestParityMatrix:
-    @pytest.mark.parametrize("task,threshold", PARITY_CASES)
+    @pytest.mark.parametrize("task,threshold", PARITY_CASES + BOUNDARY_CASES)
     @pytest.mark.parametrize("engine", ["dmc", "vector"])
     @pytest.mark.parametrize("split_seed", [0, 1, 2])
     def test_random_splits_match_one_shot_mine(
@@ -260,6 +198,7 @@ class TestParityMatrix:
             str(tmp_path / "live"), task, threshold, snapshot_every=3
         )
         consumed = 0
+        ties = 0
         for seq, batch in enumerate(batches, 1):
             miner.submit(seq, batch)
             consumed += len(batch)
@@ -269,6 +208,11 @@ class TestParityMatrix:
                 engine=engine,
             )
             assert miner.rules() == oracle.rules
+            ties += sum(
+                rule_value(rule) == Fraction(threshold)
+                for rule in miner.rules()
+            )
+        assert ties or (task, threshold) not in BOUNDARY_CASES
 
     @pytest.mark.parametrize("task,threshold", PARITY_CASES[:2])
     def test_restart_at_every_batch_boundary(
@@ -349,60 +293,11 @@ class TestExactlyOnce:
 
 
 # ----------------------------------------------------------------------
-# Re-admission and the degradation ladder.
+# Snapshot breaches: the one degradation, a rebuild at the watermark.
 # ----------------------------------------------------------------------
 
 
 class TestReadmission:
-    def test_pair_readmitted_exactly_when_math_requires(self, tmp_path):
-        miner = LiveMiner(str(tmp_path / "live"), "implication", "3/4")
-        # conf(a->b) = conf(b->a) = 1/2 < 3/4: the pair retires.
-        miner.submit(1, [["a", "b"], ["a"], ["b"]])
-        assert len(miner._retired) == 1
-        assert len(miner.rules()) == 0
-        # Growth that cannot reach the threshold: no replay happens.
-        miner.submit(2, [["c"]])
-        assert miner.replays_total == 0
-        # Growth that makes the rule possible again: exact replay.
-        miner.submit(3, [["a", "b"]] * 10)
-        assert miner.readmissions_total == 1
-        assert len(miner.rules()) == 1
-        oracle = repro.mine(
-            [["a", "b"], ["a"], ["b"]] + [["c"]] + [["a", "b"]] * 10,
-            task="implication", threshold="3/4", engine="dmc",
-        )
-        assert miner.rules() == oracle.rules
-
-    def test_spurious_flag_re_retires_with_tighter_snapshot(
-        self, tmp_path
-    ):
-        miner = LiveMiner(str(tmp_path / "live"), "implication", "3/4")
-        miner.submit(1, [["a", "b"], ["a"], ["b"]])
-        snapshot_before = next(iter(miner._retired.values()))
-        # Both columns grow but never together: the optimistic bound
-        # fires, the recount says no, the pair re-retires tighter.
-        miner.submit(2, [["a"], ["b"]] * 6)
-        assert miner.replays_total >= 1
-        assert miner.readmissions_total == 0
-        assert len(miner._retired) == 1
-        snapshot_after = next(iter(miner._retired.values()))
-        assert snapshot_after.ones_a > snapshot_before.ones_a
-        assert len(miner.rules()) == 0
-
-    def test_replay_budget_degrades_to_full_rebuild(self, tmp_path):
-        rows = make_rows(200, 8, seed=6, max_width=4)
-        miner = LiveMiner(
-            str(tmp_path / "live"), "implication", "3/4",
-            replay_budget_rows=20,
-        )
-        for seq, batch in enumerate(random_splits(rows, 6, 8), 1):
-            miner.submit(seq, batch)
-        assert miner.degrades_total > 0
-        oracle = repro.mine(
-            rows, task="implication", threshold="3/4", engine="dmc"
-        )
-        assert miner.rules() == oracle.rules
-
     def test_snapshot_fingerprint_mismatch_degrades(self, tmp_path):
         root = str(tmp_path / "live")
         miner = LiveMiner(root, "implication", "2/3", snapshot_every=1)
@@ -428,6 +323,42 @@ class TestReadmission:
             rows, task="implication", threshold="2/3", engine="dmc"
         )
         assert recovered.rules() == oracle.rules
+
+    def test_version_1_snapshot_is_stale(self, tmp_path):
+        """A pair-state snapshot in the earlier format (version 1) is
+        a ``snapshot-version`` breach: the restart rebuilds from the
+        WAL and ignores its counters."""
+        root = str(tmp_path / "live")
+        rows = make_rows(60, 8, seed=7)
+        miner = LiveMiner(root, "implication", "2/3", snapshot_every=1)
+        miner.submit(1, rows[:30])
+        miner.submit(2, rows[30:])
+        snapshot_path = tmp_path / "live" / "state" / "snapshot.json"
+        snapshot_path.write_text(json.dumps({
+            "version": 1, "task": "implication", "threshold": "2/3",
+            "seq": 2, "chain_sha": miner.log.chain_sha(2),
+            "labels": ["c0"], "ones": [1], "n_rows": 1,
+            "tracked": [], "retired": [],
+            "stats": {"readmissions_total": 3, "replays_total": 1,
+                      "replayed_rows_total": 9, "degrades_total": 0},
+        }))
+        journal_path = str(tmp_path / "journal.jsonl")
+        journal = RunJournal(journal_path, run_id="t")
+        recovered = LiveMiner(root, "implication", "2/3", journal=journal)
+        journal.close()
+        degrades = [
+            r for r in read_journal(journal_path)
+            if r["event"] == "live-degrade"
+        ]
+        assert [r["reason"] for r in degrades] == [
+            "snapshot invariant breach: snapshot-version"
+        ]
+        assert recovered.degrades_total == 1
+        assert recovered.applied_seq == 2
+        assert recovered.n_rows == len(rows)
+        assert recovered.rules() == repro.mine(
+            rows, task="implication", threshold="2/3"
+        ).rules
 
     def test_config_mismatch_is_an_error_not_a_degrade(self, tmp_path):
         root = str(tmp_path / "live")
@@ -519,21 +450,6 @@ class TestChurnSurface:
         assert snapshot["live"]["applied_seq"] == 1
         assert snapshot["live"]["n_rows"] == 30
         assert snapshot["rows_scanned"] == 30
-
-    def test_export_pair_store_carries_counters(self, tmp_path):
-        miner = LiveMiner(str(tmp_path / "live"), "implication", "1/2")
-        miner.submit(1, make_rows(50, 8, seed=9))
-        store = miner.export_pair_store()
-        assert len(store) == len(miner._tracked)
-        # Every exported budget/miss pair re-derives from the state.
-        for owner, cand, misses in zip(
-            store.owners.tolist(), store.cands.tolist(),
-            store.misses.tolist(),
-        ):
-            pair = (min(owner, cand), max(owner, cand))
-            hits = miner._tracked[pair]
-            assert misses == miner._ones[owner] - hits
-
 
 # ----------------------------------------------------------------------
 # Crash-point enumeration: kill at every storage op, recovery exact.

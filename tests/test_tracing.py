@@ -493,25 +493,43 @@ class TestJournalSummaries:
         journal = RunJournal(path, "r2")
         journal.emit(
             "delta-applied", seq=1, rows=10, appeared=3, disappeared=0,
+            changed=3, n_rules=3, recovered=False,
+        )
+        journal.emit(
+            "delta-applied", seq=2, rows=5, appeared=1, disappeared=2,
+            changed=3, n_rules=2, recovered=True,
+        )
+        journal.close()
+        deltas = summarize_journal(path)["deltas"]
+        assert deltas == {
+            "batches": 2, "rows": 15, "appeared": 4, "disappeared": 2,
+            "changed": 6, "recovered": 1, "n_rules": 2, "last_seq": 2,
+        }
+
+    def test_delta_records_with_pair_state_keys_still_summarize(
+        self, tmp_path
+    ):
+        """Journals written before batches became re-mines carry
+        ``readmitted`` / ``replayed_rows`` / ``degraded`` on every
+        ``delta-applied``; they fold like any other record."""
+        path = str(tmp_path / "old-live.jsonl")
+        journal = RunJournal(path, "r2")
+        journal.emit(
+            "delta-applied", seq=1, rows=10, appeared=3, disappeared=0,
             changed=3, n_rules=3, readmitted=0, replayed_rows=0,
-            degraded=False, recovered=False,
+            degraded=None, recovered=False,
         )
         journal.emit(
             "delta-applied", seq=2, rows=5, appeared=1, disappeared=2,
             changed=3, n_rules=2, readmitted=1, replayed_rows=4,
-            degraded=True, recovered=False,
+            degraded="replay-budget", recovered=False,
         )
         journal.close()
         deltas = summarize_journal(path)["deltas"]
         assert deltas["batches"] == 2
         assert deltas["rows"] == 15
-        assert deltas["appeared"] == 4
-        assert deltas["disappeared"] == 2
-        assert deltas["readmitted"] == 1
-        assert deltas["replayed_rows"] == 4
-        assert deltas["degraded"] == 1
         assert deltas["n_rules"] == 2
-        assert deltas["last_seq"] == 2
+        assert not {"readmitted", "replayed_rows", "degraded"} & set(deltas)
 
     def test_batch_run_summary_has_no_deltas(self, tmp_path):
         path = str(tmp_path / "batch.jsonl")
