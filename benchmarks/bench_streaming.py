@@ -5,6 +5,10 @@ the data" discipline: how much the bucket-spill files and line parsing
 cost relative to mining an already-loaded matrix, and that the
 streamed result is identical.
 
+``test_streaming_load_transactions`` reads the same file with the
+in-memory reader (``FileSource``'s block parser into one matrix) and
+mines it, beside ``test_streaming_file_source``'s two passes over it.
+
 The ``test_streaming_checkpoint_*`` pair prices the durable-storage
 write discipline specifically: the same checkpointed run with full
 fsync discipline (``LocalStorage(durable=True)``, the default) vs
@@ -17,7 +21,7 @@ import os
 import pytest
 
 from repro.core.dmc_imp import PruningOptions, mine_matrix
-from repro.matrix.io import save_transactions
+from repro.matrix.io import load_transactions, save_transactions
 from repro.matrix.stream import (
     FileSource,
     MatrixSource,
@@ -75,6 +79,21 @@ def test_streaming_file_source(benchmark, on_disk):
         args=(FileSource(path), THRESHOLD),
         rounds=3,
         iterations=1,
+    )
+    benchmark.extra_info["rules"] = len(rules)
+    benchmark.extra_info["file_kb"] = os.path.getsize(path) // 1024
+
+
+def _loaded_in_memory(path, threshold):
+    """Read the file with the in-memory reader, then mine it on the
+    stream's scan and options."""
+    return _in_memory(load_transactions(path), threshold)
+
+
+def test_streaming_load_transactions(benchmark, on_disk):
+    _, path = on_disk
+    rules = benchmark.pedantic(
+        _loaded_in_memory, args=(path, THRESHOLD), rounds=3, iterations=1,
     )
     benchmark.extra_info["rules"] = len(rules)
     benchmark.extra_info["file_kb"] = os.path.getsize(path) // 1024

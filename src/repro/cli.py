@@ -427,27 +427,20 @@ def _mine(args: argparse.Namespace) -> int:
             return 2
     observer = _build_observer(args)
 
-    vocabulary = None
     try:
+        from repro.matrix.io import load_transactions
+        from repro.matrix.stream import FileSource
+
+        read = FileSource if use_stream else load_transactions
+        data = read(args.path, validator)
+        vocabulary = getattr(data, "vocabulary", None)
         if args.command == "mine-topk":
             from repro.core.topk import top_k_implication_rules
-            from repro.matrix.io import load_transactions
 
-            matrix = load_transactions(args.path, validator=validator)
-            vocabulary = matrix.vocabulary
-            rules, cut = top_k_implication_rules(matrix, args.k)
+            rules, cut = top_k_implication_rules(data, args.k)
         else:
             from repro.api import mine
 
-            if use_stream:
-                from repro.matrix.stream import FileSource
-
-                data = FileSource(args.path, validator=validator)
-            else:
-                from repro.matrix.io import load_transactions
-
-                data = load_transactions(args.path, validator=validator)
-                vocabulary = data.vocabulary
             serve_port = getattr(args, "serve_metrics", None)
             if serve_port is not None:
                 where = (

@@ -81,6 +81,7 @@ from repro.matrix.binary_matrix import (
     _offsets_of,
     concat_ranges,
 )
+from repro.matrix.io import columns_of, read_header
 from repro.matrix.reorder import bucket_indices
 from repro.observe.progress import NULL_OBSERVER
 from repro.runtime import faults
@@ -224,6 +225,20 @@ def _blocks_of(rows: Iterable[Tuple[int, ...]]) -> Iterator[Block]:
     return _packed(enumerate(rows, start=1), "row stream")
 
 
+def source_matrix(source: "TransactionSource") -> BinaryMatrix:
+    """One pass over ``source``'s blocks as a matrix; its column count
+    is read after the pass, so a late ``#columns`` line counts."""
+    empty = np.zeros(0, dtype=np.int64)
+    lengths, cols = (
+        np.concatenate(parts)
+        for parts in zip((empty, empty), *_blocks_of(source.iter_rows()))
+    )
+    row_of = np.repeat(np.arange(len(lengths)), lengths)
+    return BinaryMatrix._from_csr(
+        *_csr_entries(row_of, cols, len(lengths), source.n_columns())
+    )
+
+
 class TransactionSource:
     """A re-iterable source of rows (each a tuple of column ids)."""
 
@@ -317,24 +332,23 @@ class IterableSource(TransactionSource):
 
 
 class FileSource(TransactionSource):
-    """Lazily stream a transactions text file (numeric ids only).
+    """Lazily stream a numeric transactions text file.
 
-    The file may carry the :mod:`repro.matrix.io` header lines; label
-    vocabularies are not supported in streaming mode (resolve labels up
-    front instead).  The leading header block is parsed eagerly at
-    construction time, so a declared ``#columns`` count is available to
-    pre-size the pass-1 counts array before the first iteration.
+    The file follows :mod:`repro.matrix.io`'s grammar: ``#`` lines are
+    comments, ``#columns N`` sets :meth:`n_columns`, and every other
+    line is a row of column ids in ``[0, 2**31)``, split as
+    ``str.split`` does, sorted and deduplicated (an empty line is an
+    empty row).  The leading ``#`` lines are read at construction, so a
+    declared count can pre-size pass 1's counts; a ``#vocab`` line
+    there raises ``ValueError``, as labelled files load in memory with
+    :func:`repro.matrix.io.load_transactions`.
 
     Without a validator the file is parsed ``PARSE_CHUNK_CHARS``
-    characters at a time with numpy, each chunk one block: lines
-    starting with ``#`` are comments (``#columns N`` also updates
-    :meth:`n_columns`), every other line is one row, its tokens split
-    as ``str.split`` does, sorted and deduplicated (an empty line is an
-    empty row), and a token ``int()`` rejects — or an id outside ``[0,
-    2**31)`` — raises ``ValueError`` naming the line.  An optional
-    :class:`RowValidator` decides what happens to malformed lines
-    instead, one line at a time (diagnostics carry the 1-based line
-    number and the path).
+    characters at a time with numpy, each chunk one block; a token
+    ``int()`` rejects, or an id out of range, raises ``ValueError``
+    naming the line.  A :class:`RowValidator` judges malformed lines
+    instead, one at a time (diagnostics carry the 1-based line number
+    and the path; a blank line skips it).
     """
 
     def __init__(
@@ -342,18 +356,13 @@ class FileSource(TransactionSource):
     ) -> None:
         self.path = path
         self.validator = validator
-        self._columns: Optional[int] = None
-        self._read_header()
-
-    def _read_header(self) -> None:
-        """Parse the leading ``#``-comment block for ``#columns``."""
-        with open(self.path, "r", encoding="utf-8") as handle:
-            for line in handle:
-                if not line.startswith("#"):
-                    break
-                if line.startswith("#columns "):
-                    self._columns = int(line[len("#columns "):])
-                    break
+        with open(path, "r", encoding="utf-8") as handle:
+            self._columns, vocabulary = read_header(enumerate(handle))
+        if vocabulary is not None:
+            raise ValueError(
+                f"{path} is a labelled (#vocab) file; labelled files load "
+                "in memory with repro.matrix.io.load_transactions"
+            )
 
     def iter_rows(self) -> RowStream:
         return RowStream(self._blocks())
@@ -382,18 +391,13 @@ class FileSource(TransactionSource):
     def _validated(self, handle) -> Iterator[Tuple[int, Tuple[int, ...]]]:
         """``(line_number, row)`` for every row the validator keeps."""
         for line_number, line in enumerate(handle, start=1):
-            line = line.rstrip("\n")
-            if line.startswith("#columns "):
-                self._columns = int(line[len("#columns "):])
-                continue
             if line.startswith("#"):
+                self._columns = columns_of(line, self._columns)
                 continue
-            if not line:
-                yield line_number, ()
-                continue
+            tokens = line.split()
             row = self.validator.validate_tokens(
-                line.split(), line_number=line_number, source=self.path
-            )
+                tokens, line_number=line_number, source=self.path
+            ) if tokens else ()
             if row is not None:
                 yield line_number, row
 
@@ -422,8 +426,7 @@ class FileSource(TransactionSource):
         line_ends = np.append(breaks, size)
         for line in np.flatnonzero(comment).tolist():
             body = text[starts[line]:line_ends[line]]
-            if body.startswith("#columns "):
-                self._columns = int(body[len("#columns "):])
+            self._columns = columns_of(body, self._columns)
         if comment.any():
             data = ~comment[token_line]
             begins, ends, token_line = (
@@ -895,18 +898,7 @@ def _in_memory_fallback(
     runs the in-memory pipeline on the same vector scan — the exact
     same rules, no disk beyond the source itself.
     """
-    matrix = getattr(source, "_matrix", None)
-    if matrix is None:
-        n_columns = source.n_columns()
-        empty = np.zeros(0, dtype=np.int64)
-        lengths, cols = (
-            np.concatenate(parts)
-            for parts in zip((empty, empty), *_blocks_of(source.iter_rows()))
-        )
-        row_of = np.repeat(np.arange(len(lengths)), lengths)
-        matrix = BinaryMatrix._from_csr(
-            *_csr_entries(row_of, cols, len(lengths), n_columns)
-        )
+    matrix = source_matrix(source)
     with observer.span("in-memory-fallback"):
         return mine_matrix(
             kind, matrix, threshold, options, stats, observer, "vector"

@@ -23,7 +23,7 @@ streaming pipelines copy its counters into
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 #: The recognized validation modes.
 VALIDATION_MODES = ("strict", "skip", "clamp")
@@ -102,43 +102,19 @@ class RowValidator:
         self.rows_clamped = 0
         self.tokens_dropped = 0
 
-    # ------------------------------------------------------------------
-    # Row entry points
-    # ------------------------------------------------------------------
-
-    def validate_tokens(
-        self,
-        tokens: Sequence[str],
-        line_number: Optional[int] = None,
-        source: Optional[str] = None,
-    ) -> Optional[Tuple[int, ...]]:
-        """Validate one row given as raw text tokens.
-
-        Returns the normalized row (sorted, deduplicated ids), ``None``
-        when the row was skipped, or raises :class:`RowValidationError`
-        in ``strict`` mode.
-        """
-        return self._validate(tokens, line_number, source)
-
     def validate_row(
         self,
         values: Iterable,
         line_number: Optional[int] = None,
         source: Optional[str] = None,
     ) -> Optional[Tuple[int, ...]]:
-        """Validate one row given as already-parsed values."""
-        return self._validate(list(values), line_number, source)
+        """Validate one row, given as raw text tokens or parsed values.
 
-    # ------------------------------------------------------------------
-    # Core
-    # ------------------------------------------------------------------
-
-    def _validate(
-        self,
-        raw: Sequence,
-        line_number: Optional[int],
-        source: Optional[str],
-    ) -> Optional[Tuple[int, ...]]:
+        Returns the normalized row (sorted, deduplicated ids), ``None``
+        when the row was skipped, or raises :class:`RowValidationError`
+        in ``strict`` mode.
+        """
+        raw = list(values)
         self.rows_seen += 1
         ids: List[int] = []
         problems: List[str] = []
@@ -184,6 +160,8 @@ class RowValidator:
             row = row[: self.max_row_length]
         self.rows_clamped += 1
         return row
+
+    validate_tokens = validate_row
 
     def __repr__(self) -> str:
         return (

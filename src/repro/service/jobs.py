@@ -281,14 +281,13 @@ class JobSpec:
                     self.data["transactions"]
                 )
             if "path" in self.data:
-                path = str(self.data["path"])
-                if self.engine == "stream":
-                    from repro.matrix.stream import FileSource
-
-                    return FileSource(path)
                 from repro.matrix.io import load_transactions
+                from repro.matrix.stream import FileSource
 
-                return load_transactions(path)
+                read = (
+                    FileSource if self.engine == "stream" else load_transactions
+                )
+                return read(str(self.data["path"]))
             from repro.datasets.registry import DATASETS, load_dataset
 
             name = str(self.data["dataset"])
