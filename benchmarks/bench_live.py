@@ -111,7 +111,7 @@ def delta_apply(benchmark, workload):
     def warm_miner():
         root = tempfile.mkdtemp(prefix="bench-live-")
         roots.append(root)
-        miner = LiveMiner(root, task, threshold, snapshot_every=1000)
+        miner = LiveMiner(root, task, threshold)
         start = time.perf_counter()
         miner.submit(1, base)
         seeding.append(time.perf_counter() - start)

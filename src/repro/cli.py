@@ -777,6 +777,8 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 
 #: Journal events `repro watch` renders (everything else is skipped).
+#: `live-degrade`, like `delta-applied`'s `recovered` flag, comes only
+#: from journals written by older miners.
 _WATCH_EVENTS = frozenset(
     (
         "live-open", "delta-commit", "delta-applied",

@@ -323,14 +323,25 @@ class RuleSet:
         else:
             self.add_many(list(rules))
 
+    def run(self) -> Run:
+        """The read-only ``(keys, part, whole)`` int64 columns, sorted
+        by the :func:`pair_keys` key."""
+        return tuple(map(_readonly, self._run()))
+
+    @classmethod
+    def from_run(cls, kind: type, run: Run) -> "RuleSet":
+        """The set of ``kind`` over ``run``, whose keys must be sorted
+        and distinct, as any mask of a :meth:`run` is (not checked)."""
+        rules = cls()
+        if len(run[0]):
+            rules._kind, rules._runs = kind, (run,)
+        return rules
+
     def columns(self) -> Tuple[np.ndarray, ...]:
         """The read-only ``(left, right, part, whole)`` int64 columns,
         in pair order."""
-        keys, part, whole = self._run()
-        return (
-            keys >> 32, keys & (ID_LIMIT - 1), _readonly(part),
-            _readonly(whole),
-        )
+        keys, part, whole = self.run()
+        return keys >> 32, keys & (ID_LIMIT - 1), part, whole
 
     def pairs(self) -> Set[Tuple[int, int]]:
         """Return the set of column pairs present."""

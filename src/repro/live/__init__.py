@@ -4,7 +4,7 @@ The package has two layers:
 
 - :mod:`repro.live.wal` — the durable write-ahead delta log
   (atomic-commit segments, monotonic sequence discipline, SHA-256
-  chain fingerprint) and the optional snapshot store;
+  chain fingerprint), the only durable state;
 - :mod:`repro.live.miner` — :class:`LiveMiner`, the long-lived miner
   that re-mines the rows so far after every committed batch, so its
   rule set is a one-shot mine's of the concatenated data.
@@ -16,7 +16,6 @@ The service-facing session (applier thread, backpressure) lives in
 from repro.live.miner import DeltaReceipt, LiveMiner
 from repro.live.wal import (
     AppendResult, DeltaLog, DeltaLogError, DeltaMismatch, OutOfOrderDelta,
-    SnapshotStore,
 )
 
 __all__ = [
@@ -27,5 +26,4 @@ __all__ = [
     "DeltaReceipt",
     "LiveMiner",
     "OutOfOrderDelta",
-    "SnapshotStore",
 ]

@@ -17,21 +17,19 @@ it with the default plan (the vector scan of
 previous rule set (``rule-appear`` / ``rule-disappear`` journal
 events via :mod:`repro.mining.diff`).
 
-Everything is deterministic from the WAL alone, which is the whole
-crash story: a snapshot records only the sequence it was taken at and
-the WAL's chain digest there; recovery rebuilds the rows up to that
-sequence from the segments, mines them once, and applies the
-remaining segments through the identical apply path — proven by
+The rows alone fix the rules, so the WAL is the only durable state:
+recovery reads rows 1..watermark back from the segments and mines
+them once, without journalling their churn again — proven by
 crash-point enumeration over every storage operation in the tests.
-A snapshot that contradicts the WAL (another format version, a
-sequence past the watermark, a chain digest mismatch) is journalled
-as a ``live-degrade`` and the miner rebuilds at the watermark instead,
-with the same exact result.
+Besides the WAL the root holds one small record, written at first
+open, of the task and threshold it was opened with; opening it with
+another configuration is an error.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import os
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
@@ -41,12 +39,16 @@ import numpy as np
 from repro.core.dmc_imp import mine_matrix
 from repro.core.rules import RuleSet
 from repro.core.thresholds import as_fraction
-from repro.live.wal import AppendResult, DeltaLog, SnapshotStore
+from repro.live.wal import AppendResult, DeltaLog
 from repro.matrix.binary_matrix import BinaryMatrix, Vocabulary
 from repro.mining.diff import diff_rules
 from repro.runtime.storage import LOCAL_STORAGE, Storage
 
-SNAPSHOT_VERSION = 2
+#: The root's ``{task, threshold}`` record.  Roots written before
+#: recovery became one mine kept these keys in a snapshot at this
+#: path (beside a sequence and chain digest, now ignored), so the one
+#: reader checks both.
+CONFIG_PATH = os.path.join("state", "snapshot.json")
 
 
 @dataclass(frozen=True)
@@ -65,21 +67,20 @@ class DeltaReceipt:
     disappeared: int = 0
     changed: int = 0
     n_rules: int = 0
-    #: True when the apply happened during recovery replay.
-    recovered: bool = False
 
 
 class LiveMiner:
     """One continuously-updated mining run rooted at a directory.
 
     ``root`` gains two subdirectories: ``wal/`` (the delta segments)
-    and ``state/`` (periodic snapshots).  All durable I/O routes
-    through ``storage`` so the crash-point harness can enumerate it.
+    and ``state/`` (the task/threshold record).  All durable I/O
+    routes through ``storage`` so the crash-point harness can
+    enumerate it.
 
     ``journal`` (optional :class:`~repro.observe.journal.RunJournal`)
     receives ``delta-commit`` / ``delta-applied`` / ``rule-appear`` /
-    ``rule-disappear`` / ``live-degrade`` / ``live-open`` events, each
-    merged with ``journal_extra`` (the service adds ``job_id``).
+    ``rule-disappear`` / ``live-open`` events, each merged with
+    ``journal_extra`` (the service adds ``job_id``).
 
     ``tracer`` (optional :class:`~repro.observe.tracer.Tracer`)
     records one ``delta-apply`` span per applied batch — carrying the
@@ -98,14 +99,11 @@ class LiveMiner:
         journal_extra: Optional[Dict[str, object]] = None,
         status=None,
         tracer=None,
-        snapshot_every: int = 4,
     ) -> None:
         if task not in ("implication", "similarity"):
             raise ValueError(
                 f"task must be 'implication' or 'similarity', got {task!r}"
             )
-        if snapshot_every < 1:
-            raise ValueError("snapshot_every must be >= 1")
         self.root = str(root)
         self.task = task
         self.threshold = as_fraction(threshold)
@@ -114,19 +112,12 @@ class LiveMiner:
         self.journal_extra = dict(journal_extra or {})
         self.status = status
         self.tracer = tracer
-        self.snapshot_every = snapshot_every
         self.log = DeltaLog(
             os.path.join(self.root, "wal"), storage=self.storage
-        )
-        self.snapshots = SnapshotStore(
-            os.path.join(self.root, "state"), storage=self.storage
         )
         self._vocabulary = Vocabulary()
         self._offsets = np.zeros(1, dtype=np.int64)
         self._cols = np.zeros(0, dtype=np.int64)
-        self._rules = RuleSet()
-        self.applied_seq = 0
-        self.degrades_total = 0
         self.recover()
 
     # -- telemetry -----------------------------------------------------
@@ -149,7 +140,6 @@ class LiveMiner:
             n_rows=self.n_rows,
             n_columns=self.n_columns,
             n_rules=len(self._rules),
-            degrades_total=self.degrades_total,
         )
 
     # -- public views --------------------------------------------------
@@ -189,21 +179,21 @@ class LiveMiner:
         committed sequence returns a ``duplicate`` receipt and changes
         nothing."""
         result = self.commit(seq, rows)
-        receipts = self.apply_committed()
-        for receipt in receipts:
-            if receipt.seq == seq:
-                if result.duplicate:  # pragma: no cover — defensive
-                    receipt = DeltaReceipt(
-                        **{**receipt.__dict__, "status": "duplicate"}
-                    )
+        for receipt in self.apply_committed():
+            if receipt.seq == seq and not result.duplicate:
                 return receipt
+        return self.receipt(seq, result.status, result.rows)
+
+    def receipt(self, seq: int, status: str, rows: int) -> DeltaReceipt:
+        """A receipt of ``seq`` without churn, against the current
+        state: a duplicate, or a batch not applied yet."""
         return DeltaReceipt(
-            seq=seq, status=result.status, watermark=self.log.watermark,
-            applied_seq=self.applied_seq, rows=result.rows,
+            seq=seq, status=status, watermark=self.log.watermark,
+            applied_seq=self.applied_seq, rows=rows,
             n_rules=len(self._rules),
         )
 
-    def apply_committed(self, recovered: bool = False) -> List[DeltaReceipt]:
+    def apply_committed(self) -> List[DeltaReceipt]:
         """Apply every committed-but-unapplied segment, in order."""
         receipts = []
         while self.applied_seq < self.log.watermark:
@@ -212,16 +202,16 @@ class LiveMiner:
             if self.tracer is not None:
                 with self.tracer.span(
                     "delta-apply", seq=seq, rows=len(rows),
-                    trace_id=self.tracer.trace_id, recovered=recovered,
+                    trace_id=self.tracer.trace_id,
                 ) as span:
-                    receipt = self._apply_batch(seq, rows, recovered)
+                    receipt = self._apply_batch(seq, rows)
                 span.attributes.update(
                     appeared=receipt.appeared,
                     disappeared=receipt.disappeared,
                     n_rules=receipt.n_rules,
                 )
             else:
-                receipt = self._apply_batch(seq, rows, recovered)
+                receipt = self._apply_batch(seq, rows)
             receipts.append(receipt)
         return receipts
 
@@ -249,9 +239,7 @@ class LiveMiner:
         )
         return mine_matrix(self.task, matrix, self.threshold, scan="vector")
 
-    def _apply_batch(
-        self, seq: int, rows: List[List[str]], recovered: bool
-    ) -> DeltaReceipt:
+    def _apply_batch(self, seq: int, rows: List[List[str]]) -> DeltaReceipt:
         before = self._rules
         self._append(rows)
         self._rules = self._mine()
@@ -267,99 +255,75 @@ class LiveMiner:
                     self._journal(
                         "rule-appear", seq=seq, pair=list(entry.pair),
                         rule=entry.after.format(vocabulary),
-                        recovered=recovered,
                     )
                 elif entry.kind == "removed":
                     self._journal(
                         "rule-disappear", seq=seq, pair=list(entry.pair),
                         rule=entry.before.format(vocabulary),
-                        recovered=recovered,
                     )
         self._journal(
             "delta-applied", seq=seq, rows=len(rows),
             appeared=len(diff.added), disappeared=len(diff.removed),
             changed=len(diff.changed), n_rules=len(self._rules),
-            recovered=recovered,
         )
         # Push the batch's churn events past the journal's fsync
         # batching: deltas are low-rate, and `repro watch` followers
         # should see them as they land, not at the next 32-event mark.
         if self.journal is not None:
             self.journal.flush()
-        if seq % self.snapshot_every == 0:
-            self.snapshot_now()
         self._publish_status()
         return DeltaReceipt(
             seq=seq, status="committed", watermark=self.log.watermark,
             applied_seq=self.applied_seq, rows=len(rows),
             appeared=len(diff.added), disappeared=len(diff.removed),
             changed=len(diff.changed), n_rules=len(self._rules),
-            recovered=recovered,
         )
 
-    # -- snapshots and recovery ----------------------------------------
+    # -- recovery ------------------------------------------------------
 
-    def snapshot_now(self) -> None:
-        """Durably record ``applied_seq`` and its chain digest (atomic)."""
-        self.snapshots.save({
-            "version": SNAPSHOT_VERSION,
-            "task": self.task,
-            "threshold": str(self.threshold),
-            "seq": self.applied_seq,
-            "chain_sha": self.log.chain_sha(self.applied_seq),
-        })
-
-    def _snapshot_breach(self, document: Dict[str, object]) -> Optional[str]:
-        """Why the snapshot cannot be trusted (None = it can)."""
-        if document.get("version") != SNAPSHOT_VERSION:
-            return "snapshot-version"
-        if document.get("task") != self.task or (
-            as_fraction(str(document.get("threshold"))) != self.threshold
+    def _check_config(self) -> None:
+        """Raise if the root was opened with another task or threshold;
+        record them at first open (a record that does not parse counts
+        as absent and is written afresh)."""
+        path = os.path.join(self.root, CONFIG_PATH)
+        stored = None
+        if self.storage.exists(path):
+            try:
+                with self.storage.open(
+                    path, "r", encoding="utf-8"
+                ) as handle:
+                    stored = json.load(handle)
+            except ValueError:
+                pass
+        if not isinstance(stored, dict):
+            self.storage.makedirs(os.path.dirname(path))
+            self.storage.atomic_write_text(path, json.dumps(
+                {"task": self.task, "threshold": str(self.threshold)}
+            ))
+        elif stored.get("task") != self.task or (
+            as_fraction(str(stored.get("threshold"))) != self.threshold
         ):
             raise ValueError(
-                "snapshot was written by a different configuration "
-                f"(task={document.get('task')!r}, "
-                f"threshold={document.get('threshold')!r})"
+                f"live root {self.root} was opened with another "
+                f"configuration (task={stored.get('task')!r}, "
+                f"threshold={stored.get('threshold')!r})"
             )
-        seq = int(document["seq"])
-        if seq > self.log.watermark:
-            return "snapshot-ahead-of-wal"
-        try:
-            if document.get("chain_sha") != self.log.chain_sha(seq):
-                return "fingerprint-mismatch"
-        except (OSError, ValueError):
-            return "fingerprint-unreadable"
-        return None
 
     def recover(self) -> None:
-        """The restart path, run once by the constructor: rebuild at
-        the snapshot's sequence and replay the rest, or rebuild at the
-        watermark when the snapshot breaks an invariant.  Deterministic
-        — a restarted miner converges to the never-crashed state."""
-        document = self.snapshots.load()
-        breach = None
-        upto = 0
-        if document is not None:
-            breach = self._snapshot_breach(document)
-            upto = self.log.watermark if breach else int(document["seq"])
-        # Rows 1..upto, mined once: their churn is not journalled again.
+        """The restart path, run once by the constructor: the rows up
+        to the watermark, read back from the WAL and mined once.  Their
+        churn is not journalled again.  Deterministic — a restarted
+        miner holds the never-crashed state."""
+        self._check_config()
         self._append([
-            row for _seq, rows in self.log.iter_rows(upto) for row in rows
+            row for _seq, rows in self.log.iter_rows() for row in rows
         ])
         self._rules = self._mine()
-        self.applied_seq = upto
-        if breach is not None:
-            self.degrades_total += 1
-            self._journal(
-                "live-degrade",
-                reason=f"snapshot invariant breach: {breach}",
-                upto=upto, rows=self.n_rows,
-            )
-        receipts = self.apply_committed(recovered=True)
+        self.applied_seq = self.log.watermark
         self._journal(
             "live-open", watermark=self.log.watermark,
-            applied_seq=self.applied_seq, replayed=len(receipts),
-            n_rules=len(self._rules), n_rows=self.n_rows,
+            applied_seq=self.applied_seq, n_rules=len(self._rules),
+            n_rows=self.n_rows,
         )
         if self.journal is not None:
             self.journal.flush()

@@ -23,13 +23,12 @@ Exactly-once application falls out of the sequence discipline:
   :class:`OutOfOrderDelta` so a gap can never be committed.
 
 Segments are chained by SHA-256 (each records the previous segment's
-digest), giving restarts a fingerprint to verify a snapshot against;
-a mismatch is an invariant breach that makes the miner journal a
-``live-degrade`` and rebuild at the watermark (see
-:mod:`repro.live.miner`) rather than trust the snapshot.
+digest), so a re-submitted sequence is checked against the committed
+history, not only against its own rows.
 
 Segments are retained indefinitely — they are the only copy of the
-rows, which every restart rebuilds from.
+rows and the live miner's only durable state: every restart mines
+them once (see :mod:`repro.live.miner`).
 """
 
 from __future__ import annotations
@@ -186,13 +185,10 @@ class DeltaLog:
             return cached
         return self._load(seq)[1]
 
-    def iter_rows(
-        self, upto: Optional[int] = None
-    ) -> Iterator[Tuple[int, List[List[str]]]]:
-        """Yield ``(seq, rows)`` for every committed segment up to
-        ``upto`` (default: the watermark) — the replay source."""
-        last = self._watermark if upto is None else min(upto, self._watermark)
-        for seq in range(1, last + 1):
+    def iter_rows(self) -> Iterator[Tuple[int, List[List[str]]]]:
+        """Yield ``(seq, rows)`` for every committed segment — what
+        recovery mines."""
+        for seq in range(1, self._watermark + 1):
             yield seq, self._load(seq)[0]
 
     # -- append --------------------------------------------------------
@@ -236,40 +232,3 @@ class DeltaLog:
             seq=seq, status="committed",
             watermark=seq, rows=len(normalized),
         )
-
-
-class SnapshotStore:
-    """Durable state snapshots, atomically replaced, never required.
-
-    A snapshot is pure optimization: recovery without one replays the
-    whole WAL through the same deterministic apply path.  ``load``
-    therefore treats anything unreadable as *absent* — the caller
-    falls back to a full replay — while a snapshot that parses but
-    contradicts the WAL chain digest is reported as a mismatch so the
-    miner can take the journalled degradation path.
-    """
-
-    FILENAME = "snapshot.json"
-
-    def __init__(self, root: str, storage: Optional[Storage] = None) -> None:
-        self.root = str(root)
-        self.storage = storage if storage is not None else LOCAL_STORAGE
-        self.storage.makedirs(self.root)
-        self.path = os.path.join(self.root, self.FILENAME)
-
-    def save(self, document: Dict[str, object]) -> None:
-        self.storage.atomic_write_text(
-            self.path, json.dumps(document, separators=(",", ":"))
-        )
-
-    def load(self) -> Optional[Dict[str, object]]:
-        if not self.storage.exists(self.path):
-            return None
-        try:
-            with self.storage.open(
-                self.path, "r", encoding="utf-8"
-            ) as handle:
-                document = json.load(handle)
-        except (OSError, ValueError):
-            return None
-        return document if isinstance(document, dict) else None

@@ -225,17 +225,24 @@ def _blocks_of(rows: Iterable[Tuple[int, ...]]) -> Iterator[Block]:
     return _packed(enumerate(rows, start=1), "row stream")
 
 
-def source_matrix(source: "TransactionSource") -> BinaryMatrix:
+def source_matrix(
+    source: "TransactionSource", grow: bool = False
+) -> BinaryMatrix:
     """One pass over ``source``'s blocks as a matrix; its column count
-    is read after the pass, so a late ``#columns`` line counts."""
+    is read after the pass, so a late ``#columns`` line counts.  An id
+    at or past that count raises, unless ``grow`` widens the matrix to
+    it, as pass 1 grows ``ones``."""
     empty = np.zeros(0, dtype=np.int64)
     lengths, cols = (
         np.concatenate(parts)
         for parts in zip((empty, empty), *_blocks_of(source.iter_rows()))
     )
     row_of = np.repeat(np.arange(len(lengths)), lengths)
+    n_columns = source.n_columns()
+    if grow and len(cols):
+        n_columns = max(n_columns or 0, int(cols.max()) + 1)
     return BinaryMatrix._from_csr(
-        *_csr_entries(row_of, cols, len(lengths), source.n_columns())
+        *_csr_entries(row_of, cols, len(lengths), n_columns)
     )
 
 
@@ -894,11 +901,12 @@ def _in_memory_fallback(
 ) -> RuleSet:
     """Redo a mine entirely in memory (the spill degradation target).
 
-    Materializes the source's blocks as a :class:`BinaryMatrix` and
-    runs the in-memory pipeline on the same vector scan — the exact
-    same rules, no disk beyond the source itself.
+    Materializes the source's blocks as a :class:`BinaryMatrix`, as
+    wide as pass 1's ``ones`` would grow, and runs the in-memory
+    pipeline on the same vector scan — the exact same rules, no disk
+    beyond the source itself.
     """
-    matrix = source_matrix(source)
+    matrix = source_matrix(source, grow=True)
     with observer.span("in-memory-fallback"):
         return mine_matrix(
             kind, matrix, threshold, options, stats, observer, "vector"

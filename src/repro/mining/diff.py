@@ -14,7 +14,7 @@ from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.rules import RuleSet, pair_keys
+from repro.core.rules import RuleSet
 from repro.matrix.binary_matrix import Vocabulary
 
 
@@ -109,43 +109,41 @@ class RuleDiff:
         return "\n".join(lines)
 
 
-def _subset(kind, columns, keep: np.ndarray) -> RuleSet:
-    """The rules at ``keep`` of a set's ``columns``, as a new set."""
-    rules = RuleSet()
-    rules.add_columns(kind, *(column[keep] for column in columns))
-    return rules
+def _subset(kind, run, keep) -> RuleSet:
+    """The rules at ``keep`` (a mask or sorted indices) of a sorted
+    run, as a new set."""
+    return RuleSet.from_run(kind, tuple(column[keep] for column in run))
 
 
 def diff_rules(before: RuleSet, after: RuleSet) -> RuleDiff:
     """Diff two rule sets of the same kind, pair by pair.
 
-    One merge of the two sets' sorted pair keys: ``added`` and
-    ``removed`` are column slices, and only the ``changed`` pairs
-    become rule objects.
+    One merge of the two sets' sorted ``(keys, part, whole)`` runs:
+    ``added``, ``removed`` and the two sides of ``changed`` are
+    subsets of them, and only the ``changed`` pairs become rule
+    objects.
     """
     if before.kind and after.kind and before.kind is not after.kind:
         raise ValueError(
             f"cannot diff {before.kind.__name__} rules against "
             f"{after.kind.__name__} rules"
         )
-    old, new = before.columns(), after.columns()
-    old_keys, new_keys = pair_keys(*old[:2]), pair_keys(*new[:2])
-    at = np.searchsorted(new_keys, old_keys)
-    common = np.flatnonzero(at < len(new_keys))
-    common = common[new_keys[at[common]] == old_keys[common]]
+    old, new = before.run(), after.run()
+    at = np.searchsorted(new[0], old[0])
+    common = np.flatnonzero(at < len(new[0]))
+    common = common[new[0][at[common]] == old[0][common]]
     matched = at[common]
-    differs = (old[2][common] != new[2][matched]) | (
-        old[3][common] != new[3][matched]
+    differs = (old[1][common] != new[1][matched]) | (
+        old[2][common] != new[2][matched]
     )
-    only_old = np.ones(len(old_keys), dtype=bool)
+    only_old = np.ones(len(old[0]), dtype=bool)
     only_old[common] = False
-    only_new = np.ones(len(new_keys), dtype=bool)
+    only_new = np.ones(len(new[0]), dtype=bool)
     only_new[matched] = False
-    rows = zip(
-        *(column[common[differs]].tolist() for column in old),
-        *(column[matched[differs]].tolist() for column in new),
-    )
-    changed = [(before.kind(*row[:4]), after.kind(*row[4:])) for row in rows]
+    changed = list(zip(
+        _subset(before.kind, old, common[differs]).sorted(),
+        _subset(after.kind, new, matched[differs]).sorted(),
+    ))
     return RuleDiff(
         added=_subset(after.kind, new, only_new),
         removed=_subset(before.kind, old, only_old),

@@ -56,7 +56,7 @@ KNOWN_EVENTS = (
     "delta-applied",
     "rule-appear",
     "rule-disappear",
-    "live-degrade",
+    "live-degrade",  # older journals only: no miner writes it now
     # HTTP access log (one per request served, see observe/server.py):
     "http-request",
 )
@@ -357,9 +357,10 @@ def summarize_journal(path: str, storage=None) -> Dict[str, object]:
       a run that enters the same phase once per bucket or per delta
       batch still summarizes to one row per phase;
     - ``deltas`` — continuous-mining totals folded over the
-      ``delta-applied`` events (batches, rows, rule churn, recovered
-      batches), which a live job's journal carries instead of a single
-      run-end record.
+      ``delta-applied`` events (batches, rows, rule churn, and the
+      batches an older miner journalled as ``recovered`` replays),
+      which a live job's journal carries instead of a single run-end
+      record.
     """
     event_counts: Dict[str, int] = {}
     phases: List[Dict[str, object]] = []

@@ -181,11 +181,11 @@ class MiningService:
             if record is not None and record.spec.kind == "live":
                 continue  # live jobs re-open as sessions, not runs
             self.scheduler.enqueue(job_id)
-        # Re-open every non-terminal live session: the WAL replays
-        # whatever the dead process had committed but not yet folded.
+        # Re-open every non-terminal live session: each mines its WAL
+        # once, whatever the dead process had committed.
         for record in self.index.all_records():
             if record.spec.kind == "live" and not record.terminal:
-                self._open_live_session(record, recovered=True)
+                self._open_live_session(record, reopened=True)
         self.server = None
         if serve:
             from repro.service.server import ServiceServer
@@ -296,7 +296,7 @@ class MiningService:
             task=spec.task, kind=spec.kind,
         )
         if spec.kind == "live":
-            record = self._open_live_session(record, recovered=False)
+            record = self._open_live_session(record, reopened=False)
         else:
             self.scheduler.enqueue(record.job_id)
         self._update_gauges()
@@ -305,7 +305,7 @@ class MiningService:
     # -- live (continuous-mining) jobs ---------------------------------
 
     def _open_live_session(
-        self, record: JobRecord, recovered: bool
+        self, record: JobRecord, reopened: bool
     ) -> JobRecord:
         """Open (or re-open) the continuous session of a live job.
 
@@ -337,7 +337,7 @@ class MiningService:
                 record.job_id, RUNNING,
                 note=(
                     "live session re-opened after restart"
-                    if recovered else "live session opened"
+                    if reopened else "live session opened"
                 ),
             )
         # No service-level journal event here: the miner itself emits
@@ -480,7 +480,7 @@ class MiningService:
         self._stop.set()
         if self.server is not None:
             self.server.close()
-        # Live sessions snapshot their state and stop; the records
+        # Live sessions stop (their WAL is their state); the records
         # stay ``running`` on disk so the next boot re-opens them.
         with self._live_lock:
             sessions = list(self.live_sessions.values())

@@ -18,17 +18,19 @@ delta document may carry ``"wait": true`` to block until its batch is
 applied and receive the rule-churn receipt — the deterministic path
 the parity tests and benchmarks use.
 
-Crash safety is inherited from the WAL: a committed-but-unapplied
-batch is replayed by :meth:`LiveMiner.recover` on the next open, so
-a ``kill -9`` between commit and apply loses nothing, and
-re-submitting a committed sequence after a lost ACK is answered with
-an explicit ``duplicate`` receipt (exactly-once).
+Crash safety is inherited from the WAL, the session's only durable
+state: :meth:`LiveMiner.recover` mines every committed batch once on
+the next open, applied or not, so a ``kill -9`` between commit and
+apply loses nothing, and re-submitting a committed sequence after a
+lost ACK is answered with an explicit ``duplicate`` receipt
+(exactly-once).
 """
 
 from __future__ import annotations
 
 import os
 import threading
+from dataclasses import replace
 from typing import Dict, Optional
 
 from repro.live.miner import DeltaReceipt, LiveMiner
@@ -63,7 +65,6 @@ class LiveSession:
         journal=None,
         trace_id: Optional[str] = None,
         max_backlog: int = DEFAULT_MAX_BACKLOG,
-        snapshot_every: int = 4,
     ) -> None:
         if max_backlog < 1:
             raise ValueError("max_backlog must be >= 1")
@@ -91,7 +92,6 @@ class LiveSession:
             journal_extra=journal_extra,
             status=self.status,
             tracer=self.tracer,
-            snapshot_every=snapshot_every,
         )
         self._applier = threading.Thread(
             target=self._apply_loop,
@@ -182,25 +182,11 @@ class LiveSession:
             if result.duplicate:
                 applied = self._receipts.get(seq)
                 if applied is not None:
-                    return DeltaReceipt(
-                        **{**applied.__dict__, "status": "duplicate"}
-                    )
-                return DeltaReceipt(
-                    seq=seq, status="duplicate",
-                    watermark=self.miner.log.watermark,
-                    applied_seq=self.miner.applied_seq,
-                    rows=result.rows,
-                    n_rules=len(self.miner.rules()),
-                )
+                    return replace(applied, status="duplicate")
+                return self.miner.receipt(seq, "duplicate", result.rows)
             self._wake.notify_all()
             if not wait:
-                return DeltaReceipt(
-                    seq=seq, status="committed",
-                    watermark=self.miner.log.watermark,
-                    applied_seq=self.miner.applied_seq,
-                    rows=result.rows,
-                    n_rules=len(self.miner.rules()),
-                )
+                return self.miner.receipt(seq, "committed", result.rows)
             self._applied.wait_for(
                 lambda: (
                     seq in self._receipts
@@ -213,16 +199,9 @@ class LiveSession:
                 raise DeltaLogError(
                     f"live session failed: {self._error}"
                 )
-            receipt = self._receipts.get(seq)
-            if receipt is None:
-                return DeltaReceipt(
-                    seq=seq, status="committed",
-                    watermark=self.miner.log.watermark,
-                    applied_seq=self.miner.applied_seq,
-                    rows=result.rows,
-                    n_rules=len(self.miner.rules()),
-                )
-            return receipt
+            return self._receipts.get(seq) or self.miner.receipt(
+                seq, "committed", result.rows
+            )
 
     def wait_applied(self, seq: int, timeout: float = 30.0) -> bool:
         """Block until ``seq`` is applied (True) or timeout (False)."""
@@ -272,11 +251,11 @@ class LiveSession:
     # -- shutdown ------------------------------------------------------
 
     def close(self) -> None:
-        """Stop the applier and snapshot the state durably.
+        """Stop the applier.
 
         The WAL keeps everything committed; the job record stays
         ``running`` on disk so the next service boot re-opens the
-        session and replays whatever the applier had not folded yet.
+        session, which mines every committed batch once.
         """
         with self._wake:
             if self._closed:
@@ -285,7 +264,3 @@ class LiveSession:
             self._wake.notify_all()
             self._applied.notify_all()
         self._applier.join(timeout=10.0)
-        try:
-            self.miner.snapshot_now()
-        except OSError:  # pragma: no cover — best-effort at shutdown
-            pass

@@ -22,7 +22,6 @@ from repro.live import (
     DeltaMismatch,
     LiveMiner,
     OutOfOrderDelta,
-    SnapshotStore,
 )
 from repro.mining.diff import DiffEntry, diff_rules
 from repro.observe.journal import RunJournal, read_journal
@@ -144,20 +143,6 @@ class TestDeltaLog:
         assert log.read(1) == [["1", "2"], ["3"]]
 
 
-class TestSnapshotStore:
-    def test_roundtrip(self, tmp_path):
-        store = SnapshotStore(str(tmp_path / "state"))
-        assert store.load() is None
-        store.save({"seq": 3, "ones": [1, 2]})
-        assert store.load() == {"seq": 3, "ones": [1, 2]}
-
-    def test_garbage_is_treated_as_absent(self, tmp_path):
-        store = SnapshotStore(str(tmp_path / "state"))
-        store.save({"seq": 1})
-        (tmp_path / "state" / "snapshot.json").write_text("{torn")
-        assert store.load() is None
-
-
 # ----------------------------------------------------------------------
 # The parity matrix (the acceptance criterion).
 # ----------------------------------------------------------------------
@@ -194,9 +179,7 @@ class TestParityMatrix:
     ):
         rows = make_rows(160, 12, seed=split_seed + 17)
         batches = random_splits(rows, seed=split_seed)
-        miner = LiveMiner(
-            str(tmp_path / "live"), task, threshold, snapshot_every=3
-        )
+        miner = LiveMiner(str(tmp_path / "live"), task, threshold)
         consumed = 0
         ties = 0
         for seq, batch in enumerate(batches, 1):
@@ -224,7 +207,7 @@ class TestParityMatrix:
         consumed = 0
         for seq, batch in enumerate(batches, 1):
             # A fresh miner per batch = a restart before every submit.
-            miner = LiveMiner(root, task, threshold, snapshot_every=2)
+            miner = LiveMiner(root, task, threshold)
             miner.submit(seq, batch)
             consumed += len(batch)
             oracle = repro.mine(
@@ -293,79 +276,138 @@ class TestExactlyOnce:
 
 
 # ----------------------------------------------------------------------
-# Snapshot breaches: the one degradation, a rebuild at the watermark.
+# Recovery: one mine of the WAL at the watermark.
 # ----------------------------------------------------------------------
 
 
-class TestReadmission:
-    def test_snapshot_fingerprint_mismatch_degrades(self, tmp_path):
+def _count_mines(monkeypatch):
+    """Count the live miner's calls of the mine."""
+    import repro.live.miner as live_miner
+
+    calls = []
+    mine = live_miner.mine_matrix
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return mine(*args, **kwargs)
+
+    monkeypatch.setattr(live_miner, "mine_matrix", counting)
+    return calls
+
+
+def _commit_batches(root, rows, n_batches, apply=False):
+    """A root whose WAL holds ``rows`` as ``n_batches`` batches, all
+    applied or none."""
+    miner = LiveMiner(root, "implication", "2/3")
+    batches = random_splits(rows, seed=3, n_batches=n_batches) if rows else []
+    for seq, batch in enumerate(batches, 1):
+        (miner.submit if apply else miner.commit)(seq, batch)
+    return miner
+
+
+def _one_shot(rows):
+    return repro.mine(rows, task="implication", threshold="2/3").rules
+
+
+def _old_snapshot(version, seq, chain_sha):
+    """A snapshot as older versions wrote it to ``state/``: v1 held the
+    pair state, v2 only the sequence and chain digest."""
+    document = {
+        "version": version, "task": "implication", "threshold": "2/3",
+        "seq": seq, "chain_sha": chain_sha,
+    }
+    if version == 1:
+        document.update(
+            labels=["c0"], ones=[1], n_rows=1, tracked=[], retired=[],
+            stats={"readmissions_total": 3, "degrades_total": 0},
+        )
+    return document
+
+
+class TestRecovery:
+    @pytest.mark.parametrize("apply", [False, True])
+    @pytest.mark.parametrize("n_batches", [0, 1, 6])
+    def test_reopen_is_one_mine(
+        self, tmp_path, monkeypatch, n_batches, apply
+    ):
         root = str(tmp_path / "live")
-        miner = LiveMiner(root, "implication", "2/3", snapshot_every=1)
-        rows = make_rows(60, 8, seed=7)
-        miner.submit(1, rows[:30])
-        miner.submit(2, rows[30:])
-        # Corrupt the snapshot's chain fingerprint: the restart must
-        # distrust it and take the journalled full re-mine.
-        snapshot_path = tmp_path / "live" / "state" / "snapshot.json"
-        document = json.loads(snapshot_path.read_text())
-        document["chain_sha"] = "0" * 64
-        snapshot_path.write_text(json.dumps(document))
+        rows = make_rows(60, 8, seed=21) if n_batches else []
+        _commit_batches(root, rows, n_batches, apply)
+        calls = _count_mines(monkeypatch)
+        reopened = LiveMiner(root, "implication", "2/3")
+        assert len(calls) == 1
+        assert reopened.applied_seq == reopened.log.watermark == n_batches
+        assert reopened.n_rows == len(rows)
+        assert reopened.rules() == _one_shot(rows)
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_old_snapshot_root_reopens_at_watermark(
+        self, tmp_path, monkeypatch, version
+    ):
+        """The snapshot's sequence (2) lags the watermark (4): reopening
+        mines all four batches once and replays nothing."""
+        root = str(tmp_path / "live")
+        rows = make_rows(60, 8, seed=22)
+        miner = _commit_batches(root, rows, 4, apply=True)
+        (tmp_path / "live" / "state" / "snapshot.json").write_text(
+            json.dumps(_old_snapshot(version, 2, miner.log.chain_sha(2)))
+        )
         journal_path = str(tmp_path / "journal.jsonl")
         journal = RunJournal(journal_path, run_id="t")
-        recovered = LiveMiner(
-            root, "implication", "2/3", journal=journal
-        )
+        calls = _count_mines(monkeypatch)
+        reopened = LiveMiner(root, "implication", "2/3", journal=journal)
         journal.close()
-        assert recovered.degrades_total >= 1
+        assert len(calls) == 1
+        assert reopened.applied_seq == 4
+        assert reopened.rules() == _one_shot(rows)
         events = [r["event"] for r in read_journal(journal_path)]
-        assert "live-degrade" in events
-        oracle = repro.mine(
-            rows, task="implication", threshold="2/3", engine="dmc"
-        )
-        assert recovered.rules() == oracle.rules
+        assert "live-degrade" not in events
+        assert "delta-applied" not in events
+        assert events.count("live-open") == 1
 
-    def test_version_1_snapshot_is_stale(self, tmp_path):
-        """A pair-state snapshot in the earlier format (version 1) is
-        a ``snapshot-version`` breach: the restart rebuilds from the
-        WAL and ignores its counters."""
+    def test_torn_state_record_opens_exact(self, tmp_path):
         root = str(tmp_path / "live")
-        rows = make_rows(60, 8, seed=7)
-        miner = LiveMiner(root, "implication", "2/3", snapshot_every=1)
-        miner.submit(1, rows[:30])
-        miner.submit(2, rows[30:])
-        snapshot_path = tmp_path / "live" / "state" / "snapshot.json"
-        snapshot_path.write_text(json.dumps({
-            "version": 1, "task": "implication", "threshold": "2/3",
-            "seq": 2, "chain_sha": miner.log.chain_sha(2),
-            "labels": ["c0"], "ones": [1], "n_rows": 1,
-            "tracked": [], "retired": [],
-            "stats": {"readmissions_total": 3, "replays_total": 1,
-                      "replayed_rows_total": 9, "degrades_total": 0},
-        }))
-        journal_path = str(tmp_path / "journal.jsonl")
-        journal = RunJournal(journal_path, run_id="t")
-        recovered = LiveMiner(root, "implication", "2/3", journal=journal)
-        journal.close()
-        degrades = [
-            r for r in read_journal(journal_path)
-            if r["event"] == "live-degrade"
-        ]
-        assert [r["reason"] for r in degrades] == [
-            "snapshot invariant breach: snapshot-version"
-        ]
-        assert recovered.degrades_total == 1
-        assert recovered.applied_seq == 2
-        assert recovered.n_rows == len(rows)
-        assert recovered.rules() == repro.mine(
-            rows, task="implication", threshold="2/3"
-        ).rules
+        rows = make_rows(60, 8, seed=23)
+        _commit_batches(root, rows, 3)
+        record = tmp_path / "live" / "state" / "snapshot.json"
+        record.write_text('{"task": "impl')
+        reopened = LiveMiner(root, "implication", "2/3")
+        assert reopened.applied_seq == 3
+        assert reopened.rules() == _one_shot(rows)
+        # The record is written afresh and checked again.
+        assert json.loads(record.read_text()) == {
+            "task": "implication", "threshold": "2/3",
+        }
+        with pytest.raises(ValueError):
+            LiveMiner(root, "implication", "3/4")
 
+
+class TestReadmission:
     def test_config_mismatch_is_an_error_not_a_degrade(self, tmp_path):
         root = str(tmp_path / "live")
-        miner = LiveMiner(root, "implication", "2/3", snapshot_every=1)
+        miner = LiveMiner(root, "implication", "2/3")
         miner.submit(1, [["a", "b"]])
         with pytest.raises(ValueError):
             LiveMiner(root, "similarity", "2/3")
+        with pytest.raises(ValueError):
+            LiveMiner(root, "implication", "3/4")
+        # An equal threshold spelled another way is the same one.
+        assert LiveMiner(root, "implication", "4/6").applied_seq == 1
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_config_mismatch_on_old_snapshot_root(
+        self, tmp_path, version
+    ):
+        root = str(tmp_path / "live")
+        miner = _commit_batches(root, make_rows(20, 6, seed=24), 2)
+        (tmp_path / "live" / "state" / "snapshot.json").write_text(
+            json.dumps(_old_snapshot(version, 1, miner.log.chain_sha(1)))
+        )
+        with pytest.raises(ValueError, match="another configuration"):
+            LiveMiner(root, "similarity", "2/3")
+        with pytest.raises(ValueError, match="another configuration"):
+            LiveMiner(root, "implication", "9/10")
+        assert LiveMiner(root, "implication", "2/3").applied_seq == 2
 
 
 # ----------------------------------------------------------------------
@@ -476,16 +518,12 @@ def _crash_workload(tmp_path, task, threshold, batches, oracle_rules):
     def run(storage):
         state["generation"] += 1
         root = str(tmp_path / f"gen{state['generation']}")
-        miner = LiveMiner(
-            root, task, threshold, storage=storage, snapshot_every=2
-        )
+        miner = LiveMiner(root, task, threshold, storage=storage)
         return ingest(miner)
 
     def recover(storage):
         root = str(tmp_path / f"gen{state['generation']}")
-        miner = LiveMiner(
-            root, task, threshold, storage=storage, snapshot_every=2
-        )
+        miner = LiveMiner(root, task, threshold, storage=storage)
         return ingest(miner)
 
     return run, recover, canon(oracle_rules)

@@ -403,6 +403,28 @@ def test_enospc_on_spill_degrades_to_exact_in_memory_run(
     assert observer.metrics.value("dmc_io_errors_total", kind="ENOSPC") >= 1
 
 
+def test_spill_degradation_grows_columns_like_pass_one(tmp_path):
+    """A row id past ``#columns`` widens the on-disk run's counts; the
+    in-memory fallback must mine the same file to the same rules
+    instead of refusing it."""
+    path = tmp_path / "wide.txt"
+    path.write_text("#dmc-matrix\n#columns 3\n0 1\n0 1 7\n1 7\n")
+    expected = stream_implication_rules(FileSource(str(path)), 0.5)
+    assert len(expected) == 3
+    storage = FaultyStorage(
+        faults=(StorageFault(op="open-write", path_contains="bucket"),)
+    )
+    stats = PipelineStats()
+    with pytest.warns(RuntimeWarning, match="in memory"):
+        rules = stream_implication_rules(
+            FileSource(str(path)), 0.5,
+            spill_dir=str(tmp_path / "spill"), storage=storage,
+            stats=stats,
+        )
+    assert stats.degradations == ["spill-to-memory"]
+    assert rules == expected
+
+
 def test_enospc_on_spill_without_degrade_raises_storage_full(
     tmp_path, demo_path
 ):

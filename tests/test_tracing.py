@@ -448,20 +448,17 @@ class TestLiveDeltaSpans:
             assert span.attributes["n_rules"] >= 0
             assert "appeared" in span.attributes
 
-    def test_recovery_replay_spans_are_marked(self, tmp_path):
+    def test_recovery_opens_no_delta_apply_span(self, tmp_path):
+        """Recovery mines the WAL once, outside the apply path: the only
+        ``delta-apply`` span after a reopen is the new batch's."""
         root = str(tmp_path / "live")
         LiveMiner(root, "implication", "2/3").submit(1, TRANSACTIONS)
         tracer = Tracer(trace_id="req-re")
         miner = LiveMiner(root, "implication", "2/3", tracer=tracer)
         miner.submit(2, [["a", "c"]])
-        recovered = [
-            s.attributes.get("recovered")
-            for s in tracer.spans
-            if s.name == "delta-apply"
-        ]
-        assert True not in recovered or recovered[0] is True
-        # the new batch itself is a live apply, not a recovery
-        assert recovered[-1] is False
+        spans = [s for s in tracer.spans if s.name == "delta-apply"]
+        assert [s.attributes["seq"] for s in spans] == [2]
+        assert "recovered" not in spans[0].attributes
 
 
 # ----------------------------------------------------------------------
