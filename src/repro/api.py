@@ -20,8 +20,10 @@ path, or a plain list of transactions; dispatches on the
 :class:`MiningConfig` to the right engine; and always returns a
 :class:`MiningResult` carrying the rules, the run's
 :class:`~repro.core.stats.PipelineStats` and (when a tracing observer
-watched the run) the finished trace.  The legacy entry points remain
-supported — the facade calls them, so both mine identical rule sets.
+watched the run) the finished trace.  It calls what the direct entry
+points call — :func:`~repro.core.dmc_imp.mine_matrix` in memory,
+``matrix.stream._stream_rules`` for the stream, and the partitioned
+finders — so both mine identical rule sets.
 """
 
 from __future__ import annotations

@@ -236,7 +236,7 @@ def bitmap_tail(
 
     # The tail resolves every surviving candidate, so the curve closes
     # at zero live candidates.  Rows consumed here never went through
-    # record_row, so the x coordinate stays at the switch point — the
+    # record_rows, so the x coordinate stays at the switch point — the
     # curve documents the DMC-base trajectory, with this one terminal
     # point marking the bitmap hand-over.
     stats.pruning_curve.sample_final(

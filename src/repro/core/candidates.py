@@ -24,7 +24,7 @@ Two layouts implement it:
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Dict, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -48,20 +48,14 @@ def list_pairs(lists: Mapping) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
 class CandidateArray:
     """All live candidate lists, keyed by the antecedent column id.
 
-    ``on_memory``, if given, is called with the modelled byte total at
-    every growth step — an enabled observer registers its
-    ``observe_memory`` here to see spikes between row boundaries (the
-    scan loop itself only checks the budget once per row).
+    The array keeps no peaks of its own: the scan reads
+    :meth:`memory_bytes` at each row boundary, where the bitmap switch,
+    its hard budget and ``ScanStats`` peaks all see the same value.
     """
 
-    def __init__(
-        self, on_memory: Optional[Callable[[int], None]] = None
-    ) -> None:
+    def __init__(self) -> None:
         self._lists: Dict[int, Dict[int, int]] = {}
         self._entries = 0
-        self.peak_entries = 0
-        self.peak_bytes = 0
-        self._on_memory = on_memory
 
     # ------------------------------------------------------------------
     # List lifecycle
@@ -78,7 +72,6 @@ class CandidateArray:
             return existing
         created: Dict[int, int] = {}
         self._lists[column] = created
-        self._note_memory()
         return created
 
     def release(self, column: int) -> None:
@@ -95,7 +88,6 @@ class CandidateArray:
         """Insert ``candidate`` into ``column``'s list with ``misses``."""
         self._lists[column][candidate] = misses
         self._entries += 1
-        self._note_memory()
 
     def remove(self, column: int, candidate: int) -> None:
         """Delete ``candidate`` from ``column``'s list."""
@@ -130,15 +122,6 @@ class CandidateArray:
         return (
             self._entries * BYTES_PER_ENTRY + len(self._lists) * BYTES_PER_LIST
         )
-
-    def _note_memory(self) -> None:
-        if self._entries > self.peak_entries:
-            self.peak_entries = self._entries
-        current = self.memory_bytes()
-        if current > self.peak_bytes:
-            self.peak_bytes = current
-        if self._on_memory is not None:
-            self._on_memory(current)
 
     def __repr__(self) -> str:
         return (

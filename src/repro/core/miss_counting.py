@@ -192,9 +192,7 @@ def miss_counting_scan_rows(
 
     ones = policy.ones
     count = [0] * len(ones)
-    cand = CandidateArray(
-        on_memory=observer.observe_memory if observer.enabled else None
-    )
+    cand = CandidateArray()
     rows = iter(rows)
     curve = stats.pruning_curve
     misses_base = stats.misses_recorded
@@ -293,7 +291,7 @@ def miss_counting_scan_rows(
 
         entries = cand.total_entries
         memory = cand.memory_bytes()
-        stats.record_row(entries, memory)
+        stats.record_rows(1, entries, memory)
         if curve.due(stats.rows_scanned):
             finished.flush()
             misses_now = misses_base + misses_seen
@@ -434,7 +432,7 @@ def zero_miss_scan_rows(
                     )
 
         memory = entries * BYTES_PER_ID + len(lists) * BYTES_PER_LIST
-        stats.record_row(entries, memory)
+        stats.record_rows(1, entries, memory)
         if curve.due(stats.rows_scanned):
             finished.flush()
             misses_now = misses_base + misses_seen

@@ -3,8 +3,10 @@
 The paper's evaluation reports three kinds of measurements, all captured
 here:
 
-- the per-row candidate-count history and peak counter-array memory
-  (Figure 3, Figure 6(g)/(h));
+- the peak counter-array entries and memory of each scan (Figure
+  6(g)/(h)) and its sampled pruning curve, in bounded memory (the
+  per-row trajectory of Figure 3 reaches a ``ProgressObserver.on_row``
+  hook instead of being stored);
 - per-phase wall-clock time — pre-scan, 100%-rule pass, <100% pass, and
   the DMC-bitmap tail inside each pass (Figure 6(c)-(f));
 - event counters (candidates added/deleted, rules emitted, the row at
@@ -114,10 +116,7 @@ class PruningCurve:
 class ScanStats:
     """Measurements from one miss-counting scan."""
 
-    #: Total candidate entries after each processed row.
-    candidate_history: List[int] = field(default_factory=list)
-    #: Counter-array bytes after each processed row.
-    memory_history: List[int] = field(default_factory=list)
+    #: Most candidate entries, and counter-array bytes, after any row.
     peak_entries: int = 0
     peak_bytes: int = 0
     rows_scanned: int = 0
@@ -154,30 +153,12 @@ class ScanStats:
     bitmap_seconds: float = 0.0
     scan_seconds: float = 0.0
 
-    def record_row(self, entries: int, memory_bytes: int) -> None:
-        """Record state after one row of the second scan."""
-        self.rows_scanned += 1
-        self.candidate_history.append(entries)
-        self.memory_history.append(memory_bytes)
-        if entries > self.peak_entries:
-            self.peak_entries = entries
-        if memory_bytes > self.peak_bytes:
-            self.peak_bytes = memory_bytes
-
-    def record_block(
+    def record_rows(
         self, n_rows: int, entries: int, memory_bytes: int
     ) -> None:
-        """Record state after a block of rows (vectorized scans).
-
-        The block-end value stands in for every row of the block, so
-        ``rows_scanned`` and the history lengths stay row-granular and
-        comparable with the serial engine's curves.
-        """
-        if n_rows <= 0:
-            return
+        """Record state after ``n_rows`` more rows of the scan (one for
+        the serial scans, a block for the vector scan)."""
         self.rows_scanned += n_rows
-        self.candidate_history.extend([entries] * n_rows)
-        self.memory_history.extend([memory_bytes] * n_rows)
         if entries > self.peak_entries:
             self.peak_entries = entries
         if memory_bytes > self.peak_bytes:
@@ -205,8 +186,6 @@ class ScanStats:
     def to_dict(self) -> Dict[str, object]:
         """JSON-ready representation (exact integers throughout)."""
         return {
-            "candidate_history": list(self.candidate_history),
-            "memory_history": list(self.memory_history),
             "peak_entries": self.peak_entries,
             "peak_bytes": self.peak_bytes,
             "rows_scanned": self.rows_scanned,

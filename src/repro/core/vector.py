@@ -52,14 +52,14 @@ pure optimization; rule-set parity is asserted by the test suite's
 randomized harness.
 
 ``PipelineStats`` semantics are preserved at block granularity:
-per-row histories are extended block-wise (``ScanStats.record_block``),
-the pruning curve is sampled at every block boundary, and the bitmap
-switch (the Section 4.4 rule, or its hard budget at any boundary;
-under a hard budget blocks grow 1, 2, 4, ... rows, so the budget is
-checked from the second row on, as in the serial scan's row walk)
-hands the surviving pairs — the ``PairStore`` arrays as they are — and
-the unread rows to the Algorithm 4.1 tail (:mod:`repro.core.bitmap`),
-which every scan shares.
+``ScanStats.record_rows`` counts a whole block's rows and takes the
+peaks at its boundary, the pruning curve is sampled at every block
+boundary, and the bitmap switch (the Section 4.4 rule, or its hard
+budget at any boundary; under a hard budget blocks grow 1, 2, 4, ...
+rows, so the budget is checked from the second row on, as in the
+serial scan's row walk) hands the surviving pairs — the ``PairStore``
+arrays as they are — and the unread rows to the Algorithm 4.1 tail
+(:mod:`repro.core.bitmap`), which every scan shares.
 """
 
 from __future__ import annotations
@@ -304,12 +304,11 @@ def vector_scan_rows(
         entries = len(store)
         n_lists = store.n_lists()
         memory = store.memory_bytes(n_lists)
-        stats.record_block(block_size, entries, memory)
+        stats.record_rows(block_size, entries, memory)
         misses_now = misses_base + misses_seen
         curve.sample(stats.rows_scanned, entries, misses_now,
                      stats.rules_emitted)
         if observer.enabled:
-            observer.observe_memory(memory)
             observer.on_curve_sample(
                 stats.rows_scanned, entries, misses_now,
                 stats.rules_emitted,

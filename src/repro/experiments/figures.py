@@ -23,6 +23,7 @@ from repro.datasets.registry import DATASETS, load_dataset
 from repro.experiments.harness import ExperimentResult, register, timed
 from repro.matrix.reorder import bucket_index
 from repro.mining.grouping import expand_keyword
+from repro.observe.progress import ProgressObserver
 
 #: The six data sets of Figure 6(a)/(b).
 SWEEP_DATASETS = ("Wlog", "WlogP", "plinkF", "plinkT", "News", "dicD")
@@ -67,6 +68,16 @@ def table1_dataset_sizes(
     return result
 
 
+class _MemoryTrace(ProgressObserver):
+    """Counter-array bytes after each scanned row, in scan order."""
+
+    def __init__(self) -> None:
+        self.history = []
+
+    def on_row(self, position, total, entries, memory_bytes, scan=""):
+        self.history.append(memory_bytes)
+
+
 @register("fig3")
 def fig3_memory_curve(
     scale: float = 1.0,
@@ -90,14 +101,14 @@ def fig3_memory_curve(
         matrix = load_dataset(name, scale=scale, seed=seed)
         histories = {}
         for reorder in (False, True):
-            stats = PipelineStats()
+            memory = _MemoryTrace()
             find_implication_rules(
                 matrix,
                 1,
                 options=_options(bitmap=None, row_reordering=reorder),
-                stats=stats,
+                observer=memory,
             )
-            histories[reorder] = stats.hundred_percent_scan.memory_history
+            histories[reorder] = memory.history
         n = len(histories[False])
         for step in range(1, checkpoints + 1):
             index = max(0, (n * step) // checkpoints - 1)

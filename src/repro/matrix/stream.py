@@ -568,13 +568,6 @@ class BucketSpill:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    def add(self, row: Tuple[int, ...]) -> None:
-        """Spill one row (an empty row is dropped)."""
-        self.add_block(
-            np.array([len(row)], dtype=np.int64),
-            np.array(row, dtype=np.int64),
-        )
-
     def add_block(self, lengths: np.ndarray, cols: np.ndarray) -> None:
         """Spill a block's non-empty rows: one record per density bucket
         they fall in, holding its rows in block order.
@@ -721,10 +714,6 @@ class BucketSpill:
                         )
                     yield lengths, cols
 
-    def read_sparsest_first(self) -> Iterator[Tuple[int, ...]]:
-        """Replay all spilled rows as tuples, sparsest bucket first."""
-        return _tuples(self.records())
-
     def _open_bucket(self, path: str) -> BinaryIO:
         faults.trip("spill.open")
         return self.storage.open(path, "rb")
@@ -853,22 +842,24 @@ def _spill_rows(spill: BucketSpill, observer):
     return rows_for
 
 
+def _validator_counts(source: TransactionSource) -> Tuple[int, int]:
+    """The source validator's ``(rows_skipped, rows_clamped)`` so far."""
+    validator = getattr(source, "validator", None)
+    if validator is None:
+        return 0, 0
+    return validator.rows_skipped, validator.rows_clamped
+
+
 def _record_validation(
     source: TransactionSource,
     stats: PipelineStats,
-    skipped_before: int,
-    clamped_before: int,
+    before: Tuple[int, int],
 ) -> None:
-    """Copy this run's validator counters into the pipeline stats."""
-    validator = getattr(source, "validator", None)
-    if validator is None:
-        return
-    stats.hundred_percent_scan.rows_skipped += (
-        validator.rows_skipped - skipped_before
-    )
-    stats.hundred_percent_scan.rows_clamped += (
-        validator.rows_clamped - clamped_before
-    )
+    """Add the validator's counts since ``before`` (a
+    :func:`_validator_counts` reading) to the pipeline stats."""
+    skipped, clamped = _validator_counts(source)
+    stats.hundred_percent_scan.rows_skipped += skipped - before[0]
+    stats.hundred_percent_scan.rows_clamped += clamped - before[1]
 
 
 def _note_degradation(stats, observer, path: str, error: BaseException) -> None:
@@ -906,7 +897,9 @@ def _in_memory_fallback(
     pipeline on the same vector scan — the exact same rules, no disk
     beyond the source itself.
     """
+    before = _validator_counts(source)
     matrix = source_matrix(source, grow=True)
+    _record_validation(source, stats, before)
     with observer.span("in-memory-fallback"):
         return mine_matrix(
             kind, matrix, threshold, options, stats, observer, "vector"
@@ -962,7 +955,9 @@ def _stream_rules(
             if isinstance(error, StorageFull):
                 raise
             raise StorageFull(*error.args) from error
-        stats.__init__()  # the aborted attempt's numbers would mislead
+        # The aborted attempt's numbers would mislead; the engine
+        # that ``repro.mine`` resolved still names this run.
+        stats.__init__(engine=stats.engine)
         _note_degradation(stats, observer, "spill-to-memory", error)
         warnings.warn(
             f"streaming spill hit a terminal storage fault "
@@ -989,9 +984,7 @@ def _stream_rules_on_disk(
 ) -> RuleSet:
     """One on-disk two-pass attempt (checkpointing degrades to off in
     place; terminal spill faults propagate to :func:`_stream_rules`)."""
-    validator = getattr(source, "validator", None)
-    skipped_before = validator.rows_skipped if validator else 0
-    clamped_before = validator.rows_clamped if validator else 0
+    validated_before = _validator_counts(source)
 
     store: Optional[CheckpointStore] = None
     spill: Optional[BucketSpill] = None
@@ -1053,7 +1046,7 @@ def _stream_rules_on_disk(
                     spill = BucketSpill(directory=spill_dir, storage=storage)
                 with observer.phase("pre-scan", stats.timer):
                     ones = _first_scan(source, spill)
-                _record_validation(source, stats, skipped_before, clamped_before)
+                _record_validation(source, stats, validated_before)
                 if store is not None:
                     try:
                         spill.finish()

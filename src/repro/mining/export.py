@@ -103,30 +103,6 @@ _RECORDS = {
 }
 
 
-def _indented(value, indent: str = "") -> str:
-    """``json.dumps(value, indent=2)``, nested ``indent`` deep.
-
-    Dicts with string keys recurse and lists of ints are one join, so
-    the long per-row stats histories skip the pure-Python indenting
-    encoder; everything else goes to ``json.dumps``.
-    """
-    inner = indent + "  "
-    if isinstance(value, dict) and value and all(
-        type(key) is str for key in value
-    ):
-        items = ",\n".join(
-            f"{inner}{json.dumps(key)}: {_indented(item, inner)}"
-            for key, item in value.items()
-        )
-        return "{\n" + items + "\n" + indent + "}"
-    if isinstance(value, list) and value and all(
-        type(item) is int for item in value
-    ):
-        joined = (",\n" + inner).join(map(str, value))
-        return "[\n" + inner + joined + "\n" + indent + "]"
-    return json.dumps(value, indent=2).replace("\n", "\n" + indent)
-
-
 def rules_to_json(
     rules: RuleSet,
     vocabulary: Optional[Vocabulary] = None,
@@ -180,7 +156,9 @@ def rules_to_json(
     else:
         document = '{\n  "rules": []'
     if stats is not None:
-        document += ',\n  "stats": ' + _indented(stats.to_dict(), "  ")
+        document += ',\n  "stats": ' + json.dumps(
+            stats.to_dict(), indent=2
+        ).replace("\n", "\n  ")
     return document + "\n}"
 
 
@@ -224,7 +202,7 @@ def rules_from_json(document: str) -> RuleSet:
 
 def stats_to_json(stats: PipelineStats) -> str:
     """Serialize a run's :class:`PipelineStats` to a JSON document."""
-    return _indented(stats.to_dict())
+    return json.dumps(stats.to_dict(), indent=2)
 
 
 def stats_from_json(document: str) -> PipelineStats:

@@ -1,7 +1,7 @@
 """Observability for mining runs: tracing, metrics, progress.
 
 The paper's headline claims are quantitative — candidate counts
-collapsing as misses accrue, the counter array's memory high water,
+collapsing as misses accrue, the counter array's peak memory,
 the bitmap-jump crossover — and this package makes a live run show
 them.  Zero dependency, and free when disabled: the hot loop pays one
 attribute check per row.

@@ -59,9 +59,6 @@ class ProgressObserver:
     def annotate(self, **attributes) -> None:
         """Attach attributes to the innermost open span (tracers only)."""
 
-    def observe_memory(self, memory_bytes: int) -> None:
-        """Counter-array growth sample (may fire between rows)."""
-
     def finish(self, stats=None) -> None:
         """Fold a completed run's measurements (metric observers only)."""
 

@@ -76,8 +76,6 @@ class RunObserver(ProgressObserver):
         self.run_id = run_id if run_id is not None else new_run_id()
         self.journal = journal
         self.status = status
-        #: Counter-array high water observed between row boundaries.
-        self.memory_high_water = 0
         self._scan = "scan"
         self._band_gauges: Dict[Tuple[str, int], Gauge] = {}
         self._live_gauges: Dict[str, Gauge] = {}
@@ -162,8 +160,6 @@ class RunObserver(ProgressObserver):
             scan = self._scan
         self._rows_seen += 1
         self._last_entries = entries
-        if memory_bytes > self.memory_high_water:
-            self.memory_high_water = memory_bytes
         band = position * self.bands // total if total else 0
         if band >= self.bands:
             band = self.bands - 1
@@ -236,11 +232,6 @@ class RunObserver(ProgressObserver):
         if self.status is not None and rows_seen:
             self.status.on_rows(rows_seen)
             self.status.live_candidates = self._last_entries
-
-    def observe_memory(self, memory_bytes: int) -> None:
-        """Counter-array growth sample (may fire between rows)."""
-        if memory_bytes > self.memory_high_water:
-            self.memory_high_water = memory_bytes
 
     # The switch row and the trip count are metrics of the finished
     # scan: record_scan() folds them once, labelled like the other
@@ -355,11 +346,6 @@ class RunObserver(ProgressObserver):
         self.flush()
         if stats is not None:
             self.metrics.record_pipeline(stats)
-        self.metrics.gauge(
-            f"{self.metrics.prefix}_memory_high_water_bytes",
-            "Counter-array high water across the run, including "
-            "between-row spikes.",
-        ).set_max(self.memory_high_water)
         if self.status is not None:
             self.status.finish()
         if self.journal is not None and stats is not None:

@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 from repro.matrix.binary_matrix import BinaryMatrix
+from repro.matrix.stream import _blocks_of, _tuples
+from repro.observe.progress import ProgressObserver
 
 #: Watchdog for any single test when pytest-timeout is unavailable.
 DEFAULT_TEST_TIMEOUT = 120.0
@@ -158,3 +160,27 @@ def random_binary_matrix(
     density = float(generator.uniform(0.05, 0.6))
     dense = (generator.random((n, m)) < density).astype(np.uint8)
     return BinaryMatrix.from_dense(dense)
+
+
+class RowTrace(ProgressObserver):
+    """Live candidate entries and counter-array bytes after each
+    scanned row, in scan order (the scans store no per-row history)."""
+
+    def __init__(self) -> None:
+        self.entries = []
+        self.memory = []
+
+    def on_row(self, position, total, entries, memory_bytes, scan=""):
+        self.entries.append(entries)
+        self.memory.append(memory_bytes)
+
+
+def spill_rows(spill, *rows) -> None:
+    """Spill ``rows`` (tuples of column ids) through ``add_block``."""
+    for lengths, cols in _blocks_of(rows):
+        spill.add_block(lengths, cols)
+
+
+def replayed_rows(spill):
+    """Every row ``spill.records()`` replays, as tuples, in order."""
+    return list(_tuples(spill.records()))

@@ -5,6 +5,7 @@ from repro.core.candidates import (
     BYTES_PER_LIST,
     CandidateArray,
 )
+from repro.core.stats import ScanStats
 
 
 class TestLifecycle:
@@ -62,22 +63,32 @@ class TestMemoryModel:
         assert cand.memory_bytes() == 2 * BYTES_PER_ENTRY + BYTES_PER_LIST
 
     def test_peaks_are_monotone(self):
+        """The scan's peak is the array's size at row boundaries; a
+        release after the peak row leaves it standing."""
         cand = CandidateArray()
+        stats = ScanStats()
         cand.ensure(0)
         for k in range(1, 6):
             cand.add(0, k, 0)
-        peak_before = cand.peak_bytes
+        stats.record_rows(1, cand.total_entries, cand.memory_bytes())
+        peak_before = stats.peak_bytes
         cand.release(0)
-        assert cand.peak_bytes == peak_before
-        assert cand.peak_entries == 5
+        stats.record_rows(1, cand.total_entries, cand.memory_bytes())
+        assert cand.memory_bytes() == 0
+        assert stats.peak_bytes == peak_before
+        assert stats.peak_entries == 5
 
     def test_peak_tracks_high_watermark(self):
+        """Growth undone within a row never reaches the peak: the
+        counter array's peak is row-granular."""
         cand = CandidateArray()
+        stats = ScanStats()
         cand.ensure(0)
         cand.add(0, 1, 0)
-        cand.remove(0, 1)
         cand.add(0, 2, 0)
-        assert cand.peak_entries == 1
+        cand.remove(0, 1)
+        stats.record_rows(1, cand.total_entries, cand.memory_bytes())
+        assert stats.peak_entries == 1
         assert cand.total_entries == 1
 
     def test_repr(self):

@@ -10,8 +10,8 @@ from repro.core.dmc_imp import PruningOptions, find_implication_rules
 from repro.core.dmc_sim import find_similarity_rules
 from repro.core.miss_counting import miss_counting_scan
 from repro.core.policies import SimilarityPolicy
-from repro.core.stats import ScanStats
 from repro.matrix.binary_matrix import BinaryMatrix
+from tests.conftest import RowTrace
 
 
 class TestPaperExample51:
@@ -38,26 +38,26 @@ class TestPaperExample51:
     def test_max_hits_prunes_at_r4(self):
         matrix = self._matrix()
         policy = SimilarityPolicy(matrix.column_ones(), 0.75)
-        stats = ScanStats()
+        trace = RowTrace()
         rules = miss_counting_scan(
-            matrix, policy, order=list(range(6)), stats=stats
+            matrix, policy, order=list(range(6)), observer=trace
         )
         assert len(rules) == 0
         # Candidate exists after r2/r3, gone after r4 (a hit row!).
-        assert stats.candidate_history == [0, 1, 1, 0, 0, 0]
+        assert trace.entries == [0, 1, 1, 0, 0, 0]
 
     def test_without_max_hits_pruning_deletion_waits_for_a_miss(self):
         matrix = self._matrix()
         policy = SimilarityPolicy(
             matrix.column_ones(), 0.75, use_max_hits_pruning=False
         )
-        stats = ScanStats()
+        trace = RowTrace()
         rules = miss_counting_scan(
-            matrix, policy, order=list(range(6)), stats=stats
+            matrix, policy, order=list(range(6)), observer=trace
         )
         assert len(rules) == 0
         # The pair survives r4 and dies at the r5 miss instead.
-        assert stats.candidate_history == [0, 1, 1, 1, 0, 0]
+        assert trace.entries == [0, 1, 1, 1, 0, 0]
 
 
 class TestMaxHitsBoundaryRegression:

@@ -182,20 +182,17 @@ class TestJsonLayout:
                 )
 
 
-    def test_stats_with_empty_and_long_histories(self):
-        """Int lists are written by a join, not the indenting encoder:
-        an empty history, a 10k-row one, and the nested rest match it."""
+    def test_stats_with_edge_values(self):
+        """The stats branch is the indenting encoder nested two spaces
+        deep: empty lists and curves, big ints, and a string holding a
+        newline (escaped, so the re-indent never touches it) match it."""
         result = repro.mine(
             [["a", "b"], ["a", "b", "c"], ["b"]], minconf="1/2"
         )
         stats = PipelineStats.from_dict(result.stats.to_dict())
-        stats.hundred_percent_scan.candidate_history = []
-        stats.hundred_percent_scan.memory_history = []
-        stats.partial_scan.candidate_history = list(range(10_000))
-        stats.partial_scan.memory_history = [
-            (row * 7919) % 100_003 for row in range(10_000)
-        ]
+        stats.hundred_percent_scan.pruning_curve.points = []
         stats.partition_candidates = [0, -1, 2**70]
+        stats.degradations = ["spill-to-memory", "line\nbreak"]
         for rules in (RuleSet(), result.rules):
             assert rules_to_json(rules, None, stats) == _reference_json(
                 rules, None, stats

@@ -2,7 +2,7 @@
 
 Includes the paper's worked examples as ground-truth anchors:
 Example 1.2 (Figure 1), Example 1.3, and Example 3.1 (Figure 2) with
-its candidate-count histories under both scan orders.
+its per-row candidate counts under both scan orders.
 """
 
 import bisect
@@ -34,6 +34,7 @@ from tests.conftest import (
     EXAMPLE12_100_RULES,
     EXAMPLE31_RULES,
     EXAMPLE31_SPARSEST_ORDER,
+    RowTrace,
     random_binary_matrix,
 )
 
@@ -77,26 +78,26 @@ class TestPaperExample31:
         r4+r5) and ends at 0 because this implementation frees a list
         when its rules are emitted."""
         policy = ImplicationPolicy(example31.column_ones(), 0.8)
-        stats = ScanStats()
+        trace = RowTrace()
         miss_counting_scan(
-            example31, policy, order=list(range(9)), stats=stats
+            example31, policy, order=list(range(9)), observer=trace
         )
-        assert stats.candidate_history[:5] == [1, 4, 4, 7, 9]
-        assert stats.candidate_history[-1] == 0
+        assert trace.entries[:5] == [1, 4, 4, 7, 9]
+        assert trace.entries[-1] == 0
 
     def test_candidate_history_sparsest_order(self, example31):
         """The paper reports (1,2,3,5,6,8,5,2,2) for the order
         (r1,r3,r8,r2,r5,r4,r6,r9,r7); all but the final release-time
         entry match."""
         policy = ImplicationPolicy(example31.column_ones(), 0.8)
-        stats = ScanStats()
+        trace = RowTrace()
         rules = miss_counting_scan(
             example31,
             policy,
             order=list(EXAMPLE31_SPARSEST_ORDER),
-            stats=stats,
+            observer=trace,
         )
-        assert stats.candidate_history[:8] == [1, 2, 3, 5, 6, 8, 5, 2]
+        assert trace.entries[:8] == [1, 2, 3, 5, 6, 8, 5, 2]
         assert rules.pairs() == EXAMPLE31_RULES
 
     def test_reordering_reduces_peak_candidates(self, example31):
@@ -214,14 +215,16 @@ class TestEdgeCases:
         assert rules.pairs() == {(0, 1)}
         assert stats.rules_emitted == 1
 
-    def test_stats_histories_have_row_per_nonempty_row(self):
+    def test_on_row_fires_once_per_nonempty_row(self):
         matrix = BinaryMatrix([[0], [], [1]], n_columns=2)
         policy = ImplicationPolicy(matrix.column_ones(), 1)
         stats = ScanStats()
-        miss_counting_scan(matrix, policy, stats=stats)
+        trace = RowTrace()
+        miss_counting_scan(matrix, policy, stats=stats, observer=trace)
         assert stats.rows_scanned == 2
-        assert len(stats.candidate_history) == 2
-        assert len(stats.memory_history) == 2
+        assert len(trace.entries) == len(trace.memory) == 2
+        assert stats.peak_entries == max(trace.entries)
+        assert stats.peak_bytes == max(trace.memory)
 
 
 class TestBitmapSwitchInsideScan:

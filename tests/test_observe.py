@@ -344,7 +344,6 @@ class TestObservers:
         observer.on_guard_trip(2, "scan")
         observer.on_bucket("bucket-00.txt", 4)
         observer.on_retry("spill.open")
-        observer.observe_memory(100)
         observer.finish()
 
     def test_candidates_alive_band_gauges(self):

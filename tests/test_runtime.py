@@ -54,7 +54,7 @@ from repro.runtime.guards import (
     retry_io,
 )
 
-from tests.conftest import random_binary_matrix
+from tests.conftest import random_binary_matrix, replayed_rows, spill_rows
 
 # ----------------------------------------------------------------------
 # Fixtures: a deterministic matrix with non-trivial rules, on disk.
@@ -808,8 +808,8 @@ def test_durable_spill_requires_directory_and_keeps_files(tmp_path):
         BucketSpill(durable=True)
     directory = str(tmp_path / "buckets")
     spill = BucketSpill(directory=directory, durable=True)
-    spill.add((0, 1))
-    spill.add((0, 1, 2, 3))
+    spill_rows(spill, (0, 1))
+    spill_rows(spill, (0, 1, 2, 3))
     spill.finish()
     names = [name for name, _, _ in spill.bucket_files()]
     spill.close()
@@ -820,7 +820,7 @@ def test_durable_spill_requires_directory_and_keeps_files(tmp_path):
 
 def test_temporary_spill_removes_stray_files_on_close():
     spill = BucketSpill()
-    spill.add((0, 1, 2))
+    spill_rows(spill, (0, 1, 2))
     directory = spill._directory
     with open(os.path.join(directory, "stray.tmp"), "w") as handle:
         handle.write("leftover")
@@ -830,19 +830,19 @@ def test_temporary_spill_removes_stray_files_on_close():
 
 def test_finished_spill_rejects_writes(tmp_path):
     spill = BucketSpill(directory=str(tmp_path / "b"), durable=True)
-    spill.add((0, 1))
+    spill_rows(spill, (0, 1))
     spill.finish()
     with pytest.raises(RuntimeError):
-        spill.add((1, 2))
+        spill_rows(spill, (1, 2))
     spill.close()
 
 
 def test_spill_replays_rows_sparsest_first():
     with BucketSpill() as spill:
-        spill.add((0, 1, 2, 3))
-        spill.add((4,))
-        spill.add((5, 6))
-        rows = list(spill.read_sparsest_first())
+        spill_rows(spill, (0, 1, 2, 3))
+        spill_rows(spill, (4,))
+        spill_rows(spill, (5, 6))
+        rows = replayed_rows(spill)
     assert rows == [(4,), (5, 6), (0, 1, 2, 3)]
 
 

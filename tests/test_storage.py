@@ -17,9 +17,11 @@ from __future__ import annotations
 
 import errno
 import os
+import warnings
 
 import pytest
 
+import repro
 from repro.core.dmc_imp import find_implication_rules
 from repro.core.dmc_sim import find_similarity_rules
 from repro.core.stats import PipelineStats
@@ -31,6 +33,7 @@ from repro.matrix.stream import (
     stream_implication_rules,
     stream_similarity_rules,
 )
+from repro.observe.journal import read_journal
 from repro.observe.run import RunObserver
 from repro.runtime.faults import SimulatedCrash
 from repro.runtime.guards import (
@@ -48,6 +51,7 @@ from repro.runtime.storage import (
     io_error_kind,
     terminal_io_error,
 )
+from repro.runtime.validation import RowValidator
 
 from tests.test_runtime import DEMO_ROWS
 
@@ -401,6 +405,49 @@ def test_enospc_on_spill_degrades_to_exact_in_memory_run(
         == 1
     )
     assert observer.metrics.value("dmc_io_errors_total", kind="ENOSPC") >= 1
+
+
+@pytest.mark.parametrize("mode", ["skip", "clamp"])
+def test_spill_degradation_keeps_engine_and_validation_counts(
+    tmp_path, demo_path, mode
+):
+    """The degraded run's stats describe it: ``mine()``'s resolved
+    engine survives the reset (in the stats and the journal's
+    ``run-end``), and the in-memory pass counts its own skipped or
+    clamped rows, as the undegraded run does."""
+    with open(demo_path, "a") as handle:
+        handle.write("0 x 3\n" if mode == "skip" else "1 -2 5\n")
+    runs = {}
+    for name, storage in (
+        ("clean", None),
+        ("degraded", FaultyStorage(
+            faults=(StorageFault(op="open-write", path_contains="bucket"),)
+        )),
+    ):
+        journal = str(tmp_path / f"{name}.jsonl")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            runs[name] = repro.mine(
+                FileSource(demo_path, RowValidator(mode)),
+                minconf=0.8,
+                engine="stream",
+                spill_dir=str(tmp_path / name),
+                storage=storage,
+                journal_path=journal,
+            )
+        events = {
+            event["event"]: event for event in read_journal(journal)
+        }
+        assert events["run-start"]["engine"] == "stream+vector"
+        assert events["run-end"]["engine"] == "stream+vector"
+    clean, degraded = runs["clean"].stats, runs["degraded"].stats
+    assert degraded.degradations == ["spill-to-memory"]
+    assert runs["degraded"].rules == runs["clean"].rules
+    assert degraded.engine == clean.engine == "stream+vector"
+    counted = ("rows_skipped", "rows_clamped")
+    assert [getattr(degraded.hundred_percent_scan, c) for c in counted] == [
+        getattr(clean.hundred_percent_scan, c) for c in counted
+    ] == ([1, 0] if mode == "skip" else [0, 1])
 
 
 def test_spill_degradation_grows_columns_like_pass_one(tmp_path):

@@ -22,7 +22,7 @@ from repro.matrix.stream import (
     stream_implication_rules,
     stream_similarity_rules,
 )
-from tests.conftest import random_binary_matrix
+from tests.conftest import random_binary_matrix, replayed_rows, spill_rows
 
 
 class TestSources:
@@ -58,27 +58,27 @@ class TestSources:
 class TestBucketSpill:
     def test_rows_grouped_and_replayed_sparsest_first(self, tmp_path):
         with BucketSpill(directory=str(tmp_path)) as spill:
-            spill.add((0, 1, 2, 3))
-            spill.add((5,))
-            spill.add((1, 2))
+            spill_rows(spill, (0, 1, 2, 3))
+            spill_rows(spill, (5,))
+            spill_rows(spill, (1, 2))
             assert spill.rows_spilled == 3
-            replayed = list(spill.read_sparsest_first())
+            replayed = replayed_rows(spill)
         assert replayed == [(5,), (1, 2), (0, 1, 2, 3)]
 
     def test_empty_rows_not_spilled(self, tmp_path):
         with BucketSpill(directory=str(tmp_path)) as spill:
-            spill.add(())
+            spill_rows(spill, ())
             assert spill.rows_spilled == 0
 
     def test_bucket_count_is_logarithmic(self, tmp_path):
         with BucketSpill(directory=str(tmp_path)) as spill:
-            spill.add(tuple(range(100)))
-            spill.add((0,))
+            spill_rows(spill, tuple(range(100)))
+            spill_rows(spill, (0,))
             assert spill.n_buckets == 7  # bucket_index(100) == 6
 
     def test_files_removed_on_close(self, tmp_path):
         spill = BucketSpill(directory=str(tmp_path))
-        spill.add((1, 2))
+        spill_rows(spill, (1, 2))
         directory = spill._directory
         spill.close()
         assert not os.path.exists(directory)
@@ -159,7 +159,7 @@ class TestStreamEdgeCases:
 
     def test_spill_close_is_idempotent(self, tmp_path):
         spill = BucketSpill(directory=str(tmp_path))
-        spill.add((0, 1))
+        spill_rows(spill, (0, 1))
         spill.close()
         spill.close()  # second close must not raise
 

@@ -42,6 +42,7 @@ from repro.runtime.faults import Fault, FaultPlan
 from repro.runtime.guards import estimate_spill_bytes
 from repro.runtime.validation import RowValidator
 
+from tests.conftest import replayed_rows
 from tests.test_runtime import CountingFileSource, DEMO_ROWS
 
 relaxed = settings(
@@ -207,7 +208,7 @@ def test_spill_replays_sparsest_first_in_file_order(
             ]
         assert got == want
         if not masked:
-            assert list(spill.read_sparsest_first()) == want
+            assert replayed_rows(spill) == want
 
 
 def test_first_scan_counts_and_spills_blocks(tmp_path):
@@ -215,7 +216,7 @@ def test_first_scan_counts_and_spills_blocks(tmp_path):
     with BucketSpill(directory=str(tmp_path)) as spill:
         ones = _first_scan(MatrixSource(matrix), spill)
         assert ones.tolist() == matrix.column_ones().tolist()
-        assert sorted(spill.read_sparsest_first()) == sorted(
+        assert sorted(replayed_rows(spill)) == sorted(
             row for row in DEMO_ROWS if row
         )
 
