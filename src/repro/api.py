@@ -28,7 +28,6 @@ finders — so both mine identical rule sets.
 
 from __future__ import annotations
 
-import warnings
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from typing import Any, Dict, Iterator, Optional
@@ -51,7 +50,7 @@ from repro.matrix.stream import (
 )
 from repro.observe.progress import NULL_OBSERVER
 from repro.runtime.guards import graceful_interrupts
-from repro.runtime.storage import io_error_kind, terminal_io_error
+from repro.runtime.storage import degrade, terminal_io_error
 
 #: The two rule kinds of the paper (Sections 4 and 5).
 TASKS = ("implication", "similarity")
@@ -119,16 +118,16 @@ class MiningConfig:
         discipline).  Inject a
         :class:`~repro.runtime.storage.FaultyStorage` in tests, or
         ``LocalStorage(durable=False)`` to skip the physical fsyncs.
-    spill_degrade:
-        When a terminal storage fault (disk full / read-only) hits the
-        streaming spill, redo the run on the in-memory engine instead
-        of raising :class:`~repro.runtime.storage.StorageFull`
-        (default True; rules are identical either way).  Checkpoint and
-        journal writes always degrade to "off with a warning".
+        A terminal storage fault (disk full / read-only) never aborts
+        the mine: it takes a rung of the degradation ladder
+        (:data:`repro.runtime.storage.LADDER` — the spill redone in
+        memory, or the checkpoint, journal or profile switched off),
+        with a warning and an entry in ``stats.degradations``; the
+        rules are identical either way.
     preflight_disk:
         Check free disk space against the estimated spill footprint
-        before the streaming pass 1 writes anything (degrades or raises
-        per ``spill_degrade``).
+        before the streaming pass 1 writes anything (a shortfall
+        redoes the run in memory at once).
     observer:
         Any :class:`~repro.observe.ProgressObserver`; pass a
         :class:`~repro.observe.RunObserver` to collect a trace and
@@ -176,7 +175,6 @@ class MiningConfig:
     spill_dir: Optional[str] = None
     checkpoint_dir: Optional[str] = None
     storage: Optional[object] = None
-    spill_degrade: bool = True
     preflight_disk: bool = False
     observer: Optional[object] = None
     run_id: Optional[str] = None
@@ -427,25 +425,20 @@ def _resolve_telemetry(
 
     journal = None
     if config.journal_path is not None and observer.journal is None:
+        # Telemetry must never abort the mine: a journal that cannot
+        # open, or whose disk dies mid-run, takes the journal-off rung.
+        def journal_off(error: OSError) -> None:
+            degrade(stats, observer, "journal-off", error)
+
         try:
             journal = RunJournal(
                 config.journal_path, observer.run_id,
-                storage=config.storage,
+                storage=config.storage, on_disable=journal_off,
             )
         except OSError as error:
             if not terminal_io_error(error):
                 raise
-            # Unwritable journal path: telemetry must never abort the
-            # mine, so run without the journal (same ladder step as a
-            # mid-run disk death).
-            stats.degradations.append("journal-off")
-            if observer.enabled:
-                observer.on_io_error(io_error_kind(error))
-                observer.on_degradation("journal-off")
-            warnings.warn(
-                f"run journal disabled: {error}", RuntimeWarning,
-                stacklevel=3,
-            )
+            journal_off(error)
         else:
             observer.journal = journal
             journal.emit(
@@ -537,6 +530,7 @@ def mine(data, *, config: Optional[MiningConfig] = None, **kwargs):
             rules = _run_plan(
                 plan, config, matrix, source, options, stats, observer
             )
+        _stop_profiler(profiler, stats, observer)  # before run-end
         observer.finish(stats=stats)
     except BaseException as error:
         status = getattr(observer, "status", None)
@@ -549,16 +543,7 @@ def mine(data, *, config: Optional[MiningConfig] = None, **kwargs):
             )
         raise
     finally:
-        if profiler is not None:
-            try:
-                profiler.stop()
-            except OSError as error:
-                # Same ladder as the journal: telemetry output must
-                # never abort a finished mine.
-                warnings.warn(
-                    f"profile not written: {error}", RuntimeWarning,
-                    stacklevel=2,
-                )
+        _stop_profiler(profiler, stats, observer)
         if server is not None:
             server.close()
         if journal is not None:
@@ -574,6 +559,17 @@ def mine(data, *, config: Optional[MiningConfig] = None, **kwargs):
         vocabulary=vocabulary,
         run_id=getattr(observer, "run_id", config.run_id),
     )
+
+
+def _stop_profiler(profiler, stats, observer) -> None:
+    """Write the profile, once; telemetry output must never abort a
+    mine, so an unwritable one takes the ``profile-off`` rung."""
+    if profiler is None:
+        return
+    try:
+        profiler.stop()
+    except OSError as error:
+        degrade(stats, observer, "profile-off", error)
 
 
 def _run_plan(plan, config, matrix, source, options, stats, observer):
@@ -593,7 +589,6 @@ def _run_plan(plan, config, matrix, source, options, stats, observer):
             stats=stats,
             observer=observer,
             storage=config.storage,
-            spill_degrade=config.spill_degrade,
             preflight=config.preflight_disk,
         )
     if plan.carrier == "partitioned":

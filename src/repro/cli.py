@@ -126,12 +126,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="row partitions for the partitioned engine (default 4)",
         )
         sub.add_argument(
-            "--no-spill-degrade", action="store_true",
-            help="on a disk-full/read-only fault during a streaming "
-                 "spill, fail with a StorageFull error instead of "
-                 "redoing the run on the in-memory engine",
-        )
-        sub.add_argument(
             "--preflight-disk", action="store_true",
             help="check free disk space against the estimated spill "
                  "footprint before the streaming pass 1 writes anything",
@@ -373,7 +367,6 @@ def _export_observations(args: argparse.Namespace, observer) -> None:
 
 
 def _mine(args: argparse.Namespace) -> int:
-    from repro.runtime.storage import StorageFull
     from repro.runtime.validation import RowValidationError, RowValidator
 
     validator = None
@@ -457,7 +450,6 @@ def _mine(args: argparse.Namespace) -> int:
                 data,
                 config=config,
                 checkpoint_dir=getattr(args, "checkpoint", None),
-                spill_degrade=not getattr(args, "no_spill_degrade", False),
                 preflight_disk=getattr(args, "preflight_disk", False),
                 observer=observer,
                 journal_path=getattr(args, "journal", None),
@@ -473,10 +465,6 @@ def _mine(args: argparse.Namespace) -> int:
                 )
     except RowValidationError as error:
         print(f"invalid input: {error}", file=sys.stderr)
-        return 1
-    except StorageFull as error:
-        print(f"storage fault (no degradation allowed): {error}",
-              file=sys.stderr)
         return 1
     except (OSError, ValueError) as error:
         print(f"cannot read {args.path}: {error}", file=sys.stderr)

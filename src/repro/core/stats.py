@@ -275,9 +275,9 @@ class PipelineStats:
     #: New candidate pairs contributed by each partition (partitioned
     #: mining only).
     partition_candidates: List[int] = field(default_factory=list)
-    #: Degradations taken when storage faulted, in order — e.g.
-    #: ``"spill-to-memory"``, ``"checkpoint-off"``, ``"journal-off"``.
-    #: Empty for a clean run.
+    #: Degradations taken when storage faulted, in order — rungs of
+    #: :data:`repro.runtime.storage.LADDER`, each recorded by
+    #: :func:`repro.runtime.storage.degrade`.  Empty for a clean run.
     degradations: List[str] = field(default_factory=list)
 
     @property

@@ -42,22 +42,22 @@ Resilience (see :mod:`repro.runtime`):
   with a ``ValueError`` before the bad row reaches the spill;
 - pass ``bitmap=BitmapConfig(hard_budget_bytes=N)`` to cap the counter
   array's memory (pass 2 hands over to the DMC-bitmap tail past it);
-- spill-bucket reads retry transient I/O errors with backoff, and the
-  whole pipeline is instrumented with fault-injection sites
-  (:mod:`repro.runtime.faults`);
+- spill-bucket reads retry transient I/O errors with backoff;
 - all durable I/O (bucket files, checkpoint manifest) goes through an
   injectable :class:`repro.runtime.storage.Storage` — pass ``storage=``
-  to substitute a :class:`~repro.runtime.storage.FaultyStorage` in
-  tests, or ``LocalStorage(durable=False)`` to benchmark without the
-  physical fsyncs;
+  to substitute a :class:`~repro.runtime.storage.FaultyStorage` (the
+  test suite's one fault harness: errno faults and crashes at any
+  storage operation), or ``LocalStorage(durable=False)`` to benchmark
+  without the physical fsyncs;
 - a *terminal* storage fault (disk full / quota / read-only — see
   :class:`repro.runtime.storage.StorageFull`) walks the degradation
   ladder instead of aborting: a failed checkpoint write switches
-  checkpointing **off with a warning** and the mine continues, a failed
-  spill write redoes the run on the **in-memory engine** (exact same
-  rules; disable with ``spill_degrade=False``).  ``preflight=True``
-  checks ``disk_usage`` against the estimated spill footprint before
-  pass 1 writes a single bucket.
+  checkpointing **off** and the mine continues, a failed spill write
+  redoes the run on the **in-memory engine** (exact same rules); each
+  rung is recorded by :func:`repro.runtime.storage.degrade`.
+  ``preflight=True`` checks ``disk_usage`` against the estimated spill
+  footprint before pass 1 writes a single bucket (a shortfall takes
+  the spill rung at once).
 """
 
 from __future__ import annotations
@@ -84,7 +84,6 @@ from repro.matrix.binary_matrix import (
 from repro.matrix.io import columns_of, read_header
 from repro.matrix.reorder import bucket_indices
 from repro.observe.progress import NULL_OBSERVER
-from repro.runtime import faults
 from repro.runtime.checkpoint import (
     CheckpointError,
     CheckpointStore,
@@ -99,7 +98,7 @@ from repro.runtime.guards import (
 )
 from repro.runtime.storage import (
     LOCAL_STORAGE,
-    StorageFull,
+    degrade,
     io_error_kind,
     terminal_io_error,
 )
@@ -694,7 +693,7 @@ class BucketSpill:
                     else 0,
                 )
             handle = retry_io(
-                lambda path=path: self._open_bucket(path),
+                lambda path=path: self.storage.open(path, "rb"),
                 on_retry=self._note_retry,
                 on_giveup=self._note_giveup,
             )
@@ -713,10 +712,6 @@ class BucketSpill:
                             _offsets_of(inside)[_offsets_of(lengths)]
                         )
                     yield lengths, cols
-
-    def _open_bucket(self, path: str) -> BinaryIO:
-        faults.trip("spill.open")
-        return self.storage.open(path, "rb")
 
     def _note_retry(self, error: BaseException) -> None:
         self.io_retries += 1
@@ -772,7 +767,6 @@ def _first_scan(source: TransactionSource, spill: BucketSpill) -> np.ndarray:
     larger id."""
     ones = np.zeros(source.n_columns() or 0, dtype=np.int64)
     for lengths, cols in _blocks_of(source.iter_rows()):
-        faults.trip_rows("pass1.row", len(lengths))
         counts = np.bincount(cols, minlength=len(ones))
         if len(counts) > len(ones):
             ones = np.pad(ones, (0, len(counts) - len(ones)))
@@ -785,8 +779,8 @@ class _Replay:
     """Pass 2's block source: ``take(n)`` serves the next ``n`` rows of
     the spill's records, cutting records wherever a block ends.
 
-    Every ``take`` counts its rows at the ``"pass2.row"`` fault site and
-    charges the spill I/O retries it caused to ``scan_stats``.
+    Every ``take`` charges the spill I/O retries it caused to
+    ``scan_stats``.
     """
 
     def __init__(self, spill: BucketSpill, kept, scan_stats) -> None:
@@ -819,7 +813,6 @@ class _Replay:
             self._row = stop
         self._stats.io_retries += self._spill.io_retries - self._retries
         self._retries = self._spill.io_retries
-        faults.trip_rows("pass2.row", taken)
         if not taken:
             return 0, None, None
         return taken, np.concatenate(lengths), np.concatenate(cols)
@@ -862,24 +855,13 @@ def _record_validation(
     stats.hundred_percent_scan.rows_clamped += clamped - before[1]
 
 
-def _note_degradation(stats, observer, path: str, error: BaseException) -> None:
-    """Record one degradation into the stats and the observer."""
-    stats.degradations.append(path)
-    if observer.enabled:
-        observer.on_io_error(io_error_kind(error))
-        observer.on_degradation(path)
-
-
 def _checkpoint_off(stats, observer, error: OSError) -> None:
     """The checkpoint ladder step: re-raise a curable ``error``, else
-    record ``"checkpoint-off"`` and warn; the caller then mines on
+    take the ``"checkpoint-off"`` rung; the caller then mines on
     without resume protection (it drops its store)."""
     if not terminal_io_error(error):
         raise error
-    _note_degradation(stats, observer, "checkpoint-off", error)
-    warnings.warn(
-        f"checkpointing disabled: {error}", RuntimeWarning, stacklevel=3
-    )
+    degrade(stats, observer, "checkpoint-off", error)
 
 
 def _in_memory_fallback(
@@ -916,7 +898,6 @@ def _stream_rules(
     stats: Optional[PipelineStats] = None,
     observer=None,
     storage=None,
-    spill_degrade: bool = True,
     preflight: bool = False,
 ) -> RuleSet:
     """The shared two-pass pipeline behind both stream entry points.
@@ -933,10 +914,10 @@ def _stream_rules(
     the next run to resume from.
 
     A terminal storage fault while spilling (disk full / read-only)
-    abandons the on-disk attempt and — unless ``spill_degrade=False`` —
-    redoes the run on the in-memory engine; the stats are reset so they
-    describe the run that actually produced the rules, with the
-    degradation recorded in ``stats.degradations``.
+    abandons the on-disk attempt and redoes the run on the in-memory
+    engine; the stats are reset so they describe the run that actually
+    produced the rules, keeping the engine and every rung taken
+    (``stats.degradations``).
     """
     threshold = as_fraction(threshold)
     if stats is None:
@@ -951,20 +932,11 @@ def _stream_rules(
     except OSError as error:
         if not terminal_io_error(error):
             raise
-        if not spill_degrade:
-            if isinstance(error, StorageFull):
-                raise
-            raise StorageFull(*error.args) from error
         # The aborted attempt's numbers would mislead; the engine
-        # that ``repro.mine`` resolved still names this run.
-        stats.__init__(engine=stats.engine)
-        _note_degradation(stats, observer, "spill-to-memory", error)
-        warnings.warn(
-            f"streaming spill hit a terminal storage fault "
-            f"({io_error_kind(error)}); redoing the run in memory",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+        # that ``repro.mine`` resolved and the rungs already taken
+        # still describe this run.
+        stats.__init__(engine=stats.engine, degradations=stats.degradations)
+        degrade(stats, observer, "spill-to-memory", error)
         return _in_memory_fallback(
             source, threshold, kind, options, stats, observer
         )
@@ -1099,7 +1071,6 @@ def stream_implication_rules(
     stats: Optional[PipelineStats] = None,
     observer=None,
     storage=None,
-    spill_degrade: bool = True,
     preflight: bool = False,
 ) -> RuleSet:
     """Two-pass DMC-imp over a streaming source.
@@ -1124,17 +1095,16 @@ def stream_implication_rules(
     ``storage`` substitutes the durable-I/O backend
     (:class:`repro.runtime.storage.Storage`; local filesystem by
     default).  On a terminal storage fault (disk full / read-only) the
-    run degrades instead of aborting: checkpointing switches off with a
-    warning, and a failed spill redoes the run on the in-memory engine
-    — identical rules either way (``spill_degrade=False`` re-raises the
-    :class:`~repro.runtime.storage.StorageFull` instead).
-    ``preflight=True`` checks free disk space against the estimated
-    spill footprint before pass 1 starts.
+    run degrades instead of aborting: checkpointing switches off, and a
+    failed spill redoes the run on the in-memory engine — identical
+    rules either way, each rung warned and recorded in
+    ``stats.degradations``.  ``preflight=True`` checks free disk space
+    against the estimated spill footprint before pass 1 starts.
     """
     options = PruningOptions(bitmap=bitmap)
     return _stream_rules(
         source, minconf, "implication", options, spill_dir,
-        checkpoint_dir, stats, observer, storage, spill_degrade, preflight,
+        checkpoint_dir, stats, observer, storage, preflight,
     )
 
 
@@ -1147,7 +1117,6 @@ def stream_similarity_rules(
     stats: Optional[PipelineStats] = None,
     observer=None,
     storage=None,
-    spill_degrade: bool = True,
     preflight: bool = False,
 ) -> RuleSet:
     """Two-pass DMC-sim over a streaming source.
@@ -1160,5 +1129,5 @@ def stream_similarity_rules(
     options = PruningOptions(bitmap=bitmap)
     return _stream_rules(
         source, minsim, "similarity", options, spill_dir,
-        checkpoint_dir, stats, observer, storage, spill_degrade, preflight,
+        checkpoint_dir, stats, observer, storage, preflight,
     )

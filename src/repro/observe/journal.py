@@ -16,7 +16,8 @@ the :mod:`repro.runtime.storage` layer and are fsynced in batches
 ``fsync_min_interval`` seconds) — the journal is durable evidence,
 not a best-effort log.  A journal whose disk fails mid-run disables itself
 (mining never aborts because telemetry could not be written) and
-reports the degradation.
+reports the error to its ``on_disable`` hook, through which
+:func:`repro.mine` records the ``journal-off`` degradation.
 
 Readers: :func:`read_journal` streams records, :func:`tail_journal`
 renders the last N, :func:`summarize_journal` folds a journal into a
@@ -31,7 +32,7 @@ import json
 import os
 import threading
 import time
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.runtime.storage import LOCAL_STORAGE, io_error_kind
 
@@ -86,6 +87,7 @@ class RunJournal:
         storage=None,
         fsync_every: int = 32,
         fsync_min_interval: float = 0.25,
+        on_disable: Optional[Callable[[OSError], None]] = None,
     ) -> None:
         if fsync_every < 0:
             raise ValueError("fsync_every must be >= 0")
@@ -99,6 +101,9 @@ class RunJournal:
         self.disabled = False
         #: The error that disabled the journal, if any (errno name).
         self.error: Optional[str] = None
+        #: Called once, outside the lock, with the ``OSError`` that
+        #: disabled the journal.
+        self.on_disable = on_disable
         self._seq = 0
         self._pending_sync = 0
         self._last_fsync = time.monotonic()
@@ -112,10 +117,29 @@ class RunJournal:
     def _dirname(self) -> str:
         return os.path.dirname(os.path.abspath(self.path))
 
+    def _close_handle(self) -> None:
+        try:
+            self._handle.close()
+        except OSError:
+            pass
+        self._handle = None
+
+    def _die(self, error: OSError) -> OSError:
+        """Disable the journal for ``error`` (the lock is held)."""
+        self.disabled = True
+        self.error = io_error_kind(error)
+        self._close_handle()
+        return error
+
+    def _report(self, error: Optional[OSError]) -> None:
+        if error is not None and self.on_disable is not None:
+            self.on_disable(error)
+
     def emit(self, event: str, **payload) -> None:
         """Append one event; never raises (a dead disk disables us)."""
         if self.disabled or self._handle is None:
             return
+        died = None
         with self._lock:
             if self.disabled:
                 return
@@ -135,16 +159,10 @@ class RunJournal:
                     self.storage.fsync(self._handle)
                     self._pending_sync = 0
                     self._last_fsync = time.monotonic()
+                self._seq += 1
             except OSError as error:
-                self.disabled = True
-                self.error = io_error_kind(error)
-                try:
-                    self._handle.close()
-                except OSError:
-                    pass
-                self._handle = None
-                return
-            self._seq += 1
+                died = self._die(error)
+        self._report(died)
 
     def flush(self) -> None:
         """Flush and fsync buffered events now, bypassing the batch.
@@ -157,6 +175,7 @@ class RunJournal:
         """
         if self.disabled or self._handle is None:
             return
+        died = None
         with self._lock:
             if self.disabled or self._handle is None:
                 return
@@ -165,30 +184,22 @@ class RunJournal:
                 self._pending_sync = 0
                 self._last_fsync = time.monotonic()
             except OSError as error:
-                self.disabled = True
-                self.error = io_error_kind(error)
-                try:
-                    self._handle.close()
-                except OSError:
-                    pass
-                self._handle = None
+                died = self._die(error)
+        self._report(died)
 
     def close(self) -> None:
         """Flush, fsync and close the journal (idempotent)."""
+        died = None
         with self._lock:
             if self._handle is None:
                 return
             try:
                 self.storage.fsync(self._handle)
             except OSError as error:
-                self.disabled = True
-                self.error = io_error_kind(error)
-            finally:
-                try:
-                    self._handle.close()
-                except OSError:
-                    pass
-                self._handle = None
+                died = self._die(error)
+            else:
+                self._close_handle()
+        self._report(died)
 
     def __enter__(self) -> "RunJournal":
         return self

@@ -105,7 +105,9 @@ class ProgressObserver:
     def on_degradation(self, path: str) -> None:
         """A storage fault forced a degradation: ``path`` names the
         ladder step taken (``"spill-to-memory"``, ``"checkpoint-off"``,
-        ``"journal-off"``, ...).  Rules stay exact on every step."""
+        ``"journal-off"`` or ``"profile-off"``, the keys of
+        :data:`repro.runtime.storage.LADDER`).  Rules stay exact on
+        every step."""
 
     def on_curve_sample(
         self,

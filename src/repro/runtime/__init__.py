@@ -15,15 +15,15 @@ The paper proves the mining *algorithms* exact; this package keeps the
   runtime object: ``memory_budget=N`` is the bitmap switch's
   ``hard_budget_bytes``, which hands a scan over to the DMC-bitmap
   tail instead of OOM-ing.)
-- :mod:`repro.runtime.faults` — a deterministic fault-injection
-  harness used by the test suite to prove the above (a run killed
-  mid-pass-2 resumes to the byte-identical rule set).
 - :mod:`repro.runtime.storage` — the injectable durable-I/O layer
   every checkpoint, spill bucket and journal write goes through:
   fsync-then-rename-then-fsync-dir discipline, errno classification
   (``ENOSPC``-class faults surface as :class:`StorageFull` and trigger
-  degradation instead of retries), and the :class:`FaultyStorage` test
-  double that counts, crashes and injects errno failures.
+  degradation instead of retries), :func:`degrade`, the one step that
+  records a rung of the degradation ladder (:data:`LADDER`), and the
+  :class:`FaultyStorage` test double that counts, crashes
+  (:class:`SimulatedCrash`) and injects errno failures — the one
+  fault harness the test suite proves the above with.
 - :mod:`repro.runtime.crashpoints` — ALICE-style crash-point
   enumeration built on that op counting: crash a workload at every
   storage operation, recover, and demand the exact rule set each time.
@@ -47,12 +47,6 @@ from repro.runtime.checkpoint import (
     Pass1Checkpoint,
     source_fingerprint,
 )
-from repro.runtime.faults import (
-    Fault,
-    FaultPlan,
-    SimulatedCrash,
-    TransientIOError,
-)
 from repro.runtime.guards import (
     ensure_disk_space,
     estimate_spill_bytes,
@@ -64,9 +58,11 @@ from repro.runtime.storage import (
     TERMINAL_ERRNOS,
     FaultyStorage,
     LocalStorage,
+    SimulatedCrash,
     Storage,
     StorageFault,
     StorageFull,
+    degrade,
     io_error_kind,
     terminal_io_error,
 )
@@ -83,8 +79,6 @@ __all__ = [
     "CheckpointStore",
     "CrashPointReport",
     "CrashPointResult",
-    "Fault",
-    "FaultPlan",
     "FaultyStorage",
     "LOCAL_STORAGE",
     "LocalStorage",
@@ -96,9 +90,9 @@ __all__ = [
     "StorageFault",
     "StorageFull",
     "TERMINAL_ERRNOS",
-    "TransientIOError",
     "VALIDATION_MODES",
     "count_storage_ops",
+    "degrade",
     "ensure_disk_space",
     "enumerate_crash_points",
     "estimate_spill_bytes",

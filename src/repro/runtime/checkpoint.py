@@ -32,8 +32,8 @@ The checkpoint directory layout::
   fsynced before the rename, and the parent directory is fsynced after
   it — the rename itself survives power loss.
 
-Writes run through :func:`repro.runtime.guards.retry_io` and the
-``"checkpoint.save"`` fault-injection site; a terminal storage fault
+Writes run through :func:`repro.runtime.guards.retry_io`; a terminal
+storage fault
 (disk full/read-only) surfaces as :class:`repro.runtime.storage.
 StorageFull` so the pipeline can degrade to checkpoint-off instead of
 aborting.
@@ -48,7 +48,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.runtime import faults
 from repro.runtime.guards import retry_io
 from repro.runtime.storage import LOCAL_STORAGE, io_error_kind
 
@@ -210,7 +209,9 @@ class CheckpointStore:
             "buckets": buckets,
         }
         retry_io(
-            lambda: self._write_manifest(payload),
+            lambda: self.storage.atomic_write_text(
+                self.manifest_path, json.dumps(payload)
+            ),
             on_retry=self._note_retry,
             on_giveup=self._note_giveup,
         )
@@ -224,10 +225,6 @@ class CheckpointStore:
     def _note_giveup(self, error: BaseException) -> None:
         if self.observer is not None and self.observer.enabled:
             self.observer.on_io_error(io_error_kind(error))
-
-    def _write_manifest(self, payload: Dict[str, object]) -> None:
-        faults.trip("checkpoint.save")
-        self.storage.atomic_write_text(self.manifest_path, json.dumps(payload))
 
     def load_pass1(
         self,

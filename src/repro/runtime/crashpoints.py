@@ -35,8 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
-from repro.runtime.faults import SimulatedCrash
-from repro.runtime.storage import FaultyStorage
+from repro.runtime.storage import FaultyStorage, SimulatedCrash
 
 
 @dataclass(frozen=True)

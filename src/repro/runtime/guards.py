@@ -76,7 +76,7 @@ def retry_io(
     """Run ``operation`` with exponential backoff on *transient* errors.
 
     Retries only exceptions matching ``retry_on`` (``OSError`` by
-    default — a :class:`repro.runtime.faults.SimulatedCrash` is *not*
+    default — a :class:`repro.runtime.storage.SimulatedCrash` is *not*
     an ``OSError`` and always propagates immediately), and only when
     the errno is curable: a terminal errno (``ENOSPC`` / ``EDQUOT`` /
     ``EROFS``, see :func:`repro.runtime.storage.terminal_io_error`) is

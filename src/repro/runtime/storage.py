@@ -21,10 +21,12 @@ closes those holes behind one small abstraction:
 - :class:`FaultyStorage` — the test double: counts every storage
   operation (the substrate of :mod:`repro.runtime.crashpoints`' ALICE
   style crash-point enumeration), can crash the "process" at operation
-  *k* (:class:`~repro.runtime.faults.SimulatedCrash` on every operation
-  from *k* on — a dead process never touches the disk again), and can
-  inject errno-coded failures (``ENOSPC``, ``EIO``, ...) at matching
-  operations via :class:`StorageFault`.
+  *k* (:class:`SimulatedCrash` on every operation from *k* on — a
+  dead process never touches the disk again), and can inject
+  errno-coded failures (``ENOSPC``, ``EIO``, ...) at matching
+  operations via :class:`StorageFault`.  It is the runtime's only
+  fault harness: transient errors, disk-full and crashes at any
+  durable step are all injected here.
 
 Errno classification lives here too: :func:`terminal_io_error` decides
 whether an ``OSError`` can ever be cured by retrying.  ``ENOSPC`` /
@@ -32,7 +34,8 @@ whether an ``OSError`` can ever be cured by retrying.  ``ENOSPC`` /
 burning a backoff budget on it just delays the degradation the caller
 should take instead.  :func:`repro.runtime.guards.retry_io` converts
 those into the typed :class:`StorageFull` so the pipelines can catch
-one exception type and walk their degradation ladder.
+one exception type and walk their degradation ladder, whose every rung
+is taken through :func:`degrade`.
 """
 
 from __future__ import annotations
@@ -41,10 +44,9 @@ import errno
 import hashlib
 import os
 import shutil
+import warnings
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
-
-from repro.runtime.faults import SimulatedCrash
 
 #: Errnos that no amount of retrying will cure: the storage path is
 #: out of space (ENOSPC), over quota (EDQUOT) or read-only (EROFS).
@@ -57,6 +59,20 @@ TERMINAL_ERRNOS = frozenset(
     )
     if code is not None
 )
+
+
+#: The degradation ladder: each rung a storage fault can force, with
+#: the warning it raises.  The rules stay exact on every rung.
+LADDER = {
+    "spill-to-memory": "spill failed; redoing the run in memory",
+    "checkpoint-off": "checkpointing disabled",
+    "journal-off": "run journal disabled",
+    "profile-off": "profile not written",
+}
+
+
+class SimulatedCrash(RuntimeError):
+    """An injected process death (never retried, never caught internally)."""
 
 
 class StorageFull(OSError):
@@ -87,6 +103,22 @@ def io_error_kind(error: BaseException) -> str:
     if code is not None:
         return errno.errorcode.get(code, str(code))
     return type(error).__name__
+
+
+def degrade(stats, observer, path: str, error: BaseException) -> None:
+    """Take the :data:`LADDER` rung ``path`` because of ``error``.
+
+    The one record of a degradation: it lands in
+    ``stats.degradations`` (in order), in the observer's
+    ``dmc_io_errors_total`` / ``dmc_degradations_total`` metrics, its
+    journal's ``degradation`` event and progress line, and in a
+    ``RuntimeWarning``.
+    """
+    stats.degradations.append(path)
+    if observer.enabled:
+        observer.on_io_error(io_error_kind(error))
+        observer.on_degradation(path)
+    warnings.warn(f"{LADDER[path]}: {error}", RuntimeWarning, stacklevel=3)
 
 
 class Storage:

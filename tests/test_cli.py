@@ -42,13 +42,10 @@ class TestParser:
 
     def test_storage_options(self):
         args = build_parser().parse_args(
-            ["mine-imp", "data.txt", "--no-spill-degrade",
-             "--preflight-disk"]
+            ["mine-imp", "data.txt", "--preflight-disk"]
         )
-        assert args.no_spill_degrade is True
         assert args.preflight_disk is True
         defaults = build_parser().parse_args(["mine-imp", "data.txt"])
-        assert defaults.no_spill_degrade is False
         assert defaults.preflight_disk is False
 
     def test_unknown_command_exits(self):

@@ -31,7 +31,7 @@ from repro.runtime.crashpoints import (
     count_storage_ops,
     enumerate_crash_points,
 )
-from repro.runtime.faults import SimulatedCrash
+from repro.runtime import SimulatedCrash
 from repro.runtime.storage import FaultyStorage
 
 from tests.test_runtime import DEMO_ROWS

@@ -176,6 +176,27 @@ class TestJournalFromRuns:
         assert len(result.rules) == len(mine(matrix, minconf=0.8).rules)
         assert "journal-off" in result.stats.degradations
 
+    def test_journal_dying_at_fsync_takes_the_journal_off_rung(
+        self, tmp_path
+    ):
+        """A journal that opened and then died is recorded like one
+        that never opened: in the stats and both metrics."""
+        matrix = random_binary_matrix(5, max_rows=60, max_columns=8)
+        storage = FaultyStorage(faults=(
+            StorageFault(op="fsync", path_contains="run.jsonl"),
+        ))
+        observer = RunObserver()
+        with pytest.warns(RuntimeWarning, match="run journal disabled"):
+            result = mine(
+                matrix, minconf=0.8, observer=observer,
+                journal_path=_journal_path(tmp_path), storage=storage,
+            )
+        assert result.rules == mine(matrix, minconf=0.8).rules
+        assert result.stats.degradations == ["journal-off"]
+        metrics = observer.metrics
+        assert metrics.value("dmc_degradations_total", path="journal-off") == 1
+        assert metrics.value("dmc_io_errors_total", kind="ENOSPC") == 1
+
     def test_run_id_is_stamped_through(self, tmp_path):
         matrix = random_binary_matrix(5, max_rows=60, max_columns=8)
         path = _journal_path(tmp_path)

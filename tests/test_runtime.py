@@ -1,5 +1,8 @@
 """Fault tolerance: checkpoints, resume, guards, retries, fault injection.
 
+Faults come from one harness, :class:`repro.runtime.storage.FaultyStorage`:
+a crash or an errno failure at a chosen storage operation.
+
 The headline property (ISSUE acceptance): a streaming run killed
 mid-pass-2 resumes from its checkpoint and produces a RuleSet exactly
 equal to the uninterrupted run's — for both pipelines — without
@@ -8,6 +11,7 @@ re-reading the source.
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 import signal
@@ -41,18 +45,18 @@ from repro.matrix.stream import (
     stream_similarity_rules,
 )
 from repro.mining.export import rules_to_json
-from repro.runtime import faults
+from repro.observe.progress import ProgressObserver
 from repro.runtime.checkpoint import (
     CheckpointCorrupted,
     CheckpointStale,
     CheckpointStore,
     source_fingerprint,
 )
-from repro.runtime.faults import Fault, FaultPlan, SimulatedCrash
 from repro.runtime.guards import (
     graceful_interrupts,
     retry_io,
 )
+from repro.runtime.storage import FaultyStorage, SimulatedCrash, StorageFault
 
 from tests.conftest import random_binary_matrix, replayed_rows, spill_rows
 
@@ -90,6 +94,34 @@ def demo_path(tmp_path, demo_matrix) -> str:
     return path
 
 
+def _crash_point(stream, path, threshold, directory, op, after=None) -> int:
+    """The 1-based storage operation a checkpointed run of ``stream``
+    first performs as ``op`` on a spill bucket (after the manifest's
+    ``after`` operation, when given), counted on a clean run that
+    checkpoints into ``directory``."""
+    storage = FaultyStorage()
+    stream(FileSource(path), threshold, checkpoint_dir=directory,
+           storage=storage)
+    start = 0
+    if after is not None:
+        start = storage.op_log.index(
+            (after, os.path.join(directory, "manifest.json"))
+        )
+    return next(
+        index + 1
+        for index, (name, touched) in enumerate(storage.op_log)
+        if index > start and name == op
+        and os.path.basename(touched).startswith("bucket-")
+    )
+
+
+def _first_replay(stream, path, threshold, directory) -> int:
+    """Pass 2 opening its first bucket: after the checkpoint is saved."""
+    return _crash_point(
+        stream, path, threshold, directory, "open-read", after="replace"
+    )
+
+
 class CountingFileSource(FileSource):
     """A FileSource that counts how often the file is iterated."""
 
@@ -116,15 +148,17 @@ def test_crash_mid_pass2_resumes_to_identical_rules(
     assert len(baseline) > 0
 
     checkpoint_dir = str(tmp_path / "ckpt")
-    plan = FaultPlan([Fault("pass2.row", first=5, error=SimulatedCrash)])
-    with faults.install(plan):
-        with pytest.raises(SimulatedCrash):
-            stream(
-                FileSource(demo_path),
-                threshold,
-                checkpoint_dir=checkpoint_dir,
-            )
-    assert plan.fired.get("pass2.row") == 1
+    storage = FaultyStorage(crash_at=_first_replay(
+        stream, demo_path, threshold, str(tmp_path / "count")
+    ))
+    with pytest.raises(SimulatedCrash):
+        stream(
+            FileSource(demo_path),
+            threshold,
+            checkpoint_dir=checkpoint_dir,
+            storage=storage,
+        )
+    assert storage.crashed
     assert CheckpointStore(checkpoint_dir).has_checkpoint()
 
     resumed_source = CountingFileSource(demo_path)
@@ -144,14 +178,17 @@ def test_crash_mid_pass1_leaves_no_checkpoint(tmp_path, demo_path, kind):
     baseline = stream(FileSource(demo_path), threshold)
 
     checkpoint_dir = str(tmp_path / "ckpt")
-    plan = FaultPlan([Fault("pass1.row", first=3, error=SimulatedCrash)])
-    with faults.install(plan):
-        with pytest.raises(SimulatedCrash):
-            stream(
-                FileSource(demo_path),
-                threshold,
-                checkpoint_dir=checkpoint_dir,
-            )
+    # Crash as pass 1 spills its first block.
+    storage = FaultyStorage(crash_at=_crash_point(
+        stream, demo_path, threshold, str(tmp_path / "count"), "open-write"
+    ))
+    with pytest.raises(SimulatedCrash):
+        stream(
+            FileSource(demo_path),
+            threshold,
+            checkpoint_dir=checkpoint_dir,
+            storage=storage,
+        )
     store = CheckpointStore(checkpoint_dir)
     assert not store.has_checkpoint()
 
@@ -161,57 +198,24 @@ def test_crash_mid_pass1_leaves_no_checkpoint(tmp_path, demo_path, kind):
     assert source.iterations == 1
 
 
-@pytest.mark.slow
-@pytest.mark.parametrize("kind", sorted(STREAMERS))
-def test_crash_at_every_pass2_row_resumes_exactly(tmp_path, kind):
-    """Sweep the crash position across the whole second pass."""
-    stream, threshold = STREAMERS[kind]
-    matrix = random_binary_matrix(seed=2024, max_rows=30, max_columns=10)
-    path = str(tmp_path / "sweep.txt")
-    save_transactions(matrix, path)
-    baseline = stream(FileSource(path), threshold)
-
-    nonempty = sum(1 for _, row in matrix.iter_rows() if row)
-    checkpoint_dir = str(tmp_path / "ckpt")
-    for position in range(1, 2 * nonempty + 2, 3):
-        plan = FaultPlan(
-            [Fault("pass2.row", first=position, error=SimulatedCrash)]
-        )
-        with faults.install(plan):
-            try:
-                crashed = stream(
-                    FileSource(path),
-                    threshold,
-                    checkpoint_dir=checkpoint_dir,
-                )
-            except SimulatedCrash:
-                crashed = None
-        if crashed is not None:
-            # Both passes replay fewer rows than this position; the run
-            # completed untouched.
-            assert crashed == baseline
-            continue
-        resumed = stream(
-            FileSource(path), threshold, checkpoint_dir=checkpoint_dir
-        )
-        assert resumed == baseline, f"mismatch after crash at {position}"
-
-
 # ----------------------------------------------------------------------
 # Checkpoint store: roundtrip, staleness, corruption.
 # ----------------------------------------------------------------------
 
 
 def _checkpointed_run(demo_path, checkpoint_dir, threshold=0.8):
-    """Run pass 1 with a checkpoint and crash immediately in pass 2."""
-    plan = FaultPlan([Fault("pass2.row", first=1, error=SimulatedCrash)])
-    with faults.install(plan):
-        with pytest.raises(SimulatedCrash):
-            stream_implication_rules(
-                FileSource(demo_path),
-                threshold,
-                checkpoint_dir=checkpoint_dir,
-            )
+    """Run pass 1 with a checkpoint and crash as pass 2 starts."""
+    crash_at = _first_replay(
+        stream_implication_rules, demo_path, threshold,
+        checkpoint_dir + "-count",
+    )
+    with pytest.raises(SimulatedCrash):
+        stream_implication_rules(
+            FileSource(demo_path),
+            threshold,
+            checkpoint_dir=checkpoint_dir,
+            storage=FaultyStorage(crash_at=crash_at),
+        )
 
 
 def test_checkpoint_roundtrip(tmp_path, demo_path, demo_matrix):
@@ -410,36 +414,49 @@ def test_checkpoint_for_other_threshold_is_not_reused(tmp_path, demo_path):
 # ----------------------------------------------------------------------
 
 
+def _bucket_read_fault(count=None) -> StorageFault:
+    """An EIO on opening spill buckets for replay (``count`` times;
+    forever by default)."""
+    return StorageFault(
+        op="open-read", path_contains="bucket-", code=errno.EIO, count=count
+    )
+
+
 def test_transient_spill_open_faults_are_retried(demo_path):
     baseline = stream_implication_rules(FileSource(demo_path), 0.8)
     stats = PipelineStats()
-    plan = FaultPlan([Fault("spill.open", first=1, count=2)])
-    with faults.install(plan):
-        rules = stream_implication_rules(
-            FileSource(demo_path), 0.8, stats=stats
-        )
+    storage = FaultyStorage(faults=(_bucket_read_fault(count=2),))
+    rules = stream_implication_rules(
+        FileSource(demo_path), 0.8, stats=stats, storage=storage
+    )
     assert rules == baseline
-    assert plan.fired["spill.open"] == 2
+    assert storage.errors_raised == {"EIO": 2}
     assert stats.hundred_percent_scan.io_retries == 2
+    assert stats.degradations == []
 
 
 def test_persistent_spill_open_fault_propagates(demo_path):
-    plan = FaultPlan([Fault("spill.open", first=1, count=10)])
-    with faults.install(plan):
-        with pytest.raises(OSError):
-            stream_implication_rules(FileSource(demo_path), 0.8)
+    storage = FaultyStorage(faults=(_bucket_read_fault(),))
+    with pytest.raises(OSError) as raised:
+        stream_implication_rules(FileSource(demo_path), 0.8, storage=storage)
+    assert raised.value.errno == errno.EIO
+    assert storage.errors_raised == {"EIO": 3}  # retry_io's attempts
 
 
 def test_transient_checkpoint_save_fault_is_retried(tmp_path, demo_path):
     baseline = stream_implication_rules(FileSource(demo_path), 0.8)
     checkpoint_dir = str(tmp_path / "ckpt")
-    plan = FaultPlan([Fault("checkpoint.save", first=1, count=2)])
-    with faults.install(plan):
-        rules = stream_implication_rules(
-            FileSource(demo_path), 0.8, checkpoint_dir=checkpoint_dir
-        )
+    storage = FaultyStorage(faults=(StorageFault(
+        op="open-write", path_contains="manifest", code=errno.EIO, count=2,
+    ),))
+    stats = PipelineStats()
+    rules = stream_implication_rules(
+        FileSource(demo_path), 0.8, checkpoint_dir=checkpoint_dir,
+        storage=storage, stats=stats,
+    )
     assert rules == baseline
-    assert plan.fired["checkpoint.save"] == 2
+    assert storage.errors_raised == {"EIO": 2}
+    assert stats.degradations == []  # retried, not degraded
 
 
 def test_retry_io_backs_off_then_succeeds():
@@ -737,15 +754,18 @@ class TestGracefulInterrupts:
         want = find_implication_rules(matrix, 0.7).pairs()
         checkpoint_dir = str(tmp_path / "ckpt")
 
-        plan = FaultPlan(
-            [Fault("pass2.row", first=2, error=KeyboardInterrupt)]
-        )
+        class Interrupt(ProgressObserver):
+            """Ctrl-C as pass 2 replays its first bucket, raised from
+            a progress hook as the service's ``CancelWatch`` does."""
+
+            def on_bucket(self, name, rows):
+                raise KeyboardInterrupt
+
         with pytest.raises(KeyboardInterrupt):
-            with faults.install(plan):
-                stream_implication_rules(
-                    MatrixSource(matrix), 0.7,
-                    checkpoint_dir=checkpoint_dir,
-                )
+            stream_implication_rules(
+                MatrixSource(matrix), 0.7,
+                checkpoint_dir=checkpoint_dir, observer=Interrupt(),
+            )
 
         # The pass-1 checkpoint survived; the re-run resumes at pass 2
         # (no pre-scan phase) and mines the exact rule set.
@@ -844,24 +864,3 @@ def test_spill_replays_rows_sparsest_first():
         spill_rows(spill, (5, 6))
         rows = replayed_rows(spill)
     assert rows == [(4,), (5, 6), (0, 1, 2, 3)]
-
-
-# ----------------------------------------------------------------------
-# Fault-plan bookkeeping.
-# ----------------------------------------------------------------------
-
-
-def test_fault_plan_counts_and_windows():
-    plan = FaultPlan([Fault("site", first=2, count=2)])
-    plan.trip("site")  # call 1: no fault
-    with pytest.raises(OSError):
-        plan.trip("site")  # call 2
-    with pytest.raises(OSError):
-        plan.trip("site")  # call 3
-    plan.trip("site")  # call 4: window passed
-    assert plan.calls["site"] == 4
-    assert plan.fired["site"] == 2
-
-
-def test_trip_is_noop_without_a_plan():
-    faults.trip("anything")  # must not raise

@@ -35,13 +35,14 @@ from repro.matrix.stream import (
 )
 from repro.observe.journal import read_journal
 from repro.observe.run import RunObserver
-from repro.runtime.faults import SimulatedCrash
+from repro.runtime import SimulatedCrash
 from repro.runtime.guards import (
     ensure_disk_space,
     estimate_spill_bytes,
     retry_io,
 )
 from repro.runtime.storage import (
+    LADDER,
     LOCAL_STORAGE,
     TERMINAL_ERRNOS,
     FaultyStorage,
@@ -357,15 +358,6 @@ def test_preflight_aborts_before_any_bucket_write(tmp_path, demo_path):
     assert stats.degradations == ["spill-to-memory"]
     # No bucket was ever opened for writing.
     assert not any(op == "open-write" for op, _ in storage.op_log)
-    with pytest.raises(StorageFull):
-        stream_implication_rules(
-            FileSource(demo_path),
-            0.8,
-            spill_dir=spill_dir,
-            storage=TinyDisk(),
-            preflight=True,
-            spill_degrade=False,
-        )
 
 
 # ----------------------------------------------------------------------
@@ -450,6 +442,80 @@ def test_spill_degradation_keeps_engine_and_validation_counts(
     ] == ([1, 0] if mode == "skip" else [0, 1])
 
 
+def _degradation_counts(observer):
+    """``dmc_degradations_total`` by ladder rung (non-zero ones)."""
+    counts = {
+        path: observer.metrics.value("dmc_degradations_total", path=path)
+        for path in LADDER
+    }
+    return {path: count for path, count in counts.items() if count}
+
+
+def _journal_degradations(path):
+    return [
+        event["path"] for event in read_journal(path)
+        if event["event"] == "degradation"
+    ]
+
+
+def _bucket_enospc():
+    return StorageFault(op="open-write", path_contains="bucket")
+
+
+def test_journal_off_then_spill_degradation_are_both_recorded(
+    tmp_path, demo_path
+):
+    """The spill rung's reset keeps the ``journal-off`` rung taken
+    before it: the stats list both, in order, as the metric counts
+    them."""
+    journal = str(tmp_path / "telemetry" / "run.jsonl")
+    storage = FaultyStorage(faults=(
+        StorageFault(op="open-write", path_contains=journal, code=errno.EROFS),
+        _bucket_enospc(),
+    ))
+    observer = RunObserver()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        result = repro.mine(
+            demo_path, minconf=0.8, engine="stream", storage=storage,
+            spill_dir=str(tmp_path / "spill"), journal_path=journal,
+            observer=observer,
+        )
+    assert result.rules == stream_implication_rules(FileSource(demo_path), 0.8)
+    assert result.stats.degradations == ["journal-off", "spill-to-memory"]
+    assert _degradation_counts(observer) == {
+        "journal-off": 1, "spill-to-memory": 1,
+    }
+
+
+def test_checkpoint_off_then_spill_degradation_are_both_recorded(
+    tmp_path, demo_path
+):
+    """A ``makedirs`` fault on the checkpoint directory, then a full
+    spill disk: stats, metric and journal name both rungs, in order."""
+    checkpoint_dir = str(tmp_path / "checkpoint")
+    journal = str(tmp_path / "run.jsonl")
+    storage = FaultyStorage(faults=(
+        StorageFault(
+            op="makedirs", path_contains=checkpoint_dir, code=errno.EROFS
+        ),
+        _bucket_enospc(),
+    ))
+    observer = RunObserver()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        result = repro.mine(
+            demo_path, minconf=0.8, engine="stream", storage=storage,
+            checkpoint_dir=checkpoint_dir, journal_path=journal,
+            observer=observer,
+        )
+    assert result.rules == stream_implication_rules(FileSource(demo_path), 0.8)
+    rungs = ["checkpoint-off", "spill-to-memory"]
+    assert result.stats.degradations == rungs
+    assert _degradation_counts(observer) == dict.fromkeys(rungs, 1)
+    assert _journal_degradations(journal) == rungs
+
+
 def test_spill_degradation_grows_columns_like_pass_one(tmp_path):
     """A row id past ``#columns`` widens the on-disk run's counts; the
     in-memory fallback must mine the same file to the same rules
@@ -470,22 +536,6 @@ def test_spill_degradation_grows_columns_like_pass_one(tmp_path):
         )
     assert stats.degradations == ["spill-to-memory"]
     assert rules == expected
-
-
-def test_enospc_on_spill_without_degrade_raises_storage_full(
-    tmp_path, demo_path
-):
-    storage = FaultyStorage(
-        faults=(StorageFault(op="open-write", path_contains="bucket"),)
-    )
-    with pytest.raises(StorageFull):
-        stream_implication_rules(
-            FileSource(demo_path),
-            0.8,
-            spill_dir=str(tmp_path / "spill"),
-            storage=storage,
-            spill_degrade=False,
-        )
 
 
 def test_enospc_on_checkpoint_save_turns_checkpoint_off(
@@ -600,21 +650,32 @@ def test_failed_checkpoint_removal_keeps_the_rules(
 
 
 def test_unwritable_profile_keeps_the_rules(tmp_path, demo_matrix):
-    """A full disk when the profile is written warns; the finished
-    mine's rules are returned."""
+    """A full disk when the profile is written takes the
+    ``profile-off`` rung; the finished mine's rules are returned."""
     import repro
 
     baseline = repro.mine(demo_matrix, minconf=0.6).rules
     storage = FaultyStorage(
-        faults=(StorageFault(path_contains="prof", code=errno.ENOSPC),)
+        faults=(StorageFault(path_contains="run.prof", code=errno.ENOSPC),)
     )
+    observer = RunObserver()
+    journal = str(tmp_path / "run.jsonl")
     with pytest.warns(RuntimeWarning, match="profile not written"):
         result = repro.mine(
             demo_matrix, minconf=0.6, storage=storage,
-            profile=str(tmp_path / "run.prof"),
+            profile=str(tmp_path / "run.prof"), observer=observer,
+            journal_path=journal,
         )
     assert storage.errors_raised == {"ENOSPC": 1}
     assert result.rules == baseline
+    assert result.stats.degradations == ["profile-off"]
+    assert _degradation_counts(observer) == {"profile-off": 1}
+    assert observer.metrics.value("dmc_io_errors_total", kind="ENOSPC") == 1
+    events = list(read_journal(journal))
+    assert _journal_degradations(journal) == ["profile-off"]
+    # The profile is written before the run ends, so run-end lists it.
+    assert events[-1]["event"] == "run-end"
+    assert events[-1]["degradations"] == ["profile-off"]
 
 
 def test_degradations_survive_stats_round_trip():
@@ -637,16 +698,6 @@ def test_mine_facade_threads_storage_and_flags(tmp_path, demo_path):
     baseline = stream_implication_rules(FileSource(demo_path), 0.8)
     assert result.rules == baseline
     assert result.stats.degradations == ["spill-to-memory"]
-    with pytest.raises(StorageFull):
-        repro.mine(
-            demo_path,
-            minconf=0.8,
-            storage=FaultyStorage(
-                faults=(StorageFault(op="open-write", path_contains="bucket"),)
-            ),
-            spill_dir=str(tmp_path),
-            spill_degrade=False,
-        )
 
 
 class TestExclusiveCommit:

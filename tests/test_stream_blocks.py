@@ -5,8 +5,7 @@ chunk of characters at a time with numpy) and spills each block as
 binary bucket records; pass 2 replays the records in blocks.  These
 tests pin that path to the per-row one it replaced: the parse equals a
 per-line parse, the replay order equals the sparsest-first row order,
-fault sites keep their per-row numbering, memory stays bounded, the
-disk preflight stays an upper bound, and bad ids fail before anything
+memory stays bounded, the disk preflight stays an upper bound, and bad ids fail before anything
 is spilled.
 """
 
@@ -38,7 +37,6 @@ from repro.matrix.stream import (
     stream_implication_rules,
 )
 from repro.runtime.checkpoint import CheckpointStore, source_fingerprint
-from repro.runtime.faults import Fault, FaultPlan
 from repro.runtime.guards import estimate_spill_bytes
 from repro.runtime.validation import RowValidator
 
@@ -265,60 +263,6 @@ def test_version_1_checkpoint_is_stale_and_rescanned(tmp_path):
     ) == baseline
     assert source.iterations == 1  # rescanned, not resumed
     assert not store.has_checkpoint()
-
-
-# ----------------------------------------------------------------------
-# Fault sites count rows a block at a time.
-# ----------------------------------------------------------------------
-
-
-def _one_call_at_a_time(windows, blocks):
-    """Per block of ``n`` calls, made one by one against the fault
-    windows ``(first, count)``: the call count after it, and the call
-    that raised (None when none did)."""
-    calls, outcome = 0, []
-    for n in blocks:
-        raised = None
-        for _ in range(n):
-            calls += 1
-            if any(first <= calls < first + count for first, count in windows):
-                raised = calls
-                break
-        outcome.append((calls, raised))
-    return outcome
-
-
-@given(
-    windows=st.lists(
-        st.tuples(st.integers(1, 40), st.integers(1, 5)), max_size=3
-    ),
-    blocks=st.lists(st.integers(0, 12), max_size=8),
-)
-def test_trip_rows_fires_at_the_nth_row_call(windows, blocks):
-    plan = FaultPlan([
-        Fault("site", first=first, count=count) for first, count in windows
-    ])
-    outcome = []
-    for n in blocks:
-        try:
-            plan.trip_rows("site", n)
-            raised = None
-        except OSError as error:
-            raised = plan.calls["site"]
-            assert f"call {raised}" in str(error)
-        outcome.append((plan.calls.get("site", 0), raised))
-    assert outcome == _one_call_at_a_time(windows, blocks)
-
-
-def test_trip_rows_counts_across_blocks():
-    plan = FaultPlan([Fault("pass2.row", first=5)])
-    plan.trip_rows("pass2.row", 3)
-    with pytest.raises(OSError, match="call 5"):
-        plan.trip_rows("pass2.row", 4)
-    assert plan.calls["pass2.row"] == 5
-    assert plan.fired["pass2.row"] == 1
-    plan.trip_rows("pass2.row", 10)  # the window has passed
-    assert plan.calls["pass2.row"] == 15
 
 
 # ----------------------------------------------------------------------
