@@ -11,9 +11,10 @@ as per-column bitmaps and the scan finishes in two phases:
 - **Phase 2** — columns that could still gain candidates are finished
   by *hit* counting over the remaining rows, which also discovers new
   eligible pairs, row-exactly: an owner pairs only over the rows where
-  its count is still within its add cutoff (:func:`new_pairs`, the
-  vector scan's discovery step).  A pair first meeting later has
-  missed more often than any budget allows.
+  its count is still within its add cutoff, and only with the columns
+  of its eligibility window (:func:`new_pairs`, the vector scan's
+  discovery step, with the windows of a zero count).  A pair first
+  meeting later has missed more often than any budget allows.
 
 Both phases are array expressions over one block-by-block walk of the
 remaining rows with the vector engine's kernels (:mod:`repro.matrix.
@@ -44,6 +45,7 @@ from repro.core.stats import ScanStats
 from repro.matrix.ops import (
     DEFAULT_BLOCK_ROWS,
     BlockHits,
+    CanonicalOrder,
     block_co_matrix,
     co_occurrences,
     dense_block,
@@ -87,26 +89,32 @@ def emit_rules(
     stats.candidates_rejected += len(owners) - emitted
 
 
-def new_pairs(block, picked, allowance, co, block_hits, admit, live_keys):
+def new_pairs(block, picked, allowance, order, ends, co, block_hits,
+              live_keys):
     """Yield ``(owners, cands, hits)`` for the block's pairs of the
     owners at dense indices ``picked``, each over its first
-    ``allowance`` rows, that ``admit(owners, cands)`` takes and whose
-    ``owner * n_columns + cand`` key is not in ``live_keys``: the
-    discovery step of the vector scan and the tail.  ``block`` is
-    ``(lengths, cols, counts, active, to_active)``; a capped owner's
-    whole-block ``hits`` come from ``block_hits``."""
+    ``allowance`` rows and within its window of the
+    :class:`~repro.matrix.ops.CanonicalOrder` ``order`` ending at
+    ``ends``, whose ``owner * n_columns + cand`` key is not in
+    ``live_keys``: the discovery step of the vector scan and the tail.
+    The windows are the admission test, so every pair discovery finds
+    is admissible and only the live pairs are filtered out, by one sort
+    of ``live_keys`` per call and a ``searchsorted`` per chunk.
+    ``block`` is ``(lengths, cols, counts, active, to_active)``; a
+    capped owner's whole-block ``hits`` come from ``block_hits``."""
     lengths, cols, counts, active, to_active = block
     n_columns = len(to_active)
     capped = np.zeros(len(active) + 1, dtype=bool)
     capped[picked] = allowance < counts[active[picked]]
+    # A sentinel above every key keeps each lookup inside the array.
+    live = np.append(np.sort(live_keys), n_columns * n_columns)
     for owners, cands, hits in co_occurrences(
-        lengths, cols, to_active, active, picked, co, allowance,
+        lengths, cols, to_active, active, picked, order, ends, co,
+        allowance,
     ):
-        keep = admit(owners, cands)
-        keep[keep] = ~np.isin(
-            owners[keep] * n_columns + cands[keep], live_keys
-        )
-        owners, cands, hits = owners[keep], cands[keep], hits[keep]
+        keys = owners * n_columns + cands
+        fresh = live[np.searchsorted(live, keys)] != keys
+        owners, cands, hits = owners[fresh], cands[fresh], hits[fresh]
         partial = np.flatnonzero(capped[to_active[owners]])
         if len(partial):
             hits[partial] = block_hits(
@@ -159,6 +167,12 @@ def bitmap_tail(
         n_columns = len(ones)
         cutoff = policy.add_cutoff_array()
         closed = count > cutoff
+        # The tail admits by eligibility alone: its windows are those
+        # of a zero count.
+        order = CanonicalOrder(ones, policy.after_owner)
+        tail_ends = order.ends(policy.cand_ceiling(
+            np.arange(n_columns), np.zeros(n_columns, dtype=np.int64)
+        ))
         if lists is None:
             lists = np.unique(owners)
         n_live = len(owners)  # pairs discovered here are appended
@@ -190,13 +204,16 @@ def bitmap_tail(
                         to_active[cands[touched]],
                     )
                 if len(picked):
+                    ends = (
+                        None if tail_ends is None
+                        else tail_ends[active[picked]]
+                    )
                     owners, cands, co = map(np.concatenate, zip(
                         (owners, cands, co),
                         *new_pairs(
                             (lengths, cols, counts, active, to_active),
-                            picked, allowance[picked], co_block,
-                            block_hits, policy.eligible_mask,
-                            owners * n_columns + cands,
+                            picked, allowance[picked], order, ends,
+                            co_block, block_hits, owners * n_columns + cands,
                         ),
                     ))
 

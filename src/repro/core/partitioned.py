@@ -62,11 +62,11 @@ class _AllPairsImplicationPolicy(ImplicationPolicy):
     """Implication policy without the canonical-direction restriction.
 
     Local partitions must mine both directions of every pair because the
-    globally canonical direction may be locally non-canonical.
+    globally canonical direction may be locally non-canonical, so each
+    owner's discovery window starts at its row's first column.
     """
 
-    def eligible_mask(self, owners, cands):
-        return owners != cands
+    after_owner = False
 
 
 def _partition_rows(matrix: BinaryMatrix, n_partitions: int) -> List[List[int]]:

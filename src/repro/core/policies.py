@@ -12,7 +12,10 @@ The scalar methods (:meth:`~PairPolicy.eligible`,
 :meth:`~PairPolicy.pair_budget`, :meth:`~PairPolicy.add_cutoff`,
 :meth:`~PairPolicy.dynamic_prune`) serve only the serial loop's in-scan
 decisions; the vector engine and the DMC-bitmap tail use their array
-twins.  Emission has one form for every scan: the finished pairs go to
+twins, with eligibility and the budget test at admission folded into
+one ceiling on a candidate's ``ones`` (:meth:`PairPolicy.cand_ceiling`)
+that discovery reads as a canonical-rank window.  Emission has one
+form for every scan: the finished pairs go to
 :meth:`PairPolicy.make_rules` (through
 :func:`repro.core.bitmap.emit_rules`), and a policy's only emission
 hook is :meth:`PairPolicy.valid_mask`.
@@ -53,6 +56,11 @@ class PairPolicy:
 
     #: The rule class this variant mines (set by each subclass).
     rule_type: type
+
+    #: Candidates follow their owner in canonical order (Section 2).  A
+    #: policy pairing in both directions sets this False: discovery's
+    #: window then starts at the row's first column.
+    after_owner = True
 
     def __init__(self, ones: Sequence[int]) -> None:
         self.ones = list(int(o) for o in ones)
@@ -112,14 +120,21 @@ class PairPolicy:
             self._ones_array = cached
         return cached
 
-    def eligible_mask(
-        self, owners: np.ndarray, cands: np.ndarray
-    ) -> np.ndarray:
-        """Array twin of :meth:`eligible` (canonical order by default)."""
-        ones = self.ones_array()
-        ones_j = ones[owners]
-        ones_k = ones[cands]
-        return (ones_j < ones_k) | ((ones_j == ones_k) & (owners < cands))
+    def cand_ceiling(
+        self, owners: np.ndarray, counts: np.ndarray
+    ) -> Optional[np.ndarray]:
+        """Array twin of :meth:`eligible` and the budget test at
+        admission: each owner's ceiling on a candidate's ``ones``.
+
+        A candidate after ``owners[i]`` in canonical order is eligible,
+        with a pair budget of at least ``counts[i]`` misses, exactly
+        when its ``ones`` are at most the ceiling.  None means no
+        ceiling: eligibility is the canonical order alone, and an open
+        owner's budget always covers its count (the default).
+        Discovery turns the ceiling into a canonical-rank window
+        (:class:`repro.matrix.ops.CanonicalOrder`).
+        """
+        return None
 
     def budget_array(
         self, owners: np.ndarray, cands: np.ndarray
@@ -229,11 +244,6 @@ class _OwnerMask:
             self.owners[:] = owners  # a mask of another length raises
         self._cutoffs = self.owners.astype(np.int64) - 1
         self._cutoff_list = self._cutoffs.tolist()
-
-    def eligible_mask(
-        self, owners: np.ndarray, cands: np.ndarray
-    ) -> np.ndarray:
-        return super().eligible_mask(owners, cands) & self.owners[owners]
 
     def add_cutoff(self, column_j: int) -> int:
         return self._cutoff_list[column_j]
@@ -346,14 +356,17 @@ class SimilarityPolicy(PairPolicy):
         best_final_misses = misses + max(0, remaining_j - remaining_k)
         return best_final_misses > self.pair_budget(column_j, candidate_k)
 
-    def eligible_mask(
-        self, owners: np.ndarray, cands: np.ndarray
-    ) -> np.ndarray:
-        mask = super().eligible_mask(owners, cands)
-        if self.use_density_pruning:
-            ones = self.ones_array()
-            mask &= ones[owners] * self._q >= self._p * ones[cands]
-        return mask
+    def cand_ceiling(
+        self, owners: np.ndarray, counts: np.ndarray
+    ) -> Optional[np.ndarray]:
+        if not self.use_density_pruning:
+            return None  # the budget is the add cutoff
+        # floor((q*ones_j - p*ones_k) / (p+q)) >= cnt  iff
+        # p*ones_k <= q*ones_j - (p+q)*cnt; at cnt = 0, the density test.
+        return (
+            self._q * self.ones_array()[owners]
+            - (self._p + self._q) * counts
+        ) // self._p
 
     def budget_array(
         self, owners: np.ndarray, cands: np.ndarray
@@ -425,13 +438,10 @@ class IdentityPolicy(_OwnerMask, PairPolicy):
     def pair_budget(self, column_j: int, candidate_k: int) -> int:
         return 0
 
-    def eligible_mask(
-        self, owners: np.ndarray, cands: np.ndarray
-    ) -> np.ndarray:
-        ones = self.ones_array()
-        return (ones[owners] == ones[cands]) & super().eligible_mask(
-            owners, cands
-        )
+    def cand_ceiling(
+        self, owners: np.ndarray, counts: np.ndarray
+    ) -> Optional[np.ndarray]:
+        return self.ones_array()[owners]  # after the owner: equal ones
 
     def budget_array(
         self, owners: np.ndarray, cands: np.ndarray

@@ -17,19 +17,25 @@ row-at-a-time dict updates into numpy batch operations:
   array expression, and a pruning sweep at each block boundary
   compacts the arrays.
 
-Admission is row-exact.  The serial scan adds ``c_k`` to ``c_j``'s
-list only at a row where ``cnt(c_j)`` is within the add cutoff; here
-an owner whose block-start count ``cnt_start(c_j)`` is within it gets
-an allowance of ``cutoff - cnt_start + 1`` rows, and discovery
-(:func:`repro.core.bitmap.new_pairs`, shared with the bitmap tail)
-pairs it only over its first that many rows of the block.  So for
-every policy whose pair budget is its add cutoff (implication, 100%,
-identical columns) the engine admits exactly the serial scan's pairs,
-and its candidate counters match; a similarity policy may admit more,
-because its per-pair budget is checked against ``cnt_start`` and its
-dynamic check runs in the block's sweep.  Every pass of a vector plan,
-the 100% pass included (on lists of the removed columns only), runs
-here.
+Admission is row-exact, and discovery finds only admissible pairs.
+The serial scan adds ``c_k`` to ``c_j``'s list only at a row where
+``cnt(c_j)`` is within the add cutoff; here an owner whose block-start
+count ``cnt_start(c_j)`` is within it gets an allowance of ``cutoff -
+cnt_start + 1`` rows, and discovery (:func:`repro.core.bitmap.
+new_pairs`, shared with the bitmap tail) pairs it only over its first
+that many rows of the block.  Which candidates it pairs with is a
+window of the canonical column order (:class:`repro.matrix.ops.
+CanonicalOrder`, ranked once per scan): the columns after the owner
+whose ``ones`` are at most the policy's ceiling at ``cnt_start``
+(:meth:`~repro.core.policies.PairPolicy.cand_ceiling`).  The window is
+eligibility plus the pair-budget test at admission, so no admission
+filter runs after discovery.  For every policy whose pair budget is
+its add cutoff (implication, 100%, identical columns) the engine
+admits exactly the serial scan's pairs, and its candidate counters
+match; a similarity policy may admit more, because its per-pair budget
+is checked against ``cnt_start`` and its dynamic check runs in the
+block's sweep.  Every pass of a vector plan, the 100% pass included
+(on lists of the removed columns only), runs here.
 
 Exactness argument (why block granularity cannot change the rules):
 ``policy.make_rules`` applies the exact final validity test, so the
@@ -85,6 +91,7 @@ from repro.matrix.ops import (
     DENSE_PAIR_COLUMNS,
     MAX_BLOCK_ROWS,
     BlockHits,
+    CanonicalOrder,
     block_co_matrix,
     dense_block,
 )
@@ -168,6 +175,7 @@ def vector_scan_rows(
     n_columns = len(ones)
     cutoff = policy.add_cutoff_array()
     count = np.zeros(n_columns, dtype=np.int64)
+    order = CanonicalOrder(ones, policy.after_owner)
     store = PairStore()
     curve = stats.pruning_curve
     misses_base = stats.misses_recorded
@@ -178,12 +186,6 @@ def vector_scan_rows(
     ramp = block_rows
     if bitmap is not None and bitmap.hard_budget_bytes is not None:
         ramp = 1
-
-    def admit(owners, cands):
-        # Eligible, with the owner's misses before the block in budget.
-        return policy.eligible_mask(owners, cands) & (
-            count[owners] <= policy.budget_array(owners, cands)
-        )
 
     while position < n_rows:
         memory = store.memory_bytes()
@@ -219,13 +221,20 @@ def vector_scan_rows(
             # -- admission: the serial scan adds ``c_k`` to ``c_j``'s
             # list only at a row where ``cnt(c_j)`` is within the add
             # cutoff, so an open owner pairs over its first
-            # ``cutoff - cnt + 1`` rows of the block alone.  The full
+            # ``cutoff - cnt + 1`` rows of the block alone, and only
+            # with the candidates of its canonical window: after it in
+            # canonical order, with ``ones`` at most the policy's
+            # ceiling at its block-start count.  The full
             # co-occurrence matrix covers discovery and every pair's
             # block hits at once when the block is narrow, dense and
             # mostly open; otherwise sparse discovery products and
             # per-pair kernels do.
             allowance = cutoff[active] - count[active] + 1
             open_positions = np.flatnonzero(allowance > 0)
+            open_owners = active[open_positions]
+            ends = order.ends(policy.cand_ceiling(
+                open_owners, count[open_owners]
+            ))
             co = block_co_matrix(
                 dense, len(open_positions), dense_pair_columns
             )
@@ -238,8 +247,8 @@ def vector_scan_rows(
             new = []
             for owners, cands, hits in new_pairs(
                 (lengths, cols, counts_block, active, to_active),
-                open_positions, allowance[open_positions], co, block_hits,
-                admit, store.keys(n_columns),
+                open_positions, allowance[open_positions], order, ends,
+                co, block_hits, store.keys(n_columns),
             ):
                 budgets = policy.budget_array(owners, cands)
                 block_miss = counts_block[owners] - hits

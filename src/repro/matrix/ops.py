@@ -181,14 +181,46 @@ class BlockHits:
         return pair_and_counts(self._packed, left, right)
 
 
+class CanonicalOrder:
+    """The paper's canonical column order (Section 2): by ``ones``, ties
+    broken by id.
+
+    ``rank`` places every column in it.  An owner's discovery window is
+    the rank range just after its own rank up to an exclusive end: the
+    first rank whose ``ones`` exceed the owner's ceiling on a
+    candidate's ``ones`` (:meth:`ends`).  With ``after_owner=False``
+    (a policy pairing in both directions) the window starts at the
+    row's first column instead, the owner itself excluded.
+    """
+
+    def __init__(self, ones: np.ndarray, after_owner: bool) -> None:
+        ones = np.asarray(ones, dtype=np.int64)
+        # A stable sort by ``ones`` keeps equal counts in id order.
+        order = np.argsort(ones, kind="stable")
+        self.rank = np.empty(len(ones), dtype=np.int64)
+        self.rank[order] = np.arange(len(ones))
+        self._sorted_ones = ones[order]
+        self.after_owner = after_owner
+
+    def ends(self, ceilings: Optional[np.ndarray]) -> Optional[np.ndarray]:
+        """The exclusive end rank of each window whose candidates may
+        have at most ``ceilings`` ones; None (no cap) for None."""
+        if ceilings is None:
+            return None
+        return np.searchsorted(self._sorted_ones, ceilings, side="right")
+
+
 def co_occurrences(
     lengths: np.ndarray, cols: np.ndarray, to_active: np.ndarray,
-    active: np.ndarray, picked: np.ndarray,
+    active: np.ndarray, picked: np.ndarray, order: CanonicalOrder,
+    ends: Optional[np.ndarray] = None,
     co: Optional[np.ndarray] = None,
     allowance: Optional[np.ndarray] = None,
 ) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Yield ``(owners, cands, hits)`` for every pair co-occurring in the
-    block whose owner sits at a dense index in ``picked``.
+    block whose owner sits at a dense index in ``picked`` and whose
+    candidate lies in the owner's window of ``order``, ending at
+    ``ends`` (parallel to ``picked``; default: no end).
 
     The block is given as its rows (``lengths``/``cols``, global column
     ids) plus ``to_active``/``active`` from :func:`dense_block`.  Ids
@@ -196,19 +228,26 @@ def co_occurrences(
     to ``picked``; default: every row) caps each owner to its first
     that many rows of the block: only those rows pair it, and ``hits``
     count only them.  With ``co`` the pairs of an owner whose allowance
-    covers all its rows are read off its row of ``co``.  Every other
-    owner reads the block as a sparse matrix ``D`` in CSR form (plus
-    its column-major transpose): each chunk of owners costs one sparse
-    product ``D.T[owners] @ D`` over the allowed rows, every row adding
-    one hit to each of its columns.  The hits are counted in place when
-    the chunk's owner-by-column cells are few next to its products, and
-    by sorting the products otherwise.  An owner's work is the summed
-    length of its allowed rows, so the empty cells of a sparse block
-    cost nothing.  A sparse chunk keeps its summed owner work, and so
-    its pairs, within ``_PAIR_CHUNK_ENTRIES`` (one owner at least); a
-    ``co`` slice covers at most that many entries.
+    covers all its rows are read off its row of ``co``, masked to its
+    window.  Every other owner reads the block as a sparse matrix ``D``
+    in CSR form, each row's columns sorted by canonical rank (one sort
+    of ``row * n_columns + rank``), plus its column-major transpose:
+    each chunk of owners costs one sparse product ``D.T[owners] @ D``
+    over the allowed rows and the windows, every row adding one hit to
+    each of its columns.  An owner's products in a row start right
+    after its own entry (at the row's first entry with
+    ``after_owner=False``) and stop at the row's end, or at its first
+    entry past the window, found by one ``searchsorted``.  The hits
+    are counted in place when the chunk's owner-by-column cells are
+    few next to its products, and by sorting the products otherwise.
+    An owner's work is the number of its products, so the empty cells
+    of a sparse block and the columns outside a window cost nothing.
+    A sparse chunk keeps its summed owner work, and so its pairs,
+    within ``_PAIR_CHUNK_ENTRIES`` (one owner at least); a ``co``
+    slice covers at most that many entries.
     """
     width = max(len(active), 1)
+    after_owner = order.after_owner
     if co is not None:
         on_co = np.ones(len(picked), dtype=bool)
         if allowance is not None:
@@ -216,62 +255,89 @@ def co_occurrences(
             on_co = allowance >= co[picked, picked]
             allowance = allowance[~on_co]
         read, picked = picked[on_co], picked[~on_co]
+        read_ends = None
+        if ends is not None:
+            read_ends, ends = ends[on_co], ends[~on_co]
+        dense_rank = order.rank[active]
         step = max(1, _PAIR_CHUNK_ENTRIES // width)
         for lo in range(0, len(read), step):
             rows = read[lo:lo + step]
-            co_rows = co[rows]
-            co_rows[np.arange(len(rows)), rows] = 0  # a column with itself
-            owner_pos, cand_pos = np.nonzero(co_rows)
+            own = dense_rank[rows, None]
+            inside = dense_rank > own if after_owner else dense_rank != own
+            if read_ends is not None:
+                inside &= dense_rank < read_ends[lo:lo + step, None]
+            co_rows = co[rows, :len(active)]
+            inside &= co_rows > 0
+            owner_pos, cand_pos = np.nonzero(inside)
             yield (
                 active[rows[owner_pos]], active[cand_pos],
                 co_rows[owner_pos, cand_pos].astype(np.int64),
             )
     if not len(picked):
         return
-    local = to_active[cols]
-    row_start = np.cumsum(lengths) - lengths
+    n_columns = len(to_active)
     row_of = np.repeat(np.arange(len(lengths)), lengths)
-    # The transpose D.T in CSR form: the rows holding each column, in
-    # block order.
-    holding = row_of[np.argsort(local, kind="stable")]
+    # Each row's columns in canonical order; ``keys`` stays sorted.
+    keys = row_of * n_columns + order.rank[cols]
+    by_rank = np.argsort(keys)
+    keys = keys[by_rank]
+    local = to_active[cols[by_rank]]
+    row_stop = np.cumsum(lengths)
+    # The transpose D.T: each column's entries, in row order.  Sorted
+    # as the narrowest unsigned type, numpy's stable sort is a radix
+    # sort (ten times faster than on int64 for 16-bit ids).
+    holding = np.argsort(
+        local.astype(np.min_scalar_type(width)), kind="stable"
+    )
     column_rows = np.bincount(local, minlength=width)
     column_start = np.cumsum(column_rows) - column_rows
     taken = column_rows[picked]
     if allowance is not None:
         taken = np.minimum(taken, allowance)
-    # Summed row lengths along ``holding``: an owner's work is the
-    # lengths of its first ``taken`` rows.
-    summed = np.concatenate(([0], np.cumsum(lengths[holding])))
-    starts = column_start[picked]
-    work = summed[starts + taken] - summed[starts]
-    ends = np.cumsum(work)
+    # Every picked owner's allowed entries, owner after owner, and the
+    # range of each entry's row its products cover.
+    entries = holding[concat_ranges(column_start[picked], taken)]
+    rows = row_of[entries]
+    first = entries + 1 if after_owner else row_stop[rows] - lengths[rows]
+    if ends is None:
+        stop = row_stop[rows]
+    else:
+        stop = np.maximum(first, np.searchsorted(
+            keys, rows * n_columns + np.repeat(ends, taken)
+        ))
+    sizes = stop - first
+    entry_end = np.cumsum(taken)
+    summed = np.concatenate(([0], np.cumsum(sizes)))
+    work_end = summed[entry_end]  # summed work through each owner
     lo = 0
     while lo < len(picked):
+        done = work_end[lo - 1] if lo else 0
         hi = max(lo + 1, int(np.searchsorted(
-            ends, ends[lo] - work[lo] + _PAIR_CHUNK_ENTRIES, side="right"
+            work_end, done + _PAIR_CHUNK_ENTRIES, side="right"
         )))
         owners = picked[lo:hi]
-        rows = holding[concat_ranges(starts[lo:hi], taken[lo:hi])]
-        sizes = lengths[rows]
+        span = slice(entry_end[lo] - taken[lo], entry_end[hi - 1])
         # One key ``owner_pos * width + cand`` per (owner, row, cand)
         # product; a key's multiplicity is the pair's hits.
-        keys = np.repeat(
-            np.repeat(np.arange(len(owners)) * width, taken[lo:hi]), sizes,
-        ) + local[concat_ranges(row_start[rows], sizes)]
+        products = np.repeat(
+            np.repeat(np.arange(len(owners)) * width, taken[lo:hi]),
+            sizes[span],
+        ) + local[concat_ranges(first[span], sizes[span])]
         cells = len(owners) * width
-        if cells <= 2 * len(keys):  # dense enough to count in place
-            counts = np.bincount(keys, minlength=cells)
-            keys = np.flatnonzero(counts)
-            hits = counts[keys]
+        if cells <= 2 * len(products):  # dense enough to count in place
+            counts = np.bincount(products, minlength=cells)
+            products = np.flatnonzero(counts)
+            hits = counts[products]
         else:
-            keys.sort()
-            first = np.flatnonzero(np.diff(keys, prepend=-1))
-            hits = np.diff(first, append=len(keys))
-            keys = keys[first]
-        owner_pos, cand_pos = np.divmod(keys, width)
-        keep = cand_pos != owners[owner_pos]  # a column with itself
-        yield (
-            active[owners[owner_pos[keep]]], active[cand_pos[keep]],
-            hits[keep],
-        )
+            products.sort()
+            head = np.flatnonzero(np.diff(products, prepend=-1))
+            hits = np.diff(head, append=len(products))
+            products = products[head]
+        owner_pos, cand_pos = np.divmod(products, width)
+        if not after_owner:
+            keep = cand_pos != owners[owner_pos]  # a column with itself
+            owner_pos, cand_pos, hits = (
+                owner_pos[keep], cand_pos[keep], hits[keep]
+            )
+        yield active[owners[owner_pos]], active[cand_pos], hits
         lo = hi

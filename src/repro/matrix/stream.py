@@ -720,7 +720,9 @@ class BucketSpill:
             self.observer.on_io_error(io_error_kind(error))
 
     def _note_giveup(self, error: BaseException) -> None:
-        if self.observer.enabled:
+        # A terminal fault takes a ladder rung, and ``storage.degrade``
+        # counts it there; an exhausted retry propagates, so count it.
+        if self.observer.enabled and not terminal_io_error(error):
             self.observer.on_io_error(io_error_kind(error))
 
     def close(self) -> None:

@@ -49,7 +49,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.runtime.guards import retry_io
-from repro.runtime.storage import LOCAL_STORAGE, io_error_kind
+from repro.runtime.storage import (
+    LOCAL_STORAGE,
+    io_error_kind,
+    terminal_io_error,
+)
 
 #: Bump when the manifest schema or the bucket format changes; older
 #: checkpoints become stale (version 2: binary bucket records).
@@ -223,8 +227,14 @@ class CheckpointStore:
             self.observer.on_io_error(io_error_kind(error))
 
     def _note_giveup(self, error: BaseException) -> None:
-        if self.observer is not None and self.observer.enabled:
-            self.observer.on_io_error(io_error_kind(error))
+        # A terminal fault takes a ladder rung, and ``storage.degrade``
+        # counts it there; an exhausted retry propagates, so count it.
+        observer = self.observer
+        if (
+            observer is not None and observer.enabled
+            and not terminal_io_error(error)
+        ):
+            observer.on_io_error(io_error_kind(error))
 
     def load_pass1(
         self,

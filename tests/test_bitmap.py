@@ -424,7 +424,10 @@ class TestBulkEmission:
         with no miss and the rest with half their owner's ones."""
         n = len(policy.ones)
         owners, cands = np.divmod(np.arange(n * n, dtype=np.int64), n)
-        keep = policy.eligible_mask(owners, cands)
+        keep = np.array([
+            policy.eligible(j, k)
+            for j, k in zip(owners.tolist(), cands.tolist())
+        ], dtype=bool)
         owners, cands = owners[keep], cands[keep]
         misses = policy.ones_array()[owners] // 2
         misses[::3] = 0

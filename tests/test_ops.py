@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 import repro.matrix.ops as ops
 from repro.matrix.ops import (
     BlockHits,
+    CanonicalOrder,
     RowBlocks,
     block_co_matrix,
     co_occurrences,
@@ -182,7 +183,8 @@ class TestBlockKernels:
         monkeypatch.setattr(ops, "_PAIR_CHUNK_ENTRIES", 1)
         for co in (whole, None):
             slices = list(co_occurrences(
-                lengths, cols, to_active, active, picked, co
+                lengths, cols, to_active, active, picked,
+                _all_pairs(len(to_active)), None, co,
             ))
             assert len(slices) == len(picked)
             assert all(
@@ -193,14 +195,22 @@ class TestBlockKernels:
         assert block_co_matrix(dense, n_open=0) is None
 
 
+def _all_pairs(n_columns):
+    """Windows covering every other column of each row: discovery in
+    both directions with no ceiling."""
+    return CanonicalOrder(np.zeros(n_columns), after_owner=False)
+
+
 def _discovered(
     lengths, cols, to_active, active, picked, co=None, allowance=None
 ):
-    """Every ``(owner, cand, hits)`` co_occurrences yields, sorted."""
+    """Every ``(owner, cand, hits)`` co_occurrences yields over
+    :func:`_all_pairs` windows, sorted."""
     return sorted(
         (int(o), int(c), int(h))
         for owners, cands, hits in co_occurrences(
-            lengths, cols, to_active, active, picked, co, allowance
+            lengths, cols, to_active, active, picked,
+            _all_pairs(len(to_active)), None, co, allowance,
         )
         for o, c, h in zip(owners, cands, hits)
     )

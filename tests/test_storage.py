@@ -568,6 +568,50 @@ def test_enospc_on_checkpoint_save_turns_checkpoint_off(
     )
 
 
+def test_terminal_checkpoint_fault_counts_one_io_error(
+    tmp_path, demo_path
+):
+    """A full disk at the manifest's temp file is one I/O error: the
+    give-up inside ``retry_io`` and the ``checkpoint-off`` rung it
+    takes must not both count it."""
+    storage = FaultyStorage(faults=(
+        StorageFault(op="open-write", path_contains="manifest.json.tmp"),
+    ))
+    observer = RunObserver()
+    with pytest.warns(RuntimeWarning, match="checkpoint"):
+        rules = stream_implication_rules(
+            FileSource(demo_path), 0.8,
+            checkpoint_dir=str(tmp_path / "ckpt"), storage=storage,
+            observer=observer,
+        )
+    assert rules == stream_implication_rules(FileSource(demo_path), 0.8)
+    assert storage.errors_raised == {"ENOSPC": 1}
+    assert observer.metrics.value("dmc_io_errors_total", kind="ENOSPC") == 1
+
+
+def test_exhausted_replay_retries_count_every_io_error(tmp_path, demo_path):
+    """A curable fault that outlasts ``retry_io`` propagates without a
+    rung; each attempt's error is still counted, the give-up's too."""
+    storage = FaultyStorage(faults=(
+        StorageFault(
+            op="open-read", path_contains="bucket-", code=errno.EIO,
+            count=None,
+        ),
+    ))
+    observer = RunObserver()
+    with pytest.raises(OSError) as raised:
+        stream_implication_rules(
+            FileSource(demo_path), 0.8, spill_dir=str(tmp_path / "spill"),
+            storage=storage, observer=observer,
+        )
+    assert raised.value.errno == errno.EIO
+    attempts = storage.errors_raised["EIO"]
+    assert attempts == 3
+    assert observer.metrics.value("dmc_io_errors_total", kind="EIO") == (
+        attempts
+    )
+
+
 def test_readonly_checkpoint_directory_turns_checkpoint_off(
     tmp_path, demo_path
 ):

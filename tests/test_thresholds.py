@@ -336,7 +336,14 @@ class TestSimilarityPolicyBound:
         assert policy.budget_array(owners, cands).tolist() == [
             policy.pair_budget(j, k) for j, k in pairs
         ]
-        assert policy.eligible_mask(owners, cands).tolist() == [
+        # Eligibility's array form: after the owner in canonical order,
+        # with ``ones`` at most the owner's ceiling at a zero count.
+        ceiling = policy.cand_ceiling(owners, np.zeros_like(owners))
+        ones_array = policy.ones_array()
+        after = (ones_array[cands] > ones_array[owners]) | (
+            (ones_array[cands] == ones_array[owners]) & (cands > owners)
+        )
+        assert (after & (ones_array[cands] <= ceiling)).tolist() == [
             policy.eligible(j, k) for j, k in pairs
         ]
         assert policy.valid_mask(owners, cands, misses).tolist() == [
