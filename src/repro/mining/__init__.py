@@ -1,8 +1,10 @@
 """Post-processing of mined rules (paper Sections 6.3 and 7).
 
-- :mod:`~repro.mining.grouping` — rule graphs, the recursive keyword
-  expansion behind Figure 7, and connected-component grouping of
-  similarity rules (the paper's suggested route to >2-column rules).
+- :mod:`~repro.mining.grouping` — the recursive keyword expansion
+  behind Figure 7, equivalence groups of implication rules and their
+  condensation, and connected-component grouping of similarity rules
+  (the paper's suggested route to >2-column rules), all on the rule
+  columns.
 - :mod:`~repro.mining.measures` — exact secondary interestingness
   measures (lift, conviction, Dice, ...) for ranking mined rules.
 - :mod:`~repro.mining.export` — text/CSV/JSON serialization of rule
@@ -28,9 +30,7 @@ from repro.mining.grouping import (
     format_rules,
     group_implication_dag,
     implication_equivalence_groups,
-    implication_rule_graph,
     similarity_components,
-    similarity_rule_graph,
 )
 from repro.mining.measures import (
     conviction,
@@ -66,7 +66,6 @@ __all__ = [
     "group_implication_dag",
     "implication_equivalence_groups",
     "implication_measures",
-    "implication_rule_graph",
     "implication_rules_from_csv",
     "implication_rules_to_csv",
     "jaccard",
@@ -77,7 +76,6 @@ __all__ = [
     "rules_to_text",
     "similarity_components",
     "similarity_measures",
-    "similarity_rule_graph",
     "similarity_rules_from_csv",
     "similarity_rules_to_csv",
     "stats_from_json",

@@ -1,50 +1,37 @@
-"""Rule graphs and grouping (paper Sections 6.3 and 7).
+"""Rule grouping and keyword expansion (paper Sections 6.3 and 7).
 
 The paper's Figure 7 is produced "by selecting all rules related to
 keyword *Polgar* and its successors, recursively" — i.e. a breadth-
 first expansion of the directed implication-rule graph from a seed
 word.  Section 7 suggests the same grouping idea as DMC's route to
 rules over more than two attributes; for similarity rules the natural
-grouping is connected components, implemented here on networkx graphs.
+grouping is connected components.  All of it runs on a
+:class:`RuleSet`'s sorted int64 columns; the components come from
+scipy's ``csgraph``, imported on first use to keep start-up cheap.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-from typing import Iterable, List, Optional, Sequence, Set, Union
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set
+from typing import Union
+
+import numpy as np
 
 from repro.core.rules import ImplicationRule, RuleSet, SimilarityRule
+from repro.core.thresholds import as_fraction, max_misses
 from repro.matrix.binary_matrix import Vocabulary
 
-if TYPE_CHECKING:  # networkx is imported where a graph is built
-    import networkx as nx
+
+def _rule_set(rules: Iterable) -> RuleSet:
+    return rules if isinstance(rules, RuleSet) else RuleSet(rules)
 
 
-def implication_rule_graph(rules: Iterable[ImplicationRule]) -> nx.DiGraph:
-    """Directed graph: edge ``antecedent -> consequent`` per rule.
-
-    Edge attribute ``confidence`` carries the exact confidence.
-    """
-    import networkx as nx
-    graph = nx.DiGraph()
-    for rule in rules:
-        graph.add_edge(
-            rule.antecedent, rule.consequent, confidence=rule.confidence
-        )
-    return graph
-
-
-def similarity_rule_graph(rules: Iterable[SimilarityRule]) -> nx.Graph:
-    """Undirected graph: edge per similar pair, weighted by similarity."""
-    import networkx as nx
-    graph = nx.Graph()
-    for rule in rules:
-        graph.add_edge(rule.first, rule.second, similarity=rule.similarity)
-    return graph
+def _largest_first(groups: List[Set[int]]) -> List[Set[int]]:
+    return sorted(groups, key=lambda group: (-len(group), min(group)))
 
 
 def expand_keyword(
-    rules: RuleSet,
+    rules: Iterable[ImplicationRule],
     seed: Union[int, str],
     vocabulary: Optional[Vocabulary] = None,
     max_depth: Optional[int] = None,
@@ -55,59 +42,79 @@ def expand_keyword(
     collect its outgoing rules, then its consequents' outgoing rules,
     recursively up to ``max_depth`` hops (unbounded by default).  Rules
     are returned in breadth-first discovery order, antecedent-grouped —
-    the layout of the paper's figure.
+    the layout of the paper's figure.  An unknown seed reaches nothing.
     """
     if isinstance(seed, str):
         if vocabulary is None:
             raise ValueError("a vocabulary is required to resolve a label")
-        seed_column = vocabulary.id_of(seed)
-    else:
-        seed_column = seed
+        if seed not in vocabulary:
+            return []
+        seed = vocabulary.id_of(seed)
 
-    graph = implication_rule_graph(rules)
-    if seed_column not in graph:
-        return []
-
-    collected: List[ImplicationRule] = []
-    visited: Set[int] = {seed_column}
-    frontier = [seed_column]
+    columns = _rule_set(rules).columns()
+    left, right = columns[:2]
+    picked: List[int] = []
+    visited: Set[int] = {seed}
+    frontier = [seed]
     depth = 0
     while frontier and (max_depth is None or depth < max_depth):
         next_frontier: List[int] = []
         for antecedent in frontier:
-            for consequent in sorted(graph.successors(antecedent)):
-                collected.append(rules[(antecedent, consequent)])
+            start = left.searchsorted(antecedent)
+            stop = left.searchsorted(antecedent, "right")
+            picked.extend(range(start, stop))
+            for consequent in right[start:stop].tolist():
                 if consequent not in visited:
                     visited.add(consequent)
                     next_frontier.append(consequent)
         frontier = next_frontier
         depth += 1
-    return collected
+    fields = (column[picked].tolist() for column in columns)
+    return list(map(ImplicationRule, *fields))
 
 
-def _bidirectional_graph(
-    rules: Iterable[ImplicationRule],
-    ones: Optional[Sequence[int]],
-    threshold,
-) -> nx.DiGraph:
-    """The implication graph plus derivable reverse edges.
+def _components(left, right, **direction):
+    """Components of the graph with an edge ``left[i] -> right[i]`` per i.
+
+    Returns each component's columns, indexed by its label, and the
+    ``(source, target)`` labels of every edge.  Only columns on an edge
+    are nodes.  ``direction`` goes to scipy's ``connected_components``.
+    """
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    nodes, ends = np.unique(np.concatenate([left, right]), return_inverse=True)
+    ends = ends.reshape(2, -1)
+    graph = csr_matrix(
+        (np.ones(ends.shape[1], dtype=bool), (ends[0], ends[1])),
+        shape=(len(nodes), len(nodes)),
+    )
+    count, labels = connected_components(graph, **direction)
+    order = np.argsort(labels, kind="stable")
+    cuts = np.searchsorted(labels[order], np.arange(1, count))
+    members = np.split(nodes[order], cuts) if count else []
+    groups = [set(chunk.tolist()) for chunk in members]
+    return groups, labels.astype(np.int64)[ends]
+
+
+def _implication_components(rules, ones, threshold):
+    """Strong components of the implication graph, with reverse edges.
 
     DMC mines only the canonical (sparser -> denser) direction, but a
-    rule's reverse confidence is ``hits / ones(consequent)``: given the
-    pre-scan counts and the threshold, the reverse edge is added
-    whenever it also clears the threshold.
+    rule ``a -> c`` with ``hits`` also gives ``c -> a`` whenever its
+    misses, ``ones[c] - hits``, fit the miner's own budget
+    ``max_misses(ones[c], threshold)``; given ``ones`` those reverse
+    edges are added.
     """
-    from repro.core.thresholds import as_fraction, confidence_holds
-
-    graph = implication_rule_graph(rules)
+    left, right, hits, _ = _rule_set(rules).columns()
     if ones is not None:
         cut = as_fraction(threshold)
-        for rule in rules:
-            if confidence_holds(
-                rule.hits, int(ones[rule.consequent]), cut
-            ):
-                graph.add_edge(rule.consequent, rule.antecedent)
-    return graph
+        whole = np.asarray(ones, dtype=np.int64)[right]
+        counts, at = np.unique(whole, return_inverse=True)
+        budget = [max_misses(count, cut) for count in counts.tolist()]
+        back = whole - hits <= np.array(budget, dtype=np.int64)[at]
+        left, right = np.hstack([(left, right), (right[back], left[back])])
+    return _components(left, right, connection="strong")
 
 
 def implication_equivalence_groups(
@@ -128,43 +135,35 @@ def implication_equivalence_groups(
     reverse edges are included; without them only explicitly-present
     edges count.  Singleton components are dropped; largest first.
     """
-    import networkx as nx
-    graph = _bidirectional_graph(rules, ones, threshold)
-    groups = [
-        set(component)
-        for component in nx.strongly_connected_components(graph)
-        if len(component) > 1
-    ]
-    groups.sort(key=lambda group: (-len(group), min(group)))
-    return groups
+    groups, _ = _implication_components(rules, ones, threshold)
+    return _largest_first([group for group in groups if len(group) > 1])
 
 
 def group_implication_dag(
     rules: Iterable[ImplicationRule],
     ones: Optional[Sequence[int]] = None,
     threshold=1,
-) -> nx.DiGraph:
+) -> Dict[FrozenSet[int], Set[FrozenSet[int]]]:
     """The condensation: implications *between* equivalence groups.
 
-    Nodes are frozensets of columns (the strongly connected groups,
-    including singletons); an edge ``G1 -> G2`` means some attribute of
-    ``G1`` implies some attribute of ``G2`` at the mining threshold.
-    The result is acyclic, giving a hierarchy of rule groups — the
-    "more complicated rules among three or more attributes" the
-    paper's conclusion sketches.  See
+    Maps every strongly connected group (a frozenset of columns,
+    singletons included) to the set of groups it implies: ``G2`` is in
+    ``dag[G1]`` when some attribute of ``G1`` implies some attribute of
+    ``G2`` at the mining threshold.  The result is acyclic, giving a
+    hierarchy of rule groups — the "more complicated rules among three
+    or more attributes" the paper's conclusion sketches.  See
     :func:`implication_equivalence_groups` for the role of ``ones``.
     """
-    import networkx as nx
-    graph = _bidirectional_graph(rules, ones, threshold)
-    condensation = nx.condensation(graph)
-    dag = nx.DiGraph()
-    for _, columns in condensation.nodes(data="members"):
-        dag.add_node(frozenset(columns))
-    for source, target in condensation.edges():
-        dag.add_edge(
-            frozenset(condensation.nodes[source]["members"]),
-            frozenset(condensation.nodes[target]["members"]),
-        )
+    members, (source, target) = _implication_components(
+        rules, ones, threshold
+    )
+    groups = list(map(frozenset, members))
+    between = source != target
+    keys = np.unique(source[between] * len(groups) + target[between])
+    dag = {group: set() for group in groups}
+    for key in keys.tolist():
+        implier, implied = divmod(key, len(groups))
+        dag[groups[implier]].add(groups[implied])
     return dag
 
 
@@ -177,11 +176,9 @@ def similarity_components(
     attributes related by pairwise similarity (e.g. mirror pages, or a
     synonym family in the dictionary data).
     """
-    import networkx as nx
-    graph = similarity_rule_graph(rules)
-    components = [set(c) for c in nx.connected_components(graph)]
-    components.sort(key=lambda c: (-len(c), min(c)))
-    return components
+    left, right = _rule_set(rules).columns()[:2]
+    components, _ = _components(left, right, directed=False)
+    return _largest_first(components)
 
 
 def format_rules(
@@ -190,7 +187,8 @@ def format_rules(
     columns: int = 3,
 ) -> str:
     """Render rules in Figure 7's multi-column ``a -> b`` layout."""
-    entries = [rule.format(vocabulary).split(" (")[0] for rule in rules]
+    # Only the last " (" opens the confidence; a label may hold one too.
+    entries = [rule.format(vocabulary).rsplit(" (", 1)[0] for rule in rules]
     if not entries:
         return "(no rules)"
     width = max(len(e) for e in entries) + 2

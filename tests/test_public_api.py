@@ -76,7 +76,8 @@ def test_cli_entry_point_importable():
 
 
 def test_cli_import_leaves_networkx_unloaded():
-    """Rule grouping imports networkx where it builds a graph, so a CLI
+    """Neither networkx nor scipy loads with the CLI: rule grouping
+    imports scipy's csgraph where it computes components, so a CLI
     call or a ``repro serve`` spawn does not pay for it at start-up."""
     import os
     import pathlib
@@ -89,8 +90,9 @@ def test_cli_import_leaves_networkx_unloaded():
     )
     loaded = subprocess.run(
         [sys.executable, "-c",
-         "import sys, repro.cli; print('networkx' in sys.modules)"],
+         "import sys, repro.cli; "
+         "print('networkx' in sys.modules, 'scipy' in sys.modules)"],
         capture_output=True, text=True, check=True, env=environment,
     )
-    assert loaded.stdout.strip() == "False"
+    assert loaded.stdout.strip() == "False False"
 
