@@ -46,9 +46,9 @@ from repro.matrix.ops import (
     DEFAULT_BLOCK_ROWS,
     BlockHits,
     CanonicalOrder,
+    block_bitmaps,
     block_co_matrix,
     co_occurrences,
-    dense_block,
 )
 from repro.observe.progress import NULL_OBSERVER
 
@@ -189,14 +189,15 @@ def bitmap_tail(
                 n_rows += size
                 if not len(cols):
                     continue
-                counts, active, to_active, dense = dense_block(
+                counts, active, to_active, bitmaps = block_bitmaps(
                     lengths, cols, n_columns
                 )
+                block = (lengths, cols, counts, active, to_active)
                 allowance = cutoff[active] - (count + remaining)[active] + 1
                 picked = np.flatnonzero(allowance > 0)
                 remaining += counts
-                co_block = block_co_matrix(dense, len(picked))
-                block_hits = BlockHits(dense, co_block)
+                co_block = block_co_matrix(block, len(picked))
+                block_hits = BlockHits(bitmaps, co_block)
                 touched = np.flatnonzero(counts[owners])
                 if len(touched):
                     co[touched] += block_hits(
@@ -211,8 +212,7 @@ def bitmap_tail(
                     owners, cands, co = map(np.concatenate, zip(
                         (owners, cands, co),
                         *new_pairs(
-                            (lengths, cols, counts, active, to_active),
-                            picked, allowance[picked], order, ends,
+                            block, picked, allowance[picked], order, ends,
                             co_block, block_hits, owners * n_columns + cands,
                         ),
                     ))

@@ -63,7 +63,8 @@ class PairPolicy:
     after_owner = True
 
     def __init__(self, ones: Sequence[int]) -> None:
-        self.ones = list(int(o) for o in ones)
+        self._ones_array = np.array(ones, dtype=np.int64)
+        self.ones = self._ones_array.tolist()
 
     def eligible(self, column_j: int, candidate_k: int) -> bool:
         """May ``candidate_k`` appear on ``column_j``'s list?
@@ -113,12 +114,8 @@ class PairPolicy:
     # ------------------------------------------------------------------
 
     def ones_array(self) -> np.ndarray:
-        """``ones`` as an int64 vector (cached)."""
-        cached = getattr(self, "_ones_array", None)
-        if cached is None:
-            cached = np.asarray(self.ones, dtype=np.int64)
-            self._ones_array = cached
-        return cached
+        """``ones`` as an int64 vector."""
+        return self._ones_array
 
     def cand_ceiling(
         self, owners: np.ndarray, counts: np.ndarray
@@ -202,7 +199,13 @@ class ImplicationPolicy(PairPolicy):
     def __init__(self, ones: Sequence[int], minconf: Threshold) -> None:
         super().__init__(ones)
         self.minconf: Fraction = as_fraction(minconf)
-        self.maxmiss = [max_misses(o, self.minconf) for o in self.ones]
+        # One ``max_misses`` call per distinct ``ones`` value.
+        counts, at = np.unique(self._ones_array, return_inverse=True)
+        self._maxmiss_array = np.array(
+            [max_misses(o, self.minconf) for o in counts.tolist()],
+            dtype=np.int64,
+        )[at]
+        self.maxmiss = self._maxmiss_array.tolist()
 
     def pair_budget(self, column_j: int, candidate_k: int) -> int:
         return self.maxmiss[column_j]
@@ -211,12 +214,8 @@ class ImplicationPolicy(PairPolicy):
         return self.maxmiss[column_j]
 
     def maxmiss_array(self) -> np.ndarray:
-        """``maxmiss`` as an int64 vector (cached)."""
-        cached = getattr(self, "_maxmiss_array", None)
-        if cached is None:
-            cached = np.asarray(self.maxmiss, dtype=np.int64)
-            self._maxmiss_array = cached
-        return cached
+        """``maxmiss`` as an int64 vector."""
+        return self._maxmiss_array
 
     def budget_array(
         self, owners: np.ndarray, cands: np.ndarray

@@ -5,12 +5,13 @@ miss_counting_scan` — one miss-counting pass driven by a
 :class:`~repro.core.policies.PairPolicy` — restructured from
 row-at-a-time dict updates into numpy batch operations:
 
-- rows are consumed in blocks of ``block_rows``; each block becomes a
-  dense 0/1 matrix over the columns active in it;
+- rows are consumed in blocks of ``block_rows``; each block becomes the
+  packed bitmaps of the columns active in it, set from its entries;
 - per-pair block hits come from one BLAS matmul (``D.T @ D``) on
-  narrow, dense blocks, or else from the gather and packed-bitmap
-  popcount kernels in :mod:`repro.matrix.ops`, with new pairs from
-  sparse CSR products whose cost follows the block's ones;
+  narrow, dense blocks, or else from popcounts of the pairs' ANDed
+  bitmaps (:mod:`repro.matrix.ops`), with new pairs from sparse CSR
+  products; outside the matmul the cost follows the block's ones, not
+  its cells;
 - live pairs sit in a :class:`~repro.core.candidates.PairStore`
   (parallel owner/candidate/miss/budget arrays); every miss update,
   budget check, dynamic prune, and finished-column emission is an
@@ -92,8 +93,8 @@ from repro.matrix.ops import (
     MAX_BLOCK_ROWS,
     BlockHits,
     CanonicalOrder,
+    block_bitmaps,
     block_co_matrix,
-    dense_block,
 )
 from repro.observe.progress import NULL_OBSERVER
 
@@ -214,9 +215,10 @@ def vector_scan_rows(
             break
 
         if len(cols):
-            counts_block, active, to_active, dense = dense_block(
+            counts_block, active, to_active, bitmaps = block_bitmaps(
                 lengths, cols, n_columns
             )
+            block = (lengths, cols, counts_block, active, to_active)
 
             # -- admission: the serial scan adds ``c_k`` to ``c_j``'s
             # list only at a row where ``cnt(c_j)`` is within the add
@@ -228,7 +230,7 @@ def vector_scan_rows(
             # co-occurrence matrix covers discovery and every pair's
             # block hits at once when the block is narrow, dense and
             # mostly open; otherwise sparse discovery products and
-            # per-pair kernels do.
+            # popcounts over the block's packed bitmaps do.
             allowance = cutoff[active] - count[active] + 1
             open_positions = np.flatnonzero(allowance > 0)
             open_owners = active[open_positions]
@@ -236,9 +238,9 @@ def vector_scan_rows(
                 open_owners, count[open_owners]
             ))
             co = block_co_matrix(
-                dense, len(open_positions), dense_pair_columns
+                block, len(open_positions), dense_pair_columns
             )
-            block_hits = BlockHits(dense, co)
+            block_hits = BlockHits(bitmaps, co)
 
             # New pairs are collected first and appended *after* the
             # live-pair miss update, with their exact block misses; a
@@ -246,8 +248,7 @@ def vector_scan_rows(
             # (budget) but never stored.
             new = []
             for owners, cands, hits in new_pairs(
-                (lengths, cols, counts_block, active, to_active),
-                open_positions, allowance[open_positions], order, ends,
+                block, open_positions, allowance[open_positions], order, ends,
                 co, block_hits, store.keys(n_columns),
             ):
                 budgets = policy.budget_array(owners, cands)

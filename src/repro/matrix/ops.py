@@ -3,16 +3,18 @@
 bitmap`).
 
 Rows arrive ``block_rows`` at a time from a block source (``take(n) ->
-(n_taken, lengths, cols)``); each block becomes a dense 0/1 matrix over
-its active columns, against which whole *arrays* of column pairs are
-evaluated — by one co-occurrence matmul, a gather of the pairs' dense
-columns, or packed-bitmap popcounts (``numpy.packbits``, eight rows per
-byte).  Those count hits; the paper's Section 4.2 misses,
-``popcount(bm(c_j) & ~bm(c_k))``, are ``ones(c_j)`` minus them.  Pair
-*discovery* reads a narrow, dense block's co-occurrence matmul or else
-sparse products over the block's CSR form, whose cost follows the
-block's ones rather than its cells.
-Nothing here builds a dense array over more than one block.
+(n_taken, lengths, cols)``); each block becomes the packed bitmaps of
+its active columns (eight rows per byte, ``numpy.packbits`` order),
+built from its entries at a cost that follows its ones, against which
+whole *arrays* of column pairs are evaluated — by a gather of one
+co-occurrence matmul on narrow, dense blocks, or else by popcounts of
+the pairs' ANDed bitmaps.  Those count hits; the paper's Section 4.2
+misses, ``popcount(bm(c_j) & ~bm(c_k))``, are ``ones(c_j)`` minus them.
+Pair *discovery* reads the co-occurrence matrix or else sparse products
+over the block's CSR form, whose cost follows the block's ones rather
+than its cells.  Only the co-occurrence matmul's float32 operand is
+dense over a block's rows and active columns, and nothing here builds
+a dense array over more than one block.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from repro.matrix.binary_matrix import concat_ranges
 
 #: Rows per block of every vector scan (a constant, not a knob).  Large
 #: enough that the per-block Python overhead vanishes against the array
-#: work; small enough that the dense block matrix stays cache-friendly.
+#: work; small enough that the block's bitmaps stay cache-friendly.
 DEFAULT_BLOCK_ROWS = 1024
 
 #: Hard cap on the block size: float32 block matmuls are exact only
@@ -35,24 +37,19 @@ MAX_BLOCK_ROWS = 1 << 20
 
 #: Blocks touching at most this many distinct columns may use one dense
 #: ``D.T @ D`` co-occurrence matrix for both discovery and live-pair
-#: hit lookup; wider blocks fall back to per-pair kernels for live
+#: hit lookup; wider blocks fall back to bitmap popcounts for live
 #: pairs and sparse products for discovery.
 DENSE_PAIR_COLUMNS = 2048
 
 #: The dense matrix must also pay for itself: its BLAS multiply-adds
 #: (rows x active columns squared) may be at most this many times the
 #: block's sparse discovery products (the sum of squared row lengths).
-#: Below that the sparse rows and per-pair kernels are cheaper.
+#: Below that the sparse rows and bitmap popcounts are cheaper.
 _DENSE_MACS_PER_PRODUCT = 64
 
 #: Entry budget for the co-occurrence pairs discovery yields at once:
 #: each pair costs a dozen int64 temporaries downstream.
 _PAIR_CHUNK_ENTRIES = 1 << 18
-
-#: With few pairs, per-pair hits come from gathering the pair's two
-#: dense columns (cost ``pairs * block_rows`` cells); past this budget
-#: the packed popcount kernels win despite their fixed ``packbits`` cost.
-_GATHER_PAIR_CELLS = 1 << 20
 
 # popcount of every byte value, used to count bits in packed arrays.
 _POPCOUNT = np.array([bin(v).count("1") for v in range(256)], dtype=np.int64)
@@ -63,20 +60,6 @@ if hasattr(np, "bitwise_count"):  # numpy >= 2.0: hardware popcount ufunc
 else:  # pragma: no cover — exercised only on numpy < 2.0
     def _popcount_sum(bytes_array: np.ndarray, axis=None) -> np.ndarray:
         return _POPCOUNT[bytes_array].sum(axis=axis)
-
-
-def pack_columns(dense: np.ndarray) -> np.ndarray:
-    """Pack a dense 0/1 block of shape ``(n_rows, n_cols)`` column-wise.
-
-    Returns a C-contiguous ``(n_cols, ceil(n_rows/8))`` uint8 array:
-    row ``c`` is the packed bitmap of column ``c``, bit ``t`` set when
-    ``dense[t, c]`` is nonzero.  Pad bits past ``n_rows`` are zero, so
-    the pair kernels below never count phantom rows.
-    """
-    # Packing along contiguous rows of the transpose beats a strided
-    # pack down the columns, even with the transpose's copy.
-    columns = np.ascontiguousarray(dense.astype(bool, copy=False).T)
-    return np.packbits(columns, axis=1)
 
 
 def pair_and_counts(
@@ -112,73 +95,75 @@ class RowBlocks:
         return len(block), lengths, cols
 
 
-def dense_block(
+def block_bitmaps(
     lengths: np.ndarray, cols: np.ndarray, n_columns: int
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """One row block as a dense 0/1 matrix over its active columns.
+    """One row block as the packed bitmaps of its active columns.
 
-    Returns ``(counts, active, to_active, dense)``: per-column ones in
+    Returns ``(counts, active, to_active, bitmaps)``: per-column ones in
     the block, the active column ids, the global -> active index map,
-    and the bool ``(n_rows, n_active + 1)`` matrix.  The last dense
-    column is an all-zero guard: ``to_active`` sends every column absent
-    from the block there, so pair lookups on it just return 0.
+    and the uint8 ``(n_active + 1, ceil(n_rows/8))`` bitmaps, row
+    ``to_active[c]`` holding column ``c`` as ``numpy.packbits`` would.
+    Pad bits past ``n_rows`` are zero.  The last row is an all-zero
+    guard: ``to_active`` sends every column absent from the block there,
+    so pair lookups on it just return 0.
     """
     counts = np.bincount(cols, minlength=n_columns)
     active = np.flatnonzero(counts)
     n_active = len(active)
     to_active = np.full(n_columns, n_active, dtype=np.int64)
     to_active[active] = np.arange(n_active)
-    dense = np.zeros((len(lengths), n_active + 1), dtype=bool)
-    dense[np.repeat(np.arange(len(lengths)), lengths), to_active[cols]] = True
-    return counts, active, to_active, dense
+    n_bytes = (len(lengths) + 7) >> 3
+    rows = np.repeat(np.arange(len(lengths)), lengths)
+    bitmaps = np.zeros((n_active + 1) * n_bytes, dtype=np.uint8)
+    # Block sources serve deduplicated rows (``counts`` relies on it
+    # too), so no bit is set twice and adding the bits ORs them;
+    # ``np.add.at`` is four times faster than ``np.bitwise_or.at``.
+    np.add.at(
+        bitmaps, to_active[cols] * n_bytes + (rows >> 3),
+        (128 >> (rows & 7)).astype(np.uint8),
+    )
+    return counts, active, to_active, bitmaps.reshape(n_active + 1, n_bytes)
 
 
 def block_co_matrix(
-    dense: np.ndarray, n_open: int,
-    dense_pair_columns: int = DENSE_PAIR_COLUMNS,
+    block, n_open: int, dense_pair_columns: int = DENSE_PAIR_COLUMNS,
 ) -> Optional[np.ndarray]:
-    """The block's co-occurrence matrix ``D.T @ D`` when the block is
-    narrow, at least half its active columns are open for discovery
-    (``n_open``) and dense enough to pay for the matmul (see
-    ``_DENSE_MACS_PER_PRODUCT``); None when the sparse and per-pair
-    kernels do less work."""
-    n_rows, n_active = dense.shape[0], dense.shape[1] - 1
+    """The co-occurrence matrix ``D.T @ D`` of ``block`` (``(lengths,
+    cols, counts, active, to_active)``) when the block is narrow, at
+    least half its active columns are open for discovery (``n_open``)
+    and dense enough to pay for the matmul (see
+    ``_DENSE_MACS_PER_PRODUCT``); None when the sparse and popcount
+    kernels do less work.  The float32 ``D`` is built from the entries
+    only for the matmul."""
+    lengths, cols, _, active, to_active = block
+    n_rows, n_active = len(lengths), len(active)
     if n_active > dense_pair_columns or 2 * n_open < n_active:
         return None
-    lengths = dense.sum(axis=1, dtype=np.float64)
-    if n_rows * n_active**2 > _DENSE_MACS_PER_PRODUCT * (lengths @ lengths):
+    sizes = lengths.astype(np.float64)
+    if n_rows * n_active**2 > _DENSE_MACS_PER_PRODUCT * (sizes @ sizes):
         return None
-    dense = dense.astype(np.float32)
+    dense = np.zeros((n_rows, n_active + 1), dtype=np.float32)
+    dense[np.repeat(np.arange(n_rows), lengths), to_active[cols]] = 1
     return dense.T @ dense
 
 
 class BlockHits:
-    """Block hits of column pairs, from the cheapest kernel per call.
-
-    With the block's co-occurrence matrix ``co`` a call is a gather;
-    otherwise few pairs gather their two dense columns and many pairs
-    popcount the packed block, which is packed at most once however
-    many calls (discovery chunks, the live-pair update) share it.
-    """
+    """Block hits of column pairs: a gather of the block's co-occurrence
+    matrix ``co`` when it has one, else popcounts of the pairs' packed
+    bitmaps (from :func:`block_bitmaps`)."""
 
     def __init__(
-        self, dense: np.ndarray, co: Optional[np.ndarray] = None
+        self, bitmaps: np.ndarray, co: Optional[np.ndarray] = None
     ) -> None:
-        self.dense, self.co = dense, co
-        self._packed: Optional[np.ndarray] = None
+        self.bitmaps, self.co = bitmaps, co
 
     def __call__(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-        """Block hits of the pairs ``(left[i], right[i])`` (dense
+        """Block hits of the pairs ``(left[i], right[i])`` (active
         indices)."""
         if self.co is not None:
             return self.co[left, right].astype(np.int64)
-        if len(left) * self.dense.shape[0] <= _GATHER_PAIR_CELLS:
-            return np.count_nonzero(
-                self.dense[:, left] & self.dense[:, right], axis=0
-            )
-        if self._packed is None:
-            self._packed = pack_columns(self.dense)
-        return pair_and_counts(self._packed, left, right)
+        return pair_and_counts(self.bitmaps, left, right)
 
 
 class CanonicalOrder:
@@ -218,12 +203,12 @@ def co_occurrences(
     allowance: Optional[np.ndarray] = None,
 ) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Yield ``(owners, cands, hits)`` for every pair co-occurring in the
-    block whose owner sits at a dense index in ``picked`` and whose
+    block whose owner sits at an active index in ``picked`` and whose
     candidate lies in the owner's window of ``order``, ending at
     ``ends`` (parallel to ``picked``; default: no end).
 
     The block is given as its rows (``lengths``/``cols``, global column
-    ids) plus ``to_active``/``active`` from :func:`dense_block`.  Ids
+    ids) plus ``to_active``/``active`` from :func:`block_bitmaps`.  Ids
     come back global and ``owners != cands``.  ``allowance`` (parallel
     to ``picked``; default: every row) caps each owner to its first
     that many rows of the block: only those rows pair it, and ``hits``

@@ -123,14 +123,20 @@ def rules_to_json(
     left, right, part, whole = rules.columns()
     if len(left):
         record, labels = _RECORDS[rules.kind]
-        divisor = np.gcd(part, whole)
-        fractions = [
-            f"{numerator}/{denominator}" if denominator != 1
-            else str(numerator)
-            for numerator, denominator in zip(
-                (part // divisor).tolist(), (whole // divisor).tolist()
-            )
-        ]
+        # Each distinct ``(part, whole)`` is formatted once: the runs of
+        # the pairs in lexicographic order, gathered back per record.
+        by_pair = np.lexsort((whole, part))
+        pairs = np.stack([part, whole])[:, by_pair]
+        head = np.ones(len(left), dtype=bool)
+        head[1:] = (pairs[:, 1:] != pairs[:, :-1]).any(axis=0)
+        run = np.empty(len(left), dtype=np.int64)
+        run[by_pair] = np.cumsum(head) - 1
+        distinct = pairs[:, head]
+        numerator, denominator = distinct // np.gcd(*distinct)
+        fractions = np.array([
+            f"{p}/{q}" if q != 1 else str(p)
+            for p, q in zip(numerator.tolist(), denominator.tolist())
+        ], dtype=object)[run].tolist()
         fields = [
             left.tolist(), right.tolist(), part.tolist(), whole.tolist(),
             fractions,

@@ -162,6 +162,16 @@ def random_binary_matrix(
     return BinaryMatrix.from_dense(dense)
 
 
+def dense_block(lengths, cols, to_active, n_active) -> np.ndarray:
+    """A row block (``lengths``/``cols``) as a dense int64 0/1 matrix
+    over its active columns, the all-zero guard column last: the
+    reference the packed-bitmap and co-occurrence kernels are checked
+    against."""
+    dense = np.zeros((len(lengths), n_active + 1), dtype=np.int64)
+    dense[np.repeat(np.arange(len(lengths)), lengths), to_active[cols]] = 1
+    return dense
+
+
 class RowTrace(ProgressObserver):
     """Live candidate entries and counter-array bytes after each
     scanned row, in scan order (the scans store no per-row history)."""

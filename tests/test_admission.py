@@ -84,22 +84,21 @@ relaxed = settings(
 )
 
 
-def _always_co(dense, n_open, dense_pair_columns):
-    """Every block builds its co-occurrence matrix, whatever its shape."""
-    dense = dense.astype(np.float32)
-    return dense.T @ dense
+def _always_co(block, n_open, dense_pair_columns):
+    """Every block builds its co-occurrence matrix, whatever its shape
+    (with ``_DENSE_MACS_PER_PRODUCT`` patched past any block)."""
+    return ops.block_co_matrix(block, len(block[3]), dense_pair_columns)
 
 
 def _runs(matrix, policy, order):
     """``(path, block_rows, rules, stats)`` of the vector scan at every
-    block size, on the sparse discovery path (its block hits gathered or
-    popcounted from the packed block) and on the ``co``-matrix path."""
-    for path in ("sparse", "packed", "co"):
+    block size, on the sparse discovery path (its block hits popcounted
+    from the packed bitmaps) and on the ``co``-matrix path."""
+    for path in ("sparse", "co"):
         with pytest.MonkeyPatch.context() as patch:
             if path == "co":
                 patch.setattr(vector, "block_co_matrix", _always_co)
-            if path == "packed":
-                patch.setattr(ops, "_GATHER_PAIR_CELLS", 0)
+                patch.setattr(ops, "_DENSE_MACS_PER_PRODUCT", 1 << 40)
             for block_rows in BLOCK_SIZES:
                 stats = ScanStats()
                 rules = vector_scan_rows(

@@ -206,19 +206,19 @@ def _tall_matrix(seed=3, n_rows=DEFAULT_BLOCK_ROWS + 500, n_columns=24):
 
 class TestBlockedTail:
     """A guard tripping at row 1 leaves more than one block of rows to
-    the tail; it must stay exact and never build a dense array over
-    more rows than one block."""
+    the tail; it must stay exact and never build bitmaps over more rows
+    than one block."""
 
     @pytest.fixture
     def block_sizes(self, monkeypatch):
         seen = []
-        real = bitmap_module.dense_block
+        real = bitmap_module.block_bitmaps
 
         def recording(lengths, cols, n_columns):
             seen.append(len(lengths))
             return real(lengths, cols, n_columns)
 
-        monkeypatch.setattr(bitmap_module, "dense_block", recording)
+        monkeypatch.setattr(bitmap_module, "block_bitmaps", recording)
         return seen
 
     @pytest.mark.parametrize("scan", ["serial", "zero-miss", "vector"])
@@ -252,10 +252,9 @@ class TestBlockedTail:
         pairs in tiny sparse-product chunks and counts live-pair hits
         with the packed popcount kernel; the rules must not change."""
         monkeypatch.setattr(
-            bitmap_module, "block_co_matrix", lambda dense, n_open: None
+            bitmap_module, "block_co_matrix", lambda block, n_open: None
         )
         monkeypatch.setattr(ops, "_PAIR_CHUNK_ENTRIES", 16)
-        monkeypatch.setattr(ops, "_GATHER_PAIR_CELLS", 0)
         matrix = _tall_matrix()
         for policy, want in (
             (

@@ -33,9 +33,10 @@ from repro.matrix.ops import (
     BlockHits,
     CanonicalOrder,
     RowBlocks,
+    block_bitmaps,
     co_occurrences,
-    dense_block,
 )
+from tests.conftest import dense_block
 
 CHUNK_BOUNDS = (1, 7, ops._PAIR_CHUNK_ENTRIES)
 
@@ -182,8 +183,11 @@ def test_windows_yield_exactly_the_admitted_pairs(block, data):
     rows, ones = block
     _, lengths, cols = RowBlocks(list(enumerate(rows))).take(len(rows))
     n_columns = len(ones)
-    counts, active, to_active, dense = dense_block(lengths, cols, n_columns)
-    co = dense.T.astype(np.int64) @ dense
+    counts, active, to_active, bitmaps = block_bitmaps(
+        lengths, cols, n_columns
+    )
+    dense = dense_block(lengths, cols, to_active, len(active))
+    co = dense.T @ dense
     for policy in _policies(data.draw, ones):
         start = _start_counts(data.draw, policy)
         # The scans' open owners: count still within the add cutoff.
@@ -214,23 +218,24 @@ def test_windows_yield_exactly_the_admitted_pairs(block, data):
                     assert got == want, (name, bound, matrix is None)
                     _check_new_pairs(
                         (lengths, cols, counts, active, to_active),
-                        picked, allowance, order, ends, matrix, dense,
-                        want, data.draw,
+                        picked, allowance, order, ends, matrix, bitmaps,
+                        co, want, data.draw,
                     )
 
 
 def _check_new_pairs(
-    block, picked, allowance, order, ends, co, dense, admitted, draw
+    block, picked, allowance, order, ends, co, bitmaps, whole, admitted,
+    draw,
 ):
     """``new_pairs`` yields the admitted pairs minus the live ones, each
-    capped owner's hits over the whole block."""
+    capped owner's hits over the whole block (``whole``, the block's
+    co-occurrence matrix)."""
     _, _, counts, active, to_active = block
     n_columns = len(to_active)
     live = [t[:2] for t in admitted if draw(st.booleans())]
     live_keys = np.array(
         [o * n_columns + c for o, c in live], dtype=np.int64
     )
-    whole = dense.T.astype(np.int64) @ dense
     full = dict(zip(
         active[picked].tolist(), (allowance >= counts[active[picked]]).tolist()
     ))
@@ -239,7 +244,7 @@ def _check_new_pairs(
         for o, c, h in admitted if (o, c) not in set(live)
     )
     got = _triples(new_pairs(
-        block, picked, allowance, order, ends, co, BlockHits(dense, co),
+        block, picked, allowance, order, ends, co, BlockHits(bitmaps, co),
         live_keys,
     ))
     assert got == want

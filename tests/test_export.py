@@ -181,6 +181,23 @@ class TestJsonLayout:
                     rules, labels
                 )
 
+    def test_repeated_and_huge_fractions(self):
+        """Each distinct ``(part, whole)`` is formatted once and gathered
+        back to its records: many repeats, ``part == whole``, pairs that
+        reduce to the same fraction, and counts near ``2**62`` (in both
+        sort keys) keep the encoder's bytes."""
+        big = 2**62
+        counts = [
+            (3, 3), (2, 4), (1, 2), (0, 5), (big, big), (big - 1, big),
+            (big - 1, big + 1), (big - 2, big + 6), (1, big), (4, 6),
+        ]
+        for kind in (ImplicationRule, SimilarityRule):
+            rules = RuleSet([
+                kind(i, 1000 + i, *counts[(7 * i) % len(counts)])
+                for i in range(120)
+            ])
+            assert rules_to_json(rules) == _reference_json(rules)
+
 
     def test_stats_with_edge_values(self):
         """The stats branch is the indenting encoder nested two spaces

@@ -1,6 +1,7 @@
 """Array kernels over row blocks (repro.matrix.ops, Section 4.2)."""
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -9,17 +10,17 @@ from repro.matrix.ops import (
     BlockHits,
     CanonicalOrder,
     RowBlocks,
+    block_bitmaps,
     block_co_matrix,
     co_occurrences,
-    dense_block,
-    pack_columns,
     pair_and_counts,
 )
+from tests.conftest import dense_block
 
 
 def _pack(*columns):
     """Pack equal-length 0/1 columns; row ``i`` of the result is column i."""
-    return pack_columns(np.array(columns, dtype=np.float32).T)
+    return np.packbits(np.array(columns, dtype=bool), axis=1)
 
 
 def _window(rows, n_columns):
@@ -29,8 +30,8 @@ def _window(rows, n_columns):
     ``c``'s bitmap; absent columns map to the all-zero guard row.
     """
     _, lengths, cols = RowBlocks(rows).take(len(rows))
-    _, _, to_active, dense = dense_block(lengths, cols, n_columns)
-    return pack_columns(dense), to_active
+    _, _, to_active, bitmaps = block_bitmaps(lengths, cols, n_columns)
+    return bitmaps, to_active
 
 
 def popcount_rows(packed):
@@ -106,8 +107,8 @@ class TestPackRows:
 
     def test_column_filter(self):
         _, lengths, cols = RowBlocks([(0, (1, 2, 3))]).take(1)
-        _, active, to_active, dense = dense_block(lengths, cols, 4)
-        packed = pack_columns(dense[:, to_active[[2]]])
+        _, active, to_active, bitmaps = block_bitmaps(lengths, cols, 4)
+        packed = bitmaps[to_active[[2]]]
         assert active.tolist() == [1, 2, 3]
         assert popcount_rows(packed).tolist() == [1]
 
@@ -122,9 +123,9 @@ class TestPackRows:
     def test_empty_window(self):
         assert RowBlocks([]).take(4) == (0, None, None)
         empty = np.empty(0, dtype=np.int64)
-        counts, active, _, dense = dense_block(empty, empty, 3)
+        counts, active, _, bitmaps = block_bitmaps(empty, empty, 3)
         assert len(active) == 0 and counts.tolist() == [0, 0, 0]
-        assert popcount_rows(pack_columns(dense)).tolist() == [0]
+        assert popcount_rows(bitmaps).tolist() == [0]
 
     def test_memory_bytes_counts_packed_size(self):
         packed, _ = _window([(r, (0,)) for r in range(16)], 1)
@@ -137,6 +138,60 @@ class TestPackRows:
         assert len(packed) == 3
 
 
+@st.composite
+def row_blocks(draw):
+    """``(rows, n_columns)``: up to 70 sorted, deduplicated rows (so
+    most row counts are not multiples of 8; empty rows, empty blocks and
+    one-column blocks included) over a few column ids at the bottom or
+    the top of the id range."""
+    n_columns = draw(st.integers(min_value=1, max_value=300))
+    width = draw(st.integers(min_value=1, max_value=min(n_columns, 12)))
+    low = draw(st.sampled_from((0, n_columns - width)))
+    rows = draw(st.lists(
+        st.sets(st.integers(min_value=low, max_value=low + width - 1)),
+        max_size=70,
+    ))
+    return [sorted(row) for row in rows], n_columns
+
+
+class TestBlockBitmaps:
+    """The packed bitmaps set from a block's entries, and both
+    ``BlockHits`` kernels over them, against a dense reference."""
+
+    @given(block=row_blocks())
+    def test_against_dense_reference(self, block):
+        rows, n_columns = block
+        lengths = np.array([len(row) for row in rows], dtype=np.int64)
+        cols = np.array([c for row in rows for c in row], dtype=np.int64)
+        counts, active, to_active, bitmaps = block_bitmaps(
+            lengths, cols, n_columns
+        )
+        n_active = len(active)
+        dense = dense_block(lengths, cols, to_active, n_active)
+        assert bitmaps.dtype == np.uint8
+        assert np.array_equal(
+            bitmaps, np.packbits(dense.T.astype(bool), axis=1)
+        )
+        assert not bitmaps[n_active].any()  # the guard
+        # Every ordered pair of active columns and the guard.
+        every = np.arange(n_active + 1)
+        left, right = np.repeat(every, len(every)), np.tile(every, len(every))
+        held = [set() for _ in every]
+        for row_id, row in enumerate(rows):
+            for column in row:
+                held[to_active[column]].add(row_id)
+        want = [len(held[a] & held[b]) for a, b in zip(left, right)]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ops, "_DENSE_MACS_PER_PRODUCT", 1 << 40)
+            co = block_co_matrix(
+                (lengths, cols, counts, active, to_active), n_active,
+                dense_pair_columns=n_active,
+            )
+        assert np.array_equal(co, dense.T @ dense)
+        assert BlockHits(bitmaps)(left, right).tolist() == want
+        assert BlockHits(bitmaps, co)(left, right).tolist() == want
+
+
 class TestBlockKernels:
     @staticmethod
     def _block(seed=0, n_rows=50, n_columns=12):
@@ -146,30 +201,30 @@ class TestBlockKernels:
             for i in range(n_rows)
         ]
         _, lengths, cols = RowBlocks(rows).take(n_rows)
-        return rows, dense_block(lengths, cols, n_columns)
+        counts, active, to_active, bitmaps = block_bitmaps(
+            lengths, cols, n_columns
+        )
+        return rows, (lengths, cols, counts, active, to_active), bitmaps
 
-    def test_pair_hits_paths_agree(self, monkeypatch):
-        rows, (_, active, to_active, dense) = self._block()
+    def test_pair_hits_paths_agree(self):
+        rows, block, bitmaps = self._block()
+        active, to_active = block[3:]
         left = np.repeat(to_active[active], len(active))
         right = np.tile(to_active[active], len(active))
         want = [
             sum(1 for _, row in rows if a in row and b in row)
             for a in active for b in active
         ]
-        co = block_co_matrix(dense, n_open=len(active))
+        co = block_co_matrix(block, n_open=len(active))
         assert co is not None
-        assert BlockHits(dense, co)(left, right).tolist() == want
-        assert BlockHits(dense)(left, right).tolist() == want  # gather
-        monkeypatch.setattr(ops, "_GATHER_PAIR_CELLS", 0)
-        shared = BlockHits(dense)
-        for _ in range(2):  # packed once, then reused
-            assert shared(left, right).tolist() == want
+        assert BlockHits(bitmaps, co)(left, right).tolist() == want
+        assert BlockHits(bitmaps)(left, right).tolist() == want  # popcount
 
     def test_chunked_co_occurrences(self, monkeypatch):
-        rows, (_, active, to_active, dense) = self._block(seed=1)
-        _, lengths, cols = RowBlocks(rows).take(len(rows))
+        rows, block, _ = self._block(seed=1)
+        lengths, cols, _, active, to_active = block
         picked = np.arange(len(active))
-        whole = block_co_matrix(dense, n_open=len(active))
+        whole = block_co_matrix(block, n_open=len(active))
 
         def found(co):
             return _discovered(lengths, cols, to_active, active, picked, co)
@@ -192,7 +247,7 @@ class TestBlockKernels:
             )
         assert found(whole) == want
         assert found(None) == want
-        assert block_co_matrix(dense, n_open=0) is None
+        assert block_co_matrix(block, n_open=0) is None
 
 
 def _all_pairs(n_columns):
@@ -237,11 +292,12 @@ class TestSparseDiscovery:
         ).take(max(len(rows), 1))
         if lengths is None:  # no rows at all
             lengths = cols = np.empty(0, dtype=np.int64)
-        _, active, to_active, dense = dense_block(lengths, cols, n_columns)
+        _, active, to_active, _ = block_bitmaps(lengths, cols, n_columns)
         generator = np.random.default_rng(seed)
         picked = np.flatnonzero(generator.random(len(active)) < 0.6)
         sparse = _discovered(lengths, cols, to_active, active, picked)
-        co = dense.T.astype(np.int64) @ dense
+        dense = dense_block(lengths, cols, to_active, len(active))
+        co = dense.T @ dense
         assert sparse == _discovered(
             lengths, cols, to_active, active, picked, co
         )
@@ -333,7 +389,7 @@ class TestAllowance:
                 _, lengths, cols = RowBlocks(
                     list(enumerate(rows))
                 ).take(len(rows))
-                counts, active, to_active, dense = dense_block(
+                counts, active, to_active, _ = block_bitmaps(
                     lengths, cols, n_columns
                 )
                 picked = np.flatnonzero(
@@ -346,7 +402,8 @@ class TestAllowance:
                 want = self._allowed(rows, dict(zip(
                     active[picked].tolist(), allowance.tolist()
                 )))
-                co = dense.T.astype(np.int64) @ dense
+                dense = dense_block(lengths, cols, to_active, len(active))
+                co = dense.T @ dense
                 for matrix in (None, co):
                     assert _discovered(
                         lengths, cols, to_active, active, picked, matrix,
