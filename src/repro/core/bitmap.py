@@ -17,16 +17,18 @@ as per-column bitmaps and the scan finishes in two phases:
   meeting later has missed more often than any budget allows.
 
 Both phases are array expressions over one block-by-block walk of the
-remaining rows with the vector engine's kernels (:mod:`repro.matrix.
-ops`).  It sums each column's remaining ones ``rem(c_j)`` and each
-pair's remaining co-occurrences ``co(j, k)``: a pair already on a list
-ends at ``misses + rem(c_j) - co(j, k)``, a new pair of an open owner
-at ``ones(c_j) - co(j, k)`` (tail-only hits).  A column not on
-``c_j``'s list at switch time either never co-occurred with ``c_j``
-(its prior hits are exactly zero) or was pruned because the pair is
-permanently invalid (then the tail-only hits under-state the true hits,
-the miss count over-states the true misses, and the exact final test
-still rejects it) — so the tail keeps DMC's zero-error guarantee.
+remaining rows with the vector engine's two kernels (:mod:`repro.
+matrix.ops`): popcounts over each block's packed column bitmaps for
+listed pairs, sparse products for new ones.  It sums each column's
+remaining ones ``rem(c_j)`` and each pair's remaining co-occurrences
+``co(j, k)``: a pair already on a list ends at ``misses + rem(c_j) -
+co(j, k)``, a new pair of an open owner at ``ones(c_j) - co(j, k)``
+(tail-only hits).  A column not on ``c_j``'s list at switch time
+either never co-occurred with ``c_j`` (its prior hits are exactly
+zero) or was pruned because the pair is permanently invalid (then the
+tail-only hits under-state the true hits, the miss count over-states
+the true misses, and the exact final test still rejects it) — so the
+tail keeps DMC's zero-error guarantee.
 
 Every scan (serial, zero-miss, vector) and every policy shares this
 tail, including the identical-column variant of DMC-sim step 2.
@@ -44,11 +46,10 @@ from repro.core.rules import RuleSet
 from repro.core.stats import ScanStats
 from repro.matrix.ops import (
     DEFAULT_BLOCK_ROWS,
-    BlockHits,
     CanonicalOrder,
     block_bitmaps,
-    block_co_matrix,
     co_occurrences,
+    pair_and_counts,
 )
 from repro.observe.progress import NULL_OBSERVER
 
@@ -89,8 +90,7 @@ def emit_rules(
     stats.candidates_rejected += len(owners) - emitted
 
 
-def new_pairs(block, picked, allowance, order, ends, co, block_hits,
-              live_keys):
+def new_pairs(block, picked, allowance, order, ends, bitmaps, live_keys):
     """Yield ``(owners, cands, hits)`` for the block's pairs of the
     owners at dense indices ``picked``, each over its first
     ``allowance`` rows and within its window of the
@@ -101,7 +101,8 @@ def new_pairs(block, picked, allowance, order, ends, co, block_hits,
     is admissible and only the live pairs are filtered out, by one sort
     of ``live_keys`` per call and a ``searchsorted`` per chunk.
     ``block`` is ``(lengths, cols, counts, active, to_active)``; a
-    capped owner's whole-block ``hits`` come from ``block_hits``."""
+    capped owner's whole-block ``hits`` are popcounts of the block's
+    packed ``bitmaps`` (:func:`~repro.matrix.ops.block_bitmaps`)."""
     lengths, cols, counts, active, to_active = block
     n_columns = len(to_active)
     capped = np.zeros(len(active) + 1, dtype=bool)
@@ -109,16 +110,15 @@ def new_pairs(block, picked, allowance, order, ends, co, block_hits,
     # A sentinel above every key keeps each lookup inside the array.
     live = np.append(np.sort(live_keys), n_columns * n_columns)
     for owners, cands, hits in co_occurrences(
-        lengths, cols, to_active, active, picked, order, ends, co,
-        allowance,
+        lengths, cols, to_active, active, picked, order, ends, allowance,
     ):
         keys = owners * n_columns + cands
         fresh = live[np.searchsorted(live, keys)] != keys
         owners, cands, hits = owners[fresh], cands[fresh], hits[fresh]
         partial = np.flatnonzero(capped[to_active[owners]])
         if len(partial):
-            hits[partial] = block_hits(
-                to_active[owners[partial]], to_active[cands[partial]]
+            hits[partial] = pair_and_counts(
+                bitmaps, to_active[owners[partial]], to_active[cands[partial]]
             )
         yield owners, cands, hits
 
@@ -196,12 +196,10 @@ def bitmap_tail(
                 allowance = cutoff[active] - (count + remaining)[active] + 1
                 picked = np.flatnonzero(allowance > 0)
                 remaining += counts
-                co_block = block_co_matrix(block, len(picked))
-                block_hits = BlockHits(bitmaps, co_block)
                 touched = np.flatnonzero(counts[owners])
                 if len(touched):
-                    co[touched] += block_hits(
-                        to_active[owners[touched]],
+                    co[touched] += pair_and_counts(
+                        bitmaps, to_active[owners[touched]],
                         to_active[cands[touched]],
                     )
                 if len(picked):
@@ -213,7 +211,7 @@ def bitmap_tail(
                         (owners, cands, co),
                         *new_pairs(
                             block, picked, allowance[picked], order, ends,
-                            co_block, block_hits, owners * n_columns + cands,
+                            bitmaps, owners * n_columns + cands,
                         ),
                     ))
 

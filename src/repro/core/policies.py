@@ -311,6 +311,9 @@ class SimilarityPolicy(PairPolicy):
         snapped = farey_ceiling(self.minsim, 2 * largest + 1)
         self._p = snapped.numerator
         self._q = snapped.denominator
+        self._add_cutoff_array = (
+            self._ones_array * (self._q - self._p)
+        ) // (self._p + self._q)
 
     def eligible(self, column_j: int, candidate_k: int) -> bool:
         if not super().eligible(column_j, candidate_k):
@@ -378,12 +381,7 @@ class SimilarityPolicy(PairPolicy):
         )
 
     def add_cutoff_array(self) -> np.ndarray:
-        cached = getattr(self, "_add_cutoff_array", None)
-        if cached is None:
-            ones = self.ones_array()
-            cached = (ones * (self._q - self._p)) // (self._p + self._q)
-            self._add_cutoff_array = cached
-        return cached
+        return self._add_cutoff_array
 
     def dynamic_prune_mask(
         self,

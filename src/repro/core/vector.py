@@ -7,11 +7,9 @@ row-at-a-time dict updates into numpy batch operations:
 
 - rows are consumed in blocks of ``block_rows``; each block becomes the
   packed bitmaps of the columns active in it, set from its entries;
-- per-pair block hits come from one BLAS matmul (``D.T @ D``) on
-  narrow, dense blocks, or else from popcounts of the pairs' ANDed
-  bitmaps (:mod:`repro.matrix.ops`), with new pairs from sparse CSR
-  products; outside the matmul the cost follows the block's ones, not
-  its cells;
+- per-pair block hits are popcounts of the pairs' ANDed bitmaps and
+  new pairs come from sparse CSR products (:mod:`repro.matrix.ops`),
+  so the cost follows the block's ones, not its cells;
 - live pairs sit in a :class:`~repro.core.candidates.PairStore`
   (parallel owner/candidate/miss/budget arrays); every miss update,
   budget check, dynamic prune, and finished-column emission is an
@@ -89,12 +87,9 @@ from repro.matrix.binary_matrix import (
 )
 from repro.matrix.ops import (
     DEFAULT_BLOCK_ROWS,
-    DENSE_PAIR_COLUMNS,
-    MAX_BLOCK_ROWS,
-    BlockHits,
     CanonicalOrder,
     block_bitmaps,
-    block_co_matrix,
+    pair_and_counts,
 )
 from repro.observe.progress import NULL_OBSERVER
 
@@ -150,7 +145,6 @@ def vector_scan_rows(
     rules: Optional[RuleSet] = None,
     observer=None,
     block_rows: Optional[int] = None,
-    dense_pair_columns: int = DENSE_PAIR_COLUMNS,
 ) -> RuleSet:
     """Streaming core of :func:`vector_scan` (see there).
 
@@ -169,7 +163,7 @@ def vector_scan_rows(
         observer = NULL_OBSERVER
     if block_rows is None:
         block_rows = DEFAULT_BLOCK_ROWS
-    block_rows = max(1, min(int(block_rows), MAX_BLOCK_ROWS))
+    block_rows = max(1, int(block_rows))
     started = time.perf_counter()
 
     ones = policy.ones_array()
@@ -226,21 +220,13 @@ def vector_scan_rows(
             # ``cutoff - cnt + 1`` rows of the block alone, and only
             # with the candidates of its canonical window: after it in
             # canonical order, with ``ones`` at most the policy's
-            # ceiling at its block-start count.  The full
-            # co-occurrence matrix covers discovery and every pair's
-            # block hits at once when the block is narrow, dense and
-            # mostly open; otherwise sparse discovery products and
-            # popcounts over the block's packed bitmaps do.
+            # ceiling at its block-start count.
             allowance = cutoff[active] - count[active] + 1
             open_positions = np.flatnonzero(allowance > 0)
             open_owners = active[open_positions]
             ends = order.ends(policy.cand_ceiling(
                 open_owners, count[open_owners]
             ))
-            co = block_co_matrix(
-                block, len(open_positions), dense_pair_columns
-            )
-            block_hits = BlockHits(bitmaps, co)
 
             # New pairs are collected first and appended *after* the
             # live-pair miss update, with their exact block misses; a
@@ -249,7 +235,7 @@ def vector_scan_rows(
             new = []
             for owners, cands, hits in new_pairs(
                 block, open_positions, allowance[open_positions], order, ends,
-                co, block_hits, store.keys(n_columns),
+                bitmaps, store.keys(n_columns),
             ):
                 budgets = policy.budget_array(owners, cands)
                 block_miss = counts_block[owners] - hits
@@ -269,8 +255,8 @@ def vector_scan_rows(
                 owner_counts = counts_block[store.owners]
                 touched = np.nonzero(owner_counts)[0]
                 if len(touched):
-                    hits = block_hits(
-                        to_active[store.owners[touched]],
+                    hits = pair_and_counts(
+                        bitmaps, to_active[store.owners[touched]],
                         to_active[store.cands[touched]],
                     )
                     delta = owner_counts[touched] - hits

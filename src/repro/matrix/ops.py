@@ -6,15 +6,15 @@ Rows arrive ``block_rows`` at a time from a block source (``take(n) ->
 (n_taken, lengths, cols)``); each block becomes the packed bitmaps of
 its active columns (eight rows per byte, ``numpy.packbits`` order),
 built from its entries at a cost that follows its ones, against which
-whole *arrays* of column pairs are evaluated — by a gather of one
-co-occurrence matmul on narrow, dense blocks, or else by popcounts of
-the pairs' ANDed bitmaps.  Those count hits; the paper's Section 4.2
-misses, ``popcount(bm(c_j) & ~bm(c_k))``, are ``ones(c_j)`` minus them.
-Pair *discovery* reads the co-occurrence matrix or else sparse products
-over the block's CSR form, whose cost follows the block's ones rather
-than its cells.  Only the co-occurrence matmul's float32 operand is
-dense over a block's rows and active columns, and nothing here builds
-a dense array over more than one block.
+whole *arrays* of column pairs are evaluated by popcounts of the
+pairs' ANDed bitmaps (:func:`pair_and_counts`).  Those count hits; the
+paper's Section 4.2 misses, ``popcount(bm(c_j) & ~bm(c_k))``, are
+``ones(c_j)`` minus them.  Pair *discovery* reads sparse products over
+the block's CSR form (:func:`co_occurrences`), whose cost follows the
+block's ones rather than its cells.  Both kernels are integer
+arithmetic, so every count is exact at any block size, and nothing
+here builds an array over a block's rows and active columns other
+than its packed bitmaps.
 """
 
 from __future__ import annotations
@@ -31,35 +31,28 @@ from repro.matrix.binary_matrix import concat_ranges
 #: work; small enough that the block's bitmaps stay cache-friendly.
 DEFAULT_BLOCK_ROWS = 1024
 
-#: Hard cap on the block size: float32 block matmuls are exact only
-#: while per-pair block hits stay below 2**24.
-MAX_BLOCK_ROWS = 1 << 20
-
-#: Blocks touching at most this many distinct columns may use one dense
-#: ``D.T @ D`` co-occurrence matrix for both discovery and live-pair
-#: hit lookup; wider blocks fall back to bitmap popcounts for live
-#: pairs and sparse products for discovery.
-DENSE_PAIR_COLUMNS = 2048
-
-#: The dense matrix must also pay for itself: its BLAS multiply-adds
-#: (rows x active columns squared) may be at most this many times the
-#: block's sparse discovery products (the sum of squared row lengths).
-#: Below that the sparse rows and bitmap popcounts are cheaper.
-_DENSE_MACS_PER_PRODUCT = 64
-
 #: Entry budget for the co-occurrence pairs discovery yields at once:
 #: each pair costs a dozen int64 temporaries downstream.
 _PAIR_CHUNK_ENTRIES = 1 << 18
 
-# popcount of every byte value, used to count bits in packed arrays.
+# popcount of every byte value, for numpy < 2.0 (no ``bitwise_count``).
 _POPCOUNT = np.array([bin(v).count("1") for v in range(256)], dtype=np.int64)
 
-if hasattr(np, "bitwise_count"):  # numpy >= 2.0: hardware popcount ufunc
-    def _popcount_sum(bytes_array: np.ndarray, axis=None) -> np.ndarray:
-        return np.bitwise_count(bytes_array).sum(axis=axis, dtype=np.int64)
-else:  # pragma: no cover — exercised only on numpy < 2.0
-    def _popcount_sum(bytes_array: np.ndarray, axis=None) -> np.ndarray:
-        return _POPCOUNT[bytes_array].sum(axis=axis)
+
+def _table_popcount_sum(bytes_array: np.ndarray, axis=None) -> np.ndarray:
+    """Set bits of a uint8 array, summed along ``axis``, by table."""
+    return _POPCOUNT[bytes_array].sum(axis=axis)
+
+
+def _ufunc_popcount_sum(bytes_array: np.ndarray, axis=None) -> np.ndarray:
+    """The same sum by numpy 2's hardware popcount ufunc."""
+    return np.bitwise_count(bytes_array).sum(axis=axis, dtype=np.int64)
+
+
+_popcount_sum = (
+    _ufunc_popcount_sum if hasattr(np, "bitwise_count")
+    else _table_popcount_sum
+)
 
 
 def pair_and_counts(
@@ -126,46 +119,6 @@ def block_bitmaps(
     return counts, active, to_active, bitmaps.reshape(n_active + 1, n_bytes)
 
 
-def block_co_matrix(
-    block, n_open: int, dense_pair_columns: int = DENSE_PAIR_COLUMNS,
-) -> Optional[np.ndarray]:
-    """The co-occurrence matrix ``D.T @ D`` of ``block`` (``(lengths,
-    cols, counts, active, to_active)``) when the block is narrow, at
-    least half its active columns are open for discovery (``n_open``)
-    and dense enough to pay for the matmul (see
-    ``_DENSE_MACS_PER_PRODUCT``); None when the sparse and popcount
-    kernels do less work.  The float32 ``D`` is built from the entries
-    only for the matmul."""
-    lengths, cols, _, active, to_active = block
-    n_rows, n_active = len(lengths), len(active)
-    if n_active > dense_pair_columns or 2 * n_open < n_active:
-        return None
-    sizes = lengths.astype(np.float64)
-    if n_rows * n_active**2 > _DENSE_MACS_PER_PRODUCT * (sizes @ sizes):
-        return None
-    dense = np.zeros((n_rows, n_active + 1), dtype=np.float32)
-    dense[np.repeat(np.arange(n_rows), lengths), to_active[cols]] = 1
-    return dense.T @ dense
-
-
-class BlockHits:
-    """Block hits of column pairs: a gather of the block's co-occurrence
-    matrix ``co`` when it has one, else popcounts of the pairs' packed
-    bitmaps (from :func:`block_bitmaps`)."""
-
-    def __init__(
-        self, bitmaps: np.ndarray, co: Optional[np.ndarray] = None
-    ) -> None:
-        self.bitmaps, self.co = bitmaps, co
-
-    def __call__(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-        """Block hits of the pairs ``(left[i], right[i])`` (active
-        indices)."""
-        if self.co is not None:
-            return self.co[left, right].astype(np.int64)
-        return pair_and_counts(self.bitmaps, left, right)
-
-
 class CanonicalOrder:
     """The paper's canonical column order (Section 2): by ``ones``, ties
     broken by id.
@@ -199,7 +152,6 @@ def co_occurrences(
     lengths: np.ndarray, cols: np.ndarray, to_active: np.ndarray,
     active: np.ndarray, picked: np.ndarray, order: CanonicalOrder,
     ends: Optional[np.ndarray] = None,
-    co: Optional[np.ndarray] = None,
     allowance: Optional[np.ndarray] = None,
 ) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Yield ``(owners, cands, hits)`` for every pair co-occurring in the
@@ -212,54 +164,26 @@ def co_occurrences(
     come back global and ``owners != cands``.  ``allowance`` (parallel
     to ``picked``; default: every row) caps each owner to its first
     that many rows of the block: only those rows pair it, and ``hits``
-    count only them.  With ``co`` the pairs of an owner whose allowance
-    covers all its rows are read off its row of ``co``, masked to its
-    window.  Every other owner reads the block as a sparse matrix ``D``
-    in CSR form, each row's columns sorted by canonical rank (one sort
-    of ``row * n_columns + rank``), plus its column-major transpose:
-    each chunk of owners costs one sparse product ``D.T[owners] @ D``
-    over the allowed rows and the windows, every row adding one hit to
-    each of its columns.  An owner's products in a row start right
-    after its own entry (at the row's first entry with
-    ``after_owner=False``) and stop at the row's end, or at its first
-    entry past the window, found by one ``searchsorted``.  The hits
-    are counted in place when the chunk's owner-by-column cells are
-    few next to its products, and by sorting the products otherwise.
-    An owner's work is the number of its products, so the empty cells
-    of a sparse block and the columns outside a window cost nothing.
-    A sparse chunk keeps its summed owner work, and so its pairs,
-    within ``_PAIR_CHUNK_ENTRIES`` (one owner at least); a ``co``
-    slice covers at most that many entries.
+    count only them.  The block is read as a sparse matrix ``D`` in
+    CSR form, each row's columns sorted by canonical rank (one sort of
+    ``row * n_columns + rank``), plus its column-major transpose: each
+    chunk of owners costs one sparse product ``D.T[owners] @ D`` over
+    the allowed rows and the windows, every row adding one hit to each
+    of its columns.  An owner's products in a row start right after
+    its own entry (at the row's first entry with ``after_owner=False``)
+    and stop at the row's end, or at its first entry past the window,
+    found by one ``searchsorted``.  The hits are counted in place when
+    the chunk's owner-by-column cells are few next to its products,
+    and by sorting the products otherwise.  An owner's work is the
+    number of its products, so the empty cells of a sparse block and
+    the columns outside a window cost nothing.  A chunk keeps its
+    summed owner work, and so its pairs, within
+    ``_PAIR_CHUNK_ENTRIES`` (one owner at least).
     """
-    width = max(len(active), 1)
-    after_owner = order.after_owner
-    if co is not None:
-        on_co = np.ones(len(picked), dtype=bool)
-        if allowance is not None:
-            # The diagonal of ``co`` holds each column's block rows.
-            on_co = allowance >= co[picked, picked]
-            allowance = allowance[~on_co]
-        read, picked = picked[on_co], picked[~on_co]
-        read_ends = None
-        if ends is not None:
-            read_ends, ends = ends[on_co], ends[~on_co]
-        dense_rank = order.rank[active]
-        step = max(1, _PAIR_CHUNK_ENTRIES // width)
-        for lo in range(0, len(read), step):
-            rows = read[lo:lo + step]
-            own = dense_rank[rows, None]
-            inside = dense_rank > own if after_owner else dense_rank != own
-            if read_ends is not None:
-                inside &= dense_rank < read_ends[lo:lo + step, None]
-            co_rows = co[rows, :len(active)]
-            inside &= co_rows > 0
-            owner_pos, cand_pos = np.nonzero(inside)
-            yield (
-                active[rows[owner_pos]], active[cand_pos],
-                co_rows[owner_pos, cand_pos].astype(np.int64),
-            )
     if not len(picked):
         return
+    width = max(len(active), 1)
+    after_owner = order.after_owner
     n_columns = len(to_active)
     row_of = np.repeat(np.arange(len(lengths)), lengths)
     # Each row's columns in canonical order; ``keys`` stays sorted.

@@ -969,7 +969,8 @@ def _stream_rules_on_disk(
         params = {"kind": kind, "threshold": str(threshold)}
         try:
             store = CheckpointStore(
-                checkpoint_dir, observer=observer, storage=storage
+                checkpoint_dir, observer=observer, storage=storage,
+                stats=stats.hundred_percent_scan,
             )
             try:
                 with observer.span("checkpoint-load"):

@@ -120,10 +120,12 @@ def source_fingerprint(source) -> Dict[str, object]:
 class CheckpointStore:
     """Owns one checkpoint directory (manifest + durable spill buckets)."""
 
-    def __init__(self, directory: str, observer=None, storage=None) -> None:
+    def __init__(self, directory: str, observer=None, storage=None,
+                 stats=None) -> None:
         self.directory = directory
-        #: Transient manifest-write failures that were retried.
-        self.io_retries = 0
+        #: Pass 1's :class:`repro.core.stats.ScanStats`: its
+        #: ``io_retries`` counts each retried save fault (None: nowhere).
+        self.stats = stats
         #: Observer notified of manifest-write retries (any
         #: :class:`repro.observe.ProgressObserver`); None disables.
         self.observer = observer
@@ -221,7 +223,8 @@ class CheckpointStore:
         )
 
     def _note_retry(self, error: BaseException) -> None:
-        self.io_retries += 1
+        if self.stats is not None:
+            self.stats.io_retries += 1
         if self.observer is not None and self.observer.enabled:
             self.observer.on_retry("checkpoint.save")
             self.observer.on_io_error(io_error_kind(error))

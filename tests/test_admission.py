@@ -4,25 +4,21 @@ The serial scan (Algorithm 3.1) adds ``c_k`` to ``c_j``'s list only at
 a row where ``cnt(c_j)`` is still within the add cutoff.  The vector
 scan grants each open owner exactly those rows of a block, so for every
 policy whose budget is its add cutoff it admits the serial scan's pairs
-and its candidate counters equal the serial scan's, at any block size,
-on either discovery path and with either hit kernel.  A similarity scan
-may admit more (the serial scan also refuses pairs its dynamic check
-rejects at admission), and its rules must still equal brute force's.
+and its candidate counters equal the serial scan's, at any block size.
+A similarity scan may admit more (the serial scan also refuses pairs
+its dynamic check rejects at admission), and its rules must still equal
+brute force's.
 """
 
 from fractions import Fraction
 
-import numpy as np
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-import repro.matrix.ops as ops
 from repro.baselines.bruteforce import (
     implication_rules_bruteforce,
     similarity_rules_bruteforce,
 )
-from repro.core import vector
 from repro.core.miss_counting import miss_counting_scan
 from repro.core.policies import (
     HundredPercentPolicy,
@@ -84,30 +80,18 @@ relaxed = settings(
 )
 
 
-def _always_co(block, n_open, dense_pair_columns):
-    """Every block builds its co-occurrence matrix, whatever its shape
-    (with ``_DENSE_MACS_PER_PRODUCT`` patched past any block)."""
-    return ops.block_co_matrix(block, len(block[3]), dense_pair_columns)
-
-
 def _runs(matrix, policy, order):
-    """``(path, block_rows, rules, stats)`` of the vector scan at every
-    block size, on the sparse discovery path (its block hits popcounted
-    from the packed bitmaps) and on the ``co``-matrix path."""
-    for path in ("sparse", "co"):
-        with pytest.MonkeyPatch.context() as patch:
-            if path == "co":
-                patch.setattr(vector, "block_co_matrix", _always_co)
-                patch.setattr(ops, "_DENSE_MACS_PER_PRODUCT", 1 << 40)
-            for block_rows in BLOCK_SIZES:
-                stats = ScanStats()
-                rules = vector_scan_rows(
-                    MatrixBlocks(matrix, order), len(order), policy,
-                    stats=stats, block_rows=block_rows,
-                    dense_pair_columns=1 << 30 if path == "co" else 0,
-                )
-                assert stats.accounting_balanced()
-                yield path, block_rows, rules, stats
+    """``(block_rows, rules, stats)`` of the vector scan at every block
+    size (sparse discovery, block hits popcounted from the packed
+    bitmaps)."""
+    for block_rows in BLOCK_SIZES:
+        stats = ScanStats()
+        rules = vector_scan_rows(
+            MatrixBlocks(matrix, order), len(order), policy,
+            stats=stats, block_rows=block_rows,
+        )
+        assert stats.accounting_balanced()
+        yield block_rows, rules, stats
 
 
 def _check_serial_admission(matrix, policy, order, want=None):
@@ -116,10 +100,10 @@ def _check_serial_admission(matrix, policy, order, want=None):
     if want is not None:
         assert serial == want
     counters = [getattr(stats, name) for name in COUNTERS]
-    for path, block_rows, rules, got in _runs(matrix, policy, order):
-        assert rules == serial, (path, block_rows)
+    for block_rows, rules, got in _runs(matrix, policy, order):
+        assert rules == serial, block_rows
         assert [getattr(got, name) for name in COUNTERS] == counters, (
-            path, block_rows,
+            block_rows
         )
 
 
@@ -160,8 +144,6 @@ def test_similarity_rules_equal_bruteforce(matrix, minsim, sparsest_first):
     want = similarity_rules_bruteforce(matrix, minsim)
     stats = ScanStats()
     miss_counting_scan(matrix, policy, order=order, stats=stats)
-    for path, block_rows, rules, got in _runs(matrix, policy, order):
-        assert rules == want, (path, block_rows)
-        assert got.candidates_added >= stats.candidates_added, (
-            path, block_rows,
-        )
+    for block_rows, rules, got in _runs(matrix, policy, order):
+        assert rules == want, block_rows
+        assert got.candidates_added >= stats.candidates_added, block_rows

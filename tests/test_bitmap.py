@@ -248,12 +248,9 @@ class TestBlockedTail:
         assert stats.accounting_balanced()
 
     def test_chunked_discovery_and_packed_hits(self, monkeypatch):
-        """Without the dense co-occurrence matrix the tail discovers new
-        pairs in tiny sparse-product chunks and counts live-pair hits
-        with the packed popcount kernel; the rules must not change."""
-        monkeypatch.setattr(
-            bitmap_module, "block_co_matrix", lambda block, n_open: None
-        )
+        """The tail discovers new pairs in tiny sparse-product chunks
+        and counts live-pair hits with the packed popcount kernel; the
+        rules must not change."""
         monkeypatch.setattr(ops, "_PAIR_CHUNK_ENTRIES", 16)
         matrix = _tall_matrix()
         for policy, want in (

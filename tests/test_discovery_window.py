@@ -9,8 +9,10 @@ policy the windowed pairs must be exactly the co-occurrences, counted
 row by row over each owner's allowed rows, that the old post-filter
 admitted: the eligibility predicate below
 (the array twin of ``PairPolicy.eligible`` the windows retire) with the
-owner's count within the pair budget.  Both kernel paths run, at
-several ``_PAIR_CHUNK_ENTRIES`` bounds.
+owner's count within the pair budget.  The sparse discovery kernel runs
+at several ``_PAIR_CHUNK_ENTRIES`` bounds, so its chunks and both of its
+ways of counting hits (in place, and by sorting the products) are
+checked.
 """
 
 from fractions import Fraction
@@ -30,7 +32,6 @@ from repro.core.policies import (
     SimilarityPolicy,
 )
 from repro.matrix.ops import (
-    BlockHits,
     CanonicalOrder,
     RowBlocks,
     block_bitmaps,
@@ -187,7 +188,7 @@ def test_windows_yield_exactly_the_admitted_pairs(block, data):
         lengths, cols, n_columns
     )
     dense = dense_block(lengths, cols, to_active, len(active))
-    co = dense.T @ dense
+    whole = dense.T @ dense
     for policy in _policies(data.draw, ones):
         start = _start_counts(data.draw, policy)
         # The scans' open owners: count still within the add cutoff.
@@ -210,22 +211,20 @@ def test_windows_yield_exactly_the_admitted_pairs(block, data):
         for bound in CHUNK_BOUNDS:
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(ops, "_PAIR_CHUNK_ENTRIES", bound)
-                for matrix in (None, co):
-                    got = _triples(co_occurrences(
-                        lengths, cols, to_active, active, picked, order,
-                        ends, matrix, allowance,
-                    ))
-                    assert got == want, (name, bound, matrix is None)
-                    _check_new_pairs(
-                        (lengths, cols, counts, active, to_active),
-                        picked, allowance, order, ends, matrix, bitmaps,
-                        co, want, data.draw,
-                    )
+                got = _triples(co_occurrences(
+                    lengths, cols, to_active, active, picked, order,
+                    ends, allowance,
+                ))
+                assert got == want, (name, bound)
+                _check_new_pairs(
+                    (lengths, cols, counts, active, to_active),
+                    picked, allowance, order, ends, bitmaps, whole, want,
+                    data.draw,
+                )
 
 
 def _check_new_pairs(
-    block, picked, allowance, order, ends, co, bitmaps, whole, admitted,
-    draw,
+    block, picked, allowance, order, ends, bitmaps, whole, admitted, draw,
 ):
     """``new_pairs`` yields the admitted pairs minus the live ones, each
     capped owner's hits over the whole block (``whole``, the block's
@@ -244,7 +243,6 @@ def _check_new_pairs(
         for o, c, h in admitted if (o, c) not in set(live)
     )
     got = _triples(new_pairs(
-        block, picked, allowance, order, ends, co, BlockHits(bitmaps, co),
-        live_keys,
+        block, picked, allowance, order, ends, bitmaps, live_keys,
     ))
     assert got == want

@@ -1,17 +1,14 @@
 """Array kernels over row blocks (repro.matrix.ops, Section 4.2)."""
 
 import numpy as np
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import repro.matrix.ops as ops
 from repro.matrix.ops import (
-    BlockHits,
     CanonicalOrder,
     RowBlocks,
     block_bitmaps,
-    block_co_matrix,
     co_occurrences,
     pair_and_counts,
 )
@@ -155,15 +152,16 @@ def row_blocks(draw):
 
 
 class TestBlockBitmaps:
-    """The packed bitmaps set from a block's entries, and both
-    ``BlockHits`` kernels over them, against a dense reference."""
+    """The packed bitmaps set from a block's entries, and the popcount
+    kernel over them (both its implementations), against a dense
+    reference."""
 
     @given(block=row_blocks())
     def test_against_dense_reference(self, block):
         rows, n_columns = block
         lengths = np.array([len(row) for row in rows], dtype=np.int64)
         cols = np.array([c for row in rows for c in row], dtype=np.int64)
-        counts, active, to_active, bitmaps = block_bitmaps(
+        _, active, to_active, bitmaps = block_bitmaps(
             lengths, cols, n_columns
         )
         n_active = len(active)
@@ -181,15 +179,10 @@ class TestBlockBitmaps:
             for column in row:
                 held[to_active[column]].add(row_id)
         want = [len(held[a] & held[b]) for a, b in zip(left, right)]
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(ops, "_DENSE_MACS_PER_PRODUCT", 1 << 40)
-            co = block_co_matrix(
-                (lengths, cols, counts, active, to_active), n_active,
-                dense_pair_columns=n_active,
-            )
-        assert np.array_equal(co, dense.T @ dense)
-        assert BlockHits(bitmaps)(left, right).tolist() == want
-        assert BlockHits(bitmaps, co)(left, right).tolist() == want
+        assert pair_and_counts(bitmaps, left, right).tolist() == want
+        assert ops._table_popcount_sum(
+            bitmaps[left] & bitmaps[right], axis=1
+        ).tolist() == want
 
 
 class TestBlockKernels:
@@ -207,6 +200,8 @@ class TestBlockKernels:
         return rows, (lengths, cols, counts, active, to_active), bitmaps
 
     def test_pair_hits_paths_agree(self):
+        """The popcount kernel and its numpy < 2 table twin count every
+        pair's block hits."""
         rows, block, bitmaps = self._block()
         active, to_active = block[3:]
         left = np.repeat(to_active[active], len(active))
@@ -215,39 +210,29 @@ class TestBlockKernels:
             sum(1 for _, row in rows if a in row and b in row)
             for a in active for b in active
         ]
-        co = block_co_matrix(block, n_open=len(active))
-        assert co is not None
-        assert BlockHits(bitmaps, co)(left, right).tolist() == want
-        assert BlockHits(bitmaps)(left, right).tolist() == want  # popcount
+        assert pair_and_counts(bitmaps, left, right).tolist() == want
+        assert ops._table_popcount_sum(
+            bitmaps[left] & bitmaps[right], axis=1
+        ).tolist() == want
 
     def test_chunked_co_occurrences(self, monkeypatch):
         rows, block, _ = self._block(seed=1)
         lengths, cols, _, active, to_active = block
         picked = np.arange(len(active))
-        whole = block_co_matrix(block, n_open=len(active))
-
-        def found(co):
-            return _discovered(lengths, cols, to_active, active, picked, co)
-
-        want = found(whole)
+        want = _discovered(lengths, cols, to_active, active, picked)
         assert want and all(o != c for o, c, _ in want)
-        # Discovery must not touch the shared matrix the miss update reads.
-        assert np.all(np.diag(whole)[:len(active)] > 0)
-        # One owner row per yield, out of the shared matrix or one
-        # sparse product.
+        assert want == _counted(
+            [row for _, row in rows], set(active.tolist())
+        )
+        # One owner row per yield, out of one sparse product.
         monkeypatch.setattr(ops, "_PAIR_CHUNK_ENTRIES", 1)
-        for co in (whole, None):
-            slices = list(co_occurrences(
-                lengths, cols, to_active, active, picked,
-                _all_pairs(len(to_active)), None, co,
-            ))
-            assert len(slices) == len(picked)
-            assert all(
-                len(set(owners.tolist())) <= 1 for owners, _, _ in slices
-            )
-        assert found(whole) == want
-        assert found(None) == want
-        assert block_co_matrix(block, n_open=0) is None
+        slices = list(co_occurrences(
+            lengths, cols, to_active, active, picked,
+            _all_pairs(len(to_active)),
+        ))
+        assert len(slices) == len(picked)
+        assert all(len(set(owners.tolist())) <= 1 for owners, _, _ in slices)
+        assert _discovered(lengths, cols, to_active, active, picked) == want
 
 
 def _all_pairs(n_columns):
@@ -256,16 +241,14 @@ def _all_pairs(n_columns):
     return CanonicalOrder(np.zeros(n_columns), after_owner=False)
 
 
-def _discovered(
-    lengths, cols, to_active, active, picked, co=None, allowance=None
-):
+def _discovered(lengths, cols, to_active, active, picked, allowance=None):
     """Every ``(owner, cand, hits)`` co_occurrences yields over
     :func:`_all_pairs` windows, sorted."""
     return sorted(
         (int(o), int(c), int(h))
         for owners, cands, hits in co_occurrences(
             lengths, cols, to_active, active, picked,
-            _all_pairs(len(to_active)), None, co, allowance,
+            _all_pairs(len(to_active)), None, allowance,
         )
         for o, c, h in zip(owners, cands, hits)
     )
@@ -281,9 +264,21 @@ def _counted(rows, picked_ids):
     return sorted((o, c, h) for (o, c), h in hits.items())
 
 
+def _dense_reference(lengths, cols, to_active, active, picked):
+    """The same triples read off the co-occurrence matrix ``D.T @ D``
+    of the block's dense reference."""
+    dense = dense_block(lengths, cols, to_active, len(active))
+    co = dense.T @ dense
+    return sorted(
+        (int(active[o]), int(active[c]), int(co[o, c]))
+        for o in picked for c in range(len(active))
+        if c != o and co[o, c]
+    )
+
+
 class TestSparseDiscovery:
-    """The CSR discovery kernel (``co=None``) against the dense
-    co-occurrence matrix and a row-by-row count."""
+    """The CSR discovery kernel against the dense co-occurrence matrix
+    and a row-by-row count."""
 
     @staticmethod
     def _check(rows, n_columns, seed=0):
@@ -296,10 +291,8 @@ class TestSparseDiscovery:
         generator = np.random.default_rng(seed)
         picked = np.flatnonzero(generator.random(len(active)) < 0.6)
         sparse = _discovered(lengths, cols, to_active, active, picked)
-        dense = dense_block(lengths, cols, to_active, len(active))
-        co = dense.T @ dense
-        assert sparse == _discovered(
-            lengths, cols, to_active, active, picked, co
+        assert sparse == _dense_reference(
+            lengths, cols, to_active, active, picked
         )
         assert sparse == _counted(rows, set(active[picked].tolist()))
         return sparse
@@ -356,8 +349,7 @@ class TestSparseDiscovery:
 
 class TestAllowance:
     """An owner's allowance caps discovery to its first rows of the
-    block, on the sparse path and on the ``co`` path (where an owner
-    whose allowance covers all its rows reads ``co``)."""
+    block."""
 
     @staticmethod
     def _allowed(rows, allowance):
@@ -402,10 +394,6 @@ class TestAllowance:
                 want = self._allowed(rows, dict(zip(
                     active[picked].tolist(), allowance.tolist()
                 )))
-                dense = dense_block(lengths, cols, to_active, len(active))
-                co = dense.T @ dense
-                for matrix in (None, co):
-                    assert _discovered(
-                        lengths, cols, to_active, active, picked, matrix,
-                        allowance,
-                    ) == want, (bound, seed)
+                assert _discovered(
+                    lengths, cols, to_active, active, picked, allowance,
+                ) == want, (bound, seed)

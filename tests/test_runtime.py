@@ -457,6 +457,7 @@ def test_transient_checkpoint_save_fault_is_retried(tmp_path, demo_path):
     assert rules == baseline
     assert storage.errors_raised == {"EIO": 2}
     assert stats.degradations == []  # retried, not degraded
+    assert stats.hundred_percent_scan.io_retries == 2
 
 
 def test_retry_io_backs_off_then_succeeds():

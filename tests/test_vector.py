@@ -106,8 +106,9 @@ class TestScanParity:
         assert vector_scan(matrix, at).pairs() == {(0, 1)}
 
     def test_popcount_kernel_path(self):
-        """dense_pair_columns=0 forces the packed-bitmap fallback on
-        every block; the rules must not change."""
+        """Odd-sized blocks over a row source: every block's hits are
+        popcounted from its packed bitmaps; the rules must equal the
+        serial scan's."""
         for seed in range(4):
             matrix = random_binary_matrix(seed)
             policy = SimilarityPolicy(
@@ -120,7 +121,6 @@ class TestScanParity:
                 len(rows),
                 policy,
                 block_rows=7,
-                dense_pair_columns=0,
             ).pairs()
             assert got == want, seed
 
