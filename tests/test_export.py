@@ -1,7 +1,9 @@
 """Rule serialization (repro.mining.export)."""
 
 import json
+import os
 
+import numpy as np
 import pytest
 
 import repro
@@ -21,6 +23,7 @@ from repro.mining.export import (
     rules_to_text,
     similarity_rules_from_csv,
     similarity_rules_to_csv,
+    stats_from_json,
     stats_to_json,
 )
 from tests.conftest import random_binary_matrix
@@ -63,6 +66,20 @@ class TestCsvRoundTrip:
         implication_rules_to_csv(RuleSet(), path)
         assert len(implication_rules_from_csv(path)) == 0
 
+    @pytest.mark.parametrize("rules, write", [
+        (RuleSet([SimilarityRule(0, 1, 1, 2)]), implication_rules_to_csv),
+        (RuleSet([ImplicationRule(0, 1, 1, 2)]), similarity_rules_to_csv),
+    ])
+    def test_wrong_kind_rejected_before_the_file(
+        self, tmp_path, rules, write
+    ):
+        """The wrong rule kind raises before anything is written: no
+        header-only file is left behind."""
+        path = str(tmp_path / "wrong.csv")
+        with pytest.raises(ValueError):
+            write(rules, path)
+        assert not os.path.exists(path)
+
 
 class TestJsonRoundTrip:
     def test_implication(self):
@@ -97,6 +114,38 @@ class TestJsonRoundTrip:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             rules_from_json('{"rules": [{"kind": "bogus"}]}')
+
+    def test_unreduced_fractions_accepted(self):
+        """A fraction field is checked by value: ``"2/4"`` for 1/2 and
+        ``"3/3"`` for a 100% rule load."""
+        rules = RuleSet(
+            [ImplicationRule(0, 1, 2, 4), ImplicationRule(2, 3, 3, 3)]
+        )
+        document = rules_to_json(rules)
+        document = document.replace('"1/2"', '"2/4"').replace('"1"', '"3/3"')
+        assert '"2/4"' in document and '"3/3"' in document
+        assert rules_from_json(document) == rules
+
+    def test_mixed_kinds_rejected(self):
+        records = [
+            json.loads(rules_to_json(RuleSet([kind(0, 1, 1, 2)])))["rules"][0]
+            for kind in (ImplicationRule, SimilarityRule)
+        ]
+        with pytest.raises(ValueError, match="one rule kind"):
+            rules_from_json(json.dumps({"rules": records}))
+
+    def test_stats_round_trip_and_stats_less_document(self):
+        """``stats_from_json`` reads the stats of a rules document, and
+        refuses one that carries none instead of returning zeros."""
+        result = repro.mine(
+            [["a", "b"], ["a", "b", "c"], ["b"]], minconf="1/2"
+        )
+        document = rules_to_json(result.rules, None, result.stats)
+        assert (
+            stats_from_json(document).to_dict() == result.stats.to_dict()
+        )
+        with pytest.raises(ValueError, match="carries no stats"):
+            stats_from_json(rules_to_json(result.rules))
 
     def test_exact_fractions_survive(self):
         rules = RuleSet([ImplicationRule(0, 1, hits=1, ones=3)])
@@ -140,8 +189,16 @@ def _reference_json(rules, vocabulary=None, stats=None):
     return json.dumps(document, indent=2)
 
 
+class _CyclicVocabulary(Vocabulary):
+    """Labels ids of any size: the ``id % len``-th label, then the id."""
+
+    def label_of(self, column: int) -> str:
+        labels = self.labels()
+        return f"{labels[column % len(labels)]}#{column}"
+
+
 class TestJsonLayout:
-    """rules_to_json writes its records from templates; the bytes must
+    """rules_to_json writes its records from piece tables; the bytes must
     stay exactly those of the indenting JSON encoder."""
 
     LABELS = [
@@ -197,6 +254,45 @@ class TestJsonLayout:
                 for i in range(120)
             ])
             assert rules_to_json(rules) == _reference_json(rules)
+
+    def test_piece_tables_at_scale(self):
+        """Thousands of rules whose ids span ``[0, 2**31)``: left ids
+        that repeat with all-distinct right ids, the converse, and both
+        all distinct, plus a one-rule set, so every id and fraction
+        piece is gathered back to the right record and only the last
+        record loses its separator."""
+        rng = np.random.default_rng(36)
+        limit = 2**31 - 1
+        pool = np.concatenate([[0, limit], rng.integers(0, limit, 18)])
+        spread = rng.choice(limit, size=3000, replace=False)
+        left = np.concatenate([
+            rng.choice(pool, 1000), spread[:1000], spread[1000:2000],
+        ])
+        right = np.concatenate([
+            spread[2000:3000], rng.choice(pool, 1000), spread[2000:3000],
+        ])
+        pairs = sorted(set(zip(left.tolist(), right.tolist())))
+        big = 2**62
+        # The edge counts of test_repeated_and_huge_fractions.
+        counts = [
+            (3, 3), (2, 4), (1, 2), (0, 5), (big, big), (big - 1, big),
+            (big - 1, big + 1), (big - 2, big + 6), (1, big), (4, 6),
+        ]
+        labels = _CyclicVocabulary(self.LABELS)
+        stats = PipelineStats(columns_total=5, rules_partial=3)
+        for kind in (ImplicationRule, SimilarityRule):
+            many = RuleSet([
+                kind(a, b, *counts[i % len(counts)])
+                for i, (a, b) in enumerate(pairs)
+            ])
+            one = RuleSet([kind(limit, 0, *counts[6])])
+            assert len(many) > 2500
+            for rules in (many, one):
+                for vocabulary in (None, labels):
+                    for with_stats in (None, stats):
+                        assert rules_to_json(
+                            rules, vocabulary, with_stats
+                        ) == _reference_json(rules, vocabulary, with_stats)
 
 
     def test_stats_with_edge_values(self):
